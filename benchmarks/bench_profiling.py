@@ -5,7 +5,7 @@ approaches for warp efficiency and memory-bandwidth behaviour, observing
 that the voter mechanism keeps DyCuckoo's warp efficiency high and that
 the bucketized designs utilize the cache line where per-slot probing
 cannot.  This benchmark reproduces that study with the
-:mod:`repro.gpusim.profile` reports:
+:mod:`repro.telemetry.profiler` reports:
 
 * DyCuckoo's insert warp efficiency stays high (the voter scheme keeps
   lanes doing useful work);
@@ -18,7 +18,7 @@ cannot.  This benchmark reproduces that study with the
 import numpy as np
 
 from repro.bench import format_table, shape_check
-from repro.gpusim.profile import profile_operation
+from repro.telemetry.profiler import profile_operation
 
 from benchmarks.common import (COST_MODEL, once, static_suite_for_slots,
                                trim_stream_to_unique)

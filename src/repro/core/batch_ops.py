@@ -15,8 +15,10 @@ preserving the batched execution model the cost accounting assumes.
 
 Key encoding and hashing are position-pure — they depend only on the
 key, never on table geometry — so :class:`EncodedBatch` computes them
-once for the whole mixed batch and every homogeneous run executes on
-views of the shared arrays.  ``engine="warp" | "cohort"`` routes the
+once for the whole mixed batch and every homogeneous run executes on a
+view of it.  The public ``find``/``insert``/``delete`` methods and the
+kernel drivers take the same path: each builds one batch and probes
+through :meth:`EncodedBatch.probe`.  ``engine="warp" | "cohort"`` routes the
 runs through the lane-faithful kernels instead of the vectorized host
 path (see :mod:`repro.kernels.engine`).
 """
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InvalidConfigError
-from repro.telemetry import NULL_TELEMETRY
 
 #: Human-readable names for op codes (trace event labelling).
 _KIND_NAMES = {0: "insert", 1: "find", 2: "delete"}
@@ -43,7 +44,7 @@ _VALID_OPS = (OP_INSERT, OP_FIND, OP_DELETE)
 
 
 class EncodedBatch:
-    """Hashes for one key batch, computed once and sliced per run.
+    """Hashes for one key batch, computed once and shared by its views.
 
     ``codes`` (the canonical uint64 encoding), the pair-hash targets
     ``first``/``second``, and each subtable's 31-bit raw hash are pure
@@ -51,7 +52,9 @@ class EncodedBatch:
     resizes, because a resize only changes the power-of-two mask
     applied by :meth:`~repro.core.hashing.UniversalHash.bucket_from_raw`.
     Everything is evaluated lazily so a FIND-only batch never pays for
-    hashes it does not use.
+    hashes it does not use.  Indexing a batch by a slice or an index
+    array returns a view whose hashes are read from this batch's
+    caches, never recomputed.
     """
 
     def __init__(self, table, keys) -> None:
@@ -59,38 +62,87 @@ class EncodedBatch:
 
         self.table = table
         self.codes = encode_keys(np.asarray(keys, dtype=np.uint64))
-        self._first: np.ndarray | None = None
-        self._second: np.ndarray | None = None
+        self._pair: tuple[np.ndarray, np.ndarray] | None = None
         self._raw: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.codes)
 
+    def __getitem__(self, index) -> "EncodedBatch":
+        return _BatchView(self, index)
+
     @property
     def first(self) -> np.ndarray:
-        if self._first is None:
-            self._first, self._second = self.table.pair_hash.tables_for(
-                self.codes)
-        return self._first
+        return self._pairs()[0]
 
     @property
     def second(self) -> np.ndarray:
-        if self._second is None:
-            self.first  # noqa: B018 - populates both caches
-        return self._second
+        return self._pairs()[1]
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._pair is None:
+            self._pair = self._hash_pairs()
+        return self._pair
 
     def raw(self, t: int) -> np.ndarray:
         """Raw (geometry-independent) hash of every code under subtable
-        ``t``'s hash function; cached after the first request."""
+        ``t``'s hash function; cached after the first request.  The
+        hashes are 31-bit, so the cache holds them as ``uint32``."""
         cached = self._raw.get(t)
         if cached is None:
-            cached = self.table.table_hashes[t].raw(self.codes)
-            self._raw[t] = cached
+            cached = self._raw[t] = self._hash_raw(t)
         return cached
 
-    def raw_of(self, segment: slice):
-        """``raw_of`` callback for one run: subtable -> raw-hash view."""
-        return lambda t: self.raw(t)[segment]
+    def _hash_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.table.pair_hash.tables_for(self.codes)
+
+    def _hash_raw(self, t: int) -> np.ndarray:
+        return self.table.table_hashes[t].raw(self.codes).astype(np.uint32)
+
+    def probe(self, op) -> tuple[np.ndarray, int]:
+        """Two-bucket probe (Section V-A), grouped by subtable.
+
+        Every key visits the bucket of its first candidate subtable;
+        keys ``op`` did not hit there visit their second candidate.
+        ``op(t, buckets, sel)`` serves the keys at positions ``sel``
+        whose buckets in subtable ``t`` are ``buckets`` and returns the
+        mask of those it hit.  Returns the hit mask over the batch and
+        the number of keys that read their second bucket.
+        """
+        table = self.table
+        hit = np.zeros(len(self), dtype=bool)
+
+        def visit(pending: np.ndarray, targets: np.ndarray) -> None:
+            pending_targets = targets[pending]
+            for t in range(table.num_tables):
+                sel = pending[pending_targets == t]
+                if len(sel):
+                    buckets = table.bucket_of_raw(t, self.raw(t)[sel])
+                    hit[sel[op(t, buckets, sel)]] = True
+
+        visit(np.arange(len(self)), self.first)
+        retry = np.flatnonzero(~hit)
+        visit(retry, self.second)
+        return hit, len(retry)
+
+
+class _BatchView(EncodedBatch):
+    """The keys of ``parent`` at ``index``, hashed through its caches."""
+
+    def __init__(self, parent: EncodedBatch, index) -> None:
+        self.table = parent.table
+        self.codes = parent.codes[index]
+        self._parent = parent
+        self._index = index
+        self._pair = None
+        self._raw = {}
+
+    def _hash_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        first, second = self._parent._pairs()
+        return first[self._index], second[self._index]
+
+    def _hash_raw(self, t: int) -> np.ndarray:
+        return self._parent.raw(t)[self._index]
 
 
 @dataclass(frozen=True)
@@ -128,8 +180,7 @@ def execute_mixed(table, op_codes, keys, values=None,
     Parameters
     ----------
     table:
-        Any table with the :class:`repro.baselines.base.GpuHashTable`
-        batched interface (including :class:`DyCuckooTable`).
+        A :class:`~repro.core.table.DyCuckooTable`.
     op_codes:
         Array of :data:`OP_INSERT` / :data:`OP_FIND` / :data:`OP_DELETE`.
     keys:
@@ -172,14 +223,8 @@ def execute_mixed(table, op_codes, keys, values=None,
     if n == 0:
         return MixedBatchResult(out_values, out_found, out_removed, runs)
 
-    telemetry = getattr(table, "telemetry", NULL_TELEMETRY)
-    # Encoded fast path: hash the whole batch once when the table
-    # exposes the encoded entry points (kernel engines require them).
-    encoded = (EncodedBatch(table, keys)
-               if hasattr(table, "_find_encoded") else None)
-    if engine is not None and encoded is None:
-        raise InvalidConfigError(
-            "kernel engines need a DyCuckooTable-compatible table")
+    telemetry = table.telemetry
+    batch = EncodedBatch(table, keys)
     kernel_total = None
     batch_ctx = (telemetry.tracer.span("mixed.batch", "op", ops=n)
                  if telemetry.enabled else nullcontext())
@@ -191,84 +236,50 @@ def execute_mixed(table, op_codes, keys, values=None,
                 telemetry.tracer.instant("mixed.run", "op",
                                          kind=_KIND_NAMES[kind],
                                          ops=stop - start)
-            if engine is not None:
-                result = _execute_run_kernel(table, encoded, kind, segment,
-                                             values, out_values, out_found,
-                                             out_removed, engine)
+            if engine is None:
+                _execute_run_host(table, batch[segment], kind, segment,
+                                  values, out_values, out_found,
+                                  out_removed)
+            else:
+                result = _execute_run_kernel(table, batch[segment], kind,
+                                             segment, values, out_values,
+                                             out_found, out_removed, engine)
                 kernel_total = (result if kernel_total is None
                                 else kernel_total.merge(result))
-            elif encoded is not None:
-                _execute_run_encoded(table, telemetry, encoded, kind,
-                                     segment, values, out_values,
-                                     out_found, out_removed)
-            elif kind == OP_INSERT:
-                table.insert(keys[segment], values[segment])
-            elif kind == OP_FIND:
-                seg_values, seg_found = table.find(keys[segment])
-                out_values[segment] = seg_values
-                out_found[segment] = seg_found
-            else:
-                out_removed[segment] = table.delete(keys[segment])
     return MixedBatchResult(out_values, out_found, out_removed, runs,
                             kernel_total)
 
 
-def _execute_run_encoded(table, telemetry, encoded: EncodedBatch, kind: int,
-                         segment: slice, values, out_values, out_found,
-                         out_removed) -> None:
-    """One homogeneous run through the vectorized encoded entry points.
-
-    Emits the same per-op spans the public ``find``/``insert``/``delete``
-    methods emit, so traces are identical to the unhinted path.
-    """
-    codes = encoded.codes[segment]
-    first = encoded.first[segment]
-    second = encoded.second[segment]
-    raw_of = encoded.raw_of(segment)
+def _execute_run_host(table, run: EncodedBatch, kind: int, segment: slice,
+                      values, out_values, out_found, out_removed) -> None:
+    """One homogeneous run through the vectorized host path, under the
+    same span the public ``find``/``insert``/``delete`` methods open."""
     name = _KIND_NAMES[kind]
-    ctx = (telemetry.tracer.span(name, "op", n=len(codes))
-           if telemetry.enabled else nullcontext())
-    with ctx:
-        if kind == OP_INSERT:
-            table._insert_encoded(codes, values[segment], first, second,
-                                  raw_of=raw_of)
-        elif kind == OP_FIND:
-            seg_values, seg_found = table._find_encoded(codes, first,
-                                                        second,
-                                                        raw_of=raw_of)
-            out_values[segment] = seg_values
-            out_found[segment] = seg_found
-        else:
-            out_removed[segment] = table._delete_encoded(codes, first,
-                                                         second,
-                                                         raw_of=raw_of)
+    if kind == OP_INSERT:
+        table._traced_op(name, table._insert_encoded, run, values[segment])
+    elif kind == OP_FIND:
+        out_values[segment], out_found[segment] = table._traced_op(
+            name, table._find_encoded, run)
+    else:
+        out_removed[segment] = table._traced_op(name, table._delete_encoded,
+                                                run)
 
 
-def _execute_run_kernel(table, encoded: EncodedBatch, kind: int,
-                        segment: slice, values, out_values, out_found,
-                        out_removed, engine: str):
+def _execute_run_kernel(table, run: EncodedBatch, kind: int, segment: slice,
+                        values, out_values, out_found, out_removed,
+                        engine: str):
     """One homogeneous run through the lane-faithful kernels."""
     from repro.kernels.delete import run_delete_kernel
     from repro.kernels.find import run_find_kernel
     from repro.kernels.insert import run_voter_insert_kernel
 
-    codes = encoded.codes[segment]
-    first = encoded.first[segment]
-    second = encoded.second[segment]
-    raw_of = encoded.raw_of(segment)
     if kind == OP_INSERT:
         return run_voter_insert_kernel(table, None, values[segment],
-                                       engine=engine, codes=codes,
-                                       first=first, second=second)
+                                       engine=engine, codes=run)
     if kind == OP_FIND:
-        seg_values, seg_found, result = run_find_kernel(
-            table, None, engine=engine, codes=codes, first=first,
-            second=second, raw_of=raw_of)
-        out_values[segment] = seg_values
-        out_found[segment] = seg_found
+        out_values[segment], out_found[segment], result = run_find_kernel(
+            table, None, engine=engine, codes=run)
         return result
-    removed, result = run_delete_kernel(table, None, engine=engine,
-                                        codes=codes, first=first,
-                                        second=second, raw_of=raw_of)
-    out_removed[segment] = removed
+    out_removed[segment], result = run_delete_kernel(table, None,
+                                                     engine=engine, codes=run)
     return result

@@ -206,7 +206,7 @@ class Subtable:
         Duplicate ``(bucket, code)`` rows in one call all report
         ``True`` but clear (and count) the underlying slot exactly once,
         so ``size`` stays consistent for callers that do not pre-dedupe
-        the way :meth:`DyCuckooTable._delete_batch` does.
+        the way :meth:`DyCuckooTable._delete_encoded` does.
         """
         buckets = np.asarray(buckets, dtype=np.int64)
         codes = np.asarray(codes, dtype=np.uint64)

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batch_ops import EncodedBatch
 from repro.core.config import DyCuckooConfig
 from repro.core.distribution import make_router
 from repro.core.grouping import first_occurrence_mask, last_occurrence_mask
-from repro.core.hashing import PairHash, make_table_hashes
+from repro.core.hashing import PairHash, UniversalHash, make_table_hashes
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
@@ -345,56 +346,45 @@ class DyCuckooTable:
         Returns ``(values, found)``; ``values[i]`` is meaningful only
         where ``found[i]``.  Each lookup reads at most two buckets.
         """
+        return self._traced_op("find", self._find_encoded,
+                               EncodedBatch(self, keys))
+
+    def _traced_op(self, name: str, body, batch: EncodedBatch, *args):
+        """Run one batched op ``body(batch, *args)`` inside its span."""
         if self.telemetry.enabled:
-            with self.telemetry.tracer.span("find", "op",
-                                            n=int(np.size(keys))):
-                return self._find_batch(keys)
-        return self._find_batch(keys)
+            with self.telemetry.tracer.span(name, "op", n=len(batch)):
+                return body(batch, *args)
+        return body(batch, *args)
 
-    def _find_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        return self._find_encoded(encode_keys(keys))
-
-    def _find_encoded(self, codes: np.ndarray, first=None, second=None,
-                      raw_of=None) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`find` body over pre-encoded codes.
-
-        ``first``/``second``/``raw_of`` optionally carry precomputed
-        pair-hash targets and per-subtable raw hashes (aligned to
-        ``codes``; see :class:`repro.core.batch_ops.EncodedBatch`).
-        Hash hoisting only — stats and telemetry are byte-identical to
-        the unhinted path.
-        """
+    def _find_encoded(self, batch: EncodedBatch
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`find` body over an encoded batch."""
+        codes = batch.codes
         n = len(codes)
         self.stats.finds += n
         values = np.zeros(n, dtype=np.uint64)
-        found = np.zeros(n, dtype=bool)
         if n == 0:
-            return values, found
-        if first is None or second is None:
-            first, second = self.pair_hash.tables_for(codes)
-        self._probe(codes, first, np.arange(n), values, found,
-                    raw_of=raw_of)
-        missing = np.flatnonzero(~found)
-        if len(missing):
-            self.stats.chain_hops += len(missing)
-            self._probe(codes[missing], second[missing], missing, values,
-                        found, raw_of=raw_of)
-        if len(self.stash):
-            still_missing = np.flatnonzero(~found)
-            if len(still_missing):
-                stash_values, stash_found = self.stash.lookup(
-                    codes[still_missing])
-                dest = still_missing[stash_found]
-                values[dest] = stash_values[stash_found]
-                found[dest] = True
-                self.stats.stash_hits += int(stash_found.sum())
+            return values, np.zeros(0, dtype=bool)
+
+        def lookup(t: int, buckets: np.ndarray, sel: np.ndarray):
+            hit, vals = self.subtables[t].lookup(buckets, codes[sel])
+            values[sel[hit]] = vals[hit]
+            return hit
+
+        def stash_lookup(pending: np.ndarray):
+            stash_values, hit = self.stash.lookup(codes[pending])
+            values[pending[hit]] = stash_values[hit]
+            self.stats.stash_hits += int(hit.sum())
+            return hit
+
+        found, retried = self._probe(batch, lookup, stash_lookup)
         hits = int(found.sum())
         self.stats.find_hits += hits
         if self.telemetry.enabled:
             hist = self.telemetry.metrics.histogram("probe_length",
                                                     (1.0, 2.0))
-            hist.observe_count(1.0, n - len(missing))
-            hist.observe_count(2.0, len(missing))
+            hist.observe_count(1.0, n - retried)
+            hist.observe_count(2.0, retried)
             self.telemetry.metrics.counter("find.hits").inc(hits)
             self.telemetry.metrics.counter("find.misses").inc(n - hits)
         if self.config.auto_resize:
@@ -419,49 +409,34 @@ class DyCuckooTable:
         filled factor then exceeds ``beta`` (or an insert exhausts its
         eviction budget), the table upsizes per Section IV-B.
         """
-        if self.telemetry.enabled:
-            with self.telemetry.tracer.span("insert", "op",
-                                            n=int(np.size(keys))):
-                return self._insert_batch(keys, values)
-        return self._insert_batch(keys, values)
+        self._traced_op("insert", self._insert_encoded,
+                        EncodedBatch(self, keys), values)
 
-    def _insert_batch(self, keys, values) -> None:
-        return self._insert_encoded(encode_keys(keys), values)
-
-    def _insert_encoded(self, codes: np.ndarray, values, first=None,
-                        second=None, raw_of=None) -> None:
-        """:meth:`insert` body over pre-encoded, *un-deduplicated* codes.
-
-        ``first``/``second``/``raw_of`` are aligned to ``codes`` (before
-        the last-occurrence dedupe, which happens here).  Pure hash
-        hoisting; stats and telemetry are byte-identical.
-        """
+    def _insert_encoded(self, batch: EncodedBatch, values) -> None:
+        """:meth:`insert` body over an encoded, *un-deduplicated* batch."""
         values = np.asarray(values, dtype=np.uint64)
-        if values.shape != codes.shape:
+        if values.shape != batch.codes.shape:
             raise InvalidKeyError(
-                f"values shape {values.shape} != keys shape {codes.shape}"
+                f"values shape {values.shape} != keys shape "
+                f"{batch.codes.shape}"
             )
-        self.stats.inserts += len(codes)
-        if len(codes) == 0:
+        self.stats.inserts += len(batch)
+        if len(batch) == 0:
             return
-        keep = last_occurrence_mask(codes)
-        keep_idx = np.flatnonzero(keep)
-        codes = codes[keep]
-        values = values[keep]
-        if first is not None and second is not None:
-            first = first[keep]
-            second = second[keep]
-        else:
-            first, second = self.pair_hash.tables_for(codes)
+        keep = last_occurrence_mask(batch.codes)
+        if not keep.all():
+            # Without duplicates (a bulk load) the batch is probed as
+            # is, not through a view holding copies of its hashes.
+            batch = batch[keep]
+            values = values[keep]
 
-        updated = self._update_existing(codes, values, first, second,
-                                        raw_of=raw_of, abs_idx=keep_idx)
+        updated = self._update_existing(batch, values)
         fresh = np.flatnonzero(~updated)
         self.stats.updates += int(updated.sum())
         if len(fresh):
-            fresh_codes = codes[fresh]
-            targets = self._router.choose(fresh_codes, first[fresh],
-                                          second[fresh],
+            fresh_codes = batch.codes[fresh]
+            targets = self._router.choose(fresh_codes, batch.first[fresh],
+                                          batch.second[fresh],
                                           self.subtable_sizes(),
                                           self.subtable_loads())
             self._insert_pending(fresh_codes, values[fresh], targets,
@@ -479,62 +454,29 @@ class DyCuckooTable:
         physically (no tombstones), so the filled factor drops and may
         trigger a downsize.
         """
-        if self.telemetry.enabled:
-            with self.telemetry.tracer.span("delete", "op",
-                                            n=int(np.size(keys))):
-                return self._delete_batch(keys)
-        return self._delete_batch(keys)
+        return self._traced_op("delete", self._delete_encoded,
+                               EncodedBatch(self, keys))
 
-    def _delete_batch(self, keys) -> np.ndarray:
-        return self._delete_encoded(encode_keys(keys))
-
-    def _delete_encoded(self, all_codes: np.ndarray, first=None,
-                        second=None, raw_of=None) -> np.ndarray:
-        """:meth:`delete` body over pre-encoded codes.
-
-        Hints are aligned to ``all_codes`` (before the first-occurrence
-        dedupe).  Pure hash hoisting; stats are byte-identical.
-        """
-        n = len(all_codes)
+    def _delete_encoded(self, batch: EncodedBatch) -> np.ndarray:
+        """:meth:`delete` body over an encoded batch."""
+        n = len(batch)
         self.stats.deletes += n
         removed = np.zeros(n, dtype=bool)
         if n == 0:
             return removed
         # Duplicate keys in one delete batch: only the first occurrence
         # can observe (and clear) the entry.
-        unique = first_occurrence_mask(all_codes)
-        unique_idx = np.flatnonzero(unique)
-        codes = all_codes[unique]
-        removed_unique = np.zeros(len(codes), dtype=bool)
-        if first is not None and second is not None:
-            first = first[unique]
-            second = second[unique]
-        else:
-            first, second = self.pair_hash.tables_for(codes)
-        for pass_idx, targets in enumerate((first, second)):
-            pending = np.flatnonzero(~removed_unique)
-            if len(pending) == 0:
-                break
-            if pass_idx == 1:
-                self.stats.chain_hops += len(pending)
-            for t in range(self.num_tables):
-                sel = pending[targets[pending] == t]
-                if len(sel) == 0:
-                    continue
-                st = self.subtables[t]
-                if raw_of is not None:
-                    buckets = self.bucket_for(t, raw=raw_of(t)[unique_idx[sel]])
-                else:
-                    buckets = self.bucket_for(t, codes[sel])
-                self.stats.bucket_reads += len(sel)
-                erased = st.erase(buckets, codes[sel])
-                self.stats.bucket_writes += int(erased.sum())
-                removed_unique[sel[erased]] = True
-        if len(self.stash):
-            pending = np.flatnonzero(~removed_unique)
-            if len(pending):
-                erased = self.stash.erase(codes[pending])
-                removed_unique[pending[erased]] = True
+        unique_idx = np.flatnonzero(first_occurrence_mask(batch.codes))
+        unique = batch[unique_idx]
+        codes = unique.codes
+
+        def erase(t: int, buckets: np.ndarray, sel: np.ndarray):
+            erased = self.subtables[t].erase(buckets, codes[sel])
+            self.stats.bucket_writes += int(erased.sum())
+            return erased
+
+        removed_unique, _ = self._probe(
+            unique, erase, lambda pending: self.stash.erase(codes[pending]))
         removed[unique_idx] = removed_unique
         self.stats.delete_hits += int(removed_unique.sum())
         if self.config.auto_resize:
@@ -573,30 +515,28 @@ class DyCuckooTable:
     # Internal machinery
     # ------------------------------------------------------------------
 
-    def bucket_for(self, t: int, codes: np.ndarray | None = None,
-                   raw: np.ndarray | None = None) -> np.ndarray:
+    def bucket_for(self, t: int, codes: np.ndarray) -> np.ndarray:
         """Bucket indices for ``codes`` in subtable ``t``, epoch-aware.
 
         The single bucket-resolution point for the host path and both
-        kernel engines.  Outside a migration epoch this is the plain
-        power-of-two mask; while subtable ``t`` is mid-migration it is
-        the epoch check — one extra masked index computation routing
-        each key to its pre- or post-resize bucket — so FIND/DELETE
-        keep the paper's two-bucket guarantee throughout.  ``raw``
-        (geometry-independent hashes) may be passed instead of
-        ``codes`` to reuse :class:`~repro.core.batch_ops.EncodedBatch`
-        caches.
+        kernel engines; see :meth:`bucket_of_raw`.
+        """
+        return self.bucket_of_raw(t, self.table_hashes[t].raw(codes))
+
+    def bucket_of_raw(self, t: int, raw: np.ndarray) -> np.ndarray:
+        """Bucket indices in subtable ``t`` from precomputed raw hashes.
+
+        Outside a migration epoch this is the plain power-of-two mask;
+        while subtable ``t`` is mid-migration it is the epoch check —
+        one extra masked index computation routing each key to its
+        pre- or post-resize bucket — so FIND/DELETE keep the paper's
+        two-bucket guarantee throughout.  ``raw`` is geometry-independent
+        (see :class:`~repro.core.batch_ops.EncodedBatch`).
         """
         st = self.subtables[t]
-        h = self.table_hashes[t]
-        mig = st.migration
-        if mig is None:
-            if raw is not None:
-                return h.bucket_from_raw(raw, st.n_buckets)
-            return h.bucket(codes, st.n_buckets)
-        if raw is None:
-            raw = h.raw(codes)
-        return mig.effective_buckets(raw)
+        if st.migration is None:
+            return UniversalHash.bucket_from_raw(raw, st.n_buckets)
+        return st.migration.effective_buckets(raw)
 
     def _drain_migration(self) -> int:
         """Batch-end hook: advance any open resize epoch by one slice."""
@@ -610,68 +550,40 @@ class DyCuckooTable:
         """
         return self._resizer.finalize_migration()
 
-    def _probe(self, codes: np.ndarray, targets: np.ndarray,
-               out_indices: np.ndarray, values: np.ndarray,
-               found: np.ndarray, raw_of=None) -> None:
-        """Look up ``codes`` in per-key subtables, writing results back.
+    def _probe(self, batch: EncodedBatch, op, stash_op
+               ) -> tuple[np.ndarray, int]:
+        """Grouped two-bucket probe, then the stash for keys still missed.
 
-        ``raw_of(t)``, when given, holds precomputed raw hashes for
-        subtable ``t`` indexed by *absolute* position — which is exactly
-        what ``out_indices`` maps local positions to.
+        ``op`` serves the bucket probes (see :meth:`EncodedBatch.probe`);
+        ``stash_op(pending)`` serves the positions both buckets missed
+        and returns the mask of those the stash hit.  Counts one bucket
+        read per probe and one chain hop per second-bucket probe.
+        Returns the hit mask and the number of second-bucket probes.
         """
-        for t in range(self.num_tables):
-            sel = np.flatnonzero(targets == t)
-            if len(sel) == 0:
-                continue
-            st = self.subtables[t]
-            if raw_of is not None:
-                buckets = self.bucket_for(t, raw=raw_of(t)[out_indices[sel]])
-            else:
-                buckets = self.bucket_for(t, codes[sel])
-            self.stats.bucket_reads += len(sel)
-            hit, vals = st.lookup(buckets, codes[sel])
-            dest = out_indices[sel[hit]]
-            values[dest] = vals[hit]
-            found[dest] = True
-
-    def _update_existing(self, codes: np.ndarray, values: np.ndarray,
-                         first=None, second=None, raw_of=None,
-                         abs_idx=None) -> np.ndarray:
-        """Overwrite values of keys already stored; return updated mask.
-
-        ``raw_of(t)`` is indexed by absolute batch position;
-        ``abs_idx`` maps local positions in ``codes`` to those absolute
-        positions (identity when omitted).
-        """
-        n = len(codes)
-        updated = np.zeros(n, dtype=bool)
-        if first is None or second is None:
-            first, second = self.pair_hash.tables_for(codes)
-        for pass_idx, targets in enumerate((first, second)):
-            pending = np.flatnonzero(~updated)
-            if len(pending) == 0:
-                break
-            if pass_idx == 1:
-                self.stats.chain_hops += len(pending)
-            for t in range(self.num_tables):
-                sel = pending[targets[pending] == t]
-                if len(sel) == 0:
-                    continue
-                st = self.subtables[t]
-                if raw_of is not None:
-                    src = sel if abs_idx is None else abs_idx[sel]
-                    buckets = self.bucket_for(t, raw=raw_of(t)[src])
-                else:
-                    buckets = self.bucket_for(t, codes[sel])
-                self.stats.bucket_reads += len(sel)
-                upd = st.update_existing(buckets, codes[sel], values[sel])
-                self.stats.bucket_writes += int(upd.sum())
-                updated[sel[upd]] = True
+        hit, retried = batch.probe(op)
+        self.stats.bucket_reads += len(batch) + retried
+        self.stats.chain_hops += retried
         if len(self.stash):
-            pending = np.flatnonzero(~updated)
+            pending = np.flatnonzero(~hit)
             if len(pending):
-                upd = self.stash.update(codes[pending], values[pending])
-                updated[pending[upd]] = True
+                hit[pending[stash_op(pending)]] = True
+        return hit, retried
+
+    def _update_existing(self, batch: EncodedBatch,
+                         values: np.ndarray) -> np.ndarray:
+        """Overwrite values of keys already stored; return updated mask."""
+        codes = batch.codes
+
+        def update(t: int, buckets: np.ndarray, sel: np.ndarray):
+            upd = self.subtables[t].update_existing(buckets, codes[sel],
+                                                    values[sel])
+            self.stats.bucket_writes += int(upd.sum())
+            return upd
+
+        updated, _ = self._probe(
+            batch, update,
+            lambda pending: self.stash.update(codes[pending],
+                                              values[pending]))
         return updated
 
     def _insert_pending(self, codes: np.ndarray, values: np.ndarray,

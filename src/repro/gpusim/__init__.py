@@ -25,8 +25,9 @@ from repro.gpusim.kernel import LockArbiter, Occupancy, RoundScheduler
 from repro.gpusim.memory import MemoryTracker, coalesced_transactions
 from repro.gpusim.memory_manager import DeviceMemoryManager, PCIE_BANDWIDTH
 from repro.gpusim.metrics import CostModel, KernelCosts, mops
-from repro.gpusim.profile import KernelProfile, profile_batch, profile_operation
 from repro.gpusim.warp import WarpContext
+from repro.telemetry.profiler import (KernelProfile, profile_batch,
+                                      profile_operation)
 
 # Imported last: the cohort engine depends on the modules above and on
 # repro.kernels (lazily), so keeping it at the tail avoids import cycles.

@@ -105,50 +105,31 @@ def _first_slot(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # FIND
 # ----------------------------------------------------------------------
 
-def cohort_find(table, codes: np.ndarray, first=None, second=None,
-                raw_of=None):
+def cohort_find(table, batch):
     """Vectorized form of :func:`repro.kernels.find.run_find_kernel`.
 
-    ``codes`` are already-encoded keys; ``first``/``second`` are the
-    pair-hash targets (computed here when omitted) and ``raw_of`` an
-    optional ``t -> raw-hash-array`` cache aligned with ``codes``.
-    Returns ``(values, found, result)`` with transaction counts equal
-    to the sequential warp walk: one per first-bucket probe plus one
-    per second probe on a miss.
+    ``batch`` is the :class:`~repro.core.batch_ops.EncodedBatch` of
+    keys to look up.  Returns ``(values, found, result)`` with
+    transaction counts equal to the sequential warp walk: one per
+    first-bucket probe plus one per second probe on a miss.
     """
     from repro.kernels.insert import KernelRunResult
 
-    codes = np.asarray(codes, dtype=np.uint64)
+    codes = batch.codes
     n = len(codes)
     values = np.zeros(n, dtype=np.uint64)
-    found = np.zeros(n, dtype=bool)
     result = KernelRunResult()
     if n == 0:
-        return values, found, result
-    if first is None or second is None:
-        first, second = table.pair_hash.tables_for(codes)
+        return values, np.zeros(0, dtype=bool), result
 
-    def probe(idx: np.ndarray, targets: np.ndarray) -> None:
-        for t in range(table.num_tables):
-            sel = idx[targets == t]
-            if len(sel) == 0:
-                continue
-            st = table.subtables[t]
-            if raw_of is None:
-                buckets = table.bucket_for(t, codes[sel])
-            else:
-                buckets = table.bucket_for(t, raw=raw_of(t)[sel])
-            hit, slots = _first_slot(st.keys[buckets] == codes[sel][:, None])
-            dest = sel[hit]
-            values[dest] = st.values[buckets[hit], slots[hit]]
-            found[dest] = True
+    def probe(t: int, buckets: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        st = table.subtables[t]
+        hit, slots = _first_slot(st.keys[buckets] == codes[sel][:, None])
+        values[sel[hit]] = st.values[buckets[hit], slots[hit]]
+        return hit
 
-    everyone = np.arange(n)
-    probe(everyone, np.asarray(first, dtype=np.int64))
-    missing = np.flatnonzero(~found)
-    if len(missing):
-        probe(missing, np.asarray(second, dtype=np.int64)[missing])
-    result.memory_transactions = n + len(missing)
+    found, missed = batch.probe(probe)
+    result.memory_transactions = n + missed
     result.completed_ops = n
     result.rounds = n  # one warp processes queries sequentially
     san = getattr(table, "sanitizer", NULL_SANITIZER)
@@ -160,7 +141,7 @@ def cohort_find(table, codes: np.ndarray, first=None, second=None,
     if prof.enabled:
         # Ops resolved on the first bucket probed length 1; the rest
         # read the second bucket too — identical to the per-warp walk.
-        prof.observe_probes(n, n - len(missing))
+        prof.observe_probes(n, n - missed)
     return values, found, result
 
 
@@ -168,8 +149,7 @@ def cohort_find(table, codes: np.ndarray, first=None, second=None,
 # DELETE
 # ----------------------------------------------------------------------
 
-def cohort_delete(table, codes: np.ndarray, first=None, second=None,
-                  raw_of=None):
+def cohort_delete(table, batch):
     """Vectorized form of :func:`repro.kernels.delete.run_delete_kernel`.
 
     Sequential duplicate semantics are reproduced exactly: only a
@@ -180,69 +160,51 @@ def cohort_delete(table, codes: np.ndarray, first=None, second=None,
     from repro.core.grouping import first_occurrence_mask
     from repro.kernels.insert import KernelRunResult
 
-    codes = np.asarray(codes, dtype=np.uint64)
-    n = len(codes)
+    n = len(batch)
     removed = np.zeros(n, dtype=bool)
     result = KernelRunResult()
     if n == 0:
         return removed, result
-    if first is None or second is None:
-        first, second = table.pair_hash.tables_for(codes)
-    first = np.asarray(first, dtype=np.int64)
-    second = np.asarray(second, dtype=np.int64)
 
     # Distinct keys never interact (clearing one key's slot cannot make
     # another key appear or vanish), so only first occurrences can hit.
-    unique_idx = np.flatnonzero(first_occurrence_mask(codes))
-    hit_first = np.zeros(n, dtype=bool)
+    unique_idx = np.flatnonzero(first_occurrence_mask(batch.codes))
+    unique = batch[unique_idx]
+    codes = unique.codes
+    san = getattr(table, "sanitizer", NULL_SANITIZER)
 
-    def clear(idx: np.ndarray, targets: np.ndarray, hit_out) -> None:
-        for t in range(table.num_tables):
-            sel = idx[targets == t]
-            if len(sel) == 0:
-                continue
-            st = table.subtables[t]
-            if raw_of is None:
-                buckets = table.bucket_for(t, codes[sel])
-            else:
-                buckets = table.bucket_for(t, raw=raw_of(t)[sel])
-            hit, slots = _first_slot(st.keys[buckets] == codes[sel][:, None])
-            if np.any(hit):
-                st.keys[buckets[hit], slots[hit]] = EMPTY
-                st.size -= int(hit.sum())
-                dest = sel[hit]
-                removed[dest] = True
-                if hit_out is not None:
-                    hit_out[dest] = True
-                san = getattr(table, "sanitizer", NULL_SANITIZER)
-                if san.enabled:
-                    # Same access log as the per-warp engine: one
-                    # lock-free slot-clear write per removal (exempt
-                    # from the locking contract — see run_delete_kernel).
-                    for b in buckets[hit]:
-                        san.record_access(0, "write", "bucket",
-                                          (t << 40) | int(b),
-                                          site=_SITE_DELETE)
+    def clear(t: int, buckets: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        st = table.subtables[t]
+        hit, slots = _first_slot(st.keys[buckets] == codes[sel][:, None])
+        if np.any(hit):
+            st.keys[buckets[hit], slots[hit]] = EMPTY
+            st.size -= int(hit.sum())
+            if san.enabled:
+                # Same access log as the per-warp engine: one
+                # lock-free slot-clear write per removal (exempt
+                # from the locking contract — see run_delete_kernel).
+                for b in buckets[hit]:
+                    san.record_access(0, "write", "bucket",
+                                      (t << 40) | int(b),
+                                      site=_SITE_DELETE)
+        return hit
 
-    clear(unique_idx, first[unique_idx], hit_first)
-    pending = unique_idx[~removed[unique_idx]]
-    if len(pending):
-        clear(pending, second[pending], None)
+    removed_unique, missed = unique.probe(clear)
+    removed[unique_idx] = removed_unique
+    hit_first = len(unique) - missed
 
     n_removed = int(removed.sum())
     # Every op reads its first bucket; ops that miss there (including
     # every non-first duplicate) read the second; each removal is one
     # slot-clear write.
-    result.memory_transactions = (n + (n - int(hit_first.sum()))
-                                  + n_removed)
+    result.memory_transactions = n + (n - hit_first) + n_removed
     result.completed_ops = n_removed
     result.rounds = n
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
     if san.enabled:
         san.on_transactions(result.memory_transactions)
     prof = getattr(table, "profiler", NULL_PROFILER)
     if prof.enabled:
-        prof.observe_probes(n, int(hit_first.sum()))
+        prof.observe_probes(n, hit_first)
     return removed, result
 
 

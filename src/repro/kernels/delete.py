@@ -15,11 +15,12 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.batch_ops import EncodedBatch
 from repro.core.subtable import EMPTY
 from repro.gpusim.memory import MemoryTracker
 from repro.gpusim.warp import WarpContext
-from repro.kernels.engine import (kernel_span, record_kernel_counters,
-                                  resolve_engine)
+from repro.kernels.engine import (kernel_batch, kernel_span,
+                                  record_kernel_counters, resolve_engine)
 from repro.kernels.find import _ballot_match
 from repro.kernels.insert import KernelRunResult
 from repro.sanitizer import NULL_SANITIZER
@@ -29,8 +30,8 @@ _SITE_CLEAR = "repro/kernels/delete.py:_warp_delete"
 
 
 def run_delete_kernel(table, keys, engine: str = "warp", *,
-                      codes=None, first=None, second=None,
-                      raw_of=None) -> tuple[np.ndarray, KernelRunResult]:
+                      codes: EncodedBatch | None = None
+                      ) -> tuple[np.ndarray, KernelRunResult]:
     """Delete a batch of keys lane-faithfully.
 
     Returns ``(removed, result)``.  Mutates the table's storage and its
@@ -38,15 +39,12 @@ def run_delete_kernel(table, keys, engine: str = "warp", *,
     :meth:`repro.core.table.DyCuckooTable.delete` minus the automatic
     resize (resizing is a separate kernel in the paper).
 
-    ``codes``/``first``/``second``/``raw_of`` let a caller that has
-    already encoded and pair-hashed the batch skip the re-derivation.
+    ``codes`` takes the place of ``keys`` when the caller has already
+    encoded the batch (an :class:`~repro.core.batch_ops.EncodedBatch`).
     """
-    from repro.core.table import encode_keys
-
     resolve_engine(engine)
-    if codes is None:
-        codes = encode_keys(np.asarray(keys, dtype=np.uint64))
-    n = len(codes)
+    batch = kernel_batch(table, keys, codes)
+    n = len(batch)
     san = getattr(table, "sanitizer", NULL_SANITIZER)
     prof = getattr(table, "profiler", NULL_PROFILER)
     if san.enabled:
@@ -62,11 +60,9 @@ def run_delete_kernel(table, keys, engine: str = "warp", *,
             if engine == "cohort":
                 from repro.gpusim.cohort import cohort_delete
 
-                removed, result = cohort_delete(table, codes, first,
-                                                second, raw_of)
+                removed, result = cohort_delete(table, batch)
             else:
-                removed, result = _warp_delete(table, codes, first,
-                                               second)
+                removed, result = _warp_delete(table, batch)
     except BaseException:
         if prof.enabled:
             prof.end_kernel()
@@ -80,9 +76,9 @@ def run_delete_kernel(table, keys, engine: str = "warp", *,
     return removed, result
 
 
-def _warp_delete(table, codes: np.ndarray, first=None, second=None
+def _warp_delete(table, batch: EncodedBatch
                  ) -> tuple[np.ndarray, KernelRunResult]:
-    n = len(codes)
+    n = len(batch)
     removed = np.zeros(n, dtype=bool)
     result = KernelRunResult()
     san = getattr(table, "sanitizer", NULL_SANITIZER)
@@ -91,8 +87,7 @@ def _warp_delete(table, codes: np.ndarray, first=None, second=None
     if n == 0:
         return removed, result
 
-    if first is None or second is None:
-        first, second = table.pair_hash.tables_for(codes)
+    codes, first, second = batch.codes, batch.first, batch.second
     prof = getattr(table, "profiler", NULL_PROFILER)
     first_hits = 0
     for i in range(n):

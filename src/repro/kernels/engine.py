@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
+from repro.core.batch_ops import EncodedBatch
 from repro.errors import InvalidConfigError
 from repro.telemetry import NULL_TELEMETRY
 
@@ -34,6 +35,14 @@ def resolve_engine(engine: str) -> str:
             f"{VALID_ENGINES}"
         )
     return engine
+
+
+def kernel_batch(table, keys, codes: EncodedBatch | None) -> EncodedBatch:
+    """The batch a ``run_*_kernel`` entry point runs on: ``codes`` when
+    the caller has already encoded it, else ``keys`` encoded now."""
+    if isinstance(codes, EncodedBatch):
+        return codes
+    return EncodedBatch(table, keys)
 
 
 def kernel_span(table, op: str, n: int, engine: str):

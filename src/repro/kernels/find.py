@@ -18,10 +18,11 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.batch_ops import EncodedBatch
 from repro.gpusim.memory import MemoryTracker
 from repro.gpusim.warp import WarpContext
-from repro.kernels.engine import (kernel_span, record_kernel_counters,
-                                  resolve_engine)
+from repro.kernels.engine import (kernel_batch, kernel_span,
+                                  record_kernel_counters, resolve_engine)
 from repro.kernels.insert import KernelRunResult
 from repro.sanitizer import NULL_SANITIZER
 from repro.telemetry.profiler import NULL_PROFILER
@@ -43,25 +44,21 @@ def _ballot_match(ctx: WarpContext, bucket_keys: np.ndarray,
 
 
 def run_find_kernel(table, keys, engine: str = "warp", *,
-                    codes=None, first=None, second=None,
-                    raw_of=None) -> tuple[np.ndarray, np.ndarray,
-                                          KernelRunResult]:
+                    codes: EncodedBatch | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, KernelRunResult]:
     """Look up a batch of keys lane-faithfully.
 
     Returns ``(values, found, result)``.  Semantically identical to
     :meth:`repro.core.table.DyCuckooTable.find` (asserted by tests);
     this path additionally yields exact per-warp transaction counts.
 
-    ``codes``/``first``/``second``/``raw_of`` let a caller that has
-    already encoded and pair-hashed the batch (see
-    :class:`repro.core.batch_ops.EncodedBatch`) skip the re-derivation.
+    ``codes`` takes the place of ``keys`` when the caller has already
+    encoded the batch (an :class:`~repro.core.batch_ops.EncodedBatch`,
+    whose hash caches the kernel then reuses).
     """
-    from repro.core.table import encode_keys
-
     resolve_engine(engine)
-    if codes is None:
-        codes = encode_keys(np.asarray(keys, dtype=np.uint64))
-    n = len(codes)
+    batch = kernel_batch(table, keys, codes)
+    n = len(batch)
     san = getattr(table, "sanitizer", NULL_SANITIZER)
     prof = getattr(table, "profiler", NULL_PROFILER)
     if san.enabled:
@@ -76,11 +73,9 @@ def run_find_kernel(table, keys, engine: str = "warp", *,
             if engine == "cohort":
                 from repro.gpusim.cohort import cohort_find
 
-                values, found, result = cohort_find(table, codes, first,
-                                                    second, raw_of)
+                values, found, result = cohort_find(table, batch)
             else:
-                values, found, result = _warp_find(table, codes, first,
-                                                   second)
+                values, found, result = _warp_find(table, batch)
     except BaseException:
         if prof.enabled:
             prof.end_kernel()
@@ -94,9 +89,9 @@ def run_find_kernel(table, keys, engine: str = "warp", *,
     return values, found, result
 
 
-def _warp_find(table, codes: np.ndarray, first=None, second=None
+def _warp_find(table, batch: EncodedBatch
                ) -> tuple[np.ndarray, np.ndarray, KernelRunResult]:
-    n = len(codes)
+    n = len(batch)
     values = np.zeros(n, dtype=np.uint64)
     found = np.zeros(n, dtype=bool)
     result = KernelRunResult()
@@ -106,8 +101,7 @@ def _warp_find(table, codes: np.ndarray, first=None, second=None
     if n == 0:
         return values, found, result
 
-    if first is None or second is None:
-        first, second = table.pair_hash.tables_for(codes)
+    codes, first, second = batch.codes, batch.first, batch.second
     prof = getattr(table, "profiler", NULL_PROFILER)
     first_hits = 0
     for i in range(n):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.batch_ops import EncodedBatch
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
 from repro.gpusim.kernel import LockArbiter, RoundScheduler
@@ -341,22 +342,19 @@ class _InsertWarp:
         return (table_idx << 40) | bucket
 
 
-def _run_insert(table, keys, values, voter: bool, engine: str = "warp",
-                codes=None, first=None, second=None) -> KernelRunResult:
-    from repro.core.table import encode_keys
-    from repro.kernels.engine import (kernel_span, record_kernel_counters,
-                                      resolve_engine)
+def _run_insert(table, keys, values, voter: bool, engine: str,
+                batch: EncodedBatch | None) -> KernelRunResult:
+    from repro.kernels.engine import (kernel_batch, kernel_span,
+                                      record_kernel_counters, resolve_engine)
 
     resolve_engine(engine)
     values = np.asarray(values, dtype=np.uint64)
-    if codes is None:
-        codes = encode_keys(np.asarray(keys, dtype=np.uint64))
-    if first is None or second is None:
-        first, second = table.pair_hash.tables_for(codes)
+    batch = kernel_batch(table, keys, batch)
+    codes = batch.codes
     # Routing happens once, before engine dispatch, so both engines see
     # byte-identical targets (the router is a pure function of the key
     # and the table's current sizes/loads).
-    targets = table._router.choose(codes, first, second,
+    targets = table._router.choose(codes, batch.first, batch.second,
                                    table.subtable_sizes(),
                                    table.subtable_loads())
     faults = getattr(table, "faults", None)
@@ -463,8 +461,8 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
 
 
 def run_voter_insert_kernel(table, keys, values, engine: str = "warp", *,
-                            codes=None, first=None,
-                            second=None) -> KernelRunResult:
+                            codes: EncodedBatch | None = None
+                            ) -> KernelRunResult:
     """Insert a batch via Algorithm 1 (voter coordination).
 
     Mutates ``table``'s storage directly; intended for fresh keys on a
@@ -472,18 +470,20 @@ def run_voter_insert_kernel(table, keys, values, engine: str = "warp", *,
     matching the paper where resizing is its own kernel).
     ``engine="cohort"`` executes the same program on the
     structure-of-arrays engine with bit-identical storage and counters.
+    ``codes`` takes the place of ``keys`` when the caller has already
+    encoded the batch (an :class:`~repro.core.batch_ops.EncodedBatch`).
     """
     return _run_insert(table, keys, values, voter=True, engine=engine,
-                       codes=codes, first=first, second=second)
+                       batch=codes)
 
 
 def run_spin_insert_kernel(table, keys, values, engine: str = "warp", *,
-                           codes=None, first=None,
-                           second=None) -> KernelRunResult:
+                           codes: EncodedBatch | None = None
+                           ) -> KernelRunResult:
     """Ablation: warp-centric insert that spins on the same lock.
 
     Identical to the voter kernel except a lock failure retries the same
     leader (and therefore the same bucket) next round.
     """
     return _run_insert(table, keys, values, voter=False, engine=engine,
-                       codes=codes, first=first, second=second)
+                       batch=codes)

@@ -29,10 +29,10 @@ Gating follows the ``NULL_TELEMETRY`` idiom: every hook site checks one
 singleton keeps it ``False``.  A run without a profiler attached is
 bit-identical to a build without this module.
 
-This module also absorbs the original ``repro.gpusim.profile`` report
+This module also holds the derived per-batch report
 (:class:`KernelProfile`, :func:`profile_batch`,
 :func:`profile_operation`) so there is exactly one profiling path;
-``repro.gpusim.profile`` remains as a re-export shim.
+:mod:`repro.gpusim` re-exports it.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ NULL_PROFILER = _NullProfiler()
 
 
 # ---------------------------------------------------------------------------
-# Derived per-batch report (folded in from repro.gpusim.profile)
+# Derived per-batch report
 # ---------------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ Covers the observability tentpole end to end:
   ``check_invariants``), and post-mortem bundle dumps,
 * the zero-overhead guarantee: no profiler/recorder attached means
   bit-identical storage and counters versus an uninstrumented run,
-* the HTML report surface and the ``gpusim.profile`` compat shim.
+* the HTML report surface.
 """
 
 import json
@@ -314,11 +314,3 @@ class TestReportSurface:
         written = write_html_report(path, self.make_report())
         assert str(written) == str(path)
         assert path.read_text().lower().startswith("<!doctype html>")
-
-    def test_gpusim_profile_shim(self):
-        from repro.gpusim import profile as shim
-        from repro.telemetry import profiler as real
-
-        assert shim.KernelProfile is real.KernelProfile
-        assert shim.profile_batch is real.profile_batch
-        assert shim.profile_operation is real.profile_operation
