@@ -1,5 +1,6 @@
 """Smoke tests: the shipped examples run cleanly end to end."""
 
+import functools
 import os
 import sys
 from pathlib import Path
@@ -11,31 +12,37 @@ from benchmarks.common import clean_stderr, run_quiet
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 #: Fast examples run in CI; the streaming example is minutes-long and
-#: exercised manually (its machinery is covered by unit tests).  The
-#: multi-tenant example takes about a minute, so it runs once, in
-#: :func:`test_multi_tenant_story`.
-FAST_EXAMPLES = ("quickstart.py", "hash_join.py", "memory_budget.py")
+#: exercised manually (its machinery is covered by unit tests).
+FAST_EXAMPLES = ("quickstart.py", "hash_join.py", "memory_budget.py",
+                 "multi_tenant_gpu.py")
+
+
+@functools.lru_cache(maxsize=None)
+def _run_example(script):
+    """Run ``script`` once per test session with the default environment.
+
+    The examples are seeded, so the smoke test and the content tests can
+    share one run; the multi-tenant example alone takes about a minute.
+    """
+    return run_quiet([sys.executable, str(EXAMPLES_DIR / script)],
+                     timeout=240)
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
 def test_example_runs(script):
-    result = run_quiet([sys.executable, str(EXAMPLES_DIR / script)],
-                       timeout=240)
+    result = _run_example(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip(), "example produced no output"
 
 
 def test_quickstart_output_content():
-    result = run_quiet([sys.executable, str(EXAMPLES_DIR / "quickstart.py")],
-                       timeout=240)
+    result = _run_example("quickstart.py")
     assert "validate(): all invariants hold" in result.stdout
     assert "downsizes" in result.stdout
 
 
 def test_memory_budget_shapes():
-    result = run_quiet(
-        [sys.executable, str(EXAMPLES_DIR / "memory_budget.py")],
-        timeout=240)
+    result = _run_example("memory_budget.py")
     assert "DyCuckoo" in result.stdout
     assert "saved" in result.stdout
     # The default run is seeded (REPRO_SEED unset -> seed 3) and the
@@ -57,9 +64,7 @@ def test_memory_budget_honors_repro_seed():
 
 
 def test_multi_tenant_story():
-    result = run_quiet(
-        [sys.executable, str(EXAMPLES_DIR / "multi_tenant_gpu.py")],
-        timeout=240)
+    result = _run_example("multi_tenant_gpu.py")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip(), "example produced no output"
     # The static deployment spills; the dynamic one should not.
