@@ -16,6 +16,7 @@ for downsizing too.
 import numpy as np
 
 from repro.core.config import DyCuckooConfig
+from repro.core.hashing import unhashed
 from repro.core.table import DyCuckooTable
 from repro.bench import format_table, shape_check
 
@@ -76,7 +77,8 @@ def _upsize_rehash():
         targets = table._router.choose(codes, first, second,
                                        table.subtable_sizes(),
                                        table.subtable_loads())
-        table._insert_pending(codes, values, targets, excluded=None)
+        table._insert_pending(codes, values, targets, unhashed(len(codes)),
+                              excluded=None)
         return len(codes)
 
     seconds, moved = _measure(table, action)
@@ -111,7 +113,8 @@ def _downsize_rehash():
         targets = table._router.choose(codes, first, second,
                                        table.subtable_sizes(),
                                        table.subtable_loads())
-        table._insert_pending(codes, values, targets, excluded=None)
+        table._insert_pending(codes, values, targets, unhashed(len(codes)),
+                              excluded=None)
         return len(codes)
 
     seconds, moved = _measure(table, action)

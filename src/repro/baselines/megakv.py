@@ -270,9 +270,9 @@ class MegaKVTable(GpuHashTable):
                 buckets = self.hashes[table_idx].bucket(sel_codes,
                                                         st.n_buckets)
                 self.stats.bucket_reads += len(sel)
-                updated, placed, full_leader = st.place_round(
-                    buckets, sel_codes, sel_values)
-                writes = int(placed.sum() + updated.sum())
+                placed, full_leader = st.place_round(buckets, sel_codes,
+                                                     sel_values)
+                writes = int(placed.sum())
                 self.stats.bucket_writes += writes
                 # MegaKV claims slots with per-slot atomicExch instead of
                 # bucket locks (one exchange per committed write).
@@ -288,7 +288,7 @@ class MegaKVTable(GpuHashTable):
                     next_values.append(old_values)
                     next_targets.append(np.full(len(ev), 1 - table_idx,
                                                 dtype=np.int64))
-                retry = ~(updated | placed | full_leader)
+                retry = ~(placed | full_leader)
                 if np.any(retry):
                     next_codes.append(sel_codes[retry])
                     next_values.append(sel_values[retry])

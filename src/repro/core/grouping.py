@@ -26,15 +26,19 @@ def rank_within_group(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         Index into ``unique_groups`` for each element.
     """
     group_ids = np.asarray(group_ids)
-    unique_groups, inverse = np.unique(group_ids, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    inverse_sorted = inverse[order]
-    # Start offset of every group's run inside the sorted layout.
-    group_start = np.searchsorted(inverse_sorted, np.arange(len(unique_groups)))
-    ranks_sorted = np.arange(len(group_ids)) - group_start[inverse_sorted]
-    ranks = np.empty(len(group_ids), dtype=np.int64)
-    ranks[order] = ranks_sorted
-    return ranks, unique_groups, inverse
+    n = len(group_ids)
+    order = np.argsort(group_ids, kind="stable")
+    sorted_ids = group_ids[order]
+    # A run of equal ids starts wherever the sorted id changes.
+    run_start = np.ones(n, dtype=bool)
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    inverse_sorted = np.cumsum(run_start) - 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = inverse_sorted
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n) - starts[inverse_sorted]
+    return ranks, sorted_ids[starts], inverse
 
 
 def group_counts(group_ids: np.ndarray, num_groups: int) -> np.ndarray:

@@ -29,21 +29,40 @@ _U64 = np.uint64
 _MASK31 = np.uint64((1 << 31) - 1)
 
 
+#: Raw-hash placeholder for a key not yet hashed under its target
+#: subtable; no 31-bit hash equals it (see ``DyCuckooTable._insert_pending``).
+UNHASHED = np.uint32(0xFFFFFFFF)
+
+
+def unhashed(n: int) -> np.ndarray:
+    """``n`` raw-hash slots, all :data:`UNHASHED`."""
+    return np.full(n, UNHASHED, dtype=np.uint32)
+
+
 def fold_to_31_bits(codes: np.ndarray) -> np.ndarray:
     """Fold ``uint64`` codes into ``[0, 2**31 - 1)`` via Mersenne folding.
 
-    Splits the 64-bit value into three 31-bit limbs and sums them; because
-    ``2**31 === 1 (mod 2**31 - 1)`` this is a true reduction modulo the
-    Mersenne prime.
+    Because ``2**31 === 1 (mod 2**31 - 1)``, adding the bits above
+    position 31 to the low 31 bits preserves the value modulo the
+    Mersenne prime; two such folds and one conditional subtract are a
+    true reduction.  ``codes`` is left untouched.
     """
-    codes = np.asarray(codes, dtype=np.uint64)
-    c0 = codes & _MASK31
-    c1 = (codes >> _U64(31)) & _MASK31
-    c2 = codes >> _U64(62)
-    total = c0 + c1 + c2  # < 2**33, no overflow
-    total = (total & _MASK31) + (total >> _U64(31))
-    # One more conditional fold: total may still equal or exceed p.
-    return np.where(total >= MERSENNE_P, total - MERSENNE_P, total)
+    folded = np.array(codes, dtype=np.uint64)
+    _fold_in_place(folded, np.empty_like(folded))
+    return folded
+
+
+def _fold_in_place(x: np.ndarray, scratch: np.ndarray) -> None:
+    """Reduce ``x`` modulo ``p`` in place, clobbering ``scratch``."""
+    np.right_shift(x, _U64(31), out=scratch)   # < 2**33
+    x &= _MASK31
+    x += scratch                               # < 2**34, no overflow
+    np.right_shift(x, _U64(31), out=scratch)   # <= 7
+    x &= _MASK31
+    x += scratch                               # <= p + 7
+    # Conditional subtract: below p, ``x - p`` wraps above ``x``.
+    np.subtract(x, MERSENNE_P, out=scratch)
+    np.minimum(x, scratch, out=x)
 
 
 class UniversalHash:
@@ -79,10 +98,16 @@ class UniversalHash:
 
     def raw(self, codes: np.ndarray) -> np.ndarray:
         """Return hash values in ``[0, p)`` for an array of uint64 codes."""
-        folded = fold_to_31_bits(np.asarray(codes, dtype=np.uint64) ^ self.premix)
-        # a < 2**31 and folded < 2**31, so the product fits in uint64.
-        mixed = self.a * folded + self.b
-        return fold_to_31_bits(mixed)
+        codes = np.asarray(codes, dtype=np.uint64)
+        mixed = np.empty_like(codes)
+        scratch = np.empty_like(codes)
+        np.bitwise_xor(codes, self.premix, out=mixed)
+        _fold_in_place(mixed, scratch)
+        # a < 2**31 and the fold < 2**31, so the product fits in uint64.
+        mixed *= self.a
+        mixed += self.b
+        _fold_in_place(mixed, scratch)
+        return mixed
 
     def bucket(self, codes: np.ndarray, n_buckets: int) -> np.ndarray:
         """Return bucket indices in ``[0, n_buckets)``.
@@ -134,8 +159,16 @@ class PairHash:
         pairs = [(i, j)
                  for i in range(num_tables)
                  for j in range(i + 1, num_tables)]
+        #: ``(d, C(d,2))`` lookup: the pair member that is not ``t``, or
+        #: -1 where ``t`` is outside the pair.
+        alternate = [[-1] * len(pairs) for _ in range(num_tables)]
+        for part, (i, j) in enumerate(pairs):
+            alternate[i][part] = j
+            alternate[j][part] = i
+        self._alternate = np.asarray(alternate, dtype=np.int64)
         #: ``(C(d,2), 2)`` lookup array mapping partition -> (i, j).
         self.pairs = np.asarray(pairs, dtype=np.int64)
+        self._first, self._second = self.pairs.T.copy()
 
     @property
     def num_pairs(self) -> int:
@@ -143,16 +176,17 @@ class PairHash:
 
     def partition(self, codes: np.ndarray) -> np.ndarray:
         """Return the partition index in ``[0, C(d,2))`` for each code."""
-        return (self.raw_mod(codes)).astype(np.int64)
+        return self.raw_mod(codes).astype(np.int64)
 
     def raw_mod(self, codes: np.ndarray) -> np.ndarray:
-        return self.hash.raw(codes) % np.uint64(self.num_pairs)
+        # The raw hash is 31-bit, so the remainder can run in uint32.
+        return (self.hash.raw(codes).astype(np.uint32)
+                % np.uint32(self.num_pairs))
 
     def tables_for(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return arrays ``(first, second)`` of the two candidate subtables."""
         part = self.partition(codes)
-        chosen = self.pairs[part]
-        return chosen[:, 0], chosen[:, 1]
+        return self._first[part], self._second[part]
 
     def alternate_table(self, codes: np.ndarray, current: np.ndarray
                         ) -> np.ndarray:
@@ -162,11 +196,9 @@ class PairHash:
         subtables; this is the invariant that every stored entry sits in a
         subtable of its own pair.
         """
-        first, second = self.tables_for(codes)
-        current = np.asarray(current, dtype=np.int64)
-        alt = np.where(current == first, second, first)
-        valid = (current == first) | (current == second)
-        if not bool(np.all(valid)):
+        alt = self._alternate[np.asarray(current, dtype=np.int64),
+                              self.partition(codes)]
+        if alt.size and int(alt.min()) < 0:
             raise AssertionError(
                 "alternate_table called with a table outside the key's pair; "
                 "the two-layer invariant was violated"

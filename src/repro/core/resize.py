@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.grouping import rank_within_group
-from repro.core.hashing import UniversalHash
+from repro.core.hashing import UniversalHash, unhashed
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError, ResizeError
 from repro.sanitizer import NULL_SANITIZER
@@ -583,7 +583,8 @@ class ResizeController:
                 return
         current = np.full(len(codes), target, dtype=np.int64)
         alternates = table.pair_hash.alternate_table(codes, current)
-        table._insert_pending(codes, values, alternates, excluded=target,
+        table._insert_pending(codes, values, alternates,
+                              unhashed(len(codes)), excluded=target,
                               stall_to_stash=True)
 
     # ------------------------------------------------------------------
@@ -745,10 +746,10 @@ class ResizeController:
                         try:
                             if faulty:
                                 self._fire_abort("spill")
-                            table._insert_pending(residual_codes,
-                                                  residual_values,
-                                                  alternates,
-                                                  excluded=target)
+                            table._insert_pending(
+                                residual_codes, residual_values, alternates,
+                                unhashed(len(residual_codes)),
+                                excluded=target)
                         except ResizeError:
                             snapshot.restore(table)
                             self._restore_stats(stats_before)

@@ -224,56 +224,45 @@ class Subtable:
         return found
 
     def place_round(self, buckets: np.ndarray, codes: np.ndarray,
-                    values: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One synchronous placement round into this subtable.
 
         Implements the slot-claiming step of a device round: operations
         targeting the same bucket are ranked (the warp-vote order); the
-        k-th claims the k-th free slot.  Codes must be distinct.
+        k-th claims the k-th free slot.  Codes must be distinct and not
+        stored anywhere in the table: callers overwrite live keys with
+        :meth:`update_existing` before their first round, and a retry or
+        an evicted victim is never live elsewhere.
 
         Returns
         -------
-        updated:
-            Mask of codes that already existed and had their value
-            overwritten.
         placed:
             Mask of codes written into a free slot.
         full_leader:
             Mask of codes that found their bucket completely full *and*
             rank first for it — these are the eviction candidates.  Codes
-            in none of the three masks must retry next round (their
-            bucket was full, or became full, and another op leads it).
+            in neither mask must retry next round (their bucket was
+            full, or became full, and another op leads it).
         """
         buckets = np.asarray(buckets, dtype=np.int64)
         codes = np.asarray(codes, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
-        n = len(buckets)
-        if n == 0:
-            zeros = np.zeros(0, dtype=bool)
-            return zeros, zeros.copy(), zeros.copy()
+        placed = np.zeros(len(buckets), dtype=bool)
+        if len(buckets) == 0:
+            return placed, placed.copy()
 
-        updated = self.update_existing(buckets, codes, values)
-        placed = np.zeros(n, dtype=bool)
-        full_leader = np.zeros(n, dtype=bool)
-
-        rest = np.flatnonzero(~updated)
-        if len(rest) == 0:
-            return updated, placed, full_leader
-
-        rest_buckets = buckets[rest]
-        ranks, unique_buckets, inverse = rank_within_group(rest_buckets)
+        ranks, unique_buckets, inverse = rank_within_group(buckets)
         free_mask = self.keys[unique_buckets] == EMPTY        # (u, cap)
-        free_counts = free_mask.sum(axis=1)
+        free_counts = free_mask.sum(axis=1)[inverse]
 
-        can_place = ranks < free_counts[inverse]
+        can_place = ranks < free_counts
         if np.any(can_place):
-            items = rest[can_place]
-            item_rows = free_mask[inverse[can_place]]          # (m, cap)
+            items = np.flatnonzero(can_place)
+            item_rows = free_mask[inverse[items]]              # (m, cap)
             # The rank-th free slot: position where the running count of
             # free slots first reaches rank + 1.
             running = item_rows.cumsum(axis=1)
-            target = (ranks[can_place] + 1)[:, None]
+            target = (ranks[items] + 1)[:, None]
             slots = (running == target).argmax(axis=1)
             np_buckets = buckets[items]
             self.keys[np_buckets, slots] = codes[items]
@@ -281,10 +270,8 @@ class Subtable:
             placed[items] = True
             self.size += len(items)
 
-        bucket_full = free_counts[inverse] == 0
-        leader = bucket_full & (ranks == 0)
-        full_leader[rest[leader]] = True
-        return updated, placed, full_leader
+        full_leader = (free_counts == 0) & (ranks == 0)
+        return placed, full_leader
 
     def swap_slot(self, buckets: np.ndarray, slots: np.ndarray,
                   codes: np.ndarray, values: np.ndarray

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import distribution
 from repro.core.batch_ops import EncodedBatch
 from repro.core.config import DyCuckooConfig
-from repro.core.distribution import make_router
 from repro.core.grouping import first_occurrence_mask, last_occurrence_mask
-from repro.core.hashing import PairHash, UniversalHash, make_table_hashes
+from repro.core.hashing import (UNHASHED, PairHash, UniversalHash,
+                                make_table_hashes, unhashed)
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
@@ -100,7 +101,8 @@ class DyCuckooTable:
             for _ in range(self.config.num_tables)
         ]
         self.stats = TableStats()
-        self._router = make_router(self.config.routing, self.config.seed ^ 0xA5A5)
+        self._router = distribution.make_router(self.config.routing,
+                                                self.config.seed ^ 0xA5A5)
         self._resizer = ResizeController(self)
         self._victim_counter = 0
         #: Observability hooks; the null default makes every gate a
@@ -439,7 +441,14 @@ class DyCuckooTable:
                                           batch.second[fresh],
                                           self.subtable_sizes(),
                                           self.subtable_loads())
-            self._insert_pending(fresh_codes, values[fresh], targets,
+            # Each fresh key starts with its target's hash, read from the
+            # batch cache the update probe already filled.
+            raw = np.empty(len(fresh), dtype=np.uint32)
+            for t in range(self.num_tables):
+                into = np.flatnonzero(targets == t)
+                if len(into):
+                    raw[into] = batch.raw(t)[fresh[into]]
+            self._insert_pending(fresh_codes, values[fresh], targets, raw,
                                  excluded=None)
         if self.config.auto_resize:
             self._resizer.enforce_bounds()
@@ -518,8 +527,9 @@ class DyCuckooTable:
     def bucket_for(self, t: int, codes: np.ndarray) -> np.ndarray:
         """Bucket indices for ``codes`` in subtable ``t``, epoch-aware.
 
-        The single bucket-resolution point for the host path and both
-        kernel engines; see :meth:`bucket_of_raw`.
+        Hashes ``codes`` and resolves them through :meth:`bucket_of_raw`;
+        the kernel engines' bucket-resolution point.  The host path
+        carries raw hashes and calls :meth:`bucket_of_raw` directly.
         """
         return self.bucket_of_raw(t, self.table_hashes[t].raw(codes))
 
@@ -587,11 +597,16 @@ class DyCuckooTable:
         return updated
 
     def _insert_pending(self, codes: np.ndarray, values: np.ndarray,
-                        targets: np.ndarray, excluded: int | None,
+                        targets: np.ndarray, raw: np.ndarray,
+                        excluded: int | None,
                         stall_to_stash: bool = False) -> None:
         """Round-synchronous cuckoo insertion of fresh keys.
 
-        ``targets[i]`` is the subtable each key currently attempts.  When
+        ``targets[i]`` is the subtable each key currently attempts and
+        ``raw[i]`` its raw hash under that subtable's function, or
+        :data:`~repro.core.hashing.UNHASHED` when not yet computed.  A
+        key is hashed once per target: retries keep their hash, and an
+        evicted victim enters the next round unhashed.  When
         ``excluded`` is set (downsize residual spill), eviction victims
         whose alternate is the excluded subtable are never chosen and the
         eviction budget exhaustion raises :class:`ResizeError` instead of
@@ -602,6 +617,7 @@ class DyCuckooTable:
         codes = np.asarray(codes, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
         targets = np.asarray(targets, dtype=np.int64)
+        raw = np.asarray(raw, dtype=np.uint32)
         tel = self.telemetry
         traced = tel.enabled
         prof = self.profiler
@@ -675,6 +691,7 @@ class DyCuckooTable:
             next_codes: list[np.ndarray] = []
             next_values: list[np.ndarray] = []
             next_targets: list[np.ndarray] = []
+            next_raw: list[np.ndarray] = []
             next_depths: list[np.ndarray] = []
             for t in range(self.num_tables):
                 sel = np.flatnonzero(targets == t)
@@ -683,7 +700,11 @@ class DyCuckooTable:
                 st = self.subtables[t]
                 sel_codes = codes[sel]
                 sel_values = values[sel]
-                buckets = self.bucket_for(t, sel_codes)
+                sel_raw = raw[sel]
+                todo = np.flatnonzero(sel_raw == UNHASHED)
+                if len(todo):
+                    sel_raw[todo] = self.table_hashes[t].raw(sel_codes[todo])
+                buckets = self.bucket_of_raw(t, sel_raw)
                 self.stats.bucket_reads += len(sel)
                 # One bucket-lock CAS per operation; collisions estimated
                 # from device occupancy (only resident warps contend).
@@ -701,9 +722,9 @@ class DyCuckooTable:
                     # contention heatmap (bucket < 2^40, so + == |).
                     prof.lock_grants_many(buckets.astype(np.int64)
                                           + (t << 40))
-                updated, placed, full_leader = st.place_round(
-                    buckets, sel_codes, sel_values)
-                self.stats.bucket_writes += int(placed.sum() + updated.sum())
+                placed, full_leader = st.place_round(buckets, sel_codes,
+                                                     sel_values)
+                self.stats.bucket_writes += int(placed.sum())
 
                 ev = np.flatnonzero(full_leader)
                 mig = st.migration
@@ -737,21 +758,23 @@ class DyCuckooTable:
                         next_codes.append(old_codes)
                         next_values.append(old_values)
                         next_targets.append(victim_alts[good])
+                        next_raw.append(unhashed(len(good)))
                         if track_depths:
                             next_depths.append(depths[sel[ev[good]]] + 1)
                     # Eviction leaders without an eligible victim retry.
                     full_leader[ev[~ok]] = False
 
-                retry = ~(updated | placed | full_leader)
+                retry = ~(placed | full_leader)
                 if np.any(retry):
                     next_codes.append(sel_codes[retry])
                     next_values.append(sel_values[retry])
                     next_targets.append(np.full(int(retry.sum()), t,
                                                 dtype=np.int64))
+                    next_raw.append(sel_raw[retry])
                     if track_depths:
                         next_depths.append(depths[sel[retry]])
                 if track_depths:
-                    done = updated | placed | full_leader
+                    done = placed | full_leader
                     if np.any(done):
                         if traced:
                             chain_hist.observe_many(depths[sel[done]])
@@ -768,6 +791,7 @@ class DyCuckooTable:
                 codes = np.concatenate(next_codes)
                 values = np.concatenate(next_values)
                 targets = np.concatenate(next_targets)
+                raw = np.concatenate(next_raw)
                 if track_depths:
                     depths = (np.concatenate(next_depths) if next_depths
                               else np.zeros(0, dtype=np.int64))
@@ -775,6 +799,7 @@ class DyCuckooTable:
                 codes = np.zeros(0, dtype=np.uint64)
                 values = np.zeros(0, dtype=np.uint64)
                 targets = np.zeros(0, dtype=np.int64)
+                raw = unhashed(0)
                 if track_depths:
                     depths = np.zeros(0, dtype=np.int64)
 
@@ -876,7 +901,8 @@ class DyCuckooTable:
             targets = self._router.choose(codes, first, second,
                                           self.subtable_sizes(),
                                           self.subtable_loads())
-            self._insert_pending(codes, values, targets, excluded=None)
+            self._insert_pending(codes, values, targets,
+                                 unhashed(len(codes)), excluded=None)
         except CapacityError:
             # Hard failure mid-drain (e.g. max_total_slots): no key may
             # be lost, so restore the pre-drain state (the snapshot
@@ -937,9 +963,8 @@ class DyCuckooTable:
         # subtable currently has the best routing weight, so evictions
         # drain toward the least-loaded subtables — this is where a
         # larger d pays off for insertion.
-        from repro.core.distribution import theorem1_weights
-        weights = theorem1_weights(self.subtable_sizes(),
-                                   self.subtable_loads())
+        weights = distribution.theorem1_weights(self.subtable_sizes(),
+                                                self.subtable_loads())
         preference = weights[alternates]                      # (m, cap)
         # Random tie-breaking jitter: victims must still be effectively
         # random or dense eviction cycles persist for hundreds of

@@ -1,6 +1,7 @@
 """Unit and property tests for the group-by helpers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,56 @@ class TestRankWithinGroup:
         # Brute-force reference: rank = occurrences of this id before i.
         for i, g in enumerate(group_list):
             assert ranks[i] == group_list[:i].count(g)
+
+
+def _two_sort_rank(group_ids):
+    """The former ``np.unique`` + stable-argsort implementation."""
+    group_ids = np.asarray(group_ids)
+    unique_groups, inverse = np.unique(group_ids, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    inverse_sorted = inverse[order]
+    group_start = np.searchsorted(inverse_sorted,
+                                  np.arange(len(unique_groups)))
+    ranks = np.empty(len(group_ids), dtype=np.int64)
+    ranks[order] = np.arange(len(group_ids)) - group_start[inverse_sorted]
+    return ranks, unique_groups, inverse
+
+
+_I64 = np.iinfo(np.int64)
+
+
+class TestRankMatchesTwoSortOracle:
+    @pytest.mark.parametrize("groups", [
+        np.array([], dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(9, 3, dtype=np.int64),
+        np.arange(12, dtype=np.int64)[::-1],
+        np.array([_I64.max, _I64.min, 0, _I64.min, _I64.max, -1],
+                 dtype=np.int64),
+        np.array([2 ** 64 - 1, 0, 2 ** 63, 0], dtype=np.uint64),
+    ], ids=["empty", "singleton", "all-equal", "descending", "int64-extremes",
+            "uint64"])
+    def test_edge_inputs(self, groups):
+        self._assert_same(groups)
+
+    @given(st.lists(st.integers(min_value=_I64.min, max_value=_I64.max),
+                    max_size=120))
+    @settings(max_examples=100)
+    def test_random_inputs(self, group_list):
+        self._assert_same(np.asarray(group_list, dtype=np.int64))
+
+    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=120))
+    @settings(max_examples=100)
+    def test_dense_repeats(self, group_list):
+        self._assert_same(np.asarray(group_list, dtype=np.int64))
+
+    @staticmethod
+    def _assert_same(groups):
+        for got, want in zip(rank_within_group(groups),
+                             _two_sort_rank(groups)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestGroupCounts:

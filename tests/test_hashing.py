@@ -34,6 +34,40 @@ class TestFoldTo31Bits:
         assert int(folded[0]) == value % int(MERSENNE_P)
 
 
+#: Fold edge cases: limb boundaries around p and the top of uint64.
+_P = int(MERSENNE_P)
+_EDGES = [0, _P - 1, _P, 2 * _P - 1, 2 * _P, 2 ** 62, 2 ** 63, 2 ** 64 - 1]
+_UINT64 = st.integers(min_value=0, max_value=2 ** 64 - 1)
+
+
+class TestInPlaceReference:
+    """The in-place fold and multiply-add against Python-int ``%``."""
+
+    @given(st.lists(_UINT64, max_size=40))
+    @settings(max_examples=150)
+    def test_fold_matches_modulo(self, drawn):
+        codes = np.array(drawn + _EDGES, dtype=np.uint64)
+        before = codes.copy()
+        folded = fold_to_31_bits(codes)
+        assert folded.dtype == np.uint64
+        assert folded.tolist() == [v % _P for v in drawn + _EDGES]
+        assert np.array_equal(codes, before)
+
+    @given(st.lists(_UINT64, max_size=40),
+           st.integers(min_value=1, max_value=_P - 1),
+           st.integers(min_value=0, max_value=_P - 1), _UINT64)
+    @settings(max_examples=150)
+    def test_raw_matches_modulo(self, drawn, a, b, premix):
+        h = UniversalHash(a=a, b=b, premix=premix)
+        codes = np.array(drawn + _EDGES, dtype=np.uint64)
+        before = codes.copy()
+        raw = h.raw(codes)
+        assert raw.dtype == np.uint64
+        assert raw.tolist() == [(a * ((v ^ premix) % _P) + b) % _P
+                                for v in drawn + _EDGES]
+        assert np.array_equal(codes, before)
+
+
 class TestUniversalHash:
     def test_rejects_out_of_range_constants(self):
         with pytest.raises(InvalidConfigError):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.config import DyCuckooConfig
+from repro.core.hashing import unhashed
 from repro.core.table import DyCuckooTable
 from repro.kernels import (run_delete_kernel, run_downsize_kernel,
                            run_find_kernel, run_spin_insert_kernel,
@@ -169,7 +170,7 @@ class TestResizeKernels:
             current = np.full(len(res_codes), 1, dtype=np.int64)
             alternates = table.pair_hash.alternate_table(res_codes, current)
             table._insert_pending(res_codes, res_values, alternates,
-                                  excluded=1)
+                                  unhashed(len(res_codes)), excluded=1)
         table.validate()
         values, found = table.find(keys)
         assert found.all()

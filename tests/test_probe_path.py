@@ -4,13 +4,15 @@ A seeded grow -> shrink session runs twice over twin tables: once
 through public ``insert``/``find``/``delete``, once through
 ``execute_mixed`` with one homogeneous run per call.  Results, event
 counters and storage must agree exactly, including while a migration
-epoch is open.
+epoch is open.  A hash budget pins that an insert call hashes each key
+at most once per subtable, plus once per eviction.
 """
 
 import numpy as np
 
 from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT, execute_mixed
 from repro.core.config import DyCuckooConfig
+from repro.core.hashing import UniversalHash
 from repro.core.table import DyCuckooTable
 
 from .conftest import unique_keys
@@ -75,3 +77,41 @@ def test_public_calls_match_execute_mixed_runs():
     assert "downsize" in epochs_seen
     assert public.stats.upsizes and public.stats.downsizes
     assert len(public) == len(mixed) > 0
+
+
+def test_insert_hashes_each_key_once_per_subtable(monkeypatch):
+    """One insert hashes at most ``d`` codes per key plus one per eviction.
+
+    The batch's update probe hashes every key under all ``d`` second-layer
+    functions; the eviction rounds must reuse those hashes and hash only
+    each evicted victim, once, under its alternate subtable.
+    """
+    table = DyCuckooTable(DyCuckooConfig(initial_buckets=256,
+                                         bucket_capacity=8,
+                                         auto_resize=False, seed=3))
+    keys = unique_keys(6600, seed=5)
+    table.insert(keys[:4600], keys[:4600])
+    batch = keys[4600:]
+    hashed = []
+    plain_raw = UniversalHash.raw
+
+    def counting_raw(self, codes):
+        if any(self is h for h in table.table_hashes):
+            hashed.append(len(codes))
+        return plain_raw(self, codes)
+
+    def no_bucket_for(t, codes):
+        raise AssertionError("bucket_for re-hashed keys during an insert")
+
+    monkeypatch.setattr(UniversalHash, "raw", counting_raw)
+    monkeypatch.setattr(table, "bucket_for", no_bucket_for)
+    evictions_before = table.stats.evictions
+    table.insert(batch, batch)
+    monkeypatch.undo()
+
+    evictions = table.stats.evictions - evictions_before
+    assert evictions > 0
+    assert table.load_factor > 0.75
+    assert sum(hashed) <= table.num_tables * len(batch) + evictions
+    values, found = table.find(keys)
+    assert found.all() and np.array_equal(values, keys)

@@ -34,20 +34,21 @@ class TestPlaceRound:
         buckets = np.array([0, 1, 2])
         codes = np.array([10, 20, 30], dtype=np.uint64)
         vals = np.array([1, 2, 3], dtype=np.uint64)
-        updated, placed, full = st.place_round(buckets, codes, vals)
-        assert not updated.any()
+        placed, full = st.place_round(buckets, codes, vals)
         assert placed.all()
         assert not full.any()
         assert st.size == 3
 
     def test_update_existing(self):
+        # Placement never probes for stored codes; callers overwrite
+        # live keys with update_existing before their first round.
         st = make_filled()
         st.place_round(np.array([0]), np.array([10], dtype=np.uint64),
                        np.array([1], dtype=np.uint64))
-        updated, placed, full = st.place_round(
-            np.array([0]), np.array([10], dtype=np.uint64),
-            np.array([99], dtype=np.uint64))
-        assert updated.all() and not placed.any()
+        updated = st.update_existing(
+            np.array([0, 0]), np.array([10, 11], dtype=np.uint64),
+            np.array([99, 5], dtype=np.uint64))
+        assert updated.tolist() == [True, False]
         assert st.size == 1
         found, values = st.lookup(np.array([0]), np.array([10], dtype=np.uint64))
         assert found[0] and values[0] == 99
@@ -57,8 +58,9 @@ class TestPlaceRound:
         buckets = np.zeros(4, dtype=np.int64)
         codes = np.arange(1, 5, dtype=np.uint64)
         vals = codes * 10
-        updated, placed, full = st.place_round(buckets, codes, vals)
+        placed, full = st.place_round(buckets, codes, vals)
         assert placed.all()
+        assert not full.any()
         assert st.size == 4
         assert sorted(st.keys[0].tolist()) == [1, 2, 3, 4]
 
@@ -66,22 +68,22 @@ class TestPlaceRound:
         st = make_filled(capacity=2)
         buckets = np.zeros(4, dtype=np.int64)
         codes = np.arange(1, 5, dtype=np.uint64)
-        updated, placed, full = st.place_round(buckets, codes, codes)
+        placed, full = st.place_round(buckets, codes, codes)
         assert placed.sum() == 2       # capacity
         assert full.sum() == 0         # bucket had free slots this round
         # Second round on the now-full bucket: exactly one leader.
         codes2 = np.array([8, 9], dtype=np.uint64)
-        updated, placed, full = st.place_round(np.zeros(2, dtype=np.int64),
-                                               codes2, codes2)
+        placed, full = st.place_round(np.zeros(2, dtype=np.int64),
+                                      codes2, codes2)
         assert not placed.any()
         assert full.sum() == 1
 
     def test_empty_input(self):
         st = make_filled()
-        updated, placed, full = st.place_round(
+        placed, full = st.place_round(
             np.array([], dtype=np.int64), np.array([], dtype=np.uint64),
             np.array([], dtype=np.uint64))
-        assert len(updated) == len(placed) == len(full) == 0
+        assert len(placed) == len(full) == 0
 
 
 class TestLookupEraseSwap:
