@@ -4,16 +4,19 @@ A seeded grow -> shrink session runs twice over twin tables: once
 through public ``insert``/``find``/``delete``, once through
 ``execute_mixed`` with one homogeneous run per call.  Results, event
 counters and storage must agree exactly, including while a migration
-epoch is open.  A hash budget pins that an insert call hashes each key
-at most once per subtable, plus once per eviction.
+epoch is open.  Hash budgets pin that an insert call hashes each key
+at most once per subtable, plus once per eviction, and that a cohort
+kernel launch re-hashes only its evicted victims.
 """
 
 import numpy as np
 
-from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT, execute_mixed
+from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
+                                   EncodedBatch, execute_mixed)
 from repro.core.config import DyCuckooConfig
 from repro.core.hashing import UniversalHash
 from repro.core.table import DyCuckooTable
+from repro.kernels.insert import run_voter_insert_kernel
 
 from .conftest import unique_keys
 from .test_engine_conformance import assert_tables_identical
@@ -113,5 +116,51 @@ def test_insert_hashes_each_key_once_per_subtable(monkeypatch):
     assert evictions > 0
     assert table.load_factor > 0.75
     assert sum(hashed) <= table.num_tables * len(batch) + evictions
+    values, found = table.find(keys)
+    assert found.all() and np.array_equal(values, keys)
+
+
+def test_cohort_insert_hashes_only_its_victims(monkeypatch):
+    """A cohort launch hashes nothing but its evicted victims.
+
+    The launch's ``EncodedBatch`` already holds every key's raw hash
+    under every subtable, so leaders and alternate probes must read
+    those; each victim is hashed under the two subtables it needs
+    (its new target and the one it was evicted from), and the kernel
+    never resolves a bucket through ``bucket_for``.
+    """
+    table = DyCuckooTable(DyCuckooConfig(initial_buckets=256,
+                                         bucket_capacity=8,
+                                         auto_resize=False, seed=3))
+    keys = unique_keys(6200, seed=9)
+    table.insert(keys[:4200], keys[:4200])
+    batch = EncodedBatch(table, keys[4200:])
+    for t in range(table.num_tables):
+        batch.raw(t)
+    hashed = []
+    resolved = []
+    plain_raw = UniversalHash.raw
+    plain_bucket_for = table.bucket_for
+
+    def counting_raw(self, codes):
+        if any(self is h for h in table.table_hashes):
+            hashed.append(len(codes))
+        return plain_raw(self, codes)
+
+    def counting_bucket_for(t, codes):
+        resolved.append(len(codes))
+        return plain_bucket_for(t, codes)
+
+    monkeypatch.setattr(UniversalHash, "raw", counting_raw)
+    monkeypatch.setattr(table, "bucket_for", counting_bucket_for)
+    result = run_voter_insert_kernel(table, None, batch.codes,
+                                     engine="cohort", codes=batch)
+    monkeypatch.undo()
+
+    assert result.evictions > 0
+    assert result.completed_ops == len(batch)
+    assert table.load_factor > 0.74
+    assert sum(hashed) <= 2 * result.evictions
+    assert resolved == []
     values, found = table.find(keys)
     assert found.all() and np.array_equal(values, keys)
