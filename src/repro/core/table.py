@@ -528,8 +528,9 @@ class DyCuckooTable:
         """Bucket indices for ``codes`` in subtable ``t``, epoch-aware.
 
         Hashes ``codes`` and resolves them through :meth:`bucket_of_raw`;
-        the kernel engines' bucket-resolution point.  The host path
-        carries raw hashes and calls :meth:`bucket_of_raw` directly.
+        the warp reference engine's bucket-resolution point.  The host
+        path and the cohort engine carry raw hashes and resolve them
+        with :meth:`bucket_of_raw` / :meth:`buckets_of_raw` directly.
         """
         return self.bucket_of_raw(t, self.table_hashes[t].raw(codes))
 
@@ -547,6 +548,28 @@ class DyCuckooTable:
         if st.migration is None:
             return UniversalHash.bucket_from_raw(raw, st.n_buckets)
         return st.migration.effective_buckets(raw)
+
+    def buckets_of_raw(self, targets: np.ndarray,
+                       raw: np.ndarray) -> np.ndarray:
+        """Bucket of each ``uint32`` raw hash in its subtable ``targets[i]``.
+
+        Element for element equal to :meth:`bucket_of_raw`.  With every
+        subtable settled it is one gather of the per-subtable
+        ``n_buckets - 1`` masks; while any subtable is mid-migration it
+        falls back to :meth:`bucket_of_raw` per target, which applies
+        the epoch check.
+        """
+        subtables = self.subtables
+        if all(st.migration is None for st in subtables):
+            masks = np.array([st.n_buckets - 1 for st in subtables],
+                             dtype=np.int64)
+            return raw & masks[targets]
+        buckets = np.empty(len(raw), dtype=np.int64)
+        for t in range(self.num_tables):
+            g = np.flatnonzero(targets == t)
+            if len(g):
+                buckets[g] = self.bucket_of_raw(t, raw[g])
+        return buckets
 
     def _drain_migration(self) -> int:
         """Batch-end hook: advance any open resize epoch by one slice."""

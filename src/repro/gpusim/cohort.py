@@ -15,6 +15,10 @@ with a handful of vectorized mask operations:
 * per-round lock arbitration replaces the per-resource
   :class:`~repro.gpusim.kernel.LockArbiter` loop with sorted-group
   winner selection over ``(lock_id, round_position)`` pairs;
+* every lane carries its key's raw hashes under its target and
+  alternate subtables, so a round resolves buckets with one masked
+  gather (:meth:`~repro.core.table.DyCuckooTable.buckets_of_raw`) and
+  only evicted victims are hashed again;
 * bucket inspection (existing-key ballot, alternate probe, free-slot
   ballot, victim choice) is batched per target subtable.
 
@@ -215,18 +219,31 @@ def cohort_delete(table, batch):
 class _CohortState:
     """All resident warps of one insert launch, structure-of-arrays."""
 
-    def __init__(self, codes: np.ndarray, values: np.ndarray,
+    def __init__(self, batch, values: np.ndarray,
                  targets: np.ndarray) -> None:
-        n = len(codes)
+        n = len(batch)
         width = WARP_WIDTH
         self.num_warps = (n + width - 1) // width
         W = self.num_warps
         self.keys = np.zeros((W, width), dtype=np.uint64)
         self.values = np.zeros((W, width), dtype=np.uint64)
         self.targets = np.zeros((W, width), dtype=np.int64)
-        self.keys.ravel()[:n] = codes
+        self.keys.ravel()[:n] = batch.codes
         self.values.ravel()[:n] = values
         self.targets.ravel()[:n] = targets
+        #: Per lane: the other subtable of its key's pair, and the key's
+        #: 31-bit raw hashes under its target and that alternate.  The
+        #: rounds read these; only an evicted victim is hashed again
+        #: (:func:`_rehash_victims`).
+        alts = batch.first + batch.second - targets
+        raws = np.stack([batch.raw(t) for t in range(batch.table.num_tables)])
+        lanes = np.arange(n)
+        self.alts = np.zeros((W, width), dtype=np.int64)
+        self.raw = np.zeros((W, width), dtype=np.uint32)
+        self.alt_raw = np.zeros((W, width), dtype=np.uint32)
+        self.alts.ravel()[:n] = alts
+        self.raw.ravel()[:n] = raws[targets, lanes]
+        self.alt_raw.ravel()[:n] = raws[alts, lanes]
         #: Lane ballots: bit ``l`` set while lane ``l`` still has work.
         self.active = np.zeros(W, dtype=np.uint64)
         full, rem = divmod(n, width)
@@ -248,13 +265,15 @@ class _CohortState:
         self.depth: np.ndarray | None = None
 
 
-def cohort_insert(table, codes: np.ndarray, values: np.ndarray,
+def cohort_insert(table, batch, values: np.ndarray,
                   targets: np.ndarray, voter: bool,
                   max_rounds: int = 1_000_000,
                   max_rounds_per_op: int = 4096,
                   faults=None):
     """Vectorized Algorithm-1 insert over pre-routed ``(code, value)``s.
 
+    ``batch`` is the launch's :class:`~repro.core.batch_ops.EncodedBatch`;
+    its pair and raw-hash caches give every lane its hashes up front.
     ``targets`` must come from the same router call the per-warp engine
     would make (see :func:`repro.kernels.insert._run_insert`, which
     computes them before dispatching on the engine).  ``faults`` is the
@@ -270,10 +289,9 @@ def cohort_insert(table, codes: np.ndarray, values: np.ndarray,
     result = KernelRunResult()
     result.hazard_rounds = 0
     result.hazard_lanes = 0
-    codes = np.asarray(codes, dtype=np.uint64)
-    if len(codes) == 0:
+    if len(batch) == 0:
         return result
-    state = _CohortState(codes, np.asarray(values, dtype=np.uint64),
+    state = _CohortState(batch, np.asarray(values, dtype=np.uint64),
                          np.asarray(targets, dtype=np.int64))
     rng = np.random.default_rng(0)
     W = state.num_warps
@@ -297,7 +315,7 @@ def cohort_insert(table, codes: np.ndarray, values: np.ndarray,
     # warp leaves residency when its ballot empties, and the locked
     # count entering a round is exactly last round's winner count
     # (every held lock is released in its phase two).
-    live_lanes = len(codes)
+    live_lanes = len(batch)
     resident = W
     locked_count = 0
     hazard_rounds = 0
@@ -392,7 +410,7 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
                max_stall: int, san=NULL_SANITIZER,
                prof=NULL_PROFILER, fp=None,
                stalled_locks: dict | None = None) -> int:
-    """Elect leaders, hash buckets, arbitrate locks — all warps at once.
+    """Elect leaders, resolve buckets, arbitrate locks — all warps at once.
 
     Returns the number of locks granted (the warps entering phase two).
     """
@@ -413,13 +431,8 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
         leader = (state.next_start[ph1] + _ctz(rot)) % WARP_WIDTH
     else:
         leader = _ctz(m)
-    key = state.keys[ph1, leader]
     target = state.targets[ph1, leader]
-    bucket = np.empty(len(ph1), dtype=np.int64)
-    for t in range(table.num_tables):
-        g = np.flatnonzero(target == t)
-        if len(g):
-            bucket[g] = table.bucket_for(t, key[g])
+    bucket = table.buckets_of_raw(target, state.raw[ph1, leader])
     lock_id = (target << 40) | bucket
     my_pos = pos[ph1]
 
@@ -590,21 +603,20 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     miss = np.flatnonzero(~has_exist)
 
     # Alternate-bucket probe for every own-bucket miss.
-    alt_t = np.empty(len(miss), dtype=np.int64)
-    alt_b = np.empty(len(miss), dtype=np.int64)
+    m_warp = ph2[miss]
+    m_lane = ldr[miss]
+    m_key = key[miss]
+    alt_t = state.alts[m_warp, m_lane]
+    alt_b = table.buckets_of_raw(alt_t, state.alt_raw[m_warp, m_lane])
     a_hit = np.zeros(len(miss), dtype=bool)
     a_slot = np.zeros(len(miss), dtype=np.int64)
-    if len(miss):
-        alt_t = table.pair_hash.alternate_table(key[miss], tgt[miss])
-        for t in range(table.num_tables):
-            g = np.flatnonzero(alt_t == t)
-            if len(g):
-                st = table.subtables[t]
-                alt_b[g] = table.bucket_for(t, key[miss][g])
-                hit, slots = _first_slot(
-                    st.keys[alt_b[g]] == key[miss][g][:, None])
-                a_hit[g] = hit
-                a_slot[g] = slots
+    for t in range(table.num_tables):
+        g = np.flatnonzero(alt_t == t)
+        if len(g):
+            hit, slots = _first_slot(
+                table.subtables[t].keys[alt_b[g]] == m_key[g][:, None])
+            a_hit[g] = hit
+            a_slot[g] = slots
 
     has_free, free_slot = _first_slot(own[miss] == EMPTY)
     place = miss[~a_hit & has_free]
@@ -693,13 +705,18 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
 
     if len(evict):
         # The evicted pair continues on the leader's lane, retargeted
-        # at the victim's alternate subtable; the lane stays active.
+        # at the victim's alternate subtable; the lane stays active, and
+        # the subtable it was evicted from becomes its alternate.
         e_warp = ph2[evict]
         e_lane = ldr[evict]
+        left = tgt[evict]
+        new_tgt = table.pair_hash.alternate_table(victim_key, left)
         state.keys[e_warp, e_lane] = victim_key
         state.values[e_warp, e_lane] = victim_val
-        state.targets[e_warp, e_lane] = table.pair_hash.alternate_table(
-            victim_key, tgt[evict])
+        state.targets[e_warp, e_lane] = new_tgt
+        state.alts[e_warp, e_lane] = left
+        _rehash_victims(table, state, e_warp, e_lane, victim_key, new_tgt,
+                        left)
         if state.depth is not None:
             # The victims continue on their lanes one eviction deeper.
             state.depth[e_warp, e_lane] += 1
@@ -741,6 +758,23 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
             san.on_lock_release(w, lid, site=_SITE_PH2)
     state.locked[ph2] = False
     return hazard, n_done, n_dead
+
+
+def _rehash_victims(table, state: _CohortState, e_warp: np.ndarray,
+                    e_lane: np.ndarray, victim_key: np.ndarray,
+                    new_tgt: np.ndarray, left: np.ndarray) -> None:
+    """Store each victim's raw hashes under its new target and the
+    subtable it left: one hash call per subtable, each victim hashed
+    exactly twice."""
+    for t in range(table.num_tables):
+        to_t = new_tgt == t
+        g = np.flatnonzero(to_t | (left == t))
+        if len(g):
+            raw = table.table_hashes[t].raw(victim_key[g]).astype(np.uint32)
+            as_tgt = to_t[g]
+            state.raw[e_warp[g[as_tgt]], e_lane[g[as_tgt]]] = raw[as_tgt]
+            as_alt = ~as_tgt
+            state.alt_raw[e_warp[g[as_alt]], e_lane[g[as_alt]]] = raw[as_alt]
 
 
 def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,

@@ -371,7 +371,7 @@ def _run_insert(table, keys, values, voter: bool, engine: str,
                 # whose consult window cannot fire stay vectorized,
                 # and the rest replay the reference arbitration walk
                 # (see cohort._phase_one_fault_walk).
-                result = cohort_insert(table, codes, values, targets,
+                result = cohort_insert(table, batch, values, targets,
                                        voter=voter,
                                        faults=faults if faulty else None)
                 if span is not None and result.hazard_rounds:

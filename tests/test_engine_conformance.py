@@ -182,7 +182,7 @@ class TestHazardResolution:
     """
 
     def _run_adversarial(self, seed, n=256, buckets=8, capacity=8):
-        from repro.core.table import encode_keys
+        from repro.core.batch_ops import EncodedBatch
         from repro.gpusim.cohort import cohort_insert
         from repro.kernels.insert import _run_insert_warps
 
@@ -190,12 +190,13 @@ class TestHazardResolution:
         tw, tc = twin_tables(buckets=buckets, capacity=capacity)
         base = rng.integers(1, n // 2, size=n).astype(np.uint64)
         values = np.arange(1, n + 1, dtype=np.uint64)
-        codes = encode_keys(base)
+        batch = EncodedBatch(tc, base)
+        codes = batch.codes
         first, second = tw.pair_hash.tables_for(codes)
         coin = rng.integers(0, 2, size=n).astype(bool)
         targets = np.where(coin, first, second)
         rw = _run_insert_warps(tw, codes, values, targets, True, None)
-        rc = cohort_insert(tc, codes, values, targets, voter=True)
+        rc = cohort_insert(tc, batch, values, targets, voter=True)
         return tw, tc, rw, rc
 
     def test_adversarial_targets_identical(self):
@@ -214,7 +215,7 @@ class TestHazardResolution:
 
         hazardous = 0
         for seed in range(8):
-            from repro.core.table import encode_keys
+            from repro.core.batch_ops import EncodedBatch
             from repro.gpusim.cohort import cohort_insert
 
             rng = np.random.default_rng(seed)
@@ -222,13 +223,13 @@ class TestHazardResolution:
             prof = table.set_profiler(Profiler())
             n = 256
             base = rng.integers(1, n // 2, size=n).astype(np.uint64)
-            codes = encode_keys(base)
-            first, second = table.pair_hash.tables_for(codes)
+            batch = EncodedBatch(table, base)
+            first, second = table.pair_hash.tables_for(batch.codes)
             coin = rng.integers(0, 2, size=n).astype(bool)
             targets = np.where(coin, first, second)
             prof.begin_kernel("insert", n)
             result = cohort_insert(
-                table, codes, np.arange(1, n + 1, dtype=np.uint64),
+                table, batch, np.arange(1, n + 1, dtype=np.uint64),
                 targets, voter=True)
             prof.end_kernel()
             assert prof.hazard_rounds >= result.hazard_rounds

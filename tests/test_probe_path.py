@@ -134,7 +134,8 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
                                          auto_resize=False, seed=3))
     keys = unique_keys(6200, seed=9)
     table.insert(keys[:4200], keys[:4200])
-    batch = EncodedBatch(table, keys[4200:])
+    fresh = keys[4200:]
+    batch = EncodedBatch(table, fresh)
     for t in range(table.num_tables):
         batch.raw(t)
     hashed = []
@@ -153,8 +154,8 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
 
     monkeypatch.setattr(UniversalHash, "raw", counting_raw)
     monkeypatch.setattr(table, "bucket_for", counting_bucket_for)
-    result = run_voter_insert_kernel(table, None, batch.codes,
-                                     engine="cohort", codes=batch)
+    result = run_voter_insert_kernel(table, None, fresh, engine="cohort",
+                                     codes=batch)
     monkeypatch.undo()
 
     assert result.evictions > 0

@@ -185,16 +185,17 @@ class TestUnwindReleasesLocks:
         assert san.ok, [str(v) for v in san.violations]
 
     def test_cohort_engine_unwinds_on_stall_exhaustion(self):
+        from repro.core.batch_ops import EncodedBatch
         from repro.errors import CapacityError
         from repro.gpusim.cohort import cohort_insert
         from repro.sanitizer import Sanitizer
 
         table = fresh_table()
         san = table.set_sanitizer(Sanitizer())
-        codes, values, targets = self._contended_batch(table)
+        _codes, keys, targets = self._contended_batch(table)
         with pytest.raises(CapacityError):
-            cohort_insert(table, codes, values, targets, voter=True,
-                          max_rounds_per_op=1)
+            cohort_insert(table, EncodedBatch(table, keys), keys, targets,
+                          voter=True, max_rounds_per_op=1)
         assert san.ok, [str(v) for v in san.violations]
         assert san.stats["unwind_releases"] >= 1
         run_voter_insert_kernel(table, unique_keys(64, seed=78),

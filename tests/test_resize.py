@@ -392,3 +392,45 @@ class TestMigrationEpochs:
         table.validate()
         _, found = table.find(keys)
         assert found.all()
+
+
+class TestBucketsOfRaw:
+    """``buckets_of_raw`` equals ``bucket_of_raw`` element for element."""
+
+    @staticmethod
+    def _assert_matches(table, n=3000, seed=5):
+        rng = np.random.default_rng(seed)
+        codes = encode_keys(unique_keys(n, seed=seed))
+        targets = rng.integers(0, table.num_tables, n)
+        raws = np.stack([h.raw(codes).astype(np.uint32)
+                         for h in table.table_hashes])
+        raw = raws[targets, np.arange(n)]
+        want = np.array([table.bucket_of_raw(int(t), raw[i:i + 1])[0]
+                         for i, t in enumerate(targets)])
+        got = table.buckets_of_raw(targets, raw)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_settled_geometry(self):
+        table, _keys = filled_table()
+        table.finalize_resizes()
+        table.upsize()  # subtables of two different sizes
+        assert all(st.migration is None for st in table.subtables)
+        assert len({st.n_buckets for st in table.subtables}) == 2
+        self._assert_matches(table)
+
+    @pytest.mark.parametrize("kind", ["upsize", "downsize"])
+    def test_open_epoch(self, kind):
+        table, keys = filled_table(n_keys=2000 if kind == "upsize" else 400)
+        if kind == "downsize":
+            table.delete(keys[200:])
+            table.finalize_resizes()
+            table._resizer.open_downsize_epoch()
+        else:
+            table._resizer.open_upsize_epoch()
+        table._resizer.drain_migration(max_pairs=3)  # mixed views
+        open_epochs = [st.migration for st in table.subtables
+                       if st.migration is not None]
+        assert [m.kind for m in open_epochs] == [kind]
+        assert 0 < open_epochs[0].pending < open_epochs[0].num_pairs
+        self._assert_matches(table)
