@@ -20,6 +20,8 @@ caller's job.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.grouping import rank_within_group
@@ -27,6 +29,54 @@ from repro.errors import InvalidConfigError
 
 #: Key code marking an empty slot.
 EMPTY = np.uint64(0)
+
+
+@dataclass(frozen=True)
+class FlatStorage:
+    """Every subtable's physical rows in one contiguous arena.
+
+    Subtable ``t`` owns arena rows ``row_offset[t]`` up to the next
+    subtable's offset, so bucket ``b`` of subtable ``t`` is arena row
+    ``row_offset[t] + b`` — the device layout, where all ``d`` subtables
+    sit in one global memory and picking a subtable is pointer
+    arithmetic.  :meth:`adopt` rebinds each subtable's ``keys`` /
+    ``values`` to views of the arena, so writes through either name
+    land in the same storage.
+    """
+
+    #: ``(sum of physical rows, bucket_capacity)`` key codes.
+    keys: np.ndarray
+    #: Values, aligned with :attr:`keys`.
+    values: np.ndarray
+    #: ``int64[d]``: first arena row of each subtable.
+    row_offset: np.ndarray
+
+    @classmethod
+    def adopt(cls, subtables: list["Subtable"]) -> "FlatStorage":
+        """Copy ``subtables`` into a fresh arena and rebind them to it."""
+        rows = [len(st.keys) for st in subtables]
+        row_offset = np.zeros(len(rows), dtype=np.int64)
+        np.cumsum(rows[:-1], out=row_offset[1:])
+        arena = cls(np.concatenate([st.keys for st in subtables]),
+                    np.concatenate([st.values for st in subtables]),
+                    row_offset)
+        for st, lo, n in zip(subtables, row_offset.tolist(), rows):
+            st.keys = arena.keys[lo:lo + n]
+            st.values = arena.values[lo:lo + n]
+        return arena
+
+    def backs(self, subtables: list["Subtable"]) -> bool:
+        """True while every subtable's arrays are still its arena rows.
+
+        A resize, snapshot restore, persistence load or ``clear()``
+        replaces some subtable's arrays with fresh ones (or, finishing
+        a downsize epoch, with fewer rows); the arena is then stale and
+        the owner must :meth:`adopt` again.
+        """
+        rows = np.diff(self.row_offset, append=len(self.keys)).tolist()
+        return all(st.keys.base is self.keys
+                   and st.values.base is self.values and len(st.keys) == n
+                   for st, n in zip(subtables, rows))
 
 
 class MigrationState:

@@ -25,6 +25,8 @@ keys within one batch resolve to the *last* occurrence.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core import distribution
@@ -36,7 +38,7 @@ from repro.core.hashing import (UNHASHED, PairHash, UniversalHash,
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
-from repro.core.subtable import Subtable
+from repro.core.subtable import FlatStorage, Subtable
 from repro.errors import (CapacityError, InvalidKeyError, ResizeError,
                           StashOverflowError)
 from repro.faults import NO_FAULTS, FaultPlan
@@ -123,6 +125,15 @@ class DyCuckooTable:
         #: Resize epoch (upsizes + downsizes) of the last drain attempt;
         #: bounds retries to one per completed resize.
         self._drain_epoch = -1
+        #: Cached :meth:`flat_storage` arena (a cache, never pickled).
+        self._arena: FlatStorage | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the arena: the subtables' views already carry
+        every row, and the next :meth:`flat_storage` call rebuilds it."""
+        state = self.__dict__.copy()
+        state["_arena"] = None
+        return state
 
     def set_fault_plan(self, plan: FaultPlan | None) -> FaultPlan:
         """Attach a fault-injection plan (``None`` detaches); returns it.
@@ -530,7 +541,7 @@ class DyCuckooTable:
         Hashes ``codes`` and resolves them through :meth:`bucket_of_raw`;
         the warp reference engine's bucket-resolution point.  The host
         path and the cohort engine carry raw hashes and resolve them
-        with :meth:`bucket_of_raw` / :meth:`buckets_of_raw` directly.
+        with :meth:`bucket_of_raw` / :meth:`bucket_resolver` directly.
         """
         return self.bucket_of_raw(t, self.table_hashes[t].raw(codes))
 
@@ -549,27 +560,55 @@ class DyCuckooTable:
             return UniversalHash.bucket_from_raw(raw, st.n_buckets)
         return st.migration.effective_buckets(raw)
 
-    def buckets_of_raw(self, targets: np.ndarray,
-                       raw: np.ndarray) -> np.ndarray:
-        """Bucket of each ``uint32`` raw hash in its subtable ``targets[i]``.
+    def bucket_resolver(
+            self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``(targets, raw) -> buckets`` for the current geometry.
 
-        Element for element equal to :meth:`bucket_of_raw`.  With every
-        subtable settled it is one gather of the per-subtable
-        ``n_buckets - 1`` masks; while any subtable is mid-migration it
-        falls back to :meth:`bucket_of_raw` per target, which applies
-        the epoch check.
+        The resolver maps each ``uint32`` raw hash to its bucket in
+        subtable ``targets[i]``, element for element equal to
+        :meth:`bucket_of_raw`.  With every subtable settled it is one
+        gather of the per-subtable ``n_buckets - 1`` masks, built once
+        here; while any subtable is mid-migration it applies the epoch
+        check per target.  Valid until the next resize step, so a kernel
+        launch (which never resizes) builds it once.
         """
-        subtables = self.subtables
-        if all(st.migration is None for st in subtables):
-            masks = np.array([st.n_buckets - 1 for st in subtables],
-                             dtype=np.int64)
-            return raw & masks[targets]
+        if any(st.migration is not None for st in self.subtables):
+            return self._buckets_per_target
+        masks = np.array([st.n_buckets - 1 for st in self.subtables],
+                         dtype=np.int64)
+        return lambda targets, raw: raw & masks[targets]
+
+    def _buckets_per_target(self, targets: np.ndarray,
+                            raw: np.ndarray) -> np.ndarray:
         buckets = np.empty(len(raw), dtype=np.int64)
         for t in range(self.num_tables):
             g = np.flatnonzero(targets == t)
             if len(g):
                 buckets[g] = self.bucket_of_raw(t, raw[g])
         return buckets
+
+    def flat_storage(self) -> FlatStorage:
+        """All subtables' storage as one arena; subtables become views.
+
+        Bucket ``b`` of subtable ``t`` is arena row
+        ``row_offset[t] + b``, so a kernel addresses every subtable
+        with one gather or scatter.  The arena is cached: a call
+        rebuilds it only when some subtable's arrays are no longer its
+        views (after a resize step, a snapshot restore, a persistence
+        load or :meth:`clear`), and is otherwise a check of ``d`` views.
+        The cohort insert engine fetches it once per launch; the host
+        path and the warp engine never do.
+
+        Memory bound: arrays that replace a subtable's views are fresh
+        allocations, while the views keep the previous arena alive.  A
+        table that resizes after a launch therefore holds at most one
+        stale arena (this table's only arena) until its next call here
+        drops it.
+        """
+        arena = self._arena
+        if arena is None or not arena.backs(self.subtables):
+            arena = self._arena = FlatStorage.adopt(self.subtables)
+        return arena
 
     def _drain_migration(self) -> int:
         """Batch-end hook: advance any open resize epoch by one slice."""

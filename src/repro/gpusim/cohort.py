@@ -17,10 +17,16 @@ with a handful of vectorized mask operations:
   winner selection over ``(lock_id, round_position)`` pairs;
 * every lane carries its key's raw hashes under its target and
   alternate subtables, so a round resolves buckets with one masked
-  gather (:meth:`~repro.core.table.DyCuckooTable.buckets_of_raw`) and
-  only evicted victims are hashed again;
-* bucket inspection (existing-key ballot, alternate probe, free-slot
-  ballot, victim choice) is batched per target subtable.
+  gather (the launch's
+  :meth:`~repro.core.table.DyCuckooTable.bucket_resolver`) and only
+  evicted victims are hashed again;
+* bucket inspection and writes (existing-key ballot, alternate probe,
+  free-slot ballot, victim choice, upsert/place/evict) address every
+  subtable through one flat arena
+  (:meth:`~repro.core.table.DyCuckooTable.flat_storage`): bucket ``b``
+  of subtable ``t`` is arena row ``row_offset[t] + b``, so each is one
+  gather or scatter per round.  Lock ids, sanitizer addresses and
+  profiler keys stay ``(t << 40) | b``.
 
 Conformance contract
 --------------------
@@ -219,8 +225,12 @@ def cohort_delete(table, batch):
 class _CohortState:
     """All resident warps of one insert launch, structure-of-arrays."""
 
-    def __init__(self, batch, values: np.ndarray,
+    def __init__(self, table, batch, values: np.ndarray,
                  targets: np.ndarray) -> None:
+        #: The launch's storage arena and bucket resolver; a launch never
+        #: resizes, so both hold for every round.
+        self.arena = table.flat_storage()
+        self.bucket_of = table.bucket_resolver()
         n = len(batch)
         width = WARP_WIDTH
         self.num_warps = (n + width - 1) // width
@@ -291,7 +301,7 @@ def cohort_insert(table, batch, values: np.ndarray,
     result.hazard_lanes = 0
     if len(batch) == 0:
         return result
-    state = _CohortState(batch, np.asarray(values, dtype=np.uint64),
+    state = _CohortState(table, batch, np.asarray(values, dtype=np.uint64),
                          np.asarray(targets, dtype=np.int64))
     rng = np.random.default_rng(0)
     W = state.num_warps
@@ -432,7 +442,7 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
     else:
         leader = _ctz(m)
     target = state.targets[ph1, leader]
-    bucket = table.buckets_of_raw(target, state.raw[ph1, leader])
+    bucket = state.bucket_of(target, state.raw[ph1, leader])
     lock_id = (target << 40) | bucket
     my_pos = pos[ph1]
 
@@ -585,20 +595,17 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     whether the round was hazardous, how many lanes completed, and how
     many warps finished their last lane.
     """
-    cap = table.subtables[0].bucket_capacity
+    arena = state.arena
+    cap = arena.keys.shape[1]
     tgt = state.lk_target[ph2]
     bkt = state.lk_bucket[ph2]
+    row = arena.row_offset[tgt] + bkt
     ldr = state.lk_leader[ph2]
     key = state.keys[ph2, ldr]
     val = state.values[ph2, ldr]
     mcount = len(ph2)
 
-    own = np.empty((mcount, cap), dtype=np.uint64)
-    for t in range(table.num_tables):
-        g = np.flatnonzero(tgt == t)
-        if len(g):
-            own[g] = table.subtables[t].keys[bkt[g]]
-
+    own = arena.keys[row]
     has_exist, exist_slot = _first_slot(own == key[:, None])
     miss = np.flatnonzero(~has_exist)
 
@@ -607,16 +614,9 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     m_lane = ldr[miss]
     m_key = key[miss]
     alt_t = state.alts[m_warp, m_lane]
-    alt_b = table.buckets_of_raw(alt_t, state.alt_raw[m_warp, m_lane])
-    a_hit = np.zeros(len(miss), dtype=bool)
-    a_slot = np.zeros(len(miss), dtype=np.int64)
-    for t in range(table.num_tables):
-        g = np.flatnonzero(alt_t == t)
-        if len(g):
-            hit, slots = _first_slot(
-                table.subtables[t].keys[alt_b[g]] == m_key[g][:, None])
-            a_hit[g] = hit
-            a_slot[g] = slots
+    alt_b = state.bucket_of(alt_t, state.alt_raw[m_warp, m_lane])
+    alt_row = arena.row_offset[alt_t] + alt_b
+    a_hit, a_slot = _first_slot(arena.keys[alt_row] == m_key[:, None])
 
     has_free, free_slot = _first_slot(own[miss] == EMPTY)
     place = miss[~a_hit & has_free]
@@ -628,7 +628,8 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     # victim's value overwritten by) a key some other warp is probing
     # for in the evicting bucket this round.  Both require carried-key
     # coincidences; either forces the ordered hazard resolution.
-    hazard = len(np.unique(key)) != mcount
+    sorted_key = np.sort(key)
+    hazard = bool(np.any(sorted_key[1:] == sorted_key[:-1]))
     vict_rank = np.empty(0, dtype=np.int64)
     if len(evict):
         vict_rank = np.empty(len(evict), dtype=np.int64)
@@ -651,7 +652,7 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     if hazard:
         (a_hit, a_slot, place, evict, vslot, victim_key,
          victim_val) = _resolve_hazard(
-            table, state, ph2, pos, tgt, bkt, key, val, own, miss,
+            table, state, ph2, pos, row, bkt, key, val, own, miss,
             alt_t, alt_b, a_hit, a_slot, has_free, free_slot, cap)
 
     # ---- vectorized apply (ordering resolved above if observable) ----
@@ -666,44 +667,30 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
 
     exist = np.flatnonzero(has_exist)
     if hazard:
-        _apply_hazard_round(table, state, ph2, pos, tgt, bkt, key, val,
+        _apply_hazard_round(table, state, ph2, pos, tgt, row, key, val,
                             exist, exist_slot, miss, alt_t, alt_b,
                             a_hit, a_slot, place, free_slot, evict,
                             vslot, cap)
-        if len(evict):
-            table._victim_counter += len(evict)
     else:
-        for t in range(table.num_tables):
-            st = table.subtables[t]
-            g = exist[tgt[exist] == t]
-            if len(g):
-                st.values[bkt[g], exist_slot[g]] = val[g]
-            gp = place[tgt[place] == t]
-            if len(gp):
-                pslot = free_slot[np.searchsorted(miss, gp)]
-                st.keys[bkt[gp], pslot] = key[gp]
-                st.values[bkt[gp], pslot] = val[gp]
-                st.size += len(gp)
+        # No two writes of a hazard-free round share a slot, so each
+        # kind lands as one scatter over every subtable at once.
+        arena.values[row[exist], exist_slot[exist]] = val[exist]
+        if len(place):
+            pslot = free_slot[np.searchsorted(miss, place)]
+            arena.keys[row[place], pslot] = key[place]
+            arena.values[row[place], pslot] = val[place]
+            _grow_sizes(table, tgt[place])
         if n_ahit:
             hit_rows = np.flatnonzero(a_hit)
-            for t in range(table.num_tables):
-                g = hit_rows[alt_t[hit_rows] == t]
-                if len(g):
-                    table.subtables[t].values[alt_b[g], a_slot[g]] = val[
-                        miss[g]]
+            arena.values[alt_row[hit_rows], a_slot[hit_rows]] = val[
+                miss[hit_rows]]
         if len(evict):
-            victim_val = np.empty(len(evict), dtype=np.uint64)
-            for t in range(table.num_tables):
-                g = np.flatnonzero(tgt[evict] == t)
-                if len(g):
-                    st = table.subtables[t]
-                    rows = evict[g]
-                    victim_val[g] = st.values[bkt[rows], vslot[g]]
-                    st.keys[bkt[rows], vslot[g]] = key[rows]
-                    st.values[bkt[rows], vslot[g]] = val[rows]
-            table._victim_counter += len(evict)
-
+            e_row = row[evict]
+            victim_val = arena.values[e_row, vslot]
+            arena.keys[e_row, vslot] = key[evict]
+            arena.values[e_row, vslot] = val[evict]
     if len(evict):
+        table._victim_counter += len(evict)
         # The evicted pair continues on the leader's lane, retargeted
         # at the victim's alternate subtable; the lane stays active, and
         # the subtable it was evicted from becomes its alternate.
@@ -777,8 +764,15 @@ def _rehash_victims(table, state: _CohortState, e_warp: np.ndarray,
             state.alt_raw[e_warp[g[as_alt]], e_lane[g[as_alt]]] = raw[as_alt]
 
 
+def _grow_sizes(table, targets: np.ndarray) -> None:
+    """Count one placed entry per element of ``targets`` (subtables)."""
+    counts = np.bincount(targets, minlength=table.num_tables).tolist()
+    for st, n in zip(table.subtables, counts):
+        st.size += n
+
+
 def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
-                    pos: np.ndarray, tgt: np.ndarray, bkt: np.ndarray,
+                    pos: np.ndarray, row: np.ndarray, bkt: np.ndarray,
                     key: np.ndarray, val: np.ndarray, own: np.ndarray,
                     miss: np.ndarray, alt_t: np.ndarray,
                     alt_b: np.ndarray, a_hit0: np.ndarray,
@@ -863,12 +857,7 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
     # Victim values are read live at the evictor's turn: start from the
     # snapshot and override with the latest earlier-position
     # alternate-hit value write landing in the same slot, if any.
-    victim_val = np.empty(len(evict), dtype=np.uint64)
-    for t in range(table.num_tables):
-        g = np.flatnonzero(tgt[evict] == t)
-        if len(g):
-            st = table.subtables[t]
-            victim_val[g] = st.values[bkt[evict[g]], vslot[g]]
+    victim_val = state.arena.values[row[evict], vslot]
     ah_m = np.flatnonzero(nh)
     if len(ah_m) and len(evict):
         w_total = len(pos)
@@ -892,7 +881,7 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
 
 def _apply_hazard_round(table, state: _CohortState, ph2: np.ndarray,
                         pos: np.ndarray, tgt: np.ndarray,
-                        bkt: np.ndarray, key: np.ndarray,
+                        row: np.ndarray, key: np.ndarray,
                         val: np.ndarray, exist: np.ndarray,
                         exist_slot: np.ndarray, miss: np.ndarray,
                         alt_t: np.ndarray, alt_b: np.ndarray,
@@ -914,16 +903,12 @@ def _apply_hazard_round(table, state: _CohortState, ph2: np.ndarray,
     # emitted by _phase_two for the whole round (one record per held
     # lock), so these resolved writes are already on the sanitizer's
     # log — re-recording here would double-count them.
-    for t in range(table.num_tables):
-        st = table.subtables[t]
-        gp = place[tgt[place] == t]
-        if len(gp):
-            pslot = free_slot[np.searchsorted(miss, gp)]
-            st.keys[bkt[gp], pslot] = key[gp]  # sanitize: allow(unguarded-structural-write)
-            st.size += len(gp)
-        ge = np.flatnonzero(tgt[evict] == t)
-        if len(ge):
-            st.keys[bkt[evict[ge]], vslot[ge]] = key[evict[ge]]  # sanitize: allow(unguarded-structural-write)
+    arena = state.arena
+    if len(place):
+        pslot = free_slot[np.searchsorted(miss, place)]
+        arena.keys[row[place], pslot] = key[place]  # sanitize: allow(unguarded-structural-write)
+        _grow_sizes(table, tgt[place])
+    arena.keys[row[evict], vslot] = key[evict]  # sanitize: allow(unguarded-structural-write)
     # Value writes, last-writer-wins by permutation position.
     pos2 = pos[ph2]
     lockids = state.lk_lockid[ph2]
@@ -949,11 +934,5 @@ def _apply_hazard_round(table, state: _CohortState, ph2: np.ndarray,
     last[:-1] = addr_s[1:] != addr_s[:-1]
     sel = order[last]
     lock = addr[sel] // cap
-    slot = addr[sel] % cap
-    t_of = lock >> 40
-    b_of = lock & ((1 << 40) - 1)
-    v_of = wval[sel]
-    for t in range(table.num_tables):
-        g = np.flatnonzero(t_of == t)
-        if len(g):
-            table.subtables[t].values[b_of[g], slot[g]] = v_of[g]
+    arena.values[arena.row_offset[lock >> 40] + (lock & ((1 << 40) - 1)),
+                 addr[sel] % cap] = wval[sel]

@@ -162,6 +162,13 @@ class TestStructuralWrites:
         [f] = check_source(source, path="src/repro/kernels/insert.py")
         assert f.rule == "unguarded-structural-write"
 
+    def test_arena_write_without_access_stream_flagged(self):
+        source = (
+            "def commit(arena, rows, slots, keys):\n"
+            "    arena.keys[rows, slots] = keys\n")
+        [f] = check_source(source, path="src/repro/gpusim/cohort.py")
+        assert f.rule == "unguarded-structural-write"
+
     def test_suppression_marker_is_the_audit_trail(self):
         source = (
             "def copy(st, rows):\n"

@@ -266,6 +266,61 @@ class TestHazardResolution:
         assert_tables_identical(tw, tc)
 
 
+class TestUnequalGeometryConformance:
+    """Warp ≡ cohort on settled subtables of 16/32/32/64 buckets.
+
+    The cohort engine addresses bucket ``b`` of subtable ``t`` as row
+    ``row_offset[t] + b`` of one storage arena.  With equal subtables a
+    wrong offset (say ``t * n_buckets``) would still land on the right
+    rows, so this geometry gives every subtable a different size and a
+    non-uniform start.  High fill makes evictions fire, and duplicate
+    keys with adversarial targets drive the hazard path.
+    """
+
+    def test_high_fill_and_hazard_rounds_identical(self):
+        from repro.gpusim.cohort import cohort_insert
+        from repro.kernels.insert import _run_insert_warps
+        from repro.kernels.resize_kernels import run_upsize_kernel
+
+        tw, tc = twin_tables(buckets=16, capacity=8)
+        keys = unique_keys(300, seed=61)
+        run_voter_insert_kernel(tw, keys, keys)
+        run_voter_insert_kernel(tc, keys, keys, engine="cohort")
+        for table in (tw, tc):
+            for target in (1, 2, 3, 3):
+                run_upsize_kernel(table, target)
+        assert [st.n_buckets for st in tc.subtables] == [16, 32, 32, 64]
+        assert all(st.migration is None for st in tc.subtables)
+        assert_tables_identical(tw, tc)
+
+        fresh = unique_keys(550, seed=62, low=1 << 40)  # 74 % of 1152
+        rw = run_voter_insert_kernel(tw, fresh, fresh)
+        rc = run_voter_insert_kernel(tc, fresh, fresh, engine="cohort")
+        assert dataclasses.asdict(rw) == dataclasses.asdict(rc)
+        assert rc.evictions > 0
+        assert_tables_identical(tw, tc)
+
+        rng = np.random.default_rng(62)
+        n = 256
+        base = rng.integers(1, n // 2, size=n).astype(np.uint64)
+        values = np.arange(1, n + 1, dtype=np.uint64)
+        batch = EncodedBatch(tc, base)
+        coin = rng.integers(0, 2, size=n).astype(bool)
+        targets = np.where(coin, batch.first, batch.second)
+        rw = _run_insert_warps(tw, batch.codes, values, targets, True, None)
+        rc = cohort_insert(tc, batch, values, targets, voter=True)
+        assert dataclasses.asdict(rw) == dataclasses.asdict(rc)
+        assert rc.hazard_rounds > 0 and rc.evictions > 0
+        probe = np.concatenate([keys, fresh, base])
+        vw, fw, qw = run_find_kernel(tw, probe)
+        vc, fc, qc = run_find_kernel(tc, probe, engine="cohort")
+        assert fw.all()
+        assert np.array_equal(vw, vc) and np.array_equal(fw, fc)
+        assert qw == qc
+        assert tw.sanitizer.stats == tc.sanitizer.stats
+        assert_tables_identical(tw, tc)
+
+
 class TestTelemetryStream:
     def _stream(self, telemetry):
         spans = [(e.name, e.category, e.args) for e in

@@ -8,6 +8,7 @@ from repro.core.resize import _TableSnapshot
 from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import ResizeError
 from repro.faults import FaultPlan
+from repro.kernels import run_voter_insert_kernel
 
 from .conftest import unique_keys
 
@@ -395,7 +396,7 @@ class TestMigrationEpochs:
 
 
 class TestBucketsOfRaw:
-    """``buckets_of_raw`` equals ``bucket_of_raw`` element for element."""
+    """``bucket_resolver()`` equals ``bucket_of_raw`` element for element."""
 
     @staticmethod
     def _assert_matches(table, n=3000, seed=5):
@@ -407,7 +408,7 @@ class TestBucketsOfRaw:
         raw = raws[targets, np.arange(n)]
         want = np.array([table.bucket_of_raw(int(t), raw[i:i + 1])[0]
                          for i, t in enumerate(targets)])
-        got = table.buckets_of_raw(targets, raw)
+        got = table.bucket_resolver()(targets, raw)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
@@ -434,3 +435,128 @@ class TestBucketsOfRaw:
         assert [m.kind for m in open_epochs] == [kind]
         assert 0 < open_epochs[0].pending < open_epochs[0].num_pairs
         self._assert_matches(table)
+
+
+class TestFlatStorage:
+    """The cohort engine's storage arena is a cache over the subtables.
+
+    ``flat_storage()`` hands back the same arena while every subtable
+    still views it, rebuilds it once a resize (or ``clear()``) has
+    replaced some subtable's arrays, and never travels in a pickle.
+    """
+
+    @staticmethod
+    def _table(**kw):
+        defaults = dict(initial_buckets=32, bucket_capacity=8,
+                        min_buckets=8, auto_resize=False, seed=5)
+        defaults.update(kw)
+        return DyCuckooTable(DyCuckooConfig(**defaults))
+
+    @staticmethod
+    def _launch(table, keys):
+        run_voter_insert_kernel(table, keys, keys, engine="cohort")
+
+    @staticmethod
+    def _assert_backs(table):
+        """The arena's offsets and rows match the subtables, as views."""
+        arena = table.flat_storage()
+        rows = [len(st.keys) for st in table.subtables]
+        assert arena.row_offset.dtype == np.int64
+        assert np.array_equal(arena.row_offset,
+                              np.cumsum([0] + rows[:-1]))
+        assert len(arena.keys) == sum(rows)
+        for t, st in enumerate(table.subtables):
+            lo = int(arena.row_offset[t])
+            assert np.array_equal(arena.keys[lo:lo + rows[t]], st.keys)
+            assert np.array_equal(arena.values[lo:lo + rows[t]], st.values)
+            assert st.keys.base is arena.keys
+            assert st.values.base is arena.values
+        return arena
+
+    def test_same_arena_across_launches(self):
+        table = self._table()
+        keys = unique_keys(800, seed=21)
+        arena = self._assert_backs(table)
+        for chunk in np.array_split(keys, 10):
+            self._launch(table, chunk)
+            assert table.flat_storage() is arena
+        self._assert_backs(table)
+        table.validate()
+        values, found = table.find(keys)
+        assert found.all() and np.array_equal(values, keys)
+
+    def test_rebuilds_after_upsize(self):
+        table = self._table()
+        keys = unique_keys(600, seed=22)
+        self._launch(table, keys)
+        before = table.flat_storage()
+        table.upsize()
+        table.finalize_resizes()
+        after = self._assert_backs(table)
+        assert after is not before
+        assert len(after.keys) == len(before.keys) + 32
+        self._launch(table, unique_keys(50, seed=23, low=1 << 40))
+        assert table.flat_storage() is after
+        table.validate()
+
+    def test_rebuilds_after_finalized_downsize_epoch(self):
+        table = self._table()
+        keys = unique_keys(200, seed=24)
+        self._launch(table, keys)
+        before = table.flat_storage()
+        target = table._resizer.open_downsize_epoch()
+        # A downsize epoch keeps the physical rows: still the arena.
+        assert table.subtables[target].migration is not None
+        assert table.flat_storage() is before
+        table.finalize_resizes()
+        after = self._assert_backs(table)
+        assert after is not before
+        assert len(after.keys) == len(before.keys) - 16
+        table.validate()
+        values, found = table.find(keys)
+        assert found.all() and np.array_equal(values, keys)
+
+    def test_rebuilds_after_clear(self):
+        table = self._table()
+        self._launch(table, unique_keys(300, seed=25))
+        before = table.flat_storage()
+        table.clear()
+        after = self._assert_backs(table)
+        assert after is not before
+        assert not after.keys.any()
+
+    def test_host_resizes_keep_at_most_one_stale_arena(self):
+        import gc
+        import weakref
+
+        table = self._table()
+        self._launch(table, unique_keys(400, seed=26))
+        stale = weakref.ref(table.flat_storage().keys)
+        table.upsize()
+        table.upsize()
+        table.finalize_resizes()
+        gc.collect()
+        # No arena is built between launches: the old one is the only
+        # stale arena, kept alive by the views of unresized subtables.
+        assert stale() is not None
+        self._launch(table, unique_keys(40, seed=27, low=1 << 40))
+        gc.collect()
+        assert stale() is None
+        self._assert_backs(table)
+
+    def test_pickle_and_copy_carry_no_arena(self):
+        import pickle
+
+        table = self._table()
+        keys = unique_keys(700, seed=28)
+        table.insert(keys[:300], keys[:300])
+        before = len(pickle.dumps(table))
+        self._launch(table, keys[300:])
+        arena = table.flat_storage()
+        after = len(pickle.dumps(table))
+        assert abs(after - before) <= 0.01 * before
+        for clone in (table.copy(), pickle.loads(pickle.dumps(table))):
+            assert clone.to_dict() == table.to_dict()
+            for st in clone.subtables:
+                assert not np.shares_memory(st.keys, arena.keys)
+                assert not np.shares_memory(st.values, arena.values)
