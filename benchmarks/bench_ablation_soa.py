@@ -31,6 +31,7 @@ import numpy as np
 from repro.bench import format_table, shape_check
 from repro.core.batch_ops import OP_FIND, OP_INSERT
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.gpusim import GTX_1080
 from repro.telemetry import Profiler
@@ -105,7 +106,8 @@ def _measure_duplicate_heavy(value_bytes_per_slot: int):
     table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=DUP_BUCKETS, bucket_capacity=DUP_CAPACITY,
         auto_resize=False, seed=2))
-    prof = table.set_profiler(Profiler())
+    prof = Profiler()
+    table.attach(Instruments(profiler=prof))
     rng = np.random.default_rng(43)
     slots = 4 * DUP_BUCKETS * DUP_CAPACITY
     keyspace = slots * 3 // 4

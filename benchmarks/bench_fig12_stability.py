@@ -21,6 +21,7 @@ latency summaries land in ``BENCH_fig12_stability.json``.
 
 import numpy as np
 
+from repro import Instruments
 from repro.bench import format_series, maybe_dump_trace, run_dynamic, shape_check
 from repro.bench.artifacts import maybe_dump
 from repro.telemetry import Telemetry, format_summary, summarize_batches
@@ -46,7 +47,8 @@ def _run_all():
                 # REPRO_BENCH_JSON set, a Chrome-trace artifact with the
                 # resize lifecycle and fill-factor samples lands next to
                 # the JSON results.
-                telemetry = table.set_telemetry(Telemetry())
+                telemetry = Telemetry()
+                table.attach(Instruments(telemetry=telemetry))
             workload = DynamicWorkload(keys, values, batch_size=BATCH_SIZE,
                                        seed=4)
             run = run_dynamic(table, workload, cost_model=COST_MODEL)

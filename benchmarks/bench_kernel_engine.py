@@ -29,8 +29,9 @@ from repro.bench import format_table, shape_check
 from repro.bench.artifacts import maybe_dump
 from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
-from repro.faults import default_chaos_plan
+from repro.faults import NO_FAULTS, default_chaos_plan
 from repro.telemetry import Profiler
 
 from benchmarks.common import once
@@ -112,8 +113,8 @@ def _run_leg(ops, keys, values, *, buckets=BUCKETS,
     for engine in ENGINES:
         table = _fresh_table(buckets, capacity)
         if fault_seed is not None:
-            plans[engine] = table.set_fault_plan(
-                default_chaos_plan(seed=fault_seed))
+            plans[engine] = default_chaos_plan(seed=fault_seed)
+            table.attach(Instruments(faults=plans[engine]))
         start = time.perf_counter()
         result = table.execute_mixed(ops, keys, values, engine=engine)
         elapsed = time.perf_counter() - start
@@ -140,9 +141,11 @@ def _run_leg(ops, keys, values, *, buckets=BUCKETS,
     # Hazard telemetry: a separate profiled cohort pass (the profiler
     # adds per-round bookkeeping, so it stays out of the timed run).
     prof_table = _fresh_table(buckets, capacity)
-    if fault_seed is not None:
-        prof_table.set_fault_plan(default_chaos_plan(seed=fault_seed))
-    prof = prof_table.set_profiler(Profiler())
+    prof = Profiler()
+    prof_table.attach(Instruments(
+        profiler=prof,
+        faults=(default_chaos_plan(seed=fault_seed)
+                if fault_seed is not None else NO_FAULTS)))
     prof_table.execute_mixed(ops, keys, values, engine="cohort")
 
     leg = {"ops": num_ops, "runs": rw.runs, "conformant": True,

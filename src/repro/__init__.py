@@ -26,6 +26,7 @@ A from-scratch Python reproduction of *"Dynamic Hash Tables on GPUs"*
 
 from repro.core import (DyCuckooConfig, DyCuckooTable, MemoryFootprint,
                         PAPER_PARAMETERS, TableStats)
+from repro.core.instruments import Instruments
 from repro.errors import (CapacityError, InvalidConfigError, InvalidKeyError,
                           ReproError, ResizeError, StashOverflowError,
                           UnsupportedOperationError)
@@ -42,6 +43,7 @@ __all__ = [
     "PAPER_PARAMETERS",
     "MemoryFootprint",
     "TableStats",
+    "Instruments",
     "ReproError",
     "InvalidKeyError",
     "InvalidConfigError",

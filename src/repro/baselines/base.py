@@ -13,6 +13,7 @@ import abc
 
 import numpy as np
 
+from repro.core.instruments import Instruments
 from repro.core.stats import MemoryFootprint, TableStats
 from repro.gpusim.metrics import KernelCosts
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -33,17 +34,23 @@ class GpuHashTable(abc.ABC):
     #: Whether the implementation can resize itself dynamically.
     SUPPORTS_RESIZE = True
 
-    #: Observability hooks (the harness reads this; implementations that
-    #: carry a DyCuckooTable forward the attached handle to it).
+    #: The attached instruments (see :meth:`attach`).
+    instruments: Instruments = Instruments()
+
+    #: The attached telemetry handle, read directly by the harness.
     telemetry: Telemetry = NULL_TELEMETRY
 
     stats: TableStats
 
-    def set_telemetry(self, telemetry: Telemetry | None) -> Telemetry:
-        """Attach a telemetry handle (``None`` detaches); returns it."""
-        self.telemetry = (telemetry if telemetry is not None
-                          else NULL_TELEMETRY)
-        return self.telemetry
+    def attach(self, instruments: Instruments | None) -> None:
+        """Attach a bundle of instruments (``None`` detaches them all).
+
+        The baselines observe only the telemetry handle; front-ends
+        that carry a DyCuckooTable forward the whole record to it.
+        """
+        self.instruments = (instruments if instruments is not None
+                            else Instruments())
+        self.telemetry = self.instruments.telemetry
 
     @abc.abstractmethod
     def insert(self, keys, values) -> None:

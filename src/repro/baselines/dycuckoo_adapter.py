@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.baselines.base import GpuHashTable
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.stats import MemoryFootprint
 from repro.core.table import DyCuckooTable
 from repro.gpusim.metrics import KernelCosts
@@ -36,29 +37,9 @@ class DyCuckooAdapter(GpuHashTable):
     def config(self) -> DyCuckooConfig:
         return self.table.config
 
-    @property
-    def telemetry(self):
-        """The inner table's telemetry handle (shared, not duplicated)."""
-        return self.table.telemetry
-
-    def set_telemetry(self, telemetry):
-        return self.table.set_telemetry(telemetry)
-
-    @property
-    def profiler(self):
-        """The inner table's deep-profiler handle (shared, not duplicated)."""
-        return self.table.profiler
-
-    def set_profiler(self, profiler):
-        return self.table.set_profiler(profiler)
-
-    @property
-    def recorder(self):
-        """The inner table's flight-recorder handle."""
-        return self.table.recorder
-
-    def set_recorder(self, recorder):
-        return self.table.set_recorder(recorder)
+    def attach(self, instruments: Instruments | None) -> None:
+        super().attach(instruments)
+        self.table.attach(instruments)
 
     @property
     def subtable_load_factors(self) -> list[float]:

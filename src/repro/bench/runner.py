@@ -23,7 +23,6 @@ import numpy as np
 from repro.baselines.base import GpuHashTable
 from repro.errors import UnsupportedOperationError
 from repro.gpusim.metrics import CostModel
-from repro.telemetry import NULL_PROFILER, NULL_TELEMETRY
 from repro.workloads.batches import DynamicWorkload
 
 
@@ -160,7 +159,7 @@ def run_dynamic(table: GpuHashTable, workload: DynamicWorkload,
     """Drive the full dynamic protocol; collect per-batch measurements.
 
     When the table carries an enabled telemetry handle (see
-    :meth:`repro.baselines.base.GpuHashTable.set_telemetry`), each batch
+    :meth:`repro.baselines.base.GpuHashTable.attach`), each batch
     is wrapped in a ``batch`` span whose duration is the batch's
     *simulated* GPU time — the exported trace timeline is laid out in
     simulated time — and per-subtable fill-factor gauges are sampled
@@ -168,8 +167,8 @@ def run_dynamic(table: GpuHashTable, workload: DynamicWorkload,
     additionally gets a per-batch ``batch`` fill-timeline sample.
     """
     cost_model = cost_model or CostModel()
-    telemetry = getattr(table, "telemetry", NULL_TELEMETRY)
-    profiler = getattr(table, "profiler", NULL_PROFILER)
+    telemetry = table.telemetry
+    profiler = table.instruments.profiler
     result = DynamicRunResult(table_name=table.NAME)
     for batch in workload.batches():
         if max_batches is not None and batch.index >= max_batches:
@@ -212,7 +211,7 @@ def run_static(table: GpuHashTable, keys: np.ndarray, values: np.ndarray,
                ) -> StaticRunResult:
     """The static experiment: bulk insert, then random FIND queries."""
     cost_model = cost_model or CostModel()
-    telemetry = getattr(table, "telemetry", NULL_TELEMETRY)
+    telemetry = table.telemetry
     keys = np.asarray(keys, dtype=np.uint64)
     values = np.asarray(values, dtype=np.uint64)
 

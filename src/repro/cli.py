@@ -216,7 +216,7 @@ def _profile_deep_pass(engine: str, seed: int, n: int) -> tuple[dict, dict]:
     that hit the vectorized key-coincidence resolver, and the lanes in
     them) are engine-side cost telemetry reported separately.
     """
-    from repro import DyCuckooConfig, DyCuckooTable
+    from repro import DyCuckooConfig, DyCuckooTable, Instruments
     from repro.telemetry import Profiler
 
     rng = np.random.default_rng(seed)
@@ -229,7 +229,8 @@ def _profile_deep_pass(engine: str, seed: int, n: int) -> tuple[dict, dict]:
     table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=buckets, bucket_capacity=capacity,
         auto_resize=False, seed=seed))
-    profiler = table.set_profiler(Profiler())
+    profiler = Profiler()
+    table.attach(Instruments(profiler=profiler))
     table.execute_mixed(ops, keys, values, engine=engine)
     hazards = {"rounds": profiler.hazard_rounds,
                "lanes": profiler.hazard_lanes}
@@ -237,7 +238,7 @@ def _profile_deep_pass(engine: str, seed: int, n: int) -> tuple[dict, dict]:
 
 
 def _cmd_profile(args) -> int:
-    from repro import DyCuckooConfig, DyCuckooTable
+    from repro import DyCuckooConfig, DyCuckooTable, Instruments
     from repro.baselines import DyCuckooAdapter
     from repro.bench import run_dynamic
     from repro.faults import FaultPlan
@@ -279,7 +280,8 @@ def _cmd_profile(args) -> int:
     spec = dataset_by_name("COM")
     dyn_keys, dyn_values = spec.generate(scale=scale, seed=args.seed)
     adapter = DyCuckooAdapter(DyCuckooConfig(initial_buckets=8))
-    dyn_profiler = adapter.set_profiler(Profiler())
+    dyn_profiler = Profiler()
+    adapter.attach(Instruments(profiler=dyn_profiler))
     workload = DynamicWorkload(dyn_keys, dyn_values, batch_size=batch,
                                ratio_r=0.2, seed=args.seed)
     run = run_dynamic(adapter, workload,
@@ -290,10 +292,11 @@ def _cmd_profile(args) -> int:
     # Phase 3 — flight-recorder demonstration: a seeded fault plan that
     # aborts every resize trips the recorder and dumps bundles.
     rec_table = DyCuckooTable(DyCuckooConfig(initial_buckets=8))
-    rec_table.set_profiler(Profiler())
-    recorder = rec_table.set_recorder(FlightRecorder())
-    rec_table.set_fault_plan(FaultPlan(
-        seed=args.seed, rates={"resize.abort.trigger": 1.0}))
+    recorder = FlightRecorder()
+    rec_table.attach(Instruments(
+        profiler=Profiler(), recorder=recorder,
+        faults=FaultPlan(seed=args.seed,
+                         rates={"resize.abort.trigger": 1.0})))
     slots = rec_table.total_slots
     rec_keys = rng.permutation(
         np.arange(1, int(slots * 0.88) + 1, dtype=np.uint64))
@@ -378,6 +381,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro import Instruments
     from repro.baselines import DyCuckooAdapter
     from repro.bench import run_dynamic
     from repro.core.config import DyCuckooConfig
@@ -395,7 +399,8 @@ def _cmd_trace(args) -> int:
     spec = dataset_by_name(args.workload)
     keys, values = spec.generate(scale=scale, seed=args.seed)
     table = DyCuckooAdapter(DyCuckooConfig(initial_buckets=8))
-    telemetry = table.set_telemetry(Telemetry())
+    telemetry = Telemetry()
+    table.attach(Instruments(telemetry=telemetry))
     workload = DynamicWorkload(keys, values, batch_size=batch,
                                ratio_r=args.ratio, seed=args.seed)
     run = run_dynamic(table, workload, cost_model=CostModel(
@@ -718,7 +723,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from repro import DyCuckooConfig, DyCuckooTable
+    from repro import DyCuckooConfig, DyCuckooTable, Instruments
     from repro.core.analysis import check_invariants
     from repro.errors import CapacityError
     from repro.faults import FaultPlan, default_chaos_plan
@@ -739,7 +744,7 @@ def _cmd_faults(args) -> int:
     config = DyCuckooConfig(initial_buckets=16, bucket_capacity=8,
                             min_buckets=8)
     table = DyCuckooTable(config)
-    table.set_fault_plan(plan)
+    table.attach(Instruments(faults=plan))
 
     # Phase 1: differential chaos on the vectorized table — every batch
     # is checked against a plain-dict model and the invariant suite.
@@ -782,7 +787,7 @@ def _cmd_faults(args) -> int:
     kernel_table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=64, bucket_capacity=8, min_buckets=8,
         auto_resize=False))
-    kernel_table.set_fault_plan(plan)
+    kernel_table.attach(Instruments(faults=plan))
     kernel_keys = rng.integers(0, 1 << 40, 512).astype(np.uint64)
     kernel_keys = np.unique(kernel_keys)
     kernel_result = run_voter_insert_kernel(kernel_table, kernel_keys,

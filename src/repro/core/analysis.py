@@ -178,9 +178,8 @@ def check_invariants(table, check_fill: bool = False) -> None:
     try:
         _check_invariants(table, check_fill=check_fill)
     except AssertionError as exc:
-        recorder = getattr(table, "recorder", None)
-        if recorder is not None and recorder.enabled:
-            recorder.trip("invariant_failure", message=str(exc))
+        if table.recorder.enabled:
+            table.recorder.trip("invariant_failure", message=str(exc))
         raise
 
 

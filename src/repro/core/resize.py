@@ -57,7 +57,6 @@ from repro.core.grouping import rank_within_group
 from repro.core.hashing import UniversalHash, unhashed
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError, ResizeError
-from repro.sanitizer import NULL_SANITIZER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.table import DyCuckooTable
@@ -278,7 +277,7 @@ class ResizeController:
             if faulty:
                 self._fire_abort("plan")
             snapshot = _TableSnapshot(table) if faulty else None
-            san = getattr(table, "sanitizer", NULL_SANITIZER)
+            san = table.sanitizer
             if san.enabled:
                 san.on_subtable_lock(target, "upsize", site=_SITE_UPSIZE)
             try:
@@ -329,7 +328,7 @@ class ResizeController:
             if faulty:
                 self._fire_abort("plan")
             snapshot = _TableSnapshot(table) if faulty else None
-            san = getattr(table, "sanitizer", NULL_SANITIZER)
+            san = table.sanitizer
             if san.enabled:
                 san.on_subtable_lock(target, "downsize", site=_SITE_DOWNSIZE)
             try:
@@ -471,7 +470,7 @@ class ResizeController:
         up = mig.kind == "upsize"
         src_buckets = pairs if up else pairs + mig.new_n
 
-        san = getattr(table, "sanitizer", NULL_SANITIZER)
+        san = table.sanitizer
         if san.enabled:
             san.on_subtable_lock(target, "migrate", site=_SITE_MIGRATE)
         try:
@@ -642,7 +641,7 @@ class ResizeController:
             # its target subtable for the mutating stages.  The bracket
             # is try/finally so an injected rehash abort still releases
             # — a leak here wedges the subtable for every later resize.
-            san = getattr(table, "sanitizer", NULL_SANITIZER)
+            san = table.sanitizer
             if san.enabled:
                 san.on_subtable_lock(target, "upsize", site=_SITE_UPSIZE)
             try:
@@ -710,7 +709,7 @@ class ResizeController:
             # subtables, which stay unlocked and service queries.  The
             # try/finally covers rehash, spill, and rollback so every
             # abort path releases.
-            san = getattr(table, "sanitizer", NULL_SANITIZER)
+            san = table.sanitizer
             if san.enabled:
                 san.on_subtable_lock(target, "downsize",
                                      site=_SITE_DOWNSIZE)

@@ -35,7 +35,7 @@ class Stash:
 
     #: Sanitizer observing occupancy (memcheck's stash-overflow check);
     #: a class attribute so attaching one needs no constructor change.
-    #: :meth:`repro.core.table.DyCuckooTable.set_sanitizer` sets it on
+    #: :meth:`repro.core.table.DyCuckooTable.attach` sets it on
     #: the instance.
     sanitizer = NULL_SANITIZER
 

@@ -35,18 +35,15 @@ from repro.core.config import DyCuckooConfig
 from repro.core.grouping import first_occurrence_mask, last_occurrence_mask
 from repro.core.hashing import (UNHASHED, PairHash, UniversalHash,
                                 make_table_hashes, unhashed)
+from repro.core.instruments import Instruments
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
 from repro.core.subtable import FlatStorage, Subtable
 from repro.errors import (CapacityError, InvalidKeyError, ResizeError,
                           StashOverflowError)
-from repro.faults import NO_FAULTS, FaultPlan
 from repro.gpusim.kernel import estimate_lock_conflicts
-from repro.sanitizer import NULL_SANITIZER, Sanitizer
-from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.profiler import NULL_PROFILER, Profiler
-from repro.telemetry.recorder import NULL_RECORDER, FlightRecorder
+from repro.telemetry.recorder import NULL_RECORDER
 
 #: Bucket upper bounds for the cuckoo-chain-depth histogram (evictions a
 #: key's placement chain went through before settling).
@@ -107,17 +104,6 @@ class DyCuckooTable:
                                                 self.config.seed ^ 0xA5A5)
         self._resizer = ResizeController(self)
         self._victim_counter = 0
-        #: Observability hooks; the null default makes every gate a
-        #: single attribute check (see :mod:`repro.telemetry`).
-        self.telemetry = NULL_TELEMETRY
-        #: Fault-injection hooks; same gating discipline as telemetry.
-        self.faults = NO_FAULTS
-        #: SIMT sanitizer hooks; same gating discipline as telemetry.
-        self.sanitizer = NULL_SANITIZER
-        #: Deep kernel profiler; same gating discipline as telemetry.
-        self.profiler = NULL_PROFILER
-        #: Flight recorder (post-mortem ring); same gating discipline.
-        self.recorder = NULL_RECORDER
         #: Bounded overflow stash (the CUDA reference's error table);
         #: empty in every fault-free run.
         self.stash = Stash(self.config.stash_capacity)
@@ -127,6 +113,9 @@ class DyCuckooTable:
         self._drain_epoch = -1
         #: Cached :meth:`flat_storage` arena (a cache, never pickled).
         self._arena: FlatStorage | None = None
+        #: The attached instruments; see :meth:`attach`.
+        self.instruments = Instruments()
+        self.attach(None)
 
     def __getstate__(self) -> dict:
         """Pickle without the arena: the subtables' views already carry
@@ -135,82 +124,45 @@ class DyCuckooTable:
         state["_arena"] = None
         return state
 
-    def set_fault_plan(self, plan: FaultPlan | None) -> FaultPlan:
-        """Attach a fault-injection plan (``None`` detaches); returns it.
+    def attach(self, instruments: Instruments | None) -> None:
+        """Attach a bundle of instruments (``None`` detaches them all).
 
-        With the default :data:`repro.faults.NO_FAULTS` attached the
-        table's behaviour is bit-identical to a build without the fault
-        layer: every hook is a single attribute check and the stash
-        stays empty.
+        The record replaces whatever was attached before; a field left
+        at its null default detaches that instrument.  Each handle is
+        also mirrored into a plain attribute (``self.telemetry``,
+        ``self.profiler``, ``self.recorder``, ``self.sanitizer``,
+        ``self.faults``) that only this method writes, so hook sites
+        read it directly and, with the nulls attached, cost one
+        ``enabled`` check — the table's behaviour stays bit-identical
+        to an uninstrumented one.
+
+        An enabled flight recorder is bound to this table and wired
+        into an enabled fault plan and sanitizer, so their trips dump a
+        post-mortem bundle; the handles this call detaches get
+        :data:`NULL_RECORDER` back.  The null singletons are never
+        mutated.
         """
-        self.faults = plan if plan is not None else NO_FAULTS
-        if self.recorder.enabled and self.faults.enabled:
-            self.faults.recorder = self.recorder
-        return self.faults
-
-    def set_telemetry(self, telemetry: Telemetry | None) -> Telemetry:
-        """Attach a telemetry handle (``None`` detaches); returns it.
-
-        All spans, instants, and metric updates flow into the attached
-        handle's tracer and registry from then on.
-        """
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        return self.telemetry
-
-    def set_sanitizer(self, sanitizer: Sanitizer | None) -> Sanitizer:
-        """Attach a SIMT sanitizer (``None`` detaches); returns it.
-
-        While attached, the kernel engines log lock operations and
-        bucket accesses into it and the resize controller brackets its
-        subtable locks (see :mod:`repro.sanitizer`).  The null default
-        keeps every hook a single attribute check.
-        """
-        self.sanitizer = sanitizer if sanitizer is not None else NULL_SANITIZER
-        if self.recorder.enabled and self.sanitizer.enabled:
-            self.sanitizer.recorder = self.recorder
+        new = instruments if instruments is not None else Instruments()
+        old = self.instruments
+        if old.faults.enabled:
+            old.faults.recorder = NULL_RECORDER
+        if old.sanitizer.enabled:
+            old.sanitizer.recorder = NULL_RECORDER
+        if new.recorder.enabled:
+            new.recorder.attach(self)
+            if new.faults.enabled:
+                new.faults.recorder = new.recorder
+            if new.sanitizer.enabled:
+                new.sanitizer.recorder = new.recorder
+        self.instruments = new
+        self.telemetry = new.telemetry
+        self.profiler = new.profiler
+        self.recorder = new.recorder
+        self.sanitizer = new.sanitizer
+        self.faults = new.faults
         # The stash reports occupancy into memcheck's stash-overflow
-        # check; detaching restores the null default.
-        self.stash.sanitizer = self.sanitizer
-        return self.sanitizer
-
-    def set_profiler(self, profiler: Profiler | None) -> Profiler:
-        """Attach a deep kernel profiler (``None`` detaches); returns it.
-
-        While attached, the kernel engines feed it per-round occupancy
-        snapshots, lock grant/conflict events, probe-length and
-        eviction-chain-depth observations, and the resize controller
-        samples fill factors into it (see
-        :mod:`repro.telemetry.profiler`).  The null default keeps every
-        hook a single attribute check.
-        """
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        return self.profiler
-
-    def set_recorder(self, recorder: FlightRecorder | None) -> FlightRecorder:
-        """Attach a flight recorder (``None`` detaches); returns it.
-
-        The recorder keeps a bounded ring of recent events and dumps a
-        post-mortem bundle (ring + profiler snapshot + table state) when
-        a fault fires, a sanitizer violation is raised, or
-        :func:`repro.core.analysis.check_invariants` fails.  Attaching
-        also wires the table's current fault plan and sanitizer (if
-        enabled) to trip it.
-        """
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        if self.recorder.enabled:
-            self.recorder.attach(self)
-            # Never mutate the shared NO_FAULTS / NULL_SANITIZER
-            # singletons — that would leak the recorder globally.
-            if self.faults.enabled:
-                self.faults.recorder = self.recorder
-            if self.sanitizer.enabled:
-                self.sanitizer.recorder = self.recorder
-        else:
-            if self.faults.enabled:
-                self.faults.recorder = NULL_RECORDER
-            if self.sanitizer.enabled:
-                self.sanitizer.recorder = NULL_RECORDER
-        return self.recorder
+        # check.
+        self.stash.sanitizer = new.sanitizer
 
     # ------------------------------------------------------------------
     # Introspection

@@ -7,8 +7,8 @@ resize aborted mid-flight, a downsize residual that cannot be placed.
 This module makes those rare events reproducible on demand.
 
 A :class:`FaultPlan` is attached to a :class:`~repro.core.table.
-DyCuckooTable` (``table.set_fault_plan``) or passed to the gpusim
-components (:class:`~repro.gpusim.kernel.LockArbiter`,
+DyCuckooTable` (``table.attach(Instruments(faults=plan))``) or passed
+to the gpusim components (:class:`~repro.gpusim.kernel.LockArbiter`,
 :class:`~repro.gpusim.atomics.AtomicMemory`,
 :class:`~repro.gpusim.memory_manager.DeviceMemoryManager`).  Each
 injection *site* calls :meth:`FaultPlan.fire` with its site name; the
@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InvalidConfigError
+from repro.nulls import NullSingleton
 from repro.telemetry.recorder import NULL_RECORDER
 
 #: Every site the library can inject at, in documentation order.
@@ -157,7 +158,7 @@ class FaultPlan:
 
     #: Flight recorder tripped on every fired fault.  Class attribute so
     #: existing plans (and replay scripts) need no constructor change;
-    #: :meth:`repro.core.table.DyCuckooTable.set_recorder` sets it on
+    #: :meth:`repro.core.table.DyCuckooTable.attach` sets it on
     #: the *instance* of an enabled plan, never on :data:`NO_FAULTS`.
     recorder = NULL_RECORDER
 
@@ -341,7 +342,7 @@ class FaultPlan:
                 f"fired={len(self.fired)})")
 
 
-class _NoFaults(FaultPlan):
+class _NoFaults(NullSingleton, FaultPlan):
     """Disabled plan: the default on every component.
 
     ``enabled`` is False so hot paths skip with one attribute check;
@@ -349,6 +350,7 @@ class _NoFaults(FaultPlan):
     """
 
     enabled = False
+    SINGLETON = "NO_FAULTS"
 
     def fire(self, site: str) -> None:  # noqa: ARG002 - site unused
         return None

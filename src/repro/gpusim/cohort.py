@@ -142,12 +142,12 @@ def cohort_find(table, batch):
     result.memory_transactions = n + missed
     result.completed_ops = n
     result.rounds = n  # one warp processes queries sequentially
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
+    san = table.sanitizer
     if san.enabled:
         # Mirror the per-warp MemoryTracker's sanitizer feed (one
         # notification per counted transaction) so stats conform.
         san.on_transactions(result.memory_transactions)
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    prof = table.profiler
     if prof.enabled:
         # Ops resolved on the first bucket probed length 1; the rest
         # read the second bucket too — identical to the per-warp walk.
@@ -181,7 +181,7 @@ def cohort_delete(table, batch):
     unique_idx = np.flatnonzero(first_occurrence_mask(batch.codes))
     unique = batch[unique_idx]
     codes = unique.codes
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
+    san = table.sanitizer
 
     def clear(t: int, buckets: np.ndarray, sel: np.ndarray) -> np.ndarray:
         st = table.subtables[t]
@@ -212,7 +212,7 @@ def cohort_delete(table, batch):
     result.rounds = n
     if san.enabled:
         san.on_transactions(result.memory_transactions)
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    prof = table.profiler
     if prof.enabled:
         prof.observe_probes(n, hit_first)
     return removed, result
@@ -306,8 +306,8 @@ def cohort_insert(table, batch, values: np.ndarray,
     rng = np.random.default_rng(0)
     W = state.num_warps
     rounds = 0
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    san = table.sanitizer
+    prof = table.profiler
     fp = faults if (faults is not None and faults.enabled) else None
     #: Buckets camped on by an injected holder stall -> rounds left;
     #: the cohort-local mirror of ``LockArbiter._stalled``.

@@ -23,8 +23,6 @@ from repro.kernels.engine import (kernel_batch, kernel_span,
                                   record_kernel_counters, resolve_engine)
 from repro.kernels.find import _ballot_match
 from repro.kernels.insert import KernelRunResult
-from repro.sanitizer import NULL_SANITIZER
-from repro.telemetry.profiler import NULL_PROFILER
 
 _SITE_CLEAR = "repro/kernels/delete.py:_warp_delete"
 
@@ -45,8 +43,8 @@ def run_delete_kernel(table, keys, engine: str = "warp", *,
     resolve_engine(engine)
     batch = kernel_batch(table, keys, codes)
     n = len(batch)
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    san = table.sanitizer
+    prof = table.profiler
     if san.enabled:
         # DELETE's slot clear is intentionally lock-free: at most one
         # lane can match a unique key, so no write conflict is possible
@@ -81,14 +79,14 @@ def _warp_delete(table, batch: EncodedBatch
     n = len(batch)
     removed = np.zeros(n, dtype=bool)
     result = KernelRunResult()
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
+    san = table.sanitizer
     tracker = MemoryTracker(sanitizer=san if san.enabled else None)
     ctx = WarpContext(warp_id=0)
     if n == 0:
         return removed, result
 
     codes, first, second = batch.codes, batch.first, batch.second
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    prof = table.profiler
     first_hits = 0
     for i in range(n):
         code = int(codes[i])

@@ -21,7 +21,6 @@ from contextlib import nullcontext
 
 from repro.core.batch_ops import EncodedBatch
 from repro.errors import InvalidConfigError
-from repro.telemetry import NULL_TELEMETRY
 
 #: Engines accepted by the ``run_*_kernel`` entry points.
 VALID_ENGINES = ("warp", "cohort")
@@ -47,7 +46,7 @@ def kernel_batch(table, keys, codes: EncodedBatch | None) -> EncodedBatch:
 
 def kernel_span(table, op: str, n: int, engine: str):
     """Context manager for one kernel launch (span when instrumented)."""
-    telemetry = getattr(table, "telemetry", NULL_TELEMETRY)
+    telemetry = table.telemetry
     if not telemetry.enabled:
         return nullcontext()
     return telemetry.tracer.span(f"kernel.{op}", "kernel", n=n,
@@ -61,7 +60,7 @@ def record_kernel_counters(table, result) -> None:
     aggregates, never from engine internals, so the stream is identical
     whichever engine executed the launch.
     """
-    telemetry = getattr(table, "telemetry", NULL_TELEMETRY)
+    telemetry = table.telemetry
     if not telemetry.enabled:
         return
     metrics = telemetry.metrics

@@ -24,8 +24,6 @@ from repro.gpusim.warp import WarpContext
 from repro.kernels.engine import (kernel_batch, kernel_span,
                                   record_kernel_counters, resolve_engine)
 from repro.kernels.insert import KernelRunResult
-from repro.sanitizer import NULL_SANITIZER
-from repro.telemetry.profiler import NULL_PROFILER
 
 
 def _ballot_match(ctx: WarpContext, bucket_keys: np.ndarray,
@@ -59,8 +57,8 @@ def run_find_kernel(table, keys, engine: str = "warp", *,
     resolve_engine(engine)
     batch = kernel_batch(table, keys, codes)
     n = len(batch)
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    san = table.sanitizer
+    prof = table.profiler
     if san.enabled:
         # FIND is read-only and lock-free by design (Section V-B):
         # locking=False exempts it from the unlocked-write contract and
@@ -95,14 +93,14 @@ def _warp_find(table, batch: EncodedBatch
     values = np.zeros(n, dtype=np.uint64)
     found = np.zeros(n, dtype=bool)
     result = KernelRunResult()
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
+    san = table.sanitizer
     tracker = MemoryTracker(sanitizer=san if san.enabled else None)
     ctx = WarpContext(warp_id=0)
     if n == 0:
         return values, found, result
 
     codes, first, second = batch.codes, batch.first, batch.second
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    prof = table.profiler
     first_hits = 0
     for i in range(n):
         code = int(codes[i])

@@ -36,8 +36,6 @@ from repro.errors import CapacityError
 from repro.gpusim.kernel import LockArbiter, RoundScheduler
 from repro.gpusim.memory import MemoryTracker
 from repro.gpusim.warp import WarpContext
-from repro.sanitizer import NULL_SANITIZER
-from repro.telemetry.profiler import NULL_PROFILER
 
 _SITE_PHASE1 = "repro/kernels/insert.py:_InsertWarp.step"
 _SITE_PHASE2 = "repro/kernels/insert.py:_InsertWarp._complete_locked"
@@ -357,9 +355,9 @@ def _run_insert(table, keys, values, voter: bool, engine: str,
     targets = table._router.choose(codes, batch.first, batch.second,
                                    table.subtable_sizes(),
                                    table.subtable_loads())
-    faults = getattr(table, "faults", None)
-    faulty = faults is not None and faults.enabled
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    faults = table.faults
+    faulty = faults.enabled
+    prof = table.profiler
     if prof.enabled:
         prof.begin_kernel("insert", len(codes))
     try:
@@ -394,8 +392,8 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
                       faults,
                       max_rounds_per_op: int = 4096) -> KernelRunResult:
     """Reference engine: one `_InsertWarp` object per warp, stepped."""
-    san = getattr(table, "sanitizer", NULL_SANITIZER)
-    prof = getattr(table, "profiler", NULL_PROFILER)
+    san = table.sanitizer
+    prof = table.profiler
     arbiter = LockArbiter(faults=faults, sanitizer=san, profiler=prof)
     tracker = MemoryTracker(sanitizer=san if san.enabled else None)
     result = KernelRunResult()

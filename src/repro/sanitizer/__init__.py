@@ -124,6 +124,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.nulls import NullSingleton
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = [
@@ -218,8 +219,8 @@ class _Access:
 class Sanitizer:
     """Dynamic racecheck/lockcheck/memcheck/initcheck/synccheck state.
 
-    Attach to a table with
-    :meth:`repro.core.table.DyCuckooTable.set_sanitizer`; every kernel
+    Attach to a table with ``table.attach(Instruments(sanitizer=san))``
+    (:meth:`repro.core.table.DyCuckooTable.attach`); every kernel
     launch and resize on that table is then audited.  One instance can
     observe many kernels (and many tables — the fault audit shares one
     across stages): per-launch state is reset by
@@ -233,7 +234,7 @@ class Sanitizer:
 
     #: Flight recorder tripped on every recorded violation.  A class
     #: attribute so attaching one needs no constructor change;
-    #: :meth:`repro.core.table.DyCuckooTable.set_recorder` sets it on
+    #: :meth:`repro.core.table.DyCuckooTable.attach` sets it on
     #: the *instance* of an enabled sanitizer, never on
     #: :data:`NULL_SANITIZER`.
     recorder: Any = NULL_RECORDER
@@ -816,30 +817,20 @@ class Sanitizer:
         self.stats["memory_transactions"] += count
 
 
-class _NullSanitizer(Sanitizer):
+class _NullSanitizer(NullSingleton, Sanitizer):
     """Disabled singleton: every hook gates on ``enabled`` and skips."""
 
     enabled = False
+    SINGLETON = "NULL_SANITIZER"
 
     def __init__(self) -> None:
         super().__init__(racecheck=False, lockcheck=False,
                          memcheck=False, initcheck=False,
                          synccheck=False)
 
-    def __reduce__(self) -> tuple:
-        # Unpickle back to the module singleton so identity gates
-        # (``table.sanitizer is NULL_SANITIZER``) survive the pool's
-        # pickle round-trip.
-        return (_resolve_null_sanitizer, ())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NULL_SANITIZER"
 
 
 #: The default, disabled sanitizer (see module docs for the pattern).
-def _resolve_null_sanitizer() -> "_NullSanitizer":
-    """Pickle target for :data:`NULL_SANITIZER` (see ``__reduce__``)."""
-    return NULL_SANITIZER
-
-
 NULL_SANITIZER = _NullSanitizer()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.instruments import Instruments
 from repro.sanitizer import Sanitizer
 from repro.sanitizer.fixtures import (BAD_CONTRACT_SOURCES,
                                       BAD_KERNEL_SOURCE, FIXTURE_PASSES,
@@ -63,7 +64,8 @@ def _audit_kernels(engine: str, ops: int, seed: int,
     table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=64, bucket_capacity=8, auto_resize=False,
         seed=seed))
-    san = table.set_sanitizer(_new_sanitizer(passes))
+    san = _new_sanitizer(passes)
+    table.attach(Instruments(sanitizer=san))
     keys = _keys(ops, seed + 1)
     values = keys * np.uint64(3)
     run_voter_insert_kernel(table, keys, values, engine=engine)
@@ -97,7 +99,8 @@ def _audit_migration_epoch(engine: str, ops: int, seed: int,
     table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=16, bucket_capacity=8, min_buckets=8,
         auto_resize=False, seed=seed))
-    san = table.set_sanitizer(_new_sanitizer(passes))
+    san = _new_sanitizer(passes)
+    table.attach(Instruments(sanitizer=san))
     keys = _keys(max(ops // 4, 64), seed + 6)
     values = keys * np.uint64(5)
     half = len(keys) // 2
@@ -164,7 +167,8 @@ def _audit_resize(ops: int, seed: int,
     table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=16, bucket_capacity=8, min_buckets=8,
         seed=seed))
-    san = table.set_sanitizer(_new_sanitizer(passes))
+    san = _new_sanitizer(passes)
+    table.attach(Instruments(sanitizer=san))
     keys = _keys(ops, seed + 3)
     # Grow through repeated upsizes, then shrink through downsizes
     # (residual spills included) — every resize brackets its one
@@ -187,10 +191,10 @@ def _audit_faults(ops: int, seed: int,
     table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=64, bucket_capacity=8, auto_resize=False,
         seed=seed))
-    san = table.set_sanitizer(_new_sanitizer(passes))
-    table.set_fault_plan(FaultPlan(seed=seed, rates={
-        "lock.acquire": 0.05, "lock.stall": 0.02, "atomics.cas": 0.05,
-    }))
+    san = _new_sanitizer(passes)
+    table.attach(Instruments(sanitizer=san, faults=FaultPlan(
+        seed=seed, rates={"lock.acquire": 0.05, "lock.stall": 0.02,
+                          "atomics.cas": 0.05})))
     keys = _keys(ops, seed + 4)
     run_voter_insert_kernel(table, keys, keys)
 
@@ -200,16 +204,16 @@ def _audit_faults(ops: int, seed: int,
         rtable = DyCuckooTable(DyCuckooConfig(
             initial_buckets=16, bucket_capacity=8, min_buckets=8,
             seed=seed))
-        rtable.set_sanitizer(san)
+        rtable.attach(Instruments(sanitizer=san))
         rkeys = _keys(ops // 2, seed + 5)
         rtable.insert(rkeys, rkeys)
-        rtable.set_fault_plan(FaultPlan(
-            seed=seed, rates={f"resize.abort.{stage}": 1.0}))
+        rtable.attach(Instruments(sanitizer=san, faults=FaultPlan(
+            seed=seed, rates={f"resize.abort.{stage}": 1.0})))
         try:
             rtable._resizer.downsize()
         except ResizeError:
             pass
-        rtable.set_fault_plan(None)
+        rtable.attach(Instruments(sanitizer=san))
     return san
 
 

@@ -28,12 +28,13 @@ import numpy as np
 
 from repro.baselines.dycuckoo_adapter import DyCuckooAdapter
 from repro.core.analysis import check_invariants
+from repro.core.instruments import Instruments
 from repro.core.memory_budget import MemoryBudget
 from repro.core.table import DyCuckooTable
 from repro.errors import ReproError
-from repro.faults import FaultPlan
+from repro.faults import NO_FAULTS, FaultPlan
 from repro.gpusim.metrics import CostModel
-from repro.sanitizer import Sanitizer
+from repro.sanitizer import NULL_SANITIZER, Sanitizer
 from repro.scenarios.scorecard import SCHEMA, write_scorecard
 from repro.scenarios.spec import ScenarioSpec
 from repro.shard import ShardedDyCuckoo
@@ -196,16 +197,16 @@ def run_scenario(spec: ScenarioSpec, scale: float = 1.0,
     spec = spec.scaled(scale)
     table = _build_table(spec)
     recorder = FlightRecorder()
-    table.set_recorder(recorder)
-    sanitizer = None
-    if spec.sanitizer:
-        sanitizer = table.set_sanitizer(Sanitizer())
+    sanitizer = Sanitizer() if spec.sanitizer else None
     plan = None
     if spec.fault_rates:
         plan = FaultPlan(seed=spec.seed ^ 0xFA17,
                          rates=dict(spec.fault_rates),
                          storms=dict(spec.fault_storms or {}))
-        table.set_fault_plan(plan)
+    table.attach(Instruments(
+        recorder=recorder,
+        sanitizer=sanitizer if sanitizer is not None else NULL_SANITIZER,
+        faults=plan if plan is not None else NO_FAULTS))
     budget = None
     if spec.memory_budget_bytes is not None:
         budget = MemoryBudget(spec.memory_budget_bytes,

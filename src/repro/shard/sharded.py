@@ -37,6 +37,7 @@ front-end rolls the per-shard registries into one labelled view (see
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -49,6 +50,7 @@ from repro.core.batch_ops import MixedBatchResult
 from repro.core.batch_ops import execute_mixed as _execute_mixed
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.hashing import UniversalHash
+from repro.core.instruments import Instruments
 from repro.core.stats import MemoryFootprint, TableStats
 from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import InvalidConfigError
@@ -152,7 +154,6 @@ class ShardedDyCuckoo(GpuHashTable):
         self._shard_bits = num_shards.bit_length() - 1
         rng = np.random.default_rng(self.config.seed ^ _SHARD_HASH_SALT)
         self._shard_hash = UniversalHash.random(rng)
-        self.telemetry = NULL_TELEMETRY
         #: Requested worker-process count for ``execute_mixed``.
         #: ``None``/0/1 means serial; capped at ``num_shards``.
         self.parallel_workers = parallel_workers
@@ -296,11 +297,10 @@ class ShardedDyCuckoo(GpuHashTable):
 
         Requires ``parallel_workers >= 2``, more than one shard with
         work (otherwise the pickling round-trip buys nothing), a
-        healthy pool, and no instrumentation anywhere: telemetry,
-        sanitizer, fault plans, profilers and recorders are shared
-        mutable handles whose event streams are defined by sequential
-        shard order, so instrumented batches always take the serial
-        path.
+        healthy pool, and no attached instruments
+        (``self.instruments.active``): they are shared mutable handles
+        whose event streams are defined by sequential shard order, so
+        instrumented batches always take the serial path.
         """
         if self._parallel_broken or self.num_shards < 2:
             return False
@@ -308,14 +308,7 @@ class ShardedDyCuckoo(GpuHashTable):
             return False
         if sum(1 for sel in selections if len(sel)) < 2:
             return False
-        if self.telemetry.enabled:
-            return False
-        return not any(
-            shard.telemetry.enabled or shard.sanitizer.enabled
-            or shard.faults.enabled or shard.profiler.enabled
-            or shard.recorder.enabled
-            for shard in self.shards
-        )
+        return not self.instruments.active
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -475,71 +468,29 @@ class ShardedDyCuckoo(GpuHashTable):
             raise AssertionError("duplicate key stored across shards")
 
     # ------------------------------------------------------------------
-    # Telemetry
+    # Instruments
     # ------------------------------------------------------------------
 
-    def set_telemetry(self, telemetry: Telemetry | None) -> Telemetry:
-        """Attach telemetry; every shard gets its own child handle.
+    def attach(self, instruments: Instruments | None) -> None:
+        """Attach one bundle of instruments (``None`` detaches them all).
 
-        The returned (parent) handle records the front-end's dispatch
-        spans; each shard traces into a private handle so per-shard
-        behaviour stays separable.  :meth:`merged_metrics` rolls the
-        shard registries up into one labelled view.
+        The front-end's telemetry records the dispatch spans; each
+        shard traces into its own child handle so per-shard behaviour
+        stays separable, and :meth:`merged_metrics` rolls the shard
+        registries up into one labelled view.  The other four handles
+        are shared by every shard.  Shards run sequentially within a
+        batch, so one sanitizer log keeps violation dedup in one
+        report, one fault plan's per-site counters replay
+        deterministically, one profiler aggregates every shard's
+        kernels, and one recorder ring dumps a post-mortem of whichever
+        shard tripped.
         """
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        super().attach(instruments)
         for shard in self.shards:
-            shard.set_telemetry(Telemetry() if self.telemetry.enabled
-                                else None)
-        return self.telemetry
-
-    def set_sanitizer(self, sanitizer):
-        """Attach one sanitizer shared by every shard (``None`` detaches).
-
-        Shards execute their kernels sequentially within a batch, so a
-        single shared access log keeps cross-shard lock ids (already
-        disjoint: shards own disjoint tables) and violation dedup in
-        one report.  Returns the attached sanitizer.
-        """
-        for shard in self.shards:
-            shard.set_sanitizer(sanitizer)
-        return self.shards[0].sanitizer
-
-    def set_fault_plan(self, plan):
-        """Attach one fault plan shared by every shard (``None`` detaches).
-
-        Shards execute sequentially within a batch, so a single plan's
-        per-site invocation counters stay deterministic: the same keys
-        route to the same shards in the same order, hence the same
-        fault decisions on replay.  Returns the attached plan.
-        """
-        for shard in self.shards:
-            shard.set_fault_plan(plan)
-        return self.shards[0].faults
-
-    def set_profiler(self, profiler):
-        """Attach one profiler shared by every shard (``None`` detaches).
-
-        Shards run sequentially within a batch, so one shared profiler
-        aggregates naturally: kernel records, lock-heatmap cells (shard
-        tables have disjoint lock ids only within a shard, so cells mix
-        across shards by design — the heatmap is a contention view, not
-        an address map), probe/chain histograms and stash samples all
-        roll up into the single instance.  Returns it.
-        """
-        for shard in self.shards:
-            shard.set_profiler(profiler)
-        return self.shards[0].profiler
-
-    def set_recorder(self, recorder):
-        """Attach one flight recorder shared by every shard.
-
-        One ring, one bundle stream: a trip on any shard dumps a single
-        post-mortem covering the shard that tripped.  Returns the
-        attached recorder.
-        """
-        for shard in self.shards:
-            shard.set_recorder(recorder)
-        return self.shards[0].recorder
+            shard.attach(dataclasses.replace(
+                self.instruments,
+                telemetry=(Telemetry() if self.telemetry.enabled
+                           else NULL_TELEMETRY)))
 
     def merged_metrics(self):
         """Labelled + aggregated metrics across shards.

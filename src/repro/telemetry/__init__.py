@@ -29,10 +29,11 @@ profiler and recorder follow the same idiom with
 
 Example
 -------
->>> from repro import DyCuckooTable
+>>> from repro import DyCuckooTable, Instruments
 >>> from repro.telemetry import Telemetry
 >>> table = DyCuckooTable()
->>> tel = table.set_telemetry(Telemetry())
+>>> tel = Telemetry()
+>>> table.attach(Instruments(telemetry=tel))
 >>> import numpy as np
 >>> table.insert(np.arange(100, dtype=np.uint64),
 ...              np.arange(100, dtype=np.uint64))
@@ -45,6 +46,7 @@ trace in Perfetto.
 
 from __future__ import annotations
 
+from repro.nulls import NullSingleton
 from repro.telemetry.aggregate import merge_registries
 from repro.telemetry.export import (chrome_trace, prometheus_text,
                                     write_chrome_trace, write_jsonl)
@@ -72,12 +74,13 @@ class Telemetry:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
 
-class _NullTelemetry(Telemetry):
+class _NullTelemetry(NullSingleton, Telemetry):
     """Disabled telemetry: the default on every table."""
 
     __slots__ = ()
 
     enabled = False
+    SINGLETON = "NULL_TELEMETRY"
 
     def __init__(self) -> None:
         super().__init__(tracer=NULL_TRACER, metrics=MetricsRegistry())

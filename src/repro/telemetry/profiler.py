@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
+from repro.nulls import NullSingleton
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpusim.metrics import CostModel
 
@@ -254,10 +256,11 @@ class Profiler:
         }
 
 
-class _NullProfiler(Profiler):
+class _NullProfiler(NullSingleton, Profiler):
     """Disabled profiler: the default on every table."""
 
     enabled = False
+    SINGLETON = "NULL_PROFILER"
 
 
 #: Shared disabled-profiler singleton (one attribute check to skip).

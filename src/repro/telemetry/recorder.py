@@ -26,6 +26,8 @@ import json
 import os
 from collections import deque
 
+from repro.nulls import NullSingleton
+
 __all__ = ["FlightRecorder", "NULL_RECORDER"]
 
 
@@ -91,9 +93,8 @@ class FlightRecorder:
         }
         table = self._table
         if table is not None:
-            profiler = getattr(table, "profiler", None)
-            if profiler is not None and profiler.enabled:
-                bundle["profiler"] = profiler.snapshot()
+            if table.profiler.enabled:
+                bundle["profiler"] = table.profiler.snapshot()
             bundle["table"] = _table_state(table)
         self.bundles.append(bundle)
         if self.dump_dir:
@@ -150,10 +151,11 @@ def _jsonable(value):
     return str(value)
 
 
-class _NullRecorder(FlightRecorder):
+class _NullRecorder(NullSingleton, FlightRecorder):
     """Disabled recorder: the default on every table."""
 
     enabled = False
+    SINGLETON = "NULL_RECORDER"
 
     def __init__(self) -> None:
         super().__init__(capacity=1, max_bundles=1)

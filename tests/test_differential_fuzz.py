@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.analysis import check_invariants
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.faults import FaultPlan, default_chaos_plan
 from repro.sanitizer import Sanitizer
@@ -113,8 +114,8 @@ class TestFaultFreeFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     def test_resize_storm_matches_dict(self, ops):
         table = DyCuckooTable(storm_config())
-        table.set_sanitizer(Sanitizer())
-        table.set_recorder(FlightRecorder())
+        table.attach(Instruments(sanitizer=Sanitizer(),
+                                 recorder=FlightRecorder()))
         model: dict = {}
         mutated = False
         try:
@@ -139,10 +140,9 @@ class TestFaultInjectedFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     def test_chaos_matches_dict(self, ops, fault_seed, intensity):
         table = DyCuckooTable(storm_config())
-        table.set_sanitizer(Sanitizer())
-        table.set_recorder(FlightRecorder())
         plan = default_chaos_plan(seed=fault_seed, intensity=intensity)
-        table.set_fault_plan(plan)
+        table.attach(Instruments(sanitizer=Sanitizer(),
+                                 recorder=FlightRecorder(), faults=plan))
         model: dict = {}
         try:
             for op in ops:
@@ -165,13 +165,14 @@ class TestFaultInjectedFuzz:
     def test_scripted_replay_reproduces_chaos_run(self, ops, fault_seed):
         live = DyCuckooTable(storm_config())
         plan = default_chaos_plan(seed=fault_seed)
-        live.set_fault_plan(plan)
+        live.attach(Instruments(faults=plan))
         model: dict = {}
         for op in ops:
             apply_batch(live, model, op)
 
         replayed = DyCuckooTable(storm_config())
-        replayed.set_fault_plan(FaultPlan.from_script(plan.to_script()))
+        replayed.attach(Instruments(
+            faults=FaultPlan.from_script(plan.to_script())))
         replay_model: dict = {}
         for op in ops:
             apply_batch(replayed, replay_model, op)
@@ -199,14 +200,13 @@ class TestStashDrainDownsizeFuzz:
     def test_drain_back_amid_downsize_matches_dict(
             self, ops, fault_seed, evict_rate, abort_rate):
         table = DyCuckooTable(storm_config())
-        table.set_sanitizer(Sanitizer())
-        table.set_recorder(FlightRecorder())
         plan = FaultPlan(seed=fault_seed,
                          rates={"insert.evict": evict_rate,
                                 "resize.abort.trigger": abort_rate,
                                 "resize.abort.rehash": abort_rate},
                          storms={"insert.evict": 4})
-        table.set_fault_plan(plan)
+        table.attach(Instruments(sanitizer=Sanitizer(),
+                                 recorder=FlightRecorder(), faults=plan))
         model: dict = {}
         try:
             # Degrade phase: hypothesis-driven traffic under eviction
@@ -245,13 +245,12 @@ class TestStashDrainDownsizeFuzz:
         re-tune the seed rather than weakening the assertions.
         """
         table = DyCuckooTable(storm_config())
-        table.set_sanitizer(Sanitizer())
         plan = FaultPlan(seed=7,
                          rates={"insert.evict": 0.3,
                                 "resize.abort.trigger": 0.3,
                                 "resize.abort.rehash": 0.3},
                          storms={"insert.evict": 4})
-        table.set_fault_plan(plan)
+        table.attach(Instruments(sanitizer=Sanitizer(), faults=plan))
         model: dict = {}
         keys = np.arange(1, 601, dtype=np.uint64)
         for start in range(0, 600, 40):
@@ -292,9 +291,8 @@ class TestDeterministicAcceptance:
         zero divergences, invariants after every batch."""
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=16, bucket_capacity=8, min_buckets=8))
-        table.set_sanitizer(Sanitizer())
         plan = default_chaos_plan(seed=2021)
-        table.set_fault_plan(plan)
+        table.attach(Instruments(sanitizer=Sanitizer(), faults=plan))
         model: dict = {}
         rng = np.random.default_rng(2021)
         total_ops = 0
@@ -356,14 +354,13 @@ class TestMigrationEpochFuzz:
     def test_open_epochs_match_dict(self, ops, fault_seed, abort_rate,
                                     evict_rate):
         table = DyCuckooTable(self._trickle_config())
-        table.set_sanitizer(Sanitizer())
-        table.set_recorder(FlightRecorder())
         plan = FaultPlan(seed=fault_seed,
                          rates={"insert.evict": evict_rate,
                                 "resize.abort.trigger": abort_rate,
                                 "resize.abort.plan": abort_rate,
                                 "resize.abort.rehash": abort_rate})
-        table.set_fault_plan(plan)
+        table.attach(Instruments(sanitizer=Sanitizer(),
+                                 recorder=FlightRecorder(), faults=plan))
         model: dict = {}
         mutated = False
         try:
@@ -394,7 +391,7 @@ class TestMigrationEpochFuzz:
         boundary (the property test above is vacuous otherwise).
         """
         table = DyCuckooTable(self._trickle_config())
-        table.set_sanitizer(Sanitizer())
+        table.attach(Instruments(sanitizer=Sanitizer()))
         model: dict = {}
         keys = np.arange(1, 241, dtype=np.uint64)
         saw_open_epoch = False

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                   EncodedBatch, execute_mixed)
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.errors import InvalidConfigError
 from repro.faults import default_chaos_plan
@@ -48,9 +49,15 @@ def twin_tables(buckets=64, capacity=8, seed=3, **kw):
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=buckets, bucket_capacity=capacity,
             auto_resize=False, seed=seed, **kw))
-        table.set_sanitizer(Sanitizer())
+        table.attach(Instruments(sanitizer=Sanitizer()))
         return table
     return make(), make()
+
+
+def add_instruments(table: DyCuckooTable, **handles) -> Instruments:
+    """Attach ``handles`` on top of the ones ``table`` already carries."""
+    table.attach(dataclasses.replace(table.instruments, **handles))
+    return table.instruments
 
 
 def assert_tables_identical(tw: DyCuckooTable, tc: DyCuckooTable) -> None:
@@ -135,8 +142,8 @@ class TestKernelEntryPoints:
         bit-identical to the reference.
         """
         tw, tc = twin_tables()
-        pw = tw.set_fault_plan(default_chaos_plan(seed=5))
-        pc = tc.set_fault_plan(default_chaos_plan(seed=5))
+        pw = add_instruments(tw, faults=default_chaos_plan(seed=5)).faults
+        pc = add_instruments(tc, faults=default_chaos_plan(seed=5)).faults
         keys = unique_keys(300, seed=25)
         rw = run_voter_insert_kernel(tw, keys, keys)
         rc = run_voter_insert_kernel(tc, keys, keys, engine="cohort")
@@ -155,10 +162,10 @@ class TestKernelEntryPoints:
         fired = ([["lock.acquire", i, 1] for i in (0, 3, 7, 11, 40)]
                  + [["lock.stall", i, 3] for i in (2, 9, 25)])
         tw, tc = twin_tables(buckets=16)
-        pw = tw.set_fault_plan(FaultPlan.from_script(
-            {"seed": 1, "fired": fired}))
-        pc = tc.set_fault_plan(FaultPlan.from_script(
-            {"seed": 1, "fired": fired}))
+        pw = add_instruments(tw, faults=FaultPlan.from_script(
+            {"seed": 1, "fired": fired})).faults
+        pc = add_instruments(tc, faults=FaultPlan.from_script(
+            {"seed": 1, "fired": fired})).faults
         keys = unique_keys(200, seed=26)
         rw = run_voter_insert_kernel(tw, keys, keys)
         rc = run_voter_insert_kernel(tc, keys, keys, engine="cohort")
@@ -220,7 +227,7 @@ class TestHazardResolution:
 
             rng = np.random.default_rng(seed)
             table, _ = twin_tables(buckets=8, capacity=8)
-            prof = table.set_profiler(Profiler())
+            prof = add_instruments(table, profiler=Profiler()).profiler
             n = 256
             base = rng.integers(1, n // 2, size=n).astype(np.uint64)
             batch = EncodedBatch(table, base)
@@ -331,8 +338,8 @@ class TestTelemetryStream:
 
     def test_identical_span_and_counter_streams(self):
         tw, tc = twin_tables()
-        mw = tw.set_telemetry(Telemetry())
-        mc = tc.set_telemetry(Telemetry())
+        mw = add_instruments(tw, telemetry=Telemetry()).telemetry
+        mc = add_instruments(tc, telemetry=Telemetry()).telemetry
         keys = unique_keys(500, seed=26)
         run_voter_insert_kernel(tw, keys, keys)
         run_find_kernel(tw, keys)
@@ -443,7 +450,7 @@ class TestMixedBatchDispatch:
                                 auto_resize=False)
         table = ShardedDyCuckoo(num_shards=2, config=config,
                                 parallel_workers=2)
-        table.set_sanitizer(San())
+        table.attach(Instruments(sanitizer=San()))
         ops, keys, values = self._workload(n=800, seed=31)
         _codes, selections = table._scatter(keys)
         assert not table._parallel_eligible(selections)
@@ -453,7 +460,7 @@ class TestMixedBatchDispatch:
         for field in ("values", "found", "removed"):
             assert np.array_equal(getattr(rr, field), getattr(rt, field))
         assert table.shards[0].sanitizer.ok
-        table.set_sanitizer(None)
+        table.attach(None)
         assert table._parallel_eligible(selections)
         table.close()
 
@@ -484,8 +491,8 @@ class TestPropertyConformance:
     def test_random_mixed_batches_conform(self, steps, faulty):
         tw, tc = twin_tables(buckets=16, capacity=8)
         if faulty:
-            tw.set_fault_plan(default_chaos_plan(seed=9))
-            tc.set_fault_plan(default_chaos_plan(seed=9))
+            add_instruments(tw, faults=default_chaos_plan(seed=9))
+            add_instruments(tc, faults=default_chaos_plan(seed=9))
         for kind, raw_keys, raw_values, resize in steps:
             keys = np.array(raw_keys, dtype=np.uint64)
             if kind == "insert":
@@ -528,8 +535,8 @@ class TestProfilerStream:
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=64, bucket_capacity=8, auto_resize=False,
             seed=3))
-        table.set_sanitizer(Sanitizer())
-        prof = table.set_profiler(Profiler())
+        prof = Profiler()
+        table.attach(Instruments(sanitizer=Sanitizer(), profiler=prof))
         keys = unique_keys(900, seed=31)
         ops = np.concatenate([
             np.full(900, OP_INSERT), np.full(450, OP_FIND),
@@ -561,8 +568,8 @@ class TestProfilerStream:
             table = DyCuckooTable(DyCuckooConfig(
                 initial_buckets=8, bucket_capacity=8, auto_resize=False,
                 seed=3))
-            table.set_sanitizer(Sanitizer())
-            prof = table.set_profiler(Profiler())
+            prof = Profiler()
+            table.attach(Instruments(sanitizer=Sanitizer(), profiler=prof))
             keys = unique_keys(248, seed=23)
             result = run_voter_insert_kernel(table, keys, keys,
                                              engine=engine)

@@ -13,6 +13,7 @@ import pytest
 from .conftest import unique_keys
 from repro.core.analysis import check_invariants
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.errors import (CapacityError, InvalidConfigError, ResizeError,
                           StashOverflowError)
@@ -192,11 +193,11 @@ class TestResizeAborts:
         keys = unique_keys(200, seed=1)
         small_table.insert(keys, keys)
         before = full_state(small_table)
-        small_table.set_fault_plan(FaultPlan.from_script(
-            {"fired": [[f"resize.abort.{stage}", 0, 1]]}))
+        small_table.attach(Instruments(faults=FaultPlan.from_script(
+            {"fired": [[f"resize.abort.{stage}", 0, 1]]})))
         with pytest.raises(ResizeError, match="injected resize abort"):
             small_table._resizer.upsize()
-        small_table.set_fault_plan(None)
+        small_table.attach(None)
         after = full_state(small_table)
         # Storage identical; only the abort counter moved.
         assert after[0] == before[0] and after[1] == before[1]
@@ -218,11 +219,11 @@ class TestResizeAborts:
         table.delete(keys[:100])
         before = full_state(table)
         downsizes_before = table.stats.downsizes
-        table.set_fault_plan(FaultPlan.from_script(
-            {"fired": [[f"resize.abort.{stage}", 0, 1]]}))
+        table.attach(Instruments(faults=FaultPlan.from_script(
+            {"fired": [[f"resize.abort.{stage}", 0, 1]]})))
         with pytest.raises(ResizeError, match="injected resize abort"):
             table._resizer.downsize()
-        table.set_fault_plan(None)
+        table.attach(None)
         after = full_state(table)
         assert after[0] == before[0] and after[1] == before[1]
         assert table.stats.downsizes == downsizes_before
@@ -240,7 +241,7 @@ class TestResizeAborts:
         keys = unique_keys(40, seed=4)
         table.insert(keys, keys)
         plan = FaultPlan(seed=0, rates={"resize.abort.spill": 1.0})
-        table.set_fault_plan(plan)
+        table.attach(Instruments(faults=plan))
         before = full_state(table)
         spilled = False
         for _ in range(4):
@@ -274,7 +275,7 @@ class TestResizeAborts:
         keys = unique_keys(40, seed=4)
         table.insert(keys, keys)
         plan = FaultPlan(seed=0, rates={f"resize.abort.{stage}": 1.0})
-        table.set_fault_plan(plan)
+        table.attach(Instruments(faults=plan))
         before = table.stats.snapshot()
         aborted = False
         for _ in range(4):
@@ -293,8 +294,8 @@ class TestResizeAborts:
         # Every resize aborts; batches must still complete and stay
         # differential-correct, just with theta temporarily off-bounds.
         table = DyCuckooTable(small_config)
-        table.set_fault_plan(FaultPlan(seed=0, rates={
-            "resize.abort.trigger": 1.0}))
+        table.attach(Instruments(faults=FaultPlan(seed=0, rates={
+            "resize.abort.trigger": 1.0})))
         keys = unique_keys(150, seed=6)
         table.insert(keys, keys + np.uint64(9))
         _values, found = table.find(keys)
@@ -308,8 +309,8 @@ class TestStashDegradation:
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=16, bucket_capacity=8, min_buckets=8,
             stash_capacity=capacity))
-        table.set_fault_plan(FaultPlan(seed=0, rates={
-            "insert.evict": 1.0, "resize.abort.trigger": 1.0}))
+        table.attach(Instruments(faults=FaultPlan(seed=0, rates={
+            "insert.evict": 1.0, "resize.abort.trigger": 1.0})))
         keys = unique_keys(32, seed=3)
         table.insert(keys, keys + np.uint64(1))
         return table, keys
@@ -339,7 +340,7 @@ class TestStashDegradation:
 
     def test_drain_back_after_successful_resize(self):
         table, keys = self.make_stashed_table()
-        table.set_fault_plan(None)  # recovery: faults stop
+        table.attach(None)          # recovery: faults stop
         table.upsize()              # completes, then drains the stash
         assert len(table.stash) == 0
         assert table.stats.stash_drained == len(keys)
@@ -352,8 +353,8 @@ class TestStashDegradation:
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=16, bucket_capacity=8, min_buckets=8,
             stash_capacity=4))
-        table.set_fault_plan(FaultPlan(seed=0, rates={
-            "insert.evict": 1.0, "resize.abort.trigger": 1.0}))
+        table.attach(Instruments(faults=FaultPlan(seed=0, rates={
+            "insert.evict": 1.0, "resize.abort.trigger": 1.0})))
         keys = unique_keys(32, seed=3)
         with pytest.raises(StashOverflowError, match="stash_capacity=4"):
             table.insert(keys, keys)
@@ -365,7 +366,7 @@ class TestStashDegradation:
         static = DyCuckooTable(DyCuckooConfig(
             initial_buckets=8, bucket_capacity=2, auto_resize=False,
             min_buckets=8, max_eviction_rounds=8))
-        static.set_fault_plan(FaultPlan(seed=0, rates={}))
+        static.attach(Instruments(faults=FaultPlan(seed=0, rates={})))
         with pytest.raises(CapacityError, match="auto_resize disabled"):
             static.insert(unique_keys(200, seed=8),
                           np.zeros(200, dtype=np.uint64))
@@ -374,7 +375,7 @@ class TestStashDegradation:
         capped = DyCuckooTable(DyCuckooConfig(
             initial_buckets=8, bucket_capacity=4, min_buckets=8,
             max_total_slots=4 * 8 * 4))
-        capped.set_fault_plan(FaultPlan(seed=0, rates={}))
+        capped.attach(Instruments(faults=FaultPlan(seed=0, rates={})))
         with pytest.raises(CapacityError, match="max_total_slots"):
             capped.insert(unique_keys(400, seed=9),
                           np.zeros(400, dtype=np.uint64))
@@ -387,7 +388,7 @@ class TestBitIdenticalWhenDisabled:
         # An *enabled* plan whose rates never fire: every hook runs, no
         # fault fires — state must still be bit-identical to a table
         # that never saw the fault layer.
-        gated.set_fault_plan(FaultPlan(seed=123, rates={}))
+        gated.attach(Instruments(faults=FaultPlan(seed=123, rates={})))
         run_mixed_workload(plain)
         run_mixed_workload(gated)
         assert full_state(plain) == full_state(gated)
@@ -395,7 +396,8 @@ class TestBitIdenticalWhenDisabled:
     def test_zero_intensity_chaos_plan_is_identity(self, small_config):
         plain = DyCuckooTable(small_config)
         gated = DyCuckooTable(small_config)
-        gated.set_fault_plan(default_chaos_plan(seed=5, intensity=0.0))
+        gated.attach(Instruments(
+            faults=default_chaos_plan(seed=5, intensity=0.0)))
         run_mixed_workload(plain, seed=21)
         run_mixed_workload(gated, seed=21)
         assert full_state(plain) == full_state(gated)
@@ -484,7 +486,7 @@ class TestVoterScheduleExploration:
             table = self._fresh_table()
             plan = FaultPlan.from_script(
                 {"fired": [[site, index, 3]]})
-            table.set_fault_plan(plan)
+            table.attach(Instruments(faults=plan))
             result = run_voter_insert_kernel(table, keys,
                                              keys * np.uint64(2))
             assert result.completed_ops == self.KEYS, \
@@ -499,7 +501,7 @@ class TestVoterScheduleExploration:
         table = self._fresh_table()
         plan = FaultPlan(seed=9, rates={"lock.stall": 0.2},
                          params={"lock.stall": 5})
-        table.set_fault_plan(plan)
+        table.attach(Instruments(faults=plan))
         result = run_voter_insert_kernel(table, keys, keys)
         assert result.completed_ops == self.KEYS
         _values, found = table.find(keys)
@@ -515,8 +517,8 @@ class TestVoterScheduleExploration:
         keys = unique_keys(64, seed=13)
         for runner in (run_voter_insert_kernel, run_spin_insert_kernel):
             table = self._fresh_table()
-            table.set_fault_plan(FaultPlan(seed=4, rates={
-                "lock.stall": 0.1, "lock.acquire": 0.2}))
+            table.attach(Instruments(faults=FaultPlan(seed=4, rates={
+                "lock.stall": 0.1, "lock.acquire": 0.2})))
             result = runner(table, keys, keys)
             assert result.completed_ops == len(keys)
             _values, found = table.find(keys)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.core.analysis import check_invariants
 from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT
@@ -85,7 +86,8 @@ class TestProfilerAccumulation:
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=32, bucket_capacity=8, auto_resize=False,
             seed=11))
-        prof = table.set_profiler(Profiler())
+        prof = Profiler()
+        table.attach(Instruments(profiler=prof))
         keys = unique_keys(n, seed=11)
         values = keys + np.uint64(1)
         ops = np.concatenate([
@@ -118,7 +120,8 @@ class TestProfilerAccumulation:
 
     def test_fill_timeline_across_resizes(self):
         table = small_table(initial_buckets=8)
-        prof = table.set_profiler(Profiler())
+        prof = Profiler()
+        table.attach(Instruments(profiler=prof))
         keys = unique_keys(3000, seed=3)
         table.insert(keys, keys)
         snap = prof.snapshot()
@@ -158,8 +161,7 @@ class TestZeroOverhead:
         _, found_p, removed_p = self.run_workload(plain)
 
         nulled = small_table()
-        nulled.set_profiler(None)
-        nulled.set_recorder(None)
+        nulled.attach(None)
         assert nulled.profiler is NULL_PROFILER
         assert nulled.recorder is NULL_RECORDER
         _, found_n, removed_n = self.run_workload(nulled)
@@ -175,8 +177,8 @@ class TestZeroOverhead:
         self.run_workload(plain)
 
         profiled = small_table()
-        profiled.set_profiler(Profiler())
-        profiled.set_recorder(FlightRecorder())
+        profiled.attach(Instruments(profiler=Profiler(),
+                                    recorder=FlightRecorder()))
         self.run_workload(profiled)
 
         assert plain.to_dict() == profiled.to_dict()
@@ -184,7 +186,7 @@ class TestZeroOverhead:
 
     def test_shared_singletons_never_gain_a_recorder(self):
         table = small_table()
-        table.set_recorder(FlightRecorder())
+        table.attach(Instruments(recorder=FlightRecorder()))
         # The table holds the recorder, but the module-level disabled
         # singletons must stay pristine (they are shared globally).
         assert NO_FAULTS.recorder is NULL_RECORDER
@@ -201,10 +203,11 @@ class TestFlightRecorder:
 
     def test_fault_trip_produces_bundle(self, tmp_path):
         table = small_table(initial_buckets=8)
-        rec = table.set_recorder(FlightRecorder(dump_dir=str(tmp_path)))
-        table.set_profiler(Profiler())
-        table.set_fault_plan(FaultPlan(
-            seed=1, rates={"resize.abort.trigger": 1.0}))
+        rec = FlightRecorder(dump_dir=str(tmp_path))
+        table.attach(Instruments(
+            recorder=rec, profiler=Profiler(),
+            faults=FaultPlan(seed=1,
+                             rates={"resize.abort.trigger": 1.0})))
         keys = unique_keys(int(table.total_slots * 0.88), seed=1)
         table.insert(keys, keys)
 
@@ -223,8 +226,9 @@ class TestFlightRecorder:
         from repro.sanitizer import Sanitizer
 
         table = small_table()
-        rec = table.set_recorder(FlightRecorder())
-        san = table.set_sanitizer(Sanitizer())
+        rec = FlightRecorder()
+        san = Sanitizer()
+        table.attach(Instruments(recorder=rec, sanitizer=san))
         san._violate("racecheck", "test.rule",
                      "synthetic violation for the recorder")
         assert not san.ok
@@ -233,7 +237,8 @@ class TestFlightRecorder:
 
     def test_check_invariants_trips(self):
         table = small_table()
-        rec = table.set_recorder(FlightRecorder())
+        rec = FlightRecorder()
+        table.attach(Instruments(recorder=rec))
         keys = unique_keys(50, seed=2)
         table.insert(keys, keys)
         # Corrupt one stored slot so a structural invariant fails.
@@ -251,7 +256,8 @@ class TestFlightRecorder:
         # recorder sees epoch-open events (with a direction) instead of
         # the one-shot resize events.
         table = small_table(initial_buckets=8)
-        rec = table.set_recorder(FlightRecorder(capacity=512))
+        rec = FlightRecorder(capacity=512)
+        table.attach(Instruments(recorder=rec))
         keys = unique_keys(3000, seed=4)
         table.insert(keys, keys)
         directions = {e.get("direction") for e in rec.events
@@ -281,7 +287,8 @@ class TestReportSurface:
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=32, bucket_capacity=8, auto_resize=False,
             seed=9))
-        prof = table.set_profiler(Profiler())
+        prof = Profiler()
+        table.attach(Instruments(profiler=prof))
         keys = unique_keys(400, seed=9)
         ops = np.concatenate([np.full(400, OP_INSERT),
                               np.full(200, OP_FIND)]).astype(np.int64)

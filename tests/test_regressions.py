@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.subtable import EMPTY, Subtable
 from repro.core.table import DyCuckooTable, decode_keys
 from repro.errors import ResizeError
@@ -131,7 +132,7 @@ class TestDownsizeRollbackAccounting:
         keys = unique_keys(40, seed=42)
         table.insert(keys, keys)
         plan = FaultPlan(seed=0, rates={"resize.abort.spill": 1.0})
-        table.set_fault_plan(plan)
+        table.attach(Instruments(faults=plan))
         before = table.stats.snapshot()
         aborted = False
         for _ in range(4):
@@ -172,7 +173,8 @@ class TestUnwindReleasesLocks:
         from repro.sanitizer import Sanitizer
 
         table = fresh_table()
-        san = table.set_sanitizer(Sanitizer())
+        san = Sanitizer()
+        table.attach(Instruments(sanitizer=san))
         codes, values, targets = self._contended_batch(table)
         with pytest.raises(CapacityError):
             _run_insert_warps(table, codes, values, targets, voter=True,
@@ -191,7 +193,8 @@ class TestUnwindReleasesLocks:
         from repro.sanitizer import Sanitizer
 
         table = fresh_table()
-        san = table.set_sanitizer(Sanitizer())
+        san = Sanitizer()
+        table.attach(Instruments(sanitizer=san))
         _codes, keys, targets = self._contended_batch(table)
         with pytest.raises(CapacityError):
             cohort_insert(table, EncodedBatch(table, keys), keys, targets,
@@ -208,16 +211,17 @@ class TestUnwindReleasesLocks:
 
         table = fresh_table(buckets=16, capacity=8, min_buckets=8,
                             auto_resize=True)
-        san = table.set_sanitizer(Sanitizer())
+        san = Sanitizer()
+        table.attach(Instruments(sanitizer=san))
         keys = unique_keys(96, seed=79)
         table.insert(keys, keys)
         table.delete(keys[:80])  # make the downsize viable
         for stage in ("rehash", "spill"):
-            table.set_fault_plan(FaultPlan(
-                seed=0, rates={f"resize.abort.{stage}": 1.0}))
+            table.attach(Instruments(sanitizer=san, faults=FaultPlan(
+                seed=0, rates={f"resize.abort.{stage}": 1.0})))
             with pytest.raises(ResizeError):
                 table._resizer.downsize()
-            table.set_fault_plan(None)
+            table.attach(Instruments(sanitizer=san))
             report = san.report()
             assert report["subtable_locks_held"] == 0, stage
             assert san.ok, [str(v) for v in san.violations]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.resize import _TableSnapshot
 from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import ResizeError
@@ -265,8 +266,8 @@ class TestErrorHandlingRegressions:
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=8, bucket_capacity=4, min_buckets=4,
             alpha=0.45, beta=0.55, stash_capacity=4096))
-        table.set_fault_plan(FaultPlan(seed=9, rates={
-            "resize.abort.rehash": 1.0, "insert.evict": 0.2}))
+        table.attach(Instruments(faults=FaultPlan(seed=9, rates={
+            "resize.abort.rehash": 1.0, "insert.evict": 0.2})))
         model = {}
         rng = np.random.default_rng(33)
         for wave in range(6):

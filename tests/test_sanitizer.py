@@ -21,6 +21,7 @@ The static protocol-contract analyzer has its own suite in
 import pytest
 
 from repro.cli import main
+from repro.core.instruments import Instruments
 from repro.sanitizer import (ACCESS_KINDS, NULL_SANITIZER,
                              VIOLATION_KINDS, Sanitizer)
 from repro.sanitizer.audit import run_clean_audit, run_fixture_suite
@@ -348,9 +349,11 @@ class TestSanitizerPlumbing:
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=8, bucket_capacity=4, auto_resize=False))
         assert table.sanitizer is NULL_SANITIZER
-        san = table.set_sanitizer(Sanitizer())
+        san = Sanitizer()
+        table.attach(Instruments(sanitizer=san))
         assert table.sanitizer is san
-        assert table.set_sanitizer(None) is NULL_SANITIZER
+        table.attach(None)
+        assert table.sanitizer is NULL_SANITIZER
 
     def test_sharded_front_end_shares_one_sanitizer(self):
         import numpy as np
@@ -358,7 +361,8 @@ class TestSanitizerPlumbing:
         from repro.shard import ShardedDyCuckoo
         sharded = ShardedDyCuckoo(num_shards=2, config=DyCuckooConfig(
             initial_buckets=32, bucket_capacity=8, auto_resize=False))
-        san = sharded.set_sanitizer(Sanitizer())
+        san = Sanitizer()
+        sharded.attach(Instruments(sanitizer=san))
         for shard in sharded.shards:
             assert shard.sanitizer is san
         keys = np.arange(1, 257, dtype=np.uint64)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.kernels import (run_delete_kernel, run_find_kernel,
                            run_voter_insert_kernel)
@@ -80,8 +81,8 @@ class TestNullSanitizerBitIdentity:
         results_plain = _epoch_workload(plain, engine, seed=11)
 
         nulled = _fresh_table(seed=11)
-        nulled.set_sanitizer(Sanitizer())
-        nulled.set_sanitizer(None)  # back to the shared null object
+        nulled.attach(Instruments(sanitizer=Sanitizer()))
+        nulled.attach(None)  # back to the shared null object
         assert nulled.sanitizer is NULL_SANITIZER
         results_nulled = _epoch_workload(nulled, engine, seed=11)
 
@@ -96,7 +97,8 @@ class TestNullSanitizerBitIdentity:
         results_plain = _epoch_workload(plain, engine, seed=13)
 
         watched = _fresh_table(seed=13)
-        san = watched.set_sanitizer(Sanitizer())
+        san = Sanitizer()
+        watched.attach(Instruments(sanitizer=san))
         results_watched = _epoch_workload(watched, engine, seed=13)
 
         for a, b in zip(_flatten(results_plain),
@@ -122,7 +124,8 @@ class TestNullSanitizerBitIdentity:
         stats = {}
         for engine in ENGINES:
             table = _fresh_table(seed=19)
-            san = table.set_sanitizer(Sanitizer())
+            san = Sanitizer()
+            table.attach(Instruments(sanitizer=san))
             _epoch_workload(table, engine, seed=19)
             assert san.ok, [str(v) for v in san.violations]
             stats[engine] = dict(san.stats)

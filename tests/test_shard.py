@@ -6,6 +6,7 @@ import pytest
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                   execute_mixed)
 from repro.core.config import DyCuckooConfig, replace_config
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.errors import InvalidConfigError
 from repro.gpusim.device import GTX_1080, partition_device
@@ -208,7 +209,7 @@ class TestRollups:
 
     def test_telemetry_rollup(self):
         table = small_sharded()
-        table.set_telemetry(Telemetry())
+        table.attach(Instruments(telemetry=Telemetry()))
         keys = unique_keys(1500, seed=32)
         table.insert(keys, keys)
         table.find(keys)

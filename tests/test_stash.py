@@ -13,6 +13,7 @@ import numpy as np
 
 from .conftest import unique_keys
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.persistence import load_table, save_table
 from repro.core.stash import Stash
 from repro.core.table import DyCuckooTable
@@ -29,12 +30,12 @@ def make_stashed_table(n_keys: int = 24, stash_capacity: int = 256):
     table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=16, bucket_capacity=8, min_buckets=8,
         stash_capacity=stash_capacity))
-    table.set_fault_plan(FaultPlan(seed=0, rates={
-        "insert.evict": 1.0, "resize.abort.trigger": 1.0}))
+    table.attach(Instruments(faults=FaultPlan(seed=0, rates={
+        "insert.evict": 1.0, "resize.abort.trigger": 1.0})))
     keys = unique_keys(n_keys, seed=7)
     table.insert(keys, keys + np.uint64(100))
     assert len(table.stash) == n_keys
-    table.set_fault_plan(None)
+    table.attach(None)
     return table, keys
 
 
@@ -112,7 +113,7 @@ class TestTableReadersAreStashAware:
 class TestLifecyclePreservesStash:
     def test_copy_preserves_stash_and_detaches_faults(self):
         table, keys = make_stashed_table()
-        table.set_fault_plan(FaultPlan(seed=1, rates={}))
+        table.attach(Instruments(faults=FaultPlan(seed=1, rates={})))
         clone = table.copy()
         assert clone.faults is NO_FAULTS
         assert len(clone.stash) == len(keys)

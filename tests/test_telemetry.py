@@ -22,6 +22,7 @@ from repro.bench import maybe_dump_trace, run_dynamic
 from repro.bench.artifacts import ENV_VAR
 from repro.core.analysis import check_invariants
 from repro.core.config import DyCuckooConfig
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.errors import InvalidConfigError
 from repro.gpusim.metrics import CostModel
@@ -180,7 +181,8 @@ def _traced_run(num_keys: int = 6000):
     """A small instrumented insert/find/delete cycle; returns telemetry."""
     table = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
                                          bucket_capacity=8, min_buckets=8))
-    telemetry = table.set_telemetry(Telemetry())
+    telemetry = Telemetry()
+    table.attach(Instruments(telemetry=telemetry))
     keys = unique_keys(num_keys, seed=3)
     table.insert(keys, keys)
     table.find(keys[: num_keys // 2])
@@ -286,7 +288,7 @@ class TestZeroOverhead:
 
         plain = DyCuckooTable(config)
         traced = DyCuckooTable(config)
-        traced.set_telemetry(Telemetry())
+        traced.attach(Instruments(telemetry=Telemetry()))
         for table in (plain, traced):
             table.insert(keys, keys * np.uint64(3))
             table.find(keys[:4000])
@@ -305,7 +307,7 @@ class TestZeroOverhead:
         for instrument in (False, True):
             table = DyCuckooAdapter(DyCuckooConfig(initial_buckets=8))
             if instrument:
-                table.set_telemetry(Telemetry())
+                table.attach(Instruments(telemetry=Telemetry()))
             workload = DynamicWorkload(keys, values, batch_size=200, seed=5)
             run = run_dynamic(table, workload,
                               cost_model=CostModel(overhead_scale=0.0003))
@@ -324,7 +326,8 @@ class TestResizeLifecycle:
                                              bucket_capacity=8,
                                              min_buckets=8,
                                              incremental_resize=False))
-        telemetry = table.set_telemetry(Telemetry())
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry))
         keys = unique_keys(4000, seed=7)
         table.insert(keys, keys)
         tracer = telemetry.tracer
@@ -340,7 +343,8 @@ class TestResizeLifecycle:
                                              bucket_capacity=8,
                                              min_buckets=8,
                                              incremental_resize=False))
-        telemetry = table.set_telemetry(Telemetry())
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry))
         keys = unique_keys(6000, seed=9)
         table.insert(keys, keys)
         table.delete(keys[:5500])
@@ -378,7 +382,8 @@ class TestEpochLifecycle:
         table = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
                                              bucket_capacity=8,
                                              min_buckets=8))
-        telemetry = table.set_telemetry(Telemetry())
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry))
         keys = unique_keys(4000, seed=7)
         table.insert(keys, keys)
         tracer = telemetry.tracer
@@ -405,7 +410,8 @@ class TestEpochLifecycle:
         table = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
                                              bucket_capacity=8,
                                              min_buckets=8))
-        telemetry = table.set_telemetry(Telemetry())
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry))
         keys = unique_keys(6000, seed=9)
         table.insert(keys, keys)
         table.delete(keys[:5500])
@@ -428,7 +434,8 @@ class TestDynamicWorkloadTrace:
         spec = dataset_by_name("COM")
         keys, values = spec.generate(scale=0.0005, seed=12)
         table = DyCuckooAdapter(DyCuckooConfig(initial_buckets=8))
-        telemetry = table.set_telemetry(Telemetry())
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry))
         workload = DynamicWorkload(keys, values, batch_size=250, seed=4)
         run = run_dynamic(table, workload,
                           cost_model=CostModel(overhead_scale=0.0005))
@@ -529,7 +536,8 @@ class TestMixedBatchTracing:
 
         table = DyCuckooTable(DyCuckooConfig(initial_buckets=16,
                                              bucket_capacity=8))
-        telemetry = table.set_telemetry(Telemetry())
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry))
         op_codes = np.array([OP_INSERT, OP_INSERT, OP_FIND, OP_DELETE])
         keys = np.array([1, 2, 1, 2], dtype=np.uint64)
         values = np.array([10, 20, 0, 0], dtype=np.uint64)
