@@ -27,11 +27,12 @@ import numpy as np
 
 from repro.bench import format_table, shape_check
 from repro.bench.artifacts import maybe_dump
-from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT
+from repro.core.batch_ops import OP_INSERT
 from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.faults import NO_FAULTS, default_chaos_plan
+from repro.oracle import mixed_batch, twin_divergence
 from repro.telemetry import Profiler
 
 from benchmarks.common import once
@@ -73,18 +74,8 @@ COUNTER_FIELDS = ("rounds", "memory_transactions", "lock_acquisitions",
 
 def _workload(rng: np.random.Generator):
     """Run-structured mixed op stream: (ops, keys, values)."""
-    ops = np.empty(NUM_OPS, dtype=np.int64)
-    pos = 0
-    while pos < NUM_OPS:
-        kind = rng.choice([OP_INSERT, OP_FIND, OP_DELETE],
-                          p=[0.5, 0.3, 0.2])
-        length = min(int(rng.integers(*RUN_LENGTH)), NUM_OPS - pos)
-        ops[pos:pos + length] = kind
-        pos += length
-    keyspace = NUM_OPS // 2
-    keys = rng.integers(1, keyspace + 1, NUM_OPS).astype(np.uint64)
-    values = rng.integers(1, 1 << 40, NUM_OPS).astype(np.uint64)
-    return ops, keys, values
+    return mixed_batch(rng, NUM_OPS, run_length=RUN_LENGTH,
+                       keyspace=NUM_OPS // 2, value_high=1 << 40)
 
 
 def _dup_workload(rng: np.random.Generator):
@@ -122,17 +113,9 @@ def _run_leg(ops, keys, values, *, buckets=BUCKETS,
 
     # Conformance: identical outputs, storage, cost counters, and
     # (when armed) fault decisions.
-    tw, rw, _ = outcomes["warp"]
-    tc, rc, _ = outcomes["cohort"]
-    assert np.array_equal(rw.values, rc.values), "FIND values diverged"
-    assert np.array_equal(rw.found, rc.found), "FIND hits diverged"
-    assert np.array_equal(rw.removed, rc.removed), "DELETE masks diverged"
-    assert rw.kernel == rc.kernel, (
-        f"cost counters diverged: {rw.kernel} != {rc.kernel}")
-    assert tw._victim_counter == tc._victim_counter
-    for sw, sc in zip(tw.subtables, tc.subtables):
-        assert np.array_equal(sw.keys, sc.keys), "storage diverged"
-        assert np.array_equal(sw.values, sc.values), "values diverged"
+    problems = twin_divergence(*outcomes["warp"][:2],
+                               *outcomes["cohort"][:2])
+    assert not problems, problems
     if fault_seed is not None:
         assert plans["warp"].fired == plans["cohort"].fired, \
             "fault decisions diverged"
@@ -148,7 +131,8 @@ def _run_leg(ops, keys, values, *, buckets=BUCKETS,
                 if fault_seed is not None else NO_FAULTS)))
     prof_table.execute_mixed(ops, keys, values, engine="cohort")
 
-    leg = {"ops": num_ops, "runs": rw.runs, "conformant": True,
+    leg = {"ops": num_ops, "runs": outcomes["warp"][1].runs,
+           "conformant": True,
            "hazard_rounds": prof.hazard_rounds,
            "hazard_lanes": prof.hazard_lanes,
            "hazard_lane_rate": prof.hazard_lanes / num_ops}

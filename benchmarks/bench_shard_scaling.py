@@ -9,8 +9,9 @@ group per shard (the front-end's execution model).
 Expected shapes: S=1 is exactly the serial schedule (speedup 1.0);
 larger S parallelizes round-synchronization, compute, and lock
 contention while the memory-bound fraction stays tied to the shared
-DRAM bus, so speedup grows with S but stays well short of linear.  All
-shard counts remain differentially equal to a single reference table.
+DRAM bus, so speedup grows with S but stays well short of linear.  At
+every shard count each FIND and DELETE lane, and the final contents,
+match a :class:`~repro.oracle.DictModel`.
 
 A final ``executor`` leg runs cohort mixed batches through the
 *process-pool* shard executor (``parallel_workers``) and through the
@@ -36,7 +37,7 @@ import numpy as np
 from repro.bench import format_table, shape_check
 from repro.bench.artifacts import maybe_dump
 from repro.core.config import DyCuckooConfig
-from repro.core.table import DyCuckooTable
+from repro.oracle import DictModel, mixed_batch, twin_divergence
 from repro.shard import ShardedDyCuckoo, simulate_shard_speedup
 
 from benchmarks.common import BATCH_SIZE, once
@@ -65,26 +66,29 @@ def _workload(rng: np.random.Generator):
     return keys, values
 
 
-def _drive(table, keys: np.ndarray, values: np.ndarray) -> int:
-    """Insert everything, find everything, delete half; return op count."""
+def _drive(table, model: DictModel, keys: np.ndarray,
+           values: np.ndarray) -> int:
+    """Insert everything, find everything, delete half; return op count.
+
+    Every lane is checked against ``model``.
+    """
+    problems = []
     for start in range(0, len(keys), BATCH_SIZE):
         segment = slice(start, start + BATCH_SIZE)
-        table.insert(keys[segment], values[segment])
-    _found_values, found = table.find(keys)
-    assert bool(found.all()), "driven keys must all be findable"
-    removed = table.delete(keys[: len(keys) // 2])
-    assert bool(removed.all()), "driven deletes must all hit"
+        problems += model.apply(table, "insert", keys[segment],
+                                values[segment])
+    problems += model.apply(table, "find", keys)
+    problems += model.apply(table, "delete", keys[: len(keys) // 2])
+    assert not problems, problems[:3]
     return len(keys) * 2 + len(keys) // 2
 
 
-def _run_one(num_shards: int, keys: np.ndarray, values: np.ndarray,
-             reference: dict) -> dict:
+def _run_one(num_shards: int, keys: np.ndarray, values: np.ndarray) -> dict:
     table = ShardedDyCuckoo(num_shards=num_shards, config=_shard_config())
     before = [stats.snapshot() for stats in table.shard_stats()]
-    total_ops = _drive(table, keys, values)
+    model = DictModel()
+    total_ops = _drive(table, model, keys, values)
     table.validate()
-    assert table.to_dict() == reference, (
-        f"S={num_shards} diverged from the single-table reference")
 
     # Every op routes by key, so per-shard op counts follow the routing
     # of the driven key stream (inserts + finds + deletes).
@@ -96,6 +100,9 @@ def _run_one(num_shards: int, keys: np.ndarray, values: np.ndarray,
     report = simulate_shard_speedup(deltas, shard_ops,
                                     num_tables=NUM_TABLES)
     assert report.num_ops == total_ops
+    # Checked after the deltas so the check's own FIND is not priced.
+    assert model.divergence(table) == [], (
+        f"S={num_shards} diverged from the dict model")
     return report.to_dict()
 
 
@@ -116,32 +123,10 @@ EXEC_BATCHES = 12
 EXEC_MIN_SPEEDUP = 1.2
 
 
-def _executor_batch(rng: np.random.Generator):
-    """One cohort mixed batch of long homogeneous runs."""
-    ops = np.empty(EXEC_OPS, dtype=np.int64)
-    pos = 0
-    while pos < EXEC_OPS:  # long homogeneous runs, the kernels' regime
-        kind = rng.choice(np.array([0, 1, 2], dtype=np.int64),
-                          p=[0.5, 0.3, 0.2])
-        length = min(int(rng.integers(2_000, 6_000)), EXEC_OPS - pos)
-        ops[pos:pos + length] = kind
-        pos += length
-    keys = rng.integers(1, 2000, size=EXEC_OPS).astype(np.uint64)
-    values = rng.integers(1, 1 << 40, size=EXEC_OPS, dtype=np.uint64)
-    return ops, keys, values
-
-
 def _timed(table: ShardedDyCuckoo, batch):
     start = time.perf_counter()
     result = table.execute_mixed(*batch, engine="cohort")
     return result, time.perf_counter() - start
-
-
-def _same_result(a, b) -> bool:
-    return (np.array_equal(a.values, b.values)
-            and np.array_equal(a.found, b.found)
-            and np.array_equal(a.removed, b.removed)
-            and a.runs == b.runs and a.kernel == b.kernel)
 
 
 def _run_executor_leg() -> dict:
@@ -154,13 +139,16 @@ def _run_executor_leg() -> dict:
     timed batches read ~1.0x without this).  The first parallel call
     starts the pool; its wall time is reported on its own as
     ``pool_start_seconds``.  The timed batches then alternate which
-    path runs first, so host drift hits both alike.  Every batch must
-    match serial bit for bit, and so must the final storage.
+    path runs first, so host drift hits both alike.  Every batch's
+    result must match serial bit for bit, and so must the storage after
+    the warm-up and after every timed batch.
     """
     config = DyCuckooConfig(num_tables=NUM_TABLES, bucket_capacity=32,
                             initial_buckets=32, min_buckets=8)
     rng = np.random.default_rng(77)
-    batches = [_executor_batch(rng)
+    # Long homogeneous runs (the kernels' regime) over a small keyspace.
+    batches = [mixed_batch(rng, EXEC_OPS, run_length=(2_000, 6_000),
+                           keyspace=1_999, value_high=1 << 40)
                for _ in range(EXEC_WARMUP + EXEC_BATCHES)]
     serial = ShardedDyCuckoo(num_shards=EXEC_SHARDS, config=config)
     serial_s, parallel_s = [], []
@@ -171,8 +159,10 @@ def _run_executor_leg() -> dict:
         warm_parallel = [_timed(parallel, batch)
                          for batch in batches[:EXEC_WARMUP]]
         pool_start_s = warm_parallel[0][1]
-        identical = all(_same_result(rs, rp) for rs, (rp, _tp)
-                        in zip(warm_serial, warm_parallel))
+        problems = [problem for rs, (rp, _tp)
+                    in zip(warm_serial, warm_parallel)
+                    for problem in twin_divergence(None, rs, None, rp)]
+        problems += twin_divergence(serial, None, parallel, None)
         for index, batch in enumerate(batches[EXEC_WARMUP:]):
             if index % 2:
                 rp, tp = _timed(parallel, batch)
@@ -180,14 +170,9 @@ def _run_executor_leg() -> dict:
             else:
                 rs, ts = _timed(serial, batch)
                 rp, tp = _timed(parallel, batch)
-            identical = identical and _same_result(rs, rp)
+            problems += twin_divergence(serial, rs, parallel, rp)
             serial_s.append(ts)
             parallel_s.append(tp)
-        identical = (identical
-                     and serial.to_dict() == parallel.to_dict()
-                     and all(a._victim_counter == b._victim_counter
-                             for a, b in zip(serial.shards,
-                                             parallel.shards)))
     ratios = [s / p for s, p in zip(serial_s, parallel_s)]
     return {
         "ops": EXEC_OPS,
@@ -195,7 +180,7 @@ def _run_executor_leg() -> dict:
         "workers": EXEC_WORKERS,
         "num_shards": EXEC_SHARDS,
         "runs": rs.runs,
-        "identical": identical,
+        "identical": not problems,
         "pool_start_seconds": pool_start_s,
         "serial_seconds": float(np.median(serial_s)),
         "parallel_seconds": float(np.median(parallel_s)),
@@ -205,14 +190,8 @@ def _run_executor_leg() -> dict:
 
 
 def _run_all() -> dict:
-    rng = np.random.default_rng(1080)
-    keys, values = _workload(rng)
-
-    reference_table = DyCuckooTable(_shard_config())
-    _drive(reference_table, keys, values)
-    reference = reference_table.to_dict()
-
-    results = {num_shards: _run_one(num_shards, keys, values, reference)
+    keys, values = _workload(np.random.default_rng(1080))
+    results = {num_shards: _run_one(num_shards, keys, values)
                for num_shards in SHARD_COUNTS}
     results["executor"] = _run_executor_leg()
     return results

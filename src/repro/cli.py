@@ -40,8 +40,8 @@ Commands
     Run one mixed insert/find/delete batch through the lane-faithful
     kernels and report cost counters per execution engine.  With
     ``--engine both`` (the default) the per-warp reference and the
-    vectorized cohort engine both run, their results and counters are
-    cross-checked for exact equality, and the speedup is reported.
+    vectorized cohort engine both run, their results, counters and
+    storage are cross-checked bit for bit, and the speedup is reported.
 
 ``faults``
     Run a seeded chaos session: a mixed insert/find/delete workload with
@@ -208,6 +208,21 @@ def _cmd_dynamic(args) -> int:
     return 0
 
 
+def _presized_config(n: int, seed: int):
+    """Geometry for one ``n``-op mixed kernel batch, kept below ~50% fill.
+
+    The kernels never resize; at most ``n / 2`` distinct keys of a
+    :func:`repro.oracle.mixed_batch` are ever live, so target ~n slots.
+    """
+    from repro import DyCuckooConfig
+
+    buckets = 8
+    while 4 * buckets * 16 < n:
+        buckets *= 2
+    return DyCuckooConfig(initial_buckets=buckets, bucket_capacity=16,
+                          auto_resize=False, seed=seed)
+
+
 def _profile_deep_pass(engine: str, seed: int, n: int) -> tuple[dict, dict]:
     """One deep-profiler pass: a mixed kernel batch on a pre-sized table.
 
@@ -216,19 +231,12 @@ def _profile_deep_pass(engine: str, seed: int, n: int) -> tuple[dict, dict]:
     that hit the vectorized key-coincidence resolver, and the lanes in
     them) are engine-side cost telemetry reported separately.
     """
-    from repro import DyCuckooConfig, DyCuckooTable, Instruments
+    from repro import DyCuckooTable, Instruments
+    from repro.oracle import mixed_batch
     from repro.telemetry import Profiler
 
-    rng = np.random.default_rng(seed)
-    ops, keys, values = _make_mixed_workload(rng, n)
-    # Pre-size so the kernels (which never resize) stay below ~50% fill.
-    capacity = 16
-    buckets = 8
-    while 4 * buckets * capacity < n:
-        buckets *= 2
-    table = DyCuckooTable(DyCuckooConfig(
-        initial_buckets=buckets, bucket_capacity=capacity,
-        auto_resize=False, seed=seed))
+    ops, keys, values = mixed_batch(np.random.default_rng(seed), n)
+    table = DyCuckooTable(_presized_config(n, seed))
     profiler = Profiler()
     table.attach(Instruments(profiler=profiler))
     table.execute_mixed(ops, keys, values, engine=engine)
@@ -511,10 +519,11 @@ def _run_parallel_shard_check(args) -> dict:
     import time
 
     from repro.core.config import DyCuckooConfig
+    from repro.oracle import mixed_batch, twin_divergence
     from repro.shard import ShardedDyCuckoo
 
-    rng = np.random.default_rng(args.seed + 1)
-    ops, keys, values = _make_mixed_workload(rng, max(args.keys, 4))
+    ops, keys, values = mixed_batch(np.random.default_rng(args.seed + 1),
+                                    max(args.keys, 4))
     shards = max(args.shards, 2)
     config = DyCuckooConfig(initial_buckets=8)
 
@@ -528,11 +537,7 @@ def _run_parallel_shard_check(args) -> dict:
         t0 = time.perf_counter()
         rp = parallel.execute_mixed(ops, keys, values, engine="cohort")
         parallel_s = time.perf_counter() - t0
-        identical = (np.array_equal(rs.values, rp.values)
-                     and np.array_equal(rs.found, rp.found)
-                     and np.array_equal(rs.removed, rp.removed)
-                     and rs.runs == rp.runs
-                     and serial.to_dict() == parallel.to_dict())
+        identical = not twin_divergence(serial, rs, parallel, rp)
     return {
         "workers": args.parallel,
         "num_shards": shards,
@@ -610,76 +615,35 @@ def _cmd_shard(args) -> int:
     return 1 if diverged else 0
 
 
-def _make_mixed_workload(rng: np.random.Generator, n: int):
-    """Run-structured mixed workload: ops, keys, values arrays."""
-    from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT
-
-    ops = np.empty(n, dtype=np.int64)
-    pos = 0
-    while pos < n:
-        kind = rng.choice([OP_INSERT, OP_FIND, OP_DELETE],
-                          p=[0.5, 0.3, 0.2])
-        length = min(int(rng.integers(50, 500)), n - pos)
-        ops[pos:pos + length] = kind
-        pos += length
-    keyspace = max(2, n // 2)
-    keys = rng.integers(1, keyspace + 1, n).astype(np.uint64)
-    values = rng.integers(1, 1 << 32, n).astype(np.uint64)
-    return ops, keys, values
-
-
 def _cmd_kernel(args) -> int:
     import time
 
-    from repro import DyCuckooConfig, DyCuckooTable
+    from repro import DyCuckooTable
+    from repro.oracle import mixed_batch, twin_divergence
 
-    rng = np.random.default_rng(args.seed)
     n = args.ops
-    ops, keys, values = _make_mixed_workload(rng, n)
-
-    # Pre-size so the kernels (which never resize) stay below ~50% fill:
-    # at most n/2 distinct keys are ever live, so target ~n total slots.
-    capacity = 16
-    buckets = 8
-    while 4 * buckets * capacity < n:
-        buckets *= 2
-
-    def fresh() -> DyCuckooTable:
-        return DyCuckooTable(DyCuckooConfig(
-            initial_buckets=buckets, bucket_capacity=capacity,
-            auto_resize=False, seed=args.seed))
+    ops, keys, values = mixed_batch(np.random.default_rng(args.seed), n)
+    config = _presized_config(n, args.seed)
 
     engines = ["warp", "cohort"] if args.engine == "both" else [args.engine]
     outcomes = {}
     for engine in engines:
-        table = fresh()
+        table = DyCuckooTable(config)
         start = time.perf_counter()
         result = table.execute_mixed(ops, keys, values, engine=engine)
         elapsed = time.perf_counter() - start
         outcomes[engine] = (table, result, elapsed)
 
-    problems: list[str] = []
-    if len(engines) == 2:
-        tw, rw, _ = outcomes["warp"]
-        tc, rc, _ = outcomes["cohort"]
-        if not (np.array_equal(rw.values, rc.values)
-                and np.array_equal(rw.found, rc.found)
-                and np.array_equal(rw.removed, rc.removed)):
-            problems.append("engine results diverged")
-        if rw.kernel != rc.kernel:
-            problems.append(
-                f"cost counters diverged: {rw.kernel} != {rc.kernel}")
-        for t_idx, (sw, sc) in enumerate(zip(tw.subtables, tc.subtables)):
-            if not (np.array_equal(sw.keys, sc.keys)
-                    and np.array_equal(sw.values, sc.values)):
-                problems.append(f"subtable {t_idx} storage diverged")
+    problems = (twin_divergence(*outcomes["warp"][:2],
+                                *outcomes["cohort"][:2])
+                if len(engines) == 2 else [])
 
     report = {
         "command": "kernel",
         "ops": n,
         "seed": args.seed,
-        "buckets": buckets,
-        "bucket_capacity": capacity,
+        "buckets": config.initial_buckets,
+        "bucket_capacity": config.bucket_capacity,
         "engines": {},
         "conformant": not problems,
         "problems": problems,
@@ -730,6 +694,7 @@ def _cmd_faults(args) -> int:
     from repro.gpusim.atomics import AtomicMemory
     from repro.gpusim.memory_manager import DeviceMemoryManager
     from repro.kernels.insert import run_voter_insert_kernel
+    from repro.oracle import DictModel
 
     batches = 10 if args.smoke else args.batches
     batch = 200 if args.smoke else args.batch
@@ -748,39 +713,25 @@ def _cmd_faults(args) -> int:
 
     # Phase 1: differential chaos on the vectorized table — every batch
     # is checked against a plain-dict model and the invariant suite.
-    model: dict[int, int] = {}
+    model = DictModel()
     rng = np.random.default_rng(args.seed)
     problems: list[str] = []
-    total_ops = 0
     for index in range(batches):
-        ins_keys = rng.integers(0, keyspace, batch).astype(np.uint64)
-        ins_values = rng.integers(0, 1 << 32, batch).astype(np.uint64)
-        table.insert(ins_keys, ins_values)
-        for k, v in zip(ins_keys.tolist(), ins_values.tolist()):
-            model[k] = v
-
-        find_keys = rng.integers(0, keyspace, batch // 2).astype(np.uint64)
-        values, found = table.find(find_keys)
-        for k, v, hit in zip(find_keys.tolist(), values.tolist(),
-                             found.tolist()):
-            if hit != (k in model) or (hit and v != model[k]):
-                problems.append(f"batch {index}: FIND({k}) diverged")
-        del_keys = rng.integers(0, keyspace, batch // 4).astype(np.uint64)
-        removed = table.delete(del_keys)
-        seen: set[int] = set()
-        for k, hit in zip(del_keys.tolist(), removed.tolist()):
-            expect = k in model and k not in seen
-            seen.add(k)
-            if hit != expect:
-                problems.append(f"batch {index}: DELETE({k}) diverged")
-            model.pop(k, None)
-        total_ops += batch + batch // 2 + batch // 4
+        keys = rng.integers(0, keyspace, batch).astype(np.uint64)
+        values = rng.integers(0, 1 << 32, batch).astype(np.uint64)
+        diverged = model.apply(table, "insert", keys, values)
+        diverged += model.apply(table, "find", rng.integers(
+            0, keyspace, batch // 2).astype(np.uint64))
+        diverged += model.apply(table, "delete", rng.integers(
+            0, keyspace, batch // 4).astype(np.uint64))
+        problems.extend(f"batch {index}: {problem}" for problem in diverged)
         try:
             check_invariants(table)
         except AssertionError as exc:
             problems.append(f"batch {index}: invariant violated: {exc}")
-    if table.to_dict() != model:
-        problems.append("final table state diverged from the model")
+    problems.extend(f"final state: {problem}"
+                    for problem in model.divergence(table))
+    total_ops = batches * (batch + batch // 2 + batch // 4)
 
     # Phase 2: the lane-level voter kernel under lock faults (the
     # vectorized path never consults the lock/atomic sites).
@@ -788,8 +739,7 @@ def _cmd_faults(args) -> int:
         initial_buckets=64, bucket_capacity=8, min_buckets=8,
         auto_resize=False))
     kernel_table.attach(Instruments(faults=plan))
-    kernel_keys = rng.integers(0, 1 << 40, 512).astype(np.uint64)
-    kernel_keys = np.unique(kernel_keys)
+    kernel_keys = np.unique(rng.integers(0, 1 << 40, 512).astype(np.uint64))
     kernel_result = run_voter_insert_kernel(kernel_table, kernel_keys,
                                             kernel_keys + np.uint64(1),
                                             engine=args.engine)
@@ -1185,9 +1135,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fast fixed configuration (CI robustness check)")
     faults.add_argument("--engine", choices=("warp", "cohort"),
                         default="warp",
-                        help="kernel engine for the lane-level phase "
-                             "(fault-bearing inserts always execute "
-                             "per-warp; see repro.gpusim.cohort)")
+                        help="kernel engine for the lane-level phase; "
+                             "both engines run fault plans natively and "
+                             "make the same fault decisions")
 
     scenarios = sub.add_parser(
         "scenarios", help="composed soak scenarios with JSON scorecards "

@@ -15,9 +15,9 @@ load and churn waves are bulk maintenance, not request traffic.
 
 With ``differential=True`` the runner mirrors every operation (and
 every budget eviction) into a plain dict and asserts agreement after
-every batch — the same oracle as ``tests/test_differential_fuzz.py``,
-which makes the scaled-down tier-1 variants a correctness harness, not
-just a smoke test.
+every batch — the :class:`repro.oracle.DictModel` the differential
+fuzz tests use, which makes the scaled-down tier-1 variants a
+correctness harness, not just a smoke test.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.core.table import DyCuckooTable
 from repro.errors import ReproError
 from repro.faults import NO_FAULTS, FaultPlan
 from repro.gpusim.metrics import CostModel
+from repro.oracle import DictModel
 from repro.sanitizer import NULL_SANITIZER, Sanitizer
 from repro.scenarios.scorecard import SCHEMA, write_scorecard
 from repro.scenarios.spec import ScenarioSpec
@@ -70,57 +71,19 @@ def _compute_ns(operations) -> float:
     return weighted / total
 
 
-class _Model:
-    """Optional dict oracle mirroring every table mutation."""
+def _apply(table, op: Operation, model: DictModel | None) -> None:
+    """Run ``op``; with a model attached, raise on any lane divergence."""
+    if model is not None:
+        _raise_divergence(model.apply(table, op.kind, op.keys, op.values))
+    elif op.kind == "insert":
+        table.insert(op.keys, op.values)
+    else:
+        getattr(table, op.kind)(op.keys)
 
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self.data: dict[int, int] = {}
 
-    def apply(self, table, op: Operation) -> None:
-        if op.kind == "insert":
-            table.insert(op.keys, op.values)
-            if self.enabled:
-                for k, v in zip(op.keys.tolist(), op.values.tolist()):
-                    self.data[k] = v
-        elif op.kind == "find":
-            values, found = table.find(op.keys)
-            if self.enabled:
-                for i, k in enumerate(op.keys.tolist()):
-                    assert bool(found[i]) == (k in self.data), (
-                        f"find divergence on key {k}")
-                    if k in self.data:
-                        assert int(values[i]) == self.data[k], (
-                            f"value divergence on key {k}")
-        else:
-            removed = table.delete(op.keys)
-            if self.enabled:
-                expected = 0
-                seen = set()
-                for k in op.keys.tolist():
-                    if k in self.data and k not in seen:
-                        expected += 1
-                    seen.add(k)
-                    self.data.pop(k, None)
-                assert int(removed.sum()) == expected, "delete divergence"
-
-    def evict(self, keys: np.ndarray) -> None:
-        if self.enabled:
-            for k in keys.tolist():
-                self.data.pop(k, None)
-
-    def assert_agreement(self, table) -> None:
-        if not self.enabled:
-            return
-        assert len(table) == len(self.data), (
-            f"size divergence: table {len(table)} vs "
-            f"model {len(self.data)}")
-        if self.data:
-            keys = np.array(sorted(self.data), dtype=np.uint64)
-            values, found = table.find(keys)
-            assert bool(found.all()), "model key missing from table"
-            assert [int(v) for v in values] == [
-                self.data[int(k)] for k in keys], "model value divergence"
+def _raise_divergence(problems: list[str]) -> None:
+    if problems:
+        raise AssertionError("; ".join(problems[:3]))
 
 
 def _iter_batches(spec: ScenarioSpec, workload: YcsbWorkload):
@@ -218,7 +181,7 @@ def run_scenario(spec: ScenarioSpec, scale: float = 1.0,
                             zipf_exponent=spec.zipf_exponent,
                             seed=spec.seed)
     cost_model = CostModel(overhead_scale=scale)
-    model = _Model(differential)
+    model = DictModel() if differential else None
 
     problems: list[str] = []
     slo_samples: list[float] = []
@@ -237,11 +200,12 @@ def run_scenario(spec: ScenarioSpec, scale: float = 1.0,
             before = table.stats.snapshot()
             batch_ops = 0
             for op in operations:
-                model.apply(table, op)
+                _apply(table, op, model)
                 batch_ops += len(op)
             if budget is not None and budget.over_budget(table):
                 report = budget.enforce(table)
-                model.evict(report.evicted_keys)
+                if model is not None:
+                    model.evict(report.evicted_keys)
                 batch_ops += report.evicted
             delta = table.stats.delta(before)
             seconds = cost_model.batch_seconds(
@@ -266,10 +230,12 @@ def run_scenario(spec: ScenarioSpec, scale: float = 1.0,
             for part in _tables_of(table):
                 check_invariants(part)
             invariant_checks += 1
-            model.assert_agreement(table)
+            if model is not None:
+                _raise_divergence(model.divergence(table))
         table.validate()
         invariant_checks += 1
-        model.assert_agreement(table)
+        if model is not None:
+            _raise_divergence(model.divergence(table))
     except AssertionError as exc:
         error = f"divergence: {exc}"
         invariant_error = str(exc)

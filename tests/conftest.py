@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.config import DyCuckooConfig
 from repro.core.table import DyCuckooTable
@@ -53,3 +54,17 @@ def unique_keys(n: int, seed: int = 0, low: int = 1,
         more = rng.integers(low, high, n, dtype=np.int64).astype(np.uint64)
         drawn = np.unique(np.concatenate([drawn, more]))
     return drawn[:n]
+
+
+def batch_op_strategy(max_key: int, max_size: int,
+                      kinds=("insert", "delete", "find")):
+    """Hypothesis strategy for one batched op, ``(kind, keys[, values])``,
+    ready to unpack into :meth:`repro.oracle.DictModel.apply`."""
+    key = st.integers(min_value=0, max_value=max_key)
+    pair = st.tuples(key, st.integers(min_value=0, max_value=1 << 32))
+    keys = st.lists(key, min_size=1, max_size=max_size)
+    ops = {"insert": st.lists(pair, min_size=1, max_size=max_size).map(
+               lambda pairs: ("insert", *zip(*pairs))),
+           "delete": keys.map(lambda ks: ("delete", ks)),
+           "find": keys.map(lambda ks: ("find", ks))}
+    return st.one_of(*(ops[kind] for kind in kinds))

@@ -1,5 +1,7 @@
 """Tests for mixed-operation batch execution."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
 from repro.core.config import DyCuckooConfig
 from repro.core.table import DyCuckooTable
 from repro.errors import InvalidConfigError
+from repro.oracle import DictModel
+
+_KINDS = {OP_INSERT: "insert", OP_FIND: "find", OP_DELETE: "delete"}
 
 
 def fresh_table():
@@ -88,30 +93,16 @@ class TestExecuteMixed:
         values = np.array([v for _op, _k, v in program], dtype=np.uint64)
         result = execute_mixed(table, ops, keys, values)
 
-        # Replay with the documented per-run rules.
-        model: dict = {}
-        i = 0
-        while i < len(program):
-            j = i
-            while j < len(program) and program[j][0] == program[i][0]:
-                j += 1
-            kind = program[i][0]
-            segment = program[i:j]
-            if kind == OP_INSERT:
-                for _op, k, v in segment:
-                    model[k] = v  # last-wins within the run
-            elif kind == OP_FIND:
-                for pos, (_op, k, _v) in enumerate(segment, start=i):
-                    assert bool(result.found[pos]) == (k in model)
-                    if k in model:
-                        assert int(result.values[pos]) == model[k]
-            else:
-                seen = set()
-                for pos, (_op, k, _v) in enumerate(segment, start=i):
-                    expected = k in model and k not in seen
-                    assert bool(result.removed[pos]) == expected
-                    seen.add(k)
-                    model.pop(k, None)
-            i = j
+        # Replay run by run through the dict model, which applies the
+        # documented per-run rules to the recorded lanes.
+        model = DictModel()
+        starts = np.flatnonzero(np.diff(ops, prepend=-1))
+        for i, j in zip(starts, [*starts[1:], len(ops)]):
+            recorded = SimpleNamespace(
+                insert=lambda k, v: None,
+                find=lambda k: (result.values[i:j], result.found[i:j]),
+                delete=lambda k: result.removed[i:j])
+            assert model.apply(recorded, _KINDS[ops[i]], keys[i:j],
+                               values[i:j]) == []
         table.validate()
-        assert len(table) == len(model)
+        assert model.divergence(table) == []

@@ -115,6 +115,23 @@ class TestJsonOutput:
             assert profile["num_ops"] > 0
             assert profile["simulated_seconds"] > 0
 
+    def test_kernel_json_engines_conform(self, capsys):
+        payload = self._run_json(capsys, ["kernel", "--ops", "2000",
+                                          "--json"])
+        assert payload["conformant"] is True and payload["problems"] == []
+
+    def test_shard_parallel_json_identical(self, capsys):
+        payload = self._run_json(capsys, ["shard", "--keys", "2000",
+                                          "--parallel", "2", "--json"])
+        assert payload["parallel"]["identical"] is True
+
+    def test_faults_smoke_json_survives_on_both_engines(self, capsys):
+        reports = [self._run_json(capsys, ["faults", "--smoke", "--engine",
+                                           engine, "--json"])
+                   for engine in ("warp", "cohort")]
+        assert reports[0]["survived"] is True
+        assert reports[0] == reports[1]
+
 
 class TestTraceCommand:
     def test_trace_writes_chrome_trace(self, capsys, tmp_path):

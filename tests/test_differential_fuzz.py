@@ -27,54 +27,21 @@ from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.faults import FaultPlan, default_chaos_plan
+from repro.oracle import DictModel
 from repro.sanitizer import Sanitizer
 from repro.telemetry import FlightRecorder
 
+from .conftest import batch_op_strategy
+
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 
-KEY = st.integers(min_value=0, max_value=200)
-VALUE = st.integers(min_value=0, max_value=1 << 32)
-
-op_strategy = st.one_of(
-    st.tuples(st.just("insert"),
-              st.lists(st.tuples(KEY, VALUE), min_size=1, max_size=40)),
-    st.tuples(st.just("delete"), st.lists(KEY, min_size=1, max_size=40)),
-    st.tuples(st.just("find"), st.lists(KEY, min_size=1, max_size=40)),
-)
+op_strategy = batch_op_strategy(max_key=200, max_size=40)
 
 
 def storm_config() -> DyCuckooConfig:
     """A tight fill band so nearly every batch crosses a resize bound."""
     return DyCuckooConfig(initial_buckets=8, bucket_capacity=4,
                           min_buckets=4, alpha=0.45, beta=0.55)
-
-
-def apply_batch(table: DyCuckooTable, model: dict, op) -> None:
-    kind, payload = op
-    if kind == "insert":
-        keys = np.array([k for k, _ in payload], dtype=np.uint64)
-        values = np.array([v for _, v in payload], dtype=np.uint64)
-        table.insert(keys, values)
-        for k, v in payload:
-            model[k] = v
-    elif kind == "delete":
-        keys = np.array(payload, dtype=np.uint64)
-        removed = table.delete(keys)
-        expected_removed = 0
-        seen = set()
-        for k in payload:
-            if k in model and k not in seen:
-                expected_removed += 1
-            seen.add(k)
-            model.pop(k, None)
-        assert int(removed.sum()) == expected_removed
-    else:
-        keys = np.array(payload, dtype=np.uint64)
-        values, found = table.find(keys)
-        for i, k in enumerate(payload):
-            assert bool(found[i]) == (k in model)
-            if k in model:
-                assert int(values[i]) == model[k]
 
 
 def recorder_digest(table: DyCuckooTable) -> str:
@@ -99,15 +66,6 @@ def assert_sanitizer_clean(table: DyCuckooTable) -> None:
         assert not san.report()["subtable_locks_held"]
 
 
-def assert_model_agreement(table: DyCuckooTable, model: dict) -> None:
-    assert len(table) == len(model)
-    if model:
-        keys = np.array(sorted(model), dtype=np.uint64)
-        values, found = table.find(keys)
-        assert bool(found.all())
-        assert [int(v) for v in values] == [model[int(k)] for k in keys]
-
-
 class TestFaultFreeFuzz:
     @given(st.lists(op_strategy, min_size=1, max_size=25))
     @settings(max_examples=MAX_EXAMPLES, deadline=None,
@@ -116,16 +74,16 @@ class TestFaultFreeFuzz:
         table = DyCuckooTable(storm_config())
         table.attach(Instruments(sanitizer=Sanitizer(),
                                  recorder=FlightRecorder()))
-        model: dict = {}
+        model = DictModel()
         mutated = False
         try:
             for op in ops:
-                apply_batch(table, model, op)
+                assert model.apply(table, *op) == []
                 mutated = mutated or op[0] != "find"
                 # Fill bounds are only enforceable once a mutating batch
                 # has given enforce_bounds a chance to run.
                 check_invariants(table, check_fill=mutated)
-            assert_model_agreement(table, model)
+            assert model.divergence(table) == []
             assert_sanitizer_clean(table)
         except AssertionError as exc:
             raise AssertionError(
@@ -143,12 +101,12 @@ class TestFaultInjectedFuzz:
         plan = default_chaos_plan(seed=fault_seed, intensity=intensity)
         table.attach(Instruments(sanitizer=Sanitizer(),
                                  recorder=FlightRecorder(), faults=plan))
-        model: dict = {}
+        model = DictModel()
         try:
             for op in ops:
-                apply_batch(table, model, op)
+                assert model.apply(table, *op) == []
                 check_invariants(table)
-            assert_model_agreement(table, model)
+            assert model.divergence(table) == []
             # Injected faults must classify as intentional, not as
             # races or lock-discipline violations.
             assert_sanitizer_clean(table)
@@ -166,16 +124,16 @@ class TestFaultInjectedFuzz:
         live = DyCuckooTable(storm_config())
         plan = default_chaos_plan(seed=fault_seed)
         live.attach(Instruments(faults=plan))
-        model: dict = {}
+        model = DictModel()
         for op in ops:
-            apply_batch(live, model, op)
+            assert model.apply(live, *op) == []
 
         replayed = DyCuckooTable(storm_config())
         replayed.attach(Instruments(
             faults=FaultPlan.from_script(plan.to_script())))
-        replay_model: dict = {}
+        replay_model = DictModel()
         for op in ops:
-            apply_batch(replayed, replay_model, op)
+            assert replay_model.apply(replayed, *op) == []
         assert live.to_dict() == replayed.to_dict()
         assert sorted(live.stash.export_entries()[0].tolist()) == \
             sorted(replayed.stash.export_entries()[0].tolist())
@@ -207,27 +165,24 @@ class TestStashDrainDownsizeFuzz:
                          storms={"insert.evict": 4})
         table.attach(Instruments(sanitizer=Sanitizer(),
                                  recorder=FlightRecorder(), faults=plan))
-        model: dict = {}
+        model = DictModel()
         try:
             # Degrade phase: hypothesis-driven traffic under eviction
             # faults and resize aborts seeds the stash.
             for op in ops:
-                apply_batch(table, model, op)
+                assert model.apply(table, *op) == []
                 check_invariants(table)
-                assert len(table) == len(model)
+                assert len(table) == len(model.data)
             # Drain-back phase: delete every live key in waves, so
             # each wave can cross the alpha bound, downsize, and open
             # a fresh drain epoch while the stash is still occupied.
-            live = sorted(model)
+            live = sorted(model.data)
             for start in range(0, len(live), 16):
-                wave = np.array(live[start:start + 16], dtype=np.uint64)
-                removed = table.delete(wave)
-                assert int(removed.sum()) == len(wave)
-                for k in wave.tolist():
-                    model.pop(int(k), None)
+                assert model.apply(table, "delete",
+                                   live[start:start + 16]) == []
                 check_invariants(table)
-                assert len(table) == len(model)
-            assert_model_agreement(table, model)
+                assert len(table) == len(model.data)
+            assert model.divergence(table) == []
             assert_sanitizer_clean(table)
         except AssertionError as exc:
             raise AssertionError(
@@ -251,37 +206,32 @@ class TestStashDrainDownsizeFuzz:
                                 "resize.abort.rehash": 0.3},
                          storms={"insert.evict": 4})
         table.attach(Instruments(sanitizer=Sanitizer(), faults=plan))
-        model: dict = {}
+        model = DictModel()
         keys = np.arange(1, 601, dtype=np.uint64)
         for start in range(0, 600, 40):
             wave = keys[start:start + 40]
-            table.insert(wave, wave * np.uint64(5))
-            for k in wave.tolist():
-                model[k] = k * 5
+            assert model.apply(table, "insert", wave,
+                               wave * np.uint64(5)) == []
             check_invariants(table)
         assert table.stash.high_water > 0, "stash never degraded"
 
         witnessed = False
         for start in range(560, -40, -40):
             before = table.stats.snapshot()
-            wave = keys[start:start + 40]
-            removed = table.delete(wave)
-            expected = sum(1 for k in wave.tolist() if k in model)
-            assert int(removed.sum()) == expected
-            for k in wave.tolist():
-                model.pop(k, None)
+            assert model.apply(table, "delete",
+                               keys[start:start + 40]) == []
             delta = table.stats.delta(before)
             if delta.get("downsizes", 0) and delta.get("stash_drained", 0):
                 witnessed = True
             check_invariants(table)
-            assert len(table) == len(model)
+            assert len(table) == len(model.data)
         assert witnessed, \
             "no delete batch combined a downsize with a stash drain"
         stats = table.stats.snapshot()
         assert stats["stash_pushes"] > 0
         assert stats["stash_drained"] > 0
         assert stats["downsizes"] > 0
-        assert_model_agreement(table, model)
+        assert model.divergence(table) == []
         assert_sanitizer_clean(table)
 
 
@@ -293,38 +243,28 @@ class TestDeterministicAcceptance:
             initial_buckets=16, bucket_capacity=8, min_buckets=8))
         plan = default_chaos_plan(seed=2021)
         table.attach(Instruments(sanitizer=Sanitizer(), faults=plan))
-        model: dict = {}
+        model = DictModel()
         rng = np.random.default_rng(2021)
         total_ops = 0
         while total_ops < 10_000:
             insert_keys = rng.integers(0, 2_000, 128, dtype=np.uint64)
-            insert_values = insert_keys * np.uint64(7) + np.uint64(1)
-            table.insert(insert_keys, insert_values)
-            for k, v in zip(insert_keys.tolist(), insert_values.tolist()):
-                model[k] = v
-
-            find_keys = rng.integers(0, 2_000, 64, dtype=np.uint64)
-            values, found = table.find(find_keys)
-            for i, k in enumerate(find_keys.tolist()):
-                assert bool(found[i]) == (k in model), \
-                    f"find divergence on key {k}\nREPLAY: " \
-                    f"FaultPlan.from_script({plan.script_json()!r})"
-                if k in model:
-                    assert int(values[i]) == model[k]
-
+            problems = model.apply(
+                table, "insert", insert_keys,
+                insert_keys * np.uint64(7) + np.uint64(1))
+            problems += model.apply(
+                table, "find", rng.integers(0, 2_000, 64, dtype=np.uint64))
             delete_keys = np.unique(
                 rng.integers(0, 2_000, 32, dtype=np.uint64))
-            removed = table.delete(delete_keys)
-            expected = sum(1 for k in delete_keys.tolist() if k in model)
-            assert int(removed.sum()) == expected
-            for k in delete_keys.tolist():
-                model.pop(k, None)
+            problems += model.apply(table, "delete", delete_keys)
+            assert problems == [], \
+                f"{problems}\nREPLAY: " \
+                f"FaultPlan.from_script({plan.script_json()!r})"
 
             check_invariants(table)
-            assert len(table) == len(model)
+            assert len(table) == len(model.data)
             total_ops += 128 + 64 + len(delete_keys)
 
-        assert table.to_dict() == model
+        assert model.divergence(table) == []
         assert plan.fired, "chaos plan never fired — rates are dead"
         assert_sanitizer_clean(table)
 
@@ -361,21 +301,21 @@ class TestMigrationEpochFuzz:
                                 "resize.abort.rehash": abort_rate})
         table.attach(Instruments(sanitizer=Sanitizer(),
                                  recorder=FlightRecorder(), faults=plan))
-        model: dict = {}
+        model = DictModel()
         mutated = False
         try:
             for op in ops:
-                apply_batch(table, model, op)
+                assert model.apply(table, *op) == []
                 mutated = mutated or op[0] != "find"
                 check_invariants(table, check_fill=mutated)
-                assert len(table) == len(model)
-            assert_model_agreement(table, model)
+                assert len(table) == len(model.data)
+            assert model.divergence(table) == []
             # Close every epoch the trickle budget left open, then the
             # settled table must still agree with the model.
             table.finalize_resizes()
             assert all(st_.migration is None for st_ in table.subtables)
             check_invariants(table, check_fill=mutated)
-            assert_model_agreement(table, model)
+            assert model.divergence(table) == []
             assert_sanitizer_clean(table)
         except AssertionError as exc:
             raise AssertionError(
@@ -392,20 +332,19 @@ class TestMigrationEpochFuzz:
         """
         table = DyCuckooTable(self._trickle_config())
         table.attach(Instruments(sanitizer=Sanitizer()))
-        model: dict = {}
+        model = DictModel()
         keys = np.arange(1, 241, dtype=np.uint64)
         saw_open_epoch = False
         for start in range(0, 240, 24):
             wave = keys[start:start + 24]
-            table.insert(wave, wave * np.uint64(3))
-            for k in wave.tolist():
-                model[k] = k * 3
+            assert model.apply(table, "insert", wave,
+                               wave * np.uint64(3)) == []
             if any(st_.migration is not None for st_ in table.subtables):
                 saw_open_epoch = True
             check_invariants(table, check_fill=True)
-            assert len(table) == len(model)
+            assert len(table) == len(model.data)
         assert saw_open_epoch, \
             "migration_budget=1 never left an epoch open at a batch end"
         table.finalize_resizes()
-        assert_model_agreement(table, model)
+        assert model.divergence(table) == []
         assert_sanitizer_clean(table)

@@ -25,6 +25,7 @@ from repro.core.config import DyCuckooConfig
 from repro.core.table import DyCuckooTable
 from repro.kernels import (run_delete_kernel, run_find_kernel,
                            run_spin_insert_kernel, run_voter_insert_kernel)
+from repro.oracle import twin_divergence
 
 from .conftest import unique_keys
 
@@ -60,23 +61,16 @@ def assert_conforms(table, model: dict) -> None:
     check_invariants(table)
     assert table.to_dict() == model
     if model:
-        model_keys = np.fromiter(model.keys(), dtype=np.uint64)
-        values, found = table.find(model_keys)
-        assert bool(found.all())
-        expected = np.fromiter((model[int(k)] for k in model_keys),
-                               dtype=np.uint64)
-        assert np.array_equal(values, expected)
-        # The kernel FIND must agree with the vectorized FIND — through
-        # both execution engines, with identical cost counters.
-        kernel_values, kernel_found, warp_stats = run_find_kernel(
-            table, model_keys)
-        assert np.array_equal(kernel_found, found)
-        assert np.array_equal(kernel_values, values)
-        cohort_values, cohort_found, cohort_stats = run_find_kernel(
-            table, model_keys, engine="cohort")
-        assert np.array_equal(cohort_found, found)
-        assert np.array_equal(cohort_values, values)
-        assert cohort_stats == warp_stats
+        keys = np.fromiter(model.keys(), dtype=np.uint64)
+        want = (np.fromiter(model.values(), dtype=np.uint64),
+                np.ones(len(keys), dtype=bool))
+        # The vectorized FIND and the kernel FIND must both return the
+        # model — through both engines, with identical cost counters.
+        assert twin_divergence(None, table.find(keys), None, want) == []
+        warp = run_find_kernel(table, keys)
+        assert twin_divergence(None, warp[:2], None, want) == []
+        assert twin_divergence(None, warp, None, run_find_kernel(
+            table, keys, engine="cohort")) == []
 
 
 class TestIdenticalBatches:

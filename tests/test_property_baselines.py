@@ -5,57 +5,19 @@ MegaKV and SlabHash (CUDPP has no delete, so its program space is
 insert/find only).
 """
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.cudpp import CudppHashTable
 from repro.baselines.megakv import MegaKVTable
 from repro.baselines.slab import SlabHashTable
+from repro.oracle import DictModel
 
-KEY = st.integers(min_value=0, max_value=150)
-VALUE = st.integers(min_value=0, max_value=1 << 32)
+from .conftest import batch_op_strategy
 
-full_op = st.one_of(
-    st.tuples(st.just("insert"),
-              st.lists(st.tuples(KEY, VALUE), min_size=1, max_size=30)),
-    st.tuples(st.just("delete"), st.lists(KEY, min_size=1, max_size=30)),
-    st.tuples(st.just("find"), st.lists(KEY, min_size=1, max_size=30)),
-)
-
-read_write_op = st.one_of(
-    st.tuples(st.just("insert"),
-              st.lists(st.tuples(KEY, VALUE), min_size=1, max_size=30)),
-    st.tuples(st.just("find"), st.lists(KEY, min_size=1, max_size=30)),
-)
-
-
-def apply_batch(table, model: dict, op) -> None:
-    kind, payload = op
-    if kind == "insert":
-        keys = np.array([k for k, _v in payload], dtype=np.uint64)
-        values = np.array([v for _k, v in payload], dtype=np.uint64)
-        table.insert(keys, values)
-        for k, v in payload:
-            model[k] = v
-    elif kind == "delete":
-        keys = np.array(payload, dtype=np.uint64)
-        removed = table.delete(keys)
-        expected = 0
-        seen = set()
-        for k in payload:
-            if k in model and k not in seen:
-                expected += 1
-            seen.add(k)
-            model.pop(k, None)
-        assert int(removed.sum()) == expected
-    else:
-        keys = np.array(payload, dtype=np.uint64)
-        values, found = table.find(keys)
-        for i, k in enumerate(payload):
-            assert bool(found[i]) == (k in model), (kind, k)
-            if k in model:
-                assert int(values[i]) == model[k]
+full_op = batch_op_strategy(max_key=150, max_size=30)
+read_write_op = batch_op_strategy(max_key=150, max_size=30,
+                                  kinds=("insert", "find"))
 
 
 class TestMegaKVModel:
@@ -64,10 +26,10 @@ class TestMegaKVModel:
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_dict(self, ops):
         table = MegaKVTable(initial_buckets=8, bucket_capacity=4)
-        model: dict = {}
+        model = DictModel()
         for op in ops:
-            apply_batch(table, model, op)
-            assert len(table) == len(model)
+            assert model.apply(table, *op) == []
+            assert len(table) == len(model.data)
         table.validate()
 
 
@@ -77,10 +39,10 @@ class TestSlabModel:
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_dict(self, ops):
         table = SlabHashTable(n_buckets=4)
-        model: dict = {}
+        model = DictModel()
         for op in ops:
-            apply_batch(table, model, op)
-            assert len(table) == len(model)
+            assert model.apply(table, *op) == []
+            assert len(table) == len(model.data)
         table.validate()
 
     @given(st.lists(full_op, min_size=1, max_size=20))
@@ -89,10 +51,10 @@ class TestSlabModel:
     def test_memory_never_shrinks(self, ops):
         """Symbolic deletion: allocated slots are monotone."""
         table = SlabHashTable(n_buckets=4)
-        model: dict = {}
+        model = DictModel()
         slots = table.total_slots
         for op in ops:
-            apply_batch(table, model, op)
+            assert model.apply(table, *op) == []
             assert table.total_slots >= slots
             slots = table.total_slots
 
@@ -103,8 +65,8 @@ class TestCudppModel:
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_dict(self, ops):
         table = CudppHashTable(expected_entries=400, target_fill=0.5)
-        model: dict = {}
+        model = DictModel()
         for op in ops:
-            apply_batch(table, model, op)
-            assert len(table) == len(model)
+            assert model.apply(table, *op) == []
+            assert len(table) == len(model.data)
         table.validate()

@@ -7,51 +7,16 @@ filled factor must respect the configured bounds whenever the table had
 a chance to enforce them.
 """
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DyCuckooConfig
 from repro.core.table import DyCuckooTable
+from repro.oracle import DictModel
 
-KEY = st.integers(min_value=0, max_value=200)
-VALUE = st.integers(min_value=0, max_value=1 << 32)
+from .conftest import batch_op_strategy
 
-
-op_strategy = st.one_of(
-    st.tuples(st.just("insert"),
-              st.lists(st.tuples(KEY, VALUE), min_size=1, max_size=40)),
-    st.tuples(st.just("delete"), st.lists(KEY, min_size=1, max_size=40)),
-    st.tuples(st.just("find"), st.lists(KEY, min_size=1, max_size=40)),
-)
-
-
-def apply_batch(table: DyCuckooTable, model: dict, op) -> None:
-    kind, payload = op
-    if kind == "insert":
-        keys = np.array([k for k, _ in payload], dtype=np.uint64)
-        values = np.array([v for _, v in payload], dtype=np.uint64)
-        table.insert(keys, values)
-        for k, v in payload:
-            model[k] = v
-    elif kind == "delete":
-        keys = np.array(payload, dtype=np.uint64)
-        removed = table.delete(keys)
-        expected_removed = 0
-        seen = set()
-        for k in payload:
-            if k in model and k not in seen:
-                expected_removed += 1
-            seen.add(k)
-            model.pop(k, None)
-        assert int(removed.sum()) == expected_removed
-    else:
-        keys = np.array(payload, dtype=np.uint64)
-        values, found = table.find(keys)
-        for i, k in enumerate(payload):
-            assert bool(found[i]) == (k in model)
-            if k in model:
-                assert int(values[i]) == model[k]
+op_strategy = batch_op_strategy(max_key=200, max_size=40)
 
 
 class TestTableAgainstModel:
@@ -62,16 +27,12 @@ class TestTableAgainstModel:
         table = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
                                              bucket_capacity=4,
                                              min_buckets=8))
-        model: dict = {}
+        model = DictModel()
         for op in ops:
-            apply_batch(table, model, op)
-            assert len(table) == len(model)
+            assert model.apply(table, *op) == []
+            assert len(table) == len(model.data)
         table.validate()
-        if model:
-            keys = np.array(sorted(model), dtype=np.uint64)
-            values, found = table.find(keys)
-            assert found.all()
-            assert [int(v) for v in values] == [model[int(k)] for k in keys]
+        assert model.divergence(table) == []
 
     @given(st.lists(op_strategy, min_size=1, max_size=15),
            st.sampled_from([2, 3, 4]))
@@ -81,23 +42,22 @@ class TestTableAgainstModel:
         table = DyCuckooTable(DyCuckooConfig(num_tables=d, initial_buckets=8,
                                              bucket_capacity=4,
                                              min_buckets=8))
-        model: dict = {}
+        model = DictModel()
         for op in ops:
-            apply_batch(table, model, op)
+            assert model.apply(table, *op) == []
             table.validate()
             # Beta bound holds after every public batch (alpha may be
             # unreachable when all subtables sit at min size).
             assert table.load_factor <= table.config.beta + 1e-9
 
-    @given(st.lists(st.tuples(KEY, VALUE), min_size=1, max_size=200))
+    @given(batch_op_strategy(max_key=200, max_size=200, kinds=("insert",)))
     @settings(max_examples=40, deadline=None)
-    def test_bulk_insert_then_full_scan(self, pairs):
+    def test_bulk_insert_then_full_scan(self, op):
         table = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
                                              bucket_capacity=4))
-        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
-        values = np.array([v for _, v in pairs], dtype=np.uint64)
-        table.insert(keys, values)
-        model = {k: v for k, v in pairs}  # last wins, same as the table
-        assert len(table) == len(model)
+        model = DictModel()  # last writer wins, same as the table
+        assert model.apply(table, *op) == []
+        assert len(table) == len(model.data)
         out_keys, out_values = table.items()
-        assert {int(k): int(v) for k, v in zip(out_keys, out_values)} == model
+        assert {int(k): int(v)
+                for k, v in zip(out_keys, out_values)} == model.data

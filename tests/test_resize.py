@@ -10,6 +10,7 @@ from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import ResizeError
 from repro.faults import FaultPlan
 from repro.kernels import run_voter_insert_kernel
+from repro.oracle import DictModel
 
 from .conftest import unique_keys
 
@@ -268,24 +269,17 @@ class TestErrorHandlingRegressions:
             alpha=0.45, beta=0.55, stash_capacity=4096))
         table.attach(Instruments(faults=FaultPlan(seed=9, rates={
             "resize.abort.rehash": 1.0, "insert.evict": 0.2})))
-        model = {}
+        model = DictModel()
         rng = np.random.default_rng(33)
         for wave in range(6):
             keys = rng.integers(1, 400, 60).astype(np.uint64)
-            table.insert(keys, keys * np.uint64(2))
-            for k in keys.tolist():
-                model[k] = k * 2
-            dels = rng.integers(1, 400, 20).astype(np.uint64)
-            table.delete(dels)
-            for k in dels.tolist():
-                model.pop(k, None)
-            probe = np.array(sorted(model), dtype=np.uint64)
-            values, found = table.find(probe)
-            assert found.all(), f"lost keys in wave {wave}"
-            assert np.array_equal(values,
-                                  probe * np.uint64(2))
+            assert model.apply(table, "insert", keys,
+                               keys * np.uint64(2)) == []
+            assert model.apply(table, "delete", rng.integers(
+                1, 400, 20).astype(np.uint64)) == [], f"wave {wave}"
+            assert model.divergence(table) == [], f"lost keys in wave {wave}"
         missing = np.array([k for k in range(1, 400)
-                            if k not in model], dtype=np.uint64)
+                            if k not in model.data], dtype=np.uint64)
         _, found = table.find(missing)
         assert not found.any()
 
