@@ -65,6 +65,17 @@ def _fold_in_place(x: np.ndarray, scratch: np.ndarray) -> None:
     np.minimum(x, scratch, out=x)
 
 
+def _affine_mod_p(mixed: np.ndarray, a, b) -> np.ndarray:
+    """``(a * fold(mixed) + b) mod p`` in place; ``a``/``b`` broadcast."""
+    scratch = np.empty_like(mixed)
+    _fold_in_place(mixed, scratch)
+    # a < 2**31 and the fold < 2**31, so the product fits in uint64.
+    mixed *= a
+    mixed += b
+    _fold_in_place(mixed, scratch)
+    return mixed
+
+
 class UniversalHash:
     """One member of the universal family ``(a*k + b mod p) mod range``.
 
@@ -100,14 +111,8 @@ class UniversalHash:
         """Return hash values in ``[0, p)`` for an array of uint64 codes."""
         codes = np.asarray(codes, dtype=np.uint64)
         mixed = np.empty_like(codes)
-        scratch = np.empty_like(codes)
         np.bitwise_xor(codes, self.premix, out=mixed)
-        _fold_in_place(mixed, scratch)
-        # a < 2**31 and the fold < 2**31, so the product fits in uint64.
-        mixed *= self.a
-        mixed += self.b
-        _fold_in_place(mixed, scratch)
-        return mixed
+        return _affine_mod_p(mixed, self.a, self.b)
 
     def bucket(self, codes: np.ndarray, n_buckets: int) -> np.ndarray:
         """Return bucket indices in ``[0, n_buckets)``.
@@ -139,6 +144,28 @@ class UniversalHash:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"UniversalHash(a={int(self.a)}, b={int(self.b)}, "
                 f"premix=0x{int(self.premix):x})")
+
+
+class HashStack:
+    """Several :class:`UniversalHash` functions with stacked constants.
+
+    :meth:`raw` hashes each code under its own member in one vectorized
+    pass, element for element equal to ``hashes[which].raw(code)``.
+    The constants are copied at construction, so a stack is valid until
+    one of its functions is replaced (a persistence load does that).
+    """
+
+    __slots__ = ("a", "b", "premix")
+
+    def __init__(self, hashes: list[UniversalHash]) -> None:
+        self.a = np.array([h.a for h in hashes], dtype=np.uint64)
+        self.b = np.array([h.b for h in hashes], dtype=np.uint64)
+        self.premix = np.array([h.premix for h in hashes], dtype=np.uint64)
+
+    def raw(self, codes: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """Hash ``codes`` under the members ``which`` (broadcast together)."""
+        return _affine_mod_p(np.bitwise_xor(codes, self.premix[which]),
+                             self.a[which], self.b[which])
 
 
 class PairHash:

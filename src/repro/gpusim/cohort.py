@@ -11,22 +11,31 @@ with a handful of vectorized mask operations:
 * lane ballots are ``uint32`` masks in a ``(W,)`` array instead of
   per-warp bool vectors;
 * leader election (including the voter scheme's rotating start lane) is
-  a bitwise rotate plus a count-trailing-zeros over all warps at once;
+  a start-lane mask plus a count-trailing-zeros over all warps at once;
 * per-round lock arbitration replaces the per-resource
-  :class:`~repro.gpusim.kernel.LockArbiter` loop with sorted-group
-  winner selection over ``(lock_id, round_position)`` pairs;
+  :class:`~repro.gpusim.kernel.LockArbiter` loop: when no lock id
+  repeats among the round's candidates and holders and no injected
+  stall camps on a bucket, every candidate wins at once (the common
+  case); otherwise sorted-group winner selection over
+  ``(lock_id, round_position)`` pairs decides;
 * every lane carries its key's raw hashes under its target and
   alternate subtables, so a round resolves buckets with one masked
   gather (the launch's
-  :meth:`~repro.core.table.DyCuckooTable.bucket_resolver`) and only
-  evicted victims are hashed again;
-* bucket inspection and writes (existing-key ballot, alternate probe,
-  free-slot ballot, victim choice, upsert/place/evict) address every
-  subtable through one flat arena
-  (:meth:`~repro.core.table.DyCuckooTable.flat_storage`): bucket ``b``
-  of subtable ``t`` is arena row ``row_offset[t] + b``, so each is one
-  gather or scatter per round.  Lock ids, sanitizer addresses and
-  profiler keys stay ``(t << 40) | b``.
+  :meth:`~repro.core.table.DyCuckooTable.bucket_resolver`); an evicting
+  round hashes its victims once more, in one
+  :class:`~repro.core.hashing.HashStack` call that evaluates each
+  victim under exactly its new target and the subtable it left;
+* phase two classifies every locked warp in one pass: the first true
+  column of ``[own == key | alt == key | own == EMPTY | True]`` is the
+  outcome (upsert, alternate hit, place, evict) and the slot, and a
+  hazard-free round lands all its value writes as one scatter;
+* bucket inspection and writes address every subtable through one flat
+  arena (:meth:`~repro.core.table.DyCuckooTable.flat_storage`): bucket
+  ``b`` of subtable ``t`` is arena row ``row_offset[t] + b``, so each
+  is one gather or scatter per round.  Lock ids, sanitizer addresses
+  and profiler keys stay ``(t << 40) | b``;
+* placements are counted per subtable and added to ``Subtable.size``
+  once, when the launch ends (also when it raises).
 
 Conformance contract
 --------------------
@@ -54,8 +63,8 @@ approximate:
    round; a hazardous round re-resolves the alternate-bucket probes
    with a vectorized fixpoint over the round's key writes
    (:func:`_resolve_hazard`) and lands the value writes
-   last-writer-wins in permutation order (:func:`_apply_hazard_round`)
-   — the reference replay semantics at array speed.  Fault-free
+   last-writer-wins in permutation order — the reference replay
+   semantics at array speed.  Fault-free
    unique-key workloads essentially never trip the hazards.
 
 3. **Fault plans in the SoA path.**  :class:`repro.faults.FaultPlan`
@@ -81,6 +90,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.hashing import HashStack
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
 from repro.sanitizer import NULL_SANITIZER
@@ -97,6 +107,12 @@ _SITE_EXIT = "repro/gpusim/cohort.py:cohort_insert"
 
 _U32_MASK = np.uint64(0xFFFFFFFF)
 _ONE = np.uint64(1)
+#: Per lane ``l``: the ballot mask with bit ``l`` cleared.
+_LANE_CLEAR = ~(_ONE << np.arange(32, dtype=np.uint64))
+_BUCKET_MASK = (1 << 40) - 1
+
+#: Phase-two outcomes, in predicate-block order (see :func:`_phase_two`).
+_UPSERT, _ALT_HIT, _PLACE, _EVICT = range(4)
 
 
 def _ctz(masks: np.ndarray) -> np.ndarray:
@@ -223,37 +239,38 @@ def cohort_delete(table, batch):
 # ----------------------------------------------------------------------
 
 class _CohortState:
-    """All resident warps of one insert launch, structure-of-arrays."""
+    """All resident warps of one insert launch, structure-of-arrays.
+
+    Per-lane arrays are flat: lane ``l`` of warp ``w`` is element
+    ``w * 32 + l``, so a round gathers its leaders with one index.
+    """
 
     def __init__(self, table, batch, values: np.ndarray,
-                 targets: np.ndarray) -> None:
-        #: The launch's storage arena and bucket resolver; a launch never
-        #: resizes, so both hold for every round.
+                 targets: np.ndarray, voter: bool) -> None:
+        #: The launch's storage arena, bucket resolver and stacked
+        #: second-layer hashes; a launch never resizes, so all three
+        #: hold for every round.
         self.arena = table.flat_storage()
         self.bucket_of = table.bucket_resolver()
+        self.hashes = HashStack(table.table_hashes)
+        self.voter = voter
         n = len(batch)
         width = WARP_WIDTH
         self.num_warps = (n + width - 1) // width
         W = self.num_warps
-        self.keys = np.zeros((W, width), dtype=np.uint64)
-        self.values = np.zeros((W, width), dtype=np.uint64)
-        self.targets = np.zeros((W, width), dtype=np.int64)
-        self.keys.ravel()[:n] = batch.codes
-        self.values.ravel()[:n] = values
-        self.targets.ravel()[:n] = targets
-        #: Per lane: the other subtable of its key's pair, and the key's
-        #: 31-bit raw hashes under its target and that alternate.  The
-        #: rounds read these; only an evicted victim is hashed again
-        #: (:func:`_rehash_victims`).
+        #: Per lane: its key, value and target, the other subtable of its
+        #: key's pair, and the key's 31-bit raw hashes under its target
+        #: and that alternate.  The rounds read these; only an evicted
+        #: victim is hashed again.
         alts = batch.first + batch.second - targets
         raws = np.stack([batch.raw(t) for t in range(batch.table.num_tables)])
-        lanes = np.arange(n)
-        self.alts = np.zeros((W, width), dtype=np.int64)
-        self.raw = np.zeros((W, width), dtype=np.uint32)
-        self.alt_raw = np.zeros((W, width), dtype=np.uint32)
-        self.alts.ravel()[:n] = alts
-        self.raw.ravel()[:n] = raws[targets, lanes]
-        self.alt_raw.ravel()[:n] = raws[alts, lanes]
+        idx = np.arange(n)
+        pad = W * width - n
+        (self.keys, self.values, self.targets, self.alts, self.raw,
+         self.alt_raw) = (
+             np.concatenate([x, np.zeros(pad, x.dtype)])
+             for x in (batch.codes, values, targets, alts,
+                       raws[targets, idx], raws[alts, idx]))
         #: Lane ballots: bit ``l`` set while lane ``l`` still has work.
         self.active = np.zeros(W, dtype=np.uint64)
         full, rem = divmod(n, width)
@@ -261,15 +278,20 @@ class _CohortState:
         if rem:
             self.active[full] = (_ONE << np.uint64(rem)) - _ONE
         #: Voter scheme: lane the next election starts scanning from.
-        self.next_start = np.zeros(W, dtype=np.int64)
+        self.next_start = np.zeros(W, dtype=np.uint64)
         #: Consecutive lock-failure rounds (stall detector).
         self.stalled = np.zeros(W, dtype=np.int64)
-        #: Program counter, effectively: a locked warp is in phase two.
+        #: Program counter, effectively: a locked warp is in phase two
+        #: on its leader's flat lane, holding one arena row's lock.
         self.locked = np.zeros(W, dtype=bool)
-        self.lk_leader = np.zeros(W, dtype=np.int64)
-        self.lk_target = np.zeros(W, dtype=np.int64)
-        self.lk_bucket = np.zeros(W, dtype=np.int64)
+        self.lk_lane = np.zeros(W, dtype=np.int64)
+        self.lk_row = np.zeros(W, dtype=np.int64)
         self.lk_lockid = np.zeros(W, dtype=np.int64)
+        #: Entries placed per subtable; added to ``Subtable.size`` once,
+        #: when the launch ends (normally or not).
+        self.placed = np.zeros(table.num_tables, dtype=np.int64)
+        #: Phase two's "no slot matched" predicate column.
+        self.evict_col = np.ones((W, 1), dtype=bool)
         #: Per-lane eviction-chain depth; allocated only when a profiler
         #: is attached (see :func:`cohort_insert`), ``None`` otherwise.
         self.depth: np.ndarray | None = None
@@ -302,7 +324,7 @@ def cohort_insert(table, batch, values: np.ndarray,
     if len(batch) == 0:
         return result
     state = _CohortState(table, batch, np.asarray(values, dtype=np.uint64),
-                         np.asarray(targets, dtype=np.int64))
+                         np.asarray(targets, dtype=np.int64), voter)
     rng = np.random.default_rng(0)
     W = state.num_warps
     rounds = 0
@@ -313,18 +335,20 @@ def cohort_insert(table, batch, values: np.ndarray,
     #: the cohort-local mirror of ``LockArbiter._stalled``.
     stalled_locks: dict[int, int] = {}
     if prof.enabled:
-        state.depth = np.zeros((W, WARP_WIDTH), dtype=np.int64)
+        state.depth = np.zeros(W * WARP_WIDTH, dtype=np.int64)
     if san.enabled:
         san.begin_kernel("insert", locking=True, table=table)
     # Round-invariant scratch, hoisted out of the loop: the permutation
     # -> position scatter buffer and its identity source.
     pos = np.empty(W, dtype=np.int64)
     base = np.arange(W, dtype=np.int64)
+    no_warps = base[:0]
     # Occupancy tracked as plain ints so the per-round profiler sample
     # costs no array reductions: live lanes fall as ops complete, a
     # warp leaves residency when its ballot empties, and the locked
     # count entering a round is exactly last round's winner count
-    # (every held lock is released in its phase two).
+    # (every held lock is released in its phase two).  A resident warp
+    # either holds a lock or is a phase-one candidate.
     live_lanes = len(batch)
     resident = W
     locked_count = 0
@@ -348,13 +372,20 @@ def cohort_insert(table, batch, values: np.ndarray,
                                       result.completed_ops))
             perm = rng.permutation(W)
             pos[perm] = base
-            ph2 = np.flatnonzero(state.locked)
-            ph1 = np.flatnonzero(~state.locked & (state.active != 0))
+            ph2 = ph1 = no_warps
+            if locked_count:
+                ph2 = state.locked.nonzero()[0]
+                if resident > locked_count:
+                    ph1 = (~state.locked & (state.active != 0)).nonzero()[0]
+            else:
+                ph1 = (state.active != 0).nonzero()[0]
             # Lock holders at round start: they complete and release at
             # their permutation position, which phase-one arbitration
             # needs.
-            holder_ids = state.lk_lockid[ph2]
-            holder_pos = pos[ph2]
+            holder_ids = holder_pos = no_warps
+            if len(ph1) and len(ph2):
+                holder_ids = state.lk_lockid[ph2]
+                holder_pos = pos[ph2]
             if len(ph2):
                 hazard, n_done, n_dead = _phase_two(
                     table, state, result, ph2, pos, san, prof)
@@ -369,8 +400,8 @@ def cohort_insert(table, batch, values: np.ndarray,
             if len(ph1):
                 locked_count = _phase_one(
                     table, state, result, ph1, pos, holder_ids,
-                    holder_pos, voter, max_rounds_per_op, san, prof,
-                    fp, stalled_locks)
+                    holder_pos, max_rounds_per_op, san, prof, fp,
+                    stalled_locks)
             if fp is not None and stalled_locks:
                 # Mirror of LockArbiter.tick(): injected holder stalls
                 # age at the end of every device round.
@@ -393,13 +424,17 @@ def cohort_insert(table, batch, values: np.ndarray,
         # non-convergence abort fires with warps mid-critical-section.
         # Their bucket locks must be cleared on the way out (the warp
         # engine does the same via _InsertWarp.unwind_locks).
-        for w in np.flatnonzero(state.locked):
+        for w in state.locked.nonzero()[0]:
             if san.enabled:
                 san.on_unwind_release(int(w), int(state.lk_lockid[w]),
                                       site=_SITE_UNWIND)
         state.locked[:] = False
         raise
     finally:
+        # Every placement so far is in storage, raised or not; the warp
+        # engine counts each one as it lands.
+        for st, n in zip(table.subtables, state.placed.tolist()):
+            st.size += n
         if prof.enabled and round_samples:
             prof.record_rounds_many(round_samples)
         if san.enabled:
@@ -416,8 +451,7 @@ def cohort_insert(table, batch, values: np.ndarray,
 
 def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
                pos: np.ndarray, holder_ids: np.ndarray,
-               holder_pos: np.ndarray, voter: bool,
-               max_stall: int, san=NULL_SANITIZER,
+               holder_pos: np.ndarray, max_stall: int, san=NULL_SANITIZER,
                prof=NULL_PROFILER, fp=None,
                stalled_locks: dict | None = None) -> int:
     """Elect leaders, resolve buckets, arbitrate locks — all warps at once.
@@ -433,16 +467,16 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
         for i in range(len(ph1)):
             vote = int(m[i])
             san.on_vote(int(ph1[i]), vote, vote, site=_SITE_PH1)
-    if voter:
-        s = state.next_start[ph1].astype(np.uint64)
-        # Rotate the ballot so bit j is lane (start + j) % 32, then the
-        # first set bit is the first active lane at-or-after start.
-        rot = ((m >> s) | (m << (np.uint64(WARP_WIDTH) - s))) & _U32_MASK
-        leader = (state.next_start[ph1] + _ctz(rot)) % WARP_WIDTH
+    if state.voter:
+        # The first active lane at-or-after the start lane, else the
+        # first active lane (the scan wraps around the warp).
+        at_or_after = m & (_U32_MASK << state.next_start[ph1])
+        leader = _ctz(np.where(at_or_after != 0, at_or_after, m))
     else:
         leader = _ctz(m)
-    target = state.targets[ph1, leader]
-    bucket = state.bucket_of(target, state.raw[ph1, leader])
+    lane = ph1 * WARP_WIDTH + leader
+    target = state.targets[lane]
+    bucket = state.bucket_of(target, state.raw[lane])
     lock_id = (target << 40) | bucket
     my_pos = pos[ph1]
 
@@ -450,7 +484,87 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
     # not blocked by a phase-two holder stepping later (holders release
     # at their own position) and no earlier request already took it —
     # exactly what the per-request LockArbiter sees when the reference
-    # scheduler steps warps in permutation order.
+    # scheduler steps warps in permutation order.  When no lock id
+    # repeats among the candidates and the holders, and no injected
+    # stall camps on a bucket, every candidate wins.
+    ids = np.concatenate([lock_id, holder_ids]) if len(holder_ids) \
+        else lock_id.copy()
+    ids.sort()
+    win = None
+    if stalled_locks or np.count_nonzero(ids[1:] == ids[:-1]):
+        win, blocker_row = _arbitrate(lock_id, my_pos, holder_ids,
+                                      holder_pos, stalled_locks)
+        n_win = int(np.count_nonzero(win))
+    else:
+        n_win = len(ph1)
+    if fp is not None:
+        # In a fault-free round the plan is consulted exactly once per
+        # winner at each lock site, in permutation order: every other
+        # candidate is denied by the stalled/held/taken checks *before*
+        # the consult.  So the round's consult window at each site is
+        # [counter, counter + n_win); if no decision inside either
+        # window can fire, advance both counters wholesale and keep the
+        # vectorized winners.  Otherwise replay the reference
+        # arbitration walk so indices and side effects stay exact.
+        if (fp.window_may_fire("lock.acquire", n_win)
+                or fp.window_may_fire("lock.stall", n_win)):
+            if win is None:
+                blocker_row = np.full(len(ph1), -1, dtype=np.int64)
+            win = _phase_one_fault_walk(fp, stalled_locks, lock_id,
+                                        my_pos, blocker_row, san)
+            n_win = int(np.count_nonzero(win))
+        else:
+            fp.advance("lock.acquire", n_win)
+            fp.advance("lock.stall", n_win)
+    result.lock_acquisitions += n_win
+    result.lock_conflicts += len(ph1) - n_win
+    # Phase one of a won lock: one coalesced bucket read issued.
+    result.memory_transactions += n_win
+    if win is not None:
+        lose = ~win
+        l_idx, l_leader, l_lock = ph1[lose], leader[lose], lock_id[lose]
+        ph1, lane, target, bucket, lock_id = (
+            ph1[win], lane[win], target[win], bucket[win], lock_id[win])
+    if prof.enabled:
+        # Same grant/conflict attribution the LockArbiter hook makes on
+        # the reference path: winners acquired their leader's bucket
+        # lock, losers conflicted on theirs.
+        prof.lock_grants_many(lock_id)
+        if win is not None:
+            prof.lock_conflicts_many(l_lock)
+
+    state.locked[ph1] = True
+    state.lk_lane[ph1] = lane
+    state.lk_row[ph1] = state.arena.row_offset[target] + bucket
+    state.lk_lockid[ph1] = lock_id
+    state.stalled[ph1] = 0
+    if san.enabled:
+        for i, w in enumerate(ph1):
+            san.on_lock_acquire(int(w), int(lock_id[i]), site=_SITE_PH1)
+            san.record_access(int(w), "read", "bucket", int(lock_id[i]),
+                              site=_SITE_PH1)
+
+    if win is not None and len(l_idx):
+        if state.voter:
+            state.next_start[l_idx] = (l_leader + 1) % WARP_WIDTH
+        state.stalled[l_idx] += 1
+        if np.count_nonzero(state.stalled[l_idx] > max_stall):
+            raise CapacityError(
+                "insert kernel stalled: no lock progress "
+                f"after {max_stall} rounds"
+            )
+    return n_win
+
+
+def _arbitrate(lock_id: np.ndarray, my_pos: np.ndarray,
+               holder_ids: np.ndarray, holder_pos: np.ndarray,
+               stalled_locks: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-group lock arbitration for a round whose lock ids collide.
+
+    Returns the win mask over the candidates and, per candidate, the
+    permutation position of the phase-two holder of its lock (-1 if
+    none).
+    """
     order = np.lexsort((my_pos, lock_id))
     lid_s = lock_id[order]
     pos_s = my_pos[order]
@@ -481,65 +595,11 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
         [[0], running[starts[1:] - 1]]) if len(starts) > 1 else np.zeros(
             1, dtype=np.int64)
     winner_s = eligible & ((running - before_group[grp]) == 1)
-    win = np.zeros(len(ph1), dtype=bool)
+    win = np.zeros(len(lock_id), dtype=bool)
     win[order] = winner_s
-
-    n_win = int(win.sum())
-    if fp is not None:
-        # In a fault-free round the plan is consulted exactly once per
-        # winner at each lock site, in permutation order: every other
-        # candidate is denied by the stalled/held/taken checks *before*
-        # the consult.  So the round's consult window at each site is
-        # [counter, counter + n_win); if no decision inside either
-        # window can fire, advance both counters wholesale and keep the
-        # vectorized winners.  Otherwise replay the reference
-        # arbitration walk so indices and side effects stay exact.
-        if (fp.window_may_fire("lock.acquire", n_win)
-                or fp.window_may_fire("lock.stall", n_win)):
-            blocker_row = np.empty(len(ph1), dtype=np.int64)
-            blocker_row[order] = blocker
-            win = _phase_one_fault_walk(fp, stalled_locks, lock_id,
-                                        my_pos, blocker_row, san)
-            n_win = int(win.sum())
-        else:
-            fp.advance("lock.acquire", n_win)
-            fp.advance("lock.stall", n_win)
-    result.lock_acquisitions += n_win
-    result.lock_conflicts += len(ph1) - n_win
-    # Phase one of a won lock: one coalesced bucket read issued.
-    result.memory_transactions += n_win
-    if prof.enabled:
-        # Same grant/conflict attribution the LockArbiter hook makes on
-        # the reference path: winners acquired their leader's bucket
-        # lock, losers conflicted on theirs.
-        prof.lock_grants_many(lock_id[win])
-        prof.lock_conflicts_many(lock_id[~win])
-
-    w_idx = ph1[win]
-    state.locked[w_idx] = True
-    state.lk_leader[w_idx] = leader[win]
-    state.lk_target[w_idx] = target[win]
-    state.lk_bucket[w_idx] = bucket[win]
-    state.lk_lockid[w_idx] = lock_id[win]
-    state.stalled[w_idx] = 0
-    if san.enabled:
-        won_ids = lock_id[win]
-        for i, w in enumerate(w_idx):
-            san.on_lock_acquire(int(w), int(won_ids[i]), site=_SITE_PH1)
-            san.record_access(int(w), "read", "bucket", int(won_ids[i]),
-                              site=_SITE_PH1)
-
-    l_idx = ph1[~win]
-    if len(l_idx):
-        if voter:
-            state.next_start[l_idx] = (leader[~win] + 1) % WARP_WIDTH
-        state.stalled[l_idx] += 1
-        if bool(np.any(state.stalled[l_idx] > max_stall)):
-            raise CapacityError(
-                "insert kernel stalled: no lock progress "
-                f"after {max_stall} rounds"
-            )
-    return n_win
+    blocker_row = np.empty(len(lock_id), dtype=np.int64)
+    blocker_row[order] = blocker
+    return win, blocker_row
 
 
 def _phase_one_fault_walk(fp, stalled_locks: dict, lock_id: np.ndarray,
@@ -586,157 +646,162 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
                prof=NULL_PROFILER) -> tuple[bool, int, int]:
     """Complete every held lock: upsert, place, or evict, then release.
 
-    Classifies all locked warps from a start-of-round snapshot and
-    applies the whole round vectorized.  When a key-coincidence hazard
-    makes the order of operations observable, the alternate-bucket
-    probes are re-resolved by :func:`_resolve_hazard` and the value
-    writes land last-writer-wins in permutation order — still without
-    leaving the vectorized path.  Returns ``(hazard, n_done, n_dead)``:
-    whether the round was hazardous, how many lanes completed, and how
-    many warps finished their last lane.
+    Classifies all locked warps from a start-of-round snapshot in one
+    pass: the first true column of ``[own == key | alt == key |
+    own == EMPTY | True]`` gives the outcome (its block: upsert,
+    alternate hit, place, evict) and the slot (its offset).  When a
+    key-coincidence hazard makes the order of operations observable,
+    :func:`_resolve_hazard` re-resolves the alternate-bucket probes
+    first.  Returns ``(hazard, n_done, n_dead)``: whether the round was
+    hazardous, how many lanes completed, and how many warps finished
+    their last lane.
     """
     arena = state.arena
     cap = arena.keys.shape[1]
-    tgt = state.lk_target[ph2]
-    bkt = state.lk_bucket[ph2]
-    row = arena.row_offset[tgt] + bkt
-    ldr = state.lk_leader[ph2]
-    key = state.keys[ph2, ldr]
-    val = state.values[ph2, ldr]
+    lane = state.lk_lane[ph2]
+    row = state.lk_row[ph2]
+    key = state.keys[lane]
+    val = state.values[lane]
+    alt_t = state.alts[lane]
+    alt_b = state.bucket_of(alt_t, state.alt_raw[lane])
+    alt_row = arena.row_offset[alt_t] + alt_b
     mcount = len(ph2)
 
     own = arena.keys[row]
-    has_exist, exist_slot = _first_slot(own == key[:, None])
-    miss = np.flatnonzero(~has_exist)
-
-    # Alternate-bucket probe for every own-bucket miss.
-    m_warp = ph2[miss]
-    m_lane = ldr[miss]
-    m_key = key[miss]
-    alt_t = state.alts[m_warp, m_lane]
-    alt_b = state.bucket_of(alt_t, state.alt_raw[m_warp, m_lane])
-    alt_row = arena.row_offset[alt_t] + alt_b
-    a_hit, a_slot = _first_slot(arena.keys[alt_row] == m_key[:, None])
-
-    has_free, free_slot = _first_slot(own[miss] == EMPTY)
-    place = miss[~a_hit & has_free]
-    evict = miss[~a_hit & ~has_free]
+    kcol = key[:, None]
+    kind, slot = np.divmod(np.concatenate(
+        (own == kcol, arena.keys[alt_row] == kcol, own == EMPTY,
+         state.evict_col[:mcount]), axis=1).argmax(axis=1), cap)
+    n_up, n_ahit, n_place, n_evict = np.bincount(
+        kind, minlength=_EVICT + 1).tolist()
 
     # Hazard H1: two in-flight copies of one key — placement/update
     # order decides which value survives and whether a second probe
     # sees the first copy.  Hazard H2: an eviction removes (or has its
     # victim's value overwritten by) a key some other warp is probing
-    # for in the evicting bucket this round.  Both require carried-key
-    # coincidences; either forces the ordered hazard resolution.
-    sorted_key = np.sort(key)
-    hazard = bool(np.any(sorted_key[1:] == sorted_key[:-1]))
-    vict_rank = np.empty(0, dtype=np.int64)
-    if len(evict):
-        vict_rank = np.empty(len(evict), dtype=np.int64)
-        vict_rank[np.argsort(pos[ph2[evict]], kind="stable")] = np.arange(
-            len(evict))
-        vslot = (table._victim_counter + vict_rank + bkt[evict]) % cap
+    # for in the evicting bucket this round; that warp's snapshot probe
+    # found the key there, so only alternate hits can trip it.  Both
+    # require carried-key coincidences; either forces the ordered
+    # hazard resolution.
+    hazard = False
+    if mcount > 1:
+        sorted_key = key.copy()
+        sorted_key.sort()
+        hazard = bool(np.count_nonzero(sorted_key[1:] == sorted_key[:-1]))
+    if n_evict:
+        evict = (kind == _EVICT).nonzero()[0]
+        vict_rank = np.empty(n_evict, dtype=np.int64)
+        vict_rank[pos[ph2[evict]].argsort(kind="stable")] = np.arange(
+            n_evict)
+        vslot = (table._victim_counter + vict_rank
+                 + (state.lk_lockid[ph2[evict]] & _BUCKET_MASK)) % cap
         victim_key = own[evict, vslot]
-        if not hazard and len(miss):
-            e_lock = state.lk_lockid[ph2[evict]]
-            e_order = np.argsort(e_lock)
-            e_lock_s = e_lock[e_order]
-            e_vkey_s = victim_key[e_order]
-            probe_lock = (alt_t << 40) | alt_b
-            where = np.searchsorted(e_lock_s, probe_lock)
-            where_c = np.clip(where, 0, len(e_lock_s) - 1)
-            same = e_lock_s[where_c] == probe_lock
-            hazard = bool(np.any(same & (e_vkey_s[where_c] == key[miss])))
+        if not hazard and n_ahit:
+            ahit = (kind == _ALT_HIT).nonzero()[0]
+            e_row = row[evict]
+            e_order = e_row.argsort()
+            e_row_s = e_row[e_order]
+            where = np.minimum(e_row_s.searchsorted(alt_row[ahit]),
+                               n_evict - 1)
+            hazard = bool(np.count_nonzero(
+                (e_row_s[where] == alt_row[ahit])
+                & (victim_key[e_order][where] == key[ahit])))
 
-    victim_val = None
     if hazard:
-        (a_hit, a_slot, place, evict, vslot, victim_key,
+        miss = (kind != _UPSERT).nonzero()[0]
+        has_free, free_slot = _first_slot(own[miss] == EMPTY)
+        a_hit = kind[miss] == _ALT_HIT
+        (a_hit, a_slot, evict, vslot, victim_key,
          victim_val) = _resolve_hazard(
-            table, state, ph2, pos, row, bkt, key, val, own, miss,
-            alt_t, alt_b, a_hit, a_slot, has_free, free_slot, cap)
+            table, state, ph2, pos, row,
+            state.lk_lockid[ph2] & _BUCKET_MASK, key, val, own, miss,
+            alt_t[miss], alt_b[miss], a_hit,
+            np.where(a_hit, slot[miss], 0), has_free, free_slot, cap)
+        kind[miss] = np.where(a_hit, _ALT_HIT,
+                              np.where(has_free, _PLACE, _EVICT))
+        slot[miss] = np.where(a_hit, a_slot, free_slot)
+        n_up, n_ahit, n_place, n_evict = np.bincount(
+            kind, minlength=_EVICT + 1).tolist()
+    elif n_evict:
+        victim_val = arena.values[row[evict], vslot]
+    if n_evict:
+        slot[evict] = vslot
 
-    # ---- vectorized apply (ordering resolved above if observable) ----
-    n_miss = len(miss)
-    n_up = mcount - n_miss
-    n_ahit = int(a_hit.sum())
+    # Every outcome writes its value (an alternate hit into the
+    # alternate bucket) and all but the alternate hit write their key
+    # into the own bucket (an upsert rewrites its own key).  Key writes
+    # never collide: one lock holder per bucket.  Value writes collide
+    # only in a hazardous round, where each slot keeps its last writer
+    # in permutation order — the state the reference replay leaves.
+    to_alt = kind == _ALT_HIT if n_ahit else None
+    wrow = row if to_alt is None else np.where(to_alt, alt_row, row)
+    last = slice(None)
+    if hazard:
+        addr = wrow * cap + slot
+        order = np.lexsort((pos[ph2], addr))
+        addr_s = addr[order]
+        last = order[np.append(addr_s[1:] != addr_s[:-1], True)]
+    arena.values[wrow[last], slot[last]] = val[last]
+    kw = slice(None) if to_alt is None else (~to_alt).nonzero()[0]
+    arena.keys[row[kw], slot[kw]] = key[kw]
+    place = (kind == _PLACE).nonzero()[0] if n_place else None
+    done = (kind != _EVICT).nonzero()[0] if n_evict else None
+
     # Upserts pay one write; every miss pays the alternate read, then
     # one more write whichever way it resolves (value / place / swap).
-    result.memory_transactions += n_up + 2 * n_miss
-    result.completed_ops += n_up + n_ahit + len(place)
-    result.evictions += len(evict)
-
-    exist = np.flatnonzero(has_exist)
-    if hazard:
-        _apply_hazard_round(table, state, ph2, pos, tgt, row, key, val,
-                            exist, exist_slot, miss, alt_t, alt_b,
-                            a_hit, a_slot, place, free_slot, evict,
-                            vslot, cap)
-    else:
-        # No two writes of a hazard-free round share a slot, so each
-        # kind lands as one scatter over every subtable at once.
-        arena.values[row[exist], exist_slot[exist]] = val[exist]
-        if len(place):
-            pslot = free_slot[np.searchsorted(miss, place)]
-            arena.keys[row[place], pslot] = key[place]
-            arena.values[row[place], pslot] = val[place]
-            _grow_sizes(table, tgt[place])
-        if n_ahit:
-            hit_rows = np.flatnonzero(a_hit)
-            arena.values[alt_row[hit_rows], a_slot[hit_rows]] = val[
-                miss[hit_rows]]
-        if len(evict):
-            e_row = row[evict]
-            victim_val = arena.values[e_row, vslot]
-            arena.keys[e_row, vslot] = key[evict]
-            arena.values[e_row, vslot] = val[evict]
-    if len(evict):
-        table._victim_counter += len(evict)
+    result.memory_transactions += n_up + 2 * (mcount - n_up)
+    result.completed_ops += n_up + n_ahit + n_place
+    result.evictions += n_evict
+    if n_place:
+        state.placed += np.bincount(state.targets[lane[place]],
+                                    minlength=len(state.placed))
+    if n_evict:
+        table._victim_counter += n_evict
         # The evicted pair continues on the leader's lane, retargeted
         # at the victim's alternate subtable; the lane stays active, and
-        # the subtable it was evicted from becomes its alternate.
-        e_warp = ph2[evict]
-        e_lane = ldr[evict]
-        left = tgt[evict]
+        # the subtable it was evicted from becomes its alternate.  One
+        # hash call evaluates each victim under exactly those two.
+        e_lane = lane[evict]
+        left = state.targets[e_lane]
         new_tgt = table.pair_hash.alternate_table(victim_key, left)
-        state.keys[e_warp, e_lane] = victim_key
-        state.values[e_warp, e_lane] = victim_val
-        state.targets[e_warp, e_lane] = new_tgt
-        state.alts[e_warp, e_lane] = left
-        _rehash_victims(table, state, e_warp, e_lane, victim_key, new_tgt,
-                        left)
+        state.keys[e_lane] = victim_key
+        state.values[e_lane] = victim_val
+        state.targets[e_lane] = new_tgt
+        state.alts[e_lane] = left
+        state.raw[e_lane], state.alt_raw[e_lane] = state.hashes.raw(
+            victim_key, np.array([new_tgt, left]))
         if state.depth is not None:
             # The victims continue on their lanes one eviction deeper.
-            state.depth[e_warp, e_lane] += 1
+            state.depth[e_lane] += 1
 
-    done = np.concatenate([exist, miss[a_hit], place])
-    n_done = len(done)
+    d_warp, d_lane = (ph2, lane) if done is None else (ph2[done],
+                                                       lane[done])
+    n_done = len(d_warp)
     n_dead = 0
     if n_done:
-        d_warp = ph2[done]
-        d_lane = ldr[done]
-        state.active[d_warp] &= ~(_ONE << d_lane.astype(np.uint64))
-        n_dead = int((state.active[d_warp] == 0).sum())
-        state.next_start[d_warp] = (d_lane + 1) % WARP_WIDTH
+        d_bit = d_lane & (WARP_WIDTH - 1)
+        state.active[d_warp] &= _LANE_CLEAR[d_bit]
+        n_dead = int(np.count_nonzero(state.active[d_warp] == 0))
+        if state.voter:
+            state.next_start[d_warp] = (d_bit + 1) % WARP_WIDTH
         if state.depth is not None:
-            prof.observe_chains(state.depth[d_warp, d_lane])
+            prof.observe_chains(state.depth[d_lane])
     if san.enabled:
         # Mirror the warp engine's per-warp access log for this round:
         # upsert/place/evict are bucket writes under the warp's own
         # lock; an alternate-bucket probe is a sanctioned lock-free
         # read, and an alternate hit is a single-word value update.
-        lids = state.lk_lockid[ph2]
-        for i in range(mcount):
-            w = int(ph2[i])
-            lid = int(lids[i])
-            if has_exist[i]:
+        lids = state.lk_lockid[ph2].tolist()
+        a_locks = ((alt_t << 40) | alt_b).tolist()
+        for w, lid, k, a_lock in zip(ph2.tolist(), lids, kind.tolist(),
+                                     a_locks):
+            if k == _UPSERT:
                 san.record_access(w, "write", "bucket", lid,
                                   site=_SITE_PH2)
             else:
-                j = int(np.searchsorted(miss, i))
-                a_lock = (int(alt_t[j]) << 40) | int(alt_b[j])
                 san.record_access(w, "probe", "bucket", a_lock,
                                   site=_SITE_PH2)
-                if a_hit[j]:
+                if k == _ALT_HIT:
                     san.record_access(w, "atomic", "value", a_lock,
                                       site=_SITE_PH2)
                 else:
@@ -745,30 +810,6 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
             san.on_lock_release(w, lid, site=_SITE_PH2)
     state.locked[ph2] = False
     return hazard, n_done, n_dead
-
-
-def _rehash_victims(table, state: _CohortState, e_warp: np.ndarray,
-                    e_lane: np.ndarray, victim_key: np.ndarray,
-                    new_tgt: np.ndarray, left: np.ndarray) -> None:
-    """Store each victim's raw hashes under its new target and the
-    subtable it left: one hash call per subtable, each victim hashed
-    exactly twice."""
-    for t in range(table.num_tables):
-        to_t = new_tgt == t
-        g = np.flatnonzero(to_t | (left == t))
-        if len(g):
-            raw = table.table_hashes[t].raw(victim_key[g]).astype(np.uint32)
-            as_tgt = to_t[g]
-            state.raw[e_warp[g[as_tgt]], e_lane[g[as_tgt]]] = raw[as_tgt]
-            as_alt = ~as_tgt
-            state.alt_raw[e_warp[g[as_alt]], e_lane[g[as_alt]]] = raw[as_alt]
-
-
-def _grow_sizes(table, targets: np.ndarray) -> None:
-    """Count one placed entry per element of ``targets`` (subtables)."""
-    counts = np.bincount(targets, minlength=table.num_tables).tolist()
-    for st, n in zip(table.subtables, counts):
-        st.size += n
 
 
 def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
@@ -792,8 +833,8 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
     in at most ``mcount`` steps to exactly the outcomes the reference
     engine observes when it steps warps in permutation order.
 
-    Returns the final ``(a_hit, a_slot, place, evict, vslot,
-    victim_key, victim_val)``; storage is *not* touched.
+    Returns the final ``(a_hit, a_slot, evict, vslot, victim_key,
+    victim_val)``; storage is *not* touched.
     """
     mcount = len(ph2)
     nm = len(miss)
@@ -850,7 +891,6 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
             break
         nh = new_nh
         ns = new_ns
-    place = miss[np.flatnonzero(~nh & has_free)]
     evict = miss[ev_m]
     victim_key = own[evict, vslot]
 
@@ -876,63 +916,4 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
         cand = order[np.maximum(r - 1, 0)]
         ok = (r > 0) & (winv[cand] == einv)
         victim_val[ok] = val[miss[ah_m[cand[ok]]]]
-    return nh, ns, place, evict, vslot, victim_key, victim_val
-
-
-def _apply_hazard_round(table, state: _CohortState, ph2: np.ndarray,
-                        pos: np.ndarray, tgt: np.ndarray,
-                        row: np.ndarray, key: np.ndarray,
-                        val: np.ndarray, exist: np.ndarray,
-                        exist_slot: np.ndarray, miss: np.ndarray,
-                        alt_t: np.ndarray, alt_b: np.ndarray,
-                        a_hit: np.ndarray, a_slot: np.ndarray,
-                        place: np.ndarray, free_slot: np.ndarray,
-                        evict: np.ndarray, vslot: np.ndarray,
-                        cap: int) -> None:
-    """Apply a hazardous round's writes with reference write ordering.
-
-    Key writes are conflict-free (one lock holder per bucket) and land
-    directly; value writes from different warps can collide on one
-    slot (an upsert racing an alternate hit on a freshly written key),
-    so every value write carries its warp's permutation position and
-    each slot keeps the last writer — exactly the state the reference
-    replay leaves behind.
-    """
-    # Keys and sizes: PLACE fills a snapshot-EMPTY slot, EVICT
-    # overwrites its victim's key.  The hazard round's access stream is
-    # emitted by _phase_two for the whole round (one record per held
-    # lock), so these resolved writes are already on the sanitizer's
-    # log — re-recording here would double-count them.
-    arena = state.arena
-    if len(place):
-        pslot = free_slot[np.searchsorted(miss, place)]
-        arena.keys[row[place], pslot] = key[place]  # sanitize: allow(unguarded-structural-write)
-        _grow_sizes(table, tgt[place])
-    arena.keys[row[evict], vslot] = key[evict]  # sanitize: allow(unguarded-structural-write)
-    # Value writes, last-writer-wins by permutation position.
-    pos2 = pos[ph2]
-    lockids = state.lk_lockid[ph2]
-    ah_m = np.flatnonzero(a_hit)
-    pl_m = np.searchsorted(miss, place)
-    addr = np.concatenate([
-        lockids[exist] * cap + exist_slot[exist],
-        (((alt_t[ah_m] << np.int64(40)) | alt_b[ah_m]) * cap
-         + a_slot[ah_m]),
-        lockids[place] * cap + free_slot[pl_m],
-        lockids[evict] * cap + vslot,
-    ])
-    if not len(addr):
-        return
-    wval = np.concatenate([val[exist], val[miss[ah_m]], val[place],
-                           val[evict]])
-    wpos = np.concatenate([pos2[exist], pos2[miss[ah_m]], pos2[place],
-                           pos2[evict]])
-    order = np.lexsort((wpos, addr))
-    addr_s = addr[order]
-    last = np.empty(len(addr_s), dtype=bool)
-    last[-1] = True
-    last[:-1] = addr_s[1:] != addr_s[:-1]
-    sel = order[last]
-    lock = addr[sel] // cap
-    arena.values[arena.row_offset[lock >> 40] + (lock & ((1 << 40) - 1)),
-                 addr[sel] % cap] = wval[sel]
+    return nh, ns, evict, vslot, victim_key, victim_val

@@ -25,6 +25,7 @@ from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                   EncodedBatch, execute_mixed)
 from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
+from repro.core.subtable import EMPTY
 from repro.core.table import DyCuckooTable
 from repro.errors import InvalidConfigError
 from repro.faults import default_chaos_plan
@@ -250,6 +251,154 @@ class TestHazardResolution:
         assert tw.sanitizer.stats == tc.sanitizer.stats
 
 
+def _bucket_mates(table: DyCuckooTable, n: int, seed: int) -> np.ndarray:
+    """``n`` distinct keys of pairs holding subtable 0 that all hash to
+    one bucket of it, so leaders carrying them request one lock."""
+    pool = unique_keys(4000, seed=seed)
+    batch = EncodedBatch(table, pool)
+    ours = batch.first == 0
+    buckets = table.bucket_of_raw(0, batch.raw(0))
+    mates = pool[ours & (buckets == buckets[ours][0])]
+    assert len(mates) >= n
+    return mates[:n]
+
+
+def _warps_led_by(table: DyCuckooTable, leaders: np.ndarray,
+                  seed: int) -> tuple[EncodedBatch, np.ndarray]:
+    """One full warp per key of ``leaders``, that key on lane 0, every
+    lane targeting its pair's first subtable."""
+    fill = unique_keys(31 * len(leaders), seed=seed, low=1 << 62,
+                       high=1 << 63)
+    keys = np.concatenate([np.concatenate([[k], lanes]) for k, lanes in
+                           zip(leaders, fill.reshape(len(leaders), 31))]
+                          ).astype(np.uint64)
+    batch = EncodedBatch(table, keys)
+    return batch, batch.first
+
+
+class TestArbitrationFallback:
+    """Warp ≡ cohort when phase one cannot grant every candidate.
+
+    Phase one grants a whole round at once when no lock id repeats
+    among the candidates and the round's holders and no injected stall
+    camps on a bucket; it falls back to sorted-group arbitration
+    otherwise.  Realistic batches almost never fall back, so these
+    cases force each reason for it and record what the fallback saw.
+    """
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        from repro.gpusim import cohort
+
+        seen = []
+        arbitrate = cohort._arbitrate
+
+        def spy(lock_id, my_pos, holder_ids, holder_pos, stalled_locks):
+            win, blocker_row = arbitrate(lock_id, my_pos, holder_ids,
+                                         holder_pos, stalled_locks)
+            seen.append(SimpleNamespace(
+                same_round=len(np.unique(lock_id)) < len(lock_id),
+                held_later=bool(np.any(blocker_row > my_pos)),
+                stalled=bool(stalled_locks)))
+            return win, blocker_row
+
+        monkeypatch.setattr(cohort, "_arbitrate", spy)
+        return seen
+
+    def _run_crafted(self, voter: bool, warps: int, seed: int):
+        from repro.gpusim.cohort import cohort_insert
+        from repro.kernels.insert import _run_insert_warps
+
+        tw, tc = twin_tables(buckets=8, capacity=8)
+        batch, targets = _warps_led_by(
+            tc, _bucket_mates(tc, warps, seed), seed)
+        values = np.arange(1, len(batch) + 1, dtype=np.uint64)
+        rw = _run_insert_warps(tw, batch.codes, values, targets, voter,
+                               None)
+        rc = cohort_insert(tc, batch, values, targets, voter=voter)
+        assert dataclasses.asdict(rw) == dataclasses.asdict(rc)
+        assert_tables_identical(tw, tc)
+        return rc
+
+    def test_two_leaders_elect_one_bucket(self, fallbacks):
+        result = self._run_crafted(voter=True, warps=2, seed=71)
+        assert result.lock_conflicts > 0
+        assert any(f.same_round for f in fallbacks)
+
+    def test_lock_held_by_a_later_holder(self, fallbacks):
+        # The spin variant re-requests the lost lock, so the round after
+        # a conflict finds the winner still holding it.
+        result = self._run_crafted(voter=False, warps=6, seed=72)
+        assert result.lock_conflicts > 0
+        assert any(f.held_later for f in fallbacks)
+
+    def test_injected_lock_stall(self, fallbacks):
+        from repro.faults import FaultPlan
+
+        script = {"seed": 1, "fired": [["lock.stall", 2, 3]]}
+        tw, tc = twin_tables(buckets=16)
+        pw = add_instruments(tw, faults=FaultPlan.from_script(script)).faults
+        pc = add_instruments(tc, faults=FaultPlan.from_script(script)).faults
+        keys = unique_keys(200, seed=73)
+        run_twins(run_voter_insert_kernel, tw, tc, keys, keys)
+        assert [f.site for f in pc.fired] == ["lock.stall"]
+        assert pw.fired == pc.fired
+        assert any(f.stalled for f in fallbacks)
+
+
+class TestRaisingLaunch:
+    """A launch that raises mid-run leaves a consistent table.
+
+    Every placement made before the raise is in storage, so each
+    ``Subtable.size`` must count it, exactly as the warp engine does.
+    """
+
+    @staticmethod
+    def _assert_sizes_match_storage(table: DyCuckooTable) -> None:
+        table.validate()
+        assert [st.size for st in table.subtables] == [
+            int(np.count_nonzero(st.keys != EMPTY))
+            for st in table.subtables]
+
+    def test_stall_capacity_error_matches_warp_engine(self):
+        from repro.errors import CapacityError
+        from repro.faults import FaultPlan
+        from repro.gpusim.cohort import cohort_insert
+        from repro.kernels.insert import _run_insert_warps
+
+        # One spinning warp: its 11th leader finds its bucket camped on
+        # by an injected stall, and keeps asking for it until the stall
+        # detector gives up, with ten entries already placed.
+        script = {"seed": 1, "fired": [["lock.stall", 10, 1000]]}
+        tw, tc = twin_tables(buckets=8, capacity=8)
+        batch = EncodedBatch(tc, unique_keys(32, seed=74))
+        targets = batch.first
+        values = batch.codes
+        with pytest.raises(CapacityError):
+            _run_insert_warps(tw, batch.codes, values, targets, False,
+                              FaultPlan.from_script(script),
+                              max_rounds_per_op=4)
+        with pytest.raises(CapacityError):
+            cohort_insert(tc, batch, values, targets, voter=False,
+                          max_rounds_per_op=4,
+                          faults=FaultPlan.from_script(script))
+        assert len(tc) == 10
+        for table in (tw, tc):
+            self._assert_sizes_match_storage(table)
+        assert_tables_identical(tw, tc)
+
+    def test_round_limit_keeps_sizes(self):
+        from repro.gpusim.cohort import cohort_insert
+
+        table, _ = twin_tables(buckets=8, capacity=8)
+        batch = EncodedBatch(table, unique_keys(240, seed=75))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            cohort_insert(table, batch, batch.codes, batch.first,
+                          voter=True, max_rounds=9)
+        assert 0 < len(table) < len(batch)
+        self._assert_sizes_match_storage(table)
+
+
 class TestUnequalGeometryConformance:
     """Warp ≡ cohort on settled subtables of 16/32/32/64 buckets.
 
@@ -449,6 +598,32 @@ class TestLastWriterWins:
         values = np.repeat(np.array([1, 2], dtype=np.uint64), 200)
         assert model.apply(one_run, "insert", np.concatenate([fresh, fresh]),
                            values) == []
+        assert model.divergence(table) == []
+
+    @pytest.mark.parametrize("engine", [
+        None,
+        pytest.param("warp", marks=_LOSES_UPSERTS),
+        pytest.param("cohort", marks=_LOSES_UPSERTS),
+    ], ids=["host", "warp", "cohort"])
+    def test_live_upserts_among_evictions_keep_new_value(self, engine):
+        """1,000 upserts of live keys shuffled among 1,000 fresh inserts
+        in one run: evictions move entries while their upserts are in
+        flight, and every upsert must still win."""
+        table = DyCuckooTable(DyCuckooConfig(
+            num_tables=4, initial_buckets=64, bucket_capacity=32,
+            auto_resize=False, seed=3))
+        model = DictModel()
+        n_live = int(0.73 * table.total_slots)
+        keys = unique_keys(n_live + 1000, seed=3)
+        live, fresh = keys[:n_live], keys[n_live:]
+        assert model.apply(table, "insert", live, live) == []
+        rng = np.random.default_rng(3)
+        run_keys = rng.permutation(np.concatenate(
+            [rng.choice(live, 1000, replace=False), fresh]))
+        one_run = SimpleNamespace(insert=lambda k, v: execute_mixed(
+            table, np.full(len(k), OP_INSERT), k, v, engine=engine))
+        assert model.apply(one_run, "insert", run_keys,
+                           run_keys + np.uint64(1)) == []
         assert model.divergence(table) == []
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import (MERSENNE_P, PairHash, UniversalHash,
-                                fold_to_31_bits, make_table_hashes)
+from repro.core.hashing import (MERSENNE_P, HashStack, PairHash,
+                                UniversalHash, fold_to_31_bits,
+                                make_table_hashes)
 from repro.errors import InvalidConfigError
 
 
@@ -132,6 +133,23 @@ class TestUniversalHash:
         # Each bucket expects 1000; allow generous 5-sigma slack.
         assert counts.min() > 1000 - 5 * np.sqrt(1000)
         assert counts.max() < 1000 + 5 * np.sqrt(1000)
+
+
+def test_hash_stack_matches_each_member():
+    """``HashStack.raw`` equals hashing each code under its own member,
+    for a flat selector and for a ``(2, n)`` one broadcast over codes."""
+    rng = np.random.default_rng(4)
+    hashes = make_table_hashes(4, rng)
+    stack = HashStack(hashes)
+    keys = np.concatenate([np.array(_EDGES, dtype=np.uint64),
+                           rng.integers(0, 1 << 63, 200, dtype=np.int64)
+                           .astype(np.uint64)])
+    which = rng.integers(0, 4, (2, len(keys)))
+    want = np.array([[hashes[t].raw(keys[i:i + 1])[0]
+                      for i, t in enumerate(row)] for row in which],
+                    dtype=np.uint64)
+    assert np.array_equal(stack.raw(keys, which[0]), want[0])
+    assert np.array_equal(stack.raw(keys, which), want)
 
 
 class TestPairHash:

@@ -14,9 +14,11 @@ import numpy as np
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                    EncodedBatch, execute_mixed)
 from repro.core.config import DyCuckooConfig
-from repro.core.hashing import UniversalHash
+from repro.core.hashing import HashStack, UniversalHash
+from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.kernels.insert import run_voter_insert_kernel
+from repro.telemetry import Profiler
 
 from .conftest import unique_keys
 from .test_engine_conformance import assert_tables_identical
@@ -126,14 +128,20 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
     The launch's ``EncodedBatch`` already holds every key's raw hash
     under every subtable, so leaders and alternate probes must read
     those; each victim is hashed under the two subtables it needs
-    (its new target and the one it was evicted from), and the kernel
-    never resolves a bucket through ``bucket_for``.
+    (its new target and the one it was evicted from), in at most one
+    subtable-hash call per evicting round, and the kernel never
+    resolves a bucket through ``bucket_for``.  Codes are counted
+    through both second-layer entry points: one function at a time
+    (``UniversalHash.raw``) and each code under its own function
+    (``HashStack.raw``).
     """
     table = DyCuckooTable(DyCuckooConfig(initial_buckets=256,
                                          bucket_capacity=8,
                                          auto_resize=False, seed=3))
     keys = unique_keys(6200, seed=9)
     table.insert(keys[:4200], keys[:4200])
+    prof = Profiler()
+    table.attach(Instruments(profiler=prof))
     fresh = keys[4200:]
     batch = EncodedBatch(table, fresh)
     for t in range(table.num_tables):
@@ -141,6 +149,7 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
     hashed = []
     resolved = []
     plain_raw = UniversalHash.raw
+    plain_stack_raw = HashStack.raw
     plain_bucket_for = table.bucket_for
 
     def counting_raw(self, codes):
@@ -148,20 +157,30 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
             hashed.append(len(codes))
         return plain_raw(self, codes)
 
+    def counting_stack_raw(self, codes, which):
+        hashed.append(np.broadcast(codes, which).size)
+        return plain_stack_raw(self, codes, which)
+
     def counting_bucket_for(t, codes):
         resolved.append(len(codes))
         return plain_bucket_for(t, codes)
 
     monkeypatch.setattr(UniversalHash, "raw", counting_raw)
+    monkeypatch.setattr(HashStack, "raw", counting_stack_raw)
     monkeypatch.setattr(table, "bucket_for", counting_bucket_for)
     result = run_voter_insert_kernel(table, None, fresh, engine="cohort",
                                      codes=batch)
     monkeypatch.undo()
 
+    # Cumulative evictions at each round start, then at the end.
+    evictions = [r["evictions"] for r in prof.snapshot()["kernels"][-1][
+        "rounds"]] + [result.evictions]
+    evicting_rounds = sum(b > a for a, b in zip(evictions, evictions[1:]))
     assert result.evictions > 0
     assert result.completed_ops == len(batch)
     assert table.load_factor > 0.74
-    assert sum(hashed) <= 2 * result.evictions
+    assert result.evictions <= sum(hashed) <= 2 * result.evictions
+    assert len(hashed) <= evicting_rounds
     assert resolved == []
     values, found = table.find(keys)
     assert found.all() and np.array_equal(values, keys)
