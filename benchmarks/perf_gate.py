@@ -24,10 +24,10 @@ the resize tail: when both directories carry
 ``latency.p99`` and ``latency.worst`` must stay within
 ``--stability-headroom`` (default +25 %) of the committed baseline, at
 equal-or-better throughput (``mops`` within the same headroom the
-other way).  The baseline was recorded with incremental resize on, so
-any change that re-concentrates migration cost into the triggering
-batch — a one-shot regression, a drain budget that stopped being
-bounded, an epoch that stopped opening — shows up here as a tail
+other way).  The baseline was recorded with lazily draining migration
+epochs, so any change that re-concentrates migration cost into the
+triggering batch — a whole-subtable rehash, a drain budget that stopped
+being bounded, an epoch that stopped opening — shows up here as a tail
 blow-up even when the deterministic cost counters still match.
 Latency leaves of that artifact are excluded from the exact diff
 (they are gated with headroom instead); the headroom absorbs

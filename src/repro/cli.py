@@ -436,10 +436,8 @@ def _cmd_trace(args) -> int:
         "mops": run.mops,
         "events": len(tracer.events),
         "spans": len(tracer.spans()),
-        "resize_upsizes": (len(tracer.spans("resize.upsize"))
-                           + len(tracer.spans("resize.upsize_epoch"))),
-        "resize_downsizes": (len(tracer.spans("resize.downsize"))
-                             + len(tracer.spans("resize.downsize_epoch"))),
+        "resize_upsizes": len(tracer.spans("resize.upsize_epoch")),
+        "resize_downsizes": len(tracer.spans("resize.downsize_epoch")),
         "resize_triggers": len(tracer.instants("resize.trigger")),
         "fill_samples": len(tracer.counters("fill.subtable")),
         "written": written,
@@ -463,7 +461,8 @@ def _cmd_trace(args) -> int:
         if summary["spans"] == 0:
             problems.append("no spans recorded")
         if summary["resize_upsizes"] == 0:
-            problems.append("no resize.upsize span (table never grew)")
+            problems.append(
+                "no resize.upsize_epoch span (table never grew)")
         if summary["resize_triggers"] == 0:
             problems.append("no resize.trigger instant")
         if summary["fill_samples"] != len(run.batches):

@@ -84,22 +84,16 @@ class DyCuckooConfig:
         a single doubling is insufficient): when enabled, an insert-failure
         triggered upsize keeps doubling the smallest subtable until the
         projected filled factor falls below ``beta``.
-    incremental_resize:
-        When enabled (the default), automatic resizes (``enforce_bounds``
-        and the insert-stall path) open a DHash-style *migration epoch*
-        instead of rehashing the whole subtable inside the triggering
-        batch: the subtable adopts its new geometry immediately, entries
-        migrate bucket-pair by bucket-pair via migrate-on-access plus a
-        bounded per-batch budget, and probes consult the entry's pre- or
-        post-resize bucket through an epoch check.  Manual
-        :meth:`~repro.core.table.DyCuckooTable.upsize` /
-        ``downsize`` calls still complete synchronously.  Disabling
-        restores the paper's stop-the-world one-shot rehash everywhere.
     migration_budget:
-        Maximum bucket pairs migrated by the batch-end drain of an open
-        epoch.  0 (the default) auto-sizes the budget to one eighth of
-        the epoch's pairs (at least 32), so a resize completes within
-        roughly eight batches plus whatever migrate-on-access moved.
+        Every resize is a DHash-style *migration epoch*: the subtable
+        adopts its new geometry at once and its entries move bucket pair
+        by bucket pair, while probes resolve each key to its pre- or
+        post-resize bucket.  A bound-driven epoch drains lazily; this is
+        the most bucket pairs the batch-end drain migrates.  0 (the
+        default) auto-sizes the budget to one eighth of the epoch's
+        pairs (at least 32), so a resize completes within roughly eight
+        batches plus whatever migrate-on-access moved.  Insert-stall
+        doublings and manual resizes drain their epoch at once.
     stash_capacity:
         Size of the bounded overflow stash (the CUDA reference's
         ``error_table_t``).  The stash absorbs inserts whose eviction
@@ -122,7 +116,6 @@ class DyCuckooConfig:
     min_buckets: int = 8
     max_total_slots: int = 0
     anticipatory_upsize: bool = False
-    incremental_resize: bool = True
     migration_budget: int = 0
     stash_capacity: int = 256
     seed: int = 0x5EED

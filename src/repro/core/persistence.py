@@ -37,7 +37,7 @@ def _hash_from_constants(constants) -> UniversalHash:
 def save_table(table: DyCuckooTable, path) -> None:
     """Serialize ``table`` to ``path`` (a ``.npz`` archive).
 
-    Any open incremental-resize epoch is drained first: the archive
+    Any open migration epoch is drained first: the archive
     format stores settled storage (bucket count inferred from the key
     array's shape), so a dual-view subtable must finish migrating
     before its arrays are written out.
@@ -79,6 +79,9 @@ def load_table(path) -> DyCuckooTable:
                 f"unsupported table archive version {version} "
                 f"(this build reads version {FORMAT_VERSION})")
         config_dict = json.loads(bytes(archive["config"]).decode("utf-8"))
+        # Archives written while a one-shot resize path existed carry
+        # its retired ``incremental_resize`` switch.
+        config_dict.pop("incremental_resize", None)
         config = DyCuckooConfig(**config_dict)
         table = DyCuckooTable(config)
 

@@ -16,35 +16,37 @@ The invariant that no subtable exceeds twice the size of any other is a
 consequence of always picking the extreme subtable and is asserted by
 :meth:`repro.core.table.DyCuckooTable.validate`.
 
-A failed residual spill (possible in adversarial corner cases) rolls the
-downsize back from a snapshot, so downsizing is all-or-nothing.
-
-When a :class:`~repro.faults.FaultPlan` is attached to the table, every
-resize consults it at four lifecycle stages — ``trigger`` (before
-anything happens), ``plan`` (target picked, nothing mutated), ``rehash``
-(storage already rebuilt) and ``spill`` (residual relocation) — and an
-injected abort raises :class:`~repro.errors.ResizeError` after rolling
-any mutation back from a :class:`_TableSnapshot`.  Resizes are therefore
-all-or-nothing even under injected failure at the worst possible moment.
-
-**Incremental migration epochs** (``config.incremental_resize``, the
-DHash-style extension): automatic resizes do not rehash inside the
-triggering batch.  :meth:`ResizeController.open_upsize_epoch` /
+Every resize is a DHash-style **migration epoch**.
+:meth:`ResizeController.open_upsize_epoch` /
 :meth:`~ResizeController.open_downsize_epoch` switch the target
 subtable to its new geometry immediately (so capacity and ``theta``
 respond at once) and leave a
 :class:`~repro.core.subtable.MigrationState` behind; entries then move
 one *bucket pair* at a time through
-:meth:`~ResizeController.drain_migration` (a bounded batch-end budget)
-and :meth:`~ResizeController.migrate_on_access` (an insert that finds a
-full, unmigrated bucket splits it instead of evicting).  Probes stay
-correct throughout because
+:meth:`~ResizeController.drain_migration` (a bounded batch-end budget),
+:meth:`~ResizeController.migrate_on_access` (an insert that finds a
+full, unmigrated bucket splits it instead of evicting) and
+:meth:`~ResizeController.finalize_migration` (everything at once).
+Probes stay correct throughout because
 :meth:`repro.core.table.DyCuckooTable.bucket_for` resolves every key to
-its pre- or post-resize bucket via the epoch check.  Under injected
-faults a slice aborts *alone* — the epoch stays open, the dual view
-keeps every key reachable, and a later batch retries.  Manual
-:meth:`upsize`/:meth:`downsize` keep the one-shot all-or-nothing
-semantics above (finalizing any open epoch first).
+its pre- or post-resize bucket via the epoch check.  Bound-driven
+resizes stay lazy; a doubling that pending inserts wait on, and a
+manual :meth:`~ResizeController.upsize` /
+:meth:`~ResizeController.downsize`, run their epoch to completion at
+once.  A manual downsize refuses up front when halving would put
+``theta`` above ``beta``.
+
+When a :class:`~repro.faults.FaultPlan` is attached to the table, an
+epoch open consults it at three lifecycle stages — ``trigger`` (before
+anything happens), ``plan`` (target picked, nothing mutated) and
+``rehash`` (geometry already swapped, rolled back from a
+:class:`_TableSnapshot`) — and an injected abort raises
+:class:`~repro.errors.ResizeError` with the table as it was.  Each
+batch-end slice consults ``rehash`` too, and aborts *alone*: the epoch
+stays open, the dual view keeps every key reachable, and a later batch
+retries.  A slice's residual spill consults ``spill``; an abort there
+(or a spill whose eviction chains stall) parks the residuals in the
+overflow stash, so a slice never loses a key and never unwinds.
 """
 
 from __future__ import annotations
@@ -122,16 +124,21 @@ class ResizeController:
                                    reason="theta<alpha",
                                    theta=table.load_factor)
             target = self._pick_downsize_target()
-            if target is None:
-                break
-            largest = table.subtables[target]
-            projected_slots = table.total_slots - largest.total_slots // 2
-            if projected_slots and len(table) / projected_slots > config.beta:
+            if target is None or self._halving_overshoots(target):
                 break
             try:
                 self.downsize_auto()
             except ResizeError:
                 break
+
+    def _halving_overshoots(self, target: int) -> bool:
+        """Whether halving subtable ``target`` would put ``theta`` above
+        ``beta`` — the projection every downsize must pass first."""
+        table = self._table
+        projected_slots = (table.total_slots
+                           - table.subtables[target].total_slots // 2)
+        return bool(projected_slots) and (
+            len(table) / projected_slots > table.config.beta)
 
     def upsize_for_insert_failure(self) -> None:
         """Upsize in response to a stalled insert.
@@ -145,13 +152,10 @@ class ResizeController:
         reached, injected abort) stops the anticipation and lets the
         insert retry against the capacity the first doubling created.
 
-        The mandatory doubling always completes synchronously, even
-        under ``incremental_resize``: a stalled insert needs empty
-        slots *now*, and an epoch that migrates lazily would leave the
-        pending keys spinning eviction rounds against pre-resize bucket
-        density.  Only bound-driven resizes (``enforce_bounds`` and the
-        pre-round beta check), where nothing is blocked waiting, are
-        spread across batches.
+        The mandatory doubling always completes synchronously: a
+        stalled insert needs empty slots *now*, and an epoch that
+        migrates lazily would leave the pending keys spinning eviction
+        rounds against pre-resize bucket density.
         """
         table = self._table
         if table.telemetry.enabled:
@@ -198,7 +202,7 @@ class ResizeController:
             + (" (rolled back)" if snapshot is not None else ""))
 
     # ------------------------------------------------------------------
-    # Incremental migration epochs (DHash-style)
+    # Migration epochs (DHash-style)
     # ------------------------------------------------------------------
 
     def _open_epochs(self) -> list[int]:
@@ -214,18 +218,6 @@ class ResizeController:
         return [idx for idx, st in enumerate(self._table.subtables)
                 if st.migration is not None]
 
-    def upsize_auto(self) -> int:
-        """Upsize on an automatic trigger: incremental epoch or one-shot."""
-        if self._table.config.incremental_resize:
-            return self.open_upsize_epoch()
-        return self.upsize()
-
-    def downsize_auto(self) -> int:
-        """Downsize on an automatic trigger: incremental epoch or one-shot."""
-        if self._table.config.incremental_resize:
-            return self.open_downsize_epoch()
-        return self.downsize()
-
     def upsize_under_pressure(self) -> int:
         """Upsize while inserts are pending: the epoch drains at once.
 
@@ -238,8 +230,7 @@ class ResizeController:
         resizes between batches (:meth:`enforce_bounds`) stay lazy.
         """
         target = self.upsize_auto()
-        if self._table.config.incremental_resize:
-            self._finalize_one(target)
+        self._finalize_one(target)
         return target
 
     def open_upsize_epoch(self) -> int:
@@ -352,6 +343,10 @@ class ResizeController:
                                       pairs=mig.num_pairs)
         return target
 
+    #: An automatic trigger opens an epoch and leaves it to drain lazily.
+    upsize_auto = open_upsize_epoch
+    downsize_auto = open_downsize_epoch
+
     def drain_migration(self, max_pairs: int | None = None) -> int:
         """Advance open epochs by one bounded slice; returns pairs moved.
 
@@ -459,8 +454,8 @@ class ResizeController:
         brackets exactly this slice (the one-subtable contract holds
         *per batch*, not across the epoch).  Charges the cost model 1
         read + 2 writes per upsize pair and 2 reads + 1 write per
-        downsize pair — summed over the epoch, exactly the one-shot
-        totals, just spread across batches.
+        downsize pair: summed over the epoch, one coalesced pass over
+        every bucket pair, whether it drains in one slice or many.
         """
         table = self._table
         st = table.subtables[target]
@@ -539,6 +534,9 @@ class ResizeController:
                 "resize.rehashed_entries").inc(examined)
             table.telemetry.metrics.counter(
                 "resize.migrated_pairs").inc(len(pairs))
+            if len(residual_codes):
+                table.telemetry.metrics.counter(
+                    "resize.residuals").inc(len(residual_codes))
         if table.profiler.enabled:
             table.profiler.sample_fill("migrate", table)
         if table.recorder.enabled:
@@ -583,11 +581,10 @@ class ResizeController:
         current = np.full(len(codes), target, dtype=np.int64)
         alternates = table.pair_hash.alternate_table(codes, current)
         table._insert_pending(codes, values, alternates,
-                              unhashed(len(codes)), excluded=target,
-                              stall_to_stash=True)
+                              unhashed(len(codes)), excluded=target)
 
     # ------------------------------------------------------------------
-    # Single-subtable resizes
+    # Targets and manual resizes
     # ------------------------------------------------------------------
 
     def _pick_upsize_target(self) -> int:
@@ -609,189 +606,38 @@ class ResizeController:
         return best
 
     def upsize(self) -> int:
-        """Double the smallest subtable; returns its index.
+        """Double the smallest subtable now; returns its index.
 
-        The rehash is conflict-free: every entry either stays in its
-        bucket or moves to ``bucket + old_n`` according to one additional
-        hash bit, so distinct source buckets can never collide.  Growth
-        past ``max_total_slots`` raises :class:`CapacityError` — the
-        backstop against workloads no amount of doubling can absorb.
+        A manual resize is an upsize epoch run to completion: the epoch
+        opens (fault stages ``trigger``/``plan``/``rehash``), then every
+        open epoch drains.  Growth past ``max_total_slots`` raises
+        :class:`CapacityError` before anything moves.
         """
-        table = self._table
-        tracer = table.telemetry.tracer
-        faulty = table.faults.enabled
-        if faulty:
-            self._fire_abort("trigger")
+        target = self.open_upsize_epoch()
         self.finalize_migration()
-        with tracer.span("resize.upsize", "resize"):
-            with tracer.span("resize.plan", "resize"):
-                target = self._pick_upsize_target()
-                st = table.subtables[target]
-                ceiling = table.config.max_total_slots
-                if ceiling and table.total_slots + st.total_slots > ceiling:
-                    raise CapacityError(
-                        f"upsizing subtable {target} would exceed "
-                        f"max_total_slots={ceiling} (currently "
-                        f"{table.total_slots} slots, "
-                        f"{len(table)} live entries)")
-            if faulty:
-                self._fire_abort("plan")
-            snapshot = _TableSnapshot(table) if faulty else None
-            # The paper's one-subtable guarantee: a resize locks exactly
-            # its target subtable for the mutating stages.  The bracket
-            # is try/finally so an injected rehash abort still releases
-            # — a leak here wedges the subtable for every later resize.
-            san = table.sanitizer
-            if san.enabled:
-                san.on_subtable_lock(target, "upsize", site=_SITE_UPSIZE)
-            try:
-                with tracer.span("resize.rehash", "resize", subtable=target,
-                                 old_buckets=st.n_buckets,
-                                 new_buckets=st.n_buckets * 2):
-                    codes, values, _old_buckets = st.export_entries()
-                    new_n = st.n_buckets * 2
-                    new_buckets = table.table_hashes[target].bucket(codes,
-                                                                    new_n)
-                    st.rebuild(new_n, codes, values, new_buckets)
-                    if faulty:
-                        self._fire_abort("rehash", snapshot=snapshot)
-                table.stats.upsizes += 1
-                table.stats.rehashed_entries += len(codes)
-                # One coalesced read + write per touched bucket pair.
-                table.stats.bucket_reads += st.n_buckets // 2
-                table.stats.bucket_writes += st.n_buckets
-            finally:
-                if san.enabled:
-                    san.on_subtable_unlock(target, site=_SITE_UPSIZE)
-            if table.telemetry.enabled:
-                table.telemetry.metrics.counter("resize.upsizes").inc()
-                table.telemetry.metrics.counter(
-                    "resize.rehashed_entries").inc(len(codes))
-            if table.profiler.enabled:
-                table.profiler.sample_fill("upsize", table)
-            if table.recorder.enabled:
-                table.recorder.record("resize.upsize", subtable=target,
-                                      new_buckets=st.n_buckets,
-                                      rehashed=len(codes))
         return target
 
     def downsize(self) -> int:
-        """Halve the largest subtable; returns its index.
+        """Halve the largest subtable now; returns its index.
 
-        Residual entries that do not fit the merged buckets are spilled
-        into their alternate subtables (the downsized subtable stays
-        excluded, per Section IV-D).  On spill failure the downsize is
-        rolled back and :class:`ResizeError` propagates.
+        A downsize epoch run to completion; residuals the spill cannot
+        place land in the stash.  Refuses with :class:`ResizeError`,
+        before any fault site is consulted and before anything moves,
+        when halving would put ``theta`` above ``beta``.
         """
-        table = self._table
-        tracer = table.telemetry.tracer
-        faulty = table.faults.enabled
-        if faulty:
-            self._fire_abort("trigger")
+        target = self._pick_downsize_target()
+        if target is not None and self._halving_overshoots(target):
+            raise ResizeError(
+                f"halving subtable {target} would put theta above "
+                f"beta={self._table.config.beta}")
+        target = self.open_downsize_epoch()
         self.finalize_migration()
-        with tracer.span("resize.downsize", "resize"):
-            with tracer.span("resize.plan", "resize"):
-                target = self._pick_downsize_target()
-                if target is None:
-                    raise ResizeError(
-                        "no subtable can be downsized (all at min_buckets)"
-                    )
-                st = table.subtables[target]
-                snapshot = _TableSnapshot(table)
-                # Rollback must be symmetric: everything below mutates
-                # counters, so remember them all (not just `downsizes`)
-                # before the first mutation.
-                stats_before = table.stats.snapshot()
-            if faulty:
-                self._fire_abort("plan")
-            # One-subtable guarantee (Section IV-D): only the downsizing
-            # subtable is locked; the residual spill targets the *other*
-            # subtables, which stay unlocked and service queries.  The
-            # try/finally covers rehash, spill, and rollback so every
-            # abort path releases.
-            san = table.sanitizer
-            if san.enabled:
-                san.on_subtable_lock(target, "downsize",
-                                     site=_SITE_DOWNSIZE)
-            try:
-                with tracer.span("resize.rehash", "resize", subtable=target,
-                                 old_buckets=st.n_buckets,
-                                 new_buckets=st.n_buckets // 2):
-                    codes, values, _old_buckets = st.export_entries()
-                    new_n = st.n_buckets // 2
-                    new_buckets = table.table_hashes[target].bucket(codes,
-                                                                    new_n)
-                    ranks, _unique, _inverse = rank_within_group(new_buckets)
-                    keep = ranks < st.bucket_capacity
-                    st.rebuild(new_n, codes[keep], values[keep],
-                               new_buckets[keep])
-                    if faulty:
-                        self._fire_abort("rehash", snapshot=snapshot)
-                table.stats.bucket_reads += new_n * 2
-                table.stats.bucket_writes += new_n
-
-                residual_codes = codes[~keep]
-                residual_values = values[~keep]
-                table.stats.downsizes += 1
-                table.stats.rehashed_entries += len(codes)
-                table.stats.residuals += len(residual_codes)
-                with tracer.span("resize.spill", "resize", subtable=target,
-                                 residuals=len(residual_codes)):
-                    if len(residual_codes):
-                        current = np.full(len(residual_codes), target,
-                                          dtype=np.int64)
-                        alternates = table.pair_hash.alternate_table(
-                            residual_codes, current)
-                        try:
-                            if faulty:
-                                self._fire_abort("spill")
-                            table._insert_pending(
-                                residual_codes, residual_values, alternates,
-                                unhashed(len(residual_codes)),
-                                excluded=target)
-                        except ResizeError:
-                            snapshot.restore(table)
-                            self._restore_stats(stats_before)
-                            tracer.instant("resize.rollback", "resize",
-                                           subtable=target,
-                                           residuals=len(residual_codes))
-                            raise
-            finally:
-                if san.enabled:
-                    san.on_subtable_unlock(target, site=_SITE_DOWNSIZE)
-            # Telemetry counters are monotonic (no decrement exists), so
-            # they are only published once the spill — the last stage
-            # that can roll the downsize back — has succeeded.
-            if table.telemetry.enabled:
-                table.telemetry.metrics.counter("resize.downsizes").inc()
-                table.telemetry.metrics.counter(
-                    "resize.rehashed_entries").inc(len(codes))
-                table.telemetry.metrics.counter(
-                    "resize.residuals").inc(len(residual_codes))
-            if table.profiler.enabled:
-                table.profiler.sample_fill("downsize", table)
-            if table.recorder.enabled:
-                table.recorder.record("resize.downsize", subtable=target,
-                                      new_buckets=st.n_buckets,
-                                      rehashed=len(codes),
-                                      residuals=len(residual_codes))
         return target
-
-    def _restore_stats(self, stats_before: dict) -> None:
-        """Roll every counter back to ``stats_before``.
-
-        ``resize_aborts`` is exempt: an injected abort that triggered
-        the rollback is a real event that must stay counted.
-        """
-        stats = self._table.stats
-        aborts = stats.resize_aborts
-        for name, value in stats_before.items():
-            setattr(stats, name, value)
-        stats.resize_aborts = max(aborts, stats.resize_aborts)
 
 
 class _TableSnapshot:
-    """Copy-on-demand snapshot used to roll back a failed resize or drain.
+    """Copy-on-demand snapshot used to roll back a failed epoch open or
+    stash drain.
 
     Captures *all* places a key can live — subtable storage, any open
     migration epoch, and the overflow stash — so every rollback path
@@ -799,8 +645,9 @@ class _TableSnapshot:
     up ad hoc by ``_drain_stash``; rollbacks that interleaved stash
     mutation with a resize would restore storage but not the stash.)
 
-    Downsizing only happens at low filled factors, so copying the raw
-    arrays is cheap relative to how rarely the rollback path runs.
+    An epoch open only snapshots while a fault plan is attached, and a
+    stash drain only runs with a non-empty stash, so the copies stay
+    off the fault-free path.
     """
 
     def __init__(self, table: "DyCuckooTable") -> None:

@@ -478,7 +478,11 @@ class DyCuckooTable:
             self._drain_stash()
 
     def downsize(self) -> None:
-        """Manually halve the largest subtable (Section IV-D)."""
+        """Manually halve the largest subtable (Section IV-D).
+
+        Raises :class:`ResizeError` when every subtable is at
+        ``min_buckets`` or halving would put ``theta`` above ``beta``.
+        """
         self._resizer.downsize()
         if len(self.stash):
             self._drain_stash()
@@ -612,8 +616,7 @@ class DyCuckooTable:
 
     def _insert_pending(self, codes: np.ndarray, values: np.ndarray,
                         targets: np.ndarray, raw: np.ndarray,
-                        excluded: int | None,
-                        stall_to_stash: bool = False) -> None:
+                        excluded: int | None) -> None:
         """Round-synchronous cuckoo insertion of fresh keys.
 
         ``targets[i]`` is the subtable each key currently attempts and
@@ -621,12 +624,11 @@ class DyCuckooTable:
         :data:`~repro.core.hashing.UNHASHED` when not yet computed.  A
         key is hashed once per target: retries keep their hash, and an
         evicted victim enters the next round unhashed.  When
-        ``excluded`` is set (downsize residual spill), eviction victims
-        whose alternate is the excluded subtable are never chosen and the
-        eviction budget exhaustion raises :class:`ResizeError` instead of
-        upsizing — unless ``stall_to_stash`` is also set (migration-slice
-        spill), in which case the pending keys are parked in the overflow
-        stash so an incremental slice never unwinds table state.
+        ``excluded`` is set (a migration slice's residual spill),
+        eviction victims whose alternate is the excluded subtable are
+        never chosen, and an exhausted eviction chain parks the pending
+        keys in the overflow stash instead of upsizing, so a slice never
+        unwinds table state.
         """
         codes = np.asarray(codes, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
@@ -658,16 +660,11 @@ class DyCuckooTable:
                                            pending=len(codes))
                         tel.metrics.counter("faults.injected").inc()
                     if excluded is not None:
-                        if stall_to_stash:
-                            self._stash_pending(
-                                codes, values,
-                                reason="injected eviction-chain exhaustion "
-                                       "during migration-slice spill")
-                            return
-                        raise ResizeError(
-                            "injected eviction-chain exhaustion during "
-                            "residual spill"
-                        )
+                        self._stash_pending(
+                            codes, values,
+                            reason="injected eviction-chain exhaustion "
+                                   "during migration-slice spill")
+                        return
                     if not self.config.auto_resize:
                         self.stats.insert_failures += len(codes)
                         raise CapacityError(
@@ -823,16 +820,11 @@ class DyCuckooTable:
                 rounds_since_progress = 0
             if rounds_since_progress >= self.config.max_eviction_rounds:
                 if excluded is not None:
-                    if stall_to_stash:
-                        self._stash_pending(
-                            codes, values,
-                            reason="migration-slice spill stalled while the "
-                                   "downsizing subtable is excluded")
-                        return
-                    raise ResizeError(
-                        "residual spill stalled while a subtable is locked "
-                        "for downsizing"
-                    )
+                    self._stash_pending(
+                        codes, values,
+                        reason="migration-slice spill stalled while the "
+                               "downsizing subtable is excluded")
+                    return
                 if not self.config.auto_resize:
                     self.stats.insert_failures += len(codes)
                     raise CapacityError(

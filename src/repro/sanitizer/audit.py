@@ -198,8 +198,9 @@ def _audit_faults(ops: int, seed: int,
     keys = _keys(ops, seed + 4)
     run_voter_insert_kernel(table, keys, keys)
 
-    # Resize aborts at every stage: each must roll back *and* release
-    # its subtable lock on the way out.
+    # Resize aborts at every stage must release the subtable lock on
+    # the way out: trigger/plan/rehash roll back, and a spill abort
+    # parks the residuals in the stash.
     for stage in ("trigger", "plan", "rehash", "spill"):
         rtable = DyCuckooTable(DyCuckooConfig(
             initial_buckets=16, bucket_capacity=8, min_buckets=8,

@@ -221,7 +221,7 @@ def run_scenario(spec: ScenarioSpec, scale: float = 1.0,
                     worst_batch = len(slo_samples) - 1
             elif kind == "churn" and batch_ops:
                 # Churn waves are bulk maintenance, outside the request
-                # SLO — but they are where one-shot resizes spike, so
+                # SLO — but they are where resize epochs open, so
                 # their per-op latency is tracked separately (and gated
                 # for the resize scenarios).
                 maintenance_samples.append(seconds / batch_ops * 1e9)

@@ -123,7 +123,6 @@ class ScenarioSpec:
     bucket_capacity: int = 32
     min_buckets: int = 8
     stash_capacity: int = 256
-    incremental_resize: bool = True
     shards: int = 1
     # Composition axes (None/False = axis off).
     storm: StormSpec | None = None
@@ -168,7 +167,6 @@ class ScenarioSpec:
             alpha=self.alpha,
             beta=self.beta,
             stash_capacity=self.stash_capacity,
-            incremental_resize=self.incremental_resize,
             seed=self.seed,
         )
 

@@ -23,6 +23,8 @@ from repro.gpusim.atomics import AtomicMemory
 from repro.gpusim.kernel import LockArbiter
 from repro.gpusim.memory_manager import DeviceMemoryManager
 from repro.kernels.insert import run_voter_insert_kernel
+from repro.oracle import DictModel
+from repro.sanitizer import Sanitizer
 
 
 def full_state(table: DyCuckooTable):
@@ -232,33 +234,34 @@ class TestResizeAborts:
         table.downsize()
         assert table.stats.downsizes == downsizes_before + 1
 
-    def test_spill_abort_rolls_back_downsize(self):
-        # A dense table whose downsize must spill residuals: find the
-        # spill site actually being consulted, then assert rollback.
-        config = DyCuckooConfig(initial_buckets=8, bucket_capacity=2,
-                                min_buckets=4, auto_resize=False)
-        table = DyCuckooTable(config)
-        keys = unique_keys(40, seed=4)
-        table.insert(keys, keys)
+    def test_spill_abort_parks_residuals_in_stash(self):
+        """An injected spill abort parks a slice's residuals in the stash
+        and the downsize completes — the contract every automatic
+        downsize already has; nothing is rolled back."""
+        table = DyCuckooTable(DyCuckooConfig(
+            initial_buckets=16, bucket_capacity=4, min_buckets=8,
+            auto_resize=False))
+        model = DictModel()
+        keys = unique_keys(140, seed=3)
+        assert model.apply(table, "insert", keys, keys + np.uint64(1)) == []
         plan = FaultPlan(seed=0, rates={"resize.abort.spill": 1.0})
-        table.attach(Instruments(faults=plan))
-        before = full_state(table)
-        spilled = False
-        for _ in range(4):
-            try:
-                table._resizer.downsize()
-            except ResizeError:
-                if plan.invocations().get("resize.abort.spill"):
-                    spilled = True
-                    break
-                raise
-            before = full_state(table)
-        assert spilled, "workload never produced downsize residuals"
-        after = full_state(table)
-        assert after[0] == before[0] and after[1] == before[1]
+        san = Sanitizer()
+        table.attach(Instruments(faults=plan, sanitizer=san))
+        before = table.stats.snapshot()
+        table._resizer.downsize()
+        assert plan.invocations()["resize.abort.spill"] == 1
+        assert plan.fired_by_site() == {"resize.abort.spill": 1}
+        delta = table.stats.delta(before)
+        assert delta["downsizes"] == 1
+        assert delta["resize_aborts"] == 1
+        assert delta["residuals"] > 0
+        assert delta["stash_pushes"] == delta["residuals"] == len(table.stash)
+        assert model.divergence(table) == []
+        assert san.report()["subtable_locks_held"] == 0
+        assert san.ok, [str(v) for v in san.violations]
         table.validate()
 
-    @pytest.mark.parametrize("stage", ["plan", "rehash", "spill"])
+    @pytest.mark.parametrize("stage", ["plan", "rehash"])
     def test_aborted_downsize_rolls_back_all_counters(self, stage):
         """An aborted downsize must leave *every* counter untouched.
 
@@ -289,6 +292,40 @@ class TestResizeAborts:
         delta = {name: count for name, count
                  in table.stats.delta(before).items() if count}
         assert delta == {"resize_aborts": 1}
+
+    def test_spill_abort_counts_only_the_merge(self):
+        """A spill-aborted downsize counts the merge of an un-faulted
+        twin downsize, one ``resize_aborts`` tick and one stash push per
+        parked residual — and none of the spill's own traffic."""
+        spill_work = {"evictions", "eviction_rounds", "lock_acquisitions",
+                      "bucket_reads", "bucket_writes"}
+
+        def downsize_delta(plan):
+            table = DyCuckooTable(DyCuckooConfig(
+                initial_buckets=8, bucket_capacity=2, min_buckets=4,
+                auto_resize=False))
+            keys = unique_keys(40, seed=4)
+            table.insert(keys, keys)
+            table.attach(Instruments(faults=plan))
+            before = table.stats.snapshot()
+            table._resizer.downsize()
+            table.validate()
+            return {name: count for name, count
+                    in table.stats.delta(before).items() if count}
+
+        clean = downsize_delta(NO_FAULTS)
+        plan = FaultPlan(seed=0, rates={"resize.abort.spill": 1.0})
+        faulted = downsize_delta(plan)
+        assert plan.fired_by_site() == {"resize.abort.spill": 1}
+        assert clean["residuals"] > 0 and clean["eviction_rounds"] > 0
+        merge = {n: c for n, c in clean.items() if n not in spill_work}
+        assert {n: c for n, c in faulted.items() if n not in spill_work} \
+            == {**merge, "resize_aborts": 1,
+                "stash_pushes": clean["residuals"]}
+        assert not {"evictions", "eviction_rounds",
+                    "lock_acquisitions"} & faulted.keys()
+        assert 0 < faulted["bucket_reads"] < clean["bucket_reads"]
+        assert 0 < faulted["bucket_writes"] < clean["bucket_writes"]
 
     def test_enforce_bounds_survives_persistent_aborts(self, small_config):
         # Every resize aborts; batches must still complete and stay

@@ -1,5 +1,7 @@
 """Tests for table serialization (save/load round-trip)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,25 @@ class TestRoundTrip:
         save_table(table, path)
         loaded = load_table(path)
         assert loaded.config == config
+
+    def test_archive_with_retired_resize_switch_loads(self, tmp_path):
+        table = DyCuckooTable(DyCuckooConfig(initial_buckets=16,
+                                             bucket_capacity=8))
+        keys = unique_keys(500, seed=4)
+        table.insert(keys, keys)
+        path = tmp_path / "t.npz"
+        save_table(table, path)
+        with np.load(path) as archive:
+            payload = dict(archive)
+        config = json.loads(bytes(payload["config"]).decode("utf-8"))
+        config["incremental_resize"] = True
+        payload["config"] = np.frombuffer(json.dumps(config).encode("utf-8"),
+                                          dtype=np.uint8)
+        np.savez_compressed(path, **payload)
+        loaded = load_table(path)
+        assert loaded.config == table.config
+        _values, found = loaded.find(keys)
+        assert found.all()
 
     def test_stats_preserved(self, tmp_path):
         table = DyCuckooTable(DyCuckooConfig(initial_buckets=16,

@@ -252,9 +252,8 @@ class TestFlightRecorder:
         assert rec.last_bundle()["reason"] == "invariant_failure"
 
     def test_resize_and_stash_events_recorded(self):
-        # Automatic resizes open incremental epochs by default, so the
-        # recorder sees epoch-open events (with a direction) instead of
-        # the one-shot resize events.
+        # Every resize is a migration epoch, so the recorder sees
+        # epoch-open events, each with a direction.
         table = small_table(initial_buckets=8)
         rec = FlightRecorder(capacity=512)
         table.attach(Instruments(recorder=rec))

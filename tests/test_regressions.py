@@ -24,6 +24,7 @@ from repro.core.table import DyCuckooTable, decode_keys
 from repro.errors import ResizeError
 from repro.faults import FaultPlan
 from repro.kernels import run_spin_insert_kernel, run_voter_insert_kernel
+from repro.oracle import DictModel
 
 from .conftest import unique_keys
 
@@ -123,31 +124,30 @@ class TestEraseDuplicateRows:
 
 
 class TestDownsizeRollbackAccounting:
-    """Bug 3: rollback restored storage but not the event counters."""
+    """Bug 3: rollback restored storage but not the event counters.
 
-    def test_spill_abort_delta_is_exactly_one_abort(self):
-        config = DyCuckooConfig(initial_buckets=8, bucket_capacity=2,
-                                min_buckets=4, auto_resize=False)
-        table = DyCuckooTable(config)
+    ``test_faults`` pins the plan/rehash rollbacks; a spill abort parks
+    the residuals instead, so only the work that stuck is counted.
+    """
+
+    def test_spill_abort_charges_no_spill_traffic(self):
+        """A spill abort parks the residuals instead of rolling back;
+        the parked keys are pushed to the stash, never spilled."""
+        table = fresh_table(buckets=8, capacity=2, min_buckets=4)
+        model = DictModel()
         keys = unique_keys(40, seed=42)
-        table.insert(keys, keys)
+        assert model.apply(table, "insert", keys, keys) == []
         plan = FaultPlan(seed=0, rates={"resize.abort.spill": 1.0})
         table.attach(Instruments(faults=plan))
         before = table.stats.snapshot()
-        aborted = False
-        for _ in range(4):
-            try:
-                table._resizer.downsize()
-            except ResizeError:
-                aborted = True
-                break
-            before = table.stats.snapshot()
-        assert aborted, "fault plan never reached the spill stage"
-        delta = {name: count for name, count
-                 in table.stats.delta(before).items() if count}
-        # Used to leave bucket_reads/bucket_writes/rehashed_entries/
-        # residuals inflated by the rolled-back rehash.
-        assert delta == {"resize_aborts": 1}
+        table._resizer.downsize()
+        assert plan.fired_by_site() == {"resize.abort.spill": 1}
+        delta = table.stats.delta(before)
+        assert delta["resize_aborts"] == 1
+        assert delta["stash_pushes"] == delta["residuals"] > 0
+        # The parked residuals ran no eviction round and took no lock.
+        assert delta["eviction_rounds"] == delta["lock_acquisitions"] == 0
+        assert model.divergence(table) == []
         table.validate()
 
 
@@ -209,20 +209,21 @@ class TestUnwindReleasesLocks:
     def test_resize_abort_releases_subtable_lock(self):
         from repro.sanitizer import Sanitizer
 
-        table = fresh_table(buckets=16, capacity=8, min_buckets=8,
-                            auto_resize=True)
         san = Sanitizer()
-        table.attach(Instruments(sanitizer=san))
-        keys = unique_keys(96, seed=79)
-        table.insert(keys, keys)
-        table.delete(keys[:80])  # make the downsize viable
         for stage in ("rehash", "spill"):
-            table.attach(Instruments(sanitizer=san, faults=FaultPlan(
-                seed=0, rates={f"resize.abort.{stage}": 1.0})))
-            with pytest.raises(ResizeError):
+            table = fresh_table(buckets=16, capacity=4, min_buckets=8)
+            keys = unique_keys(140, seed=3)
+            table.insert(keys, keys)
+            plan = FaultPlan(seed=0, rates={f"resize.abort.{stage}": 1.0})
+            table.attach(Instruments(sanitizer=san, faults=plan))
+            if stage == "rehash":
+                with pytest.raises(ResizeError):
+                    table._resizer.downsize()
+            else:  # the residuals are parked and the downsize completes
                 table._resizer.downsize()
+            assert plan.fired_by_site() == {f"resize.abort.{stage}": 1}
             table.attach(Instruments(sanitizer=san))
             report = san.report()
             assert report["subtable_locks_held"] == 0, stage
             assert san.ok, [str(v) for v in san.violations]
-        table.validate()
+            table.validate()

@@ -8,11 +8,13 @@ from repro.core.instruments import Instruments
 from repro.core.resize import _TableSnapshot
 from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import ResizeError
-from repro.faults import FaultPlan
+from repro.faults import FAULT_SITES, FaultPlan
+from repro.gpusim.metrics import CostModel
 from repro.kernels import run_voter_insert_kernel
 from repro.oracle import DictModel
 
 from .conftest import unique_keys
+from .test_faults import full_state
 
 
 def filled_table(n_keys=2000, seed=1, **config_kwargs):
@@ -118,6 +120,64 @@ class TestDownsize:
         # Not guaranteed every run produces residuals, but the counter
         # must never go backwards and the structure must stay intact.
         assert table.stats.residuals >= before_residuals
+
+
+def fig8_table(theta):
+    """Figure 8's table: 64K slots, d=4, 32-slot buckets, keys seed 8."""
+    slots = 64 * 1024
+    table = DyCuckooTable(DyCuckooConfig(
+        num_tables=4, bucket_capacity=32, initial_buckets=slots // (4 * 32),
+        auto_resize=False))
+    n = int(slots * theta)
+    rng = np.random.default_rng(8)
+    keys = np.unique(rng.integers(1, 1 << 62, int(n * 1.3)
+                                  ).astype(np.uint64))[:n]
+    table.insert(keys, keys)
+    return table
+
+
+class TestManualResize:
+    @pytest.mark.parametrize("kind, theta, priced", [
+        ("upsize", 0.85, {"bucket_reads": 512, "bucket_writes": 1024,
+                          "rehashed_entries": 13956, "upsizes": 1}),
+        ("downsize", 0.45, {"bucket_reads": 721, "bucket_writes": 465,
+                            "rehashed_entries": 7334, "residuals": 209,
+                            "lock_acquisitions": 209, "eviction_rounds": 1,
+                            "downsizes": 1}),
+    ])
+    def test_cost_parity_at_figure8_geometry(self, kind, theta, priced):
+        """Subtable 0's manual resize charges the single-pass rehash's
+        exact counters; the epoch's own bookkeeping is left unpriced."""
+        table = fig8_table(theta)
+        setattr(table._resizer, f"_pick_{kind}_target", lambda: 0)
+        before = table.stats.snapshot()
+        getattr(table, kind)()
+        delta = {name: count for name, count
+                 in table.stats.delta(before).items() if count}
+        bookkeeping = {name: delta.pop(name) for name
+                       in ("migration_slices", "migrated_pairs")
+                       if name in delta}
+        assert delta == priced
+        cost = CostModel()
+        assert (cost.batch_seconds({**delta, **bookkeeping}, 1)
+                == cost.batch_seconds(delta, 1))
+        table.validate()
+
+    def test_downsize_refuses_to_overshoot_beta(self):
+        """Halving would put theta above beta: refused before any fault
+        site is consulted and before anything moves."""
+        table = DyCuckooTable(DyCuckooConfig(
+            initial_buckets=16, bucket_capacity=8, min_buckets=8,
+            auto_resize=False))
+        keys = unique_keys(420, seed=6)
+        table.insert(keys, keys)
+        plan = FaultPlan(seed=0, rates={site: 1.0 for site in FAULT_SITES})
+        table.attach(Instruments(faults=plan))
+        before = full_state(table)
+        with pytest.raises(ResizeError, match="above beta"):
+            table.downsize()
+        assert full_state(table) == before
+        assert plan.invocations() == {}
 
 
 class TestBoundEnforcement:
@@ -383,7 +443,7 @@ class TestMigrationEpochs:
     def test_manual_resizes_finalize_open_epochs_first(self):
         table, keys = filled_table()
         table._resizer.open_upsize_epoch()
-        table.upsize()  # one-shot keeps all-or-nothing semantics
+        table.upsize()  # its epoch runs to completion, and so do the rest
         assert table._resizer._open_epochs() == []
         table.validate()
         _, found = table.find(keys)

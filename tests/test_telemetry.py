@@ -319,48 +319,7 @@ class TestZeroOverhead:
 
 
 class TestResizeLifecycle:
-    """One-shot resize lifecycle (``incremental_resize=False``)."""
-
-    def test_upsize_lifecycle_spans(self):
-        table = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
-                                             bucket_capacity=8,
-                                             min_buckets=8,
-                                             incremental_resize=False))
-        telemetry = Telemetry()
-        table.attach(Instruments(telemetry=telemetry))
-        keys = unique_keys(4000, seed=7)
-        table.insert(keys, keys)
-        tracer = telemetry.tracer
-        upsizes = tracer.spans("resize.upsize")
-        assert len(upsizes) == table.stats.upsizes > 0
-        assert len(tracer.instants("resize.trigger")) >= len(upsizes)
-        # Each upsize contains a plan and a rehash phase.
-        assert len(tracer.spans("resize.rehash")) >= len(upsizes)
-        assert len(tracer.spans("resize.plan")) >= len(upsizes)
-
-    def test_downsize_lifecycle_with_spill(self):
-        table = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
-                                             bucket_capacity=8,
-                                             min_buckets=8,
-                                             incremental_resize=False))
-        telemetry = Telemetry()
-        table.attach(Instruments(telemetry=telemetry))
-        keys = unique_keys(6000, seed=9)
-        table.insert(keys, keys)
-        table.delete(keys[:5500])
-        tracer = telemetry.tracer
-        downs = tracer.spans("resize.downsize")
-        assert len(downs) == table.stats.downsizes > 0
-        spills = tracer.spans("resize.spill")
-        assert len(spills) == len(downs)
-        # Spill spans nest inside their downsize span.
-        for down, spill in zip(downs, spills):
-            assert down.ts_us < spill.ts_us
-            assert spill.ts_us + spill.dur_us <= down.ts_us + down.dur_us
-            assert spill.depth == down.depth + 1
-        triggers = [e for e in tracer.instants("resize.trigger")
-                    if e.args.get("reason") == "theta<alpha"]
-        assert triggers, "downsize without a theta<alpha trigger"
+    """Resize metrics mirror the table's counters."""
 
     def test_metrics_mirror_stats(self):
         table, telemetry = _traced_run()
@@ -390,7 +349,7 @@ class TestEpochLifecycle:
         epochs = tracer.spans("resize.upsize_epoch")
         assert len(epochs) == table.stats.upsizes > 0
         assert len(tracer.spans("resize.plan")) >= len(epochs)
-        # No one-shot rehash span: entries moved in bounded slices.
+        # No whole-subtable rehash span: entries moved in bounded slices.
         assert not tracer.spans("resize.rehash")
         assert table.stats.migration_slices > 0
         migrates = tracer.instants("resize.migrate")
