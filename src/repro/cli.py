@@ -802,8 +802,8 @@ def _cmd_faults(args) -> int:
         for site in sorted(invocations):
             print(f"  {site}: {counts.get(site, 0)} fired / "
                   f"{invocations[site]} invocations")
-        print(f"recovery: {table.stats.resize_aborts} resize aborts rolled "
-              f"back, {table.stats.stash_pushes} keys stashed, "
+        print(f"recovery: {table.stats.resize_aborts} resize aborts, "
+              f"{table.stats.stash_pushes} keys stashed, "
               f"{table.stats.stash_drained} drained back, "
               f"{len(table.stash)} still stashed")
         outcome = ("no lost inserts" if bool(kernel_found.all())

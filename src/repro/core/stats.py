@@ -77,7 +77,10 @@ class TableStats:
     stash_drained: int = 0
     #: FIND probes answered from the stash.
     stash_hits: int = 0
-    #: Resizes aborted mid-lifecycle (fault injection) and rolled back.
+    #: Resizes aborted mid-lifecycle (fault injection).  Not every abort
+    #: rolls back: only an epoch-open rehash abort restores a snapshot, a
+    #: spill abort parks its residuals in the stash, and a migration
+    #: slice's rehash abort leaves its epoch open.
     resize_aborts: int = 0
     #: Bounded migration slices executed for incremental-resize epochs.
     migration_slices: int = 0

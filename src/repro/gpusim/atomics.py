@@ -2,9 +2,9 @@
 
 Two consumers:
 
-* The **lane-level interpreter** (:mod:`repro.gpusim.warp`) needs working
-  ``atomicCAS``/``atomicExch`` semantics over a shared lock array — that
-  is :class:`AtomicMemory`.
+* **Functional atomics**: :class:`AtomicMemory` gives working
+  ``atomicCAS``/``atomicExch`` semantics over a word array, the home of
+  the ``atomics.cas`` fault site.
 * The **cost model** needs the empirical observation of the paper's
   Figure 5: throughput of atomics collapses as more of them land on the
   same address, while an equivalent amount of coalesced memory IO stays
@@ -25,7 +25,6 @@ import numpy as np
 from repro.faults import NO_FAULTS
 from repro.gpusim.device import DeviceSpec, GTX_1080
 from repro.sanitizer import NULL_SANITIZER
-from repro.telemetry.tracer import NULL_TRACER
 
 _SITE_CAS = "repro/gpusim/atomics.py:AtomicMemory.atomic_cas"
 _SITE_EXCH = "repro/gpusim/atomics.py:AtomicMemory.atomic_exch"
@@ -38,13 +37,17 @@ CAS_COST_FACTOR = 1.6
 class AtomicMemory:
     """A word-addressed memory supporting CUDA-style atomics.
 
-    Used as the lock table by the lane-level kernels.  Operations are
-    sequentially consistent — the simulator executes one device round at
-    a time, and within a round the winning order is the lane order the
-    scheduler chose, which is a legal GPU interleaving.
+    A standalone model of the CAS/exchange primitives: ``repro faults``
+    drives its injected CAS failures through it.  The kernels do not use
+    it — their bucket locks are arbitrated by
+    :class:`~repro.gpusim.kernel.LockArbiter` (warp engine) and by the
+    cohort engine's vectorized arbitration.  Operations are sequentially
+    consistent — the simulator executes one device round at a time, and
+    within a round the winning order is the caller's issue order, which
+    is a legal GPU interleaving.
     """
 
-    def __init__(self, num_words: int, tracer=None, faults=None,
+    def __init__(self, num_words: int, faults=None,
                  sanitizer=None) -> None:
         self.words = np.zeros(num_words, dtype=np.int64)
         #: Total atomic operations executed.
@@ -54,7 +57,6 @@ class AtomicMemory:
         #: Operations grouped by address within the current round, used to
         #: derive conflict statistics.
         self._round_addresses: list[int] = []
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.faults = faults if faults is not None else NO_FAULTS
         self.sanitizer = (sanitizer if sanitizer is not None
                           else NULL_SANITIZER)
@@ -76,9 +78,6 @@ class AtomicMemory:
             self.injected_failures += 1
             if self.sanitizer.enabled:
                 self.sanitizer.note_injected("atomics.cas")
-            if self.tracer.enabled:
-                self.tracer.instant("fault.inject", "fault",
-                                    site="atomics.cas", address=address)
             return compare ^ 1
         old = int(self.words[address])
         if old == compare:
@@ -102,11 +101,6 @@ class AtomicMemory:
             counts[address] = counts.get(address, 0) + 1
         if self.sanitizer.enabled and counts:
             self.sanitizer.on_atomic_round(counts)
-        if self.tracer.enabled and counts:
-            self.tracer.instant(
-                "atomic.round", "atomic",
-                ops=len(self._round_addresses), addresses=len(counts),
-                max_degree=max(counts.values()))
         self._round_addresses.clear()
         return counts
 

@@ -319,10 +319,6 @@ def cohort_insert(table, batch, values: np.ndarray,
     from repro.kernels.insert import KernelRunResult
 
     result = KernelRunResult()
-    result.hazard_rounds = 0
-    result.hazard_lanes = 0
-    if len(batch) == 0:
-        return result
     state = _CohortState(table, batch, np.asarray(values, dtype=np.uint64),
                          np.asarray(targets, dtype=np.int64), voter)
     rng = np.random.default_rng(0)
@@ -336,8 +332,6 @@ def cohort_insert(table, batch, values: np.ndarray,
     stalled_locks: dict[int, int] = {}
     if prof.enabled:
         state.depth = np.zeros(W * WARP_WIDTH, dtype=np.int64)
-    if san.enabled:
-        san.begin_kernel("insert", locking=True, table=table)
     # Round-invariant scratch, hoisted out of the loop: the permutation
     # -> position scatter buffer and its identity source.
     pos = np.empty(W, dtype=np.int64)
@@ -437,12 +431,10 @@ def cohort_insert(table, batch, values: np.ndarray,
             st.size += n
         if prof.enabled and round_samples:
             prof.record_rounds_many(round_samples)
-        if san.enabled:
-            if result.memory_transactions:
-                # Mirror the per-warp MemoryTracker's sanitizer feed
-                # (one notification per counted transaction).
-                san.on_transactions(result.memory_transactions)
-            san.end_kernel()
+        if san.enabled and result.memory_transactions:
+            # Mirror the per-warp MemoryTracker's sanitizer feed (one
+            # notification per counted transaction).
+            san.on_transactions(result.memory_transactions)
     result.rounds = rounds
     result.hazard_rounds = hazard_rounds
     result.hazard_lanes = hazard_lanes

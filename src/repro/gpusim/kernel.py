@@ -22,7 +22,6 @@ from repro.faults import NO_FAULTS
 from repro.gpusim.device import DeviceSpec, GTX_1080
 from repro.sanitizer import NULL_SANITIZER
 from repro.telemetry.profiler import NULL_PROFILER
-from repro.telemetry.tracer import NULL_TRACER
 
 _SITE_ACQUIRE = "repro/gpusim/kernel.py:LockArbiter.try_acquire"
 _SITE_RELEASE = "repro/gpusim/kernel.py:LockArbiter.release"
@@ -114,11 +113,10 @@ class RoundScheduler:
     """
 
     def __init__(self, warps: Iterable, max_rounds: int = 1_000_000,
-                 seed: int = 0, tracer=None, sanitizer=None) -> None:
+                 seed: int = 0, sanitizer=None) -> None:
         self.warps = list(warps)
         self.max_rounds = max_rounds
         self.rounds_executed = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.sanitizer = (sanitizer if sanitizer is not None
                           else NULL_SANITIZER)
         self._rng = __import__("numpy").random.default_rng(seed)
@@ -131,13 +129,6 @@ class RoundScheduler:
         gives no warp a standing priority, and a fixed order would let
         warp 0 win every lock race.
         """
-        with self.tracer.span("kernel.run", "kernel", warps=len(self.warps)):
-            round_index = self._run_rounds(before_round, after_round)
-        self.rounds_executed = round_index
-        return round_index
-
-    def _run_rounds(self, before_round, after_round) -> int:
-        tracer = self.tracer
         round_index = 0
         while any(not w.finished() for w in self.warps):
             if round_index >= self.max_rounds:
@@ -148,10 +139,6 @@ class RoundScheduler:
                 self.sanitizer.begin_round(round_index)
             if before_round is not None:
                 before_round(round_index)
-            if tracer.enabled:
-                tracer.instant("kernel.round", "kernel", index=round_index,
-                               active=sum(1 for w in self.warps
-                                          if not w.finished()))
             order = self._rng.permutation(len(self.warps))
             for idx in order:
                 warp = self.warps[idx]
@@ -160,6 +147,7 @@ class RoundScheduler:
             if after_round is not None:
                 after_round(round_index)
             round_index += 1
+        self.rounds_executed = round_index
         return round_index
 
 
@@ -173,8 +161,7 @@ class LockArbiter:
     counts the failed attempts (the spinning the voter scheme avoids).
     """
 
-    def __init__(self, tracer=None, faults=None, sanitizer=None,
-                 profiler=None) -> None:
+    def __init__(self, faults=None, sanitizer=None, profiler=None) -> None:
         self._held: set[int] = set()
         #: Resources camped on by an injected stalled holder, mapped to
         #: the device rounds the stall has left (aged by :meth:`tick`).
@@ -185,7 +172,6 @@ class LockArbiter:
         self.injected_failures = 0
         #: Stalled-holder faults injected (``lock.stall``).
         self.injected_stalls = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.faults = faults if faults is not None else NO_FAULTS
         self.sanitizer = (sanitizer if sanitizer is not None
                           else NULL_SANITIZER)
@@ -202,16 +188,11 @@ class LockArbiter:
             self.conflicts += 1
             if self.profiler.enabled:
                 self.profiler.lock_conflict(resource)
-            if self.tracer.enabled:
-                self.tracer.instant("lock.retry", "lock", resource=resource,
-                                    stalled=True)
             return False
         if resource in self._held:
             self.conflicts += 1
             if self.profiler.enabled:
                 self.profiler.lock_conflict(resource)
-            if self.tracer.enabled:
-                self.tracer.instant("lock.retry", "lock", resource=resource)
             return False
         if self.faults.enabled:
             fault = self.faults.fire("lock.acquire")
@@ -226,10 +207,6 @@ class LockArbiter:
                     # Intentional: the acquisition never happened, so
                     # there is nothing for lockcheck to pair.
                     self.sanitizer.note_injected("lock.acquire")
-                if self.tracer.enabled:
-                    self.tracer.instant("fault.inject", "fault",
-                                        site="lock.acquire",
-                                        resource=resource)
                 return False
             fault = self.faults.fire("lock.stall")
             if fault is not None:
@@ -245,10 +222,6 @@ class LockArbiter:
                     # Intentional: the phantom holder is not a tracked
                     # warp, so it cannot be reported as a leak.
                     self.sanitizer.note_injected("lock.stall")
-                if self.tracer.enabled:
-                    self.tracer.instant("fault.inject", "fault",
-                                        site="lock.stall", resource=resource,
-                                        rounds=max(1, fault.param))
                 return False
         self._held.add(resource)
         self.acquisitions += 1
@@ -257,8 +230,6 @@ class LockArbiter:
         if self.sanitizer.enabled:
             self.sanitizer.on_lock_acquire(warp, resource,
                                            site=_SITE_ACQUIRE)
-        if self.tracer.enabled:
-            self.tracer.instant("lock.acquire", "lock", resource=resource)
         return True
 
     def release(self, resource: int, warp: int = -1,

@@ -20,7 +20,11 @@ Each ``run_*_kernel`` accepts ``engine="warp" | "cohort"``
 warp (the reference), ``"cohort"`` executes the same program through
 the structure-of-arrays engine of :mod:`repro.gpusim.cohort`, which is
 bit-for-bit conformant on results *and* cost counters while running
-1-2 orders of magnitude faster.
+1-2 orders of magnitude faster.  The FIND, INSERT and DELETE entry
+points encode their batch (and route it, for INSERT), pick the engine
+and hand it to :func:`repro.kernels.engine.launch`, which alone
+instruments the launch: sanitizer scope, profiler record, span and
+counters.
 """
 
 from repro.kernels.delete import run_delete_kernel

@@ -1,4 +1,4 @@
-"""Execution-engine selection and shared telemetry for the kernels.
+"""Execution-engine selection and the one instrumented kernel launch.
 
 Every ``run_*_kernel`` entry point takes ``engine="warp" | "cohort"``:
 
@@ -8,8 +8,10 @@ Every ``run_*_kernel`` entry point takes ``engine="warp" | "cohort"``:
   :mod:`repro.gpusim.cohort`, bit-for-bit conformant with the
   reference and 1-2 orders of magnitude faster.
 
-Both engines emit the same telemetry: one ``kernel.<op>`` span per run
-(labelled with the engine) and counters derived from the aggregate
+Whichever engine runs, the launch goes through :func:`launch`, the one
+place a kernel is instrumented: the sanitizer's kernel scope, the
+profiler's kernel record, one ``kernel.<op>`` span (labelled with the
+engine) and counters derived from the aggregate
 :class:`~repro.kernels.insert.KernelRunResult` — which the conformance
 contract guarantees to be identical across engines, so dashboards see
 the same stream regardless of the engine that produced it.
@@ -17,7 +19,7 @@ the same stream regardless of the engine that produced it.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import dataclasses
 
 from repro.core.batch_ops import EncodedBatch
 from repro.errors import InvalidConfigError
@@ -44,29 +46,59 @@ def kernel_batch(table, keys, codes: EncodedBatch | None) -> EncodedBatch:
     return EncodedBatch(table, keys)
 
 
-def kernel_span(table, op: str, n: int, engine: str):
-    """Context manager for one kernel launch (span when instrumented)."""
-    telemetry = table.telemetry
-    if not telemetry.enabled:
-        return nullcontext()
-    return telemetry.tracer.span(f"kernel.{op}", "kernel", n=n,
-                                 engine=engine)
+def launch(table, op: str, batch, engine: str, body):
+    """Run ``body()`` as one instrumented ``op`` kernel launch.
 
+    ``body`` executes the launch on ``engine`` and returns its
+    :class:`~repro.kernels.insert.KernelRunResult`, or a tuple whose
+    last element is one; :func:`launch` returns that unchanged.  Around
+    it, on whichever instruments the table carries:
 
-def record_kernel_counters(table, result) -> None:
-    """Fold a run's aggregate counters into the table's metrics.
-
-    Counter values come only from the :class:`KernelRunResult`
-    aggregates, never from engine internals, so the stream is identical
-    whichever engine executed the launch.
+    * the sanitizer's kernel scope — ``locking=True`` for INSERT only,
+      since FIND and DELETE are lock-free by design (Section V-B): their
+      probes and the at-most-one-matching-lane slot clear are exempt
+      from the unlocked-write contract;
+    * the profiler's kernel record, closed with the run's counters (or
+      bare, when the body raises);
+    * one ``kernel.<op>`` span, which also carries a cohort insert's
+      ``hazard_rounds`` / ``hazard_lanes`` diagnostics;
+    * the run's counters folded into the metrics.  They come only from
+      the result's aggregate fields, never from engine internals, so the
+      stream is identical whichever engine executed the launch.
     """
+    n = len(batch)
+    san = table.sanitizer
+    prof = table.profiler
     telemetry = table.telemetry
-    if not telemetry.enabled:
-        return
-    metrics = telemetry.metrics
-    metrics.counter("kernel.rounds").inc(result.rounds)
-    metrics.counter("kernel.transactions").inc(result.memory_transactions)
-    metrics.counter("kernel.lock_acquisitions").inc(result.lock_acquisitions)
-    metrics.counter("kernel.lock_conflicts").inc(result.lock_conflicts)
-    metrics.counter("kernel.evictions").inc(result.evictions)
-    metrics.counter("kernel.completed_ops").inc(result.completed_ops)
+    if san.enabled:
+        san.begin_kernel(op, locking=op == "insert", table=table)
+    if prof.enabled:
+        prof.begin_kernel(op, n)
+    try:
+        with telemetry.tracer.span(f"kernel.{op}", "kernel", n=n,
+                                   engine=engine) as span:
+            out = body()
+            result = out[-1] if isinstance(out, tuple) else out
+            if span is not None and getattr(result, "hazard_rounds", 0):
+                span.args["hazard_rounds"] = result.hazard_rounds
+                span.args["hazard_lanes"] = result.hazard_lanes
+    except BaseException:
+        if prof.enabled:
+            prof.end_kernel()
+        raise
+    finally:
+        if san.enabled:
+            san.end_kernel()
+    if prof.enabled:
+        prof.end_kernel(dataclasses.asdict(result))
+    if telemetry.enabled:
+        metrics = telemetry.metrics
+        metrics.counter("kernel.rounds").inc(result.rounds)
+        metrics.counter("kernel.transactions").inc(
+            result.memory_transactions)
+        metrics.counter("kernel.lock_acquisitions").inc(
+            result.lock_acquisitions)
+        metrics.counter("kernel.lock_conflicts").inc(result.lock_conflicts)
+        metrics.counter("kernel.evictions").inc(result.evictions)
+        metrics.counter("kernel.completed_ops").inc(result.completed_ops)
+    return out

@@ -14,15 +14,11 @@ with identical results and transaction counts.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.core.batch_ops import EncodedBatch
-from repro.gpusim.memory import MemoryTracker
 from repro.gpusim.warp import WarpContext
-from repro.kernels.engine import (kernel_batch, kernel_span,
-                                  record_kernel_counters, resolve_engine)
+from repro.kernels.engine import kernel_batch, launch, resolve_engine
 from repro.kernels.insert import KernelRunResult
 
 
@@ -56,69 +52,66 @@ def run_find_kernel(table, keys, engine: str = "warp", *,
     """
     resolve_engine(engine)
     batch = kernel_batch(table, keys, codes)
-    n = len(batch)
-    san = table.sanitizer
-    prof = table.profiler
-    if san.enabled:
-        # FIND is read-only and lock-free by design (Section V-B):
-        # locking=False exempts it from the unlocked-write contract and
-        # its probes are recorded as "probe" kind (exempt from pairing).
-        san.begin_kernel("find", locking=False, table=table)
-    if prof.enabled:
-        prof.begin_kernel("find", n)
-    try:
-        with kernel_span(table, "find", n, engine):
-            if engine == "cohort":
-                from repro.gpusim.cohort import cohort_find
-
-                values, found, result = cohort_find(table, batch)
-            else:
-                values, found, result = _warp_find(table, batch)
-    except BaseException:
-        if prof.enabled:
-            prof.end_kernel()
-        raise
-    finally:
-        if san.enabled:
-            san.end_kernel()
-    if prof.enabled:
-        prof.end_kernel(dataclasses.asdict(result))
-    record_kernel_counters(table, result)
-    return values, found, result
+    if engine == "cohort":
+        from repro.gpusim.cohort import cohort_find as body
+    else:
+        body = _warp_find
+    return launch(table, "find", batch, engine, lambda: body(table, batch))
 
 
 def _warp_find(table, batch: EncodedBatch
                ) -> tuple[np.ndarray, np.ndarray, KernelRunResult]:
-    n = len(batch)
-    values = np.zeros(n, dtype=np.uint64)
-    found = np.zeros(n, dtype=bool)
-    result = KernelRunResult()
-    san = table.sanitizer
-    tracker = MemoryTracker(sanitizer=san if san.enabled else None)
-    ctx = WarpContext(warp_id=0)
-    if n == 0:
-        return values, found, result
+    values = np.zeros(len(batch), dtype=np.uint64)
 
+    def on_hit(i: int, st, _target: int, bucket: int, slot: int) -> int:
+        values[i] = st.values[bucket, slot]
+        return 0
+
+    found, result = _warp_walk(table, batch, on_hit)
+    result.completed_ops = len(batch)
+    return values, found, result
+
+
+def _warp_walk(table, batch: EncodedBatch, on_hit
+              ) -> tuple[np.ndarray, KernelRunResult]:
+    """The two-bucket warp walk FIND and DELETE share (reference engine).
+
+    One warp takes the batch's keys in order.  It reads a key's first
+    candidate bucket in one coalesced transaction, ballots for the
+    matching slot, and reads the second bucket only on a miss.
+    ``on_hit(i, subtable, target, bucket, slot)`` acts on key ``i``'s
+    match and returns the extra transactions it issued.  Returns the
+    per-key hit mask and a :class:`KernelRunResult` carrying
+    transactions and rounds; the caller sets ``completed_ops``.
+    """
+    n = len(batch)
+    hit = np.zeros(n, dtype=bool)
+    result = KernelRunResult()
+    if n == 0:
+        return hit, result
+    ctx = WarpContext(warp_id=0)
     codes, first, second = batch.codes, batch.first, batch.second
-    prof = table.profiler
-    first_hits = 0
+    transactions = first_hits = 0
     for i in range(n):
         code = int(codes[i])
         for probe, target in enumerate((int(first[i]), int(second[i]))):
             st = table.subtables[target]
             bucket = int(table.bucket_for(
                 target, np.asarray([code], dtype=np.uint64))[0])
-            tracker.bucket_access()
-            result.memory_transactions += 1
+            transactions += 1
             slot = _ballot_match(ctx, st.keys[bucket], code)
             if slot >= 0:
-                values[i] = st.values[bucket, slot]
-                found[i] = True
+                transactions += on_hit(i, st, target, bucket, slot)
+                hit[i] = True
                 if probe == 0:
                     first_hits += 1
                 break
+    result.memory_transactions = transactions
+    result.rounds = n  # one warp processes queries sequentially
+    san = table.sanitizer
+    if san.enabled:
+        san.on_transactions(transactions)
+    prof = table.profiler
     if prof.enabled:
         prof.observe_probes(n, first_hits)
-    result.completed_ops = n
-    result.rounds = n  # one warp processes queries sequentially
-    return values, found, result
+    return hit, result

@@ -25,7 +25,6 @@ comparable (and testable) against the vectorized path.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.errors import CapacityError
 from repro.gpusim.kernel import LockArbiter, RoundScheduler
 from repro.gpusim.memory import MemoryTracker
 from repro.gpusim.warp import WarpContext
+from repro.kernels.engine import kernel_batch, launch, resolve_engine
 
 _SITE_PHASE1 = "repro/kernels/insert.py:_InsertWarp.step"
 _SITE_PHASE2 = "repro/kernels/insert.py:_InsertWarp._complete_locked"
@@ -342,50 +342,30 @@ class _InsertWarp:
 
 def _run_insert(table, keys, values, voter: bool, engine: str,
                 batch: EncodedBatch | None) -> KernelRunResult:
-    from repro.kernels.engine import (kernel_batch, kernel_span,
-                                      record_kernel_counters, resolve_engine)
-
     resolve_engine(engine)
     values = np.asarray(values, dtype=np.uint64)
     batch = kernel_batch(table, keys, batch)
-    codes = batch.codes
     # Routing happens once, before engine dispatch, so both engines see
     # byte-identical targets (the router is a pure function of the key
     # and the table's current sizes/loads).
-    targets = table._router.choose(codes, batch.first, batch.second,
+    targets = table._router.choose(batch.codes, batch.first, batch.second,
                                    table.subtable_sizes(),
                                    table.subtable_loads())
     faults = table.faults
-    faulty = faults.enabled
-    prof = table.profiler
-    if prof.enabled:
-        prof.begin_kernel("insert", len(codes))
-    try:
-        with kernel_span(table, "insert", len(codes), engine) as span:
-            if engine == "cohort":
-                from repro.gpusim.cohort import cohort_insert
+    if engine == "cohort":
+        from repro.gpusim.cohort import cohort_insert
 
-                # Fault plans run natively in the SoA path: rounds
-                # whose consult window cannot fire stay vectorized,
-                # and the rest replay the reference arbitration walk
-                # (see cohort._phase_one_fault_walk).
-                result = cohort_insert(table, batch, values, targets,
-                                       voter=voter,
-                                       faults=faults if faulty else None)
-                if span is not None and result.hazard_rounds:
-                    span.args["hazard_rounds"] = result.hazard_rounds
-                    span.args["hazard_lanes"] = result.hazard_lanes
-            else:
-                result = _run_insert_warps(table, codes, values, targets,
-                                           voter, faults)
-    except BaseException:
-        if prof.enabled:
-            prof.end_kernel()
-        raise
-    if prof.enabled:
-        prof.end_kernel(dataclasses.asdict(result))
-    record_kernel_counters(table, result)
-    return result
+        # Fault plans run natively in the SoA path: rounds whose consult
+        # window cannot fire stay vectorized, and the rest replay the
+        # reference arbitration walk (see cohort._phase_one_fault_walk).
+        def body():
+            return cohort_insert(table, batch, values, targets, voter=voter,
+                                 faults=faults if faults.enabled else None)
+    else:
+        def body():
+            return _run_insert_warps(table, batch.codes, values, targets,
+                                     voter, faults)
+    return launch(table, "insert", batch, engine, body)
 
 
 def _run_insert_warps(table, codes, values, targets, voter: bool,
@@ -407,8 +387,6 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
             arbiter=arbiter, tracker=tracker, result=result, voter=voter,
             max_rounds_per_op=max_rounds_per_op))
     scheduler = RoundScheduler(warps, sanitizer=san)
-    if san.enabled:
-        san.begin_kernel("insert", locking=True, table=table)
     before_round = None
     if prof.enabled:
         def before_round(_round_index):
@@ -450,9 +428,6 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
         for warp in warps:
             warp.unwind_locks()
         raise
-    finally:
-        if san.enabled:
-            san.end_kernel()
     result.lock_acquisitions = arbiter.acquisitions
     result.lock_conflicts = arbiter.conflicts
     return result

@@ -56,6 +56,36 @@ def unique_keys(n: int, seed: int = 0, low: int = 1,
     return drawn[:n]
 
 
+def launch_insert(table: DyCuckooTable, engine: str, batch, values,
+                  targets, voter: bool = True, faults=None, **limits):
+    """Run one insert engine on crafted ``targets`` under the kernel launch.
+
+    Tests that hand an engine its targets bypass the entry point's
+    router, but not its :func:`~repro.kernels.engine.launch`: the
+    sanitizer's kernel scope is what flushes the last round's accesses
+    (racecheck) and checks for locks held at exit (lockcheck).  Asserts
+    the table's sanitizer opened that scope; ``limits`` passes the
+    engine's round limits through.
+    """
+    from repro.gpusim.cohort import cohort_insert
+    from repro.kernels.engine import launch
+    from repro.kernels.insert import _run_insert_warps
+
+    if engine == "cohort":
+        def body():
+            return cohort_insert(table, batch, values, targets, voter=voter,
+                                 faults=faults, **limits)
+    else:
+        def body():
+            return _run_insert_warps(table, batch.codes, values, targets,
+                                     voter, faults, **limits)
+    kernels = table.sanitizer.stats["kernels"]
+    try:
+        return launch(table, "insert", batch, engine, body)
+    finally:
+        assert table.sanitizer.stats["kernels"] == kernels + 1
+
+
 def batch_op_strategy(max_key: int, max_size: int,
                       kinds=("insert", "delete", "find")):
     """Hypothesis strategy for one batched op, ``(kind, keys[, values])``,

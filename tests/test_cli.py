@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -67,6 +68,17 @@ class TestCommands:
         assert "insert:" in out
         assert "find:" in out
         assert "delete:" in out
+
+    def test_faults_smoke_counts_aborts_without_claiming_rollback(
+            self, capsys):
+        # Only an epoch-open rehash abort restores a snapshot; a spill
+        # abort parks its residuals and a slice's rehash abort leaves
+        # its epoch open, so the summary just counts them.
+        assert main(["faults", "--smoke"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^recovery: \d+ resize aborts, \d+ keys stashed",
+                         out, re.MULTILINE)
+        assert "rolled back" not in out
 
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):

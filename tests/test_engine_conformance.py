@@ -36,7 +36,7 @@ from repro.sanitizer import Sanitizer
 from repro.shard import ShardedDyCuckoo
 from repro.telemetry import Telemetry
 
-from .conftest import unique_keys
+from .conftest import launch_insert, unique_keys
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 
@@ -114,6 +114,25 @@ class TestKernelEntryPoints:
         tw, tc = twin_tables(buckets=8, capacity=8)
         run_twins(run_voter_insert_kernel, tw, tc, keys, values)
 
+    def test_empty_launches_identical(self):
+        """An empty insert, find and delete is still one kernel launch
+        per op on either engine: same sanitizer scopes and exits, same
+        profiler records."""
+        from repro.telemetry import Profiler
+
+        tw, tc = twin_tables()
+        for table in (tw, tc):
+            add_instruments(table, profiler=Profiler())
+        empty = np.zeros(0, dtype=np.uint64)
+        run_twins(run_voter_insert_kernel, tw, tc, empty, empty)
+        run_twins(run_find_kernel, tw, tc, empty)
+        run_twins(run_delete_kernel, tw, tc, empty)
+        assert tw.sanitizer.stats["kernels"] == 3
+        assert tw.sanitizer.stats == tc.sanitizer.stats
+        assert [k["op"] for k in tw.profiler.kernels] == [
+            "insert", "find", "delete"]
+        assert tw.profiler.snapshot() == tc.profiler.snapshot()
+
     def test_unknown_engine_rejected(self):
         table, _ = twin_tables()
         with pytest.raises(InvalidConfigError):
@@ -173,21 +192,16 @@ class TestHazardResolution:
     """
 
     def _run_adversarial(self, seed, n=256, buckets=8, capacity=8):
-        from repro.core.batch_ops import EncodedBatch
-        from repro.gpusim.cohort import cohort_insert
-        from repro.kernels.insert import _run_insert_warps
-
         rng = np.random.default_rng(seed)
         tw, tc = twin_tables(buckets=buckets, capacity=capacity)
         base = rng.integers(1, n // 2, size=n).astype(np.uint64)
         values = np.arange(1, n + 1, dtype=np.uint64)
         batch = EncodedBatch(tc, base)
-        codes = batch.codes
-        first, second = tw.pair_hash.tables_for(codes)
+        first, second = tw.pair_hash.tables_for(batch.codes)
         coin = rng.integers(0, 2, size=n).astype(bool)
         targets = np.where(coin, first, second)
-        rw = _run_insert_warps(tw, codes, values, targets, True, None)
-        rc = cohort_insert(tc, batch, values, targets, voter=True)
+        rw = launch_insert(tw, "warp", batch, values, targets)
+        rc = launch_insert(tc, "cohort", batch, values, targets)
         return tw, tc, rw, rc
 
     def test_adversarial_targets_identical(self):
@@ -206,9 +220,6 @@ class TestHazardResolution:
 
         hazardous = 0
         for seed in range(8):
-            from repro.core.batch_ops import EncodedBatch
-            from repro.gpusim.cohort import cohort_insert
-
             rng = np.random.default_rng(seed)
             table, _ = twin_tables(buckets=8, capacity=8)
             prof = add_instruments(table, profiler=Profiler()).profiler
@@ -218,11 +229,11 @@ class TestHazardResolution:
             first, second = table.pair_hash.tables_for(batch.codes)
             coin = rng.integers(0, 2, size=n).astype(bool)
             targets = np.where(coin, first, second)
-            prof.begin_kernel("insert", n)
-            result = cohort_insert(
-                table, batch, np.arange(1, n + 1, dtype=np.uint64),
-                targets, voter=True)
-            prof.end_kernel()
+            result = launch_insert(table, "cohort", batch,
+                                   np.arange(1, n + 1, dtype=np.uint64),
+                                   targets)
+            kernel, = prof.kernels
+            assert (kernel["op"], kernel["n"]) == ("insert", n)
             assert prof.hazard_rounds >= result.hazard_rounds
             assert prof.hazard_lanes >= result.hazard_lanes
             hazardous += result.hazard_rounds
@@ -306,16 +317,12 @@ class TestArbitrationFallback:
         return seen
 
     def _run_crafted(self, voter: bool, warps: int, seed: int):
-        from repro.gpusim.cohort import cohort_insert
-        from repro.kernels.insert import _run_insert_warps
-
         tw, tc = twin_tables(buckets=8, capacity=8)
         batch, targets = _warps_led_by(
             tc, _bucket_mates(tc, warps, seed), seed)
         values = np.arange(1, len(batch) + 1, dtype=np.uint64)
-        rw = _run_insert_warps(tw, batch.codes, values, targets, voter,
-                               None)
-        rc = cohort_insert(tc, batch, values, targets, voter=voter)
+        rw = launch_insert(tw, "warp", batch, values, targets, voter)
+        rc = launch_insert(tc, "cohort", batch, values, targets, voter)
         assert dataclasses.asdict(rw) == dataclasses.asdict(rc)
         assert_tables_identical(tw, tc)
         return rc
@@ -363,8 +370,6 @@ class TestRaisingLaunch:
     def test_stall_capacity_error_matches_warp_engine(self):
         from repro.errors import CapacityError
         from repro.faults import FaultPlan
-        from repro.gpusim.cohort import cohort_insert
-        from repro.kernels.insert import _run_insert_warps
 
         # One spinning warp: its 11th leader finds its bucket camped on
         # by an injected stall, and keeps asking for it until the stall
@@ -374,27 +379,23 @@ class TestRaisingLaunch:
         batch = EncodedBatch(tc, unique_keys(32, seed=74))
         targets = batch.first
         values = batch.codes
-        with pytest.raises(CapacityError):
-            _run_insert_warps(tw, batch.codes, values, targets, False,
-                              FaultPlan.from_script(script),
+        for table, engine in ((tw, "warp"), (tc, "cohort")):
+            with pytest.raises(CapacityError):
+                launch_insert(table, engine, batch, values, targets,
+                              voter=False,
+                              faults=FaultPlan.from_script(script),
                               max_rounds_per_op=4)
-        with pytest.raises(CapacityError):
-            cohort_insert(tc, batch, values, targets, voter=False,
-                          max_rounds_per_op=4,
-                          faults=FaultPlan.from_script(script))
         assert len(tc) == 10
         for table in (tw, tc):
             self._assert_sizes_match_storage(table)
         assert_tables_identical(tw, tc)
 
     def test_round_limit_keeps_sizes(self):
-        from repro.gpusim.cohort import cohort_insert
-
         table, _ = twin_tables(buckets=8, capacity=8)
         batch = EncodedBatch(table, unique_keys(240, seed=75))
         with pytest.raises(RuntimeError, match="did not converge"):
-            cohort_insert(table, batch, batch.codes, batch.first,
-                          voter=True, max_rounds=9)
+            launch_insert(table, "cohort", batch, batch.codes, batch.first,
+                          max_rounds=9)
         assert 0 < len(table) < len(batch)
         self._assert_sizes_match_storage(table)
 
@@ -411,8 +412,6 @@ class TestUnequalGeometryConformance:
     """
 
     def test_high_fill_and_hazard_rounds_identical(self):
-        from repro.gpusim.cohort import cohort_insert
-        from repro.kernels.insert import _run_insert_warps
         from repro.kernels.resize_kernels import run_upsize_kernel
 
         tw, tc = twin_tables(buckets=16, capacity=8)
@@ -437,8 +436,8 @@ class TestUnequalGeometryConformance:
         batch = EncodedBatch(tc, base)
         coin = rng.integers(0, 2, size=n).astype(bool)
         targets = np.where(coin, batch.first, batch.second)
-        rw = _run_insert_warps(tw, batch.codes, values, targets, True, None)
-        rc = cohort_insert(tc, batch, values, targets, voter=True)
+        rw = launch_insert(tw, "warp", batch, values, targets)
+        rc = launch_insert(tc, "cohort", batch, values, targets)
         assert dataclasses.asdict(rw) == dataclasses.asdict(rc)
         assert rc.hazard_rounds > 0 and rc.evictions > 0
         probe = np.concatenate([keys, fresh, base])

@@ -26,7 +26,7 @@ from repro.faults import FaultPlan
 from repro.kernels import run_spin_insert_kernel, run_voter_insert_kernel
 from repro.oracle import DictModel
 
-from .conftest import unique_keys
+from .conftest import launch_insert, unique_keys
 
 
 def fresh_table(buckets=16, capacity=8, **kw):
@@ -157,28 +157,25 @@ class TestUnwindReleasesLocks:
 
     def _contended_batch(self, table, lanes=128):
         """Four warps, every lane the same key: one lock, all contend."""
-        from repro.core.table import encode_keys
+        from repro.core.batch_ops import EncodedBatch
         keys = np.full(lanes, 12345, dtype=np.uint64)
-        codes = encode_keys(keys)
-        first, second = table.pair_hash.tables_for(codes)
-        targets = table._router.choose(codes, first, second,
-                                       table.subtable_sizes(),
+        batch = EncodedBatch(table, keys)
+        targets = table._router.choose(batch.codes, batch.first,
+                                       batch.second, table.subtable_sizes(),
                                        table.subtable_loads())
-        return codes, keys, targets
+        return batch, keys, targets
 
     def test_warp_engine_unwinds_on_stall_exhaustion(self):
         from repro.errors import CapacityError
-        from repro.faults import NO_FAULTS
-        from repro.kernels.insert import _run_insert_warps
         from repro.sanitizer import Sanitizer
 
         table = fresh_table()
         san = Sanitizer()
         table.attach(Instruments(sanitizer=san))
-        codes, values, targets = self._contended_batch(table)
+        batch, values, targets = self._contended_batch(table)
         with pytest.raises(CapacityError):
-            _run_insert_warps(table, codes, values, targets, voter=True,
-                              faults=NO_FAULTS, max_rounds_per_op=1)
+            launch_insert(table, "warp", batch, values, targets,
+                          max_rounds_per_op=1)
         assert san.ok, [str(v) for v in san.violations]
         assert san.stats["unwind_releases"] >= 1
         # The lock table is usable again: a fresh batch completes.
@@ -187,18 +184,16 @@ class TestUnwindReleasesLocks:
         assert san.ok, [str(v) for v in san.violations]
 
     def test_cohort_engine_unwinds_on_stall_exhaustion(self):
-        from repro.core.batch_ops import EncodedBatch
         from repro.errors import CapacityError
-        from repro.gpusim.cohort import cohort_insert
         from repro.sanitizer import Sanitizer
 
         table = fresh_table()
         san = Sanitizer()
         table.attach(Instruments(sanitizer=san))
-        _codes, keys, targets = self._contended_batch(table)
+        batch, keys, targets = self._contended_batch(table)
         with pytest.raises(CapacityError):
-            cohort_insert(table, EncodedBatch(table, keys), keys, targets,
-                          voter=True, max_rounds_per_op=1)
+            launch_insert(table, "cohort", batch, keys, targets,
+                          max_rounds_per_op=1)
         assert san.ok, [str(v) for v in san.violations]
         assert san.stats["unwind_releases"] >= 1
         run_voter_insert_kernel(table, unique_keys(64, seed=78),

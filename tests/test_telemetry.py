@@ -449,43 +449,76 @@ class TestDynamicWorkloadTrace:
 
 
 class TestKernelTracing:
-    def test_round_scheduler_and_arbiter_emit(self):
-        from repro.gpusim.kernel import LockArbiter, RoundScheduler
+    """What a kernel launch emits: one ``kernel.<op>`` span and six
+    ``kernel.*`` counters, the same stream on either engine."""
 
-        class _Warp:
-            def __init__(self):
-                self.steps = 0
+    def _mixed(self, engine):
+        from repro.core.batch_ops import execute_mixed
+        from repro.oracle import mixed_batch
 
-            def finished(self):
-                return self.steps >= 3
+        table = DyCuckooTable(DyCuckooConfig(
+            initial_buckets=64, bucket_capacity=8, auto_resize=False,
+            seed=3))
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry))
+        ops, keys, values = mixed_batch(np.random.default_rng(5), 1500)
+        result = execute_mixed(table, ops, keys, values, engine=engine)
+        return telemetry, result
 
-            def step(self, _round):
-                self.steps += 1
+    def test_one_span_per_run_and_counters_match_result(self):
+        streams = []
+        for engine in ("warp", "cohort"):
+            telemetry, result = self._mixed(engine)
+            tracer = telemetry.tracer
+            runs = tracer.instants("mixed.run")
+            launches = [e for e in tracer.spans()
+                        if e.name.startswith("kernel.")]
+            assert len(runs) == result.runs > 1
+            assert [(e.name, e.args) for e in launches] == [
+                (f"kernel.{run.args['kind']}",
+                 {"n": run.args["ops"], "engine": engine})
+                for run in runs]
+            kernel = result.kernel
+            counters = {name: c.value for name, c in
+                        telemetry.metrics.counters.items()
+                        if name.startswith("kernel.")}
+            assert counters == {
+                "kernel.rounds": kernel.rounds,
+                "kernel.transactions": kernel.memory_transactions,
+                "kernel.lock_acquisitions": kernel.lock_acquisitions,
+                "kernel.lock_conflicts": kernel.lock_conflicts,
+                "kernel.evictions": kernel.evictions,
+                "kernel.completed_ops": kernel.completed_ops,
+            }
+            streams.append(counters)
+        assert streams[0] == streams[1]
 
-        tracer = Tracer()
-        scheduler = RoundScheduler([_Warp(), _Warp()], tracer=tracer)
-        rounds = scheduler.run()
-        assert rounds == 3
-        assert len(tracer.spans("kernel.run")) == 1
-        assert len(tracer.instants("kernel.round")) == rounds
+    def test_hazardous_cohort_insert_span_carries_hazards(self):
+        from repro.core.batch_ops import EncodedBatch
+        from repro.sanitizer import Sanitizer
 
-        arbiter = LockArbiter(tracer=tracer)
-        assert arbiter.try_acquire(5)
-        assert not arbiter.try_acquire(5)
-        assert len(tracer.instants("lock.acquire")) == 1
-        assert len(tracer.instants("lock.retry")) == 1
+        from tests.conftest import launch_insert
 
-    def test_atomic_memory_round_event(self):
-        from repro.gpusim.atomics import AtomicMemory
-
-        tracer = Tracer()
-        memory = AtomicMemory(4, tracer=tracer)
-        memory.atomic_cas(0, 0, 1)
-        memory.atomic_cas(0, 0, 2)
-        memory.atomic_exch(1, 7)
-        memory.end_round()
-        event, = tracer.instants("atomic.round")
-        assert event.args == {"ops": 3, "addresses": 2, "max_degree": 2}
+        # Duplicate keys sent to adversarial (but legal) pair members
+        # drive the cohort engine's hazard resolver.
+        rng = np.random.default_rng(0)
+        table = DyCuckooTable(DyCuckooConfig(
+            initial_buckets=8, bucket_capacity=8, auto_resize=False,
+            seed=3))
+        telemetry = Telemetry()
+        table.attach(Instruments(telemetry=telemetry, sanitizer=Sanitizer()))
+        n = 256
+        batch = EncodedBatch(
+            table, rng.integers(1, n // 2, size=n).astype(np.uint64))
+        coin = rng.integers(0, 2, size=n).astype(bool)
+        result = launch_insert(table, "cohort", batch,
+                               np.arange(1, n + 1, dtype=np.uint64),
+                               np.where(coin, batch.first, batch.second))
+        assert result.hazard_rounds > 0
+        span, = telemetry.tracer.spans("kernel.insert")
+        assert span.args == {"n": n, "engine": "cohort",
+                             "hazard_rounds": result.hazard_rounds,
+                             "hazard_lanes": result.hazard_lanes}
 
 
 class TestMixedBatchTracing:
