@@ -253,10 +253,9 @@ class Subtable:
     def erase(self, buckets: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Remove matching codes from their buckets; return erased mask.
 
-        Duplicate ``(bucket, code)`` rows in one call all report
-        ``True`` but clear (and count) the underlying slot exactly once,
-        so ``size`` stays consistent for callers that do not pre-dedupe
-        the way :meth:`DyCuckooTable._delete_encoded` does.
+        ``codes`` must be distinct: each found code clears and counts
+        its own slot.  Both callers dedupe a delete batch to its first
+        occurrences before probing.
         """
         buckets = np.asarray(buckets, dtype=np.int64)
         codes = np.asarray(codes, dtype=np.uint64)
@@ -266,11 +265,8 @@ class Subtable:
         match = bucket_keys == codes[:, None]
         found = match.any(axis=1)
         slots = match.argmax(axis=1)
-        # Dedupe physical slots: the same (bucket, slot) may be matched
-        # by several input rows, but it holds only one live entry.
-        flat_slots = buckets[found] * self.bucket_capacity + slots[found]
         self.keys[buckets[found], slots[found]] = EMPTY
-        self.size -= int(np.unique(flat_slots).size)
+        self.size -= int(np.count_nonzero(found))
         return found
 
     def place_round(self, buckets: np.ndarray, codes: np.ndarray,

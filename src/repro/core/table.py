@@ -32,14 +32,15 @@ import numpy as np
 from repro.core import distribution
 from repro.core.batch_ops import EncodedBatch
 from repro.core.config import DyCuckooConfig
-from repro.core.grouping import first_occurrence_mask, last_occurrence_mask
-from repro.core.hashing import (UNHASHED, PairHash, UniversalHash,
-                                make_table_hashes, unhashed)
+from repro.core.grouping import (first_occurrence_mask, last_occurrence_mask,
+                                 rank_within_group)
+from repro.core.hashing import (UNHASHED, HashStack, PairHash,
+                                UniversalHash, make_table_hashes, unhashed)
 from repro.core.instruments import Instruments
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
-from repro.core.subtable import FlatStorage, Subtable
+from repro.core.subtable import EMPTY, FlatStorage, Subtable
 from repro.errors import (CapacityError, InvalidKeyError, ResizeError,
                           StashOverflowError)
 from repro.gpusim.kernel import estimate_lock_conflicts
@@ -48,6 +49,9 @@ from repro.telemetry.recorder import NULL_RECORDER
 #: Bucket upper bounds for the cuckoo-chain-depth histogram (evictions a
 #: key's placement chain went through before settling).
 CHAIN_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: Low 40 bits of a ``(t << 40) | bucket`` lock id: the bucket.
+_BUCKET_MASK = (1 << 40) - 1
 
 #: Largest user key; ``2**64 - 1`` is unrepresentable because the
 #: internal code space reserves 0 for empty slots.
@@ -629,6 +633,16 @@ class DyCuckooTable:
         never chosen, and an exhausted eviction chain parks the pending
         keys in the overflow stash instead of upsizing, so a slice never
         unwinds table state.
+
+        Each round is one vectorized step over every pending key, as a
+        device round is (Section V): one sort groups the keys by
+        target, one call hashes the unhashed ones, one ranking orders
+        each bucket's claimants and one pass picks every victim.  Only
+        the storage touches (:meth:`_place_round`'s slot writes, the
+        victim gather, the swaps) run per subtable.  The outcome is the
+        sequential one of visiting subtables ``0..d-1`` in turn, which
+        the next round's order keeps: each subtable's victims, then its
+        retries.
         """
         codes = np.asarray(codes, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
@@ -649,6 +663,8 @@ class DyCuckooTable:
             # Evictions a key's placement chain has gone through so far;
             # victims inherit their evictor's depth plus one.
             depths = np.zeros(len(codes), dtype=np.int64)
+        d = self.num_tables
+        hashes = HashStack(self.table_hashes)
         rounds_since_progress = 0
         while len(codes):
             if self.faults.enabled:
@@ -698,121 +714,88 @@ class DyCuckooTable:
                         break
             self.stats.eviction_rounds += 1
             before_pending = len(codes)
-            round_evictions = 0
-            next_codes: list[np.ndarray] = []
-            next_values: list[np.ndarray] = []
-            next_targets: list[np.ndarray] = []
-            next_raw: list[np.ndarray] = []
-            next_depths: list[np.ndarray] = []
-            for t in range(self.num_tables):
-                sel = np.flatnonzero(targets == t)
-                if len(sel) == 0:
-                    continue
-                st = self.subtables[t]
-                sel_codes = codes[sel]
-                sel_values = values[sel]
-                sel_raw = raw[sel]
-                todo = np.flatnonzero(sel_raw == UNHASHED)
-                if len(todo):
-                    sel_raw[todo] = self.table_hashes[t].raw(sel_codes[todo])
-                buckets = self.bucket_of_raw(t, sel_raw)
-                self.stats.bucket_reads += len(sel)
-                # One bucket-lock CAS per operation; collisions estimated
-                # from device occupancy (only resident warps contend).
-                conflicts = estimate_lock_conflicts(len(sel), st.n_buckets)
-                self.stats.lock_acquisitions += len(sel)
-                self.stats.lock_conflicts += conflicts
+            # One stable sort groups the pending keys by target; each
+            # subtable's keys stay in the order they were pending.
+            order = np.argsort(targets, kind="stable")
+            codes = codes[order]
+            values = values[order]
+            targets = targets[order]
+            raw = raw[order]
+            if track_depths:
+                depths = depths[order]
+            todo = np.flatnonzero(raw == UNHASHED)
+            if len(todo):
+                raw[todo] = hashes.raw(codes[todo], targets[todo])
+            buckets = self.bucket_resolver()(targets, raw)
+            self.stats.bucket_reads += len(codes)
+            self.stats.lock_acquisitions += len(codes)
+            if prof.enabled:
+                # Attribute the per-bucket lock grants to the contention
+                # heatmap (bucket < 2^40, so + == |).
+                prof.lock_grants_many(buckets + (targets << 40))
+            placed, leaders, n_placed = self._place_round(
+                codes, values, targets, buckets, excluded,
+                retry_hist if traced else None)
+
+            lead = np.flatnonzero(leaders)
+            good = lead
+            if len(lead):
+                slots, ok, victim_alts = self._choose_victims(
+                    targets[lead], buckets[lead], n_placed, excluded)
+                # Eviction leaders without an eligible victim retry.
+                leaders[lead[~ok]] = False
+                good = lead[ok]
+                slots = slots[ok]
+                victim_alts = victim_alts[ok]
+            n_good = len(good)
+            if n_good:
+                victim_codes = np.empty(n_good, dtype=np.uint64)
+                victim_values = np.empty(n_good, dtype=np.uint64)
+                cuts = np.searchsorted(targets[good],
+                                       np.arange(d + 1)).tolist()
+                for st, a, b in zip(self.subtables, cuts, cuts[1:]):
+                    if a < b:
+                        g = good[a:b]
+                        victim_codes[a:b], victim_values[a:b] = st.swap_slot(
+                            buckets[g], slots[a:b], codes[g], values[g])
+                self.stats.evictions += n_good
+                self.stats.bucket_writes += n_good
+            if track_depths:
+                done = placed | leaders
                 if traced:
-                    tel.metrics.counter("lock.acquisitions").inc(len(sel))
-                    tel.metrics.counter("lock.conflicts").inc(conflicts)
-                    retry_hist.observe(conflicts)
-                    tel.tracer.instant("lock.acquire", "lock", subtable=t,
-                                       requests=len(sel), conflicts=conflicts)
+                    chain_hist.observe_many(depths[done])
                 if prof.enabled:
-                    # Attribute the per-bucket lock grants to the
-                    # contention heatmap (bucket < 2^40, so + == |).
-                    prof.lock_grants_many(buckets.astype(np.int64)
-                                          + (t << 40))
-                placed, full_leader = st.place_round(buckets, sel_codes,
-                                                     sel_values)
-                self.stats.bucket_writes += int(placed.sum())
+                    prof.observe_chains(depths[done])
 
-                ev = np.flatnonzero(full_leader)
-                mig = st.migration
-                if (len(ev) and excluded is None and mig is not None
-                        and mig.kind == "upsize"):
-                    # Migrate-on-access: a full bucket in an upsizing
-                    # subtable gets split to its post-resize view instead
-                    # of evicting — the blocked keys retry next round
-                    # against the (half-empty) migrated pair.
-                    ev_pairs = (buckets[ev].astype(np.int64)
-                                & np.int64(mig.num_pairs - 1))
-                    unmig = ~mig.migrated[ev_pairs]
-                    if np.any(unmig):
-                        self._resizer.migrate_on_access(
-                            t, np.unique(ev_pairs[unmig]))
-                        full_leader[ev[unmig]] = False
-                        ev = ev[~unmig]
-                good = np.zeros(0, dtype=np.int64)
-                if len(ev):
-                    ev_buckets = buckets[ev]
-                    slots, ok, victim_alts = self._choose_victims(
-                        t, ev_buckets, excluded)
-                    good = np.flatnonzero(ok)
-                    if len(good):
-                        old_codes, old_values = st.swap_slot(
-                            ev_buckets[good], slots[good],
-                            sel_codes[ev[good]], sel_values[ev[good]])
-                        self.stats.evictions += len(good)
-                        self.stats.bucket_writes += len(good)
-                        round_evictions += len(good)
-                        next_codes.append(old_codes)
-                        next_values.append(old_values)
-                        next_targets.append(victim_alts[good])
-                        next_raw.append(unhashed(len(good)))
-                        if track_depths:
-                            next_depths.append(depths[sel[ev[good]]] + 1)
-                    # Eviction leaders without an eligible victim retry.
-                    full_leader[ev[~ok]] = False
-
-                retry = ~(placed | full_leader)
-                if np.any(retry):
-                    next_codes.append(sel_codes[retry])
-                    next_values.append(sel_values[retry])
-                    next_targets.append(np.full(int(retry.sum()), t,
-                                                dtype=np.int64))
-                    next_raw.append(sel_raw[retry])
-                    if track_depths:
-                        next_depths.append(depths[sel[retry]])
+            # The next round holds, for each subtable in turn, its
+            # victims and then its retries.
+            retry = np.flatnonzero(~(placed | leaders))
+            if n_good:
+                emit = np.argsort(np.concatenate(
+                    (2 * targets[good], 2 * targets[retry] + 1)),
+                    kind="stable")
+                codes = np.concatenate((victim_codes, codes[retry]))[emit]
+                values = np.concatenate((victim_values,
+                                         values[retry]))[emit]
+                targets = np.concatenate((victim_alts,
+                                          targets[retry]))[emit]
+                raw = np.concatenate((unhashed(n_good), raw[retry]))[emit]
                 if track_depths:
-                    done = placed | full_leader
-                    if np.any(done):
-                        if traced:
-                            chain_hist.observe_many(depths[sel[done]])
-                        if prof.enabled:
-                            prof.observe_chains(depths[sel[done]])
+                    depths = np.concatenate((depths[good] + 1,
+                                             depths[retry]))[emit]
+            else:
+                codes = codes[retry]
+                values = values[retry]
+                targets = targets[retry]
+                raw = raw[retry]
+                if track_depths:
+                    depths = depths[retry]
             if traced:
                 tel.metrics.counter("eviction.rounds").inc()
-                tel.metrics.counter("evictions").inc(round_evictions)
+                tel.metrics.counter("evictions").inc(n_good)
                 tel.tracer.instant(
                     "evict.round", "insert", pending=before_pending,
-                    evictions=round_evictions,
-                    carried=sum(len(c) for c in next_codes))
-            if next_codes:
-                codes = np.concatenate(next_codes)
-                values = np.concatenate(next_values)
-                targets = np.concatenate(next_targets)
-                raw = np.concatenate(next_raw)
-                if track_depths:
-                    depths = (np.concatenate(next_depths) if next_depths
-                              else np.zeros(0, dtype=np.int64))
-            else:
-                codes = np.zeros(0, dtype=np.uint64)
-                values = np.zeros(0, dtype=np.uint64)
-                targets = np.zeros(0, dtype=np.int64)
-                raw = unhashed(0)
-                if track_depths:
-                    depths = np.zeros(0, dtype=np.int64)
+                    evictions=n_good, carried=len(codes))
 
             if len(codes) >= before_pending:
                 rounds_since_progress += 1
@@ -921,7 +904,10 @@ class DyCuckooTable:
         finally:
             self._draining = False
             self._drain_epoch = self.stats.upsizes + self.stats.downsizes
-        drained = before - len(self.stash)
+        # Count the popped keys that left the stash.  A downsize epoch
+        # the drain's upsize finalizes may stash other keys meanwhile;
+        # those are pushes, not a negative drain.
+        drained = before - sum(code in self.stash for code in codes)
         self.stats.stash_drained += drained
         if self.profiler.enabled:
             self.profiler.sample_stash(len(self.stash))
@@ -938,54 +924,152 @@ class DyCuckooTable:
                 len(self.stash))
         return drained
 
-    def _choose_victims(self, table_idx: int, buckets: np.ndarray,
-                        excluded: int | None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pick one eviction victim per (full) bucket.
+    def _place_round(self, codes: np.ndarray, values: np.ndarray,
+                     targets: np.ndarray, buckets: np.ndarray,
+                     excluded: int | None, retry_hist
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Claim slots for one round's keys, sorted by target.
 
-        Victims rotate deterministically around the bucket so repeated
-        evictions do not thrash the same slot.  With ``excluded`` set,
-        only occupants whose alternate subtable differs from ``excluded``
-        are eligible.
+        Keys aiming at one bucket are ranked (the warp-vote order) and
+        the k-th claims the k-th free slot.  The bucket locks are
+        accounted per subtable.  Subtables place in index order, and a
+        full bucket in an upsizing subtable is migrated on access right
+        after its own subtable places, so the migration sees exactly
+        the placements of subtables ``0..t``.  ``retry_hist`` is the
+        traced lock-retry histogram, or ``None`` untraced.
+
+        Returns ``(placed, leaders, n_placed)``: the keys written to a
+        free slot; the keys that found their bucket full and rank first
+        for it (the eviction candidates; a migrated bucket's leader is
+        not one); and per-subtable placement counts.
+        """
+        d = self.num_tables
+        cap = self.config.bucket_capacity
+        bounds = np.searchsorted(targets, np.arange(d + 1)).tolist()
+        ranks, groups, inverse = rank_within_group((targets << 40) | buckets)
+        group_cuts = np.searchsorted(
+            groups, np.arange(d + 1, dtype=np.int64) << 40).tolist()
+        group_buckets = groups & _BUCKET_MASK
+        free_rows: dict[int, np.ndarray] = {}
+        free_counts = np.empty(len(groups), dtype=np.int64)
+        for t, st in enumerate(self.subtables):
+            lo, hi = group_cuts[t], group_cuts[t + 1]
+            if lo < hi:
+                rows = st.keys[group_buckets[lo:hi]] == EMPTY  # (u, cap)
+                free_rows[t] = rows
+                free_counts[lo:hi] = np.count_nonzero(rows, axis=1)
+        placed = ranks < free_counts[inverse]
+        # A bucket's first claimant fails to place only if it is full.
+        leaders = (ranks == 0) & ~placed
+        n_placed = np.zeros(d, dtype=np.int64)
+        # The narrowest unsigned running count that holds ``cap`` (8
+        # bits for the paper's 32-slot buckets) finds the rank-th free
+        # slot; no (items, cap) int64 temporary.
+        count_dtype = np.min_scalar_type(cap)
+        tel = self.telemetry
+        for t, st in enumerate(self.subtables):
+            lo, hi = bounds[t], bounds[t + 1]
+            if lo == hi:
+                continue
+            # One bucket-lock CAS per operation; collisions estimated
+            # from device occupancy (only resident warps contend).
+            conflicts = estimate_lock_conflicts(hi - lo, st.n_buckets)
+            self.stats.lock_conflicts += conflicts
+            if retry_hist is not None:
+                tel.metrics.counter("lock.acquisitions").inc(hi - lo)
+                tel.metrics.counter("lock.conflicts").inc(conflicts)
+                retry_hist.observe(conflicts)
+                tel.tracer.instant("lock.acquire", "lock", subtable=t,
+                                   requests=hi - lo, conflicts=conflicts)
+            items = lo + np.flatnonzero(placed[lo:hi])
+            if len(items):
+                rows = free_rows[t][inverse[items] - group_cuts[t]]
+                running = rows.cumsum(axis=1, dtype=count_dtype)
+                rank1 = (ranks[items] + 1).astype(count_dtype)
+                slots = (running == rank1[:, None]).argmax(axis=1)
+                item_buckets = buckets[items]
+                st.keys[item_buckets, slots] = codes[items]
+                st.values[item_buckets, slots] = values[items]
+                st.size += len(items)
+                n_placed[t] = len(items)
+            mig = st.migration
+            if excluded is None and mig is not None and mig.kind == "upsize":
+                ev = lo + np.flatnonzero(leaders[lo:hi])
+                # Migrate-on-access: a full bucket in an upsizing
+                # subtable gets split to its post-resize view instead
+                # of evicting — the blocked keys retry next round
+                # against the (half-empty) migrated pair.
+                ev_pairs = buckets[ev] & np.int64(mig.num_pairs - 1)
+                unmig = ~mig.migrated[ev_pairs]
+                if np.any(unmig):
+                    self._resizer.migrate_on_access(
+                        t, np.unique(ev_pairs[unmig]))
+                    leaders[ev[unmig]] = False
+        self.stats.bucket_writes += int(n_placed.sum())
+        return placed, leaders, n_placed
+
+    def _choose_victims(self, targets: np.ndarray, buckets: np.ndarray,
+                        n_placed: np.ndarray, excluded: int | None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pick one eviction victim per full bucket, in one pass.
+
+        ``targets``/``buckets`` address the round's eviction leaders,
+        grouped by subtable; ``n_placed`` is the round's per-subtable
+        placement count.  Victims rotate deterministically around the
+        bucket so repeated evictions do not thrash the same slot.  With
+        ``excluded`` set, only occupants whose alternate subtable
+        differs from ``excluded`` are eligible.
 
         Returns ``(slots, ok, alternates)`` — the chosen slot per bucket,
         whether an eligible victim exists, and the victim's alternate
         subtable.
         """
-        st = self.subtables[table_idx]
-        cap = st.bucket_capacity
+        d = self.num_tables
+        cap = self.config.bucket_capacity
         m = len(buckets)
-        bucket_keys = st.bucket_keys(buckets)                 # (m, cap), full
-        flat = bucket_keys.ravel()
-        current = np.full(len(flat), table_idx, dtype=np.int64)
-        alternates = self.pair_hash.alternate_table(flat, current).reshape(m, cap)
-        if excluded is None:
-            eligible = np.ones((m, cap), dtype=bool)
-        else:
-            eligible = alternates != excluded
+        cuts = np.searchsorted(targets, np.arange(d + 1)).tolist()
+        bucket_keys = np.concatenate([                        # (m, cap), full
+            st.bucket_keys(buckets[a:b])
+            for st, a, b in zip(self.subtables, cuts, cuts[1:]) if a < b])
+        alternates = self.pair_hash.alternate_table(
+            bucket_keys.ravel(), np.repeat(targets, cap)).reshape(m, cap)
         # Theorem-1-guided choice (Section V-A: "one can pick a KV pair
         # for re-insertion into a desired hash table based on the
         # balancing strategy"): prefer the occupant whose alternate
         # subtable currently has the best routing weight, so evictions
         # drain toward the least-loaded subtables — this is where a
-        # larger d pays off for insertion.
-        weights = distribution.theorem1_weights(self.subtable_sizes(),
-                                                self.subtable_loads())
-        preference = weights[alternates]                      # (m, cap)
+        # larger d pays off for insertion.  Row t of the load matrix
+        # is the loads once subtables 0..t have placed: the round
+        # chooses as if it visited the subtables in order.
+        steps = np.arange(d)
+        loads = (self.subtable_loads() - n_placed
+                 + n_placed * (steps[:, None] >= steps))
+        weights = distribution.theorem1_weights(self.subtable_sizes(), loads)
+        preference = weights[targets[:, None], alternates]    # (m, cap)
         # Random tie-breaking jitter: victims must still be effectively
         # random or dense eviction cycles persist for hundreds of
         # rounds (random-walk cuckoo).  A multiplicative hash of
         # (event counter, bucket, slot) provides the jitter without an
-        # RNG stream.
-        self._victim_counter += 1
-        nonce = (self._victim_counter * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        mixed = (np.uint64(nonce)
+        # RNG stream; each subtable with leaders takes the next counter.
+        per_table = [b - a for a, b in zip(cuts, cuts[1:]) if b > a]
+        nonces = []
+        for _ in per_table:
+            self._victim_counter += 1
+            nonces.append((self._victim_counter * 0x9E3779B97F4A7C15)
+                          & 0xFFFFFFFFFFFFFFFF)
+        nonce = np.repeat(np.array(nonces, dtype=np.uint64), per_table)
+        mixed = (nonce[:, None]
                  + buckets.astype(np.uint64)[:, None] * np.uint64(0xBF58476D1CE4E5B9)
                  + np.arange(cap, dtype=np.uint64)[None, :] * np.uint64(0x94D049BB133111EB))
         jitter = ((mixed >> np.uint64(40)).astype(np.float64)
                   / float(1 << 24))                           # [0, 1)
         score = preference * (0.5 + jitter)
-        score = np.where(eligible, score, -1.0)
-        slots = score.argmax(axis=1)
-        ok = eligible[np.arange(m), slots]
-        return slots, ok, alternates[np.arange(m), slots]
+        rows = np.arange(m)
+        if excluded is None:
+            slots = score.argmax(axis=1)
+            ok = np.ones(m, dtype=bool)
+        else:
+            eligible = alternates != excluded
+            slots = np.where(eligible, score, -1.0).argmax(axis=1)
+            ok = eligible[rows, slots]
+        return slots, ok, alternates[rows, slots]

@@ -15,6 +15,7 @@ which the cost model uses to convert per-warp work into wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
 from repro.errors import InvalidConfigError
@@ -76,6 +77,12 @@ class Occupancy:
 REFERENCE_CONCURRENCY = 1280.0 / 1_000_000.0
 
 
+@cache
+def _resident_warps(device: DeviceSpec) -> int:
+    """Default-occupancy resident warps of ``device`` (specs are frozen)."""
+    return Occupancy(device=device).resident_warps()
+
+
 def estimate_lock_conflicts(num_ops: int, num_buckets: int,
                             resident_warps: int | None = None,
                             device: DeviceSpec = GTX_1080) -> int:
@@ -94,7 +101,7 @@ def estimate_lock_conflicts(num_ops: int, num_buckets: int,
         return 0
     if resident_warps is None:
         resident_warps = min(
-            Occupancy(device=device).resident_warps(),
+            _resident_warps(device),
             max(1, round(num_ops * REFERENCE_CONCURRENCY)))
     wave = max(1, min(num_ops, resident_warps))
     full_waves, remainder = divmod(num_ops, wave)

@@ -8,7 +8,8 @@ Each test failed before its fix and pins the exact failure mode:
    pair's other subtable at all — the cross-subtable variant of the
    same duplication);
 2. :meth:`Subtable.erase` decremented ``size`` once per matching input
-   row, so duplicate ``(bucket, code)`` rows drove the counter negative;
+   row, so duplicate ``(bucket, code)`` rows drove the counter negative
+   (erase now requires distinct codes, and both tables' deletes dedupe);
 3. a rolled-back downsize restored storage but only the ``downsizes``
    counter, leaving ``rehashed_entries``/``residuals``/``bucket_reads``/
    ``bucket_writes`` inflated by undone work.
@@ -17,9 +18,10 @@ Each test failed before its fix and pins the exact failure mode:
 import numpy as np
 import pytest
 
+from repro.baselines.megakv import MegaKVTable
 from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
-from repro.core.subtable import EMPTY, Subtable
+from repro.core.subtable import EMPTY
 from repro.core.table import DyCuckooTable, decode_keys
 from repro.errors import ResizeError
 from repro.faults import FaultPlan
@@ -97,30 +99,38 @@ class TestKernelUpsertDuplication:
 
 
 class TestEraseDuplicateRows:
-    """Bug 2: duplicate (bucket, code) rows double-decremented size."""
+    """Bug 2: duplicate (bucket, code) rows double-decremented size.
+
+    :meth:`Subtable.erase` now requires distinct codes; both tables
+    dedupe a delete batch to its first occurrences before probing, so
+    duplicate keys reach storage once.
+    """
+
+    @staticmethod
+    def _tables():
+        return (DyCuckooTable(DyCuckooConfig(initial_buckets=8,
+                                             bucket_capacity=4, seed=5)),
+                MegaKVTable(initial_buckets=8, bucket_capacity=4))
 
     def test_duplicate_rows_count_slot_once(self):
-        st = Subtable(n_buckets=8, bucket_capacity=4)
-        st.keys[3, 0] = np.uint64(42)
-        st.size = 1
-        erased = st.erase(np.array([3, 3], dtype=np.int64),
-                          np.array([42, 42], dtype=np.uint64))
-        assert erased.tolist() == [True, True]
-        assert st.size == 0  # used to go to -1
-        st.validate()
+        for table in self._tables():
+            table.insert(np.array([42], dtype=np.uint64),
+                         np.array([1], dtype=np.uint64))
+            removed = table.delete(np.array([42, 42], dtype=np.uint64))
+            assert removed.tolist() == [True, False]
+            assert len(table) == 0  # used to go to -1
+            table.validate()
 
     def test_mixed_duplicate_and_fresh_rows(self):
-        st = Subtable(n_buckets=8, bucket_capacity=4)
-        st.keys[1, 0] = np.uint64(10)
-        st.keys[1, 1] = np.uint64(11)
-        st.keys[5, 2] = np.uint64(12)
-        st.size = 3
-        erased = st.erase(
-            np.array([1, 1, 5, 1, 6], dtype=np.int64),
-            np.array([10, 10, 12, 11, 10], dtype=np.uint64))
-        assert erased.tolist() == [True, True, True, True, False]
-        assert st.size == 0
-        st.validate()
+        for table in self._tables():
+            keys = np.array([10, 11, 12], dtype=np.uint64)
+            table.insert(keys, keys)
+            removed = table.delete(
+                np.array([10, 10, 12, 11, 10, 13], dtype=np.uint64))
+            assert removed.tolist() == [True, False, True, True, False,
+                                        False]
+            assert len(table) == 0
+            table.validate()
 
 
 class TestDownsizeRollbackAccounting:

@@ -193,3 +193,33 @@ class TestDrainBack:
         table.insert(probe, probe)
         table.delete(probe)
         assert table.stats.stash_drained == drained_after_first
+
+    def test_drain_that_finalizes_a_downsize_counts_only_its_keys(self):
+        # The drain's stall upsize finalizes an open downsize epoch whose
+        # spill stashes other keys: the stash ends up larger than the
+        # drain found it, yet the drain still moved its own keys out.
+        from repro.telemetry import Telemetry
+        table = DyCuckooTable(DyCuckooConfig(
+            num_tables=4, initial_buckets=8, bucket_capacity=1,
+            min_buckets=8, seed=1))
+        table.attach(Instruments(telemetry=Telemetry()))
+        rng = np.random.default_rng(1)
+
+        def draw(n):
+            return rng.integers(1, 1 << 62, n,
+                                dtype=np.int64).astype(np.uint64)
+
+        keys = draw(387)
+        table.insert(keys, draw(387))
+        live = np.setdiff1d(keys, rng.choice(np.sort(keys), 278,
+                                             replace=False))
+        table.delete(np.setdiff1d(keys, live))
+        batch = np.concatenate((draw(118), rng.choice(live, 14)))
+        table.insert(batch, draw(len(batch)))
+        stats = table.stats
+        assert stats.downsizes >= 1 and len(table.stash) == 3
+        assert stats.stash_drained == 2
+        assert stats.stash_pushes - stats.stash_drained == len(table.stash)
+        assert (table.telemetry.metrics.counter("stash.drained").value
+                == table.stats.stash_drained)
+        table.validate()
