@@ -123,11 +123,6 @@ class MigrationState:
     def complete(self) -> bool:
         return self.pending == 0
 
-    def pair_of(self, buckets: np.ndarray) -> np.ndarray:
-        """Pair index for bucket indices of *either* view."""
-        return (np.asarray(buckets, dtype=np.int64)
-                & np.int64(self.num_pairs - 1))
-
     def effective_buckets(self, raw: np.ndarray) -> np.ndarray:
         """Resolve raw hashes to each key's current (per-pair) bucket."""
         raw = np.asarray(raw, dtype=np.uint64)

@@ -7,8 +7,6 @@ provides the pieces of that machine the hash tables interact with:
 * :mod:`repro.gpusim.warp` — warp primitives (ballot/shfl/leader vote),
 * :mod:`repro.gpusim.kernel` — round-synchronous scheduling, occupancy
   and per-round lock arbitration,
-* :mod:`repro.gpusim.memory` — coalescing analysis and transaction
-  accounting,
 * :mod:`repro.gpusim.atomics` — functional atomics plus the
   contention-degradation model of Figure 5,
 * :mod:`repro.gpusim.metrics` — the cost model turning event counts
@@ -22,7 +20,6 @@ from repro.gpusim.atomics import (AtomicMemory, atomic_batch_seconds,
                                   coalesced_io_throughput_mops)
 from repro.gpusim.device import GTX_1050, GTX_1080, V100, DeviceSpec
 from repro.gpusim.kernel import LockArbiter, Occupancy, RoundScheduler
-from repro.gpusim.memory import MemoryTracker, coalesced_transactions
 from repro.gpusim.memory_manager import DeviceMemoryManager, PCIE_BANDWIDTH
 from repro.gpusim.metrics import CostModel, KernelCosts, mops
 from repro.gpusim.warp import WarpContext
@@ -43,8 +40,6 @@ __all__ = [
     "RoundScheduler",
     "LockArbiter",
     "Occupancy",
-    "MemoryTracker",
-    "coalesced_transactions",
     "AtomicMemory",
     "atomic_batch_seconds",
     "atomic_throughput_mops",

@@ -160,8 +160,8 @@ def cohort_find(table, batch):
     result.rounds = n  # one warp processes queries sequentially
     san = table.sanitizer
     if san.enabled:
-        # Mirror the per-warp MemoryTracker's sanitizer feed (one
-        # notification per counted transaction) so stats conform.
+        # One sanitizer feed per launch, the same count the per-warp
+        # walk reports, so stats conform.
         san.on_transactions(result.memory_transactions)
     prof = table.profiler
     if prof.enabled:
@@ -432,8 +432,8 @@ def cohort_insert(table, batch, values: np.ndarray,
         if prof.enabled and round_samples:
             prof.record_rounds_many(round_samples)
         if san.enabled and result.memory_transactions:
-            # Mirror the per-warp MemoryTracker's sanitizer feed (one
-            # notification per counted transaction).
+            # One sanitizer feed per launch, raised or not, like the
+            # per-warp engine's.
             san.on_transactions(result.memory_transactions)
     result.rounds = rounds
     result.hazard_rounds = hazard_rounds

@@ -5,9 +5,10 @@ These are near-literal transcriptions of the paper's device code:
 * :mod:`repro.kernels.insert` — Algorithm 1, the voter-coordinated
   insert (and a naive spin-lock variant used as the ablation baseline),
 * :mod:`repro.kernels.find` — the two-lookup warp-centric FIND,
-* :mod:`repro.kernels.delete` — the lock-free warp-centric DELETE,
-* :mod:`repro.kernels.resize_kernels` — the conflict-free upsize and the
-  merge-with-residuals downsize of Section IV-D.
+* :mod:`repro.kernels.delete` — the lock-free warp-centric DELETE.
+
+Resizing is not a kernel here: every upsize and downsize is a migration
+epoch of :class:`repro.core.resize.ResizeController`.
 
 They execute lane-by-lane against the *same storage* as the vectorized
 fast path in :mod:`repro.core.table`, which lets the test suite prove
@@ -32,19 +33,13 @@ from repro.kernels.engine import VALID_ENGINES, resolve_engine
 from repro.kernels.find import run_find_kernel
 from repro.kernels.insert import (KernelRunResult, run_spin_insert_kernel,
                                   run_voter_insert_kernel)
-from repro.kernels.megakv_insert import run_megakv_insert_kernel
-from repro.kernels.resize_kernels import (run_downsize_kernel,
-                                          run_upsize_kernel)
 
 __all__ = [
     "run_voter_insert_kernel",
     "run_spin_insert_kernel",
     "run_find_kernel",
     "run_delete_kernel",
-    "run_upsize_kernel",
-    "run_downsize_kernel",
     "KernelRunResult",
-    "run_megakv_insert_kernel",
     "VALID_ENGINES",
     "resolve_engine",
 ]

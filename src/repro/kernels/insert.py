@@ -33,7 +33,6 @@ from repro.core.batch_ops import EncodedBatch
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
 from repro.gpusim.kernel import LockArbiter, RoundScheduler
-from repro.gpusim.memory import MemoryTracker
 from repro.gpusim.warp import WarpContext
 from repro.kernels.engine import kernel_batch, launch, resolve_engine
 
@@ -77,8 +76,7 @@ class _InsertWarp:
 
     def __init__(self, warp_id: int, table, keys: np.ndarray,
                  values: np.ndarray, targets: np.ndarray,
-                 arbiter: LockArbiter, tracker: MemoryTracker,
-                 result: KernelRunResult, voter: bool,
+                 arbiter: LockArbiter, result: KernelRunResult, voter: bool,
                  max_rounds_per_op: int = 4096) -> None:
         self.table = table
         self.ctx = WarpContext(warp_id)
@@ -94,7 +92,6 @@ class _InsertWarp:
         self.targets[:n] = targets
         self.ctx.active[:n] = True
         self.arbiter = arbiter
-        self.tracker = tracker
         self.result = result
         self.voter = voter
         self.san = arbiter.sanitizer
@@ -170,7 +167,6 @@ class _InsertWarp:
         # Phase one done: lock held, bucket read issued; the update lands
         # next round while competitors observe the held lock.
         self.result.memory_transactions += 1
-        self.tracker.bucket_access()
         if self.san.enabled:
             self.san.record_access(self.ctx.warp_id, "read", "bucket",
                                    lock_id, site=_SITE_PHASE1)
@@ -249,7 +245,6 @@ class _InsertWarp:
             st.values[bucket, slot] = np.uint64(value)
             if was_empty:
                 st.size += 1
-            self.tracker.bucket_access()
             self.result.memory_transactions += 1
             if self.san.enabled:
                 self.san.record_access(self.ctx.warp_id, "write",
@@ -270,7 +265,6 @@ class _InsertWarp:
         victim_value = int(st.values[bucket, victim_slot])
         st.keys[bucket, victim_slot] = np.uint64(key)
         st.values[bucket, victim_slot] = np.uint64(value)
-        self.tracker.bucket_access()
         self.result.memory_transactions += 1
         self.result.evictions += 1
         if self.depths is not None:
@@ -303,7 +297,6 @@ class _InsertWarp:
         st = self.table.subtables[alternate]
         bucket = int(self.table.bucket_for(
             alternate, np.asarray([key], dtype=np.uint64))[0])
-        self.tracker.bucket_access()
         self.result.memory_transactions += 1
         alt_lock = self._lock_id(alternate, bucket)
         if self.san.enabled:
@@ -316,7 +309,6 @@ class _InsertWarp:
         if slot < 0:
             return False
         st.values[bucket, slot] = np.uint64(value)
-        self.tracker.bucket_access()
         self.result.memory_transactions += 1
         if self.san.enabled:
             # Single-word value update, intentionally lock-free (matches
@@ -375,7 +367,6 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
     san = table.sanitizer
     prof = table.profiler
     arbiter = LockArbiter(faults=faults, sanitizer=san, profiler=prof)
-    tracker = MemoryTracker(sanitizer=san if san.enabled else None)
     result = KernelRunResult()
     warps = []
     width = 32
@@ -384,7 +375,7 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
         warps.append(_InsertWarp(
             warp_id=len(warps), table=table, keys=codes[start:stop],
             values=values[start:stop], targets=targets[start:stop],
-            arbiter=arbiter, tracker=tracker, result=result, voter=voter,
+            arbiter=arbiter, result=result, voter=voter,
             max_rounds_per_op=max_rounds_per_op))
     scheduler = RoundScheduler(warps, sanitizer=san)
     before_round = None
@@ -428,6 +419,11 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
         for warp in warps:
             warp.unwind_locks()
         raise
+    finally:
+        if san.enabled and result.memory_transactions:
+            # One sanitizer feed per launch, raised or not, like the
+            # cohort engine's.
+            san.on_transactions(result.memory_transactions)
     result.lock_acquisitions = arbiter.acquisitions
     result.lock_conflicts = arbiter.conflicts
     return result

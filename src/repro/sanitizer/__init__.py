@@ -813,7 +813,7 @@ class Sanitizer:
         del counts
 
     def on_transactions(self, count: int) -> None:
-        """Memory transactions observed by a MemoryTracker."""
+        """Memory transactions one kernel launch counted (stats only)."""
         self.stats["memory_transactions"] += count
 
 

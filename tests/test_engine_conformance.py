@@ -389,6 +389,8 @@ class TestRaisingLaunch:
         for table in (tw, tc):
             self._assert_sizes_match_storage(table)
         assert_tables_identical(tw, tc)
+        # A raised launch still feeds the sanitizer its transactions, once.
+        assert tw.sanitizer.stats == tc.sanitizer.stats
 
     def test_round_limit_keeps_sizes(self):
         table, _ = twin_tables(buckets=8, capacity=8)
@@ -401,31 +403,30 @@ class TestRaisingLaunch:
 
 
 class TestUnequalGeometryConformance:
-    """Warp ≡ cohort on settled subtables of 16/32/32/64 buckets.
+    """Warp ≡ cohort on settled subtables of 16/32/32/32 buckets.
 
     The cohort engine addresses bucket ``b`` of subtable ``t`` as row
     ``row_offset[t] + b`` of one storage arena.  With equal subtables a
     wrong offset (say ``t * n_buckets``) would still land on the right
-    rows, so this geometry gives every subtable a different size and a
-    non-uniform start.  High fill makes evictions fire, and duplicate
-    keys with adversarial targets drive the hazard path.
+    rows, so one downsize gives subtable 0 half the rows of the others
+    and every later subtable a start that is not a multiple of its
+    size.  High fill makes evictions fire, and duplicate keys with
+    adversarial targets drive the hazard path.
     """
 
     def test_high_fill_and_hazard_rounds_identical(self):
-        from repro.kernels.resize_kernels import run_upsize_kernel
-
-        tw, tc = twin_tables(buckets=16, capacity=8)
+        tw, tc = twin_tables(buckets=32, capacity=8)
         keys = unique_keys(300, seed=61)
         run_voter_insert_kernel(tw, keys, keys)
         run_voter_insert_kernel(tc, keys, keys, engine="cohort")
         for table in (tw, tc):
-            for target in (1, 2, 3, 3):
-                run_upsize_kernel(table, target)
-        assert [st.n_buckets for st in tc.subtables] == [16, 32, 32, 64]
+            table.downsize()
+        assert [st.n_buckets for st in tc.subtables] == [16, 32, 32, 32]
+        assert tc.flat_storage().row_offset.tolist() == [0, 16, 48, 80]
         assert all(st.migration is None for st in tc.subtables)
         assert_tables_identical(tw, tc)
 
-        fresh = unique_keys(550, seed=62, low=1 << 40)  # 74 % of 1152
+        fresh = unique_keys(363, seed=62, low=1 << 40)  # 74 % of 896
         rw = run_twins(run_voter_insert_kernel, tw, tc, fresh, fresh)
         assert rw.evictions > 0
 

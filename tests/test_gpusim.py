@@ -8,9 +8,7 @@ from repro.gpusim import (GTX_1080, AtomicMemory, CostModel, DeviceSpec,
                           LockArbiter, Occupancy, RoundScheduler, V100,
                           WarpContext, atomic_batch_seconds,
                           atomic_throughput_mops,
-                          coalesced_io_throughput_mops,
-                          coalesced_transactions, mops)
-from repro.gpusim.memory import MemoryTracker
+                          coalesced_io_throughput_mops, mops)
 
 
 class TestDeviceSpec:
@@ -31,42 +29,6 @@ class TestDeviceSpec:
             DeviceSpec(warp_size=0)
         with pytest.raises(InvalidConfigError):
             DeviceSpec(mem_efficiency=1.5)
-
-
-class TestCoalescing:
-    def test_consecutive_addresses_one_transaction(self):
-        addresses = np.arange(32) * 4  # 32 lanes x 4 bytes = 128 bytes
-        assert coalesced_transactions(addresses) == 1
-
-    def test_scattered_addresses_many_transactions(self):
-        addresses = np.arange(32) * 128
-        assert coalesced_transactions(addresses) == 32
-
-    def test_straddling_access(self):
-        # One 4-byte access crossing a line boundary costs two lines.
-        assert coalesced_transactions(np.array([126])) == 2
-
-    def test_empty(self):
-        assert coalesced_transactions(np.array([], dtype=np.int64)) == 0
-
-    def test_bucket_layout_coalesces(self):
-        """A 32x4-byte bucket is exactly one 128-byte transaction.
-
-        This is the property Figure 2's layout is designed around.
-        """
-        bucket_base = 17 * 128
-        addresses = bucket_base + np.arange(32) * 4
-        assert coalesced_transactions(addresses) == 1
-
-    def test_tracker_accumulates(self):
-        tracker = MemoryTracker()
-        tracker.bucket_access(3)
-        tracker.random_access(2)
-        assert tracker.transactions == 5
-        assert tracker.bytes_moved == 5 * 128
-        assert tracker.seconds > 0
-        tracker.reset()
-        assert tracker.transactions == 0
 
 
 class TestWarpContext:

@@ -3,11 +3,9 @@
 import numpy as np
 
 from repro.core.config import DyCuckooConfig
-from repro.core.hashing import unhashed
 from repro.core.table import DyCuckooTable
-from repro.kernels import (run_delete_kernel, run_downsize_kernel,
-                           run_find_kernel, run_spin_insert_kernel,
-                           run_upsize_kernel, run_voter_insert_kernel)
+from repro.kernels import (run_delete_kernel, run_find_kernel,
+                           run_spin_insert_kernel, run_voter_insert_kernel)
 
 from .conftest import unique_keys
 
@@ -124,115 +122,6 @@ class TestFindDeleteKernels:
         table = fresh_table()
         removed, _ = run_delete_kernel(table, unique_keys(10, seed=9))
         assert not removed.any()
-
-
-class TestResizeKernels:
-    def test_upsize_kernel_matches_controller(self):
-        keys = unique_keys(600, seed=10)
-        kernel_table = fresh_table(buckets=32, capacity=8)
-        kernel_table.insert(keys, keys)
-        control_table = fresh_table(buckets=32, capacity=8)
-        control_table.insert(keys, keys)
-
-        # Both upsize subtable 0.
-        run_upsize_kernel(kernel_table, 0)
-        control_table._resizer._pick_upsize_target = lambda: 0
-        control_table.upsize()
-
-        for table in (kernel_table, control_table):
-            table.validate()
-            _, found = table.find(keys)
-            assert found.all()
-        assert (kernel_table.subtables[0].n_buckets
-                == control_table.subtables[0].n_buckets)
-        # Same entries in subtable 0 (layout may pack differently).
-        k_codes = np.sort(kernel_table.subtables[0].export_entries()[0])
-        c_codes = np.sort(control_table.subtables[0].export_entries()[0])
-        assert np.array_equal(k_codes, c_codes)
-
-    def test_downsize_kernel_returns_residuals(self):
-        table = fresh_table(buckets=32, capacity=4)
-        keys = unique_keys(300, seed=11)
-        table.insert(keys, keys)
-        st = table.subtables[0]
-        size_before = st.size
-        res_codes, res_values, result = run_downsize_kernel(table, 0)
-        assert st.n_buckets == 16
-        assert st.size + len(res_codes) == size_before
-        assert result.completed_ops == size_before
-
-    def test_downsize_then_reinsert_residuals(self):
-        table = fresh_table(buckets=32, capacity=4)
-        keys = unique_keys(300, seed=12)
-        table.insert(keys, keys * 5)
-        res_codes, res_values, _ = run_downsize_kernel(table, 1)
-        if len(res_codes):
-            current = np.full(len(res_codes), 1, dtype=np.int64)
-            alternates = table.pair_hash.alternate_table(res_codes, current)
-            table._insert_pending(res_codes, res_values, alternates,
-                                  unhashed(len(res_codes)), excluded=1)
-        table.validate()
-        values, found = table.find(keys)
-        assert found.all()
-        assert np.array_equal(values, keys * np.uint64(5))
-
-
-class TestMegaKVKernel:
-    def test_insert_then_find(self):
-        from repro.baselines.megakv import MegaKVTable
-        from repro.kernels import run_megakv_insert_kernel
-
-        table = MegaKVTable(initial_buckets=64, bucket_capacity=8,
-                            auto_resize=False)
-        keys = unique_keys(700, seed=20)
-        result = run_megakv_insert_kernel(table, keys, keys * 3)
-        assert result.completed_ops == 700
-        table.validate()
-        values, found = table.find(keys)
-        assert found.all()
-        assert np.array_equal(values, keys * np.uint64(3))
-
-    def test_matches_vectorized_membership(self):
-        from repro.baselines.megakv import MegaKVTable
-        from repro.kernels import run_megakv_insert_kernel
-
-        keys = unique_keys(400, seed=21)
-        kernel_table = MegaKVTable(initial_buckets=64, bucket_capacity=8,
-                                   auto_resize=False)
-        run_megakv_insert_kernel(kernel_table, keys, keys)
-        vector_table = MegaKVTable(initial_buckets=64, bucket_capacity=8,
-                                   auto_resize=False)
-        vector_table.insert(keys, keys)
-        for table in (kernel_table, vector_table):
-            table.validate()
-            _, found = table.find(keys)
-            assert found.all()
-        assert len(kernel_table) == len(vector_table) == 400
-
-    def test_evictions_under_density(self):
-        from repro.baselines.megakv import MegaKVTable
-        from repro.kernels import run_megakv_insert_kernel
-
-        table = MegaKVTable(initial_buckets=8, bucket_capacity=8,
-                            auto_resize=False)
-        keys = unique_keys(100, seed=22)
-        result = run_megakv_insert_kernel(table, keys, keys)
-        table.validate()
-        assert result.evictions > 0
-        _, found = table.find(keys)
-        assert found.all()
-
-    def test_no_lock_traffic(self):
-        """MegaKV's kernel is lock-free: exchanges, not CAS locks."""
-        from repro.baselines.megakv import MegaKVTable
-        from repro.kernels import run_megakv_insert_kernel
-
-        table = MegaKVTable(initial_buckets=64, bucket_capacity=8,
-                            auto_resize=False)
-        keys = unique_keys(300, seed=23)
-        result = run_megakv_insert_kernel(table, keys, keys)
-        assert result.lock_acquisitions == 0
-        assert result.lock_conflicts == 0
 
 
 class TestConflictEstimateSanity:
