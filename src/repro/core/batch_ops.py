@@ -16,9 +16,11 @@ preserving the batched execution model the cost accounting assumes.
 Key encoding and hashing are position-pure — they depend only on the
 key, never on table geometry — so :class:`EncodedBatch` computes them
 once for the whole mixed batch and every homogeneous run executes on a
-view of it.  The public ``find``/``insert``/``delete`` methods and the
-kernel drivers take the same path: each builds one batch and probes
-through :meth:`EncodedBatch.probe`.  ``engine="warp" | "cohort"`` routes the
+view of it.  A key is hashed under its two candidate subtables only,
+whatever ``d`` is: those hold the only buckets it ever reads.  The
+public ``find``/``insert``/``delete`` methods and the kernel drivers
+take the same path: each builds one batch and probes through
+:meth:`EncodedBatch.probe`.  ``engine="warp" | "cohort"`` routes the
 runs through the lane-faithful kernels instead of the vectorized host
 path (see :mod:`repro.kernels.engine`).
 """
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.hashing import HashStack
 from repro.errors import InvalidConfigError
 
 #: Human-readable names for op codes (trace event labelling).
@@ -54,14 +57,16 @@ class EncodedBatch:
     """Hashes for one key batch, computed once and shared by its views.
 
     ``codes`` (the canonical uint64 encoding), the pair-hash targets
-    ``first``/``second``, and each subtable's 31-bit raw hash are pure
-    functions of the keys — in particular the raw hashes survive
-    resizes, because a resize only changes the power-of-two mask
-    applied by :meth:`~repro.core.hashing.UniversalHash.bucket_from_raw`.
-    Everything is evaluated lazily so a FIND-only batch never pays for
-    hashes it does not use.  Indexing a batch by a slice or an index
-    array returns a view whose hashes are read from this batch's
-    caches, never recomputed.
+    ``first``/``second``, and :attr:`candidate_raw` — each code's 31-bit
+    raw hash under its first and under its second subtable, the only
+    two subtables a key ever reads — are pure functions of the keys.
+    In particular the raw hashes survive resizes, because a resize only
+    changes the power-of-two mask applied by
+    :meth:`~repro.core.hashing.UniversalHash.bucket_from_raw`.
+    Everything is evaluated lazily so a batch never pays for hashes it
+    does not use.  Indexing a batch by a slice or an index array
+    returns a view whose hashes are read from this batch's caches,
+    never recomputed.
     """
 
     def __init__(self, table, keys) -> None:
@@ -70,7 +75,7 @@ class EncodedBatch:
         self.table = table
         self.codes = encode_keys(np.asarray(keys, dtype=np.uint64))
         self._pair: tuple[np.ndarray, np.ndarray] | None = None
-        self._raw: dict[int, np.ndarray] = {}
+        self._candidates: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -91,20 +96,27 @@ class EncodedBatch:
             self._pair = self._hash_pairs()
         return self._pair
 
-    def raw(self, t: int) -> np.ndarray:
-        """Raw (geometry-independent) hash of every code under subtable
-        ``t``'s hash function; cached after the first request.  The
-        hashes are 31-bit, so the cache holds them as ``uint32``."""
-        cached = self._raw.get(t)
-        if cached is None:
-            cached = self._raw[t] = self._hash_raw(t)
-        return cached
+    @property
+    def candidate_raw(self) -> np.ndarray:
+        """``uint32[2, n]``: every code's raw hash under its ``first``
+        (row 0) and its ``second`` (row 1) subtable; cached after the
+        first request.  The hashes are 31-bit."""
+        if self._candidates is None:
+            self._candidates = self._hash_candidates()
+        return self._candidates
+
+    def raw_under(self, targets: np.ndarray) -> np.ndarray:
+        """Raw hash of every code under ``targets``, one of its pair."""
+        first_raw, second_raw = self.candidate_raw
+        return np.where(targets == self.first, first_raw, second_raw)
 
     def _hash_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return self.table.pair_hash.tables_for(self.codes)
 
-    def _hash_raw(self, t: int) -> np.ndarray:
-        return self.table.table_hashes[t].raw(self.codes).astype(np.uint32)
+    def _hash_candidates(self) -> np.ndarray:
+        hashes = HashStack(self.table.table_hashes)
+        return hashes.raw(self.codes, np.stack((self.first, self.second))
+                          ).astype(np.uint32)
 
     def probe(self, op) -> tuple[np.ndarray, int]:
         """Two-bucket probe (Section V-A), grouped by subtable.
@@ -112,26 +124,36 @@ class EncodedBatch:
         Every key visits the bucket of its first candidate subtable;
         keys ``op`` did not hit there visit their second candidate.
         ``op(t, buckets, sel)`` serves the keys at positions ``sel``
-        whose buckets in subtable ``t`` are ``buckets`` and returns the
-        mask of those it hit.  Returns the hit mask over the batch and
-        the number of keys that read their second bucket.  A subtable's
-        keys are served in slices of at most :data:`PROBE_CHUNK`.
+        (ascending) whose buckets in subtable ``t`` are ``buckets`` and
+        returns the mask of those it hit.  Returns the hit mask over the
+        batch and the number of keys that read their second bucket.  A
+        subtable's keys are served in slices of at most
+        :data:`PROBE_CHUNK`.
         """
         table = self.table
         hit = np.zeros(len(self), dtype=bool)
+        first_raw, second_raw = self.candidate_raw
+        subtables = np.arange(table.num_tables + 1)
+        # Targets fit a narrow unsigned type, which numpy's stable sort
+        # orders by radix instead of by merging.
+        narrow = np.min_scalar_type(table.num_tables - 1)
 
-        def visit(pending: np.ndarray, targets: np.ndarray) -> None:
+        def visit(pending: np.ndarray, targets: np.ndarray,
+                  raw: np.ndarray) -> None:
             pending_targets = targets[pending]
+            buckets = table.bucket_resolver()(pending_targets, raw[pending])
+            # A stable sort keeps each subtable's positions ascending.
+            order = pending_targets.astype(narrow).argsort(kind="stable")
+            cuts = pending_targets[order].searchsorted(subtables).tolist()
             for t in range(table.num_tables):
-                group = pending[pending_targets == t]
-                for lo in range(0, len(group), PROBE_CHUNK):
-                    sel = group[lo:lo + PROBE_CHUNK]
-                    buckets = table.bucket_of_raw(t, self.raw(t)[sel])
-                    hit[sel[op(t, buckets, sel)]] = True
+                for lo in range(cuts[t], cuts[t + 1], PROBE_CHUNK):
+                    group = order[lo:min(lo + PROBE_CHUNK, cuts[t + 1])]
+                    sel = pending[group]
+                    hit[sel[op(t, buckets[group], sel)]] = True
 
-        visit(np.arange(len(self)), self.first)
+        visit(np.arange(len(self)), self.first, first_raw)
         retry = np.flatnonzero(~hit)
-        visit(retry, self.second)
+        visit(retry, self.second, second_raw)
         return hit, len(retry)
 
 
@@ -144,14 +166,14 @@ class _BatchView(EncodedBatch):
         self._parent = parent
         self._index = index
         self._pair = None
-        self._raw = {}
+        self._candidates = None
 
     def _hash_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         first, second = self._parent._pairs()
         return first[self._index], second[self._index]
 
-    def _hash_raw(self, t: int) -> np.ndarray:
-        return self._parent.raw(t)[self._index]
+    def _hash_candidates(self) -> np.ndarray:
+        return self._parent.candidate_raw[:, self._index]
 
 
 @dataclass(frozen=True)

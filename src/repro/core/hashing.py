@@ -131,8 +131,9 @@ class UniversalHash:
         """Reduce precomputed :meth:`raw` values to bucket indices.
 
         ``raw`` does not depend on the table geometry, so batch code can
-        hash a key set once and re-reduce it cheaply after every resize
-        (see :class:`repro.core.batch_ops.EncodedBatch`).
+        hash a key set once and re-reduce it cheaply after every resize:
+        :class:`repro.core.batch_ops.EncodedBatch` hashes each key under
+        its two candidate subtables only (``candidate_raw``).
         """
         if n_buckets & (n_buckets - 1):
             raise InvalidConfigError(

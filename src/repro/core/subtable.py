@@ -200,6 +200,21 @@ class Subtable:
     # Read-only operations
     # ------------------------------------------------------------------
 
+    def _match(self, buckets: np.ndarray, codes: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(buckets, found, slots)``: whether each code sits in its
+        bucket, and at which slot.
+
+        A code appears at most once per bucket, so the first matching
+        slot is its slot; ``found`` reads the match there instead of
+        making a second pass over the bucket.
+        """
+        buckets = np.asarray(buckets, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.uint64)
+        match = self.keys[buckets] == codes[:, None]
+        slots = match.argmax(axis=1)
+        return buckets, match[np.arange(len(slots)), slots], slots
+
     def lookup(self, buckets: np.ndarray, codes: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
         """Probe ``codes`` in their ``buckets``.
@@ -207,24 +222,12 @@ class Subtable:
         Returns ``(found, values)``; ``values`` is meaningful only where
         ``found`` is True.
         """
-        buckets = np.asarray(buckets, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.uint64)
-        if len(buckets) == 0:
-            return (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64))
-        bucket_keys = self.keys[buckets]                      # (n, cap)
-        match = bucket_keys == codes[:, None]
-        found = match.any(axis=1)
-        slots = match.argmax(axis=1)
-        values = self.values[buckets, slots]
-        return found, values
+        buckets, found, slots = self._match(buckets, codes)
+        return found, self.values[buckets, slots]
 
     def contains(self, buckets: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Membership-only variant of :meth:`lookup` (no value gather)."""
-        buckets = np.asarray(buckets, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.uint64)
-        if len(buckets) == 0:
-            return np.zeros(0, dtype=bool)
-        return (self.keys[buckets] == codes[:, None]).any(axis=1)
+        return self._match(buckets, codes)[1]
 
     # ------------------------------------------------------------------
     # Mutating operations
@@ -233,33 +236,19 @@ class Subtable:
     def update_existing(self, buckets: np.ndarray, codes: np.ndarray,
                         values: np.ndarray) -> np.ndarray:
         """Overwrite values of codes already present; return updated mask."""
-        buckets = np.asarray(buckets, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.uint64)
-        values = np.asarray(values, dtype=np.uint64)
-        if len(buckets) == 0:
-            return np.zeros(0, dtype=bool)
-        bucket_keys = self.keys[buckets]
-        match = bucket_keys == codes[:, None]
-        found = match.any(axis=1)
-        slots = match.argmax(axis=1)
-        self.values[buckets[found], slots[found]] = values[found]
+        buckets, found, slots = self._match(buckets, codes)
+        self.values[buckets[found], slots[found]] = np.asarray(
+            values, dtype=np.uint64)[found]
         return found
 
     def erase(self, buckets: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Remove matching codes from their buckets; return erased mask.
 
         ``codes`` must be distinct: each found code clears and counts
-        its own slot.  Both callers dedupe a delete batch to its first
+        its own slot.  Every caller dedupes a delete batch to its first
         occurrences before probing.
         """
-        buckets = np.asarray(buckets, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.uint64)
-        if len(buckets) == 0:
-            return np.zeros(0, dtype=bool)
-        bucket_keys = self.keys[buckets]
-        match = bucket_keys == codes[:, None]
-        found = match.any(axis=1)
-        slots = match.argmax(axis=1)
+        buckets, found, slots = self._match(buckets, codes)
         self.keys[buckets[found], slots[found]] = EMPTY
         self.size -= int(np.count_nonzero(found))
         return found

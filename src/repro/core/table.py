@@ -403,19 +403,16 @@ class DyCuckooTable:
         fresh = np.flatnonzero(~updated)
         self.stats.updates += int(updated.sum())
         if len(fresh):
-            fresh_codes = batch.codes[fresh]
-            targets = self._router.choose(fresh_codes, batch.first[fresh],
-                                          batch.second[fresh],
+            pending = batch[fresh]
+            targets = self._router.choose(pending.codes, pending.first,
+                                          pending.second,
                                           self.subtable_sizes(),
                                           self.subtable_loads())
             # Each fresh key starts with its target's hash, read from the
             # batch cache the update probe already filled.
-            raw = np.empty(len(fresh), dtype=np.uint32)
-            for t in range(self.num_tables):
-                into = np.flatnonzero(targets == t)
-                if len(into):
-                    raw[into] = batch.raw(t)[fresh[into]]
-            self._insert_pending(fresh_codes, values[fresh], targets, raw,
+            codes, raw = pending.codes, pending.raw_under(targets)
+            del pending  # its pair copies would raise a bulk load's peak RSS
+            self._insert_pending(codes, values[fresh], targets, raw,
                                  excluded=None)
         if self.config.auto_resize:
             self._resizer.enforce_bounds()

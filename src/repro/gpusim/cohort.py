@@ -81,9 +81,10 @@ approximate:
    kernels.
 
 FIND and DELETE have no scheduler and no locks in the reference engine
-(one warp processes ops sequentially), so their cohort forms are plain
-grouped-gather pipelines with transaction accounting reproduced from
-the probe/hit structure.
+(one warp processes ops sequentially), so their cohort forms run the
+host path's grouped probe (:meth:`~repro.core.batch_ops.EncodedBatch.probe`
+over the ``Subtable`` lookup and erase) with transaction accounting
+reproduced from the probe/hit structure.
 """
 
 from __future__ import annotations
@@ -122,11 +123,6 @@ def _ctz(masks: np.ndarray) -> np.ndarray:
     return np.log2(low.astype(np.float64)).astype(np.int64)
 
 
-def _first_slot(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row first True column of a 2-D predicate, as (any, argmax)."""
-    return match.any(axis=1), match.argmax(axis=1)
-
-
 # ----------------------------------------------------------------------
 # FIND
 # ----------------------------------------------------------------------
@@ -149,9 +145,8 @@ def cohort_find(table, batch):
         return values, np.zeros(0, dtype=bool), result
 
     def probe(t: int, buckets: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        st = table.subtables[t]
-        hit, slots = _first_slot(st.keys[buckets] == codes[sel][:, None])
-        values[sel[hit]] = st.values[buckets[hit], slots[hit]]
+        hit, vals = table.subtables[t].lookup(buckets, codes[sel])
+        values[sel[hit]] = vals[hit]
         return hit
 
     found, missed = batch.probe(probe)
@@ -200,19 +195,15 @@ def cohort_delete(table, batch):
     san = table.sanitizer
 
     def clear(t: int, buckets: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        st = table.subtables[t]
-        hit, slots = _first_slot(st.keys[buckets] == codes[sel][:, None])
-        if np.any(hit):
-            st.keys[buckets[hit], slots[hit]] = EMPTY
-            st.size -= int(hit.sum())
-            if san.enabled:
-                # Same access log as the per-warp engine: one
-                # lock-free slot-clear write per removal (exempt
-                # from the locking contract — see run_delete_kernel).
-                for b in buckets[hit]:
-                    san.record_access(0, "write", "bucket",
-                                      (t << 40) | int(b),
-                                      site=_SITE_DELETE)
+        hit = table.subtables[t].erase(buckets, codes[sel])
+        if san.enabled:
+            # Same access log as the per-warp engine: one
+            # lock-free slot-clear write per removal (exempt
+            # from the locking contract — see run_delete_kernel).
+            for b in buckets[hit]:
+                san.record_access(0, "write", "bucket",
+                                  (t << 40) | int(b),
+                                  site=_SITE_DELETE)
         return hit
 
     removed_unique, missed = unique.probe(clear)
@@ -263,14 +254,12 @@ class _CohortState:
         #: and that alternate.  The rounds read these; only an evicted
         #: victim is hashed again.
         alts = batch.first + batch.second - targets
-        raws = np.stack([batch.raw(t) for t in range(batch.table.num_tables)])
-        idx = np.arange(n)
         pad = W * width - n
         (self.keys, self.values, self.targets, self.alts, self.raw,
          self.alt_raw) = (
              np.concatenate([x, np.zeros(pad, x.dtype)])
              for x in (batch.codes, values, targets, alts,
-                       raws[targets, idx], raws[alts, idx]))
+                       batch.raw_under(targets), batch.raw_under(alts)))
         #: Lane ballots: bit ``l`` set while lane ``l`` still has work.
         self.active = np.zeros(W, dtype=np.uint64)
         full, rem = divmod(n, width)
@@ -701,7 +690,8 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
 
     if hazard:
         miss = (kind != _UPSERT).nonzero()[0]
-        has_free, free_slot = _first_slot(own[miss] == EMPTY)
+        free = own[miss] == EMPTY
+        has_free, free_slot = free.any(axis=1), free.argmax(axis=1)
         a_hit = kind[miss] == _ALT_HIT
         (a_hit, a_slot, evict, vslot, victim_key,
          victim_val) = _resolve_hazard(

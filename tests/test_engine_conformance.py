@@ -268,7 +268,8 @@ def _bucket_mates(table: DyCuckooTable, n: int, seed: int) -> np.ndarray:
     pool = unique_keys(4000, seed=seed)
     batch = EncodedBatch(table, pool)
     ours = batch.first == 0
-    buckets = table.bucket_of_raw(0, batch.raw(0))
+    # Row 0 of the cache is each key's hash under its first subtable.
+    buckets = table.bucket_of_raw(0, batch.candidate_raw[0])
     mates = pool[ours & (buckets == buckets[ours][0])]
     assert len(mates) >= n
     return mates[:n]
@@ -505,11 +506,19 @@ class TestMixedBatchDispatch:
         table, _ = twin_tables()
         keys = unique_keys(100, seed=28)
         batch = EncodedBatch(table, keys)
-        assert batch.raw(0) is batch.raw(0)  # cached, not recomputed
+        # cached, not recomputed
+        assert batch.candidate_raw is batch.candidate_raw
+        for row, targets in zip(batch.candidate_raw,
+                                (batch.first, batch.second)):
+            want = [table.table_hashes[t].raw(batch.codes[i:i + 1])[0]
+                    for i, t in enumerate(targets)]
+            np.testing.assert_array_equal(row, want)
+        on_2 = batch.first == 2
+        assert on_2.any()
         np.testing.assert_array_equal(
             table.table_hashes[2].bucket_from_raw(
-                batch.raw(2), table.subtables[2].n_buckets),
-            table.table_hashes[2].bucket(batch.codes,
+                batch.candidate_raw[0][on_2], table.subtables[2].n_buckets),
+            table.table_hashes[2].bucket(batch.codes[on_2],
                                          table.subtables[2].n_buckets))
 
     def test_sharded_mixed_engine_dispatch(self):

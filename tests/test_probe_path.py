@@ -4,12 +4,14 @@ A seeded grow -> shrink session runs twice over twin tables: once
 through public ``insert``/``find``/``delete``, once through
 ``execute_mixed`` with one homogeneous run per call.  Results, event
 counters and storage must agree exactly, including while a migration
-epoch is open.  Hash budgets pin that an insert call hashes each key
-at most once per subtable, plus once per eviction, and that a cohort
-kernel launch re-hashes only its evicted victims.
+epoch is open.  Hash budgets pin that a find hashes each key exactly
+once per candidate subtable, that an insert hashes each key at most
+once per candidate plus once per eviction, and that a cohort kernel
+launch re-hashes only its evicted victims.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                    EncodedBatch, execute_mixed)
@@ -84,11 +86,55 @@ def test_public_calls_match_execute_mixed_runs():
     assert len(public) == len(mixed) > 0
 
 
-def test_insert_hashes_each_key_once_per_subtable(monkeypatch):
-    """One insert hashes at most ``d`` codes per key plus one per eviction.
+def _count_second_layer_hashes(monkeypatch, table
+                               ) -> list[tuple[str, int]]:
+    """Record the codes each second-layer hash call evaluates.
 
-    The batch's update probe hashes every key under all ``d`` second-layer
-    functions; the eviction rounds must reuse those hashes and hash only
+    Codes are counted through both entry points: one function at a time
+    (``UniversalHash.raw`` on a member of ``table.table_hashes``) and
+    each code under its own function (``HashStack.raw``).  Entries of
+    the returned list are ``("one", n)`` and ``("stack", n)``.
+    """
+    hashed = []
+    plain_raw = UniversalHash.raw
+    plain_stack_raw = HashStack.raw
+
+    def counting_raw(self, codes):
+        if any(self is h for h in table.table_hashes):
+            hashed.append(("one", len(codes)))
+        return plain_raw(self, codes)
+
+    def counting_stack_raw(self, codes, which):
+        hashed.append(("stack", np.broadcast(codes, which).size))
+        return plain_stack_raw(self, codes, which)
+
+    monkeypatch.setattr(UniversalHash, "raw", counting_raw)
+    monkeypatch.setattr(HashStack, "raw", counting_stack_raw)
+    return hashed
+
+
+def test_find_hashes_each_key_once_per_candidate(monkeypatch):
+    """A find of ``n`` distinct keys hashes exactly ``2n`` codes, in one
+    stacked call: each key under its first and its second subtable,
+    whatever ``d`` is, and never under the other ``d - 2``."""
+    table = DyCuckooTable(DyCuckooConfig(num_tables=6, initial_buckets=64,
+                                         bucket_capacity=8, seed=3))
+    keys = unique_keys(3000, seed=7)
+    table.insert(keys[:2000], keys[:2000])
+    hashed = _count_second_layer_hashes(monkeypatch, table)
+    values, found = table.find(keys)
+    monkeypatch.undo()
+
+    assert hashed == [("stack", 2 * len(keys))]
+    assert found[:2000].all() and not found[2000:].any()
+    assert np.array_equal(values[:2000], keys[:2000])
+
+
+def test_insert_hashes_each_key_once_per_candidate(monkeypatch):
+    """One insert hashes at most two codes per key plus one per eviction.
+
+    The batch's update probe hashes every key under its two candidate
+    subtables; the eviction rounds must reuse those hashes and hash only
     each evicted victim, once, under its alternate subtable.
     """
     table = DyCuckooTable(DyCuckooConfig(initial_buckets=256,
@@ -97,18 +143,11 @@ def test_insert_hashes_each_key_once_per_subtable(monkeypatch):
     keys = unique_keys(6600, seed=5)
     table.insert(keys[:4600], keys[:4600])
     batch = keys[4600:]
-    hashed = []
-    plain_raw = UniversalHash.raw
-
-    def counting_raw(self, codes):
-        if any(self is h for h in table.table_hashes):
-            hashed.append(len(codes))
-        return plain_raw(self, codes)
 
     def no_bucket_for(t, codes):
         raise AssertionError("bucket_for re-hashed keys during an insert")
 
-    monkeypatch.setattr(UniversalHash, "raw", counting_raw)
+    hashed = _count_second_layer_hashes(monkeypatch, table)
     monkeypatch.setattr(table, "bucket_for", no_bucket_for)
     evictions_before = table.stats.evictions
     table.insert(batch, batch)
@@ -117,23 +156,52 @@ def test_insert_hashes_each_key_once_per_subtable(monkeypatch):
     evictions = table.stats.evictions - evictions_before
     assert evictions > 0
     assert table.load_factor > 0.75
-    assert sum(hashed) <= table.num_tables * len(batch) + evictions
+    assert hashed[0] == ("stack", 2 * len(batch))
+    assert sum(n for _kind, n in hashed) <= 2 * len(batch) + evictions
     values, found = table.find(keys)
     assert found.all() and np.array_equal(values, keys)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_candidate_hashes_match_per_function_hashes(d):
+    """``raw_under`` equals each subtable's own hash, on a batch and on
+    views of it, and resolves to ``bucket_of_raw``'s buckets while an
+    upsize epoch is part-way through its migration."""
+    table = DyCuckooTable(DyCuckooConfig(num_tables=d, initial_buckets=16,
+                                         bucket_capacity=4, seed=11))
+    keys = unique_keys(2000, seed=13)
+    table.insert(keys[:100], keys[:100])
+    table.finalize_resizes()
+    table._resizer.open_upsize_epoch()
+    table._resizer.drain_migration(max_pairs=3)  # mixed views
+    epoch, = [st.migration for st in table.subtables
+              if st.migration is not None]
+    assert 0 < epoch.pending < epoch.num_pairs
+    batch = EncodedBatch(table, keys)
+    for encoded in (batch, batch[::3], batch[np.arange(1, 2000, 7)]):
+        for targets in (encoded.first, encoded.second):
+            raw = encoded.raw_under(targets)
+            want = np.empty(len(encoded), dtype=np.uint64)
+            want_buckets = np.empty(len(encoded), dtype=np.int64)
+            for t in range(d):
+                on_t = targets == t
+                want[on_t] = table.table_hashes[t].raw(encoded.codes[on_t])
+                want_buckets[on_t] = table.bucket_of_raw(t, want[on_t])
+            assert raw.dtype == np.uint32
+            assert np.array_equal(raw, want)
+            assert np.array_equal(table.bucket_resolver()(targets, raw),
+                                  want_buckets)
 
 
 def test_cohort_insert_hashes_only_its_victims(monkeypatch):
     """A cohort launch hashes nothing but its evicted victims.
 
     The launch's ``EncodedBatch`` already holds every key's raw hash
-    under every subtable, so leaders and alternate probes must read
-    those; each victim is hashed under the two subtables it needs
+    under its two candidate subtables, so leaders and alternate probes
+    must read those; each victim is hashed under the two subtables it needs
     (its new target and the one it was evicted from), in at most one
     subtable-hash call per evicting round, and the kernel never
-    resolves a bucket through ``bucket_for``.  Codes are counted
-    through both second-layer entry points: one function at a time
-    (``UniversalHash.raw``) and each code under its own function
-    (``HashStack.raw``).
+    resolves a bucket through ``bucket_for``.
     """
     table = DyCuckooTable(DyCuckooConfig(initial_buckets=256,
                                          bucket_capacity=8,
@@ -144,29 +212,15 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
     table.attach(Instruments(profiler=prof))
     fresh = keys[4200:]
     batch = EncodedBatch(table, fresh)
-    for t in range(table.num_tables):
-        batch.raw(t)
-    hashed = []
+    batch.candidate_raw  # the kernel reads these; only victims hash again
     resolved = []
-    plain_raw = UniversalHash.raw
-    plain_stack_raw = HashStack.raw
     plain_bucket_for = table.bucket_for
-
-    def counting_raw(self, codes):
-        if any(self is h for h in table.table_hashes):
-            hashed.append(len(codes))
-        return plain_raw(self, codes)
-
-    def counting_stack_raw(self, codes, which):
-        hashed.append(np.broadcast(codes, which).size)
-        return plain_stack_raw(self, codes, which)
 
     def counting_bucket_for(t, codes):
         resolved.append(len(codes))
         return plain_bucket_for(t, codes)
 
-    monkeypatch.setattr(UniversalHash, "raw", counting_raw)
-    monkeypatch.setattr(HashStack, "raw", counting_stack_raw)
+    hashed = _count_second_layer_hashes(monkeypatch, table)
     monkeypatch.setattr(table, "bucket_for", counting_bucket_for)
     result = run_voter_insert_kernel(table, None, fresh, engine="cohort",
                                      codes=batch)
@@ -179,7 +233,8 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
     assert result.evictions > 0
     assert result.completed_ops == len(batch)
     assert table.load_factor > 0.74
-    assert result.evictions <= sum(hashed) <= 2 * result.evictions
+    assert (result.evictions <= sum(n for _kind, n in hashed)
+            <= 2 * result.evictions)
     assert len(hashed) <= evicting_rounds
     assert resolved == []
     values, found = table.find(keys)
