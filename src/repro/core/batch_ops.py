@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hashing import HashStack
+from repro.core.subtable import match_slots
 from repro.errors import InvalidConfigError
 
 #: Human-readable names for op codes (trace event labelling).
@@ -45,11 +45,11 @@ OP_DELETE = 2
 
 _VALID_OPS = (OP_INSERT, OP_FIND, OP_DELETE)
 
-#: Most keys one probe call serves.  A call gathers a (keys,
-#: bucket_capacity) block of slots: 1 MB at 32 slots, where one
-#: subtable's share of a 100k-key batch would be 12.8 MB.  Blocks that
-#: large may land in fresh mappings on top of the heap, so an unbounded
-#: probe sets the process's peak RSS.
+#: Most bucket rows one probe block holds.  A probe gathers a (rows,
+#: bucket_capacity) block of slots: 1 MB at 32 slots, where both
+#: buckets of a 100k-key batch would be 51 MB.  Blocks that large may
+#: land in fresh mappings on top of the heap, so an unbounded probe
+#: sets the process's peak RSS.
 PROBE_CHUNK = 4096
 
 
@@ -114,47 +114,74 @@ class EncodedBatch:
         return self.table.pair_hash.tables_for(self.codes)
 
     def _hash_candidates(self) -> np.ndarray:
-        hashes = HashStack(self.table.table_hashes)
-        return hashes.raw(self.codes, np.stack((self.first, self.second))
-                          ).astype(np.uint32)
+        return self.table.hash_stack.raw(
+            self.codes, np.stack((self.first, self.second))
+        ).astype(np.uint32)
 
-    def probe(self, op) -> tuple[np.ndarray, int]:
-        """Two-bucket probe (Section V-A), grouped by subtable.
+    def probe(self, touch) -> tuple[np.ndarray, int]:
+        """Two-bucket probe (Section V-A) in one pass over both buckets.
 
-        Every key visits the bucket of its first candidate subtable;
-        keys ``op`` did not hit there visit their second candidate.
-        ``op(t, buckets, sel)`` serves the keys at positions ``sel``
-        (ascending) whose buckets in subtable ``t`` are ``buckets`` and
-        returns the mask of those it hit.  Returns the hit mask over the
-        batch and the number of keys that read their second bucket.  A
-        subtable's keys are served in slices of at most
-        :data:`PROBE_CHUNK`.
+        Every key is stacked under its two candidate subtables (entry
+        ``2i`` is key ``i`` in its first, ``2i + 1`` in its second);
+        one resolver call finds all ``2n`` buckets and one stable sort
+        groups the entries by subtable.  Their bucket rows are gathered
+        into one block per :data:`PROBE_CHUNK` entries, compared with
+        the codes at once and scanned for matches.  A code is stored at
+        most once in the table, so a key matches in at most one of its
+        buckets, and reading the second bucket of a key found in its
+        first changes nothing.  ``touch(t, buckets, slots, sel)`` then
+        serves subtable ``t``'s hits, once: the keys at positions
+        ``sel`` (ascending) sit at slot ``slots`` of ``buckets``.
+        Returns the hit mask over the batch and the number of keys that
+        missed their first bucket, the keys a walk that reads the
+        second bucket only on a miss would read it for.
         """
         table = self.table
-        hit = np.zeros(len(self), dtype=bool)
-        first_raw, second_raw = self.candidate_raw
-        subtables = np.arange(table.num_tables + 1)
+        n = len(self)
+        hit = np.zeros(n, dtype=bool)
+        if n == 0:
+            return hit, 0
+        d = table.num_tables
         # Targets fit a narrow unsigned type, which numpy's stable sort
         # orders by radix instead of by merging.
-        narrow = np.min_scalar_type(table.num_tables - 1)
-
-        def visit(pending: np.ndarray, targets: np.ndarray,
-                  raw: np.ndarray) -> None:
-            pending_targets = targets[pending]
-            buckets = table.bucket_resolver()(pending_targets, raw[pending])
-            # A stable sort keeps each subtable's positions ascending.
-            order = pending_targets.astype(narrow).argsort(kind="stable")
-            cuts = pending_targets[order].searchsorted(subtables).tolist()
-            for t in range(table.num_tables):
-                for lo in range(cuts[t], cuts[t + 1], PROBE_CHUNK):
-                    group = order[lo:min(lo + PROBE_CHUNK, cuts[t + 1])]
-                    sel = pending[group]
-                    hit[sel[op(t, buckets[group], sel)]] = True
-
-        visit(np.arange(len(self)), self.first, first_raw)
-        retry = np.flatnonzero(~hit)
-        visit(retry, self.second, second_raw)
-        return hit, len(retry)
+        targets = np.empty(2 * n, dtype=np.min_scalar_type(d - 1))
+        targets[0::2] = self.first
+        targets[1::2] = self.second
+        buckets = table.bucket_resolver()(targets,
+                                          self.candidate_raw.T.ravel())
+        # A stable sort keeps each subtable's entries ascending.
+        order = targets.argsort(kind="stable")
+        cuts = targets[order].searchsorted(np.arange(d + 1)).tolist()
+        subtables = table.subtables
+        block = np.empty((min(2 * n, PROBE_CHUNK),
+                          table.config.bucket_capacity), dtype=np.uint64)
+        match = np.empty(block.shape, dtype=bool)
+        # Sorted positions of the matches, ascending, and their slots.
+        found, slots = [], []
+        for lo in range(0, 2 * n, PROBE_CHUNK):
+            entries = order[lo:lo + PROBE_CHUNK]
+            m = len(entries)
+            block_buckets = buckets[entries]
+            for t in range(d):
+                a, b = max(cuts[t], lo) - lo, min(cuts[t + 1], lo + m) - lo
+                if a < b:
+                    subtables[t].keys.take(block_buckets[a:b], axis=0,
+                                           out=block[a:b], mode="clip")
+            rows, slot = match_slots(block[:m], self.codes[entries >> 1],
+                                     out=match[:m])
+            found.append(rows + lo)
+            slots.append(slot)
+        at = np.concatenate(found)
+        slot = np.concatenate(slots)
+        entry = order[at]
+        key = entry >> 1
+        hit[key] = True
+        at_cuts = at.searchsorted(cuts).tolist()
+        for t in range(d):
+            lo, hi = at_cuts[t], at_cuts[t + 1]
+            if lo < hi:
+                touch(t, buckets[entry[lo:hi]], slot[lo:hi], key[lo:hi])
+        return hit, n - len(entry) + int(np.count_nonzero(entry & 1))
 
 
 class _BatchView(EncodedBatch):

@@ -79,6 +79,20 @@ class FlatStorage:
                    for st, n in zip(subtables, rows))
 
 
+def match_slots(block: np.ndarray, codes: np.ndarray,
+                out: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, slots)``: where row ``i`` of ``block`` holds ``codes[i]``.
+
+    ``block`` is a ``(rows, bucket_capacity)`` gather of bucket rows and
+    ``out`` an optional boolean buffer of its shape.  A code appears at
+    most once per bucket, so one flat scan of the comparison finds every
+    match, in ascending row order, with no per-row reduction.
+    """
+    match = np.equal(block, codes[:, None], out=out)
+    return np.divmod(np.flatnonzero(match), block.shape[1])
+
+
 class MigrationState:
     """Dual-view bookkeeping for one in-flight incremental resize epoch.
 
@@ -201,19 +215,16 @@ class Subtable:
     # ------------------------------------------------------------------
 
     def _match(self, buckets: np.ndarray, codes: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(buckets, found, slots)``: whether each code sits in its
-        bucket, and at which slot.
-
-        A code appears at most once per bucket, so the first matching
-        slot is its slot; ``found`` reads the match there instead of
-        making a second pass over the bucket.
-        """
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(found, rows, buckets, slots)``: the mask of codes found in
+        their bucket, and where: code ``rows[i]`` sits at slot
+        ``slots[i]`` of bucket ``buckets[i]``."""
         buckets = np.asarray(buckets, dtype=np.int64)
         codes = np.asarray(codes, dtype=np.uint64)
-        match = self.keys[buckets] == codes[:, None]
-        slots = match.argmax(axis=1)
-        return buckets, match[np.arange(len(slots)), slots], slots
+        rows, slots = match_slots(self.keys[buckets], codes)
+        found = np.zeros(len(codes), dtype=bool)
+        found[rows] = True
+        return found, rows, buckets[rows], slots
 
     def lookup(self, buckets: np.ndarray, codes: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +233,14 @@ class Subtable:
         Returns ``(found, values)``; ``values`` is meaningful only where
         ``found`` is True.
         """
-        buckets, found, slots = self._match(buckets, codes)
-        return found, self.values[buckets, slots]
+        found, rows, buckets, slots = self._match(buckets, codes)
+        values = np.zeros(len(found), dtype=np.uint64)
+        values[rows] = self.values[buckets, slots]
+        return found, values
 
     def contains(self, buckets: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Membership-only variant of :meth:`lookup` (no value gather)."""
-        return self._match(buckets, codes)[1]
+        return self._match(buckets, codes)[0]
 
     # ------------------------------------------------------------------
     # Mutating operations
@@ -236,9 +249,8 @@ class Subtable:
     def update_existing(self, buckets: np.ndarray, codes: np.ndarray,
                         values: np.ndarray) -> np.ndarray:
         """Overwrite values of codes already present; return updated mask."""
-        buckets, found, slots = self._match(buckets, codes)
-        self.values[buckets[found], slots[found]] = np.asarray(
-            values, dtype=np.uint64)[found]
+        found, rows, buckets, slots = self._match(buckets, codes)
+        self.values[buckets, slots] = np.asarray(values, dtype=np.uint64)[rows]
         return found
 
     def erase(self, buckets: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -248,10 +260,15 @@ class Subtable:
         its own slot.  Every caller dedupes a delete batch to its first
         occurrences before probing.
         """
-        buckets, found, slots = self._match(buckets, codes)
-        self.keys[buckets[found], slots[found]] = EMPTY
-        self.size -= int(np.count_nonzero(found))
+        found, _rows, buckets, slots = self._match(buckets, codes)
+        self.clear_slots(buckets, slots)
         return found
+
+    def clear_slots(self, buckets: np.ndarray, slots: np.ndarray) -> None:
+        """Empty slot ``slots[i]`` of bucket ``buckets[i]``; the slots
+        must be live and distinct."""
+        self.keys[buckets, slots] = EMPTY
+        self.size -= len(slots)
 
     def place_round(self, buckets: np.ndarray, codes: np.ndarray,
                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

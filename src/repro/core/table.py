@@ -99,6 +99,9 @@ class DyCuckooTable:
         rng = np.random.default_rng(self.config.seed)
         self.pair_hash = PairHash(self.config.num_tables, rng)
         self.table_hashes = make_table_hashes(self.config.num_tables, rng)
+        #: :attr:`table_hashes` stacked for one-call hashing; whoever
+        #: replaces a hash function rebuilds it.
+        self.hash_stack = HashStack(self.table_hashes)
         self.subtables = [
             Subtable(self.config.initial_buckets, self.config.bucket_capacity)
             for _ in range(self.config.num_tables)
@@ -261,6 +264,7 @@ class DyCuckooTable:
         clone = DyCuckooTable(self.config)
         clone.pair_hash = _copy.deepcopy(self.pair_hash)
         clone.table_hashes = _copy.deepcopy(self.table_hashes)
+        clone.hash_stack = HashStack(clone.table_hashes)
         for src, dst in zip(self.subtables, clone.subtables):
             dst.n_buckets = src.n_buckets
             dst.keys = src.keys.copy()
@@ -335,10 +339,9 @@ class DyCuckooTable:
         if n == 0:
             return values, np.zeros(0, dtype=bool)
 
-        def lookup(t: int, buckets: np.ndarray, sel: np.ndarray):
-            hit, vals = self.subtables[t].lookup(buckets, codes[sel])
-            values[sel[hit]] = vals[hit]
-            return hit
+        def read(t: int, buckets: np.ndarray, slots: np.ndarray,
+                 sel: np.ndarray) -> None:
+            values[sel] = self.subtables[t].values[buckets, slots]
 
         def stash_lookup(pending: np.ndarray):
             stash_values, hit = self.stash.lookup(codes[pending])
@@ -346,7 +349,7 @@ class DyCuckooTable:
             self.stats.stash_hits += int(hit.sum())
             return hit
 
-        found, retried = self._probe(batch, lookup, stash_lookup)
+        found, retried = self._probe(batch, read, stash_lookup)
         hits = int(found.sum())
         self.stats.find_hits += hits
         if self.telemetry.enabled:
@@ -443,13 +446,13 @@ class DyCuckooTable:
         unique = batch[unique_idx]
         codes = unique.codes
 
-        def erase(t: int, buckets: np.ndarray, sel: np.ndarray):
-            erased = self.subtables[t].erase(buckets, codes[sel])
-            self.stats.bucket_writes += int(erased.sum())
-            return erased
+        def clear(t: int, buckets: np.ndarray, slots: np.ndarray,
+                  sel: np.ndarray) -> None:
+            self.subtables[t].clear_slots(buckets, slots)
+            self.stats.bucket_writes += len(sel)
 
         removed_unique, _ = self._probe(
-            unique, erase, lambda pending: self.stash.erase(codes[pending]))
+            unique, clear, lambda pending: self.stash.erase(codes[pending]))
         removed[unique_idx] = removed_unique
         self.stats.delete_hits += int(removed_unique.sum())
         if self.config.auto_resize:
@@ -579,17 +582,18 @@ class DyCuckooTable:
         """
         return self._resizer.finalize_migration()
 
-    def _probe(self, batch: EncodedBatch, op, stash_op
+    def _probe(self, batch: EncodedBatch, touch, stash_op
                ) -> tuple[np.ndarray, int]:
-        """Grouped two-bucket probe, then the stash for keys still missed.
+        """One-pass two-bucket probe, then the stash for keys still missed.
 
-        ``op`` serves the bucket probes (see :meth:`EncodedBatch.probe`);
+        ``touch`` serves the bucket hits (see :meth:`EncodedBatch.probe`);
         ``stash_op(pending)`` serves the positions both buckets missed
-        and returns the mask of those the stash hit.  Counts one bucket
-        read per probe and one chain hop per second-bucket probe.
-        Returns the hit mask and the number of second-bucket probes.
+        and returns the mask of those the stash hit.  Counts the reads
+        of a first-then-second walk: one bucket read per key, and one
+        more read and one chain hop per key its first bucket missed.
+        Returns the hit mask and the number of such second reads.
         """
-        hit, retried = batch.probe(op)
+        hit, retried = batch.probe(touch)
         self.stats.bucket_reads += len(batch) + retried
         self.stats.chain_hops += retried
         if len(self.stash):
@@ -603,14 +607,13 @@ class DyCuckooTable:
         """Overwrite values of keys already stored; return updated mask."""
         codes = batch.codes
 
-        def update(t: int, buckets: np.ndarray, sel: np.ndarray):
-            upd = self.subtables[t].update_existing(buckets, codes[sel],
-                                                    values[sel])
-            self.stats.bucket_writes += int(upd.sum())
-            return upd
+        def write(t: int, buckets: np.ndarray, slots: np.ndarray,
+                  sel: np.ndarray) -> None:
+            self.subtables[t].values[buckets, slots] = values[sel]
+            self.stats.bucket_writes += len(sel)
 
         updated, _ = self._probe(
-            batch, update,
+            batch, write,
             lambda pending: self.stash.update(codes[pending],
                                               values[pending]))
         return updated
@@ -661,7 +664,6 @@ class DyCuckooTable:
             # victims inherit their evictor's depth plus one.
             depths = np.zeros(len(codes), dtype=np.int64)
         d = self.num_tables
-        hashes = HashStack(self.table_hashes)
         rounds_since_progress = 0
         while len(codes):
             if self.faults.enabled:
@@ -722,7 +724,7 @@ class DyCuckooTable:
                 depths = depths[order]
             todo = np.flatnonzero(raw == UNHASHED)
             if len(todo):
-                raw[todo] = hashes.raw(codes[todo], targets[todo])
+                raw[todo] = self.hash_stack.raw(codes[todo], targets[todo])
             buckets = self.bucket_resolver()(targets, raw)
             self.stats.bucket_reads += len(codes)
             self.stats.lock_acquisitions += len(codes)

@@ -82,16 +82,16 @@ approximate:
 
 FIND and DELETE have no scheduler and no locks in the reference engine
 (one warp processes ops sequentially), so their cohort forms run the
-host path's grouped probe (:meth:`~repro.core.batch_ops.EncodedBatch.probe`
-over the ``Subtable`` lookup and erase) with transaction accounting
-reproduced from the probe/hit structure.
+host path's one-pass probe
+(:meth:`~repro.core.batch_ops.EncodedBatch.probe`), read or clear the
+located slots, and reproduce the transaction accounting from the
+probe/hit structure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hashing import HashStack
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
 from repro.sanitizer import NULL_SANITIZER
@@ -137,19 +137,17 @@ def cohort_find(table, batch):
     """
     from repro.kernels.insert import KernelRunResult
 
-    codes = batch.codes
-    n = len(codes)
+    n = len(batch)
     values = np.zeros(n, dtype=np.uint64)
     result = KernelRunResult()
     if n == 0:
         return values, np.zeros(0, dtype=bool), result
 
-    def probe(t: int, buckets: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        hit, vals = table.subtables[t].lookup(buckets, codes[sel])
-        values[sel[hit]] = vals[hit]
-        return hit
+    def read(t: int, buckets: np.ndarray, slots: np.ndarray,
+             sel: np.ndarray) -> None:
+        values[sel] = table.subtables[t].values[buckets, slots]
 
-    found, missed = batch.probe(probe)
+    found, missed = batch.probe(read)
     result.memory_transactions = n + missed
     result.completed_ops = n
     result.rounds = n  # one warp processes queries sequentially
@@ -191,20 +189,19 @@ def cohort_delete(table, batch):
     # another key appear or vanish), so only first occurrences can hit.
     unique_idx = np.flatnonzero(first_occurrence_mask(batch.codes))
     unique = batch[unique_idx]
-    codes = unique.codes
     san = table.sanitizer
 
-    def clear(t: int, buckets: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        hit = table.subtables[t].erase(buckets, codes[sel])
+    def clear(t: int, buckets: np.ndarray, slots: np.ndarray,
+              sel: np.ndarray) -> None:
+        table.subtables[t].clear_slots(buckets, slots)
         if san.enabled:
             # Same access log as the per-warp engine: one
             # lock-free slot-clear write per removal (exempt
             # from the locking contract — see run_delete_kernel).
-            for b in buckets[hit]:
+            for b in buckets:
                 san.record_access(0, "write", "bucket",
                                   (t << 40) | int(b),
                                   site=_SITE_DELETE)
-        return hit
 
     removed_unique, missed = unique.probe(clear)
     removed[unique_idx] = removed_unique
@@ -243,7 +240,7 @@ class _CohortState:
         #: hold for every round.
         self.arena = table.flat_storage()
         self.bucket_of = table.bucket_resolver()
-        self.hashes = HashStack(table.table_hashes)
+        self.hashes = table.hash_stack
         self.voter = voter
         n = len(batch)
         width = WARP_WIDTH

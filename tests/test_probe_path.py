@@ -7,18 +7,22 @@ counters and storage must agree exactly, including while a migration
 epoch is open.  Hash budgets pin that a find hashes each key exactly
 once per candidate subtable, that an insert hashes each key at most
 once per candidate plus once per eviction, and that a cohort kernel
-launch re-hashes only its evicted victims.
+launch re-hashes only its evicted victims.  The one-pass probe is
+checked against a per-key walk that reads a key's first bucket and its
+second only on a miss: same hits, same slots, same second-bucket count.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
-                                   EncodedBatch, execute_mixed)
+                                   PROBE_CHUNK, EncodedBatch, execute_mixed)
 from repro.core.config import DyCuckooConfig
-from repro.core.hashing import HashStack, UniversalHash
+from repro.core.hashing import HashStack, UniversalHash, make_table_hashes
 from repro.core.instruments import Instruments
-from repro.core.table import DyCuckooTable
+from repro.core.persistence import load_table, save_table
+from repro.core.subtable import Subtable
+from repro.core.table import DyCuckooTable, encode_keys
 from repro.kernels.insert import run_voter_insert_kernel
 from repro.telemetry import Profiler
 
@@ -239,3 +243,194 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
     assert resolved == []
     values, found = table.find(keys)
     assert found.all() and np.array_equal(values, keys)
+
+
+def _walk(table, batch) -> tuple[dict, int]:
+    """The reference probe, one key at a time: read the first bucket,
+    and the second only on a miss.
+
+    Returns ``{position: (subtable, bucket, slot)}`` of every key found
+    and the number of keys that read their second bucket.
+    """
+    buckets = []
+    for targets in (batch.first, batch.second):
+        b = np.empty(len(batch), dtype=np.int64)
+        for t in range(table.num_tables):
+            on_t = targets == t
+            b[on_t] = table.bucket_of_raw(
+                t, table.table_hashes[t].raw(batch.codes[on_t]))
+        buckets.append(b)
+    located, retried = {}, 0
+    for i, code in enumerate(batch.codes.tolist()):
+        for visit, targets in enumerate((batch.first, batch.second)):
+            t, b = int(targets[i]), int(buckets[visit][i])
+            slots = np.flatnonzero(table.subtables[t].keys[b] == code)
+            if len(slots):
+                located[i] = (t, b, int(slots[0]))
+                break
+            if visit == 0:
+                retried += 1
+    return located, retried
+
+
+def _run_probe(batch) -> tuple[np.ndarray, int, dict, list[int]]:
+    """``batch.probe`` with a recording touch: the hit mask, the
+    second-bucket count, ``{position: (subtable, bucket, slot)}`` of
+    the touched keys and the subtable of each touch call."""
+    located, calls = {}, []
+
+    def touch(t, buckets, slots, sel):
+        calls.append(t)
+        assert np.all(np.diff(sel) > 0)
+        for b, s, i in zip(buckets.tolist(), slots.tolist(), sel.tolist()):
+            assert i not in located
+            located[i] = (t, b, s)
+
+    hit, retried = batch.probe(touch)
+    return hit, retried, located, calls
+
+
+def _probe_table(d: int, epoch: str) -> tuple[DyCuckooTable, np.ndarray]:
+    """A ``d``-subtable table holding ``60 * d`` keys, with a resize
+    epoch of kind ``epoch`` part-way through its migration (or none,
+    for ``"settled"``), and the stored keys."""
+    table = DyCuckooTable(DyCuckooConfig(num_tables=d, initial_buckets=32,
+                                         min_buckets=8, bucket_capacity=8,
+                                         seed=5))
+    keys = unique_keys(60 * d, seed=d)
+    table.insert(keys, keys)
+    table.finalize_resizes()
+    if epoch != "settled":
+        if epoch == "upsize":
+            table._resizer.open_upsize_epoch()
+        else:
+            table._resizer.open_downsize_epoch()
+        table._resizer.drain_migration(max_pairs=3)
+        mig, = [st.migration for st in table.subtables
+                if st.migration is not None]
+        assert mig.kind == epoch and 0 < mig.pending < mig.num_pairs
+    return table, keys
+
+
+@pytest.mark.parametrize("epoch", ["settled", "upsize", "downsize"])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_probe_matches_per_key_walk(d, epoch):
+    """Hits, touched slots and the second-bucket count equal the
+    per-key walk's, on a ``2 * PROBE_CHUNK + 3`` batch of stored,
+    absent and stash-resident keys (repeats included), so some keys'
+    two entries fall in different blocks; each subtable is touched
+    once, and a find through the table also reports the stash."""
+    table, keys = _probe_table(d, epoch)
+    rng = np.random.default_rng(d)
+    absent = unique_keys(len(keys) + 300, seed=100 + d)
+    absent = absent[~np.isin(absent, keys)][:200]
+    stashed = absent[:20]
+    table.stash.push(encode_keys(stashed), stashed)
+    queries = rng.choice(np.concatenate([keys, absent]), 2 * PROBE_CHUNK + 3)
+    batch = EncodedBatch(table, queries)
+
+    hit, retried, located, calls = _run_probe(batch)
+    want_located, want_retried = _walk(table, batch)
+
+    assert located == want_located
+    assert retried == want_retried
+    assert np.array_equal(np.flatnonzero(hit), sorted(want_located))
+    assert sorted(calls) == sorted(set(calls))
+    # Some keys hit in their first bucket, some in their second.
+    assert len(batch) - len(located) < retried < len(batch)
+    assert {t for t, _b, _s in located.values()} == set(range(d))
+    # Some key's first and second entries sit in different blocks:
+    # entries are grouped by subtable, ascending within each.
+    targets = np.stack((batch.first, batch.second), axis=1).ravel()
+    rank = np.empty(len(targets), dtype=np.int64)
+    rank[np.argsort(targets, kind="stable")] = np.arange(len(targets))
+    blocks = (rank // PROBE_CHUNK).reshape(-1, 2)
+    assert np.any(blocks[:, 0] != blocks[:, 1])
+
+    values, found = table.find(queries)
+    in_stash = np.isin(queries, stashed)
+    assert np.array_equal(found, hit | in_stash)
+    assert np.array_equal(values[found], queries[found])
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_probe_of_empty_and_all_miss_batches(d):
+    """An empty batch and a batch of absent keys touch nothing; every
+    absent key reads both buckets."""
+    table, keys = _probe_table(d, "settled")
+    hit, retried, located, calls = _run_probe(
+        EncodedBatch(table, np.zeros(0, dtype=np.uint64)))
+    assert (len(hit), retried, located, calls) == (0, 0, {}, [])
+
+    absent = unique_keys(len(keys) + 500, seed=200 + d)
+    absent = absent[~np.isin(absent, keys)][:400]
+    batch = EncodedBatch(table, absent)
+    hit, retried, located, calls = _run_probe(batch)
+    assert not hit.any() and retried == len(batch)
+    assert located == {} and calls == []
+    assert _walk(table, batch) == ({}, len(batch))
+
+
+def test_host_and_cohort_paths_touch_located_slots(monkeypatch):
+    """FIND, update and DELETE, on the host path and on the cohort
+    engine, locate keys through ``EncodedBatch.probe`` alone: at most
+    one touch per subtable per block, and no ``Subtable`` probe."""
+    table = DyCuckooTable(DyCuckooConfig(num_tables=4, initial_buckets=512,
+                                         bucket_capacity=8, seed=9))
+    keys = unique_keys(2 * PROBE_CHUNK + 3, seed=21)
+    table.insert(keys, keys)
+    touches = []
+    plain_probe = EncodedBatch.probe
+
+    def counting_probe(self, touch):
+        counts = {}
+
+        def counted(t, buckets, slots, sel):
+            counts[t] = counts.get(t, 0) + 1
+            return touch(t, buckets, slots, sel)
+
+        out = plain_probe(self, counted)
+        blocks = -(-2 * len(self) // PROBE_CHUNK)
+        touches.append(max(counts.values(), default=0) <= blocks)
+        return out
+
+    def no_subtable_probe(*args):
+        raise AssertionError("a table op probed through Subtable")
+
+    monkeypatch.setattr(EncodedBatch, "probe", counting_probe)
+    for name in ("lookup", "update_existing", "erase", "contains"):
+        monkeypatch.setattr(Subtable, name, no_subtable_probe)
+    values, found = table.find(keys)
+    assert found.all() and np.array_equal(values, keys)
+    table.insert(keys, keys + np.uint64(1))
+    got = execute_mixed(table, np.full(len(keys), OP_FIND), keys,
+                        engine="cohort")
+    assert got.found.all() and np.array_equal(got.values, keys + 1)
+    half = len(keys) // 2
+    assert table.delete(keys[:half]).all()
+    removed = execute_mixed(table, np.full(len(keys), OP_DELETE), keys,
+                            engine="cohort").removed
+    assert np.array_equal(removed, np.arange(len(keys)) >= half)
+    monkeypatch.undo()
+    assert touches == [True] * 5
+    assert len(table) == 0
+
+
+def test_loaded_and_copied_tables_hash_like_a_fresh_stack(tmp_path):
+    """The table's ``hash_stack`` follows its hash functions through
+    ``copy()`` and a persistence round trip.  The source table's
+    functions are not the ones its seed draws, so a stack built before
+    the functions were replaced would hash differently."""
+    table = DyCuckooTable(DyCuckooConfig(num_tables=4, seed=3))
+    table.table_hashes = make_table_hashes(4, np.random.default_rng(99))
+    table.hash_stack = HashStack(table.table_hashes)
+    keys = unique_keys(500, seed=4)
+    table.insert(keys, keys)
+    save_table(table, tmp_path / "t.npz")
+    codes = encode_keys(unique_keys(300, seed=5))
+    which = np.random.default_rng(6).integers(0, 4, len(codes))
+    want = HashStack(table.table_hashes).raw(codes, which)
+    for other in (table.copy(), load_table(tmp_path / "t.npz")):
+        assert np.array_equal(other.hash_stack.raw(codes, which), want)
+        values, found = other.find(keys)
+        assert found.all() and np.array_equal(values, keys)
