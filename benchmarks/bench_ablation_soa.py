@@ -20,10 +20,11 @@ change does not alter the algorithm), so the comparison is exact.
 Two workload families are priced: the classic coincidence-free sweep
 (unique keys through the host path) and a **duplicate-heavy** leg —
 a high-fill, duplicate-majority upsert stream through the cohort
-kernels, where evictions retarget duplicate carriers and the
-vectorized key-coincidence (hazard) resolver runs.  The leg asserts
-that it actually exercised the resolver, so this ablation can never
-silently regress to pricing only the coincidence-free fast path.
+kernels, where evictions retarget duplicate carriers and
+key-coincidence (hazard) rounds are replayed in order.  The leg
+asserts that it actually exercised that replay, so this ablation can
+never silently regress to pricing only the coincidence-free fast
+path.
 """
 
 import numpy as np
@@ -100,7 +101,7 @@ def _measure_duplicate_heavy(value_bytes_per_slot: int):
     SoA an upsert that matches an existing key touches the value line
     once; under AoS every probed bucket drags value bytes along.  The
     stream runs at ~75% fill so evictions retarget duplicate carriers
-    — the condition that drives the vectorized hazard resolver — and
+    — the condition that drives the in-order hazard replay — and
     the traffic is taken from the kernel's own transaction counter.
     """
     table = DyCuckooTable(DyCuckooConfig(
@@ -179,7 +180,7 @@ def test_ablation_soa_layout(benchmark):
                    "misses", fat[0] / fat[1] > 1.5))
     hazard_rounds = dup_heavy[8]["hazard_rounds"]
     checks.append(
-        (f"dup-heavy leg drives the vectorized hazard resolver "
+        (f"dup-heavy leg drives the in-order hazard replay "
          f"({hazard_rounds} rounds, {dup_heavy[8]['hazard_lanes']} lanes)",
          hazard_rounds > 0))
     for payload, leg in dup_heavy.items():

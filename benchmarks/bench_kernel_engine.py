@@ -7,8 +7,9 @@ lane-faithful kernels under both execution engines (see
 
 * ``mixed`` — the classic 100k-op run-structured batch;
 * ``dup_heavy`` — a high-fill, duplicate-majority insert stream that
-  forces the cohort engine through its vectorized key-coincidence
-  (hazard) resolver; the hazard rate is reported alongside speedup;
+  forces the cohort engine through its key-coincidence (hazard)
+  rounds, which it replays warp by warp in permutation order; the
+  hazard rate is reported alongside speedup;
 * ``faulty`` — the mixed batch under a chaos fault plan, exercising
   the SoA fault windows (historically this leg delegated to the warp
   interpreter, i.e. 1x by construction).
@@ -204,7 +205,7 @@ def test_kernel_engine(benchmark):
         (f"faulty: cohort >= {FAULT_FLOOR:.0f}x faster "
          f"({legs['faulty']['speedup']:.1f}x)",
          legs["faulty"]["speedup"] >= FAULT_FLOOR),
-        ("dup-heavy leg exercises the hazard resolver "
+        ("dup-heavy leg exercises the in-order hazard replay "
          f"({legs['dup_heavy']['hazard_rounds']} rounds, "
          f"{legs['dup_heavy']['hazard_lanes']} lanes)",
          legs["dup_heavy"]["hazard_rounds"] > 0),

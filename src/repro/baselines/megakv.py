@@ -133,25 +133,16 @@ class MegaKVTable(GpuHashTable):
     def find(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Check the two candidate buckets of each key."""
         codes = encode_keys(keys)
-        n = len(codes)
-        self.stats.finds += n
-        values = np.zeros(n, dtype=np.uint64)
-        found = np.zeros(n, dtype=bool)
-        if n == 0:
-            return values, found
-        for table_idx in range(2):
-            pending = np.flatnonzero(~found)
-            if len(pending) == 0:
-                break
-            if table_idx == 1:
-                self.stats.chain_hops += len(pending)
-            st = self.subtables[table_idx]
-            buckets = self.hashes[table_idx].bucket(codes[pending],
-                                                    st.n_buckets)
-            self.stats.bucket_reads += len(pending)
+        self.stats.finds += len(codes)
+        values = np.zeros(len(codes), dtype=np.uint64)
+
+        def read(st: Subtable, buckets: np.ndarray,
+                 pending: np.ndarray) -> np.ndarray:
             hit, vals = st.lookup(buckets, codes[pending])
             values[pending[hit]] = vals[hit]
-            found[pending[hit]] = True
+            return hit
+
+        found = self._probe(codes, read)
         self.stats.find_hits += int(found.sum())
         return values, found
 
@@ -165,23 +156,15 @@ class MegaKVTable(GpuHashTable):
             return removed
         # Only the first occurrence of a duplicated key can clear it.
         unique = first_occurrence_mask(all_codes)
-        unique_idx = np.flatnonzero(unique)
         codes = all_codes[unique]
-        removed_unique = np.zeros(len(codes), dtype=bool)
-        for table_idx in range(2):
-            pending = np.flatnonzero(~removed_unique)
-            if len(pending) == 0:
-                break
-            if table_idx == 1:
-                self.stats.chain_hops += len(pending)
-            st = self.subtables[table_idx]
-            buckets = self.hashes[table_idx].bucket(codes[pending],
-                                                    st.n_buckets)
-            self.stats.bucket_reads += len(pending)
+
+        def clear(st: Subtable, buckets: np.ndarray,
+                  pending: np.ndarray) -> np.ndarray:
             erased = st.erase(buckets, codes[pending])
             self.stats.bucket_writes += int(erased.sum())
-            removed_unique[pending[erased]] = True
-        removed[unique_idx] = removed_unique
+            return erased
+
+        removed[unique] = removed_unique = self._probe(codes, clear)
         self.stats.delete_hits += int(removed_unique.sum())
         if self.auto_resize:
             self._enforce_bounds()
@@ -229,23 +212,37 @@ class MegaKVTable(GpuHashTable):
     # Internals
     # ------------------------------------------------------------------
 
-    def _update_existing(self, codes: np.ndarray, values: np.ndarray
-                         ) -> np.ndarray:
-        updated = np.zeros(len(codes), dtype=bool)
-        for table_idx in range(2):
-            pending = np.flatnonzero(~updated)
+    def _probe(self, codes: np.ndarray, op) -> np.ndarray:
+        """Walk each key's two candidate buckets, subtable 0 first.
+
+        ``op(st, buckets, pending)`` serves the keys at positions
+        ``pending`` in their ``buckets`` of subtable ``st`` and returns
+        the mask of those it hit; only the misses go on to subtable 1.
+        Counts one bucket read per key and subtable visited, and one
+        chain hop per key sent to the second.  Returns the hit mask.
+        """
+        hit = np.zeros(len(codes), dtype=bool)
+        for table_idx, st in enumerate(self.subtables):
+            pending = np.flatnonzero(~hit)
             if len(pending) == 0:
                 break
             if table_idx == 1:
                 self.stats.chain_hops += len(pending)
-            st = self.subtables[table_idx]
             buckets = self.hashes[table_idx].bucket(codes[pending],
                                                     st.n_buckets)
             self.stats.bucket_reads += len(pending)
+            hit[pending[op(st, buckets, pending)]] = True
+        return hit
+
+    def _update_existing(self, codes: np.ndarray, values: np.ndarray
+                         ) -> np.ndarray:
+        def write(st: Subtable, buckets: np.ndarray,
+                  pending: np.ndarray) -> np.ndarray:
             upd = st.update_existing(buckets, codes[pending], values[pending])
             self.stats.bucket_writes += int(upd.sum())
-            updated[pending[upd]] = True
-        return updated
+            return upd
+
+        return self._probe(codes, write)
 
     def _insert_fresh(self, codes: np.ndarray, values: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:

@@ -228,8 +228,9 @@ def _profile_deep_pass(engine: str, seed: int, n: int) -> tuple[dict, dict]:
 
     Returns ``(snapshot, hazards)`` — the snapshot feeds the
     cross-engine conformance check, while the hazard counters (rounds
-    that hit the vectorized key-coincidence resolver, and the lanes in
-    them) are engine-side cost telemetry reported separately.
+    the cohort engine replayed in order because carried keys coincide,
+    and the lanes in them) are engine-side cost telemetry reported
+    separately.
     """
     from repro import DyCuckooTable, Instruments
     from repro.oracle import mixed_batch

@@ -258,7 +258,8 @@ def execute_mixed(table, op_codes, keys, values=None,
     keys = np.asarray(keys, dtype=np.uint64)
     if op_codes.shape != keys.shape:
         raise InvalidConfigError("op_codes and keys must have equal length")
-    if len(op_codes) and not bool(np.all(np.isin(op_codes, _VALID_OPS))):
+    if len(op_codes) and (op_codes.min() < OP_INSERT
+                          or op_codes.max() > OP_DELETE):
         raise InvalidConfigError(
             f"op codes must be one of {_VALID_OPS}")
     if engine is not None:

@@ -53,19 +53,18 @@ approximate:
    position in that permutation — the order the reference engine would
    have stepped them in.
 
-2. **Hazard-exact phase-two vectorization.**  Within one round, a
-   locked warp only ever writes *keys* into its own locked bucket, so
-   every other warp's own-bucket ballots are stable and the round can
-   be applied from a start-of-round snapshot — *except* when carried
-   keys coincide.  Two precise hazard conditions (duplicate carried
-   keys in the cohort; an eviction whose victim key equals another
-   warp's carried key aimed at the evicting bucket) are detected per
-   round; a hazardous round re-resolves the alternate-bucket probes
-   with a vectorized fixpoint over the round's key writes
-   (:func:`_resolve_hazard`) and lands the value writes
-   last-writer-wins in permutation order — the reference replay
-   semantics at array speed.  Fault-free
-   unique-key workloads essentially never trip the hazards.
+2. **Hazard-exact phase two.**  Within one round, a locked warp only
+   ever writes *keys* into its own locked bucket, so every other
+   warp's own-bucket ballots are stable and the round can be applied
+   from a start-of-round snapshot — *except* when carried keys
+   coincide.  A round is hazardous iff some key is carried twice: by
+   two locked warps, or by one warp and as another warp's victim (the
+   victim then sits in the carrier's alternate bucket, which the
+   carrier probes).  A hazardous round replays its locked warps one by
+   one in permutation order on the live arena
+   (:func:`_replay_in_order`), the way the reference scheduler steps
+   them.  Fault-free unique-key workloads essentially never trip the
+   hazard.
 
 3. **Fault plans in the SoA path.**  :class:`repro.faults.FaultPlan`
    decisions are a pure hash of the per-site *invocation index*.  In a
@@ -629,10 +628,10 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     own == EMPTY | True]`` gives the outcome (its block: upsert,
     alternate hit, place, evict) and the slot (its offset).  When a
     key-coincidence hazard makes the order of operations observable,
-    :func:`_resolve_hazard` re-resolves the alternate-bucket probes
-    first.  Returns ``(hazard, n_done, n_dead)``: whether the round was
-    hazardous, how many lanes completed, and how many warps finished
-    their last lane.
+    :func:`_replay_in_order` steps the warps in permutation order
+    instead.  Returns ``(hazard, n_done, n_dead)``: whether the round
+    was hazardous, how many lanes completed, and how many warps
+    finished their last lane.
     """
     arena = state.arena
     cap = arena.keys.shape[1]
@@ -652,20 +651,6 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
          state.evict_col[:mcount]), axis=1).argmax(axis=1), cap)
     n_up, n_ahit, n_place, n_evict = np.bincount(
         kind, minlength=_EVICT + 1).tolist()
-
-    # Hazard H1: two in-flight copies of one key — placement/update
-    # order decides which value survives and whether a second probe
-    # sees the first copy.  Hazard H2: an eviction removes (or has its
-    # victim's value overwritten by) a key some other warp is probing
-    # for in the evicting bucket this round; that warp's snapshot probe
-    # found the key there, so only alternate hits can trip it.  Both
-    # require carried-key coincidences; either forces the ordered
-    # hazard resolution.
-    hazard = False
-    if mcount > 1:
-        sorted_key = key.copy()
-        sorted_key.sort()
-        hazard = bool(np.count_nonzero(sorted_key[1:] == sorted_key[:-1]))
     if n_evict:
         evict = (kind == _EVICT).nonzero()[0]
         vict_rank = np.empty(n_evict, dtype=np.int64)
@@ -674,55 +659,44 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
         vslot = (table._victim_counter + vict_rank
                  + (state.lk_lockid[ph2[evict]] & _BUCKET_MASK)) % cap
         victim_key = own[evict, vslot]
-        if not hazard and n_ahit:
-            ahit = (kind == _ALT_HIT).nonzero()[0]
-            e_row = row[evict]
-            e_order = e_row.argsort()
-            e_row_s = e_row[e_order]
-            where = np.minimum(e_row_s.searchsorted(alt_row[ahit]),
-                               n_evict - 1)
-            hazard = bool(np.count_nonzero(
-                (e_row_s[where] == alt_row[ahit])
-                & (victim_key[e_order][where] == key[ahit])))
+
+    # Hazard: a key carried twice, by two locked warps or by one warp
+    # and as another's victim.  Only then can a warp observe what an
+    # earlier one wrote this round: a second copy of its key, or its
+    # alternate-bucket hit evicted (a victim stored in the evicting
+    # bucket is in its carrier's alternate bucket).
+    hazard = False
+    if mcount > 1:
+        carried = np.concatenate((key, victim_key)) if n_evict \
+            else key.copy()
+        carried.sort()
+        hazard = bool(np.count_nonzero(carried[1:] == carried[:-1]))
 
     if hazard:
-        miss = (kind != _UPSERT).nonzero()[0]
-        free = own[miss] == EMPTY
-        has_free, free_slot = free.any(axis=1), free.argmax(axis=1)
-        a_hit = kind[miss] == _ALT_HIT
-        (a_hit, a_slot, evict, vslot, victim_key,
-         victim_val) = _resolve_hazard(
-            table, state, ph2, pos, row,
-            state.lk_lockid[ph2] & _BUCKET_MASK, key, val, own, miss,
-            alt_t[miss], alt_b[miss], a_hit,
-            np.where(a_hit, slot[miss], 0), has_free, free_slot, cap)
-        kind[miss] = np.where(a_hit, _ALT_HIT,
-                              np.where(has_free, _PLACE, _EVICT))
-        slot[miss] = np.where(a_hit, a_slot, free_slot)
+        # The replay steps the warps on a copy of the round's buckets
+        # (own rows first, then alternates), which lands in one scatter.
+        rows, local = np.unique(np.concatenate((row, alt_row)),
+                                return_inverse=True)
+        keys, values = arena.keys[rows], arena.values[rows]
+        kind, evict, victim_key, victim_val = _replay_in_order(
+            table, state, ph2, pos, keys, values, local, key, val)
+        arena.keys[rows] = keys
+        arena.values[rows] = values
         n_up, n_ahit, n_place, n_evict = np.bincount(
             kind, minlength=_EVICT + 1).tolist()
-    elif n_evict:
-        victim_val = arena.values[row[evict], vslot]
-    if n_evict:
-        slot[evict] = vslot
-
-    # Every outcome writes its value (an alternate hit into the
-    # alternate bucket) and all but the alternate hit write their key
-    # into the own bucket (an upsert rewrites its own key).  Key writes
-    # never collide: one lock holder per bucket.  Value writes collide
-    # only in a hazardous round, where each slot keeps its last writer
-    # in permutation order — the state the reference replay leaves.
-    to_alt = kind == _ALT_HIT if n_ahit else None
-    wrow = row if to_alt is None else np.where(to_alt, alt_row, row)
-    last = slice(None)
-    if hazard:
-        addr = wrow * cap + slot
-        order = np.lexsort((pos[ph2], addr))
-        addr_s = addr[order]
-        last = order[np.append(addr_s[1:] != addr_s[:-1], True)]
-    arena.values[wrow[last], slot[last]] = val[last]
-    kw = slice(None) if to_alt is None else (~to_alt).nonzero()[0]
-    arena.keys[row[kw], slot[kw]] = key[kw]
+    else:
+        # Every outcome writes its value (an alternate hit into the
+        # alternate bucket) and all but the alternate hit write their
+        # key into the own bucket (an upsert rewrites its own key).
+        # Without a hazard no two warps write one slot.
+        if n_evict:
+            victim_val = arena.values[row[evict], vslot]
+            slot[evict] = vslot
+        to_alt = kind == _ALT_HIT if n_ahit else None
+        wrow = row if to_alt is None else np.where(to_alt, alt_row, row)
+        arena.values[wrow, slot] = val
+        kw = slice(None) if to_alt is None else (~to_alt).nonzero()[0]
+        arena.keys[row[kw], slot[kw]] = key[kw]
     place = (kind == _PLACE).nonzero()[0] if n_place else None
     done = (kind != _EVICT).nonzero()[0] if n_evict else None
 
@@ -791,108 +765,44 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     return hazard, n_done, n_dead
 
 
-def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
-                    pos: np.ndarray, row: np.ndarray, bkt: np.ndarray,
-                    key: np.ndarray, val: np.ndarray, own: np.ndarray,
-                    miss: np.ndarray, alt_t: np.ndarray,
-                    alt_b: np.ndarray, a_hit0: np.ndarray,
-                    a_slot0: np.ndarray, has_free: np.ndarray,
-                    free_slot: np.ndarray, cap: int):
-    """Re-resolve alternate-bucket probes under a key-coincidence hazard.
+def _replay_in_order(table, state: _CohortState, ph2: np.ndarray,
+                     pos: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                     local: np.ndarray, key: np.ndarray, val: np.ndarray):
+    """Complete a hazardous round's locked warps one at a time.
 
-    In a hazardous round a warp's alternate probe can observe a key
-    written earlier in the same round by the probed bucket's lock
-    holder.  Own-bucket ballots stay snapshot-stable regardless (only
-    the holder writes keys into a locked bucket), so the only mutable
-    outcome is each miss row's alternate probe — and it depends solely
-    on the single key write of the probed bucket's holder, a warp
-    acting strictly earlier in the permutation.  That dependency graph
-    is a forest pointing at strictly earlier positions, so iterating
-    the probe recomputation from the start-of-round snapshot converges
-    in at most ``mcount`` steps to exactly the outcomes the reference
-    engine observes when it steps warps in permutation order.
-
-    Returns the final ``(a_hit, a_slot, evict, vslot, victim_key,
-    victim_val)``; storage is *not* touched.
+    ``keys``/``values`` hold the round's buckets; ``local[i]`` is the
+    row of ``ph2[i]``'s own bucket and ``local[len(ph2) + i]`` that of
+    its alternate.  Steps the warps in permutation order, as the
+    reference scheduler does: each takes the first true test of
+    ``[own == key | alt == key | own == EMPTY | evict]`` — the order of
+    :meth:`repro.kernels.insert._InsertWarp._complete_locked` — and
+    writes into ``keys``/``values`` before the next warp looks.
+    Returns ``(kind, evict, victim_key, victim_val)`` over the rows of
+    ``ph2``.
     """
-    mcount = len(ph2)
-    nm = len(miss)
-    pos2 = pos[ph2]
-    lockids = state.lk_lockid[ph2]
-    probe_lock = (alt_t << np.int64(40)) | alt_b
-    # The ph2-local row holding each probed bucket's lock, if any; its
-    # write is visible only to probers acting after it.
-    ho = np.argsort(lockids)
-    lsort = lockids[ho]
-    where = np.clip(np.searchsorted(lsort, probe_lock), 0,
-                    max(mcount - 1, 0))
-    holder = np.where(lsort[where] == probe_lock, ho[where], -1)
-    hvalid = holder >= 0
-    hvalid[hvalid] = pos2[holder[hvalid]] < pos2[miss[hvalid]]
-
-    vc0 = table._victim_counter
-    nh = a_hit0.copy()
-    ns = a_slot0.copy()
-    ev_m = np.flatnonzero(~nh & ~has_free)
-    vslot = np.empty(0, dtype=np.int64)
-    for _ in range(mcount + 2):
-        # Key-write slot of every ph2 row under the current outcomes:
-        # EXIST and ALT_HIT write no key (an upsert rewrites the same
-        # key — no content change); PLACE fills its snapshot-free slot;
-        # EVICT overwrites its victim slot, counter ranked among the
-        # current evictors in permutation order.
-        wslot = np.full(mcount, -1, dtype=np.int64)
-        pl_m = np.flatnonzero(~nh & has_free)
-        wslot[miss[pl_m]] = free_slot[pl_m]
-        ev_m = np.flatnonzero(~nh & ~has_free)
-        vslot = np.empty(len(ev_m), dtype=np.int64)
-        if len(ev_m):
-            rank = np.empty(len(ev_m), dtype=np.int64)
-            rank[np.argsort(pos2[miss[ev_m]],
-                            kind="stable")] = np.arange(len(ev_m))
-            vslot = (vc0 + rank + bkt[miss[ev_m]]) % cap
-            wslot[miss[ev_m]] = vslot
-        # Recompute every probe from the snapshot plus its holder's
-        # single key write (if the holder acts first).
-        sH = np.full(nm, -1, dtype=np.int64)
-        kH = np.zeros(nm, dtype=np.uint64)
-        sH[hvalid] = wslot[holder[hvalid]]
-        kH[hvalid] = key[holder[hvalid]]
-        no_write = sH < 0
-        kmatch = ~no_write & (kH == key[miss])
-        base = a_hit0 & (no_write | (a_slot0 != sH))
-        new_nh = base | kmatch
-        new_ns = np.where(
-            kmatch & base, np.minimum(a_slot0, sH),
-            np.where(kmatch, sH, np.where(base, a_slot0, 0)))
-        if (np.array_equal(new_nh, nh)
-                and np.array_equal(new_ns, ns)):
-            break
-        nh = new_nh
-        ns = new_ns
-    evict = miss[ev_m]
-    victim_key = own[evict, vslot]
-
-    # Victim values are read live at the evictor's turn: start from the
-    # snapshot and override with the latest earlier-position
-    # alternate-hit value write landing in the same slot, if any.
-    victim_val = state.arena.values[row[evict], vslot]
-    ah_m = np.flatnonzero(nh)
-    if len(ah_m) and len(evict):
-        w_total = len(pos)
-        w_addr = probe_lock[ah_m] * cap + ns[ah_m]
-        w_pos = pos2[miss[ah_m]]
-        e_addr = lockids[evict] * cap + vslot
-        e_pos = pos2[evict]
-        _uq, inv = np.unique(np.concatenate([w_addr, e_addr]),
-                             return_inverse=True)
-        winv = inv[:len(w_addr)]
-        einv = inv[len(w_addr):]
-        combined = winv * w_total + w_pos
-        order = np.argsort(combined)
-        srt = combined[order]
-        r = np.searchsorted(srt, einv * w_total + e_pos)
-        cand = order[np.maximum(r - 1, 0)]
-        ok = (r > 0) & (winv[cand] == einv)
-        victim_val[ok] = val[miss[ah_m[cand[ok]]]]
-    return nh, ns, evict, vslot, victim_key, victim_val
+    m = len(ph2)
+    cap = keys.shape[1]
+    own_row, alt_row = local[:m].tolist(), local[m:].tolist()
+    bkt = (state.lk_lockid[ph2] & _BUCKET_MASK).tolist()
+    kind = np.empty(m, dtype=np.int64)
+    vkey = np.zeros(m, dtype=np.uint64)
+    vval = np.zeros(m, dtype=np.uint64)
+    counter = table._victim_counter
+    for i in pos[ph2].argsort().tolist():
+        r, a, k, v = own_row[i], alt_row[i], key[i], val[i]
+        own = keys[r]
+        outcome, slot = divmod(int(np.concatenate(
+            (own == k, keys[a] == k, own == EMPTY,
+             state.evict_col[0])).argmax()), cap)
+        kind[i] = outcome
+        if outcome == _ALT_HIT:
+            values[a, slot] = v
+            continue
+        if outcome == _EVICT:
+            slot = (counter + bkt[i]) % cap
+            counter += 1
+            vkey[i], vval[i] = keys[r, slot], values[r, slot]
+        keys[r, slot] = k
+        values[r, slot] = v
+    evict = (kind == _EVICT).nonzero()[0]
+    return kind, evict, vkey[evict], vval[evict]

@@ -56,10 +56,12 @@ class TestExecuteMixed:
                                np.array([1], dtype=np.uint64))
         assert not result.found[0]
 
-    def test_rejects_unknown_op(self):
+    @pytest.mark.parametrize("op", [-1, 3, 9])
+    def test_rejects_unknown_op(self, op):
         table = fresh_table()
         with pytest.raises(InvalidConfigError):
-            execute_mixed(table, np.array([9]), np.array([1], dtype=np.uint64))
+            execute_mixed(table, np.array([OP_FIND, op]),
+                          np.array([1, 2], dtype=np.uint64))
 
     def test_rejects_misaligned(self):
         table = fresh_table()

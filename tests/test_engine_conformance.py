@@ -181,7 +181,11 @@ class TestKernelEntryPoints:
 
 
 class TestHazardResolution:
-    """The vectorized key-coincidence resolver (cohort phase 2).
+    """Key-coincidence (hazard) rounds of cohort phase 2.
+
+    A round in which a key is carried twice — by two locked warps, or
+    by one warp and as another's victim — is replayed warp by warp in
+    permutation order.
 
     Duplicate keys in one batch share a router target and therefore a
     lock, so genuine hazards need either eviction retargeting or
@@ -213,7 +217,63 @@ class TestHazardResolution:
             assert_tables_identical(tw, tc)
             hazardous += rc.hazard_rounds
         assert hazardous > 0, \
-            "the scenario bank must exercise the hazard resolver"
+            "the scenario bank must exercise the hazard replay"
+
+    def test_victim_carries_same_round_alternate_update(self):
+        """An evicted victim carries the value an earlier warp of the
+        same round wrote into it.
+
+        Bucket ``X`` is full and holds key ``K`` in the slot the victim
+        counter picks next.  Two warps lock in round 0 and complete in
+        round 1: warp ``A`` carries ``K`` aimed at the other subtable of
+        its pair, so it alternate-hits ``K`` in ``X`` with a new value;
+        warp ``B`` steps after it, holds ``X`` and evicts ``K``.  The
+        victim must leave with ``A``'s value, read when ``B`` runs.
+        """
+        cap = 8
+        tw, tc = twin_tables(buckets=8, capacity=cap)
+        pool = unique_keys(4000, seed=5)
+        enc = EncodedBatch(tc, pool)
+        t_x = int(enc.second[0])
+        raw_x = np.where(enc.first == t_x, enc.candidate_raw[0],
+                         enc.candidate_raw[1])
+        in_x = (enc.first == t_x) | (enc.second == t_x)
+        bucket_x = tc.bucket_of_raw(t_x, raw_x)
+        x = int(bucket_x[0])
+        # Pool index 0 is K; cap - 1 mates fill X around it, one more
+        # is B's key.
+        mates = np.flatnonzero(in_x & (bucket_x == x))[1:cap + 1]
+        assert len(mates) == cap
+        # K sits in the slot the round's only eviction takes.
+        victim_slot = (tc._victim_counter + x) % cap
+        stored = np.insert(mates[:cap - 1], victim_slot, 0)
+        for table in (tw, tc):
+            st = table.subtables[t_x]
+            st.keys[x] = enc.codes[stored]
+            st.values[x] = np.arange(100, 100 + cap, dtype=np.uint64)
+            st.size += cap
+        k_key, b_key = pool[0], pool[mates[-1]]
+
+        # Warp A must step before warp B in round 1's permutation.
+        rng = np.random.default_rng(0)
+        rng.permutation(2)
+        first_warp = int(rng.permutation(2)[0])
+        leaders = [k_key, b_key] if first_warp == 0 else [b_key, k_key]
+        batch, targets = _warps_led_by(tc, np.array(leaders), seed=5)
+        targets = targets.copy()
+        a_lane = 32 * first_warp
+        targets[a_lane] = enc.first[0]
+        targets[32 - a_lane] = t_x
+        values = np.arange(1, len(batch) + 1, dtype=np.uint64)
+        rw = launch_insert(tw, "warp", batch, values, targets)
+        rc = launch_insert(tc, "cohort", batch, values, targets)
+        assert dataclasses.asdict(rw) == dataclasses.asdict(rc)
+        assert tw.sanitizer.stats == tc.sanitizer.stats
+        assert_tables_identical(tw, tc)
+        assert rc.hazard_rounds > 0
+        for table in (tw, tc):
+            got, found = table.find(np.array([k_key], dtype=np.uint64))
+            assert found[0] and got[0] == values[a_lane]
 
     def test_hazard_rounds_counted_by_profiler(self):
         from repro.telemetry import Profiler

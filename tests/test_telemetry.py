@@ -500,7 +500,7 @@ class TestKernelTracing:
         from tests.conftest import launch_insert
 
         # Duplicate keys sent to adversarial (but legal) pair members
-        # drive the cohort engine's hazard resolver.
+        # drive the cohort engine's in-order hazard replay.
         rng = np.random.default_rng(0)
         table = DyCuckooTable(DyCuckooConfig(
             initial_buckets=8, bucket_capacity=8, auto_resize=False,
