@@ -45,12 +45,12 @@ Commands
 
 ``faults``
     Run a seeded chaos session: a mixed insert/find/delete workload with
-    fault injection at every site (CAS storms, lock stalls, allocation
-    failures, resize aborts), continuously differentially checked
-    against a plain-dict model, with structural invariants verified per
-    batch.  Prints a survival report; ``--script``/``--save-script``
-    replay or capture the exact fault sequence; ``--smoke`` is CI's fast
-    robustness health check.
+    fault injection at every site (lock-acquire storms, lock stalls,
+    allocation failures, resize aborts), continuously differentially
+    checked against a plain-dict model, with structural invariants
+    verified per batch.  Prints a survival report;
+    ``--script``/``--save-script`` replay or capture the exact fault
+    sequence; ``--smoke`` is CI's fast robustness health check.
 
 ``scenarios``
     Run composed soak scenarios — YCSB mixes with hot-key storms,
@@ -691,7 +691,6 @@ def _cmd_faults(args) -> int:
     from repro.core.analysis import check_invariants
     from repro.errors import CapacityError
     from repro.faults import FaultPlan, default_chaos_plan
-    from repro.gpusim.atomics import AtomicMemory
     from repro.gpusim.memory_manager import DeviceMemoryManager
     from repro.kernels.insert import run_voter_insert_kernel
     from repro.oracle import DictModel
@@ -734,7 +733,7 @@ def _cmd_faults(args) -> int:
     total_ops = batches * (batch + batch // 2 + batch // 4)
 
     # Phase 2: the lane-level voter kernel under lock faults (the
-    # vectorized path never consults the lock/atomic sites).
+    # vectorized path never consults the lock sites).
     kernel_table = DyCuckooTable(DyCuckooConfig(
         initial_buckets=64, bucket_capacity=8, min_buckets=8,
         auto_resize=False))
@@ -748,15 +747,7 @@ def _cmd_faults(args) -> int:
         problems.append(
             f"voter kernel lost {int((~kernel_found).sum())} inserts")
 
-    # Phase 3: raw atomics and the device memory manager.
-    memory = AtomicMemory(num_words=8, faults=plan)
-    cas_wins = 0
-    for attempt in range(200):
-        if memory.atomic_cas(attempt % 8, 0, 1) == 0:
-            cas_wins += 1
-            memory.words[attempt % 8] = 0  # release
-    if cas_wins == 0:
-        problems.append("atomic CAS never succeeded under the fault storm")
+    # Phase 3: the device memory manager.
     manager = DeviceMemoryManager(faults=plan)
     alloc_failures = 0
     for step in range(1, 51):
@@ -783,7 +774,6 @@ def _cmd_faults(args) -> int:
         "stash_drained": table.stats.stash_drained,
         "kernel_rounds": kernel_result.rounds,
         "kernel_lock_conflicts": kernel_result.lock_conflicts,
-        "injected_cas_failures": memory.injected_failures,
         "injected_alloc_failures": manager.injected_failures,
         "problems": problems,
         "survived": not problems,

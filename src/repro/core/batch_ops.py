@@ -231,6 +231,41 @@ def _runs(op_codes: np.ndarray):
         yield int(op_codes[start]), int(start), int(stop)
 
 
+def check_mixed_batch(op_codes, keys, values=None,
+                      engine: str | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Validate a mixed batch before any of it runs.
+
+    Returns ``(op_codes, keys, values)`` as ``int64``/``uint64`` arrays;
+    ``values`` is ``None`` when the batch holds no insert (it is ignored
+    then).  Raises :class:`~repro.errors.InvalidConfigError` on a shape
+    mismatch, an op code outside ``OP_INSERT..OP_DELETE``, inserts
+    without aligned values, or an unknown ``engine``.  Front-ends that
+    split a batch (the sharded table) call it on the whole batch, so a
+    malformed batch is rejected before any part of it is applied.
+    """
+    op_codes = np.asarray(op_codes, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.uint64)
+    if op_codes.shape != keys.shape:
+        raise InvalidConfigError("op_codes and keys must have equal length")
+    if len(op_codes) and (op_codes.min() < OP_INSERT
+                          or op_codes.max() > OP_DELETE):
+        raise InvalidConfigError(
+            f"op codes must be one of {_VALID_OPS}")
+    if engine is not None:
+        from repro.kernels.engine import resolve_engine
+
+        resolve_engine(engine)
+    if not np.any(op_codes == OP_INSERT):
+        return op_codes, keys, None
+    if values is None:
+        raise InvalidConfigError("mixed batch with inserts needs values")
+    values = np.asarray(values, dtype=np.uint64)
+    if values.shape != keys.shape:
+        raise InvalidConfigError("values must align with keys")
+    return op_codes, keys, values
+
+
 def execute_mixed(table, op_codes, keys, values=None,
                   engine: str | None = None) -> MixedBatchResult:
     """Execute a mixed batch against ``table`` in program order.
@@ -254,26 +289,8 @@ def execute_mixed(table, op_codes, keys, values=None,
         the stash) and the result carries the aggregate
         :class:`~repro.kernels.insert.KernelRunResult` in ``.kernel``.
     """
-    op_codes = np.asarray(op_codes, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.uint64)
-    if op_codes.shape != keys.shape:
-        raise InvalidConfigError("op_codes and keys must have equal length")
-    if len(op_codes) and (op_codes.min() < OP_INSERT
-                          or op_codes.max() > OP_DELETE):
-        raise InvalidConfigError(
-            f"op codes must be one of {_VALID_OPS}")
-    if engine is not None:
-        from repro.kernels.engine import resolve_engine
-
-        resolve_engine(engine)
-    has_inserts = bool(np.any(op_codes == OP_INSERT))
-    if has_inserts:
-        if values is None:
-            raise InvalidConfigError("mixed batch with inserts needs values")
-        values = np.asarray(values, dtype=np.uint64)
-        if values.shape != keys.shape:
-            raise InvalidConfigError("values must align with keys")
-
+    op_codes, keys, values = check_mixed_batch(op_codes, keys, values,
+                                               engine)
     n = len(op_codes)
     out_values = np.zeros(n, dtype=np.uint64)
     out_found = np.zeros(n, dtype=bool)

@@ -244,53 +244,7 @@ class ResizeController:
         (``rehash`` after the storage grew, rolled back from a
         snapshot); ``spill`` cannot occur at open.
         """
-        table = self._table
-        tracer = table.telemetry.tracer
-        faulty = table.faults.enabled
-        if faulty:
-            self._fire_abort("trigger")
-        with tracer.span("resize.upsize_epoch", "resize"):
-            with tracer.span("resize.plan", "resize"):
-                target = self._pick_upsize_target()
-                st = table.subtables[target]
-                if st.migration is not None:
-                    # A subtable holds one epoch at a time: the target's
-                    # own unfinished epoch (and only that one) must
-                    # drain before its geometry changes again.
-                    self._finalize_one(target)
-                ceiling = table.config.max_total_slots
-                if ceiling and table.total_slots + st.total_slots > ceiling:
-                    raise CapacityError(
-                        f"upsizing subtable {target} would exceed "
-                        f"max_total_slots={ceiling} (currently "
-                        f"{table.total_slots} slots, "
-                        f"{len(table)} live entries)")
-            if faulty:
-                self._fire_abort("plan")
-            snapshot = _TableSnapshot(table) if faulty else None
-            san = table.sanitizer
-            if san.enabled:
-                san.on_subtable_lock(target, "upsize", site=_SITE_UPSIZE)
-            try:
-                mig = st.begin_upsize_epoch()
-                if faulty:
-                    self._fire_abort("rehash", snapshot=snapshot)
-            finally:
-                if san.enabled:
-                    san.on_subtable_unlock(target, site=_SITE_UPSIZE)
-            table.stats.upsizes += 1
-            if table.telemetry.enabled:
-                table.telemetry.metrics.counter("resize.upsizes").inc()
-                tracer.instant("resize.epoch_open", "resize",
-                               subtable=target, kind="upsize",
-                               pairs=mig.num_pairs)
-            if table.profiler.enabled:
-                table.profiler.sample_fill("upsize", table)
-            if table.recorder.enabled:
-                table.recorder.record("resize.epoch_open", subtable=target,
-                                      direction="upsize",
-                                      pairs=mig.num_pairs)
-        return target
+        return self._open_epoch("upsize")
 
     def open_downsize_epoch(self) -> int:
         """Open a halving epoch on the largest subtable; returns it.
@@ -301,46 +255,67 @@ class ResizeController:
         releases the physical rows.  Residual spills happen per slice,
         not here.
         """
+        return self._open_epoch("downsize")
+
+    def _open_epoch(self, kind: str) -> int:
+        """Open an ``"upsize"`` or ``"downsize"`` epoch; returns its target."""
         table = self._table
         tracer = table.telemetry.tracer
         faulty = table.faults.enabled
+        upsize = kind == "upsize"
         if faulty:
             self._fire_abort("trigger")
-        with tracer.span("resize.downsize_epoch", "resize"):
+        with tracer.span(f"resize.{kind}_epoch", "resize"):
             with tracer.span("resize.plan", "resize"):
-                target = self._pick_downsize_target()
+                target = (self._pick_upsize_target() if upsize
+                          else self._pick_downsize_target())
                 if target is None:
                     raise ResizeError(
                         "no subtable can be downsized (all at min_buckets)"
                     )
                 st = table.subtables[target]
                 if st.migration is not None:
+                    # A subtable holds one epoch at a time: the target's
+                    # own unfinished epoch (and only that one) must
+                    # drain before its geometry changes again.
                     self._finalize_one(target)
+                ceiling = table.config.max_total_slots
+                if (upsize and ceiling
+                        and table.total_slots + st.total_slots > ceiling):
+                    raise CapacityError(
+                        f"upsizing subtable {target} would exceed "
+                        f"max_total_slots={ceiling} (currently "
+                        f"{table.total_slots} slots, "
+                        f"{len(table)} live entries)")
             if faulty:
                 self._fire_abort("plan")
             snapshot = _TableSnapshot(table) if faulty else None
+            site = _SITE_UPSIZE if upsize else _SITE_DOWNSIZE
             san = table.sanitizer
             if san.enabled:
-                san.on_subtable_lock(target, "downsize", site=_SITE_DOWNSIZE)
+                san.on_subtable_lock(target, kind, site=site)
             try:
-                mig = st.begin_downsize_epoch()
+                mig = (st.begin_upsize_epoch() if upsize
+                       else st.begin_downsize_epoch())
                 if faulty:
                     self._fire_abort("rehash", snapshot=snapshot)
             finally:
                 if san.enabled:
-                    san.on_subtable_unlock(target, site=_SITE_DOWNSIZE)
-            table.stats.downsizes += 1
+                    san.on_subtable_unlock(target, site=site)
+            if upsize:
+                table.stats.upsizes += 1
+            else:
+                table.stats.downsizes += 1
             if table.telemetry.enabled:
-                table.telemetry.metrics.counter("resize.downsizes").inc()
+                table.telemetry.metrics.counter(f"resize.{kind}s").inc()
                 tracer.instant("resize.epoch_open", "resize",
-                               subtable=target, kind="downsize",
+                               subtable=target, kind=kind,
                                pairs=mig.num_pairs)
             if table.profiler.enabled:
-                table.profiler.sample_fill("downsize", table)
+                table.profiler.sample_fill(kind, table)
             if table.recorder.enabled:
                 table.recorder.record("resize.epoch_open", subtable=target,
-                                      direction="downsize",
-                                      pairs=mig.num_pairs)
+                                      direction=kind, pairs=mig.num_pairs)
         return target
 
     #: An automatic trigger opens an epoch and leaves it to drain lazily.

@@ -2,14 +2,13 @@
 
 The paper's guarantees — fill factor inside ``[alpha, beta]``, the 2x
 size discipline, two-bucket FIND/DELETE — are exactly the invariants
-most likely to be violated under *rare* interleavings: CAS storms, a
-resize aborted mid-flight, a downsize residual that cannot be placed.
-This module makes those rare events reproducible on demand.
+most likely to be violated under *rare* interleavings: lock-acquire
+storms, a resize aborted mid-flight, a downsize residual that cannot be
+placed.  This module makes those rare events reproducible on demand.
 
 A :class:`FaultPlan` is attached to a :class:`~repro.core.table.
 DyCuckooTable` (``table.attach(Instruments(faults=plan))``) or passed
 to the gpusim components (:class:`~repro.gpusim.kernel.LockArbiter`,
-:class:`~repro.gpusim.atomics.AtomicMemory`,
 :class:`~repro.gpusim.memory_manager.DeviceMemoryManager`).  Each
 injection *site* calls :meth:`FaultPlan.fire` with its site name; the
 plan deterministically decides — from ``(seed, site, invocation
@@ -29,13 +28,10 @@ Two construction modes:
 
 Sites
 -----
-``atomics.cas``
-    One :meth:`AtomicMemory.atomic_cas` spuriously loses its race (a
-    competitor is modelled to have written first).  ``storms`` can arm
-    several consecutive failures, modelling a CAS failure storm.
 ``lock.acquire``
     One bucket-lock acquisition fails even though the lock is free —
-    the voter protocol must revote.
+    the voter protocol must revote.  :func:`default_chaos_plan` arms
+    two-fire storms here, modelling a CAS failure storm.
 ``lock.stall``
     The acquiring warp *keeps* the bucket lock for ``param`` extra
     device rounds (a lock-holder stall); competitors see it held.
@@ -69,7 +65,6 @@ from repro.telemetry.recorder import NULL_RECORDER
 
 #: Every site the library can inject at, in documentation order.
 FAULT_SITES = (
-    "atomics.cas",
     "lock.acquire",
     "lock.stall",
     "memory.alloc",
@@ -363,7 +358,6 @@ NO_FAULTS = _NoFaults()
 #: enough that a 10k-op session injects hundreds of faults across every
 #: site, low enough that forward progress dominates.
 DEFAULT_CHAOS_RATES = {
-    "atomics.cas": 0.02,
     "lock.acquire": 0.05,
     "lock.stall": 0.02,
     "memory.alloc": 0.01,
@@ -387,7 +381,7 @@ def default_chaos_plan(seed: int = 0, intensity: float = 1.0) -> FaultPlan:
     rates = {site: min(1.0, rate * intensity)
              for site, rate in DEFAULT_CHAOS_RATES.items()}
     return FaultPlan(seed=seed, rates=rates,
-                     storms={"atomics.cas": 3, "lock.acquire": 2})
+                     storms={"lock.acquire": 2})
 
 
 __all__ = [

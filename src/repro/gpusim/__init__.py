@@ -4,18 +4,18 @@ The paper's experiments run on an NVIDIA GTX 1080; this subpackage
 provides the pieces of that machine the hash tables interact with:
 
 * :mod:`repro.gpusim.device` — device specifications (GTX 1080 preset),
-* :mod:`repro.gpusim.warp` — warp primitives (ballot/shfl/leader vote),
+* :mod:`repro.gpusim.warp` — warp primitives (ballot/ffs/shfl),
 * :mod:`repro.gpusim.kernel` — round-synchronous scheduling, occupancy
-  and per-round lock arbitration,
-* :mod:`repro.gpusim.atomics` — functional atomics plus the
-  contention-degradation model of Figure 5,
+  and bucket-lock arbitration,
+* :mod:`repro.gpusim.atomics` — the contention-degradation model of
+  Figure 5,
 * :mod:`repro.gpusim.metrics` — the cost model turning event counts
   into simulated seconds and Mops,
 * :mod:`repro.gpusim.cohort` — the vectorized structure-of-arrays warp
   engine, bit-for-bit conformant with the per-warp interpreter.
 """
 
-from repro.gpusim.atomics import (AtomicMemory, atomic_batch_seconds,
+from repro.gpusim.atomics import (atomic_batch_seconds,
                                   atomic_throughput_mops,
                                   coalesced_io_throughput_mops)
 from repro.gpusim.device import GTX_1050, GTX_1080, V100, DeviceSpec
@@ -40,7 +40,6 @@ __all__ = [
     "RoundScheduler",
     "LockArbiter",
     "Occupancy",
-    "AtomicMemory",
     "atomic_batch_seconds",
     "atomic_throughput_mops",
     "coalesced_io_throughput_mops",

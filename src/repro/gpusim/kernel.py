@@ -159,13 +159,14 @@ class RoundScheduler:
 
 
 class LockArbiter:
-    """Per-round mutual exclusion over integer resource ids.
+    """Mutual exclusion over integer resource ids.
 
     Models the paper's bucket locks: within one device round many warp
     leaders may issue ``atomicCAS(&lock, 0, 1)`` on the same bucket; the
     memory subsystem serializes them and exactly one sees ``0``.  The
-    arbiter grants the first requester of each resource per round and
-    counts the failed attempts (the spinning the voter scheme avoids).
+    arbiter grants the first requester of a free resource, which holds
+    it until :meth:`release`, and counts the failed attempts (the
+    spinning the voter scheme avoids).
     """
 
     def __init__(self, faults=None, sanitizer=None, profiler=None) -> None:
@@ -259,9 +260,8 @@ class LockArbiter:
     def tick(self) -> None:
         """Age injected lock-holder stalls by one device round.
 
-        Kernels that hold locks across rounds (the two-phase insert
-        kernel) call this from their ``after_round`` hook; kernels that
-        call :meth:`end_round` get it for free.
+        The two-phase insert kernel holds its locks across rounds and
+        calls this from its ``after_round`` hook.
         """
         if not self._stalled:
             return
@@ -271,18 +271,3 @@ class LockArbiter:
                 del self._stalled[resource]
             else:
                 self._stalled[resource] = remaining
-
-    def end_round(self) -> None:
-        """Release every lock at the round boundary.
-
-        A device round models one iteration of every warp's Algorithm-1
-        loop executing concurrently: locks acquired during the round are
-        held against all other warps of that round (producing conflicts)
-        and the matching ``atomicExch`` unlocks land at the iteration
-        end, i.e. here.  Stalled holders do *not* release — that is the
-        fault being modelled — but their stalls age by one round.
-        """
-        self._held.clear()
-        if self.sanitizer.enabled:
-            self.sanitizer.on_round_release()
-        self.tick()

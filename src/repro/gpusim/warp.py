@@ -38,8 +38,6 @@ class WarpContext:
         #: so scans overwrite this scratch instead (callers must not
         #: hold a reference across warp steps).
         self.scratch_pred = np.zeros(width, dtype=bool)
-        #: Count of executed warp-synchronous steps (for profiling).
-        self.steps = 0
 
     def ballot(self, predicate: np.ndarray) -> int:
         """``__ballot``: bitmask of lanes whose predicate is true."""
@@ -59,7 +57,7 @@ class WarpContext:
         """First set lane of a ballot mask, or -1 when empty.
 
         Mirrors CUDA's ``__ffs(mask) - 1`` idiom used to elect a warp
-        leader from a ballot.
+        leader from a ballot (lines 1-5 of Algorithm 1).
         """
         if mask == 0:
             return -1
@@ -79,12 +77,3 @@ class WarpContext:
     def any_active(self) -> bool:
         """True while at least one lane still has work."""
         return bool(self.active.any())
-
-    def elect_leader(self) -> int:
-        """Vote among active lanes; return the winning lane or -1.
-
-        This is lines 1-5 of Algorithm 1: ``l' = ballot(active == 1)``
-        followed by taking the first set lane.
-        """
-        self.steps += 1
-        return self.ffs(self.ballot(self.active))

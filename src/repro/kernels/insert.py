@@ -398,8 +398,8 @@ def _run_insert_warps(table, codes, values, targets, voter: bool,
                               completed=result.completed_ops)
     try:
         if arbiter.faults.enabled:
-            # The insert kernel holds locks across rounds (two-phase), so
-            # it never calls end_round(); injected stalls still must age.
+            # The insert kernel holds locks across rounds (two-phase);
+            # injected stalls age by one device round per round.
             result.rounds = scheduler.run(
                 before_round=before_round,
                 after_round=lambda _i: arbiter.tick())

@@ -92,9 +92,8 @@ must not drown the report, so accesses carry a kind:
     A protocol-sanctioned lock-free read (FIND/DELETE probes, the
     alternate-bucket upsert probe).  Exempt from pairing.
 ``atomic``
-    A word that is only ever touched atomically (lock words via
-    :class:`~repro.gpusim.atomics.AtomicMemory`, single-word value
-    updates).  Ordered by definition; exempt from pairing.
+    A word that is only ever touched atomically (the single-word value
+    update of an upsert).  Ordered by definition; exempt from pairing.
 
 All four kinds participate in the memcheck extent decode and the
 initcheck bitmap (any kind of read can observe garbage; any write
@@ -257,11 +256,9 @@ class Sanitizer:
             "words_checked": 0,
             "lock_acquires": 0,
             "lock_releases": 0,
-            "round_releases": 0,
             "unwind_releases": 0,
             "subtable_locks": 0,
             "injected_events": 0,
-            "atomic_ops": 0,
             "memory_transactions": 0,
             "extent_checks": 0,
             "init_checks": 0,
@@ -599,17 +596,6 @@ class Sanitizer:
         if locks is not None:
             locks.discard(resource)
 
-    def on_round_release(self) -> None:
-        """All locks released at a round boundary (``end_round()``).
-
-        Kernels built on :meth:`LockArbiter.end_round` release every
-        lock when the round's ``atomicExch`` unlocks land; that bulk
-        release pairs with every outstanding acquire by construction.
-        """
-        self.stats["round_releases"] += 1
-        for locks in self._held.values():
-            locks.clear()
-
     # ------------------------------------------------------------------
     # lockcheck: subtable resize locks
     # ------------------------------------------------------------------
@@ -802,15 +788,6 @@ class Sanitizer:
         """An injected fault fired at ``site`` — intentional, not a bug."""
         del site
         self.stats["injected_events"] += 1
-
-    def on_atomic(self, address: int, site: str = "") -> None:
-        """One atomic op executed (ordered by definition; stats only)."""
-        del address, site
-        self.stats["atomic_ops"] += 1
-
-    def on_atomic_round(self, counts: dict) -> None:
-        """Per-address conflict counts from an AtomicMemory round."""
-        del counts
 
     def on_transactions(self, count: int) -> None:
         """Memory transactions one kernel launch counted (stats only)."""

@@ -193,8 +193,7 @@ def _audit_faults(ops: int, seed: int,
         seed=seed))
     san = _new_sanitizer(passes)
     table.attach(Instruments(sanitizer=san, faults=FaultPlan(
-        seed=seed, rates={"lock.acquire": 0.05, "lock.stall": 0.02,
-                          "atomics.cas": 0.05})))
+        seed=seed, rates={"lock.acquire": 0.05, "lock.stall": 0.02})))
     keys = _keys(ops, seed + 4)
     run_voter_insert_kernel(table, keys, keys)
 

@@ -46,7 +46,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.baselines.base import GpuHashTable
-from repro.core.batch_ops import MixedBatchResult
+from repro.core.batch_ops import MixedBatchResult, check_mixed_batch
 from repro.core.batch_ops import execute_mixed as _execute_mixed
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.hashing import UniversalHash
@@ -248,12 +248,10 @@ class ShardedDyCuckoo(GpuHashTable):
         ``"warp"`` / ``"cohort"`` run the lane-faithful kernels per
         shard, and ``.kernel`` carries the counters summed over shards.
         """
-        op_codes = np.asarray(op_codes, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.uint64)
-        if op_codes.shape != keys.shape:
-            raise InvalidConfigError("op_codes and keys must have equal length")
-        if values is not None:
-            values = np.asarray(values, dtype=np.uint64)
+        # Validate the whole batch first: a shard-local rejection would
+        # surface only after the shards before it had applied theirs.
+        op_codes, keys, values = check_mixed_batch(op_codes, keys, values,
+                                                   engine)
         n = len(keys)
         out_values = np.zeros(n, dtype=np.uint64)
         out_found = np.zeros(n, dtype=bool)

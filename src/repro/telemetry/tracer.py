@@ -107,11 +107,6 @@ class Tracer:
     # Clock
     # ------------------------------------------------------------------
 
-    @property
-    def now_us(self) -> float:
-        """Current logical time (microseconds)."""
-        return self._now_us
-
     def _tick(self) -> float:
         now = self._now_us
         self._now_us = now + TICK_US

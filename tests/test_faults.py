@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.faults` plan mechanics, every injection site's
 behaviour (resize aborts with rollback, stash degradation, lock stalls,
-CAS storms, allocation failures), the bit-identical guarantee with
+allocation failures), the bit-identical guarantee with
 faults disabled, and a schedule-exploration sweep of the voter protocol
 under injected lock interleavings.
 """
@@ -19,7 +19,6 @@ from repro.errors import (CapacityError, InvalidConfigError, ResizeError,
                           StashOverflowError)
 from repro.faults import (DEFAULT_CHAOS_RATES, FAULT_SITES, NO_FAULTS,
                           FaultPlan, default_chaos_plan)
-from repro.gpusim.atomics import AtomicMemory
 from repro.gpusim.kernel import LockArbiter
 from repro.gpusim.memory_manager import DeviceMemoryManager
 from repro.kernels.insert import run_voter_insert_kernel
@@ -53,8 +52,8 @@ class TestFaultPlanMechanics:
     def test_same_seed_fires_identically(self):
         decisions = []
         for _ in range(2):
-            plan = FaultPlan(seed=7, rates={"atomics.cas": 0.3})
-            fired = [plan.fire("atomics.cas") is not None
+            plan = FaultPlan(seed=7, rates={"memory.alloc": 0.3})
+            fired = [plan.fire("memory.alloc") is not None
                      for _ in range(200)]
             decisions.append(fired)
         assert decisions[0] == decisions[1]
@@ -69,7 +68,7 @@ class TestFaultPlanMechanics:
         mixed = FaultPlan(seed=3, rates={"lock.acquire": 0.5})
         mixed_fires = []
         for _ in range(50):
-            mixed.fire("atomics.cas")
+            mixed.fire("memory.alloc")
             mixed_fires.append(mixed.fire("lock.acquire") is not None)
             mixed.fire("insert.evict")
         assert solo_fires == mixed_fires
@@ -85,9 +84,9 @@ class TestFaultPlanMechanics:
         assert replay.fired == plan.fired
 
     def test_storm_arms_consecutive_failures(self):
-        plan = FaultPlan(seed=0, rates={"atomics.cas": 0.05},
-                         storms={"atomics.cas": 4})
-        fired = [plan.fire("atomics.cas") is not None for _ in range(400)]
+        plan = FaultPlan(seed=0, rates={"memory.alloc": 0.05},
+                         storms={"memory.alloc": 4})
+        fired = [plan.fire("memory.alloc") is not None for _ in range(400)]
         # Every probabilistic fire must be followed by 3 forced fires.
         i = 0
         storms_seen = 0
@@ -105,9 +104,9 @@ class TestFaultPlanMechanics:
         with pytest.raises(InvalidConfigError):
             FaultPlan(rates={"no.such.site": 0.1})
         with pytest.raises(InvalidConfigError):
-            FaultPlan(rates={"atomics.cas": 1.5})
+            FaultPlan(rates={"memory.alloc": 1.5})
         with pytest.raises(InvalidConfigError):
-            FaultPlan(storms={"atomics.cas": 0})
+            FaultPlan(storms={"memory.alloc": 0})
         with pytest.raises(InvalidConfigError):
             FaultPlan.from_script({"fired": [["no.such.site", 0, 1]]})
         with pytest.raises(InvalidConfigError):
@@ -115,7 +114,7 @@ class TestFaultPlanMechanics:
 
     def test_no_faults_is_inert(self):
         assert NO_FAULTS.enabled is False
-        assert NO_FAULTS.fire("atomics.cas") is None
+        assert NO_FAULTS.fire("memory.alloc") is None
         assert NO_FAULTS.fired == []
 
     def test_default_chaos_plan_covers_every_rate_site(self):
@@ -167,7 +166,7 @@ class TestFaultPlanMechanics:
             assert jumped.fired == walked.fired
 
     def test_window_may_fire_respects_armed_storms(self):
-        site = "atomics.cas"
+        site = "memory.alloc"
         plan = FaultPlan(seed=0, rates={site: 0.0}, storms={site: 3})
         assert plan.window_may_fire(site, 8) is False
         plan._armed[site] = 2  # a storm mid-flight forces the slow path
@@ -187,6 +186,42 @@ class TestFaultPlanMechanics:
         assert scripted.window_may_fire("lock.stall", 1) is True
         fault = scripted.fire("lock.stall")
         assert fault is not None and fault.index == 5 and fault.param == 2
+
+
+class TestSiteReachability:
+    def test_every_site_is_consulted(self):
+        """Each declared site is one the library really consults: a plan
+        without rates never fires but counts every consult."""
+        plan = FaultPlan(seed=0)
+        table = DyCuckooTable(DyCuckooConfig(
+            initial_buckets=256, bucket_capacity=4, min_buckets=8,
+            migration_budget=4))
+        table.attach(Instruments(faults=plan))
+        keys = unique_keys(12 * 300, seed=40)
+        for batch in np.split(keys, 12):
+            table.insert(batch, batch)
+        for batch in np.split(keys[:8 * 400], 8):
+            table.delete(batch)
+        assert table.stats.upsizes and table.stats.downsizes
+
+        kernel_table = DyCuckooTable(DyCuckooConfig(
+            initial_buckets=64, bucket_capacity=8, auto_resize=False))
+        kernel_table.attach(Instruments(faults=plan))
+        kernel_keys = unique_keys(256, seed=41)
+        run_voter_insert_kernel(kernel_table, kernel_keys, kernel_keys)
+
+        DeviceMemoryManager(faults=plan).set_allocation("table", 1 << 20)
+
+        assert plan.fired == []
+        invocations = plan.invocations()
+        assert set(invocations) == set(FAULT_SITES)
+        assert all(count > 0 for count in invocations.values())
+
+    def test_removed_cas_site_is_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            FaultPlan(rates={"atomics.cas": 0.1})
+        with pytest.raises(InvalidConfigError):
+            FaultPlan.from_script({"fired": [["atomics.cas", 0, 1]]})
 
 
 class TestResizeAborts:
@@ -442,16 +477,6 @@ class TestBitIdenticalWhenDisabled:
 
 
 class TestGpusimFaultSites:
-    def test_atomic_cas_injected_failure(self):
-        memory = AtomicMemory(4, faults=FaultPlan.from_script(
-            {"fired": [["atomics.cas", 0, 1]]}))
-        old = memory.atomic_cas(2, 0, 9)
-        assert old != 0                      # observed a losing race
-        assert int(memory.words[2]) == 0     # nothing written
-        assert memory.injected_failures == 1
-        assert memory.atomic_cas(2, 0, 9) == 0
-        assert int(memory.words[2]) == 9     # next attempt wins
-
     def test_lock_arbiter_stall_accounting(self):
         plan = FaultPlan.from_script({"fired": [["lock.stall", 0, 2]]})
         arbiter = LockArbiter(faults=plan)
@@ -471,13 +496,6 @@ class TestGpusimFaultSites:
         assert not arbiter.try_acquire(3)
         assert arbiter.injected_failures == 1
         assert arbiter.try_acquire(3)        # free again next attempt
-
-    def test_end_round_ages_stalls(self):
-        plan = FaultPlan.from_script({"fired": [["lock.stall", 0, 1]]})
-        arbiter = LockArbiter(faults=plan)
-        assert not arbiter.try_acquire(1)
-        arbiter.end_round()
-        assert arbiter.try_acquire(1)
 
     def test_memory_manager_injected_alloc_failure(self):
         manager = DeviceMemoryManager(faults=FaultPlan.from_script(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidConfigError
-from repro.gpusim import (GTX_1080, AtomicMemory, CostModel, DeviceSpec,
+from repro.gpusim import (GTX_1080, CostModel, DeviceSpec,
                           LockArbiter, Occupancy, RoundScheduler, V100,
                           WarpContext, atomic_batch_seconds,
                           atomic_throughput_mops,
@@ -53,37 +53,8 @@ class TestWarpContext:
         with pytest.raises(InvalidConfigError):
             ctx.shfl(values, 32)
 
-    def test_elect_leader(self):
-        ctx = WarpContext(0)
-        ctx.active[10] = True
-        ctx.active[20] = True
-        assert ctx.elect_leader() == 10
-        ctx.active[:] = False
-        assert ctx.elect_leader() == -1
-
 
 class TestAtomics:
-    def test_atomic_cas_semantics(self):
-        mem = AtomicMemory(4)
-        assert mem.atomic_cas(0, 0, 1) == 0    # success
-        assert mem.atomic_cas(0, 0, 1) == 1    # failure, returns old
-        assert mem.words[0] == 1
-
-    def test_atomic_exch_semantics(self):
-        mem = AtomicMemory(4)
-        assert mem.atomic_exch(2, 9) == 0
-        assert mem.atomic_exch(2, 5) == 9
-        assert mem.words[2] == 5
-
-    def test_round_conflict_counts(self):
-        mem = AtomicMemory(4)
-        mem.atomic_cas(1, 0, 1)
-        mem.atomic_cas(1, 0, 1)
-        mem.atomic_exch(3, 1)
-        counts = mem.end_round()
-        assert counts == {1: 2, 3: 1}
-        assert mem.end_round() == {}
-
     def test_throughput_degrades_with_conflicts(self):
         """The Figure-5 shape: more same-address atomics, lower Mops."""
         t1 = atomic_throughput_mops(1 << 16, conflicts_per_address=1)
@@ -149,12 +120,11 @@ class TestLockArbiter:
         assert arb.acquisitions == 2
         assert arb.conflicts == 1
 
-    def test_release_and_end_round(self):
+    def test_lock_held_until_release(self):
         arb = LockArbiter()
-        arb.try_acquire(1)
-        arb.release(1)
         assert arb.try_acquire(1)
-        arb.end_round()
+        assert not arb.try_acquire(1)
+        arb.release(1)
         assert arb.try_acquire(1)
 
 
@@ -223,57 +193,3 @@ class TestCostModel:
         model = CostModel()
         rate = model.mops({"bucket_reads": 1_100_000}, 1_000_000)
         assert 200 < rate < 5000
-
-
-class TestAtomicRoundAccounting:
-    """Round-conflict accounting: grouping, clearing, and the injected
-    vs real CAS-loss distinction the fault layer depends on."""
-
-    def test_round_addresses_group_and_clear_per_round(self):
-        mem = AtomicMemory(8)
-        mem.atomic_cas(1, 0, 1)
-        mem.atomic_exch(1, 0)
-        mem.atomic_cas(5, 0, 1)
-        assert mem._round_addresses == [1, 1, 5]
-        assert mem.end_round() == {1: 2, 5: 1}
-        assert mem._round_addresses == []
-        # A new round accumulates from scratch.
-        mem.atomic_cas(5, 1, 2)
-        assert mem.end_round() == {5: 1}
-        assert mem.ops == 4
-
-    def test_injected_cas_failure_does_not_mutate(self):
-        from repro.faults import FaultPlan
-        mem = AtomicMemory(4, faults=FaultPlan(
-            seed=0, rates={"atomics.cas": 1.0}))
-        old = mem.atomic_cas(2, 0, 7)
-        assert old != 0            # observed "someone else's" write
-        assert mem.words[2] == 0   # ...but wrote nothing itself
-        assert mem.injected_failures == 1
-        assert mem.ops == 1
-        # The failed op still lands in the round's conflict group.
-        assert mem.end_round() == {2: 1}
-
-    def test_real_cas_loss_is_not_an_injected_failure(self):
-        mem = AtomicMemory(4)
-        assert mem.atomic_cas(2, 0, 7) == 0   # winner
-        assert mem.atomic_cas(2, 0, 9) == 7   # genuine lost race
-        assert mem.injected_failures == 0
-        assert mem.words[2] == 7
-        assert mem.end_round() == {2: 2}
-
-    def test_sanitizer_classifies_injected_and_counts_atomics(self):
-        from repro.faults import FaultPlan
-        from repro.sanitizer import Sanitizer
-        san = Sanitizer()
-        san.begin_kernel("atomics", locking=False)
-        mem = AtomicMemory(4, faults=FaultPlan(
-            seed=0, rates={"atomics.cas": 1.0}), sanitizer=san)
-        mem.atomic_cas(0, 0, 1)
-        mem.atomic_exch(0, 0)
-        mem.end_round()
-        san.end_kernel()
-        assert san.ok
-        assert san.stats["atomic_ops"] == 2
-        assert san.stats["injected_events"] == 1
-        assert mem.injected_failures == 1

@@ -141,6 +141,56 @@ class TestDifferentialEquality:
         assert len(sharded) == 0
 
 
+class TestMalformedBatchIsAtomic:
+    """A batch one shard would reject is rejected before any shard runs,
+    serially and on the process pool, exactly like a single table."""
+
+    def _preloaded(self, parallel_workers=None):
+        table = ShardedDyCuckoo(
+            num_shards=4, parallel_workers=parallel_workers,
+            config=DyCuckooConfig(initial_buckets=8, min_buckets=8))
+        keys = np.arange(1, 401, dtype=np.uint64)
+        table.insert(keys, keys * np.uint64(3))
+        return table, keys
+
+    def _malformed(self, table, keys):
+        last_shard_key = keys[table.shard_ids(keys) == 3][0]
+        deletes = np.full(len(keys), OP_DELETE, dtype=np.int64)
+        bad_code = deletes.copy()
+        bad_code[keys == last_shard_key] = 7
+        negative = deletes.copy()
+        negative[keys == last_shard_key] = -1
+        one_insert = deletes.copy()
+        one_insert[keys == last_shard_key] = OP_INSERT
+        return [
+            (bad_code, keys, None),
+            (negative, keys, None),
+            (one_insert, keys, None),
+            (one_insert, keys, keys[:-1]),
+            (deletes[:-1], keys, None),
+        ]
+
+    @pytest.mark.parametrize("parallel_workers", [None, 2])
+    def test_malformed_batch_leaves_table_unchanged(self, parallel_workers):
+        table, keys = self._preloaded(parallel_workers)
+        with table:
+            before = (table.to_dict(),
+                      [shard.stats.snapshot() for shard in table.shards])
+            for ops, batch_keys, values in self._malformed(table, keys):
+                with pytest.raises(InvalidConfigError):
+                    table.execute_mixed(ops, batch_keys, values)
+                after = (table.to_dict(),
+                         [shard.stats.snapshot() for shard in table.shards])
+                assert after == before
+        single = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
+                                              min_buckets=8))
+        single.insert(keys, keys * np.uint64(3))
+        for ops, batch_keys, values in self._malformed(table, keys):
+            with pytest.raises(InvalidConfigError):
+                execute_mixed(single, ops, batch_keys, values)
+        assert single.to_dict() == before[0]
+
+
 class TestPerShardResize:
     def test_shards_resize_independently(self):
         table = small_sharded(num_shards=4)
