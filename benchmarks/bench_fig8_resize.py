@@ -73,6 +73,7 @@ def _upsize_rehash():
         # normal insert path (Algorithm 1) against near-full siblings.
         st.rebuild(st.n_buckets * 2, codes[:0], values[:0],
                    np.zeros(0, dtype=np.int64))
+        table.geometry_changed()
         first, second = table.pair_hash.tables_for(codes)
         targets = table._router.choose(codes, first, second,
                                        table.subtable_sizes(),
@@ -109,6 +110,7 @@ def _downsize_rehash():
     def action():
         st.rebuild(st.n_buckets // 2, codes[:0], values[:0],
                    np.zeros(0, dtype=np.int64))
+        table.geometry_changed()
         first, second = table.pair_hash.tables_for(codes)
         targets = table._router.choose(codes, first, second,
                                        table.subtable_sizes(),

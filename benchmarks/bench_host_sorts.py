@@ -1,0 +1,136 @@
+"""Host sorts — the bulk-load sorts and the 8M-key session they serve.
+
+A batched insert recovers the warp-vote order (the k-th key aimed at a
+bucket takes the k-th free slot) and a batch upsert keeps the last
+writer of each key.  Both need a stable order over the batch, which
+:mod:`repro.core.grouping` takes from one plain ``np.sort`` of packed
+``id << index_bits | index`` keys, and from a sort-then-compare
+duplicate check, once a batch reaches ``SORT_CUTOFF`` elements.
+
+Two legs:
+
+* ``sorts`` times the two helpers at ``SORT_N`` elements against the
+  numpy merge sorts they replace, on the same host, best of
+  ``REPEATS``: :func:`~repro.core.grouping.stable_order` against
+  ``argsort(kind="stable")``, and
+  :func:`~repro.core.grouping.first_occurrence_mask` of distinct keys
+  against ``np.unique(return_index=True)``.  The ratios must reach
+  ``ORDER_FLOOR`` and ``DISTINCT_FLOOR``.
+* ``session`` runs both tables of ``examples/multi_tenant_gpu.py`` at
+  full size (grow to 8M keys, shrink to 800k) and records each one's
+  wall time.
+
+Every timing key is named ``*_seconds`` or ``*speedup*``, so the strict
+perf gate skips them; the floors here are the wall-clock gate.  With
+``REPRO_BENCH_JSON`` set, results are also dumped as
+``BENCH_host_sorts.json``.
+"""
+
+import contextlib
+import importlib.util
+import io
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.bench import shape_check
+from repro.bench.artifacts import maybe_dump
+from repro.core.grouping import first_occurrence_mask, stable_order
+
+from benchmarks.common import once
+
+#: Elements per timed sort.
+SORT_N = 4_000_000
+
+#: Best-of repeats per timed sort.
+REPEATS = 3
+
+#: Floor on argsort / ``stable_order`` at ``SORT_N`` packed ids.
+ORDER_FLOOR = 4.0
+
+#: Floor on ``np.unique`` / ``first_occurrence_mask`` at ``SORT_N``
+#: distinct keys.
+DISTINCT_FLOOR = 5.0
+
+EXAMPLE = (Path(__file__).resolve().parent.parent / "examples"
+           / "multi_tenant_gpu.py")
+
+
+def _best_seconds(fn) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _sort_leg() -> dict:
+    rng = np.random.default_rng(4)
+    # Round ids shaped like the insert path's (subtable << 40) | bucket.
+    ids = (rng.integers(0, 4, SORT_N) << 40) | rng.integers(0, 1 << 21,
+                                                            SORT_N)
+    assert np.array_equal(stable_order(ids), np.argsort(ids, kind="stable"))
+    keys = rng.permutation(SORT_N).astype(np.uint64) * np.uint64(0x9E37)
+    assert first_occurrence_mask(keys).all()
+    argsort_s = _best_seconds(lambda: np.argsort(ids, kind="stable"))
+    order_s = _best_seconds(lambda: stable_order(ids))
+    unique_s = _best_seconds(lambda: np.unique(keys, return_index=True))
+    distinct_s = _best_seconds(lambda: first_occurrence_mask(keys))
+    return {
+        "n": SORT_N,
+        "argsort_seconds": argsort_s,
+        "stable_order_seconds": order_s,
+        "stable_order_speedup": argsort_s / order_s,
+        "unique_seconds": unique_s,
+        "distinct_check_seconds": distinct_s,
+        "distinct_check_speedup": unique_s / distinct_s,
+    }
+
+
+def _session_leg() -> dict:
+    spec = importlib.util.spec_from_file_location("multi_tenant_gpu",
+                                                  EXAMPLE)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    results = {}
+    for label, table_factory in example.SESSIONS:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            example.run_session(label, table_factory)
+        key = label.lower().replace("-", "_")
+        results[f"{key}_seconds"] = time.perf_counter() - start
+    return results
+
+
+def _run_all() -> dict:
+    return {"sorts": _sort_leg(), "session": _session_leg()}
+
+
+def test_host_sorts(benchmark):
+    results = once(benchmark, _run_all)
+    maybe_dump("BENCH_host_sorts", results)
+
+    sorts, session = results["sorts"], results["session"]
+    print()
+    print(f"{SORT_N:,} elements, best of {REPEATS}: stable argsort "
+          f"{sorts['argsort_seconds']:.3f}s, stable_order "
+          f"{sorts['stable_order_seconds']:.3f}s; np.unique "
+          f"{sorts['unique_seconds']:.3f}s, distinct check "
+          f"{sorts['distinct_check_seconds']:.3f}s")
+    print("8M-key session: " + ", ".join(
+        f"{key} {seconds:.1f}s" for key, seconds in session.items()))
+    checks = [
+        (f"stable_order beats the stable argsort "
+         f"({sorts['stable_order_speedup']:.1f}x >= {ORDER_FLOOR}x)",
+         sorts["stable_order_speedup"] >= ORDER_FLOOR),
+        (f"distinct check beats np.unique "
+         f"({sorts['distinct_check_speedup']:.1f}x >= {DISTINCT_FLOOR}x)",
+         sorts["distinct_check_speedup"] >= DISTINCT_FLOOR),
+        ("both session tables ran",
+         sorted(session) == ["dycuckoo_seconds", "megakv_static_seconds"]),
+    ]
+    for label, ok in checks:
+        print(shape_check(label, ok))
+        assert ok, label

@@ -55,19 +55,24 @@ def run_session(label: str, table_factory) -> None:
     print()
 
 
+#: ``(label, table factory)`` of each session, in run order.
+SESSIONS = (
+    # DyCuckoo sizes itself to the live data.
+    ("DyCuckoo", lambda: DyCuckooAdapter(DyCuckooConfig(initial_buckets=64))),
+    # The static deployment model: provision MegaKV for the peak up
+    # front (8M entries at 50% fill; 2 subtables x 2M buckets x 8
+    # slots) and never resize.
+    ("MegaKV-static", lambda: MegaKVTable(initial_buckets=1 << 21,
+                                          auto_resize=False)),
+)
+
+
 def main() -> None:
     print(f"device: {GTX_1050.name} "
           f"({GTX_1050.device_memory_bytes / 2**30:.0f} GB)\n")
 
-    # DyCuckoo sizes itself to the live data.
-    run_session("DyCuckoo", lambda: DyCuckooAdapter(
-        DyCuckooConfig(initial_buckets=64)))
-
-    # The static deployment model: provision MegaKV for the peak up
-    # front (8M entries at 50% fill) and never resize.
-    static_buckets = 1 << 21  # 2 subtables x 2M buckets x 8 slots
-    run_session("MegaKV-static", lambda: MegaKVTable(
-        initial_buckets=static_buckets, auto_resize=False))
+    for label, table_factory in SESSIONS:
+        run_session(label, table_factory)
 
     print("DyCuckoo returns memory as its load shrinks, so the other")
     print("tenants stay resident; the statically-provisioned table keeps")

@@ -100,6 +100,7 @@ def load_table(path) -> DyCuckooTable:
             table.table_hashes[idx] = _hash_from_constants(
                 archive[f"hash_{idx}"])
         table.hash_stack = HashStack(table.table_hashes)
+        table.geometry_changed()
         # Stash entries appeared with the fault-injection layer; archives
         # written before it simply have an empty stash.
         if "stash_keys" in archive:

@@ -297,6 +297,7 @@ class ResizeController:
             try:
                 mig = (st.begin_upsize_epoch() if upsize
                        else st.begin_downsize_epoch())
+                table.geometry_changed()
                 if faulty:
                     self._fire_abort("rehash", snapshot=snapshot)
             finally:
@@ -402,6 +403,7 @@ class ResizeController:
             san.on_epoch_retire(self._table, target, mig.old_n,
                                 mig.new_n, site=_SITE_FINISH)
         st.finish_migration()
+        self._table.geometry_changed()
 
     def _finalize_one(self, target: int) -> int:
         """Drain one subtable's epoch to completion; returns pairs moved."""
@@ -475,9 +477,13 @@ class ResizeController:
                 free_counts = free_mask.sum(axis=1)
                 fits = ranks < free_counts[inverse]
                 if np.any(fits):
+                    # A narrow running count (8 bits for 32-slot
+                    # buckets), as in the insert path's placement.
+                    count_dtype = np.min_scalar_type(st.bucket_capacity)
                     fit_rows = free_mask[inverse[fits]]
-                    running = fit_rows.cumsum(axis=1)
-                    slot_target = (ranks[fits] + 1)[:, None]
+                    running = fit_rows.cumsum(axis=1, dtype=count_dtype)
+                    slot_target = (ranks[fits] + 1).astype(
+                        count_dtype)[:, None]
                     dslots = (running == slot_target).argmax(axis=1)
                     st.keys[mv_dest[fits], dslots] = mv_codes[fits]
                     st.values[mv_dest[fits], dslots] = mv_values[fits]
@@ -642,3 +648,4 @@ class _TableSnapshot:
             st.size = size
             st.migration = migration
         table.stash = self._stash.copy()
+        table.geometry_changed()

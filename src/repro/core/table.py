@@ -120,15 +120,21 @@ class DyCuckooTable:
         self._drain_epoch = -1
         #: Cached :meth:`flat_storage` arena (a cache, never pickled).
         self._arena: FlatStorage | None = None
+        #: Cached :meth:`bucket_resolver` (never pickled); see
+        #: :meth:`geometry_changed`.
+        self._resolver: Callable[[np.ndarray, np.ndarray],
+                                 np.ndarray] | None = None
         #: The attached instruments; see :meth:`attach`.
         self.instruments = Instruments()
         self.attach(None)
 
     def __getstate__(self) -> dict:
-        """Pickle without the arena: the subtables' views already carry
-        every row, and the next :meth:`flat_storage` call rebuilds it."""
+        """Pickle without the arena and the resolver: the subtables'
+        views already carry every row, and the next :meth:`flat_storage`
+        and :meth:`bucket_resolver` calls rebuild them."""
         state = self.__dict__.copy()
         state["_arena"] = None
+        state["_resolver"] = None
         return state
 
     def attach(self, instruments: Instruments | None) -> None:
@@ -256,6 +262,7 @@ class DyCuckooTable:
         ]
         self.stash = Stash(self.config.stash_capacity)
         self._drain_epoch = -1
+        self.geometry_changed()
 
     def copy(self) -> "DyCuckooTable":
         """Deep copy: same hash functions, independent storage."""
@@ -274,6 +281,7 @@ class DyCuckooTable:
                              if src.migration is not None else None)
         clone.stash = self.stash.copy()
         clone._victim_counter = self._victim_counter
+        clone.geometry_changed()
         return clone
 
     @classmethod
@@ -527,16 +535,33 @@ class DyCuckooTable:
         The resolver maps each ``uint32`` raw hash to its bucket in
         subtable ``targets[i]``, element for element equal to
         :meth:`bucket_of_raw`.  With every subtable settled it is one
-        gather of the per-subtable ``n_buckets - 1`` masks, built once
-        here; while any subtable is mid-migration it applies the epoch
-        check per target.  Valid until the next resize step, so a kernel
-        launch (which never resizes) builds it once.
+        gather of the per-subtable ``n_buckets - 1`` masks; while any
+        subtable is mid-migration it applies the epoch check per target.
+        The resolver is cached until :meth:`geometry_changed` drops it.
         """
+        resolver = self._resolver
+        if resolver is None:
+            resolver = self._resolver = self._build_resolver()
+        return resolver
+
+    def _build_resolver(
+            self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         if any(st.migration is not None for st in self.subtables):
             return self._buckets_per_target
         masks = np.array([st.n_buckets - 1 for st in self.subtables],
                          dtype=np.int64)
         return lambda targets, raw: raw & masks[targets]
+
+    def geometry_changed(self) -> None:
+        """Drop the cached :meth:`bucket_resolver`.
+
+        Whatever changes a subtable's ``n_buckets`` or opens or closes
+        its migration epoch calls this: the resize controller at each
+        epoch open and finish and at a snapshot restore, :meth:`clear`,
+        :meth:`copy` and :func:`~repro.core.persistence.load_table`.
+        Code that rebuilds a subtable directly must call it too.
+        """
+        self._resolver = None
 
     def _buckets_per_target(self, targets: np.ndarray,
                             raw: np.ndarray) -> np.ndarray:
@@ -664,6 +689,8 @@ class DyCuckooTable:
             # victims inherit their evictor's depth plus one.
             depths = np.zeros(len(codes), dtype=np.int64)
         d = self.num_tables
+        target_dtype = np.min_scalar_type(d - 1)
+        emit_dtype = np.min_scalar_type(2 * d - 1)
         rounds_since_progress = 0
         while len(codes):
             if self.faults.enabled:
@@ -714,8 +741,10 @@ class DyCuckooTable:
             self.stats.eviction_rounds += 1
             before_pending = len(codes)
             # One stable sort groups the pending keys by target; each
-            # subtable's keys stay in the order they were pending.
-            order = np.argsort(targets, kind="stable")
+            # subtable's keys stay in the order they were pending.  The
+            # targets sort in a narrow unsigned type, which numpy's
+            # stable sort orders by radix instead of by merging.
+            order = targets.astype(target_dtype).argsort(kind="stable")
             codes = codes[order]
             values = values[order]
             targets = targets[order]
@@ -770,9 +799,9 @@ class DyCuckooTable:
             # victims and then its retries.
             retry = np.flatnonzero(~(placed | leaders))
             if n_good:
-                emit = np.argsort(np.concatenate(
-                    (2 * targets[good], 2 * targets[retry] + 1)),
-                    kind="stable")
+                emit = np.concatenate(
+                    (2 * targets[good], 2 * targets[retry] + 1)
+                ).astype(emit_dtype).argsort(kind="stable")
                 codes = np.concatenate((victim_codes, codes[retry]))[emit]
                 values = np.concatenate((victim_values,
                                          values[retry]))[emit]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grouping import (first_occurrence_mask, group_counts,
-                                 last_occurrence_mask, rank_within_group)
+from repro.core.grouping import (SORT_CUTOFF, first_occurrence_mask,
+                                 group_counts, last_occurrence_mask,
+                                 rank_within_group, stable_order)
 
 
 class TestRankWithinGroup:
@@ -57,6 +58,12 @@ def _two_sort_rank(group_ids):
 _I64 = np.iinfo(np.int64)
 
 
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 class TestRankMatchesTwoSortOracle:
     @pytest.mark.parametrize("groups", [
         np.array([], dtype=np.int64),
@@ -86,9 +93,7 @@ class TestRankMatchesTwoSortOracle:
     def _assert_same(groups):
         for got, want in zip(rank_within_group(groups),
                              _two_sort_rank(groups)):
-            assert got.dtype == want.dtype
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+            _assert_same_arrays(got, want)
 
 
 class TestGroupCounts:
@@ -123,3 +128,130 @@ class TestOccurrenceMasks:
             selected = keys[mask]
             assert len(selected) == len(np.unique(keys))
             assert set(selected.tolist()) == set(key_list)
+
+
+_SIZES = (SORT_CUTOFF - 1, SORT_CUTOFF, 3 * SORT_CUTOFF + 1)
+
+
+def _large_inputs():
+    """``(id, ids)`` cases at, around and far above the cutoff."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for n in _SIZES:
+        cases += [
+            (f"dense-{n}", rng.integers(0, 40, n).astype(np.int64)),
+            (f"wide-{n}", rng.integers(0, 1 << 50, n).astype(np.int64)),
+            (f"negative-{n}", rng.integers(-50, 50, n).astype(np.int64)),
+            (f"uint64-high-{n}",
+             rng.integers(0, 8, n).astype(np.uint64) + np.uint64(2 ** 63)),
+            (f"all-equal-{n}", np.full(n, 9, dtype=np.int64)),
+            # The insert path's (subtable << 40) | bucket round ids.
+            (f"target-bucket-{n}",
+             (rng.integers(0, 4, n) << 40) | rng.integers(0, 1 << 12, n)),
+        ]
+    return cases
+
+
+_LARGE = _large_inputs()
+
+
+class TestStableOrderAboveCutoff:
+    """The packed sort and its fallbacks equal the stable argsort and
+    the two-sort oracle, on inputs long enough to take the packed
+    path."""
+
+    @pytest.mark.parametrize("groups", [ids for _, ids in _LARGE],
+                             ids=[name for name, _ in _LARGE])
+    def test_matches_stable_argsort_and_oracle(self, groups):
+        _assert_same_arrays(stable_order(groups),
+                            np.argsort(groups, kind="stable"))
+        TestRankMatchesTwoSortOracle._assert_same(groups)
+
+    @pytest.mark.parametrize("id_bits, packed", [(54, True), (55, False)],
+                             ids=["64-bits-packed", "65-bits-fallback"])
+    def test_packing_edge(self, monkeypatch, id_bits, packed):
+        """``SORT_CUTOFF`` indices take 10 bits, so 54-bit ids pack into
+        exactly 64 bits and 55-bit ids fall back to the argsort."""
+        n = SORT_CUTOFF
+        assert (n - 1).bit_length() + id_bits == (64 if packed else 65)
+        rng = np.random.default_rng(id_bits)
+        groups = rng.integers(0, 4, n).astype(np.int64) << (id_bits - 3)
+        groups[rng.integers(0, n)] = (1 << id_bits) - 1
+        want_order = np.argsort(groups, kind="stable")
+        want_ranks = _two_sort_rank(groups)
+        calls = []
+        argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        _assert_same_arrays(stable_order(groups), want_order)
+        for got, want in zip(rank_within_group(groups), want_ranks):
+            _assert_same_arrays(got, want)
+        assert len(calls) == (0 if packed else 2)
+
+
+def _unique_first_mask(keys):
+    """The ``np.unique`` first-occurrence oracle."""
+    _, first_idx = np.unique(keys, return_index=True)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[first_idx] = True
+    return mask
+
+
+def _unique_last_mask(keys):
+    """The ``np.unique`` last-occurrence oracle."""
+    _, first_idx_rev = np.unique(keys[::-1], return_index=True)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[len(keys) - 1 - first_idx_rev] = True
+    return mask
+
+
+def _mask_inputs():
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in _SIZES:
+        distinct = rng.permutation(n).astype(np.uint64) * np.uint64(7919)
+        pair = distinct.copy()
+        pair[n - 1] = pair[0]
+        cases += [
+            (f"no-duplicate-{n}", distinct),
+            (f"end-pair-{n}", pair),
+            (f"many-duplicates-{n}",
+             rng.integers(0, n // 8, n).astype(np.uint64)),
+            (f"int64-negative-{n}",
+             rng.integers(-n, n, n).astype(np.int64)),
+        ]
+    return cases
+
+
+_MASKS = _mask_inputs()
+
+
+class TestOccurrenceMasksAboveCutoff:
+    @pytest.mark.parametrize("keys", [keys for _, keys in _MASKS],
+                             ids=[name for name, _ in _MASKS])
+    def test_masks_match_unique_oracle(self, keys):
+        _assert_same_arrays(first_occurrence_mask(keys),
+                            _unique_first_mask(keys))
+        _assert_same_arrays(last_occurrence_mask(keys),
+                            _unique_last_mask(keys))
+
+    @pytest.mark.parametrize("n, fast", [(SORT_CUTOFF - 1, False),
+                                         (SORT_CUTOFF, True)],
+                             ids=["below-cutoff", "at-cutoff"])
+    def test_distinct_keys_skip_unique(self, monkeypatch, n, fast):
+        keys = np.arange(n, dtype=np.uint64)[::-1].copy()
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        assert first_occurrence_mask(keys).all()
+        assert last_occurrence_mask(keys).all()
+        assert len(calls) == (0 if fast else 2)

@@ -1,10 +1,13 @@
 """Tests for the single-subtable resizing policy (Section IV)."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
+from repro.core.persistence import load_table, save_table
 from repro.core.resize import _TableSnapshot
 from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import ResizeError
@@ -490,6 +493,43 @@ class TestBucketsOfRaw:
         assert [m.kind for m in open_epochs] == [kind]
         assert 0 < open_epochs[0].pending < open_epochs[0].num_pairs
         self._assert_matches(table)
+
+    def test_cached_resolver_follows_every_geometry_change(self, tmp_path):
+        """Each geometry change drops the cached resolver; the check runs
+        right after one built for the previous geometry."""
+        table, keys = filled_table()
+        check = functools.partial(self._assert_matches, n=400)
+        check(table)
+        table._resizer.open_upsize_epoch()
+        check(table)  # epoch open
+        table._resizer.drain_migration(max_pairs=3)  # mixed views
+        check(table)
+        table.finalize_resizes()
+        check(table)  # epoch finish
+        # Settled again: the per-target epoch check is no longer cached.
+        assert table.bucket_resolver() != table._buckets_per_target
+        table.delete(keys[300:])
+        table.finalize_resizes()
+        check(table)
+        table._resizer.open_downsize_epoch()
+        check(table)
+        table._resizer.drain_migration(max_pairs=3)
+        check(table)
+        table.finalize_resizes()
+        check(table)
+        snapshot = _TableSnapshot(table)
+        table.upsize()
+        check(table)
+        snapshot.restore(table)
+        check(table)  # snapshot restore
+        table.upsize()
+        check(table)
+        check(table.copy())
+        path = tmp_path / "table.npz"
+        save_table(table, path)
+        check(load_table(path))
+        table.clear()
+        check(table)
 
 
 class TestFlatStorage:
