@@ -7,7 +7,7 @@ writer of each key.  Both need a stable order over the batch, which
 ``id << index_bits | index`` keys, and from a sort-then-compare
 duplicate check, once a batch reaches ``SORT_CUTOFF`` elements.
 
-Two legs:
+Three legs:
 
 * ``sorts`` times the two helpers at ``SORT_N`` elements against the
   numpy merge sorts they replace, on the same host, best of
@@ -16,6 +16,11 @@ Two legs:
   :func:`~repro.core.grouping.first_occurrence_mask` of distinct keys
   against ``np.unique(return_index=True)``.  The ratios must reach
   ``ORDER_FLOOR`` and ``DISTINCT_FLOOR``.
+* ``placement`` times :func:`~repro.core.subtable.claim_slots`, which
+  finds every claimant's free slot with one flat scan of the round's
+  free mask, against the per-claimant cumsum search it replaced, at
+  ``CLAIMANTS`` claimants over ``CLAIM_ROWS`` 32-slot rows, best of
+  ``REPEATS``.  The ratio must reach ``PLACEMENT_FLOOR``.
 * ``session`` runs both tables of ``examples/multi_tenant_gpu.py`` at
   full size (grow to 8M keys, shrink to 800k) and records each one's
   wall time.
@@ -36,7 +41,9 @@ import numpy as np
 
 from repro.bench import shape_check
 from repro.bench.artifacts import maybe_dump
-from repro.core.grouping import first_occurrence_mask, stable_order
+from repro.core.grouping import (first_occurrence_mask, rank_within_group,
+                                 stable_order)
+from repro.core.subtable import claim_slots
 
 from benchmarks.common import once
 
@@ -52,6 +59,13 @@ ORDER_FLOOR = 4.0
 #: Floor on ``np.unique`` / ``first_occurrence_mask`` at ``SORT_N``
 #: distinct keys.
 DISTINCT_FLOOR = 5.0
+
+#: Claimants and 32-slot rows of the timed placement round.
+CLAIMANTS = 100_000
+CLAIM_ROWS = 4_096
+
+#: Floor on the cumsum search / ``claim_slots`` at ``CLAIMANTS``.
+PLACEMENT_FLOOR = 4.0
 
 EXAMPLE = (Path(__file__).resolve().parent.parent / "examples"
            / "multi_tenant_gpu.py")
@@ -89,6 +103,36 @@ def _sort_leg() -> dict:
     }
 
 
+def _cumsum_search(free: np.ndarray, ranks: np.ndarray,
+                   inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-claimant slot search ``claim_slots`` replaced."""
+    fits = ranks < free.sum(axis=1)[inverse]
+    items = np.flatnonzero(fits)
+    running = free[inverse[items]].cumsum(axis=1, dtype=np.uint8)
+    rank1 = (ranks[items] + 1).astype(np.uint8)
+    return fits, (running == rank1[:, None]).argmax(axis=1)
+
+
+def _placement_leg() -> dict:
+    rng = np.random.default_rng(5)
+    ranks, _, inverse = rank_within_group(rng.integers(0, CLAIM_ROWS,
+                                                       CLAIMANTS))
+    free = rng.random((CLAIM_ROWS, 32)) < 0.4
+    fits, slots = claim_slots(free, ranks, inverse)
+    want_fits, want_slots = _cumsum_search(free, ranks, inverse)
+    assert np.array_equal(fits, want_fits)
+    assert np.array_equal(slots, want_slots)
+    cumsum_s = _best_seconds(lambda: _cumsum_search(free, ranks, inverse))
+    claim_s = _best_seconds(lambda: claim_slots(free, ranks, inverse))
+    return {
+        "claimants": CLAIMANTS,
+        "rows": CLAIM_ROWS,
+        "cumsum_search_seconds": cumsum_s,
+        "claim_slots_seconds": claim_s,
+        "claim_slots_speedup": cumsum_s / claim_s,
+    }
+
+
 def _session_leg() -> dict:
     spec = importlib.util.spec_from_file_location("multi_tenant_gpu",
                                                   EXAMPLE)
@@ -105,7 +149,8 @@ def _session_leg() -> dict:
 
 
 def _run_all() -> dict:
-    return {"sorts": _sort_leg(), "session": _session_leg()}
+    return {"sorts": _sort_leg(), "placement": _placement_leg(),
+            "session": _session_leg()}
 
 
 def test_host_sorts(benchmark):
@@ -113,12 +158,17 @@ def test_host_sorts(benchmark):
     maybe_dump("BENCH_host_sorts", results)
 
     sorts, session = results["sorts"], results["session"]
+    placement = results["placement"]
     print()
     print(f"{SORT_N:,} elements, best of {REPEATS}: stable argsort "
           f"{sorts['argsort_seconds']:.3f}s, stable_order "
           f"{sorts['stable_order_seconds']:.3f}s; np.unique "
           f"{sorts['unique_seconds']:.3f}s, distinct check "
           f"{sorts['distinct_check_seconds']:.3f}s")
+    print(f"{CLAIMANTS:,} claimants over {CLAIM_ROWS:,} rows, best of "
+          f"{REPEATS}: cumsum search "
+          f"{placement['cumsum_search_seconds'] * 1e3:.2f}ms, claim_slots "
+          f"{placement['claim_slots_seconds'] * 1e3:.2f}ms")
     print("8M-key session: " + ", ".join(
         f"{key} {seconds:.1f}s" for key, seconds in session.items()))
     checks = [
@@ -128,6 +178,9 @@ def test_host_sorts(benchmark):
         (f"distinct check beats np.unique "
          f"({sorts['distinct_check_speedup']:.1f}x >= {DISTINCT_FLOOR}x)",
          sorts["distinct_check_speedup"] >= DISTINCT_FLOOR),
+        (f"claim_slots beats the cumsum search "
+         f"({placement['claim_slots_speedup']:.1f}x >= {PLACEMENT_FLOOR}x)",
+         placement["claim_slots_speedup"] >= PLACEMENT_FLOOR),
         ("both session tables ran",
          sorted(session) == ["dycuckoo_seconds", "megakv_static_seconds"]),
     ]

@@ -29,6 +29,7 @@ from repro.core.grouping import (first_occurrence_mask, last_occurrence_mask,
                                  rank_within_group)
 from repro.core.hashing import UniversalHash
 from repro.core.stats import MemoryFootprint, TableStats
+from repro.core.subtable import claim_slots
 from repro.errors import InvalidConfigError, InvalidKeyError
 from repro.gpusim.metrics import KernelCosts
 
@@ -277,16 +278,10 @@ class SlabHashTable(GpuHashTable):
             depth += 1
             ranks, unique_slabs, inverse = rank_within_group(slabs)
             rows = self.slab_keys[unique_slabs]
-            free_mask = (rows == EMPTY) | (rows == TOMBSTONE)
-            free_counts = free_mask.sum(axis=1)
-
-            can_place = ranks < free_counts[inverse]
-            if np.any(can_place):
+            can_place, slots = claim_slots(
+                (rows == EMPTY) | (rows == TOMBSTONE), ranks, inverse)
+            if len(slots):
                 items = pending[can_place]
-                item_rows = free_mask[inverse[can_place]]
-                running = item_rows.cumsum(axis=1)
-                target = (ranks[can_place] + 1)[:, None]
-                slots = (running == target).argmax(axis=1)
                 dest = slabs[can_place]
                 reused = self.slab_keys[dest, slots] == TOMBSTONE
                 self.tombstones -= int(reused.sum())

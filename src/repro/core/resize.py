@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.core.grouping import rank_within_group
 from repro.core.hashing import UniversalHash, unhashed
-from repro.core.subtable import EMPTY
+from repro.core.subtable import EMPTY, claim_slots
 from repro.errors import CapacityError, ResizeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -473,21 +473,12 @@ class ResizeController:
                 st.keys[src_buckets[mv_rows], mv_slots] = EMPTY
                 st.size -= len(mv_codes)
                 ranks, unique_dest, inverse = rank_within_group(mv_dest)
-                free_mask = st.keys[unique_dest] == EMPTY
-                free_counts = free_mask.sum(axis=1)
-                fits = ranks < free_counts[inverse]
-                if np.any(fits):
-                    # A narrow running count (8 bits for 32-slot
-                    # buckets), as in the insert path's placement.
-                    count_dtype = np.min_scalar_type(st.bucket_capacity)
-                    fit_rows = free_mask[inverse[fits]]
-                    running = fit_rows.cumsum(axis=1, dtype=count_dtype)
-                    slot_target = (ranks[fits] + 1).astype(
-                        count_dtype)[:, None]
-                    dslots = (running == slot_target).argmax(axis=1)
-                    st.keys[mv_dest[fits], dslots] = mv_codes[fits]
-                    st.values[mv_dest[fits], dslots] = mv_values[fits]
-                    st.size += int(fits.sum())
+                fits, dslots = claim_slots(st.keys[unique_dest] == EMPTY,
+                                           ranks, inverse)
+                fit_dest = mv_dest[fits]
+                st.keys[fit_dest, dslots] = mv_codes[fits]
+                st.values[fit_dest, dslots] = mv_values[fits]
+                st.size += len(dslots)
                 residual_codes = mv_codes[~fits]
                 residual_values = mv_values[~fits]
 

@@ -93,6 +93,30 @@ def match_slots(block: np.ndarray, codes: np.ndarray,
     return np.divmod(np.flatnonzero(match), block.shape[1])
 
 
+def claim_slots(free: np.ndarray, ranks: np.ndarray, inverse: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(fits, slots)``: each claimant's free slot in one placement round.
+
+    ``free`` is a ``(rows, bucket_capacity)`` mask of the free slots of
+    the round's claimed buckets; claimant ``i`` aims at row
+    ``inverse[i]`` and ranks ``ranks[i]``-th among that row's claimants
+    (the warp-vote order), so it takes the row's ``ranks[i]``-th free
+    slot.  One flat scan of the mask lists row ``g``'s free slots right
+    after those of rows ``0..g-1``, so each claimant's slot is one
+    gather, with no per-claimant copy of its row.  ``fits`` masks the
+    claimants whose row has a free slot for their rank; ``slots`` holds
+    those claimants' slots, in claimant order.
+    """
+    counts = free.sum(axis=1)
+    fits = ranks < counts[inverse]
+    claimants = np.flatnonzero(fits)
+    rows = inverse[claimants]
+    start = np.cumsum(counts) - counts
+    slots = np.flatnonzero(free)[start[rows] + ranks[claimants]]
+    slots -= rows * free.shape[1]
+    return fits, slots
+
+
 class MigrationState:
     """Dual-view bookkeeping for one in-flight incremental resize epoch.
 
@@ -294,30 +318,16 @@ class Subtable:
         buckets = np.asarray(buckets, dtype=np.int64)
         codes = np.asarray(codes, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
-        placed = np.zeros(len(buckets), dtype=bool)
-        if len(buckets) == 0:
-            return placed, placed.copy()
-
         ranks, unique_buckets, inverse = rank_within_group(buckets)
-        free_mask = self.keys[unique_buckets] == EMPTY        # (u, cap)
-        free_counts = free_mask.sum(axis=1)[inverse]
+        placed, slots = claim_slots(self.keys[unique_buckets] == EMPTY,
+                                    ranks, inverse)
+        dest = buckets[placed]
+        self.keys[dest, slots] = codes[placed]
+        self.values[dest, slots] = values[placed]
+        self.size += len(slots)
 
-        can_place = ranks < free_counts
-        if np.any(can_place):
-            items = np.flatnonzero(can_place)
-            item_rows = free_mask[inverse[items]]              # (m, cap)
-            # The rank-th free slot: position where the running count of
-            # free slots first reaches rank + 1.
-            running = item_rows.cumsum(axis=1)
-            target = (ranks[items] + 1)[:, None]
-            slots = (running == target).argmax(axis=1)
-            np_buckets = buckets[items]
-            self.keys[np_buckets, slots] = codes[items]
-            self.values[np_buckets, slots] = values[items]
-            placed[items] = True
-            self.size += len(items)
-
-        full_leader = (free_counts == 0) & (ranks == 0)
+        # A bucket's first claimant fails to place only if it is full.
+        full_leader = (ranks == 0) & ~placed
         return placed, full_leader
 
     def swap_slot(self, buckets: np.ndarray, slots: np.ndarray,

@@ -40,7 +40,7 @@ from repro.core.instruments import Instruments
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
-from repro.core.subtable import EMPTY, FlatStorage, Subtable
+from repro.core.subtable import EMPTY, FlatStorage, Subtable, claim_slots
 from repro.errors import (CapacityError, InvalidKeyError, ResizeError,
                           StashOverflowError)
 from repro.gpusim.kernel import estimate_lock_conflicts
@@ -629,7 +629,17 @@ class DyCuckooTable:
 
     def _update_existing(self, batch: EncodedBatch,
                          values: np.ndarray) -> np.ndarray:
-        """Overwrite values of keys already stored; return updated mask."""
+        """Overwrite values of keys already stored; return updated mask.
+
+        A table holding no entries (``len`` counts the stash) cannot be
+        hit, so the probe is skipped and only booked: every key misses
+        its first bucket, which is what the probe would have counted.
+        """
+        if not len(self):
+            n = len(batch)
+            self.stats.bucket_reads += 2 * n
+            self.stats.chain_hops += n
+            return np.zeros(n, dtype=bool)
         codes = batch.codes
 
         def write(t: int, buckets: np.ndarray, slots: np.ndarray,
@@ -959,12 +969,17 @@ class DyCuckooTable:
         """Claim slots for one round's keys, sorted by target.
 
         Keys aiming at one bucket are ranked (the warp-vote order) and
-        the k-th claims the k-th free slot.  The bucket locks are
-        accounted per subtable.  Subtables place in index order, and a
+        the k-th claims the k-th free slot: every claimed bucket of
+        every subtable is read once into one block, and
+        :func:`~repro.core.subtable.claim_slots` finds all the slots in
+        one flat scan of its free mask.  The slot writes and the bucket
+        locks run per subtable.  Subtables place in index order, and a
         full bucket in an upsizing subtable is migrated on access right
         after its own subtable places, so the migration sees exactly
-        the placements of subtables ``0..t``.  ``retry_hist`` is the
-        traced lock-retry histogram, or ``None`` untraced.
+        the placements of subtables ``0..t`` (it moves entries within
+        ``t`` only, so the block read up front stays valid).
+        ``retry_hist`` is the traced lock-retry histogram, or ``None``
+        untraced.
 
         Returns ``(placed, leaders, n_placed)``: the keys written to a
         free slot; the keys that found their bucket full and rank first
@@ -972,28 +987,29 @@ class DyCuckooTable:
         not one); and per-subtable placement counts.
         """
         d = self.num_tables
-        cap = self.config.bucket_capacity
         bounds = np.searchsorted(targets, np.arange(d + 1)).tolist()
         ranks, groups, inverse = rank_within_group((targets << 40) | buckets)
         group_cuts = np.searchsorted(
             groups, np.arange(d + 1, dtype=np.int64) << 40).tolist()
         group_buckets = groups & _BUCKET_MASK
-        free_rows: dict[int, np.ndarray] = {}
-        free_counts = np.empty(len(groups), dtype=np.int64)
+        # Every claimed bucket of every subtable, read once into one block.
+        block = np.empty((len(groups), self.config.bucket_capacity),
+                         dtype=np.uint64)
         for t, st in enumerate(self.subtables):
             lo, hi = group_cuts[t], group_cuts[t + 1]
             if lo < hi:
-                rows = st.keys[group_buckets[lo:hi]] == EMPTY  # (u, cap)
-                free_rows[t] = rows
-                free_counts[lo:hi] = np.count_nonzero(rows, axis=1)
-        placed = ranks < free_counts[inverse]
+                st.keys.take(group_buckets[lo:hi], axis=0, out=block[lo:hi],
+                             mode="clip")
+        # Only the free mask is read: dropping the block before the flat
+        # scan lists the free slots keeps a bulk load's peak RSS down.
+        free = block == EMPTY
+        del block
+        placed, slots = claim_slots(free, ranks, inverse)
         # A bucket's first claimant fails to place only if it is full.
         leaders = (ranks == 0) & ~placed
-        n_placed = np.zeros(d, dtype=np.int64)
-        # The narrowest unsigned running count that holds ``cap`` (8
-        # bits for the paper's 32-slot buckets) finds the rank-th free
-        # slot; no (items, cap) int64 temporary.
-        count_dtype = np.min_scalar_type(cap)
+        items = np.flatnonzero(placed)
+        item_cuts = items.searchsorted(bounds).tolist()
+        n_placed = np.diff(item_cuts)
         tel = self.telemetry
         for t, st in enumerate(self.subtables):
             lo, hi = bounds[t], bounds[t + 1]
@@ -1009,17 +1025,13 @@ class DyCuckooTable:
                 retry_hist.observe(conflicts)
                 tel.tracer.instant("lock.acquire", "lock", subtable=t,
                                    requests=hi - lo, conflicts=conflicts)
-            items = lo + np.flatnonzero(placed[lo:hi])
-            if len(items):
-                rows = free_rows[t][inverse[items] - group_cuts[t]]
-                running = rows.cumsum(axis=1, dtype=count_dtype)
-                rank1 = (ranks[items] + 1).astype(count_dtype)
-                slots = (running == rank1[:, None]).argmax(axis=1)
-                item_buckets = buckets[items]
-                st.keys[item_buckets, slots] = codes[items]
-                st.values[item_buckets, slots] = values[items]
-                st.size += len(items)
-                n_placed[t] = len(items)
+            a, b = item_cuts[t], item_cuts[t + 1]
+            if a < b:
+                it = items[a:b]
+                item_buckets = buckets[it]
+                st.keys[item_buckets, slots[a:b]] = codes[it]
+                st.values[item_buckets, slots[a:b]] = values[it]
+                st.size += b - a
             mig = st.migration
             if excluded is None and mig is not None and mig.kind == "upsize":
                 ev = lo + np.flatnonzero(leaders[lo:hi])

@@ -3,7 +3,8 @@
 ``DyCuckooTable._insert_pending`` runs each eviction round as one pass
 over every pending key, with only the storage touches left per
 subtable.  :class:`ReferenceTable` keeps the earlier round body, which
-visited the subtables one after another.  Twin tables fed the same
+visited the subtables one after another and found each claimant's slot
+in its own copy of the bucket's free mask.  Twin tables fed the same
 batches must agree on everything the round leaves behind: the
 ``TableStats`` counters, every subtable's keys, values and size, the
 stash, the victim counter, the chain-depth and lock-retry histograms,
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core import distribution
 from repro.core.config import DyCuckooConfig
+from repro.core.grouping import rank_within_group
 from repro.core.hashing import UNHASHED, unhashed
 from repro.core.instruments import Instruments
+from repro.core.subtable import EMPTY
 from repro.core.table import CHAIN_DEPTH_BUCKETS, DyCuckooTable
 from repro.errors import CapacityError, ResizeError
 from repro.faults import FaultPlan
@@ -141,8 +144,8 @@ class ReferenceTable(DyCuckooTable):
                     # contention heatmap (bucket < 2^40, so + == |).
                     prof.lock_grants_many(buckets.astype(np.int64)
                                           + (t << 40))
-                placed, full_leader = st.place_round(buckets, sel_codes,
-                                                     sel_values)
+                placed, full_leader = _reference_place(st, buckets,
+                                                       sel_codes, sel_values)
                 self.stats.bucket_writes += int(placed.sum())
 
                 ev = np.flatnonzero(full_leader)
@@ -293,6 +296,25 @@ class ReferenceTable(DyCuckooTable):
         slots = score.argmax(axis=1)
         ok = eligible[np.arange(m), slots]
         return slots, ok, alternates[np.arange(m), slots]
+
+
+def _reference_place(st, buckets: np.ndarray, codes: np.ndarray,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One subtable's placement round, as the reference round ran it:
+    each claimant copies its bucket's free mask and takes the slot where
+    the running count of free slots first reaches its rank + 1."""
+    ranks, unique_buckets, inverse = rank_within_group(buckets)
+    free_mask = st.keys[unique_buckets] == EMPTY              # (u, cap)
+    free_counts = free_mask.sum(axis=1)[inverse]
+    placed = ranks < free_counts
+    items = np.flatnonzero(placed)
+    if len(items):
+        running = free_mask[inverse[items]].cumsum(axis=1)
+        slots = (running == (ranks[items] + 1)[:, None]).argmax(axis=1)
+        st.keys[buckets[items], slots] = codes[items]
+        st.values[buckets[items], slots] = values[items]
+        st.size += len(items)
+    return placed, (free_counts == 0) & (ranks == 0)
 
 
 def twins(config: DyCuckooConfig, traced: bool = False,

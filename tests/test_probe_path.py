@@ -10,6 +10,8 @@ once per candidate plus once per eviction, and that a cohort kernel
 launch re-hashes only its evicted victims.  The one-pass probe is
 checked against a per-key walk that reads a key's first bucket and its
 second only on a miss: same hits, same slots, same second-bucket count.
+An insert into a table with no entries skips its update probe; a twin
+that always probes must end with the same counters and storage.
 """
 
 import numpy as np
@@ -22,8 +24,9 @@ from repro.core.hashing import HashStack, UniversalHash, make_table_hashes
 from repro.core.instruments import Instruments
 from repro.core.persistence import load_table, save_table
 from repro.core.subtable import Subtable
-from repro.core.table import DyCuckooTable, encode_keys
+from repro.core.table import DyCuckooTable, decode_keys, encode_keys
 from repro.kernels.insert import run_voter_insert_kernel
+from repro.oracle import twin_divergence
 from repro.telemetry import Profiler
 
 from .conftest import unique_keys
@@ -434,3 +437,96 @@ def test_loaded_and_copied_tables_hash_like_a_fresh_stack(tmp_path):
         assert np.array_equal(other.hash_stack.raw(codes, which), want)
         values, found = other.find(keys)
         assert found.all() and np.array_equal(values, keys)
+
+
+class AlwaysProbeTable(DyCuckooTable):
+    """A table whose insert probes for live keys even when it is empty."""
+
+    def _update_existing(self, batch: EncodedBatch,
+                         values: np.ndarray) -> np.ndarray:
+        codes = batch.codes
+
+        def write(t: int, buckets: np.ndarray, slots: np.ndarray,
+                  sel: np.ndarray) -> None:
+            self.subtables[t].values[buckets, slots] = values[sel]
+            self.stats.bucket_writes += len(sel)
+
+        updated, _ = self._probe(
+            batch, write,
+            lambda pending: self.stash.update(codes[pending],
+                                              values[pending]))
+        return updated
+
+
+def _probe_spy(pair, monkeypatch) -> list[int]:
+    """Record ``len(table)`` at each probe of ``pair[0]``."""
+    probed = []
+    probe = DyCuckooTable._probe
+
+    def spy(self, batch, touch, stash_op):
+        if self is pair[0]:
+            probed.append(len(self))
+        return probe(self, batch, touch, stash_op)
+
+    monkeypatch.setattr(DyCuckooTable, "_probe", spy)
+    return probed
+
+
+def _insert_both(pair, keys, values) -> None:
+    for table in pair:
+        table.insert(keys, values)
+    new, ref = pair
+    assert new.stats.snapshot() == ref.stats.snapshot()
+    assert twin_divergence(new, None, ref, None) == []
+
+
+@pytest.mark.parametrize("auto_resize", [True, False])
+def test_empty_table_insert_books_the_probe_it_skips(auto_resize,
+                                                     monkeypatch):
+    """An insert into a table with no entries skips the update probe
+    and books the reads and hops the probe would have: a fresh table, a
+    cleared one, a grown one emptied by deletes (with a downsize epoch
+    still open) and a bulk load with repeated keys."""
+    config = DyCuckooConfig(initial_buckets=64 if auto_resize else 1024,
+                            bucket_capacity=8, min_buckets=8,
+                            migration_budget=1, auto_resize=auto_resize,
+                            seed=23)
+    pair = new, _ = (DyCuckooTable(config), AlwaysProbeTable(config))
+    probed = _probe_spy(pair, monkeypatch)
+    keys = unique_keys(6000, seed=8)
+    _insert_both(pair, keys[:3000], keys[:3000])
+    for table in pair:
+        table.clear()
+    _insert_both(pair, keys[:4000], keys[:4000] + 1)
+    for part in np.array_split(keys[:4000], 8):
+        for table in pair:
+            table.delete(part)
+    assert len(new) == 0
+    if auto_resize:
+        assert new.stats.upsizes
+        assert any(st.migration is not None
+                   and st.migration.kind == "downsize"
+                   for st in new.subtables)
+    repeated = np.concatenate((keys[4000:], keys[4000:4500]))
+    _insert_both(pair, repeated, np.arange(len(repeated), dtype=np.uint64))
+    _insert_both(pair, keys[4000:4200], keys[4000:4200])
+    assert 0 not in probed
+    values, found = new.find(keys[4000:])
+    assert found.all() and np.array_equal(values[:200], keys[4000:4200])
+
+
+def test_stash_only_table_still_probes(monkeypatch):
+    """A table whose only entries sit in the stash counts them in its
+    length, so an insert of a stashed key updates it in the stash
+    instead of placing it a second time."""
+    pair = new, _ = (DyCuckooTable(_config()), AlwaysProbeTable(_config()))
+    probed = _probe_spy(pair, monkeypatch)
+    codes = encode_keys(unique_keys(3, seed=9))
+    for table in pair:
+        table._stash_pending(codes, codes, reason="test")
+    keys = decode_keys(codes)
+    _insert_both(pair, keys, keys + 7)
+    assert probed[0] == 3
+    assert new.stats.updates == 3 and len(new) == 3
+    values, found = new.find(keys)
+    assert found.all() and np.array_equal(values, keys + 7)

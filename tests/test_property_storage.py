@@ -10,8 +10,60 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DyCuckooConfig
-from repro.core.subtable import Subtable
+from repro.core.grouping import rank_within_group
+from repro.core.subtable import Subtable, claim_slots
 from repro.core.table import DyCuckooTable
+
+
+def cumsum_slot_search(free: np.ndarray, ranks: np.ndarray,
+                       inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-claimant slot search :func:`claim_slots` replaced.
+
+    Each claimant copies its row of the free mask; the rank-th free
+    slot is where the row's running count of free slots first reaches
+    rank + 1.
+    """
+    fits = ranks < free.sum(axis=1)[inverse]
+    items = np.flatnonzero(fits)
+    running = free[inverse[items]].cumsum(axis=1)
+    slots = (running == (ranks[items] + 1)[:, None]).argmax(axis=1)
+    return fits, slots
+
+
+@st.composite
+def claim_rounds(draw):
+    """A free mask (rows all free, all full or mixed) and claimants."""
+    capacity = draw(st.sampled_from([1, 8, 32]))
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    free = np.zeros((n_rows, capacity), dtype=bool)
+    for g in range(n_rows):
+        kind = draw(st.sampled_from(["free", "full", "mixed"]))
+        if kind == "free":
+            free[g] = True
+        elif kind == "mixed":
+            free[g] = draw(st.lists(st.booleans(), min_size=capacity,
+                                    max_size=capacity))
+    # Up to three claimants per slot, so some rows are over-claimed.
+    claimed = draw(st.lists(st.integers(min_value=0,
+                                        max_value=max(n_rows - 1, 0)),
+                            max_size=3 * capacity * n_rows))
+    return free, np.array(claimed, dtype=np.intp)
+
+
+class TestClaimSlots:
+    @given(claim_rounds())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cumsum_search(self, round_):
+        """The flat scan gives each claimant the slot the per-claimant
+        cumsum search gives: same values, dtypes and shapes."""
+        free, inverse = round_
+        ranks = rank_within_group(inverse)[0]
+        fits, slots = claim_slots(free, ranks, inverse)
+        want_fits, want_slots = cumsum_slot_search(free, ranks, inverse)
+        for got, want in ((fits, want_fits), (slots, want_slots)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert free[inverse[fits], slots].all()
 
 
 class TestPlaceRoundProperties:
