@@ -160,7 +160,9 @@ def check_invariants(table, check_fill: bool = False) -> None:
       and the overflow stash),
     * the 2x size discipline between subtables (Section IV-B),
     * the stash occupancy bound,
-    * ``len(table)`` equals the sum of subtable loads plus the stash.
+    * ``len(table)`` equals a recount of the stored entries plus the
+      stash, and ``table.total_slots`` (cached between resizes) a
+      recount of the subtables' slots.
 
     With ``check_fill`` the global filled factor must additionally sit
     inside ``[alpha, beta]`` unless a legitimate stop condition of
@@ -224,11 +226,17 @@ def _check_invariants(table, check_fill: bool) -> None:
             raise AssertionError(
                 "key stored in both a subtable and the stash"
             )
-    expected_len = sum(st.size for st in table.subtables) + len(table.stash)
+    expected_len = len(merged) + len(table.stash)
     if len(table) != expected_len:
         raise AssertionError(
-            f"len(table)={len(table)} disagrees with subtable loads "
+            f"len(table)={len(table)} disagrees with the stored entries "
             f"plus stash ({expected_len})"
+        )
+    slots = sum(st.total_slots for st in table.subtables)
+    if table.total_slots != slots:
+        raise AssertionError(
+            f"total_slots={table.total_slots} disagrees with the "
+            f"subtables' {slots} slots"
         )
     if check_fill:
         _check_fill_bounds(table)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.subtable import match_slots
-from repro.errors import InvalidConfigError
+from repro.errors import InvalidConfigError, InvalidKeyError
 
 #: Human-readable names for op codes (trace event labelling).
 _KIND_NAMES = {0: "insert", 1: "find", 2: "delete"}
@@ -66,7 +66,8 @@ class EncodedBatch:
     Everything is evaluated lazily so a batch never pays for hashes it
     does not use.  Indexing a batch by a slice or an index array
     returns a view whose hashes are read from this batch's caches,
-    never recomputed.
+    never recomputed.  A batch built by :meth:`hashed` arrives with its
+    caches filled and also carries the router's coin :attr:`draw`.
     """
 
     def __init__(self, table, keys) -> None:
@@ -76,12 +77,45 @@ class EncodedBatch:
         self.codes = encode_keys(np.asarray(keys, dtype=np.uint64))
         self._pair: tuple[np.ndarray, np.ndarray] | None = None
         self._candidates: np.ndarray | None = None
+        self._draw: np.ndarray | None = None
+
+    @classmethod
+    def hashed(cls, table, codes: np.ndarray, first: np.ndarray,
+               second: np.ndarray, candidate_raw: np.ndarray,
+               draw: np.ndarray) -> "EncodedBatch":
+        """A batch of encoded ``codes`` whose caches are already filled.
+
+        ``first``/``second`` are the pair targets, ``candidate_raw`` the
+        ``uint32[2, n]`` raw hashes under them and ``draw`` the routing
+        coin's draw per key, each equal to what ``table``'s own
+        functions give.  The sharded front-end hashes a batch for all of
+        its shards in one stacked pass and hands each shard its slice
+        this way.
+        """
+        batch = cls.__new__(cls)
+        batch.table = table
+        batch.codes = codes
+        batch._pair = (first, second)
+        batch._candidates = candidate_raw
+        batch._draw = draw
+        return batch
 
     def __len__(self) -> int:
         return len(self.codes)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
+
     def __getitem__(self, index) -> "EncodedBatch":
         return _BatchView(self, index)
+
+    @property
+    def draw(self) -> np.ndarray | None:
+        """The routing coin's draw per key for a batch built by
+        :meth:`hashed` (and its views), else ``None``: the router then
+        draws for just the keys it routes."""
+        return self._draw
 
     @property
     def first(self) -> np.ndarray:
@@ -195,12 +229,31 @@ class _BatchView(EncodedBatch):
         self._pair = None
         self._candidates = None
 
+    @property
+    def draw(self) -> np.ndarray | None:
+        draw = self._parent.draw
+        return None if draw is None else draw[self._index]
+
     def _hash_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         first, second = self._parent._pairs()
         return first[self._index], second[self._index]
 
     def _hash_candidates(self) -> np.ndarray:
         return self._parent.candidate_raw[:, self._index]
+
+
+def as_batch(table, keys) -> EncodedBatch:
+    """``keys`` as a batch for ``table``.
+
+    An :class:`EncodedBatch` built for ``table`` passes through as is;
+    one built for another table is rejected, since its hashes are the
+    other table's.  Anything else is encoded into a new batch.
+    """
+    if isinstance(keys, EncodedBatch):
+        if keys.table is not table:
+            raise InvalidKeyError("the batch was encoded for another table")
+        return keys
+    return EncodedBatch(table, keys)
 
 
 @dataclass(frozen=True)
@@ -224,7 +277,7 @@ class MixedBatchResult:
 
 def _runs(op_codes: np.ndarray):
     """Yield ``(kind, start, stop)`` for maximal same-kind runs."""
-    boundaries = np.flatnonzero(np.diff(op_codes)) + 1
+    boundaries = (op_codes[1:] != op_codes[:-1]).nonzero()[0] + 1
     starts = np.concatenate([[0], boundaries])
     stops = np.concatenate([boundaries, [len(op_codes)]])
     for start, stop in zip(starts, stops):
@@ -236,7 +289,8 @@ def check_mixed_batch(op_codes, keys, values=None,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Validate a mixed batch before any of it runs.
 
-    Returns ``(op_codes, keys, values)`` as ``int64``/``uint64`` arrays;
+    Returns ``(op_codes, keys, values)`` as ``int64``/``uint64`` arrays
+    (``keys`` may also be an :class:`EncodedBatch`, returned as is);
     ``values`` is ``None`` when the batch holds no insert (it is ignored
     then).  Raises :class:`~repro.errors.InvalidConfigError` on a shape
     mismatch, an op code outside ``OP_INSERT..OP_DELETE``, inserts
@@ -245,7 +299,8 @@ def check_mixed_batch(op_codes, keys, values=None,
     malformed batch is rejected before any part of it is applied.
     """
     op_codes = np.asarray(op_codes, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.uint64)
+    if not isinstance(keys, EncodedBatch):
+        keys = np.asarray(keys, dtype=np.uint64)
     if op_codes.shape != keys.shape:
         raise InvalidConfigError("op_codes and keys must have equal length")
     if len(op_codes) and (op_codes.min() < OP_INSERT
@@ -256,7 +311,7 @@ def check_mixed_batch(op_codes, keys, values=None,
         from repro.kernels.engine import resolve_engine
 
         resolve_engine(engine)
-    if not np.any(op_codes == OP_INSERT):
+    if not (op_codes == OP_INSERT).any():
         return op_codes, keys, None
     if values is None:
         raise InvalidConfigError("mixed batch with inserts needs values")
@@ -277,7 +332,8 @@ def execute_mixed(table, op_codes, keys, values=None,
     op_codes:
         Array of :data:`OP_INSERT` / :data:`OP_FIND` / :data:`OP_DELETE`.
     keys:
-        One key per operation.
+        One key per operation, or an :class:`EncodedBatch` of them
+        built for ``table``.
     values:
         One value per operation; required when any op is an insert
         (ignored at non-insert positions).
@@ -300,7 +356,7 @@ def execute_mixed(table, op_codes, keys, values=None,
         return MixedBatchResult(out_values, out_found, out_removed, runs)
 
     telemetry = table.telemetry
-    batch = EncodedBatch(table, keys)
+    batch = as_batch(table, keys)
     kernel_total = None
     batch_ctx = (telemetry.tracer.span("mixed.batch", "op", ops=n)
                  if telemetry.enabled else nullcontext())

@@ -18,6 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.hashing import MERSENNE_P, UniversalHash
+
+#: A coin draw is its raw hash over this (raw hashes lie in ``[0, p)``).
+_COIN_SCALE = float(int(MERSENNE_P))
+
+
+def coin_draws(raw: np.ndarray) -> np.ndarray:
+    """Coin draws in ``[0, 1)`` from raw values of a coin's hash."""
+    return raw.astype(np.float64) / _COIN_SCALE
+
 
 def theorem1_weights(sizes: np.ndarray, loads: np.ndarray) -> np.ndarray:
     """Per-subtable routing weights ``n_i / C(m_i, 2)``.
@@ -45,23 +55,25 @@ class _KeyDerivedCoin:
 
     def __init__(self, seed: int) -> None:
         rng = np.random.default_rng(seed)
-        from repro.core.hashing import MERSENNE_P, UniversalHash
-        self._hash = UniversalHash.random(rng)
-        self._scale = float(int(MERSENNE_P))
+        #: The coin's hash function; a caller that hashes codes under it
+        #: (the sharded front-end's stacked pass) turns the raw values
+        #: into draws with :func:`coin_draws`.
+        self.hash = UniversalHash.random(rng)
 
     def draw(self, codes: np.ndarray) -> np.ndarray:
-        return self._hash.raw(codes).astype(np.float64) / self._scale
+        return coin_draws(self.hash.raw(codes))
 
 
 class WeightedRouter:
     """Route fresh keys between their pair per Theorem 1."""
 
     def __init__(self, seed: int) -> None:
-        self._coin = _KeyDerivedCoin(seed)
+        self.coin = _KeyDerivedCoin(seed)
 
     def choose(self, codes: np.ndarray, first: np.ndarray,
                second: np.ndarray, sizes: np.ndarray,
-               loads: np.ndarray) -> np.ndarray:
+               loads: np.ndarray, draw: np.ndarray | None = None
+               ) -> np.ndarray:
         """Pick a target subtable for each key.
 
         Parameters
@@ -73,6 +85,9 @@ class WeightedRouter:
         sizes, loads:
             Current ``n_i`` (slots) and ``m_i`` (live entries) per
             subtable, indexed by subtable id.
+        draw:
+            The coin's draw per key when the caller already holds it
+            (a pre-hashed batch); ``None`` draws it from ``codes``.
         """
         first = np.asarray(first, dtype=np.int64)
         second = np.asarray(second, dtype=np.int64)
@@ -82,7 +97,8 @@ class WeightedRouter:
         w_first = weights[first]
         w_second = weights[second]
         p_first = w_first / (w_first + w_second)
-        draw = self._coin.draw(codes)
+        if draw is None:
+            draw = self.coin.draw(codes)
         return np.where(draw < p_first, first, second)
 
 
@@ -90,16 +106,18 @@ class UniformRouter:
     """Ablation baseline: ignore Theorem 1, flip a fair coin."""
 
     def __init__(self, seed: int) -> None:
-        self._coin = _KeyDerivedCoin(seed)
+        self.coin = _KeyDerivedCoin(seed)
 
     def choose(self, codes: np.ndarray, first: np.ndarray,
                second: np.ndarray, sizes: np.ndarray,
-               loads: np.ndarray) -> np.ndarray:
+               loads: np.ndarray, draw: np.ndarray | None = None
+               ) -> np.ndarray:
         first = np.asarray(first, dtype=np.int64)
         second = np.asarray(second, dtype=np.int64)
         if len(first) == 0:
             return first
-        draw = self._coin.draw(codes)
+        if draw is None:
+            draw = self.coin.draw(codes)
         return np.where(draw < 0.5, first, second)
 
 

@@ -9,16 +9,17 @@ order from one plain ``np.sort`` of the ids with each element's index
 packed into the low bits (numpy's SIMD sort, several times faster than
 its stable merge sort); small ones, and ids too wide to pack, use the
 stable argsort directly.  Either way the order is exactly
-``argsort(kind="stable")``.
+``argsort(kind="stable")``.  The duplicate masks of batched upserts and
+deletes come from the same order and a neighbour compare.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Inputs shorter than this take the stable argsort and ``np.unique``
-#: directly: below about a thousand elements they beat the packed sort
-#: and the sort-then-compare duplicate check (measured crossover).
+#: Inputs shorter than this take the stable argsort directly: below
+#: about a thousand elements it beats the packed sort (measured
+#: crossover), and a duplicate mask skips the all-distinct pre-check.
 SORT_CUTOFF = 1024
 
 
@@ -42,6 +43,8 @@ def _sorted_with_order(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             order = (packed & np.uint64((1 << shift) - 1)).astype(np.intp)
             packed >>= np.uint64(shift)
             return order, packed.astype(ids.dtype, copy=False)
+    # The function form: tests/test_grouping.py counts its calls to
+    # tell this fallback from the packed path.
     order = np.argsort(ids, kind="stable")
     return order, ids[order]
 
@@ -70,8 +73,8 @@ def rank_within_group(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     # A run of equal ids starts wherever the sorted id changes.
     run_start = np.ones(n, dtype=bool)
     np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    inverse_sorted = np.cumsum(run_start) - 1
+    starts = run_start.nonzero()[0]
+    inverse_sorted = run_start.cumsum() - 1
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = inverse_sorted
     ranks = np.empty(n, dtype=np.int64)
@@ -93,18 +96,36 @@ def _all_distinct(keys: np.ndarray) -> bool:
             or keys.dtype.kind not in "iu"):
         return False
     ordered = np.sort(keys)
-    return not np.any(ordered[1:] == ordered[:-1])
+    return not (ordered[1:] == ordered[:-1]).any()
+
+
+def _occurrence_mask(keys, last: bool) -> np.ndarray:
+    """Mask selecting one occurrence of each distinct key of a 1-D
+    array: the first, or with ``last`` the last.
+
+    In the stable order a key's occurrences form one run in input
+    order, so a neighbour compare marks each run's first (last) entry.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    if n < 2 or _all_distinct(keys):
+        return np.ones(n, dtype=bool)
+    order, ordered = _sorted_with_order(keys)
+    edge = np.empty(n, dtype=bool)
+    if last:
+        edge[-1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=edge[:-1])
+    else:
+        edge[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=edge[1:])
+    mask = np.zeros(n, dtype=bool)
+    mask[order[edge]] = True
+    return mask
 
 
 def first_occurrence_mask(keys: np.ndarray) -> np.ndarray:
     """Mask selecting the first occurrence of each distinct key, in order."""
-    keys = np.asarray(keys)
-    if _all_distinct(keys):
-        return np.ones(len(keys), dtype=bool)
-    _, first_idx = np.unique(keys, return_index=True)
-    mask = np.zeros(len(keys), dtype=bool)
-    mask[first_idx] = True
-    return mask
+    return _occurrence_mask(keys, last=False)
 
 
 def last_occurrence_mask(keys: np.ndarray) -> np.ndarray:
@@ -114,11 +135,4 @@ def last_occurrence_mask(keys: np.ndarray) -> np.ndarray:
     inside one batch, matching the deterministic replay of the paper's
     batched execution model.
     """
-    keys = np.asarray(keys)
-    if _all_distinct(keys):
-        return np.ones(len(keys), dtype=bool)
-    reversed_keys = keys[::-1]
-    _, first_idx_rev = np.unique(reversed_keys, return_index=True)
-    mask = np.zeros(len(keys), dtype=bool)
-    mask[len(keys) - 1 - first_idx_rev] = True
-    return mask
+    return _occurrence_mask(keys, last=True)

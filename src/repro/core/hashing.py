@@ -28,6 +28,12 @@ MERSENNE_P = np.uint64((1 << 31) - 1)
 _U64 = np.uint64
 _MASK31 = np.uint64((1 << 31) - 1)
 
+#: Most codes one hashing pass evaluates.  A pass allocates temporaries
+#: the size of its input (three more for a stacked one); in runs of
+#: this size they stay in cache, and a bulk load's hashing does not add
+#: megabytes to the process's peak RSS.
+HASH_CHUNK = 16384
+
 
 #: Raw-hash placeholder for a key not yet hashed under its target
 #: subtable; no 31-bit hash equals it (see ``DyCuckooTable._insert_pending``).
@@ -76,6 +82,43 @@ def _affine_mod_p(mixed: np.ndarray, a, b) -> np.ndarray:
     return mixed
 
 
+def _hash_pass(codes: np.ndarray, premix, a, b, which,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """One pass of :func:`_hash_codes`, into ``out`` when given."""
+    if which is not None:
+        premix, a, b = premix[which], a[which], b[which]
+    return _affine_mod_p(np.bitwise_xor(codes, premix, out=out), a, b)
+
+
+def _hash_codes(codes: np.ndarray, premix, a, b, which=None) -> np.ndarray:
+    """``(a * fold(code ^ premix) + b) mod p`` for every code.
+
+    ``premix``/``a``/``b`` are one function's constants, or stacked
+    constants that ``which`` indexes (broadcast with ``codes``).  Inputs
+    above :data:`HASH_CHUNK` elements are hashed in contiguous pieces of
+    at most that many codes, row by row, so every temporary stays
+    cache-sized.
+    """
+    if which is not None and np.ndim(which) == 0:
+        premix, a, b, which = premix[which], a[which], b[which], None
+    joint = codes if which is None else np.broadcast(codes, which)
+    if joint.size <= HASH_CHUNK:
+        return _hash_pass(codes, premix, a, b, which)
+    shape = joint.shape
+    width = shape[-1]
+    out = np.empty(shape, dtype=np.uint64)
+    codes = np.broadcast_to(codes, shape).reshape(-1, width)
+    if which is not None:
+        which = np.broadcast_to(which, shape).reshape(-1, width)
+    for r, row in enumerate(out.reshape(-1, width)):
+        for lo in range(0, width, HASH_CHUNK):
+            cols = slice(lo, lo + HASH_CHUNK)
+            _hash_pass(codes[r, cols], premix, a, b,
+                       None if which is None else which[r, cols],
+                       out=row[cols])
+    return out
+
+
 class UniversalHash:
     """One member of the universal family ``(a*k + b mod p) mod range``.
 
@@ -109,10 +152,8 @@ class UniversalHash:
 
     def raw(self, codes: np.ndarray) -> np.ndarray:
         """Return hash values in ``[0, p)`` for an array of uint64 codes."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        mixed = np.empty_like(codes)
-        np.bitwise_xor(codes, self.premix, out=mixed)
-        return _affine_mod_p(mixed, self.a, self.b)
+        return _hash_codes(np.asarray(codes, dtype=np.uint64), self.premix,
+                           self.a, self.b)
 
     def bucket(self, codes: np.ndarray, n_buckets: int) -> np.ndarray:
         """Return bucket indices in ``[0, n_buckets)``.
@@ -165,8 +206,7 @@ class HashStack:
 
     def raw(self, codes: np.ndarray, which: np.ndarray) -> np.ndarray:
         """Hash ``codes`` under the members ``which`` (broadcast together)."""
-        return _affine_mod_p(np.bitwise_xor(codes, self.premix[which]),
-                             self.a[which], self.b[which])
+        return _hash_codes(codes, self.premix, self.a, self.b, which)
 
 
 class PairHash:

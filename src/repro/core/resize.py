@@ -361,7 +361,7 @@ class ResizeController:
             mig = st.migration
             if mig is None:  # pragma: no cover - epochs listed while open
                 continue
-            pairs = np.flatnonzero(~mig.migrated)[:budget - moved]
+            pairs = (~mig.migrated).nonzero()[0][:budget - moved]
             if len(pairs) == 0:  # pragma: no cover - closed when drained
                 self._finish_epoch(target, st)
                 continue
@@ -411,7 +411,7 @@ class ResizeController:
         moved = 0
         while st.migration is not None:
             mig = st.migration
-            pairs = np.flatnonzero(~mig.migrated)
+            pairs = (~mig.migrated).nonzero()[0]
             if len(pairs) == 0:
                 self._finish_epoch(target, st)
                 break

@@ -73,7 +73,8 @@ class FlatStorage:
         a downsize epoch, with fewer rows); the arena is then stale and
         the owner must :meth:`adopt` again.
         """
-        rows = np.diff(self.row_offset, append=len(self.keys)).tolist()
+        ends = self.row_offset.tolist() + [len(self.keys)]
+        rows = [b - a for a, b in zip(ends, ends[1:])]
         return all(st.keys.base is self.keys
                    and st.values.base is self.values and len(st.keys) == n
                    for st, n in zip(subtables, rows))
@@ -90,7 +91,7 @@ def match_slots(block: np.ndarray, codes: np.ndarray,
     match, in ascending row order, with no per-row reduction.
     """
     match = np.equal(block, codes[:, None], out=out)
-    return np.divmod(np.flatnonzero(match), block.shape[1])
+    return np.divmod(match.ravel().nonzero()[0], block.shape[1])
 
 
 def claim_slots(free: np.ndarray, ranks: np.ndarray, inverse: np.ndarray
@@ -109,10 +110,10 @@ def claim_slots(free: np.ndarray, ranks: np.ndarray, inverse: np.ndarray
     """
     counts = free.sum(axis=1)
     fits = ranks < counts[inverse]
-    claimants = np.flatnonzero(fits)
+    claimants = fits.nonzero()[0]
     rows = inverse[claimants]
-    start = np.cumsum(counts) - counts
-    slots = np.flatnonzero(free)[start[rows] + ranks[claimants]]
+    start = counts.cumsum() - counts
+    slots = free.ravel().nonzero()[0][start[rows] + ranks[claimants]]
     slots -= rows * free.shape[1]
     return fits, slots
 

@@ -30,7 +30,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.core import distribution
-from repro.core.batch_ops import EncodedBatch
+from repro.core.batch_ops import EncodedBatch, as_batch
 from repro.core.config import DyCuckooConfig
 from repro.core.grouping import (first_occurrence_mask, last_occurrence_mask,
                                  rank_within_group)
@@ -63,7 +63,7 @@ def encode_keys(keys) -> np.ndarray:
     codes = np.asarray(keys, dtype=np.uint64)
     if codes.ndim != 1:
         raise InvalidKeyError(f"keys must be one-dimensional, got shape {codes.shape}")
-    if len(codes) and bool(np.any(codes == np.uint64(MAX_KEY + 1))):
+    if len(codes) and (codes == np.uint64(MAX_KEY + 1)).any():
         raise InvalidKeyError(f"keys must be <= {MAX_KEY}")
     return codes + np.uint64(1)
 
@@ -124,6 +124,8 @@ class DyCuckooTable:
         #: :meth:`geometry_changed`.
         self._resolver: Callable[[np.ndarray, np.ndarray],
                                  np.ndarray] | None = None
+        #: Cached :attr:`total_slots`, dropped with the resolver.
+        self._total_slots: int | None = None
         #: The attached instruments; see :meth:`attach`.
         self.instruments = Instruments()
         self.attach(None)
@@ -182,7 +184,10 @@ class DyCuckooTable:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(st.size for st in self.subtables) + len(self.stash)
+        live = len(self.stash)
+        for st in self.subtables:
+            live += st.size
+        return live
 
     @property
     def num_tables(self) -> int:
@@ -191,8 +196,13 @@ class DyCuckooTable:
 
     @property
     def total_slots(self) -> int:
-        """Allocated key slots across all subtables."""
-        return sum(st.total_slots for st in self.subtables)
+        """Allocated key slots across all subtables; cached until
+        :meth:`geometry_changed`."""
+        slots = self._total_slots
+        if slots is None:
+            slots = self._total_slots = sum(st.total_slots
+                                            for st in self.subtables)
+        return slots
 
     @property
     def load_factor(self) -> float:
@@ -326,9 +336,12 @@ class DyCuckooTable:
 
         Returns ``(values, found)``; ``values[i]`` is meaningful only
         where ``found[i]``.  Each lookup reads at most two buckets.
+        ``keys`` may also be an
+        :class:`~repro.core.batch_ops.EncodedBatch` built for this table,
+        as it may for :meth:`insert` and :meth:`delete`.
         """
         return self._traced_op("find", self._find_encoded,
-                               EncodedBatch(self, keys))
+                               as_batch(self, keys))
 
     def _traced_op(self, name: str, body, batch: EncodedBatch, *args):
         """Run one batched op ``body(batch, *args)`` inside its span."""
@@ -354,11 +367,11 @@ class DyCuckooTable:
         def stash_lookup(pending: np.ndarray):
             stash_values, hit = self.stash.lookup(codes[pending])
             values[pending[hit]] = stash_values[hit]
-            self.stats.stash_hits += int(hit.sum())
+            self.stats.stash_hits += int(np.count_nonzero(hit))
             return hit
 
         found, retried = self._probe(batch, read, stash_lookup)
-        hits = int(found.sum())
+        hits = int(np.count_nonzero(found))
         self.stats.find_hits += hits
         if self.telemetry.enabled:
             hist = self.telemetry.metrics.histogram("probe_length",
@@ -390,7 +403,7 @@ class DyCuckooTable:
         eviction budget), the table upsizes per Section IV-B.
         """
         self._traced_op("insert", self._insert_encoded,
-                        EncodedBatch(self, keys), values)
+                        as_batch(self, keys), values)
 
     def _insert_encoded(self, batch: EncodedBatch, values) -> None:
         """:meth:`insert` body over an encoded, *un-deduplicated* batch."""
@@ -411,14 +424,15 @@ class DyCuckooTable:
             values = values[keep]
 
         updated = self._update_existing(batch, values)
-        fresh = np.flatnonzero(~updated)
-        self.stats.updates += int(updated.sum())
+        fresh = (~updated).nonzero()[0]
+        self.stats.updates += len(batch) - len(fresh)
         if len(fresh):
             pending = batch[fresh]
             targets = self._router.choose(pending.codes, pending.first,
                                           pending.second,
                                           self.subtable_sizes(),
-                                          self.subtable_loads())
+                                          self.subtable_loads(),
+                                          draw=pending.draw)
             # Each fresh key starts with its target's hash, read from the
             # batch cache the update probe already filled.
             codes, raw = pending.codes, pending.raw_under(targets)
@@ -439,7 +453,7 @@ class DyCuckooTable:
         trigger a downsize.
         """
         return self._traced_op("delete", self._delete_encoded,
-                               EncodedBatch(self, keys))
+                               as_batch(self, keys))
 
     def _delete_encoded(self, batch: EncodedBatch) -> np.ndarray:
         """:meth:`delete` body over an encoded batch."""
@@ -450,7 +464,7 @@ class DyCuckooTable:
             return removed
         # Duplicate keys in one delete batch: only the first occurrence
         # can observe (and clear) the entry.
-        unique_idx = np.flatnonzero(first_occurrence_mask(batch.codes))
+        unique_idx = first_occurrence_mask(batch.codes).nonzero()[0]
         unique = batch[unique_idx]
         codes = unique.codes
 
@@ -462,7 +476,7 @@ class DyCuckooTable:
         removed_unique, _ = self._probe(
             unique, clear, lambda pending: self.stash.erase(codes[pending]))
         removed[unique_idx] = removed_unique
-        self.stats.delete_hits += int(removed_unique.sum())
+        self.stats.delete_hits += int(np.count_nonzero(removed_unique))
         if self.config.auto_resize:
             self._resizer.enforce_bounds()
             self._drain_migration()
@@ -559,15 +573,17 @@ class DyCuckooTable:
         its migration epoch calls this: the resize controller at each
         epoch open and finish and at a snapshot restore, :meth:`clear`,
         :meth:`copy` and :func:`~repro.core.persistence.load_table`.
-        Code that rebuilds a subtable directly must call it too.
+        Code that rebuilds a subtable directly must call it too.  The
+        cached :attr:`total_slots` goes with the resolver.
         """
         self._resolver = None
+        self._total_slots = None
 
     def _buckets_per_target(self, targets: np.ndarray,
                             raw: np.ndarray) -> np.ndarray:
         buckets = np.empty(len(raw), dtype=np.int64)
         for t in range(self.num_tables):
-            g = np.flatnonzero(targets == t)
+            g = (targets == t).nonzero()[0]
             if len(g):
                 buckets[g] = self.bucket_of_raw(t, raw[g])
         return buckets
@@ -622,7 +638,7 @@ class DyCuckooTable:
         self.stats.bucket_reads += len(batch) + retried
         self.stats.chain_hops += retried
         if len(self.stash):
-            pending = np.flatnonzero(~hit)
+            pending = (~hit).nonzero()[0]
             if len(pending):
                 hit[pending[stash_op(pending)]] = True
         return hit, retried
@@ -735,8 +751,10 @@ class DyCuckooTable:
                 # round (rather than after a long eviction stall) matches
                 # the paper's insertion-failure trigger while avoiding
                 # wasted eviction churn on a table that is simply full.
-                while ((len(self) + len(codes)) / self.total_slots
-                       > self.config.beta):
+                # A resize moves entries but never changes their count,
+                # so the live count is read once per round.
+                live = len(self) + len(codes)
+                while live / self.total_slots > self.config.beta:
                     if traced:
                         tel.tracer.instant(
                             "resize.trigger", "resize", reason="beta_bound",
@@ -761,7 +779,7 @@ class DyCuckooTable:
             raw = raw[order]
             if track_depths:
                 depths = depths[order]
-            todo = np.flatnonzero(raw == UNHASHED)
+            todo = (raw == UNHASHED).nonzero()[0]
             if len(todo):
                 raw[todo] = self.hash_stack.raw(codes[todo], targets[todo])
             buckets = self.bucket_resolver()(targets, raw)
@@ -775,7 +793,7 @@ class DyCuckooTable:
                 codes, values, targets, buckets, excluded,
                 retry_hist if traced else None)
 
-            lead = np.flatnonzero(leaders)
+            lead = leaders.nonzero()[0]
             good = lead
             if len(lead):
                 slots, ok, victim_alts = self._choose_victims(
@@ -789,8 +807,7 @@ class DyCuckooTable:
             if n_good:
                 victim_codes = np.empty(n_good, dtype=np.uint64)
                 victim_values = np.empty(n_good, dtype=np.uint64)
-                cuts = np.searchsorted(targets[good],
-                                       np.arange(d + 1)).tolist()
+                cuts = targets[good].searchsorted(np.arange(d + 1)).tolist()
                 for st, a, b in zip(self.subtables, cuts, cuts[1:]):
                     if a < b:
                         g = good[a:b]
@@ -807,7 +824,7 @@ class DyCuckooTable:
 
             # The next round holds, for each subtable in turn, its
             # victims and then its retries.
-            retry = np.flatnonzero(~(placed | leaders))
+            retry = (~(placed | leaders)).nonzero()[0]
             if n_good:
                 emit = np.concatenate(
                     (2 * targets[good], 2 * targets[retry] + 1)
@@ -875,7 +892,7 @@ class DyCuckooTable:
         :class:`StashOverflowError` — the error of last resort.
         """
         absorbed = self.stash.push(codes, values)
-        n_absorbed = int(absorbed.sum())
+        n_absorbed = int(np.count_nonzero(absorbed))
         self.stats.stash_pushes += n_absorbed
         if self.profiler.enabled:
             self.profiler.sample_stash(len(self.stash))
@@ -987,10 +1004,10 @@ class DyCuckooTable:
         not one); and per-subtable placement counts.
         """
         d = self.num_tables
-        bounds = np.searchsorted(targets, np.arange(d + 1)).tolist()
+        bounds = targets.searchsorted(np.arange(d + 1)).tolist()
         ranks, groups, inverse = rank_within_group((targets << 40) | buckets)
-        group_cuts = np.searchsorted(
-            groups, np.arange(d + 1, dtype=np.int64) << 40).tolist()
+        group_cuts = groups.searchsorted(
+            np.arange(d + 1, dtype=np.int64) << 40).tolist()
         group_buckets = groups & _BUCKET_MASK
         # Every claimed bucket of every subtable, read once into one block.
         block = np.empty((len(groups), self.config.bucket_capacity),
@@ -1007,9 +1024,9 @@ class DyCuckooTable:
         placed, slots = claim_slots(free, ranks, inverse)
         # A bucket's first claimant fails to place only if it is full.
         leaders = (ranks == 0) & ~placed
-        items = np.flatnonzero(placed)
+        items = placed.nonzero()[0]
         item_cuts = items.searchsorted(bounds).tolist()
-        n_placed = np.diff(item_cuts)
+        n_placed = np.array(item_cuts[1:]) - item_cuts[:-1]
         tel = self.telemetry
         for t, st in enumerate(self.subtables):
             lo, hi = bounds[t], bounds[t + 1]
@@ -1034,18 +1051,18 @@ class DyCuckooTable:
                 st.size += b - a
             mig = st.migration
             if excluded is None and mig is not None and mig.kind == "upsize":
-                ev = lo + np.flatnonzero(leaders[lo:hi])
+                ev = lo + leaders[lo:hi].nonzero()[0]
                 # Migrate-on-access: a full bucket in an upsizing
                 # subtable gets split to its post-resize view instead
                 # of evicting — the blocked keys retry next round
                 # against the (half-empty) migrated pair.
                 ev_pairs = buckets[ev] & np.int64(mig.num_pairs - 1)
                 unmig = ~mig.migrated[ev_pairs]
-                if np.any(unmig):
+                if unmig.any():
                     self._resizer.migrate_on_access(
                         t, np.unique(ev_pairs[unmig]))
                     leaders[ev[unmig]] = False
-        self.stats.bucket_writes += int(n_placed.sum())
+        self.stats.bucket_writes += len(items)
         return placed, leaders, n_placed
 
     def _choose_victims(self, targets: np.ndarray, buckets: np.ndarray,
@@ -1067,7 +1084,7 @@ class DyCuckooTable:
         d = self.num_tables
         cap = self.config.bucket_capacity
         m = len(buckets)
-        cuts = np.searchsorted(targets, np.arange(d + 1)).tolist()
+        cuts = targets.searchsorted(np.arange(d + 1)).tolist()
         bucket_keys = np.concatenate([                        # (m, cap), full
             st.bucket_keys(buckets[a:b])
             for st, a, b in zip(self.subtables, cuts, cuts[1:]) if a < b])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.batch_ops import EncodedBatch
+from repro.core.batch_ops import EncodedBatch, as_batch
 from repro.errors import InvalidConfigError
 
 #: Engines accepted by the ``run_*_kernel`` entry points.
@@ -40,10 +40,9 @@ def resolve_engine(engine: str) -> str:
 
 def kernel_batch(table, keys, codes: EncodedBatch | None) -> EncodedBatch:
     """The batch a ``run_*_kernel`` entry point runs on: ``codes`` when
-    the caller has already encoded it, else ``keys`` encoded now."""
-    if isinstance(codes, EncodedBatch):
-        return codes
-    return EncodedBatch(table, keys)
+    the caller has already encoded it, else ``keys``, which may itself
+    be an :class:`EncodedBatch` (see :func:`~repro.core.batch_ops.as_batch`)."""
+    return as_batch(table, keys if codes is None else codes)
 
 
 def launch(table, op: str, batch, engine: str, body):

@@ -342,7 +342,7 @@ def _run_insert(table, keys, values, voter: bool, engine: str,
     # and the table's current sizes/loads).
     targets = table._router.choose(batch.codes, batch.first, batch.second,
                                    table.subtable_sizes(),
-                                   table.subtable_loads())
+                                   table.subtable_loads(), draw=batch.draw)
     faults = table.faults
     if engine == "cohort":
         from repro.gpusim.cohort import cohort_insert

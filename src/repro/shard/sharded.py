@@ -19,10 +19,18 @@ schedule, so a hot shard can grow while a cooling shard shrinks.
 
 Semantics are exactly those of a single table:
 
-* all dispatch is vectorized scatter/gather — one boolean-mask pass per
-  shard, results written back in input positions;
-* duplicate keys land in the same shard, and scatter preserves input
-  order, so the batched duplicate rules (insert last-wins, delete
+* a batch is validated and encoded once, and hashed once for every
+  shard: one :class:`~repro.core.hashing.HashStack` holds the router's
+  function and each shard's pair, table and coin functions, so stacked
+  passes give every key its shard, its shard's pair, its two candidate
+  raw hashes and its routing coin.  Each shard receives its slice as a
+  pre-hashed :class:`~repro.core.batch_ops.EncodedBatch` and hashes
+  nothing but the victims its evictions move;
+* dispatch is one stable sort of the shard ids: each shard's keys are a
+  contiguous run of the sorted batch, and results are gathered back to
+  input positions with one scatter per output;
+* duplicate keys land in the same shard, and the stable sort preserves
+  input order, so the batched duplicate rules (insert last-wins, delete
   first-occurrence) carry over verbatim;
 * a mixed batch is scattered *whole*: per shard, the key-disjoint
   subsequence runs through :func:`repro.core.batch_ops.execute_mixed`,
@@ -46,14 +54,16 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.baselines.base import GpuHashTable
-from repro.core.batch_ops import MixedBatchResult, check_mixed_batch
+from repro.core.batch_ops import (EncodedBatch, MixedBatchResult,
+                                  check_mixed_batch)
 from repro.core.batch_ops import execute_mixed as _execute_mixed
 from repro.core.config import DyCuckooConfig, replace_config
-from repro.core.hashing import UniversalHash
+from repro.core.distribution import coin_draws
+from repro.core.hashing import HashStack, UniversalHash
 from repro.core.instruments import Instruments
 from repro.core.stats import MemoryFootprint, TableStats
 from repro.core.table import DyCuckooTable, encode_keys
-from repro.errors import InvalidConfigError
+from repro.errors import InvalidConfigError, InvalidKeyError
 from repro.gpusim.metrics import KernelCosts
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.aggregate import merge_registries
@@ -66,17 +76,84 @@ _SHARD_HASH_SALT = 0x5A4D
 _POOL_ERRORS = (BrokenProcessPool, OSError, pickle.PicklingError)
 
 
-def _shard_worker(shard: DyCuckooTable, op_codes, keys, values,
-                  engine: str | None):
+def _shard_worker(shard: DyCuckooTable, op_codes, batch: EncodedBatch,
+                  values, engine: str | None):
     """Run one shard's mixed subsequence in a worker process.
 
     The shard table travels by value (pickle), mutates in the worker,
     and is shipped back whole; the parent replaces its copy only after
     every shard's future has resolved, so a failed batch leaves the
-    parent's shards untouched.
+    parent's shards untouched.  ``batch`` is the shard's pre-hashed
+    slice; it is pickled in the same call as ``shard``, so in the
+    worker it still refers to the shard it was built for.
     """
-    result = _execute_mixed(shard, op_codes, keys, values, engine=engine)
+    result = _execute_mixed(shard, op_codes, batch, values, engine=engine)
     return shard, result
+
+
+class _ShardHashes:
+    """Every hash function a sharded batch needs, in one stack.
+
+    Member 0 is the shard router's function; then, for each shard in
+    turn, its pair hash, its ``d`` table hashes and its routing coin's
+    hash (shards may differ in ``d``).  The lookup arrays map a shard id
+    to its members, and a *global pair*, shard ``s``'s partition ``p``
+    at ``pair_base[s] + p``, to its two subtables and their members, so
+    one stacked call hashes every key under its own shard's function.
+    """
+
+    def __init__(self, router: UniversalHash,
+                 shards: list[DyCuckooTable]) -> None:
+        #: The functions the stack copied, to tell when it is stale.
+        self.members = self.members_of(shards)
+        hashes = [router]
+        pair, coin, pair_base, num_pairs = [], [], [], []
+        first, second, member_first, member_second = [], [], [], []
+        for shard in shards:
+            pair.append(len(hashes))
+            hashes.append(shard.pair_hash.hash)
+            base = len(hashes)
+            hashes.extend(shard.table_hashes)
+            coin.append(len(hashes))
+            hashes.append(shard._router.coin.hash)
+            pair_base.append(len(first))
+            num_pairs.append(shard.pair_hash.num_pairs)
+            for i, j in shard.pair_hash.pairs.tolist():
+                first.append(i)
+                second.append(j)
+                member_first.append(base + i)
+                member_second.append(base + j)
+        self.stack = HashStack(hashes)
+        self.pair = np.array(pair, dtype=np.intp)
+        self.coin = np.array(coin, dtype=np.intp)
+        self.pair_base = np.array(pair_base, dtype=np.intp)
+        self.num_pairs = np.array(num_pairs, dtype=np.uint32)
+        self.first = np.array(first, dtype=np.int64)
+        self.second = np.array(second, dtype=np.int64)
+        self.member_first = np.array(member_first, dtype=np.intp)
+        self.member_second = np.array(member_second, dtype=np.intp)
+
+    @staticmethod
+    def members_of(shards: list[DyCuckooTable]) -> list:
+        """The function objects a stack over ``shards`` copies.  A
+        table's ``hash_stack`` is rebuilt whenever one of its table
+        hashes is replaced, so it stands for all of them."""
+        return [member for shard in shards
+                for member in (shard.pair_hash.hash, shard.hash_stack,
+                               shard._router.coin.hash)]
+
+    def current(self, shards: list[DyCuckooTable]) -> bool:
+        """True while every function the stack copied is still in use
+        (a shard replaced by its pickle brings new objects)."""
+        return all(a is b for a, b in zip(self.members,
+                                          self.members_of(shards)))
+
+
+def _unsort(order: np.ndarray, grouped: np.ndarray) -> np.ndarray:
+    """Values listed in ``order`` (shard order) back in input order."""
+    out = np.empty_like(grouped)
+    out[order] = grouped
+    return out
 
 
 class ShardedDyCuckoo(GpuHashTable):
@@ -154,6 +231,9 @@ class ShardedDyCuckoo(GpuHashTable):
         self._shard_bits = num_shards.bit_length() - 1
         rng = np.random.default_rng(self.config.seed ^ _SHARD_HASH_SALT)
         self._shard_hash = UniversalHash.random(rng)
+        #: Every shard's hash functions stacked; rebuilt when a shard's
+        #: functions change (see :meth:`_hashes`).
+        self._stacked: _ShardHashes | None = None
         #: Requested worker-process count for ``execute_mixed``.
         #: ``None``/0/1 means serial; capped at ``num_shards``.
         self.parallel_workers = parallel_workers
@@ -166,60 +246,119 @@ class ShardedDyCuckoo(GpuHashTable):
 
     def shard_ids(self, keys) -> np.ndarray:
         """Shard index per key: the top ``log2(S)`` bits of the hash."""
-        return self._shard_of_codes(encode_keys(keys))
-
-    def _shard_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        codes = encode_keys(keys)
         if self._shard_bits == 0:
             return np.zeros(len(codes), dtype=np.int64)
-        raw = self._shard_hash.raw(codes)  # 31-bit values
-        return (raw >> np.uint64(31 - self._shard_bits)).astype(np.int64)
+        return self._shard_of_codes(self._hashes(), codes).astype(np.int64)
 
-    def _scatter(self, keys) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Return ``(codes, per-shard index arrays)`` for one batch."""
+    def _hashes(self) -> _ShardHashes:
+        stacked = self._stacked
+        if stacked is None or not stacked.current(self.shards):
+            stacked = self._stacked = _ShardHashes(self._shard_hash,
+                                                   self.shards)
+        return stacked
+
+    def _shard_of_codes(self, hashes: _ShardHashes,
+                        codes: np.ndarray) -> np.ndarray:
+        """Shard id per code (``S >= 2``), in the narrowest unsigned type."""
+        raw = hashes.stack.raw(codes, 0)  # 31-bit values
+        return (raw >> np.uint64(31 - self._shard_bits)).astype(
+            np.min_scalar_type(self.num_shards - 1))
+
+    def _scatter(self, keys) -> tuple[np.ndarray,
+                                      list[EncodedBatch | None]]:
+        """Encode and hash one batch for every shard.
+
+        Returns ``(order, batches)``.  ``order`` lists the batch's
+        positions grouped by shard, each shard's in input order: it is
+        one stable sort of the shard ids.  ``batches[s]`` is shard
+        ``s``'s pre-hashed batch, the keys at the next ``len(batch)``
+        positions of ``order``, or ``None`` when the shard has none.
+        Three stacked hash calls serve every shard: the shard ids, the
+        pair partitions, and then the candidate raw hashes together
+        with the routing coin.
+        """
         codes = encode_keys(keys)
-        ids = self._shard_of_codes(codes)
-        return codes, [np.flatnonzero(ids == s)
-                       for s in range(self.num_shards)]
+        hashes = self._hashes()
+        n = len(codes)
+        if self._shard_bits == 0:
+            order = np.arange(n)
+            ids = np.zeros(n, dtype=np.uint8)
+        else:
+            ids = self._shard_of_codes(hashes, codes)
+            # Shard ids fit a narrow unsigned type, which numpy's stable
+            # sort orders by radix.
+            order = ids.argsort(kind="stable")
+            ids = ids[order]
+            codes = codes[order]
+        cuts = ids.searchsorted(np.arange(self.num_shards + 1)).tolist()
+        part = (hashes.stack.raw(codes, hashes.pair[ids]).astype(np.uint32)
+                % hashes.num_pairs[ids])
+        pair = hashes.pair_base[ids]
+        pair += part
+        first, second = hashes.first[pair], hashes.second[pair]
+        which = np.empty((3, n), dtype=np.intp)
+        hashes.member_first.take(pair, out=which[0])
+        hashes.member_second.take(pair, out=which[1])
+        hashes.coin.take(ids, out=which[2])
+        raw = hashes.stack.raw(codes, which).astype(np.uint32)
+        candidates = raw[:2]
+        draw = coin_draws(raw[2])
+        batches = [
+            EncodedBatch.hashed(shard, codes[a:b], first[a:b], second[a:b],
+                                candidates[:, a:b], draw[a:b])
+            if a < b else None
+            for shard, a, b in zip(self.shards, cuts, cuts[1:])]
+        return order, batches
 
     # ------------------------------------------------------------------
     # Batched operations (vectorized scatter/gather)
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _spans(batches):
+        """``(shard index, batch, start, stop)`` per shard with keys:
+        its keys sit at ``order[start:stop]`` (see :meth:`_scatter`)."""
+        start = 0
+        for idx, batch in enumerate(batches):
+            if batch is not None:
+                stop = start + len(batch)
+                yield idx, batch, start, stop
+                start = stop
+
     def insert(self, keys, values) -> None:
         """Upsert a batch; each shard ingests its key-disjoint slice."""
         keys = np.asarray(keys, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
-        _codes, selections = self._scatter(keys)
+        if values.shape != keys.shape:
+            raise InvalidKeyError(
+                f"values shape {values.shape} != keys shape {keys.shape}")
+        order, batches = self._scatter(keys)
+        values = values[order]
         ctx = (self.telemetry.tracer.span("shard.insert", "shard",
                                           n=len(keys))
                if self.telemetry.enabled else nullcontext())
         with ctx:
-            for shard, sel in zip(self.shards, selections):
-                if len(sel):
-                    shard.insert(keys[sel], values[sel])
+            for idx, batch, a, b in self._spans(batches):
+                self.shards[idx].insert(batch, values[a:b])
 
     def find(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Look up a batch; results gathered back to input positions."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        _codes, selections = self._scatter(keys)
-        values = np.zeros(len(keys), dtype=np.uint64)
-        found = np.zeros(len(keys), dtype=bool)
-        for shard, sel in zip(self.shards, selections):
-            if len(sel):
-                shard_values, shard_found = shard.find(keys[sel])
-                values[sel] = shard_values
-                found[sel] = shard_found
-        return values, found
+        order, batches = self._scatter(keys)
+        n = len(order)
+        values = np.empty(n, dtype=np.uint64)
+        found = np.empty(n, dtype=bool)
+        for idx, batch, a, b in self._spans(batches):
+            values[a:b], found[a:b] = self.shards[idx].find(batch)
+        return _unsort(order, values), _unsort(order, found)
 
     def delete(self, keys) -> np.ndarray:
         """Delete a batch; removed mask gathered to input positions."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        _codes, selections = self._scatter(keys)
-        removed = np.zeros(len(keys), dtype=bool)
-        for shard, sel in zip(self.shards, selections):
-            if len(sel):
-                removed[sel] = shard.delete(keys[sel])
-        return removed
+        order, batches = self._scatter(keys)
+        removed = np.empty(len(order), dtype=bool)
+        for idx, batch, a, b in self._spans(batches):
+            removed[a:b] = self.shards[idx].delete(batch)
+        return _unsort(order, removed)
 
     def contains(self, keys) -> np.ndarray:
         """Membership test for a batch of keys."""
@@ -253,44 +392,48 @@ class ShardedDyCuckoo(GpuHashTable):
         op_codes, keys, values = check_mixed_batch(op_codes, keys, values,
                                                    engine)
         n = len(keys)
-        out_values = np.zeros(n, dtype=np.uint64)
-        out_found = np.zeros(n, dtype=bool)
-        out_removed = np.zeros(n, dtype=bool)
         runs = 0
         kernel_total = None
         if n == 0:
-            return MixedBatchResult(out_values, out_found, out_removed, runs)
-        _codes, selections = self._scatter(keys)
+            return MixedBatchResult(np.zeros(n, dtype=np.uint64),
+                                    np.zeros(n, dtype=bool),
+                                    np.zeros(n, dtype=bool), runs)
+        order, batches = self._scatter(keys)
+        op_codes = op_codes[order]
+        if values is not None:
+            values = values[order]
+        work = [(idx, op_codes[a:b], batch,
+                 values[a:b] if values is not None else None)
+                for idx, batch, a, b in self._spans(batches)]
         results = None
-        if self._parallel_eligible(selections):
-            results = self._execute_shards_parallel(
-                selections, op_codes, keys, values, engine)
+        if self._parallel_eligible(batches):
+            results = self._execute_shards_parallel(work, engine)
         if results is None:
-            results = [
-                _execute_mixed(shard, op_codes[sel], keys[sel],
-                               values[sel] if values is not None else None,
-                               engine=engine)
-                if len(sel) else None
-                for shard, sel in zip(self.shards, selections)
-            ]
-        for sel, result in zip(selections, results):
-            if result is None:
-                continue
-            out_values[sel] = result.values
-            out_found[sel] = result.found
-            out_removed[sel] = result.removed
+            results = [_execute_mixed(self.shards[idx], shard_ops, batch,
+                                      shard_values, engine=engine)
+                       for idx, shard_ops, batch, shard_values in work]
+        out_values = np.empty(n, dtype=np.uint64)
+        out_found = np.empty(n, dtype=bool)
+        out_removed = np.empty(n, dtype=bool)
+        for (_idx, batch, a, b), result in zip(self._spans(batches),
+                                               results):
+            out_values[a:b] = result.values
+            out_found[a:b] = result.found
+            out_removed[a:b] = result.removed
             runs += result.runs
             if result.kernel is not None:
                 kernel_total = (result.kernel if kernel_total is None
                                 else kernel_total.merge(result.kernel))
-        return MixedBatchResult(out_values, out_found, out_removed, runs,
+        return MixedBatchResult(_unsort(order, out_values),
+                                _unsort(order, out_found),
+                                _unsort(order, out_removed), runs,
                                 kernel_total)
 
     # ------------------------------------------------------------------
     # Parallel shard execution
     # ------------------------------------------------------------------
 
-    def _parallel_eligible(self, selections) -> bool:
+    def _parallel_eligible(self, batches) -> bool:
         """True when this batch may run on the process pool.
 
         Requires ``parallel_workers >= 2``, more than one shard with
@@ -304,7 +447,7 @@ class ShardedDyCuckoo(GpuHashTable):
             return False
         if self.parallel_workers is None or self.parallel_workers < 2:
             return False
-        if sum(1 for sel in selections if len(sel)) < 2:
+        if sum(1 for batch in batches if batch is not None) < 2:
             return False
         return not self.instruments.active
 
@@ -314,37 +457,28 @@ class ShardedDyCuckoo(GpuHashTable):
                 max_workers=min(self.parallel_workers, self.num_shards))
         return self._executor
 
-    def _execute_shards_parallel(self, selections, op_codes, keys, values,
-                                 engine):
+    def _execute_shards_parallel(self, work, engine):
         """Fan shard subsequences out to the pool; barrier, then merge.
 
-        Returns per-shard results aligned with ``selections`` (``None``
-        for idle shards), or ``None`` to request the serial fallback
-        after an infrastructure failure.  Shard replacement happens
-        only after *every* future resolves, so both an application
-        error (which propagates) and a pool failure leave the parent's
-        shards exactly as they were.
+        ``work`` holds ``(shard index, op codes, batch, values)`` per
+        shard with keys.  Returns their results in the same order, or
+        ``None`` to request the serial fallback after an infrastructure
+        failure.  Shard replacement happens only after *every* future
+        resolves, so both an application error (which propagates) and a
+        pool failure leave the parent's shards exactly as they were.
         """
         try:
             executor = self._ensure_executor()
             futures = [
-                executor.submit(
-                    _shard_worker, shard, op_codes[sel], keys[sel],
-                    values[sel] if values is not None else None, engine)
-                if len(sel) else None
-                for shard, sel in zip(self.shards, selections)
-            ]
-            collected = [future.result() if future is not None else None
-                         for future in futures]
+                executor.submit(_shard_worker, self.shards[idx], shard_ops,
+                                batch, shard_values, engine)
+                for idx, shard_ops, batch, shard_values in work]
+            collected = [future.result() for future in futures]
         except _POOL_ERRORS:
             self._shutdown_pool(broken=True)
             return None
         results = []
-        for idx, entry in enumerate(collected):
-            if entry is None:
-                results.append(None)
-                continue
-            shard, result = entry
+        for (idx, *_rest), (shard, result) in zip(work, collected):
             self.shards[idx] = shard
             results.append(result)
         return results
@@ -455,7 +589,7 @@ class ShardedDyCuckoo(GpuHashTable):
             all_keys.append(shard_keys)
             if len(shard_keys):
                 routed = self.shard_ids(shard_keys)
-                if not bool(np.all(routed == idx)):
+                if not (routed == idx).all():
                     raise AssertionError(
                         f"shard {idx} stores a key routed to shard "
                         f"{int(routed[routed != idx][0])}"

@@ -239,10 +239,12 @@ class TestOccurrenceMasksAboveCutoff:
         _assert_same_arrays(last_occurrence_mask(keys),
                             _unique_last_mask(keys))
 
-    @pytest.mark.parametrize("n, fast", [(SORT_CUTOFF - 1, False),
-                                         (SORT_CUTOFF, True)],
+    @pytest.mark.parametrize("n", [SORT_CUTOFF - 1, SORT_CUTOFF],
                              ids=["below-cutoff", "at-cutoff"])
-    def test_distinct_keys_skip_unique(self, monkeypatch, n, fast):
+    def test_distinct_keys_skip_unique(self, monkeypatch, n):
+        """No mask calls ``np.unique``: below the cutoff a stable sort
+        and a neighbour compare build it, at the cutoff and above an
+        all-distinct check returns it at once."""
         keys = np.arange(n, dtype=np.uint64)[::-1].copy()
         calls = []
         unique = np.unique
@@ -254,4 +256,29 @@ class TestOccurrenceMasksAboveCutoff:
         monkeypatch.setattr(np, "unique", counting_unique)
         assert first_occurrence_mask(keys).all()
         assert last_occurrence_mask(keys).all()
-        assert len(calls) == (0 if fast else 2)
+        keys[-1] = keys[0]
+        assert np.count_nonzero(first_occurrence_mask(keys)) == n - 1
+        assert not last_occurrence_mask(keys)[0]
+        assert calls == []
+
+
+def _below_cutoff_inputs():
+    """Every length below the cutoff, each in four key shapes."""
+    rng = np.random.default_rng(43)
+    for n in range(SORT_CUTOFF):
+        yield np.arange(n, dtype=np.uint64)[rng.permutation(n)]
+        yield rng.integers(0, max(1, n // 3), n).astype(np.uint64)
+        yield rng.integers(-n - 1, n + 1, n).astype(np.int64)
+        yield (rng.integers(0, max(1, n // 2), n).astype(np.uint64)
+               + np.uint64(2 ** 63))
+
+
+def test_masks_below_cutoff_match_unique_oracle():
+    """Below :data:`SORT_CUTOFF` the stable-sort masks equal the
+    ``np.unique`` oracle at every length: distinct keys, repeats,
+    negative ids and uint64 ids at or above ``2**63``."""
+    for keys in _below_cutoff_inputs():
+        _assert_same_arrays(first_occurrence_mask(keys),
+                            _unique_first_mask(keys))
+        _assert_same_arrays(last_occurrence_mask(keys),
+                            _unique_last_mask(keys))

@@ -152,6 +152,31 @@ def test_hash_stack_matches_each_member():
     assert np.array_equal(stack.raw(keys, which), want)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20],
+                         ids=["one-code", "uneven", "even", "one-pass"])
+def test_chunked_hashing_matches_one_pass(monkeypatch, chunk):
+    """Hashing in ``HASH_CHUNK``-code pieces gives every value, dtype and
+    shape of one pass: one function, a stacked selector of one row or
+    of ``(3, n)``, and one member for every code."""
+    from repro.core import hashing
+
+    rng = np.random.default_rng(5)
+    hashes = make_table_hashes(5, rng)
+    stack = HashStack(hashes)
+    keys = rng.integers(0, 1 << 63, 320, dtype=np.int64).astype(np.uint64)
+    which = rng.integers(0, 5, (3, len(keys)))
+    calls = [lambda: hashes[2].raw(keys), lambda: stack.raw(keys, which),
+             lambda: stack.raw(keys, which[1]), lambda: stack.raw(keys, 4)]
+    want = [call() for call in calls]
+    monkeypatch.setattr(hashing, "HASH_CHUNK", chunk)
+    for call, expected in zip(calls, want):
+        got = call()
+        assert got.dtype == expected.dtype == np.uint64
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    assert np.array_equal(want[3], hashes[4].raw(keys))
+
+
 class TestPairHash:
     def test_pair_enumeration(self):
         rng = np.random.default_rng(0)

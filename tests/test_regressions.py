@@ -66,7 +66,7 @@ class TestKernelUpsertDuplication:
         assert bool(table.delete(low_key)[0])  # hole below high_key
         # Pin the router so the kernel re-inspects exactly this bucket.
         table._router.choose = (
-            lambda codes, first, second, sizes, loads:
+            lambda codes, first, second, sizes, loads, draw=None:
             np.full(len(codes), t_idx, dtype=np.int64))
         kernel(table, high_key, high_key + np.uint64(7))
 
@@ -84,11 +84,11 @@ class TestKernelUpsertDuplication:
         keys = unique_keys(50, seed=41)
         # Place every key in the *first* subtable of its pair...
         table._router.choose = (
-            lambda codes, first, second, sizes, loads: first)
+            lambda codes, first, second, sizes, loads, draw=None: first)
         table.insert(keys, keys)
         # ...then drive the kernel at the *second*.
         table._router.choose = (
-            lambda codes, first, second, sizes, loads: second)
+            lambda codes, first, second, sizes, loads, draw=None: second)
         kernel(table, keys, keys + np.uint64(3))
 
         table.validate()  # used to raise: duplicate key across subtables

@@ -1,15 +1,20 @@
 """Tests for the sharded front-end (:mod:`repro.shard`)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
-                                  execute_mixed)
+                                  EncodedBatch, execute_mixed)
 from repro.core.config import DyCuckooConfig, replace_config
+from repro.core.hashing import HashStack, UniversalHash
 from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
-from repro.errors import InvalidConfigError
+from repro.errors import InvalidConfigError, InvalidKeyError
 from repro.gpusim.device import GTX_1080, partition_device
+from repro.kernels.find import run_find_kernel
+from repro.oracle import mixed_batch, twin_divergence
 from repro.shard import (ShardedDyCuckoo, simulate_shard_speedup,
                          speedup_for_table)
 from repro.telemetry import Telemetry
@@ -332,3 +337,174 @@ class TestCostModel:
             simulate_shard_speedup([{}, {}], [1])
         with pytest.raises(InvalidConfigError, match="at least one"):
             simulate_shard_speedup([], [])
+
+
+def _assert_hashed_like_each_shard(table, keys):
+    """Every shard's pre-hashed batch equals what the shard's own
+    ``EncodedBatch`` and router compute for its keys."""
+    order, batches = table._scatter(keys)
+    ids = table.shard_ids(keys)
+    start = 0
+    for idx, (shard, batch) in enumerate(zip(table.shards, batches)):
+        mine = np.flatnonzero(ids == idx)
+        if batch is None:
+            assert len(mine) == 0
+            continue
+        stop = start + len(batch)
+        assert np.array_equal(order[start:stop], mine)
+        own = EncodedBatch(shard, keys[mine])
+        assert batch.table is shard
+        assert np.array_equal(batch.codes, own.codes)
+        assert np.array_equal(batch.first, own.first)
+        assert np.array_equal(batch.second, own.second)
+        assert batch.candidate_raw.dtype == own.candidate_raw.dtype
+        assert np.array_equal(batch.candidate_raw, own.candidate_raw)
+        assert own.draw is None
+        assert np.array_equal(batch.draw, shard._router.coin.draw(own.codes))
+        start = stop
+    assert start == len(keys)
+
+
+def _mixed_d_configs(routing):
+    return [DyCuckooConfig(num_tables=d, routing=routing, initial_buckets=8,
+                           min_buckets=8, seed=11 * d + 1)
+            for d in (2, 3, 4, 8)]
+
+
+class TestStackedHashing:
+    """One stacked pass hashes a batch for every shard exactly as each
+    shard's own pair, table and coin functions do."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_matches_each_shard(self, num_shards):
+        table = small_sharded(num_shards=num_shards)
+        keys = unique_keys(3000, seed=51)
+        _assert_hashed_like_each_shard(table, keys)
+        _assert_hashed_like_each_shard(table, keys[:7])
+        _assert_hashed_like_each_shard(table, keys[:0])
+
+    @pytest.mark.parametrize("routing", ["weighted", "uniform"])
+    def test_matches_shards_of_unequal_d(self, routing):
+        table = ShardedDyCuckoo(num_shards=4,
+                                shard_configs=_mixed_d_configs(routing))
+        assert [shard.num_tables for shard in table.shards] == [2, 3, 4, 8]
+        _assert_hashed_like_each_shard(table, unique_keys(4000, seed=52))
+
+    def test_follows_replaced_shards(self):
+        """A shard replaced by its pickle (the parallel path's round
+        trip), or by a table with other functions, is hashed with the
+        functions it holds now."""
+        table = ShardedDyCuckoo(num_shards=4,
+                                shard_configs=_mixed_d_configs("weighted"))
+        keys = unique_keys(2000, seed=53)
+        table.insert(keys, keys)
+        table.shards[1] = pickle.loads(pickle.dumps(table.shards[1]))
+        _assert_hashed_like_each_shard(table, keys)
+        table.shards[2] = DyCuckooTable(replace_config(
+            table.shards[2].config, seed=99))
+        _assert_hashed_like_each_shard(table, keys)
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
+    def test_hash_budget(self, monkeypatch, num_shards):
+        """A sharded call makes at most three stacked hash calls, however
+        many shards and runs it has, and a call that evicts nothing
+        hashes nothing else.  With evictions, the shards hash only the
+        victims, each once."""
+        table = ShardedDyCuckoo(num_shards=num_shards, config=DyCuckooConfig(
+            initial_buckets=512, bucket_capacity=8, auto_resize=False))
+        keys = unique_keys(1000, seed=54)
+        table.insert(keys, keys)
+        front, other = [], []
+        plain_stack_raw = HashStack.raw
+        plain_raw = UniversalHash.raw
+
+        def counting_stack_raw(self, codes, which):
+            hashed = (front if self is table._hashes().stack else other)
+            hashed.append(np.broadcast(codes, which).size)
+            return plain_stack_raw(self, codes, which)
+
+        def counting_raw(self, codes):
+            other.append(len(codes))
+            return plain_raw(self, codes)
+
+        rng = np.random.default_rng(55)
+        ops, op_keys, values = mixed_batch(rng, 1200, run_length=(5, 40),
+                                           keyspace=2000)
+        calls = [
+            ("find", (op_keys,)),
+            ("delete", (keys[500:700],)),
+            ("insert", (op_keys, values)),
+            ("execute_mixed", (ops, op_keys, values)),
+        ]
+        for name, args in calls:
+            evictions = table.stats.evictions
+            front.clear()
+            other.clear()
+            monkeypatch.setattr(HashStack, "raw", counting_stack_raw)
+            monkeypatch.setattr(UniversalHash, "raw", counting_raw)
+            out = getattr(table, name)(*args)
+            monkeypatch.undo()
+            assert len(front) <= 3, name
+            assert table.stats.evictions == evictions, name
+            assert other == [], name
+        assert out.runs > 2 * num_shards
+
+        # A dense insert evicts: only its victims are hashed again.
+        table = ShardedDyCuckoo(num_shards=num_shards, config=DyCuckooConfig(
+            initial_buckets=32, bucket_capacity=8, auto_resize=False))
+        keys = unique_keys(700 * num_shards, seed=58)
+        front.clear()
+        other.clear()
+        monkeypatch.setattr(HashStack, "raw", counting_stack_raw)
+        table.insert(keys, keys)
+        monkeypatch.undo()
+        assert table.stats.evictions > 0
+        assert len(front) <= 3
+        assert sum(other) <= table.stats.evictions
+        table.validate()
+
+
+class TestSerialParallelAgree:
+    def test_mixed_stream(self):
+        """Serial and ``parallel_workers=2`` execution of one mixed
+        stream, with resizes, agree bit for bit."""
+        config = DyCuckooConfig(initial_buckets=8, min_buckets=8,
+                                bucket_capacity=8)
+        serial = ShardedDyCuckoo(num_shards=4, config=config)
+        parallel = ShardedDyCuckoo(num_shards=4, config=config,
+                                   parallel_workers=2)
+        rng = np.random.default_rng(56)
+        with parallel:
+            for _ in range(4):
+                ops, keys, values = mixed_batch(rng, 800,
+                                                run_length=(10, 80),
+                                                keyspace=4000)
+                rs = serial.execute_mixed(ops, keys, values)
+                rp = parallel.execute_mixed(ops, keys, values)
+                assert twin_divergence(serial, rs, parallel, rp) == []
+            assert not parallel._parallel_broken
+        assert serial.stats.snapshot() == parallel.stats.snapshot()
+        assert serial.stats.upsizes > 0
+        parallel.validate()
+
+
+def test_batch_built_for_another_table_is_rejected():
+    """A pre-hashed batch carries its table's hashes; any other table
+    refuses it on every entry point that takes one."""
+    table = small_sharded(num_shards=2)
+    keys = unique_keys(200, seed=57)
+    table.insert(keys, keys)
+    _order, batches = table._scatter(keys)
+    batch, other = batches[0], table.shards[1]
+    ops = np.full(len(batch), OP_FIND, dtype=np.int64)
+    for call in (lambda: other.find(batch),
+                 lambda: other.delete(batch),
+                 lambda: other.insert(batch, batch.codes),
+                 lambda: execute_mixed(other, ops, batch),
+                 lambda: run_find_kernel(other, batch, engine="cohort"),
+                 lambda: DyCuckooTable().find(EncodedBatch(other, keys))):
+        with pytest.raises(InvalidKeyError, match="another table"):
+            call()
+    values, found = table.shards[0].find(batch)
+    assert found.all()
+    assert len(table) == len(keys)
