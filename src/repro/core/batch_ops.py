@@ -20,15 +20,20 @@ view of it.  A key is hashed under its two candidate subtables only,
 whatever ``d`` is: those hold the only buckets it ever reads.  The
 public ``find``/``insert``/``delete`` methods and the kernel drivers
 take the same path: each builds one batch and probes through
-:meth:`EncodedBatch.probe`.  ``engine="warp" | "cohort"`` routes the
+:func:`probe_parts`, which probes the batches of several tables (the
+shards of a sharded batch) in one pass; :meth:`EncodedBatch.probe` is
+its one-part form.  ``engine="warp" | "cohort"`` routes the
 runs through the lane-faithful kernels instead of the vectorized host
 path (see :mod:`repro.kernels.engine`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Any
 
 import numpy as np
 
@@ -51,6 +56,17 @@ _VALID_OPS = (OP_INSERT, OP_FIND, OP_DELETE)
 #: land in fresh mappings on top of the heap, so an unbounded probe
 #: sets the process's peak RSS.
 PROBE_CHUNK = 4096
+
+#: ``touch(t, buckets, slots, sel)``: serves the probe hits in subtable
+#: ``t`` (see :func:`probe_parts`).
+Touch = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
+
+#: A probe request: a batch and the touch that serves its hits.
+ProbeRequest = tuple["EncodedBatch", Touch]
+
+#: An op body (see :func:`run_bodies`): yields probe requests, receives
+#: each one's ``(hit, retried)`` and returns the op's result.
+OpBody = Generator[ProbeRequest, tuple[np.ndarray, int], Any]
 
 
 class EncodedBatch:
@@ -152,70 +168,12 @@ class EncodedBatch:
             self.codes, np.stack((self.first, self.second))
         ).astype(np.uint32)
 
-    def probe(self, touch) -> tuple[np.ndarray, int]:
-        """Two-bucket probe (Section V-A) in one pass over both buckets.
-
-        Every key is stacked under its two candidate subtables (entry
-        ``2i`` is key ``i`` in its first, ``2i + 1`` in its second);
-        one resolver call finds all ``2n`` buckets and one stable sort
-        groups the entries by subtable.  Their bucket rows are gathered
-        into one block per :data:`PROBE_CHUNK` entries, compared with
-        the codes at once and scanned for matches.  A code is stored at
-        most once in the table, so a key matches in at most one of its
-        buckets, and reading the second bucket of a key found in its
-        first changes nothing.  ``touch(t, buckets, slots, sel)`` then
-        serves subtable ``t``'s hits, once: the keys at positions
-        ``sel`` (ascending) sit at slot ``slots`` of ``buckets``.
-        Returns the hit mask over the batch and the number of keys that
-        missed their first bucket, the keys a walk that reads the
-        second bucket only on a miss would read it for.
-        """
-        table = self.table
-        n = len(self)
-        hit = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hit, 0
-        d = table.num_tables
-        # Targets fit a narrow unsigned type, which numpy's stable sort
-        # orders by radix instead of by merging.
-        targets = np.empty(2 * n, dtype=np.min_scalar_type(d - 1))
-        targets[0::2] = self.first
-        targets[1::2] = self.second
-        buckets = table.bucket_resolver()(targets,
-                                          self.candidate_raw.T.ravel())
-        # A stable sort keeps each subtable's entries ascending.
-        order = targets.argsort(kind="stable")
-        cuts = targets[order].searchsorted(np.arange(d + 1)).tolist()
-        subtables = table.subtables
-        block = np.empty((min(2 * n, PROBE_CHUNK),
-                          table.config.bucket_capacity), dtype=np.uint64)
-        match = np.empty(block.shape, dtype=bool)
-        # Sorted positions of the matches, ascending, and their slots.
-        found, slots = [], []
-        for lo in range(0, 2 * n, PROBE_CHUNK):
-            entries = order[lo:lo + PROBE_CHUNK]
-            m = len(entries)
-            block_buckets = buckets[entries]
-            for t in range(d):
-                a, b = max(cuts[t], lo) - lo, min(cuts[t + 1], lo + m) - lo
-                if a < b:
-                    subtables[t].keys.take(block_buckets[a:b], axis=0,
-                                           out=block[a:b], mode="clip")
-            rows, slot = match_slots(block[:m], self.codes[entries >> 1],
-                                     out=match[:m])
-            found.append(rows + lo)
-            slots.append(slot)
-        at = np.concatenate(found)
-        slot = np.concatenate(slots)
-        entry = order[at]
-        key = entry >> 1
-        hit[key] = True
-        at_cuts = at.searchsorted(cuts).tolist()
-        for t in range(d):
-            lo, hi = at_cuts[t], at_cuts[t + 1]
-            if lo < hi:
-                touch(t, buckets[entry[lo:hi]], slot[lo:hi], key[lo:hi])
-        return hit, n - len(entry) + int(np.count_nonzero(entry & 1))
+    def probe(self, touch: Touch) -> tuple[np.ndarray, int]:
+        """Two-bucket probe of this batch alone, the one-part form of
+        :func:`probe_parts`; returns its ``(hit, retried)``."""
+        if not len(self):
+            return np.zeros(0, dtype=bool), 0
+        return _probe_group([(self, touch)])[0]
 
 
 class _BatchView(EncodedBatch):
@@ -256,6 +214,232 @@ def as_batch(table, keys) -> EncodedBatch:
     return EncodedBatch(table, keys)
 
 
+def probe_parts(parts: Sequence[ProbeRequest]
+                ) -> list[tuple[np.ndarray, int]]:
+    """Two-bucket probe (Section V-A) of several batches in one pass.
+
+    ``parts`` holds ``(batch, touch)`` requests whose batches belong to
+    distinct tables.  Parts whose tables share a bucket capacity probe
+    together: every key is stacked under its two candidate subtables,
+    each by its global id ``table_base[part] + t`` (entry ``2i`` is key
+    ``i`` in its first, ``2i + 1`` in its second), and one stable sort
+    groups the entries by subtable.  Their bucket rows are gathered into
+    one block per :data:`PROBE_CHUNK` entries, compared with the codes
+    at once and scanned for matches.  A code is stored at most once in
+    a table, so a key matches in at most one of its buckets, and
+    reading the second bucket of a key found in its first changes
+    nothing.  Each part's ``touch(t, buckets, slots, sel)`` then serves
+    its subtable ``t``'s hits, once: the part's keys at positions
+    ``sel`` (ascending) sit at slot ``slots`` of ``buckets``.
+
+    Buckets resolve with one gather of masks while every table is
+    settled; otherwise each table resolves its own entries through its
+    :meth:`~repro.core.table.DyCuckooTable.bucket_resolver`, so a table
+    in an open migration epoch keeps its dual view.
+
+    Returns, per part, the hit mask over its batch and the number of
+    its keys that missed their first bucket, the keys a walk that reads
+    the second bucket only on a miss would read it for.
+    """
+    results: list = [None] * len(parts)
+    # One block holds one row width, so each bucket capacity probes on
+    # its own.
+    groups: dict[int, list[int]] = {}
+    for i, (batch, _touch) in enumerate(parts):
+        if len(batch):
+            groups.setdefault(batch.table.config.bucket_capacity,
+                              []).append(i)
+        else:
+            results[i] = (np.zeros(0, dtype=bool), 0)
+    for members in groups.values():
+        for i, result in zip(members,
+                             _probe_group([parts[i] for i in members])):
+            results[i] = result
+    return results
+
+
+def _probe_group(parts: list[ProbeRequest]
+                 ) -> list[tuple[np.ndarray, int]]:
+    """:func:`probe_parts` over non-empty parts of one bucket capacity."""
+    # Part p's keys are keys key_base[p]:key_base[p + 1] of the stack,
+    # its subtables global ids table_base[p]:table_base[p + 1].  One
+    # part, every single-table probe, needs no concatenation and
+    # resolves through its table's own resolver.
+    if len(parts) == 1:
+        batch = parts[0][0]
+        tables = [batch.table]
+        subtables = batch.table.subtables
+        key_base = [0, len(batch)]
+        table_base = [0, batch.table.num_tables]
+        targets = _pair_targets(batch.first, batch.second, table_base[-1])
+        raw = batch.candidate_raw.T.ravel()
+        codes = batch.codes
+        buckets = batch.table.bucket_resolver()(targets, raw)
+    else:
+        batches = [batch for batch, _touch in parts]
+        tables = [batch.table for batch in batches]
+        subtables = [st for table in tables for st in table.subtables]
+        sizes = [len(batch) for batch in batches]
+        key_base = list(accumulate(sizes, initial=0))
+        table_base = list(accumulate([table.num_tables for table in tables],
+                                     initial=0))
+        targets = _pair_targets(
+            np.concatenate([batch.first for batch in batches]),
+            np.concatenate([batch.second for batch in batches]),
+            table_base[-1])
+        targets += np.repeat(np.array(table_base[:-1], dtype=targets.dtype),
+                             2 * np.array(sizes))
+        raw = np.concatenate([batch.candidate_raw for batch in batches],
+                             axis=1).T.ravel()
+        codes = np.concatenate([batch.codes for batch in batches])
+        buckets = _resolve_parts(tables, table_base, key_base, targets, raw)
+    n, width = key_base[-1], table_base[-1]
+    # A stable sort keeps each subtable's entries ascending.
+    order = targets.argsort(kind="stable")
+    cuts = targets[order].searchsorted(np.arange(width + 1)).tolist()
+    block = np.empty((min(2 * n, PROBE_CHUNK),
+                      tables[0].config.bucket_capacity), dtype=np.uint64)
+    match = np.empty(block.shape, dtype=bool)
+    # Sorted positions of the matches, ascending, and their slots.
+    found, slots = [], []
+    for lo in range(0, 2 * n, PROBE_CHUNK):
+        entries = order[lo:lo + PROBE_CHUNK]
+        m = len(entries)
+        block_buckets = buckets[entries]
+        for g, st in enumerate(subtables):
+            a, b = max(cuts[g], lo) - lo, min(cuts[g + 1], lo + m) - lo
+            if a < b:
+                st.keys.take(block_buckets[a:b], axis=0, out=block[a:b],
+                             mode="clip")
+        rows, slot = match_slots(block[:m], codes[entries >> 1],
+                                 out=match[:m])
+        found.append(rows + lo)
+        slots.append(slot)
+    at = np.concatenate(found)
+    slot = np.concatenate(slots)
+    entry = order[at]
+    hit_buckets = buckets[entry]
+    key = entry >> 1
+    hit = np.zeros(n, dtype=bool)
+    hit[key] = True
+    at_cuts = at.searchsorted(cuts).tolist()
+    in_second = entry & 1
+    results = []
+    for p, (_batch, touch) in enumerate(parts):
+        lo, hi = key_base[p], key_base[p + 1]
+        part_cuts = at_cuts[table_base[p]:table_base[p + 1] + 1]
+        # The part's matches, with its keys renumbered from 0.
+        first_hit, last_hit = part_cuts[0], part_cuts[-1]
+        if lo:
+            key[first_hit:last_hit] -= lo
+        for t, (a, b) in enumerate(zip(part_cuts, part_cuts[1:])):
+            if a < b:
+                touch(t, hit_buckets[a:b], slot[a:b], key[a:b])
+        second = int(np.count_nonzero(in_second[first_hit:last_hit]))
+        results.append((hit[lo:hi],
+                        hi - lo - (last_hit - first_hit) + second))
+    return results
+
+
+def _pair_targets(first: np.ndarray, second: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Entries ``2i`` and ``2i + 1``: ``first[i]`` and ``second[i]``, in
+    the narrowest unsigned type holding ids below ``width``, which
+    numpy's stable sort orders by radix instead of by merging."""
+    targets = np.empty((len(first), 2), dtype=np.min_scalar_type(width - 1))
+    targets[:, 0] = first
+    targets[:, 1] = second
+    return targets.ravel()
+
+
+def _resolve_parts(tables, table_base: list[int], key_base: list[int],
+                   targets: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Buckets of stacked entries (see :func:`_probe_group`): one gather
+    of the tables' masks while every table is settled, else each table's
+    own resolver over its entries, so an open epoch keeps its dual view."""
+    masks = [table.bucket_masks() for table in tables]
+    if all(mask is not None for mask in masks):
+        return raw & np.concatenate(masks)[targets]
+    buckets = np.empty(len(raw), dtype=np.int64)
+    for table, base, lo, hi in zip(tables, table_base, key_base,
+                                   key_base[1:]):
+        entries = slice(2 * lo, 2 * hi)
+        buckets[entries] = table.bucket_resolver()(targets[entries] - base,
+                                                   raw[entries])
+    return buckets
+
+
+def run_body(body: OpBody):
+    """Run one op body alone, serving its probe requests with
+    :meth:`EncodedBatch.probe`; returns its result."""
+    try:
+        batch, touch = next(body)
+        while True:
+            batch, touch = body.send(batch.probe(touch))
+    except StopIteration as stop:
+        return stop.value
+
+
+def run_bodies(bodies: Sequence[OpBody]) -> list:
+    """Run op bodies on distinct tables, sharing each round's probe.
+
+    An op body is a generator: it yields a probe request
+    ``(batch, touch)``, is sent the request's ``(hit, retried)`` and
+    returns the op's result.  Each round advances every unfinished body,
+    in list order, to its next request, and serves all of the round's
+    requests with one :func:`probe_parts` call.  A body that needs no
+    probe (an insert into an empty table) finishes in its first round
+    without a request.  Returns the bodies' results in list order; one
+    body alone gives what :func:`run_body` gives.
+    """
+    results: list = [None] * len(bodies)
+    replies: list = [None] * len(bodies)
+    live = list(range(len(bodies)))
+    while live:
+        parts, asking = [], []
+        for i in live:
+            try:
+                parts.append(bodies[i].send(replies[i]))
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                asking.append(i)
+        if parts:
+            for i, reply in zip(asking, probe_parts(parts)):
+                replies[i] = reply
+        live = asking
+    return results
+
+
+def host_body(table, kind: int, run: EncodedBatch,
+              values: np.ndarray | None = None) -> OpBody:
+    """The op body of one homogeneous run on ``table``'s host path;
+    ``values`` are an insert run's values."""
+    if kind == OP_INSERT:
+        return table._insert_body(run, values)
+    if kind == OP_FIND:
+        return table._find_body(run)
+    return table._delete_body(run)
+
+
+def run_host(table, kind: int, run: EncodedBatch,
+             values: np.ndarray | None = None):
+    """One homogeneous run alone through ``table``'s host path, under
+    the same span the public ``find``/``insert``/``delete`` methods
+    open; returns the run's result."""
+    return table._traced_op(_KIND_NAMES[kind],
+                            host_body(table, kind, run, values), len(run))
+
+
+def store_result(kind: int, segment: slice, result, out_values: np.ndarray,
+                 out_found: np.ndarray, out_removed: np.ndarray) -> None:
+    """Write one run's :func:`host_body` result to the batch outputs."""
+    if kind == OP_FIND:
+        out_values[segment], out_found[segment] = result
+    elif kind == OP_DELETE:
+        out_removed[segment] = result
+
+
 @dataclass(frozen=True)
 class MixedBatchResult:
     """Outcome of one mixed batch.
@@ -275,7 +459,7 @@ class MixedBatchResult:
     kernel: "object | None" = None
 
 
-def _runs(op_codes: np.ndarray):
+def op_runs(op_codes: np.ndarray):
     """Yield ``(kind, start, stop)`` for maximal same-kind runs."""
     boundaries = (op_codes[1:] != op_codes[:-1]).nonzero()[0] + 1
     starts = np.concatenate([[0], boundaries])
@@ -361,7 +545,7 @@ def execute_mixed(table, op_codes, keys, values=None,
     batch_ctx = (telemetry.tracer.span("mixed.batch", "op", ops=n)
                  if telemetry.enabled else nullcontext())
     with batch_ctx:
-        for kind, start, stop in _runs(op_codes):
+        for kind, start, stop in op_runs(op_codes):
             runs += 1
             segment = slice(start, stop)
             if telemetry.enabled:
@@ -369,9 +553,10 @@ def execute_mixed(table, op_codes, keys, values=None,
                                          kind=_KIND_NAMES[kind],
                                          ops=stop - start)
             if engine is None:
-                _execute_run_host(table, batch[segment], kind, segment,
-                                  values, out_values, out_found,
-                                  out_removed)
+                store_result(kind, segment, run_host(
+                    table, kind, batch[segment],
+                    values[segment] if kind == OP_INSERT else None),
+                    out_values, out_found, out_removed)
             else:
                 result = _execute_run_kernel(table, batch[segment], kind,
                                              segment, values, out_values,
@@ -380,21 +565,6 @@ def execute_mixed(table, op_codes, keys, values=None,
                                 else kernel_total.merge(result))
     return MixedBatchResult(out_values, out_found, out_removed, runs,
                             kernel_total)
-
-
-def _execute_run_host(table, run: EncodedBatch, kind: int, segment: slice,
-                      values, out_values, out_found, out_removed) -> None:
-    """One homogeneous run through the vectorized host path, under the
-    same span the public ``find``/``insert``/``delete`` methods open."""
-    name = _KIND_NAMES[kind]
-    if kind == OP_INSERT:
-        table._traced_op(name, table._insert_encoded, run, values[segment])
-    elif kind == OP_FIND:
-        out_values[segment], out_found[segment] = table._traced_op(
-            name, table._find_encoded, run)
-    else:
-        out_removed[segment] = table._traced_op(name, table._delete_encoded,
-                                                run)
 
 
 def _execute_run_kernel(table, run: EncodedBatch, kind: int, segment: slice,

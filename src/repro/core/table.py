@@ -30,7 +30,8 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.core import distribution
-from repro.core.batch_ops import EncodedBatch, as_batch
+from repro.core.batch_ops import (EncodedBatch, OpBody, Touch, as_batch,
+                                  run_body)
 from repro.core.config import DyCuckooConfig
 from repro.core.grouping import (first_occurrence_mask, last_occurrence_mask,
                                  rank_within_group)
@@ -124,6 +125,8 @@ class DyCuckooTable:
         #: :meth:`geometry_changed`.
         self._resolver: Callable[[np.ndarray, np.ndarray],
                                  np.ndarray] | None = None
+        #: The masks the cached resolver gathers (see :meth:`bucket_masks`).
+        self._masks: np.ndarray | None = None
         #: Cached :attr:`total_slots`, dropped with the resolver.
         self._total_slots: int | None = None
         #: The attached instruments; see :meth:`attach`.
@@ -137,6 +140,7 @@ class DyCuckooTable:
         state = self.__dict__.copy()
         state["_arena"] = None
         state["_resolver"] = None
+        state["_masks"] = None
         return state
 
     def attach(self, instruments: Instruments | None) -> None:
@@ -340,18 +344,24 @@ class DyCuckooTable:
         :class:`~repro.core.batch_ops.EncodedBatch` built for this table,
         as it may for :meth:`insert` and :meth:`delete`.
         """
-        return self._traced_op("find", self._find_encoded,
-                               as_batch(self, keys))
+        batch = as_batch(self, keys)
+        return self._traced_op("find", self._find_body(batch), len(batch))
 
-    def _traced_op(self, name: str, body, batch: EncodedBatch, *args):
-        """Run one batched op ``body(batch, *args)`` inside its span."""
+    def _traced_op(self, name: str, body: OpBody, n: int):
+        """Run one op body over ``n`` keys inside its span."""
         if self.telemetry.enabled:
-            with self.telemetry.tracer.span(name, "op", n=len(batch)):
-                return body(batch, *args)
-        return body(batch, *args)
+            with self.telemetry.tracer.span(name, "op", n=n):
+                return run_body(body)
+        return run_body(body)
 
-    def _find_encoded(self, batch: EncodedBatch
-                      ) -> tuple[np.ndarray, np.ndarray]:
+    # The op bodies below are generators (see
+    # :func:`~repro.core.batch_ops.run_bodies`): each prepares its batch,
+    # yields one probe request through :meth:`_probe` (an insert into an
+    # empty table yields none) and then finishes.  A single-table call
+    # runs one body alone; the sharded front-end runs one body per shard
+    # and serves their requests with one multi-table probe.
+
+    def _find_body(self, batch: EncodedBatch) -> OpBody:
         """:meth:`find` body over an encoded batch."""
         codes = batch.codes
         n = len(codes)
@@ -370,7 +380,7 @@ class DyCuckooTable:
             self.stats.stash_hits += int(np.count_nonzero(hit))
             return hit
 
-        found, retried = self._probe(batch, read, stash_lookup)
+        found, retried = yield from self._probe(batch, read, stash_lookup)
         hits = int(np.count_nonzero(found))
         self.stats.find_hits += hits
         if self.telemetry.enabled:
@@ -402,10 +412,11 @@ class DyCuckooTable:
         filled factor then exceeds ``beta`` (or an insert exhausts its
         eviction budget), the table upsizes per Section IV-B.
         """
-        self._traced_op("insert", self._insert_encoded,
-                        as_batch(self, keys), values)
+        batch = as_batch(self, keys)
+        self._traced_op("insert", self._insert_body(batch, values),
+                        len(batch))
 
-    def _insert_encoded(self, batch: EncodedBatch, values) -> None:
+    def _insert_body(self, batch: EncodedBatch, values) -> OpBody:
         """:meth:`insert` body over an encoded, *un-deduplicated* batch."""
         values = np.asarray(values, dtype=np.uint64)
         if values.shape != batch.codes.shape:
@@ -423,7 +434,7 @@ class DyCuckooTable:
             batch = batch[keep]
             values = values[keep]
 
-        updated = self._update_existing(batch, values)
+        updated = yield from self._update_existing(batch, values)
         fresh = (~updated).nonzero()[0]
         self.stats.updates += len(batch) - len(fresh)
         if len(fresh):
@@ -452,10 +463,11 @@ class DyCuckooTable:
         physically (no tombstones), so the filled factor drops and may
         trigger a downsize.
         """
-        return self._traced_op("delete", self._delete_encoded,
-                               as_batch(self, keys))
+        batch = as_batch(self, keys)
+        return self._traced_op("delete", self._delete_body(batch),
+                               len(batch))
 
-    def _delete_encoded(self, batch: EncodedBatch) -> np.ndarray:
+    def _delete_body(self, batch: EncodedBatch) -> OpBody:
         """:meth:`delete` body over an encoded batch."""
         n = len(batch)
         self.stats.deletes += n
@@ -473,7 +485,7 @@ class DyCuckooTable:
             self.subtables[t].clear_slots(buckets, slots)
             self.stats.bucket_writes += len(sel)
 
-        removed_unique, _ = self._probe(
+        removed_unique, _ = yield from self._probe(
             unique, clear, lambda pending: self.stash.erase(codes[pending]))
         removed[unique_idx] = removed_unique
         self.stats.delete_hits += int(np.count_nonzero(removed_unique))
@@ -558,12 +570,20 @@ class DyCuckooTable:
             resolver = self._resolver = self._build_resolver()
         return resolver
 
+    def bucket_masks(self) -> np.ndarray | None:
+        """The per-subtable ``n_buckets - 1`` masks the settled
+        :meth:`bucket_resolver` gathers, or ``None`` while any subtable
+        is mid-migration; cached with the resolver."""
+        self.bucket_resolver()
+        return self._masks
+
     def _build_resolver(
             self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         if any(st.migration is not None for st in self.subtables):
+            self._masks = None
             return self._buckets_per_target
-        masks = np.array([st.n_buckets - 1 for st in self.subtables],
-                         dtype=np.int64)
+        masks = self._masks = np.array(
+            [st.n_buckets - 1 for st in self.subtables], dtype=np.int64)
         return lambda targets, raw: raw & masks[targets]
 
     def geometry_changed(self) -> None:
@@ -623,18 +643,20 @@ class DyCuckooTable:
         """
         return self._resizer.finalize_migration()
 
-    def _probe(self, batch: EncodedBatch, touch, stash_op
-               ) -> tuple[np.ndarray, int]:
-        """One-pass two-bucket probe, then the stash for keys still missed.
+    def _probe(self, batch: EncodedBatch, touch: Touch, stash_op
+               ) -> OpBody:
+        """An op body's probe step: request the two-bucket probe, then
+        look up the stash for keys still missed.
 
-        ``touch`` serves the bucket hits (see :meth:`EncodedBatch.probe`);
-        ``stash_op(pending)`` serves the positions both buckets missed
-        and returns the mask of those the stash hit.  Counts the reads
-        of a first-then-second walk: one bucket read per key, and one
-        more read and one chain hop per key its first bucket missed.
-        Returns the hit mask and the number of such second reads.
+        Yields the request ``(batch, touch)`` (see
+        :func:`~repro.core.batch_ops.probe_parts`); ``stash_op(pending)``
+        serves the positions both buckets missed and returns the mask
+        of those the stash hit.  Counts the reads of a first-then-second
+        walk: one bucket read per key, and one more read and one chain
+        hop per key its first bucket missed.  Returns the hit mask and
+        the number of such second reads.
         """
-        hit, retried = batch.probe(touch)
+        hit, retried = yield batch, touch
         self.stats.bucket_reads += len(batch) + retried
         self.stats.chain_hops += retried
         if len(self.stash):
@@ -644,7 +666,7 @@ class DyCuckooTable:
         return hit, retried
 
     def _update_existing(self, batch: EncodedBatch,
-                         values: np.ndarray) -> np.ndarray:
+                         values: np.ndarray) -> OpBody:
         """Overwrite values of keys already stored; return updated mask.
 
         A table holding no entries (``len`` counts the stash) cannot be
@@ -663,7 +685,7 @@ class DyCuckooTable:
             self.subtables[t].values[buckets, slots] = values[sel]
             self.stats.bucket_writes += len(sel)
 
-        updated, _ = self._probe(
+        updated, _ = yield from self._probe(
             batch, write,
             lambda pending: self.stash.update(codes[pending],
                                               values[pending]))

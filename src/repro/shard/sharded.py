@@ -32,10 +32,18 @@ Semantics are exactly those of a single table:
 * duplicate keys land in the same shard, and the stable sort preserves
   input order, so the batched duplicate rules (insert last-wins, delete
   first-occurrence) carry over verbatim;
-* a mixed batch is scattered *whole*: per shard, the key-disjoint
-  subsequence runs through :func:`repro.core.batch_ops.execute_mixed`,
-  preserving program order per key (operations on different keys
-  commute, operations on the same key share a shard).
+* a mixed batch is scattered *whole*: each shard runs its key-disjoint
+  subsequence as its own maximal same-kind runs, in program order, so
+  per-key program order holds (operations on different keys commute,
+  operations on the same key share a shard).  Uninstrumented host
+  batches run in *waves*: wave ``k`` starts the ``k``-th run of every
+  shard, one :func:`~repro.core.batch_ops.probe_parts` call probes all
+  of them, and each run then finishes in shard-index order.  Every
+  shard takes exactly the steps, in the same order, that
+  :func:`repro.core.batch_ops.execute_mixed` on its subsequence takes,
+  so outputs, storage and counters are those of running the shards one
+  by one, which instrumented, kernel-engine and process-pool batches
+  still do.  A homogeneous ``insert``/``find``/``delete`` is one wave.
 
 Observability: each shard carries its own telemetry handle; the
 front-end rolls the per-shard registries into one labelled view (see
@@ -54,8 +62,10 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.baselines.base import GpuHashTable
-from repro.core.batch_ops import (EncodedBatch, MixedBatchResult,
-                                  check_mixed_batch)
+from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
+                                  EncodedBatch, MixedBatchResult,
+                                  check_mixed_batch, host_body, op_runs,
+                                  run_bodies, run_host, store_result)
 from repro.core.batch_ops import execute_mixed as _execute_mixed
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.distribution import coin_draws
@@ -334,13 +344,11 @@ class ShardedDyCuckoo(GpuHashTable):
             raise InvalidKeyError(
                 f"values shape {values.shape} != keys shape {keys.shape}")
         order, batches = self._scatter(keys)
-        values = values[order]
         ctx = (self.telemetry.tracer.span("shard.insert", "shard",
                                           n=len(keys))
                if self.telemetry.enabled else nullcontext())
         with ctx:
-            for idx, batch, a, b in self._spans(batches):
-                self.shards[idx].insert(batch, values[a:b])
+            self._homogeneous(OP_INSERT, batches, values[order])
 
     def find(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Look up a batch; results gathered back to input positions."""
@@ -348,17 +356,37 @@ class ShardedDyCuckoo(GpuHashTable):
         n = len(order)
         values = np.empty(n, dtype=np.uint64)
         found = np.empty(n, dtype=bool)
-        for idx, batch, a, b in self._spans(batches):
-            values[a:b], found[a:b] = self.shards[idx].find(batch)
+        for (_idx, _batch, a, b), result in zip(
+                self._spans(batches), self._homogeneous(OP_FIND, batches)):
+            values[a:b], found[a:b] = result
         return _unsort(order, values), _unsort(order, found)
 
     def delete(self, keys) -> np.ndarray:
         """Delete a batch; removed mask gathered to input positions."""
         order, batches = self._scatter(keys)
         removed = np.empty(len(order), dtype=bool)
-        for idx, batch, a, b in self._spans(batches):
-            removed[a:b] = self.shards[idx].delete(batch)
+        for (_idx, _batch, a, b), result in zip(
+                self._spans(batches), self._homogeneous(OP_DELETE, batches)):
+            removed[a:b] = result
         return _unsort(order, removed)
+
+    def _homogeneous(self, kind: int, batches, values=None) -> list:
+        """Run one op kind over every shard's batch; ``values`` (in
+        shard order) are an insert's.  Returns each shard's result, for
+        the shards with keys, in shard order.
+
+        Uninstrumented, the shards' op bodies run as one wave, so one
+        multi-table probe serves every shard.  Instrumented, each shard
+        runs its body alone under its own op span.
+        """
+        work = [(self.shards[idx], batch,
+                 None if values is None else values[a:b])
+                for idx, batch, a, b in self._spans(batches)]
+        if self._waves_eligible(None):
+            return run_bodies([host_body(shard, kind, batch, shard_values)
+                               for shard, batch, shard_values in work])
+        return [run_host(shard, kind, batch, shard_values)
+                for shard, batch, shard_values in work]
 
     def contains(self, keys) -> np.ndarray:
         """Membership test for a batch of keys."""
@@ -376,8 +404,9 @@ class ShardedDyCuckoo(GpuHashTable):
 
         The whole operation stream is scattered by key: each shard
         executes its subsequence (in program order) through the standard
-        mixed-batch machinery, and the per-position results are gathered
-        back.  Because every operation on a given key maps to the same
+        mixed-batch machinery, run by run, and the per-position results
+        are gathered back.  Uninstrumented host batches run the shards'
+        runs in waves (see :meth:`_execute_waves`).  Because every operation on a given key maps to the same
         shard, per-key program order — the semantics contract of
         :func:`repro.core.batch_ops.execute_mixed` — is preserved while
         shards proceed independently.  ``runs`` is the total number of
@@ -402,32 +431,75 @@ class ShardedDyCuckoo(GpuHashTable):
         op_codes = op_codes[order]
         if values is not None:
             values = values[order]
+        out_values = np.zeros(n, dtype=np.uint64)
+        out_found = np.zeros(n, dtype=bool)
+        out_removed = np.zeros(n, dtype=bool)
+        spans = list(self._spans(batches))
         work = [(idx, op_codes[a:b], batch,
                  values[a:b] if values is not None else None)
-                for idx, batch, a, b in self._spans(batches)]
+                for idx, batch, a, b in spans]
         results = None
         if self._parallel_eligible(batches):
             results = self._execute_shards_parallel(work, engine)
-        if results is None:
-            results = [_execute_mixed(self.shards[idx], shard_ops, batch,
-                                      shard_values, engine=engine)
-                       for idx, shard_ops, batch, shard_values in work]
-        out_values = np.empty(n, dtype=np.uint64)
-        out_found = np.empty(n, dtype=bool)
-        out_removed = np.empty(n, dtype=bool)
-        for (_idx, batch, a, b), result in zip(self._spans(batches),
-                                               results):
-            out_values[a:b] = result.values
-            out_found[a:b] = result.found
-            out_removed[a:b] = result.removed
-            runs += result.runs
-            if result.kernel is not None:
-                kernel_total = (result.kernel if kernel_total is None
-                                else kernel_total.merge(result.kernel))
+        if results is None and self._waves_eligible(engine):
+            runs = self._execute_waves(spans, op_codes, values, out_values,
+                                       out_found, out_removed)
+        else:
+            if results is None:
+                results = [_execute_mixed(self.shards[idx], shard_ops,
+                                          batch, shard_values, engine=engine)
+                           for idx, shard_ops, batch, shard_values in work]
+            for (_idx, batch, a, b), result in zip(spans, results):
+                out_values[a:b] = result.values
+                out_found[a:b] = result.found
+                out_removed[a:b] = result.removed
+                runs += result.runs
+                if result.kernel is not None:
+                    kernel_total = (result.kernel if kernel_total is None
+                                    else kernel_total.merge(result.kernel))
         return MixedBatchResult(_unsort(order, out_values),
                                 _unsort(order, out_found),
                                 _unsort(order, out_removed), runs,
                                 kernel_total)
+
+    def _waves_eligible(self, engine: str | None) -> bool:
+        """True when a batch may run in waves: it runs on the host path
+        and no instrument is attached to the front-end or to any shard.
+        Instruments are shared handles whose event order is defined
+        shard by shard, so instrumented batches keep that order."""
+        return (engine is None and not self.instruments.active
+                and not any(shard.instruments.active
+                            for shard in self.shards))
+
+    def _execute_waves(self, spans, op_codes, values, out_values, out_found,
+                       out_removed) -> int:
+        """Run every shard's runs in waves; returns the number of runs.
+
+        Each shard keeps its own runs (maximal same-kind runs of its
+        subsequence).  Wave ``k`` holds the ``k``-th run of every shard
+        that has one: the runs' op bodies start together, one
+        multi-table probe serves all of their requests, and then each
+        finishes in shard-index order.  A shard sees exactly the steps,
+        in the same order, that running its subsequence alone through
+        :func:`~repro.core.batch_ops.execute_mixed` takes.
+        """
+        plans = [(self.shards[idx], batch, a, list(op_runs(op_codes[a:b])))
+                 for idx, batch, a, b in spans]
+        for k in range(max(len(runs) for *_rest, runs in plans)):
+            segments, bodies = [], []
+            for shard, batch, a, runs in plans:
+                if k < len(runs):
+                    kind, start, stop = runs[k]
+                    segment = slice(a + start, a + stop)
+                    segments.append((kind, segment))
+                    bodies.append(host_body(
+                        shard, kind, batch[start:stop],
+                        values[segment] if kind == OP_INSERT else None))
+            for (kind, segment), result in zip(segments,
+                                               run_bodies(bodies)):
+                store_result(kind, segment, result, out_values, out_found,
+                             out_removed)
+        return sum(len(runs) for *_rest, runs in plans)
 
     # ------------------------------------------------------------------
     # Parallel shard execution

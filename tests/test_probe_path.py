@@ -11,14 +11,18 @@ launch re-hashes only its evicted victims.  The one-pass probe is
 checked against a per-key walk that reads a key's first bucket and its
 second only on a miss: same hits, same slots, same second-bucket count.
 An insert into a table with no entries skips its update probe; a twin
-that always probes must end with the same counters and storage.
+that always probes must end with the same counters and storage.  One
+multi-table probe over several tables' batches equals each batch's own
+probe and the per-key walk.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import batch_ops
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
-                                   PROBE_CHUNK, EncodedBatch, execute_mixed)
+                                   PROBE_CHUNK, EncodedBatch, execute_mixed,
+                                   probe_parts)
 from repro.core.config import DyCuckooConfig
 from repro.core.hashing import HashStack, UniversalHash, make_table_hashes
 from repro.core.instruments import Instruments
@@ -293,14 +297,16 @@ def _run_probe(batch) -> tuple[np.ndarray, int, dict, list[int]]:
     return hit, retried, located, calls
 
 
-def _probe_table(d: int, epoch: str) -> tuple[DyCuckooTable, np.ndarray]:
+def _probe_table(d: int, epoch: str, capacity: int = 8,
+                 seed: int = 0) -> tuple[DyCuckooTable, np.ndarray]:
     """A ``d``-subtable table holding ``60 * d`` keys, with a resize
     epoch of kind ``epoch`` part-way through its migration (or none,
     for ``"settled"``), and the stored keys."""
     table = DyCuckooTable(DyCuckooConfig(num_tables=d, initial_buckets=32,
-                                         min_buckets=8, bucket_capacity=8,
-                                         seed=5))
-    keys = unique_keys(60 * d, seed=d)
+                                         min_buckets=8,
+                                         bucket_capacity=capacity,
+                                         seed=5 + seed))
+    keys = unique_keys(60 * d, seed=d + 10 * seed)
     table.insert(keys, keys)
     table.finalize_resizes()
     if epoch != "settled":
@@ -374,6 +380,112 @@ def test_probe_of_empty_and_all_miss_batches(d):
     assert _walk(table, batch) == ({}, len(batch))
 
 
+def _recording_touch(located: dict, calls: list):
+    def touch(t, buckets, slots, sel):
+        calls.append(t)
+        assert np.all(np.diff(sel) > 0)
+        for b, s, i in zip(buckets.tolist(), slots.tolist(), sel.tolist()):
+            assert i not in located
+            located[i] = (t, b, s)
+    return touch
+
+
+def _parts(specs, n_queries=90):
+    """One ``EncodedBatch`` per ``(d, epoch, capacity)`` spec, each over
+    its own table: stored, absent and repeated keys, or none for a
+    ``None`` spec (an empty part)."""
+    batches = []
+    for i, spec in enumerate(specs):
+        table, keys = _probe_table(*(spec or (2, "settled")), seed=i)
+        rng = np.random.default_rng(i)
+        absent = unique_keys(len(keys) + 100, seed=300 + i)
+        absent = absent[~np.isin(absent, keys)][:60]
+        size = 0 if spec is None else n_queries
+        batches.append(EncodedBatch(
+            table, rng.choice(np.concatenate([keys, absent]), size)))
+    return batches
+
+
+def _assert_parts_probe_alone(batches):
+    """``probe_parts`` over ``batches`` equals each batch's own probe
+    and the per-key walk: hits, touched (subtable, bucket, slot)
+    triples, second-bucket counts; each subtable touched at most once
+    per part."""
+    located = [{} for _ in batches]
+    calls = [[] for _ in batches]
+    results = probe_parts([(batch, _recording_touch(where, called))
+                           for batch, where, called
+                           in zip(batches, located, calls)])
+    assert len(results) == len(batches)
+    for batch, (hit, retried), where, called in zip(batches, results,
+                                                    located, calls):
+        alone_hit, alone_retried, alone_where, _calls = _run_probe(batch)
+        want_where, want_retried = _walk(batch.table, batch)
+        assert where == alone_where == want_where
+        assert retried == alone_retried == want_retried
+        assert np.array_equal(hit, alone_hit)
+        assert np.array_equal(np.flatnonzero(hit), sorted(want_where))
+        assert sorted(called) == sorted(set(called))
+
+
+_SPECS = [(2, "settled", 8), (3, "upsize", 8), (4, "downsize", 8),
+          (8, "settled", 8), None, (4, "upsize", 8), (2, "downsize", 8),
+          (3, "settled", 8)]
+
+
+@pytest.mark.parametrize("n_parts", range(1, 9))
+def test_probe_parts_match_each_part_alone(n_parts):
+    """One to eight parts over tables with ``d`` of 2/3/4/8, one of
+    them empty and some mid-upsize or mid-downsize."""
+    _assert_parts_probe_alone(_parts(_SPECS[:n_parts]))
+
+
+def test_probe_parts_straddle_chunks(monkeypatch):
+    """With a small block, entries of one part and one subtable fall in
+    several blocks, and some keys' two entries in different blocks."""
+    chunk = 64
+    monkeypatch.setattr(batch_ops, "PROBE_CHUNK", chunk)
+    batches = _parts(_SPECS[:4])
+    blocks = []
+    plain = batch_ops.match_slots
+    monkeypatch.setattr(batch_ops, "match_slots",
+                        lambda block, codes, out: blocks.append(len(block))
+                        or plain(block, codes, out=out))
+    probe_parts([(batch, lambda *args: None) for batch in batches])
+    monkeypatch.setattr(batch_ops, "match_slots", plain)
+    entries = 2 * sum(len(batch) for batch in batches)
+    assert blocks == ([chunk] * (entries // chunk)
+                      + [entries % chunk] * (entries % chunk > 0))
+    _assert_parts_probe_alone(batches)
+    base, targets = 0, []
+    for batch in batches:
+        targets.append(np.stack((batch.first, batch.second), axis=1).ravel()
+                       + base)
+        base += batch.table.num_tables
+    targets = np.concatenate(targets)
+    rank = np.empty(len(targets), dtype=np.int64)
+    rank[np.argsort(targets, kind="stable")] = np.arange(len(targets))
+    in_block = (rank // chunk).reshape(-1, 2)
+    assert np.any(in_block[:, 0] != in_block[:, 1])
+
+
+def test_probe_parts_group_by_bucket_capacity(monkeypatch):
+    """Parts whose tables differ in bucket capacity probe in one block
+    group per capacity, never in one mixed-width block."""
+    batches = _parts([(4, "settled", 8), (2, "upsize", 16),
+                      (3, "settled", 8), (8, "downsize", 4),
+                      (2, "settled", 16)])
+    widths = []
+    plain = batch_ops.match_slots
+    monkeypatch.setattr(batch_ops, "match_slots",
+                        lambda block, codes, out: widths.append(block.shape[1])
+                        or plain(block, codes, out=out))
+    probe_parts([(batch, lambda *args: None) for batch in batches])
+    assert sorted(widths) == [4, 8, 16]
+    monkeypatch.undo()
+    _assert_parts_probe_alone(batches)
+
+
 def test_host_and_cohort_paths_touch_located_slots(monkeypatch):
     """FIND, update and DELETE, on the host path and on the cohort
     engine, locate keys through ``EncodedBatch.probe`` alone: at most
@@ -442,8 +554,7 @@ def test_loaded_and_copied_tables_hash_like_a_fresh_stack(tmp_path):
 class AlwaysProbeTable(DyCuckooTable):
     """A table whose insert probes for live keys even when it is empty."""
 
-    def _update_existing(self, batch: EncodedBatch,
-                         values: np.ndarray) -> np.ndarray:
+    def _update_existing(self, batch: EncodedBatch, values: np.ndarray):
         codes = batch.codes
 
         def write(t: int, buckets: np.ndarray, slots: np.ndarray,
@@ -451,7 +562,7 @@ class AlwaysProbeTable(DyCuckooTable):
             self.subtables[t].values[buckets, slots] = values[sel]
             self.stats.bucket_writes += len(sel)
 
-        updated, _ = self._probe(
+        updated, _ = yield from self._probe(
             batch, write,
             lambda pending: self.stash.update(codes[pending],
                                               values[pending]))

@@ -1,16 +1,25 @@
-"""Tests for the sharded front-end (:mod:`repro.shard`)."""
+"""Tests for the sharded front-end (:mod:`repro.shard`).
 
+``REPRO_FUZZ_EXAMPLES`` scales the example budget of the wave property
+test, as it does for ``tests/test_differential_fuzz.py``.
+"""
+
+import os
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import batch_ops
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
-                                  EncodedBatch, execute_mixed)
+                                  EncodedBatch, MixedBatchResult,
+                                  execute_mixed, op_runs)
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.hashing import HashStack, UniversalHash
 from repro.core.instruments import Instruments
-from repro.core.table import DyCuckooTable
+from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import InvalidConfigError, InvalidKeyError
 from repro.gpusim.device import GTX_1080, partition_device
 from repro.kernels.find import run_find_kernel
@@ -20,6 +29,8 @@ from repro.shard import (ShardedDyCuckoo, simulate_shard_speedup,
 from repro.telemetry import Telemetry
 
 from .conftest import unique_keys
+
+MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 
 
 def small_sharded(num_shards=4, **kw):
@@ -484,6 +495,8 @@ class TestSerialParallelAgree:
                 assert twin_divergence(serial, rs, parallel, rp) == []
             assert not parallel._parallel_broken
         assert serial.stats.snapshot() == parallel.stats.snapshot()
+        assert ([shard.stats.snapshot() for shard in serial.shards]
+                == [shard.stats.snapshot() for shard in parallel.shards])
         assert serial.stats.upsizes > 0
         parallel.validate()
 
@@ -508,3 +521,181 @@ def test_batch_built_for_another_table_is_rejected():
     values, found = table.shards[0].find(batch)
     assert found.all()
     assert len(table) == len(keys)
+
+
+def _wave_twin(num_shards: int, geometry: str, stashed: bool):
+    """A preloaded sharded table; ``"epoch"`` geometry gives shards of
+    unequal ``d`` and leaves shard 0 mid-upsize, and ``stashed`` parks a
+    few absent keys in a shard's stash.  Built the same way twice, it
+    gives two identical tables."""
+    def config(idx):
+        return DyCuckooConfig(
+            num_tables=(2, 3, 4, 8)[idx % 4] if geometry == "epoch" else 4,
+            initial_buckets=32, min_buckets=8, bucket_capacity=8,
+            migration_budget=1, seed=61 + idx)
+
+    table = ShardedDyCuckoo(num_shards=num_shards, shard_configs=[
+        config(idx) for idx in range(num_shards)])
+    keys = np.arange(1, 241, dtype=np.uint64)
+    table.insert(keys, keys * np.uint64(7))
+    if geometry == "epoch":
+        shard = table.shards[0]
+        shard._resizer.open_upsize_epoch()
+        shard._resizer.drain_migration(max_pairs=1)
+        assert any(st.migration is not None for st in shard.subtables)
+    if stashed:
+        extra = np.arange(241, 301, dtype=np.uint64)
+        mine = extra[table.shard_ids(extra) == num_shards - 1][:4]
+        table.shards[-1]._stash_pending(encode_keys(mine), mine,
+                                        reason="test")
+    return table
+
+
+def _per_shard(table, call: str, args) -> object:
+    """``call`` run shard by shard: the front-end's scatter, then each
+    shard's own ``execute_mixed`` (or homogeneous method) on its slice;
+    outputs gathered back to input positions."""
+    if call == "execute_mixed":
+        ops, keys, values = args
+    else:
+        keys = args[0]
+    n = len(keys)
+    order, batches = table._scatter(keys)
+    out = [np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=bool),
+           np.zeros(n, dtype=bool)]
+    runs, start = 0, 0
+    for shard, batch in zip(table.shards, batches):
+        if batch is None:
+            continue
+        at = order[start:start + len(batch)]
+        start += len(batch)
+        if call == "execute_mixed":
+            result = execute_mixed(shard, ops[at], batch, values[at])
+            out[0][at], out[1][at] = result.values, result.found
+            out[2][at] = result.removed
+            runs += result.runs
+        elif call == "insert":
+            shard.insert(batch, args[1][at])
+        elif call == "find":
+            out[0][at], out[1][at] = shard.find(batch)
+        else:
+            out[2][at] = shard.delete(batch)
+    if call == "execute_mixed":
+        return MixedBatchResult(*out, runs)
+    return {"insert": None, "find": tuple(out[:2]),
+            "delete": out[2]}[call]
+
+
+_batches = st.lists(
+    st.tuples(st.sampled_from(["execute_mixed", "execute_mixed", "insert",
+                               "find", "delete"]),
+              st.lists(st.tuples(st.sampled_from([OP_INSERT, OP_FIND,
+                                                  OP_DELETE]),
+                                 st.integers(1, 8)),
+                       min_size=1, max_size=30),
+              st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=6)
+
+
+class TestWaves:
+    """A sharded batch run in waves (the ``k``-th run of every shard
+    probed together) equals running it shard by shard."""
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(num_shards=st.sampled_from([1, 2, 4, 8]),
+           geometry=st.sampled_from(["equal", "epoch"]),
+           stashed=st.booleans(), stream=_batches)
+    def test_waves_equal_per_shard_execution(self, num_shards, geometry,
+                                             stashed, stream):
+        waves = _wave_twin(num_shards, geometry, stashed)
+        reference = _wave_twin(num_shards, geometry, stashed)
+        for call, runs, seed in stream:
+            rng = np.random.default_rng(seed)
+            ops = np.concatenate([np.full(length, kind, dtype=np.int64)
+                                  for kind, length in runs])
+            keys = rng.integers(1, 320, len(ops)).astype(np.uint64)
+            values = rng.integers(1, 1 << 40, len(ops)).astype(np.uint64)
+            args = {"execute_mixed": (ops, keys, values),
+                    "insert": (keys, values)}.get(call, (keys,))
+            got = getattr(waves, call)(*args)
+            want = _per_shard(reference, call, args)
+            assert twin_divergence(waves, got, reference, want) == []
+            assert ([shard.stats.snapshot() for shard in waves.shards]
+                    == [shard.stats.snapshot()
+                        for shard in reference.shards])
+        waves.validate()
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
+    def test_wave_probe_budget(self, monkeypatch, num_shards):
+        """A sharded batch makes one probe call per wave: the most runs
+        any shard has, less the waves whose runs are all inserts into
+        empty shards.  Instrumented and cohort-engine batches probe
+        each shard run alone."""
+        table = ShardedDyCuckoo(num_shards=num_shards, config=DyCuckooConfig(
+            initial_buckets=64, bucket_capacity=8, min_buckets=8))
+        calls = []
+        plain_parts, plain_probe = batch_ops.probe_parts, EncodedBatch.probe
+        monkeypatch.setattr(batch_ops, "probe_parts",
+                            lambda parts: calls.append(len(parts))
+                            or plain_parts(parts))
+        monkeypatch.setattr(EncodedBatch, "probe",
+                            lambda batch, touch: calls.append(1)
+                            or plain_probe(batch, touch))
+        rng = np.random.default_rng(62)
+        live = [set() for _ in table.shards]
+        for step in range(6):
+            ops, keys, values = mixed_batch(rng, 300, run_length=(1, 9),
+                                            keyspace=400)
+            if step == 0:
+                ops[:120] = OP_INSERT
+            order, _batches = table._scatter(keys)
+            ids = table.shard_ids(keys)[order]
+            plans = []
+            for idx in range(num_shards):
+                at = order[ids == idx]
+                plans.append((idx, at, list(op_runs(ops[at]))))
+            expected = 0
+            for k in range(max(len(runs) for _i, _a, runs in plans)):
+                wave = [(idx, at, runs[k]) for idx, at, runs in plans
+                        if k < len(runs)]
+                expected += any(kind != OP_INSERT or live[idx]
+                                for idx, _at, (kind, _a, _b) in wave)
+                for idx, at, (kind, a, b) in wave:
+                    if kind == OP_INSERT:
+                        live[idx].update(keys[at[a:b]].tolist())
+                    elif kind == OP_DELETE:
+                        live[idx].difference_update(keys[at[a:b]].tolist())
+            calls.clear()
+            table.execute_mixed(ops, keys, values)
+            assert len(calls) == expected
+            assert sum(calls) <= sum(len(runs) for *_r, runs in plans)
+            assert [len(shard) for shard in table.shards] == [
+                len(keys) for keys in live]
+
+        # A homogeneous call is one wave.
+        fresh = unique_keys(500, seed=63)
+        for call, args in (("find", (fresh,)), ("insert", (fresh, fresh)),
+                           ("delete", (fresh[:100],))):
+            calls.clear()
+            getattr(table, call)(*args)
+            assert calls == [num_shards], call
+
+        # Instrumented batches probe each shard run alone.
+        assert all(table.shard_loads())
+        ops, keys, values = mixed_batch(rng, 300, run_length=(1, 9),
+                                        keyspace=400)
+        table.attach(Instruments(telemetry=Telemetry()))
+        calls.clear()
+        result = table.execute_mixed(ops, keys, values)
+        table.attach(None)
+        assert result.runs > num_shards
+        assert calls == [1] * result.runs
+
+        # So do cohort-engine batches (FIND and DELETE runs: the kernels
+        # never resize, so this table takes no kernel inserts).
+        ops = np.where(np.arange(300) // 7 % 2, OP_DELETE, OP_FIND)
+        calls.clear()
+        result = table.execute_mixed(ops, keys, engine="cohort")
+        assert result.runs > num_shards
+        assert calls == [1] * result.runs
