@@ -173,7 +173,7 @@ class EncodedBatch:
         :func:`probe_parts`; returns its ``(hit, retried)``."""
         if not len(self):
             return np.zeros(0, dtype=bool), 0
-        return _probe_group([(self, touch)])[0]
+        return _probe_one(self, touch)
 
 
 class _BatchView(EncodedBatch):
@@ -232,8 +232,7 @@ def probe_parts(parts: Sequence[ProbeRequest]
     its subtable ``t``'s hits, once: the part's keys at positions
     ``sel`` (ascending) sit at slot ``slots`` of ``buckets``.
 
-    Buckets resolve with one gather of masks while every table is
-    settled; otherwise each table resolves its own entries through its
+    Each table resolves its own entries' buckets through its
     :meth:`~repro.core.table.DyCuckooTable.bucket_resolver`, so a table
     in an open migration epoch keeps its dual view.
 
@@ -252,77 +251,60 @@ def probe_parts(parts: Sequence[ProbeRequest]
         else:
             results[i] = (np.zeros(0, dtype=bool), 0)
     for members in groups.values():
+        if len(members) == 1:
+            (i,) = members
+            results[i] = _probe_one(*parts[i])
+            continue
         for i, result in zip(members,
                              _probe_group([parts[i] for i in members])):
             results[i] = result
     return results
 
 
+def _probe_one(batch: EncodedBatch, touch: Touch) -> tuple[np.ndarray, int]:
+    """:func:`probe_parts` of one non-empty part: its subtables are the
+    global ids and its keys need no renumbering."""
+    table = batch.table
+    d = table.num_tables
+    targets = _pair_targets(batch, d)
+    buckets = table.bucket_resolver()(targets, batch.candidate_raw.T.ravel())
+    hit, entry, key, slot, at_cuts = _match(
+        table.subtables, targets, buckets, batch.codes,
+        table.config.bucket_capacity)
+    for t in range(d):
+        a, b = at_cuts[t], at_cuts[t + 1]
+        if a < b:
+            touch(t, buckets[entry[a:b]], slot[a:b], key[a:b])
+    return hit, len(batch) - len(entry) + int(np.count_nonzero(entry & 1))
+
+
 def _probe_group(parts: list[ProbeRequest]
                  ) -> list[tuple[np.ndarray, int]]:
-    """:func:`probe_parts` over non-empty parts of one bucket capacity."""
+    """:func:`probe_parts` of several non-empty parts of one bucket
+    capacity."""
     # Part p's keys are keys key_base[p]:key_base[p + 1] of the stack,
-    # its subtables global ids table_base[p]:table_base[p + 1].  One
-    # part, every single-table probe, needs no concatenation and
-    # resolves through its table's own resolver.
-    if len(parts) == 1:
-        batch = parts[0][0]
-        tables = [batch.table]
-        subtables = batch.table.subtables
-        key_base = [0, len(batch)]
-        table_base = [0, batch.table.num_tables]
-        targets = _pair_targets(batch.first, batch.second, table_base[-1])
-        raw = batch.candidate_raw.T.ravel()
-        codes = batch.codes
-        buckets = batch.table.bucket_resolver()(targets, raw)
-    else:
-        batches = [batch for batch, _touch in parts]
-        tables = [batch.table for batch in batches]
-        subtables = [st for table in tables for st in table.subtables]
-        sizes = [len(batch) for batch in batches]
-        key_base = list(accumulate(sizes, initial=0))
-        table_base = list(accumulate([table.num_tables for table in tables],
-                                     initial=0))
-        targets = _pair_targets(
-            np.concatenate([batch.first for batch in batches]),
-            np.concatenate([batch.second for batch in batches]),
-            table_base[-1])
-        targets += np.repeat(np.array(table_base[:-1], dtype=targets.dtype),
-                             2 * np.array(sizes))
-        raw = np.concatenate([batch.candidate_raw for batch in batches],
-                             axis=1).T.ravel()
-        codes = np.concatenate([batch.codes for batch in batches])
-        buckets = _resolve_parts(tables, table_base, key_base, targets, raw)
-    n, width = key_base[-1], table_base[-1]
-    # A stable sort keeps each subtable's entries ascending.
-    order = targets.argsort(kind="stable")
-    cuts = targets[order].searchsorted(np.arange(width + 1)).tolist()
-    block = np.empty((min(2 * n, PROBE_CHUNK),
-                      tables[0].config.bucket_capacity), dtype=np.uint64)
-    match = np.empty(block.shape, dtype=bool)
-    # Sorted positions of the matches, ascending, and their slots.
-    found, slots = [], []
-    for lo in range(0, 2 * n, PROBE_CHUNK):
-        entries = order[lo:lo + PROBE_CHUNK]
-        m = len(entries)
-        block_buckets = buckets[entries]
-        for g, st in enumerate(subtables):
-            a, b = max(cuts[g], lo) - lo, min(cuts[g + 1], lo + m) - lo
-            if a < b:
-                st.keys.take(block_buckets[a:b], axis=0, out=block[a:b],
-                             mode="clip")
-        rows, slot = match_slots(block[:m], codes[entries >> 1],
-                                 out=match[:m])
-        found.append(rows + lo)
-        slots.append(slot)
-    at = np.concatenate(found)
-    slot = np.concatenate(slots)
-    entry = order[at]
+    # its subtables global ids table_base[p]:table_base[p + 1].
+    tables = [batch.table for batch, _touch in parts]
+    key_base = list(accumulate((len(batch) for batch, _touch in parts),
+                               initial=0))
+    table_base = list(accumulate((table.num_tables for table in tables),
+                                 initial=0))
+    targets, buckets = [], []
+    for (batch, _touch), table, base in zip(parts, tables, table_base):
+        part_targets = _pair_targets(batch, table_base[-1])
+        # Each table resolves its own entries, so a table in an open
+        # migration epoch keeps its dual view.
+        buckets.append(table.bucket_resolver()(
+            part_targets, batch.candidate_raw.T.ravel()))
+        part_targets += base
+        targets.append(part_targets)
+    buckets = np.concatenate(buckets)
+    hit, entry, key, slot, at_cuts = _match(
+        [st for table in tables for st in table.subtables],
+        np.concatenate(targets), buckets,
+        np.concatenate([batch.codes for batch, _touch in parts]),
+        tables[0].config.bucket_capacity)
     hit_buckets = buckets[entry]
-    key = entry >> 1
-    hit = np.zeros(n, dtype=bool)
-    hit[key] = True
-    at_cuts = at.searchsorted(cuts).tolist()
     in_second = entry & 1
     results = []
     for p, (_batch, touch) in enumerate(parts):
@@ -341,32 +323,56 @@ def _probe_group(parts: list[ProbeRequest]
     return results
 
 
-def _pair_targets(first: np.ndarray, second: np.ndarray,
-                  width: int) -> np.ndarray:
-    """Entries ``2i`` and ``2i + 1``: ``first[i]`` and ``second[i]``, in
-    the narrowest unsigned type holding ids below ``width``, which
-    numpy's stable sort orders by radix instead of by merging."""
-    targets = np.empty((len(first), 2), dtype=np.min_scalar_type(width - 1))
-    targets[:, 0] = first
-    targets[:, 1] = second
-    return targets.ravel()
+def _pair_targets(batch: EncodedBatch, width: int) -> np.ndarray:
+    """Entries ``2i`` and ``2i + 1``: the batch's ``first[i]`` and
+    ``second[i]``, in the narrowest unsigned type holding ids below
+    ``width``, which numpy's stable sort orders by radix instead of by
+    merging."""
+    targets = np.empty(2 * len(batch), dtype=np.min_scalar_type(width - 1))
+    targets[0::2] = batch.first
+    targets[1::2] = batch.second
+    return targets
 
 
-def _resolve_parts(tables, table_base: list[int], key_base: list[int],
-                   targets: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Buckets of stacked entries (see :func:`_probe_group`): one gather
-    of the tables' masks while every table is settled, else each table's
-    own resolver over its entries, so an open epoch keeps its dual view."""
-    masks = [table.bucket_masks() for table in tables]
-    if all(mask is not None for mask in masks):
-        return raw & np.concatenate(masks)[targets]
-    buckets = np.empty(len(raw), dtype=np.int64)
-    for table, base, lo, hi in zip(tables, table_base, key_base,
-                                   key_base[1:]):
-        entries = slice(2 * lo, 2 * hi)
-        buckets[entries] = table.bucket_resolver()(targets[entries] - base,
-                                                   raw[entries])
-    return buckets
+def _match(subtables, targets: np.ndarray, buckets: np.ndarray,
+           codes: np.ndarray, capacity: int):
+    """The match pass of a probe over stacked entries (see
+    :func:`probe_parts`): entry ``e`` is key ``e >> 1`` in global
+    subtable ``targets[e]`` at bucket ``buckets[e]``.
+
+    Returns the hit mask over the keys, the matched entries in sorted
+    order with their keys and slots, and the cuts of that order at each
+    subtable.
+    """
+    n = len(codes)
+    # A stable sort keeps each subtable's entries ascending.
+    order = targets.argsort(kind="stable")
+    cuts = targets[order].searchsorted(np.arange(len(subtables) + 1))
+    cuts = cuts.tolist()
+    block = np.empty((min(2 * n, PROBE_CHUNK), capacity), dtype=np.uint64)
+    match = np.empty(block.shape, dtype=bool)
+    # Sorted positions of the matches, ascending, and their slots.
+    found, slots = [], []
+    for lo in range(0, 2 * n, PROBE_CHUNK):
+        entries = order[lo:lo + PROBE_CHUNK]
+        m = len(entries)
+        block_buckets = buckets[entries]
+        for g, st in enumerate(subtables):
+            a, b = max(cuts[g], lo) - lo, min(cuts[g + 1], lo + m) - lo
+            if a < b:
+                st.keys.take(block_buckets[a:b], axis=0, out=block[a:b],
+                             mode="clip")
+        rows, slot = match_slots(block[:m], codes[entries >> 1],
+                                 out=match[:m])
+        found.append(rows + lo)
+        slots.append(slot)
+    at = np.concatenate(found)
+    entry = order[at]
+    key = entry >> 1
+    hit = np.zeros(n, dtype=bool)
+    hit[key] = True
+    return (hit, entry, key, np.concatenate(slots),
+            at.searchsorted(cuts).tolist())
 
 
 def run_body(body: OpBody):
@@ -389,11 +395,15 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
     in list order, to its next request, and serves all of the round's
     requests with one :func:`probe_parts` call.  A body that needs no
     probe (an insert into an empty table) finishes in its first round
-    without a request.  Returns the bodies' results in list order; one
-    body alone gives what :func:`run_body` gives.
+    without a request.  A body that raises stops there, but the others
+    still run to their end before the first exception is re-raised, so
+    every table either completes its op or is one that raised.  Returns
+    the bodies' results in list order; one body alone gives what
+    :func:`run_body` gives.
     """
     results: list = [None] * len(bodies)
     replies: list = [None] * len(bodies)
+    error: Exception | None = None
     live = list(range(len(bodies)))
     while live:
         parts, asking = [], []
@@ -402,12 +412,17 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
                 parts.append(bodies[i].send(replies[i]))
             except StopIteration as stop:
                 results[i] = stop.value
+            except Exception as exc:
+                if error is None:
+                    error = exc
             else:
                 asking.append(i)
         if parts:
             for i, reply in zip(asking, probe_parts(parts)):
                 replies[i] = reply
         live = asking
+    if error is not None:
+        raise error
     return results
 
 

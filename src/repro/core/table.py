@@ -125,8 +125,6 @@ class DyCuckooTable:
         #: :meth:`geometry_changed`.
         self._resolver: Callable[[np.ndarray, np.ndarray],
                                  np.ndarray] | None = None
-        #: The masks the cached resolver gathers (see :meth:`bucket_masks`).
-        self._masks: np.ndarray | None = None
         #: Cached :attr:`total_slots`, dropped with the resolver.
         self._total_slots: int | None = None
         #: The attached instruments; see :meth:`attach`.
@@ -140,7 +138,6 @@ class DyCuckooTable:
         state = self.__dict__.copy()
         state["_arena"] = None
         state["_resolver"] = None
-        state["_masks"] = None
         return state
 
     def attach(self, instruments: Instruments | None) -> None:
@@ -570,20 +567,12 @@ class DyCuckooTable:
             resolver = self._resolver = self._build_resolver()
         return resolver
 
-    def bucket_masks(self) -> np.ndarray | None:
-        """The per-subtable ``n_buckets - 1`` masks the settled
-        :meth:`bucket_resolver` gathers, or ``None`` while any subtable
-        is mid-migration; cached with the resolver."""
-        self.bucket_resolver()
-        return self._masks
-
     def _build_resolver(
             self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         if any(st.migration is not None for st in self.subtables):
-            self._masks = None
             return self._buckets_per_target
-        masks = self._masks = np.array(
-            [st.n_buckets - 1 for st in self.subtables], dtype=np.int64)
+        masks = np.array([st.n_buckets - 1 for st in self.subtables],
+                         dtype=np.int64)
         return lambda targets, raw: raw & masks[targets]
 
     def geometry_changed(self) -> None:

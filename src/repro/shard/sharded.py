@@ -65,7 +65,7 @@ from repro.baselines.base import GpuHashTable
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                   EncodedBatch, MixedBatchResult,
                                   check_mixed_batch, host_body, op_runs,
-                                  run_bodies, run_host, store_result)
+                                  run_bodies, store_result)
 from repro.core.batch_ops import execute_mixed as _execute_mixed
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.distribution import coin_draws
@@ -377,7 +377,7 @@ class ShardedDyCuckoo(GpuHashTable):
 
         Uninstrumented, the shards' op bodies run as one wave, so one
         multi-table probe serves every shard.  Instrumented, each shard
-        runs its body alone under its own op span.
+        runs the op through its own public method.
         """
         work = [(self.shards[idx], batch,
                  None if values is None else values[a:b])
@@ -385,8 +385,12 @@ class ShardedDyCuckoo(GpuHashTable):
         if self._waves_eligible(None):
             return run_bodies([host_body(shard, kind, batch, shard_values)
                                for shard, batch, shard_values in work])
-        return [run_host(shard, kind, batch, shard_values)
-                for shard, batch, shard_values in work]
+        if kind == OP_INSERT:
+            return [shard.insert(batch, shard_values)
+                    for shard, batch, shard_values in work]
+        if kind == OP_FIND:
+            return [shard.find(batch) for shard, batch, _values in work]
+        return [shard.delete(batch) for shard, batch, _values in work]
 
     def contains(self, keys) -> np.ndarray:
         """Membership test for a batch of keys."""
@@ -406,8 +410,9 @@ class ShardedDyCuckoo(GpuHashTable):
         executes its subsequence (in program order) through the standard
         mixed-batch machinery, run by run, and the per-position results
         are gathered back.  Uninstrumented host batches run the shards'
-        runs in waves (see :meth:`_execute_waves`).  Because every operation on a given key maps to the same
-        shard, per-key program order — the semantics contract of
+        runs in waves (see :meth:`_execute_waves`).  Because every
+        operation on a given key maps to the same shard, per-key program
+        order — the semantics contract of
         :func:`repro.core.batch_ops.execute_mixed` — is preserved while
         shards proceed independently.  ``runs`` is the total number of
         homogeneous sub-batches summed over shards.
@@ -481,7 +486,9 @@ class ShardedDyCuckoo(GpuHashTable):
         multi-table probe serves all of their requests, and then each
         finishes in shard-index order.  A shard sees exactly the steps,
         in the same order, that running its subsequence alone through
-        :func:`~repro.core.batch_ops.execute_mixed` takes.
+        :func:`~repro.core.batch_ops.execute_mixed` takes.  If a run
+        raises, the other runs of its wave still finish and no later
+        wave starts, so every other shard stops at a run boundary.
         """
         plans = [(self.shards[idx], batch, a, list(op_runs(op_codes[a:b])))
                  for idx, batch, a, b in spans]

@@ -20,7 +20,7 @@ from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.hashing import HashStack, UniversalHash
 from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable, encode_keys
-from repro.errors import InvalidConfigError, InvalidKeyError
+from repro.errors import CapacityError, InvalidConfigError, InvalidKeyError
 from repro.gpusim.device import GTX_1080, partition_device
 from repro.kernels.find import run_find_kernel
 from repro.oracle import mixed_batch, twin_divergence
@@ -699,3 +699,60 @@ class TestWaves:
         result = table.execute_mixed(ops, keys, engine="cohort")
         assert result.runs > num_shards
         assert calls == [1] * result.runs
+
+    @pytest.mark.parametrize("call", ["execute_mixed", "insert"])
+    def test_failing_run_lets_its_wave_finish(self, call):
+        """A run that raises inside a wave (shard 0's insert overflows
+        with ``auto_resize=False``) still lets the wave's other runs
+        finish, so each other shard ends as if run alone, and no later
+        wave starts."""
+        def build():
+            table = small_sharded(num_shards=4, bucket_capacity=8,
+                                  auto_resize=False)
+            table.insert(preload, preload)
+            return table
+
+        keys = unique_keys(8000, seed=64)
+        ids = small_sharded(num_shards=4).shard_ids(keys)
+        preload = np.concatenate([keys[ids == idx][:60]
+                                  for idx in range(4)])
+        overflow = keys[ids == 0][60:460]
+        others = keys[(ids != 0) & np.isin(keys, preload)]
+        if call == "execute_mixed":
+            # One wave: shard 0 inserts, the others delete, and a second
+            # wave of finds never starts.
+            batch = np.concatenate([others, overflow, others])
+            ops = np.concatenate([np.full(len(others), OP_DELETE),
+                                  np.full(len(overflow), OP_INSERT),
+                                  np.full(len(others), OP_FIND)])
+            args = (ops, batch, batch)
+            first_wave = len(others) + len(overflow)
+        else:
+            batch = np.concatenate([others[::2] + np.uint64(1 << 40),
+                                    overflow])
+            ops = np.full(len(batch), OP_INSERT)
+            args = (batch, batch)
+            first_wave = len(batch)
+        waves, reference = build(), build()
+        with pytest.raises(CapacityError):
+            getattr(waves, call)(*args)
+        # The reference runs shard 0's failing run alone, then the other
+        # shards' runs of the first wave, each alone.
+        ops, batch = ops[:first_wave], batch[:first_wave]
+        order, batches = reference._scatter(batch)
+        start = 0
+        for idx, (shard, part) in enumerate(zip(reference.shards, batches)):
+            at = order[start:start + len(part)]
+            start += len(part)
+            if idx == 0:
+                with pytest.raises(CapacityError):
+                    execute_mixed(shard, ops[at], part, batch[at])
+            else:
+                execute_mixed(shard, ops[at], part, batch[at])
+        assert waves.shards[0].stats.insert_failures > 0
+        for shard, twin in zip(waves.shards, reference.shards):
+            assert shard.stats.snapshot() == twin.stats.snapshot()
+            for got, want in zip(shard.items(), twin.items()):
+                assert np.array_equal(got, want)
+        for shard in waves.shards[1:]:
+            shard.validate()
