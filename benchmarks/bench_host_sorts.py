@@ -7,7 +7,7 @@ writer of each key.  Both need a stable order over the batch, which
 ``id << index_bits | index`` keys, and from a sort-then-compare
 duplicate check, once a batch reaches ``SORT_CUTOFF`` elements.
 
-Three legs:
+Four legs:
 
 * ``sorts`` times the two helpers at ``SORT_N`` elements against the
   numpy merge sorts they replace, on the same host, best of
@@ -21,6 +21,15 @@ Three legs:
   free mask, against the per-claimant cumsum search it replaced, at
   ``CLAIMANTS`` claimants over ``CLAIM_ROWS`` 32-slot rows, best of
   ``REPEATS``.  The ratio must reach ``PLACEMENT_FLOOR``.
+* ``hashing`` times one hashing pass (pre-mix and the affine map
+  modulo ``p = 2**31 - 1``) under each of
+  :mod:`repro.core.hashing`'s two exact reductions, best of ``REPEATS``
+  loops of ``HASH_LOOP_CODES`` codes, at each of ``HASH_SIZES`` codes
+  per pass.  :func:`~repro.core.hashing.affine_by_remainder` (one
+  ``np.remainder`` per reduction) must beat
+  :func:`~repro.core.hashing.affine_by_folds` (two Mersenne folds) by
+  ``REMAINDER_FLOOR`` at 64 codes, and the folds must win at 16,384:
+  that is why both exist, with ``REMAINDER_CUTOFF`` between them.
 * ``session`` runs both tables of ``examples/multi_tenant_gpu.py`` at
   full size (grow to 8M keys, shrink to 800k) and records each one's
   wall time.
@@ -43,6 +52,8 @@ from repro.bench import shape_check
 from repro.bench.artifacts import maybe_dump
 from repro.core.grouping import (first_occurrence_mask, rank_within_group,
                                  stable_order)
+from repro.core.hashing import (REMAINDER_CUTOFF, UniversalHash,
+                                affine_by_folds, affine_by_remainder)
 from repro.core.subtable import claim_slots
 
 from benchmarks.common import once
@@ -66,6 +77,15 @@ CLAIM_ROWS = 4_096
 
 #: Floor on the cumsum search / ``claim_slots`` at ``CLAIMANTS``.
 PLACEMENT_FLOOR = 4.0
+
+#: Codes per timed hashing pass.
+HASH_SIZES = (8, 64, 1_024, 16_384)
+
+#: Codes hashed per timed loop of passes.
+HASH_LOOP_CODES = 1 << 17
+
+#: Floor on the folded / divided pass time at 64 codes.
+REMAINDER_FLOOR = 2.0
 
 EXAMPLE = (Path(__file__).resolve().parent.parent / "examples"
            / "multi_tenant_gpu.py")
@@ -133,6 +153,35 @@ def _placement_leg() -> dict:
     }
 
 
+def _pass_seconds(reduce, codes: np.ndarray, h: UniversalHash) -> float:
+    """Best-of-``REPEATS`` seconds of one pass of ``codes`` under
+    ``reduce``."""
+    passes = HASH_LOOP_CODES // len(codes)
+
+    def loop() -> None:
+        for _ in range(passes):
+            reduce(np.bitwise_xor(codes, h.premix), h.a, h.b)
+
+    return _best_seconds(loop) / passes
+
+
+def _hashing_leg() -> dict:
+    rng = np.random.default_rng(6)
+    h = UniversalHash.random(rng)
+    results: dict = {"remainder_cutoff": REMAINDER_CUTOFF}
+    for n in HASH_SIZES:
+        codes = rng.integers(0, 2 ** 64, n, dtype=np.uint64)
+        assert np.array_equal(
+            affine_by_folds(codes ^ h.premix, h.a, h.b),
+            affine_by_remainder(codes ^ h.premix, h.a, h.b))
+        fold_s = _pass_seconds(affine_by_folds, codes, h)
+        remainder_s = _pass_seconds(affine_by_remainder, codes, h)
+        results[f"fold_{n}_seconds"] = fold_s
+        results[f"remainder_{n}_seconds"] = remainder_s
+        results[f"remainder_speedup_{n}"] = fold_s / remainder_s
+    return results
+
+
 def _session_leg() -> dict:
     spec = importlib.util.spec_from_file_location("multi_tenant_gpu",
                                                   EXAMPLE)
@@ -150,7 +199,7 @@ def _session_leg() -> dict:
 
 def _run_all() -> dict:
     return {"sorts": _sort_leg(), "placement": _placement_leg(),
-            "session": _session_leg()}
+            "hashing": _hashing_leg(), "session": _session_leg()}
 
 
 def test_host_sorts(benchmark):
@@ -158,7 +207,7 @@ def test_host_sorts(benchmark):
     maybe_dump("BENCH_host_sorts", results)
 
     sorts, session = results["sorts"], results["session"]
-    placement = results["placement"]
+    placement, hashing = results["placement"], results["hashing"]
     print()
     print(f"{SORT_N:,} elements, best of {REPEATS}: stable argsort "
           f"{sorts['argsort_seconds']:.3f}s, stable_order "
@@ -169,6 +218,11 @@ def test_host_sorts(benchmark):
           f"{REPEATS}: cumsum search "
           f"{placement['cumsum_search_seconds'] * 1e3:.2f}ms, claim_slots "
           f"{placement['claim_slots_seconds'] * 1e3:.2f}ms")
+    print(f"one hashing pass, best of {REPEATS}, folds / remainder: "
+          + ", ".join(f"{n:,} codes {hashing[f'fold_{n}_seconds'] * 1e6:.1f}"
+                      f"/{hashing[f'remainder_{n}_seconds'] * 1e6:.1f}us"
+                      for n in HASH_SIZES)
+          + f" (cutoff {REMAINDER_CUTOFF:,})")
     print("8M-key session: " + ", ".join(
         f"{key} {seconds:.1f}s" for key, seconds in session.items()))
     checks = [
@@ -181,6 +235,12 @@ def test_host_sorts(benchmark):
         (f"claim_slots beats the cumsum search "
          f"({placement['claim_slots_speedup']:.1f}x >= {PLACEMENT_FLOOR}x)",
          placement["claim_slots_speedup"] >= PLACEMENT_FLOOR),
+        (f"one np.remainder per reduction beats the folds at 64 codes "
+         f"({hashing['remainder_speedup_64']:.1f}x >= {REMAINDER_FLOOR}x)",
+         hashing["remainder_speedup_64"] >= REMAINDER_FLOOR),
+        (f"the folds beat np.remainder at 16,384 codes "
+         f"({hashing['remainder_speedup_16384']:.2f}x < 1x)",
+         hashing["remainder_speedup_16384"] < 1.0),
         ("both session tables ran",
          sorted(session) == ["dycuckoo_seconds", "megakv_static_seconds"]),
     ]

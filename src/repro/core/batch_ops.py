@@ -91,17 +91,18 @@ class EncodedBatch:
 
         self.table = table
         self.codes = encode_keys(np.asarray(keys, dtype=np.uint64))
-        self._pair: tuple[np.ndarray, np.ndarray] | None = None
+        self._pair: np.ndarray | None = None
         self._candidates: np.ndarray | None = None
         self._draw: np.ndarray | None = None
 
     @classmethod
-    def hashed(cls, table, codes: np.ndarray, first: np.ndarray,
-               second: np.ndarray, candidate_raw: np.ndarray,
-               draw: np.ndarray) -> "EncodedBatch":
+    def hashed(cls, table, codes: np.ndarray, pair: np.ndarray,
+               candidate_raw: np.ndarray, draw: np.ndarray
+               ) -> "EncodedBatch":
         """A batch of encoded ``codes`` whose caches are already filled.
 
-        ``first``/``second`` are the pair targets, ``candidate_raw`` the
+        ``pair`` holds the ``first``/``second`` pair targets as the rows
+        of an ``int64[2, n]`` array, ``candidate_raw`` the
         ``uint32[2, n]`` raw hashes under them and ``draw`` the routing
         coin's draw per key, each equal to what ``table``'s own
         functions give.  The sharded front-end hashes a batch for all of
@@ -111,7 +112,7 @@ class EncodedBatch:
         batch = cls.__new__(cls)
         batch.table = table
         batch.codes = codes
-        batch._pair = (first, second)
+        batch._pair = pair
         batch._candidates = candidate_raw
         batch._draw = draw
         return batch
@@ -141,7 +142,8 @@ class EncodedBatch:
     def second(self) -> np.ndarray:
         return self._pairs()[1]
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _pairs(self) -> np.ndarray:
+        """``int64[2, n]``: rows ``first`` and ``second``; cached."""
         if self._pair is None:
             self._pair = self._hash_pairs()
         return self._pair
@@ -160,13 +162,12 @@ class EncodedBatch:
         first_raw, second_raw = self.candidate_raw
         return np.where(targets == self.first, first_raw, second_raw)
 
-    def _hash_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _hash_pairs(self) -> np.ndarray:
         return self.table.pair_hash.tables_for(self.codes)
 
     def _hash_candidates(self) -> np.ndarray:
-        return self.table.hash_stack.raw(
-            self.codes, np.stack((self.first, self.second))
-        ).astype(np.uint32)
+        return self.table.hash_stack.raw(self.codes,
+                                         self._pairs()).astype(np.uint32)
 
     def probe(self, touch: Touch) -> tuple[np.ndarray, int]:
         """Two-bucket probe of this batch alone, the one-part form of
@@ -177,9 +178,12 @@ class EncodedBatch:
 
 
 class _BatchView(EncodedBatch):
-    """The keys of ``parent`` at ``index``, hashed through its caches."""
+    """The keys of ``parent`` at ``index`` (a slice, positions or a
+    mask), hashed through its caches."""
 
     def __init__(self, parent: EncodedBatch, index) -> None:
+        if isinstance(index, np.ndarray) and index.dtype == bool:
+            index = index.nonzero()[0]
         self.table = parent.table
         self.codes = parent.codes[index]
         self._parent = parent
@@ -192,12 +196,19 @@ class _BatchView(EncodedBatch):
         draw = self._parent.draw
         return None if draw is None else draw[self._index]
 
-    def _hash_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        first, second = self._parent._pairs()
-        return first[self._index], second[self._index]
+    def _columns(self, rows: np.ndarray) -> np.ndarray:
+        """Columns ``index`` of one of the parent's ``(2, n)`` caches: a
+        view for a slice, else one ``take`` (a third of the cost of
+        ``rows[:, index]`` at a few hundred keys)."""
+        if isinstance(self._index, slice):
+            return rows[:, self._index]
+        return rows.take(self._index, axis=1)
+
+    def _hash_pairs(self) -> np.ndarray:
+        return self._columns(self._parent._pairs())
 
     def _hash_candidates(self) -> np.ndarray:
-        return self._parent.candidate_raw[:, self._index]
+        return self._columns(self._parent.candidate_raw)
 
 
 def as_batch(table, keys) -> EncodedBatch:

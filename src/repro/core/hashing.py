@@ -6,10 +6,17 @@ The paper (Section IV-A) uses a simple universal family
 
 with random ``a_i, b_i`` and a large prime ``p``.  We implement exactly
 that family over the Mersenne prime ``p = 2**31 - 1`` with a per-function
-64-bit pre-mix so that 64-bit keys are first folded into ``[0, p)`` in a
-function-dependent way (two keys that collide under one function's fold
-are unlikely to collide under another's).  All operations are vectorized
-over ``numpy`` ``uint64`` arrays.
+64-bit pre-mix so that 64-bit keys are first reduced into ``[0, p)`` in a
+function-dependent way (two keys that collide under one function's
+reduction are unlikely to collide under another's).  All operations are
+vectorized over ``numpy`` ``uint64`` arrays.
+
+A hashing pass costs a fixed number of numpy calls plus a per-code
+term, and most passes are small (a find's pair and candidates, an
+eviction round's victims).  A pass below :data:`REMAINDER_CUTOFF` codes
+therefore reduces with one ``np.remainder`` per reduction, a larger one
+with two Mersenne folds, which cost more calls but less per code; both
+are exact, so every hash value is the same either way.
 
 The *first layer* (Section V-A) hashes a key to one of ``C(d, 2)``
 unordered subtable pairs; :class:`PairHash` enumerates the pairs
@@ -34,6 +41,14 @@ _MASK31 = np.uint64((1 << 31) - 1)
 #: megabytes to the process's peak RSS.
 HASH_CHUNK = 16384
 
+#: Passes of fewer codes than this reduce modulo ``p`` with
+#: :func:`affine_by_remainder` (5 numpy calls a pass), larger ones with
+#: :func:`affine_by_folds` (19 calls, cheaper per code).  Both are exact,
+#: so the choice changes no hash value.  The measured crossover on a
+#: 2-vCPU x86-64 host: one pass of 64 codes took 17.9 us folded and
+#: 4.2 us divided, 1,024 took 18.9 and 13.2 us, 4,096 about 41 us
+#: either way, and 16,384 took 117 and 155 us.
+REMAINDER_CUTOFF = 4096
 
 #: Raw-hash placeholder for a key not yet hashed under its target
 #: subtable; no 31-bit hash equals it (see ``DyCuckooTable._insert_pending``).
@@ -71,8 +86,20 @@ def _fold_in_place(x: np.ndarray, scratch: np.ndarray) -> None:
     np.minimum(x, scratch, out=x)
 
 
-def _affine_mod_p(mixed: np.ndarray, a, b) -> np.ndarray:
-    """``(a * fold(mixed) + b) mod p`` in place; ``a``/``b`` broadcast."""
+def affine_by_remainder(mixed: np.ndarray, a, b) -> np.ndarray:
+    """``(a * (mixed mod p) + b) mod p`` in place, one ``np.remainder``
+    per reduction; ``a``/``b`` broadcast.  Five numpy calls with the
+    pre-mix: the cheaper reduction below :data:`REMAINDER_CUTOFF`."""
+    np.remainder(mixed, MERSENNE_P, out=mixed)
+    # a < 2**31 and the remainder < 2**31: the product fits in uint64.
+    mixed *= a
+    mixed += b
+    return np.remainder(mixed, MERSENNE_P, out=mixed)
+
+
+def affine_by_folds(mixed: np.ndarray, a, b) -> np.ndarray:
+    """:func:`affine_by_remainder` by two Mersenne folds per reduction:
+    more numpy calls, but cheaper per code than a 64-bit division."""
     scratch = np.empty_like(mixed)
     _fold_in_place(mixed, scratch)
     # a < 2**31 and the fold < 2**31, so the product fits in uint64.
@@ -87,11 +114,14 @@ def _hash_pass(codes: np.ndarray, premix, a, b, which,
     """One pass of :func:`_hash_codes`, into ``out`` when given."""
     if which is not None:
         premix, a, b = premix[which], a[which], b[which]
-    return _affine_mod_p(np.bitwise_xor(codes, premix, out=out), a, b)
+    mixed = np.bitwise_xor(codes, premix, out=out)
+    if mixed.size < REMAINDER_CUTOFF:
+        return affine_by_remainder(mixed, a, b)
+    return affine_by_folds(mixed, a, b)
 
 
 def _hash_codes(codes: np.ndarray, premix, a, b, which=None) -> np.ndarray:
-    """``(a * fold(code ^ premix) + b) mod p`` for every code.
+    """``(a * ((code ^ premix) mod p) + b) mod p`` for every code.
 
     ``premix``/``a``/``b`` are one function's constants, or stacked
     constants that ``which`` indexes (broadcast with ``codes``).  Inputs
@@ -227,16 +257,16 @@ class PairHash:
         pairs = [(i, j)
                  for i in range(num_tables)
                  for j in range(i + 1, num_tables)]
-        #: ``(d, C(d,2))`` lookup: the pair member that is not ``t``, or
-        #: -1 where ``t`` is outside the pair.
-        alternate = [[-1] * len(pairs) for _ in range(num_tables)]
+        #: ``(d, C(d,2))`` lookup: entry ``(t, p)`` is the member of
+        #: pair ``p`` that is not ``t``, or -1 where ``t`` is outside it.
+        alternates = [[-1] * len(pairs) for _ in range(num_tables)]
         for part, (i, j) in enumerate(pairs):
-            alternate[i][part] = j
-            alternate[j][part] = i
-        self._alternate = np.asarray(alternate, dtype=np.int64)
+            alternates[i][part] = j
+            alternates[j][part] = i
+        self.alternates = np.asarray(alternates, dtype=np.int64)
         #: ``(C(d,2), 2)`` lookup array mapping partition -> (i, j).
         self.pairs = np.asarray(pairs, dtype=np.int64)
-        self._first, self._second = self.pairs.T.copy()
+        self._members = self.pairs.T.copy()
 
     @property
     def num_pairs(self) -> int:
@@ -251,10 +281,11 @@ class PairHash:
         return (self.hash.raw(codes).astype(np.uint32)
                 % np.uint32(self.num_pairs))
 
-    def tables_for(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return arrays ``(first, second)`` of the two candidate subtables."""
-        part = self.partition(codes)
-        return self._first[part], self._second[part]
+    def tables_for(self, codes: np.ndarray) -> np.ndarray:
+        """``int64[2, n]``: each code's two candidate subtables, ``first``
+        (row 0) below ``second`` (row 1), in one gather; unpacks as
+        ``first, second``."""
+        return self._members.take(self.raw_mod(codes), axis=1)
 
     def alternate_table(self, codes: np.ndarray, current: np.ndarray
                         ) -> np.ndarray:
@@ -264,7 +295,7 @@ class PairHash:
         subtables; this is the invariant that every stored entry sits in a
         subtable of its own pair.
         """
-        alt = self._alternate[np.asarray(current, dtype=np.int64),
+        alt = self.alternates[np.asarray(current, dtype=np.int64),
                               self.partition(codes)]
         if alt.size and int(alt.min()) < 0:
             raise AssertionError(

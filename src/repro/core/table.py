@@ -1099,8 +1099,8 @@ class DyCuckooTable:
         bucket_keys = np.concatenate([                        # (m, cap), full
             st.bucket_keys(buckets[a:b])
             for st, a, b in zip(self.subtables, cuts, cuts[1:]) if a < b])
-        alternates = self.pair_hash.alternate_table(
-            bucket_keys.ravel(), np.repeat(targets, cap)).reshape(m, cap)
+        pair_hash = self.pair_hash
+        parts = pair_hash.raw_mod(bucket_keys.ravel()).reshape(m, cap)
         # Theorem-1-guided choice (Section V-A: "one can pick a KV pair
         # for re-insertion into a desired hash table based on the
         # balancing strategy"): prefer the occupant whose alternate
@@ -1113,7 +1113,17 @@ class DyCuckooTable:
         loads = (self.subtable_loads() - n_placed
                  + n_placed * (steps[:, None] >= steps))
         weights = distribution.theorem1_weights(self.subtable_sizes(), loads)
-        preference = weights[targets[:, None], alternates]    # (m, cap)
+        # Entry (t, p): the weight of pair p's member other than t, -1
+        # where t is outside pair p (weights are positive).
+        alternate = pair_hash.alternates
+        by_part = np.where(alternate >= 0,
+                           weights[steps[:, None], alternate], -1.0)
+        preference = by_part.take(                            # (m, cap)
+            targets[:, None] * pair_hash.num_pairs + parts)
+        if preference.min() < 0:
+            raise AssertionError(
+                "an eviction victim is stored outside its key's pair; "
+                "the two-layer invariant was violated")
         # Random tie-breaking jitter: victims must still be effectively
         # random or dense eviction cycles persist for hundreds of
         # rounds (random-walk cuckoo).  A multiplicative hash of
@@ -1135,9 +1145,9 @@ class DyCuckooTable:
         rows = np.arange(m)
         if excluded is None:
             slots = score.argmax(axis=1)
-            ok = np.ones(m, dtype=bool)
-        else:
-            eligible = alternates != excluded
-            slots = np.where(eligible, score, -1.0).argmax(axis=1)
-            ok = eligible[rows, slots]
-        return slots, ok, alternates[rows, slots]
+            return (slots, np.ones(m, dtype=bool),
+                    alternate[targets, parts[rows, slots]])
+        alternates = alternate[targets[:, None], parts]       # (m, cap)
+        eligible = alternates != excluded
+        slots = np.where(eligible, score, -1.0).argmax(axis=1)
+        return slots, eligible[rows, slots], alternates[rows, slots]

@@ -138,8 +138,7 @@ class _ShardHashes:
         self.coin = np.array(coin, dtype=np.intp)
         self.pair_base = np.array(pair_base, dtype=np.intp)
         self.num_pairs = np.array(num_pairs, dtype=np.uint32)
-        self.first = np.array(first, dtype=np.int64)
-        self.second = np.array(second, dtype=np.int64)
+        self.tables = np.array([first, second], dtype=np.int64)
         self.member_first = np.array(member_first, dtype=np.intp)
         self.member_second = np.array(member_second, dtype=np.intp)
 
@@ -306,7 +305,7 @@ class ShardedDyCuckoo(GpuHashTable):
                 % hashes.num_pairs[ids])
         pair = hashes.pair_base[ids]
         pair += part
-        first, second = hashes.first[pair], hashes.second[pair]
+        tables = hashes.tables.take(pair, axis=1)
         which = np.empty((3, n), dtype=np.intp)
         hashes.member_first.take(pair, out=which[0])
         hashes.member_second.take(pair, out=which[1])
@@ -315,7 +314,7 @@ class ShardedDyCuckoo(GpuHashTable):
         candidates = raw[:2]
         draw = coin_draws(raw[2])
         batches = [
-            EncodedBatch.hashed(shard, codes[a:b], first[a:b], second[a:b],
+            EncodedBatch.hashed(shard, codes[a:b], tables[:, a:b],
                                 candidates[:, a:b], draw[a:b])
             if a < b else None
             for shard, a, b in zip(self.shards, cuts, cuts[1:])]

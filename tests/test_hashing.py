@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import (MERSENNE_P, HashStack, PairHash,
-                                UniversalHash, fold_to_31_bits,
-                                make_table_hashes)
+from repro.core.distribution import coin_draws
+from repro.core.hashing import (HASH_CHUNK, MERSENNE_P, REMAINDER_CUTOFF,
+                                HashStack, PairHash, UniversalHash,
+                                fold_to_31_bits, make_table_hashes)
 from repro.errors import InvalidConfigError
 
 
@@ -157,24 +158,101 @@ def test_hash_stack_matches_each_member():
 def test_chunked_hashing_matches_one_pass(monkeypatch, chunk):
     """Hashing in ``HASH_CHUNK``-code pieces gives every value, dtype and
     shape of one pass: one function, a stacked selector of one row or
-    of ``(3, n)``, and one member for every code."""
+    of ``(3, n)``, and one member for every code.  The one-pass sizes lie
+    on either side of ``REMAINDER_CUTOFF``."""
     from repro.core import hashing
 
     rng = np.random.default_rng(5)
     hashes = make_table_hashes(5, rng)
     stack = HashStack(hashes)
-    keys = rng.integers(0, 1 << 63, 320, dtype=np.int64).astype(np.uint64)
-    which = rng.integers(0, 5, (3, len(keys)))
-    calls = [lambda: hashes[2].raw(keys), lambda: stack.raw(keys, which),
-             lambda: stack.raw(keys, which[1]), lambda: stack.raw(keys, 4)]
-    want = [call() for call in calls]
+
+    def calls(keys, which):
+        return [lambda: hashes[2].raw(keys), lambda: stack.raw(keys, which),
+                lambda: stack.raw(keys, which[1]),
+                lambda: stack.raw(keys, 4)]
+
+    cases = []
+    for n in (320, REMAINDER_CUTOFF + 320):
+        keys = rng.integers(0, 1 << 63, n, dtype=np.int64).astype(np.uint64)
+        which = rng.integers(0, 5, (3, n))
+        cases.append((keys, calls(keys, which)))
+    wants = [[call() for call in case_calls] for _, case_calls in cases]
     monkeypatch.setattr(hashing, "HASH_CHUNK", chunk)
-    for call, expected in zip(calls, want):
-        got = call()
-        assert got.dtype == expected.dtype == np.uint64
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-    assert np.array_equal(want[3], hashes[4].raw(keys))
+    for (keys, case_calls), want in zip(cases, wants):
+        for call, expected in zip(case_calls, want):
+            got = call()
+            assert got.dtype == expected.dtype == np.uint64
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+        assert np.array_equal(want[3], hashes[4].raw(keys))
+
+
+#: Codes whose pre-mixed value is an edge of either reduction.
+_REDUCTION_EDGES = [0, _P - 1, _P, _P + 1, 2 ** 31, 2 ** 62, 2 ** 64 - 1]
+
+#: Pass sizes on both sides of the cutoff and across one chunk.
+_PASS_SIZES = [64, REMAINDER_CUTOFF - 1, REMAINDER_CUTOFF,
+               REMAINDER_CUTOFF + 1, HASH_CHUNK + 3]
+
+
+def _reference(codes, a, b, premix) -> list[int]:
+    """The universal family over Python ints."""
+    a, b, premix = int(a), int(b), int(premix)
+    return [(a * ((code ^ premix) % _P) + b) % _P for code in codes]
+
+
+def _edge_codes(n: int, premix) -> np.ndarray:
+    """``n`` codes: each reduction edge xored with ``premix``, then
+    random ones."""
+    rng = np.random.default_rng(n)
+    edges = np.array(_REDUCTION_EDGES, dtype=np.uint64) ^ np.uint64(premix)
+    return np.concatenate([edges, rng.integers(
+        0, 2 ** 64, n - len(edges), dtype=np.uint64)])
+
+
+@pytest.mark.parametrize("n", _PASS_SIZES)
+class TestBothReductions:
+    """Every hashing entry point against :func:`_reference`, on passes
+    that divide and passes that fold.  ``a = 1, b = p - 1`` sends the
+    edge ``p + 1`` to ``p``, which only a complete reduction maps to 0."""
+
+    EDGE = UniversalHash(a=1, b=_P - 1, premix=0x9E3779B97F4A7C15)
+
+    def test_universal_hash(self, n):
+        for h in (self.EDGE, UniversalHash.random(np.random.default_rng(n))):
+            codes = _edge_codes(n, h.premix)
+            assert h.raw(codes).tolist() == _reference(
+                codes.tolist(), h.a, h.b, h.premix)
+
+    def test_hash_stack(self, n):
+        hashes = [self.EDGE] + make_table_hashes(3, np.random.default_rng(n))
+        stack = HashStack(hashes)
+        codes = _edge_codes(n, self.EDGE.premix)
+        which = np.random.default_rng(n + 1).integers(0, 4, (3, n))
+        which[:, :len(_REDUCTION_EDGES)] = 0
+        every = np.array([_reference(codes.tolist(), h.a, h.b, h.premix)
+                          for h in hashes], dtype=np.uint64)
+        want = every[which, np.arange(n)]
+        assert np.array_equal(stack.raw(codes, which), want)
+        assert np.array_equal(stack.raw(codes, which[1]), want[1])
+        for t in (0, 2):
+            assert np.array_equal(stack.raw(codes, t), every[t])
+
+    def test_pair_hash(self, n):
+        ph = PairHash(4, np.random.default_rng(n))
+        ph.hash = self.EDGE
+        codes = _edge_codes(n, ph.hash.premix)
+        want = [r % ph.num_pairs for r in _reference(
+            codes.tolist(), ph.hash.a, ph.hash.b, ph.hash.premix)]
+        assert ph.raw_mod(codes).tolist() == want
+        assert ph.partition(codes).tolist() == want
+        assert np.array_equal(ph.tables_for(codes), ph.pairs[want].T)
+
+    def test_coin_draws(self, n):
+        codes = _edge_codes(n, self.EDGE.premix)
+        want = [r / _P for r in _reference(
+            codes.tolist(), self.EDGE.a, self.EDGE.b, self.EDGE.premix)]
+        assert coin_draws(self.EDGE.raw(codes)).tolist() == want
 
 
 class TestPairHash:

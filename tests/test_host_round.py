@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from repro.core import distribution
 from repro.core.config import DyCuckooConfig
 from repro.core.grouping import rank_within_group
-from repro.core.hashing import UNHASHED, unhashed
+from repro.core.batch_ops import EncodedBatch
+from repro.core.hashing import UNHASHED, UniversalHash, unhashed
 from repro.core.instruments import Instruments
 from repro.core.subtable import EMPTY
-from repro.core.table import CHAIN_DEPTH_BUCKETS, DyCuckooTable
+from repro.core.table import CHAIN_DEPTH_BUCKETS, DyCuckooTable, encode_keys
 from repro.errors import CapacityError, ResizeError
 from repro.faults import FaultPlan
 from repro.gpusim.kernel import estimate_lock_conflicts
@@ -488,3 +489,27 @@ def test_random_batches_match_reference(seed, num_tables, capacity, routing,
     except CapacityError:
         pass
     assert_same(new, ref)
+
+
+def test_victim_outside_its_pair_is_rejected():
+    """An occupant stored in a subtable outside its own pair breaks the
+    two-layer invariant; choosing victims in its bucket must raise."""
+    table = DyCuckooTable(DyCuckooConfig(
+        num_tables=3, initial_buckets=8, bucket_capacity=2, min_buckets=8,
+        seed=1))
+    key = 12345
+    batch = EncodedBatch(table, [key])
+    candidates = [int(batch.first[0]), int(batch.second[0])]
+    # Fill both candidate buckets with codes whose pair leaves out the
+    # bucket's subtable.
+    codes = encode_keys(np.arange(1, 2_000, dtype=np.uint64))
+    first, second = table.pair_hash.tables_for(codes)
+    for t, raw in zip(candidates, batch.candidate_raw[:, 0]):
+        foreign = codes[(first != t) & (second != t)][:2]
+        sub = table.subtables[t]
+        bucket = int(UniversalHash.bucket_from_raw(raw, sub.n_buckets))
+        sub.keys[bucket] = foreign
+        sub.values[bucket] = foreign
+        sub.size += len(foreign)
+    with pytest.raises(AssertionError, match="two-layer invariant"):
+        table.insert([key], [1])
