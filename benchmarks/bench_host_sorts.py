@@ -21,15 +21,15 @@ Four legs:
   free mask, against the per-claimant cumsum search it replaced, at
   ``CLAIMANTS`` claimants over ``CLAIM_ROWS`` 32-slot rows, best of
   ``REPEATS``.  The ratio must reach ``PLACEMENT_FLOOR``.
-* ``hashing`` times one hashing pass (pre-mix and the affine map
-  modulo ``p = 2**31 - 1``) under each of
-  :mod:`repro.core.hashing`'s two exact reductions, best of ``REPEATS``
-  loops of ``HASH_LOOP_CODES`` codes, at each of ``HASH_SIZES`` codes
-  per pass.  :func:`~repro.core.hashing.affine_by_remainder` (one
-  ``np.remainder`` per reduction) must beat
-  :func:`~repro.core.hashing.affine_by_folds` (two Mersenne folds) by
-  ``REMAINDER_FLOOR`` at 64 codes, and the folds must win at 16,384:
-  that is why both exist, with ``REMAINDER_CUTOFF`` between them.
+* ``hashing`` times one hashing pass (``UniversalHash.raw``: pre-mix
+  and the affine map modulo ``p = 2**31 - 1``, one ``np.remainder`` per
+  reduction) against the pass it replaced, which reduced with two
+  Mersenne folds (:func:`~repro.core.hashing.fold_to_31_bits`), best of
+  ``REPEATS`` loops of ``HASH_LOOP_CODES`` codes, at each of
+  ``HASH_SIZES`` codes per pass.  The remainder pass must win by
+  ``REMAINDER_FLOOR`` at 64 codes, where most passes are.  The ratio at
+  16,384 codes (a bulk load's chunk) is recorded, not checked: the folds
+  cost less per code, by how much depends on the CPU and numpy build.
 * ``session`` runs both tables of ``examples/multi_tenant_gpu.py`` at
   full size (grow to 8M keys, shrink to 800k) and records each one's
   wall time.
@@ -52,8 +52,7 @@ from repro.bench import shape_check
 from repro.bench.artifacts import maybe_dump
 from repro.core.grouping import (first_occurrence_mask, rank_within_group,
                                  stable_order)
-from repro.core.hashing import (REMAINDER_CUTOFF, UniversalHash,
-                                affine_by_folds, affine_by_remainder)
+from repro.core.hashing import UniversalHash, fold_to_31_bits
 from repro.core.subtable import claim_slots
 
 from benchmarks.common import once
@@ -84,7 +83,7 @@ HASH_SIZES = (8, 64, 1_024, 16_384)
 #: Codes hashed per timed loop of passes.
 HASH_LOOP_CODES = 1 << 17
 
-#: Floor on the folded / divided pass time at 64 codes.
+#: Floor on the folded / remainder pass time at 64 codes.
 REMAINDER_FLOOR = 2.0
 
 EXAMPLE = (Path(__file__).resolve().parent.parent / "examples"
@@ -153,14 +152,21 @@ def _placement_leg() -> dict:
     }
 
 
-def _pass_seconds(reduce, codes: np.ndarray, h: UniversalHash) -> float:
-    """Best-of-``REPEATS`` seconds of one pass of ``codes`` under
-    ``reduce``."""
+def _folded_pass(codes: np.ndarray, h: UniversalHash) -> np.ndarray:
+    """The pass :meth:`UniversalHash.raw` replaced: two folds."""
+    mixed = fold_to_31_bits(np.bitwise_xor(codes, h.premix))
+    mixed *= h.a
+    mixed += h.b
+    return fold_to_31_bits(mixed)
+
+
+def _pass_seconds(hash_pass, codes: np.ndarray) -> float:
+    """Best-of-``REPEATS`` seconds of one ``hash_pass(codes)``."""
     passes = HASH_LOOP_CODES // len(codes)
 
     def loop() -> None:
         for _ in range(passes):
-            reduce(np.bitwise_xor(codes, h.premix), h.a, h.b)
+            hash_pass(codes)
 
     return _best_seconds(loop) / passes
 
@@ -168,14 +174,12 @@ def _pass_seconds(reduce, codes: np.ndarray, h: UniversalHash) -> float:
 def _hashing_leg() -> dict:
     rng = np.random.default_rng(6)
     h = UniversalHash.random(rng)
-    results: dict = {"remainder_cutoff": REMAINDER_CUTOFF}
+    results: dict = {}
     for n in HASH_SIZES:
         codes = rng.integers(0, 2 ** 64, n, dtype=np.uint64)
-        assert np.array_equal(
-            affine_by_folds(codes ^ h.premix, h.a, h.b),
-            affine_by_remainder(codes ^ h.premix, h.a, h.b))
-        fold_s = _pass_seconds(affine_by_folds, codes, h)
-        remainder_s = _pass_seconds(affine_by_remainder, codes, h)
+        assert np.array_equal(_folded_pass(codes, h), h.raw(codes))
+        fold_s = _pass_seconds(lambda c: _folded_pass(c, h), codes)
+        remainder_s = _pass_seconds(h.raw, codes)
         results[f"fold_{n}_seconds"] = fold_s
         results[f"remainder_{n}_seconds"] = remainder_s
         results[f"remainder_speedup_{n}"] = fold_s / remainder_s
@@ -221,8 +225,7 @@ def test_host_sorts(benchmark):
     print(f"one hashing pass, best of {REPEATS}, folds / remainder: "
           + ", ".join(f"{n:,} codes {hashing[f'fold_{n}_seconds'] * 1e6:.1f}"
                       f"/{hashing[f'remainder_{n}_seconds'] * 1e6:.1f}us"
-                      for n in HASH_SIZES)
-          + f" (cutoff {REMAINDER_CUTOFF:,})")
+                      for n in HASH_SIZES))
     print("8M-key session: " + ", ".join(
         f"{key} {seconds:.1f}s" for key, seconds in session.items()))
     checks = [
@@ -238,9 +241,6 @@ def test_host_sorts(benchmark):
         (f"one np.remainder per reduction beats the folds at 64 codes "
          f"({hashing['remainder_speedup_64']:.1f}x >= {REMAINDER_FLOOR}x)",
          hashing["remainder_speedup_64"] >= REMAINDER_FLOOR),
-        (f"the folds beat np.remainder at 16,384 codes "
-         f"({hashing['remainder_speedup_16384']:.2f}x < 1x)",
-         hashing["remainder_speedup_16384"] < 1.0),
         ("both session tables ran",
          sorted(session) == ["dycuckoo_seconds", "megakv_static_seconds"]),
     ]

@@ -178,12 +178,9 @@ class EncodedBatch:
 
 
 class _BatchView(EncodedBatch):
-    """The keys of ``parent`` at ``index`` (a slice, positions or a
-    mask), hashed through its caches."""
+    """The keys of ``parent`` at ``index``, hashed through its caches."""
 
     def __init__(self, parent: EncodedBatch, index) -> None:
-        if isinstance(index, np.ndarray) and index.dtype == bool:
-            index = index.nonzero()[0]
         self.table = parent.table
         self.codes = parent.codes[index]
         self._parent = parent
@@ -196,19 +193,11 @@ class _BatchView(EncodedBatch):
         draw = self._parent.draw
         return None if draw is None else draw[self._index]
 
-    def _columns(self, rows: np.ndarray) -> np.ndarray:
-        """Columns ``index`` of one of the parent's ``(2, n)`` caches: a
-        view for a slice, else one ``take`` (a third of the cost of
-        ``rows[:, index]`` at a few hundred keys)."""
-        if isinstance(self._index, slice):
-            return rows[:, self._index]
-        return rows.take(self._index, axis=1)
-
     def _hash_pairs(self) -> np.ndarray:
-        return self._columns(self._parent._pairs())
+        return self._parent._pairs()[:, self._index]
 
     def _hash_candidates(self) -> np.ndarray:
-        return self._columns(self._parent.candidate_raw)
+        return self._parent.candidate_raw[:, self._index]
 
 
 def as_batch(table, keys) -> EncodedBatch:

@@ -13,10 +13,8 @@ vectorized over ``numpy`` ``uint64`` arrays.
 
 A hashing pass costs a fixed number of numpy calls plus a per-code
 term, and most passes are small (a find's pair and candidates, an
-eviction round's victims).  A pass below :data:`REMAINDER_CUTOFF` codes
-therefore reduces with one ``np.remainder`` per reduction, a larger one
-with two Mersenne folds, which cost more calls but less per code; both
-are exact, so every hash value is the same either way.
+eviction round's victims), so a pass reduces modulo ``p`` with one
+``np.remainder`` per reduction: five numpy calls with the pre-mix.
 
 The *first layer* (Section V-A) hashes a key to one of ``C(d, 2)``
 unordered subtable pairs; :class:`PairHash` enumerates the pairs
@@ -41,14 +39,6 @@ _MASK31 = np.uint64((1 << 31) - 1)
 #: megabytes to the process's peak RSS.
 HASH_CHUNK = 16384
 
-#: Passes of fewer codes than this reduce modulo ``p`` with
-#: :func:`affine_by_remainder` (5 numpy calls a pass), larger ones with
-#: :func:`affine_by_folds` (19 calls, cheaper per code).  Both are exact,
-#: so the choice changes no hash value.  The measured crossover on a
-#: 2-vCPU x86-64 host: one pass of 64 codes took 17.9 us folded and
-#: 4.2 us divided, 1,024 took 18.9 and 13.2 us, 4,096 about 41 us
-#: either way, and 16,384 took 117 and 155 us.
-REMAINDER_CUTOFF = 4096
 
 #: Raw-hash placeholder for a key not yet hashed under its target
 #: subtable; no 31-bit hash equals it (see ``DyCuckooTable._insert_pending``).
@@ -86,10 +76,13 @@ def _fold_in_place(x: np.ndarray, scratch: np.ndarray) -> None:
     np.minimum(x, scratch, out=x)
 
 
-def affine_by_remainder(mixed: np.ndarray, a, b) -> np.ndarray:
-    """``(a * (mixed mod p) + b) mod p`` in place, one ``np.remainder``
-    per reduction; ``a``/``b`` broadcast.  Five numpy calls with the
-    pre-mix: the cheaper reduction below :data:`REMAINDER_CUTOFF`."""
+def _affine_mod_p(mixed: np.ndarray, a, b) -> np.ndarray:
+    """``(a * (mixed mod p) + b) mod p`` in place; ``a``/``b`` broadcast.
+
+    One ``np.remainder`` per reduction.  Two :func:`fold_to_31_bits`
+    folds are cheaper per code but cost 19 numpy calls a pass instead of
+    5; end to end they gained nothing measurable, even on bulk loads.
+    """
     np.remainder(mixed, MERSENNE_P, out=mixed)
     # a < 2**31 and the remainder < 2**31: the product fits in uint64.
     mixed *= a
@@ -97,27 +90,12 @@ def affine_by_remainder(mixed: np.ndarray, a, b) -> np.ndarray:
     return np.remainder(mixed, MERSENNE_P, out=mixed)
 
 
-def affine_by_folds(mixed: np.ndarray, a, b) -> np.ndarray:
-    """:func:`affine_by_remainder` by two Mersenne folds per reduction:
-    more numpy calls, but cheaper per code than a 64-bit division."""
-    scratch = np.empty_like(mixed)
-    _fold_in_place(mixed, scratch)
-    # a < 2**31 and the fold < 2**31, so the product fits in uint64.
-    mixed *= a
-    mixed += b
-    _fold_in_place(mixed, scratch)
-    return mixed
-
-
 def _hash_pass(codes: np.ndarray, premix, a, b, which,
                out: np.ndarray | None = None) -> np.ndarray:
     """One pass of :func:`_hash_codes`, into ``out`` when given."""
     if which is not None:
         premix, a, b = premix[which], a[which], b[which]
-    mixed = np.bitwise_xor(codes, premix, out=out)
-    if mixed.size < REMAINDER_CUTOFF:
-        return affine_by_remainder(mixed, a, b)
-    return affine_by_folds(mixed, a, b)
+    return _affine_mod_p(np.bitwise_xor(codes, premix, out=out), a, b)
 
 
 def _hash_codes(codes: np.ndarray, premix, a, b, which=None) -> np.ndarray:
@@ -259,11 +237,11 @@ class PairHash:
                  for j in range(i + 1, num_tables)]
         #: ``(d, C(d,2))`` lookup: entry ``(t, p)`` is the member of
         #: pair ``p`` that is not ``t``, or -1 where ``t`` is outside it.
-        alternates = [[-1] * len(pairs) for _ in range(num_tables)]
+        alternate = [[-1] * len(pairs) for _ in range(num_tables)]
         for part, (i, j) in enumerate(pairs):
-            alternates[i][part] = j
-            alternates[j][part] = i
-        self.alternates = np.asarray(alternates, dtype=np.int64)
+            alternate[i][part] = j
+            alternate[j][part] = i
+        self._alternate = np.asarray(alternate, dtype=np.int64)
         #: ``(C(d,2), 2)`` lookup array mapping partition -> (i, j).
         self.pairs = np.asarray(pairs, dtype=np.int64)
         self._members = self.pairs.T.copy()
@@ -295,14 +273,44 @@ class PairHash:
         subtables; this is the invariant that every stored entry sits in a
         subtable of its own pair.
         """
-        alt = self.alternates[np.asarray(current, dtype=np.int64),
-                              self.partition(codes)]
-        if alt.size and int(alt.min()) < 0:
-            raise AssertionError(
-                "alternate_table called with a table outside the key's pair; "
-                "the two-layer invariant was violated"
-            )
+        return self.alternates_of(np.asarray(current, dtype=np.int64),
+                                  self.partition(codes))
+
+    def alternates_of(self, tables: np.ndarray, parts: np.ndarray
+                      ) -> np.ndarray:
+        """Per entry, the member of pair ``parts`` (partition indices, as
+        :meth:`raw_mod` gives them) that is not ``tables``; the two
+        broadcast.  Raises ``AssertionError`` where a table is outside
+        its pair (the two-layer invariant)."""
+        alt = self._alternate[tables, parts]
+        _check_in_pair(alt)
         return alt
+
+    def alternate_weights(self, weights: np.ndarray, tables: np.ndarray,
+                          parts: np.ndarray) -> np.ndarray:
+        """Per entry, ``weights[t, alternate]`` for its table ``t`` and
+        the other member of its pair ``parts``; ``weights`` is
+        ``(d, d)`` and positive, ``tables`` and ``parts`` broadcast.
+
+        One flat ``take`` from a ``(d, C(d,2))`` table of those weights,
+        which holds -1 where ``t`` is outside pair ``p``; like
+        :meth:`alternates_of`, raises ``AssertionError`` on any such
+        entry.
+        """
+        alternate = self._alternate
+        rows = np.arange(self.num_tables)[:, None]
+        by_part = np.where(alternate >= 0, weights[rows, alternate], -1.0)
+        preference = by_part.take(tables * self.num_pairs + parts)
+        _check_in_pair(preference)
+        return preference
+
+
+def _check_in_pair(looked_up: np.ndarray) -> None:
+    """Raise if a pair lookup hit a -1 entry: a table outside the pair."""
+    if looked_up.size and looked_up.min() < 0:
+        raise AssertionError(
+            "a key's table is outside its pair; the two-layer invariant "
+            "was violated")
 
 
 def make_table_hashes(num_tables: int, rng: np.random.Generator

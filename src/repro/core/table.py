@@ -1113,17 +1113,8 @@ class DyCuckooTable:
         loads = (self.subtable_loads() - n_placed
                  + n_placed * (steps[:, None] >= steps))
         weights = distribution.theorem1_weights(self.subtable_sizes(), loads)
-        # Entry (t, p): the weight of pair p's member other than t, -1
-        # where t is outside pair p (weights are positive).
-        alternate = pair_hash.alternates
-        by_part = np.where(alternate >= 0,
-                           weights[steps[:, None], alternate], -1.0)
-        preference = by_part.take(                            # (m, cap)
-            targets[:, None] * pair_hash.num_pairs + parts)
-        if preference.min() < 0:
-            raise AssertionError(
-                "an eviction victim is stored outside its key's pair; "
-                "the two-layer invariant was violated")
+        preference = pair_hash.alternate_weights(     # (m, cap)
+            weights, targets[:, None], parts)
         # Random tie-breaking jitter: victims must still be effectively
         # random or dense eviction cycles persist for hundreds of
         # rounds (random-walk cuckoo).  A multiplicative hash of
@@ -1146,8 +1137,8 @@ class DyCuckooTable:
         if excluded is None:
             slots = score.argmax(axis=1)
             return (slots, np.ones(m, dtype=bool),
-                    alternate[targets, parts[rows, slots]])
-        alternates = alternate[targets[:, None], parts]       # (m, cap)
+                    pair_hash.alternates_of(targets, parts[rows, slots]))
+        alternates = pair_hash.alternates_of(targets[:, None], parts)
         eligible = alternates != excluded
         slots = np.where(eligible, score, -1.0).argmax(axis=1)
         return slots, eligible[rows, slots], alternates[rows, slots]

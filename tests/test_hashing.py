@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distribution import coin_draws
-from repro.core.hashing import (HASH_CHUNK, MERSENNE_P, REMAINDER_CUTOFF,
-                                HashStack, PairHash, UniversalHash,
-                                fold_to_31_bits, make_table_hashes)
+from repro.core.hashing import (HASH_CHUNK, MERSENNE_P, HashStack, PairHash,
+                                UniversalHash, fold_to_31_bits,
+                                make_table_hashes)
 from repro.errors import InvalidConfigError
 
 
@@ -158,41 +158,31 @@ def test_hash_stack_matches_each_member():
 def test_chunked_hashing_matches_one_pass(monkeypatch, chunk):
     """Hashing in ``HASH_CHUNK``-code pieces gives every value, dtype and
     shape of one pass: one function, a stacked selector of one row or
-    of ``(3, n)``, and one member for every code.  The one-pass sizes lie
-    on either side of ``REMAINDER_CUTOFF``."""
+    of ``(3, n)``, and one member for every code."""
     from repro.core import hashing
 
     rng = np.random.default_rng(5)
     hashes = make_table_hashes(5, rng)
     stack = HashStack(hashes)
-
-    def calls(keys, which):
-        return [lambda: hashes[2].raw(keys), lambda: stack.raw(keys, which),
-                lambda: stack.raw(keys, which[1]),
-                lambda: stack.raw(keys, 4)]
-
-    cases = []
-    for n in (320, REMAINDER_CUTOFF + 320):
-        keys = rng.integers(0, 1 << 63, n, dtype=np.int64).astype(np.uint64)
-        which = rng.integers(0, 5, (3, n))
-        cases.append((keys, calls(keys, which)))
-    wants = [[call() for call in case_calls] for _, case_calls in cases]
+    keys = rng.integers(0, 1 << 63, 320, dtype=np.int64).astype(np.uint64)
+    which = rng.integers(0, 5, (3, len(keys)))
+    calls = [lambda: hashes[2].raw(keys), lambda: stack.raw(keys, which),
+             lambda: stack.raw(keys, which[1]), lambda: stack.raw(keys, 4)]
+    want = [call() for call in calls]
     monkeypatch.setattr(hashing, "HASH_CHUNK", chunk)
-    for (keys, case_calls), want in zip(cases, wants):
-        for call, expected in zip(case_calls, want):
-            got = call()
-            assert got.dtype == expected.dtype == np.uint64
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected)
-        assert np.array_equal(want[3], hashes[4].raw(keys))
+    for call, expected in zip(calls, want):
+        got = call()
+        assert got.dtype == expected.dtype == np.uint64
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    assert np.array_equal(want[3], hashes[4].raw(keys))
 
 
-#: Codes whose pre-mixed value is an edge of either reduction.
+#: Codes whose pre-mixed value is an edge of the reduction.
 _REDUCTION_EDGES = [0, _P - 1, _P, _P + 1, 2 ** 31, 2 ** 62, 2 ** 64 - 1]
 
-#: Pass sizes on both sides of the cutoff and across one chunk.
-_PASS_SIZES = [64, REMAINDER_CUTOFF - 1, REMAINDER_CUTOFF,
-               REMAINDER_CUTOFF + 1, HASH_CHUNK + 3]
+#: Pass sizes: one small pass, one full chunk, and across a chunk.
+_PASS_SIZES = [64, HASH_CHUNK, HASH_CHUNK + 3]
 
 
 def _reference(codes, a, b, premix) -> list[int]:
@@ -211,10 +201,10 @@ def _edge_codes(n: int, premix) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", _PASS_SIZES)
-class TestBothReductions:
-    """Every hashing entry point against :func:`_reference`, on passes
-    that divide and passes that fold.  ``a = 1, b = p - 1`` sends the
-    edge ``p + 1`` to ``p``, which only a complete reduction maps to 0."""
+class TestReduction:
+    """Every hashing entry point against :func:`_reference`, in one pass
+    and across chunks.  ``a = 1, b = p - 1`` sends the edge ``p + 1`` to
+    ``p``, which only a complete reduction maps to 0."""
 
     EDGE = UniversalHash(a=1, b=_P - 1, premix=0x9E3779B97F4A7C15)
 

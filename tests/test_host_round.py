@@ -491,9 +491,12 @@ def test_random_batches_match_reference(seed, num_tables, capacity, routing,
     assert_same(new, ref)
 
 
-def test_victim_outside_its_pair_is_rejected():
+@pytest.mark.parametrize("n_foreign", [2, 1], ids=["whole-bucket",
+                                                  "one-slot"])
+def test_victim_outside_its_pair_is_rejected(n_foreign):
     """An occupant stored in a subtable outside its own pair breaks the
-    two-layer invariant; choosing victims in its bucket must raise."""
+    two-layer invariant; choosing victims in its bucket must raise, also
+    when an in-pair occupant beside it would be the one chosen."""
     table = DyCuckooTable(DyCuckooConfig(
         num_tables=3, initial_buckets=8, bucket_capacity=2, min_buckets=8,
         seed=1))
@@ -501,15 +504,17 @@ def test_victim_outside_its_pair_is_rejected():
     batch = EncodedBatch(table, [key])
     candidates = [int(batch.first[0]), int(batch.second[0])]
     # Fill both candidate buckets with codes whose pair leaves out the
-    # bucket's subtable.
+    # bucket's subtable, topped up with codes whose pair holds it.
     codes = encode_keys(np.arange(1, 2_000, dtype=np.uint64))
     first, second = table.pair_hash.tables_for(codes)
     for t, raw in zip(candidates, batch.candidate_raw[:, 0]):
-        foreign = codes[(first != t) & (second != t)][:2]
+        outside = (first != t) & (second != t)
+        occupants = np.concatenate([codes[outside][:n_foreign],
+                                    codes[~outside][:2 - n_foreign]])
         sub = table.subtables[t]
         bucket = int(UniversalHash.bucket_from_raw(raw, sub.n_buckets))
-        sub.keys[bucket] = foreign
-        sub.values[bucket] = foreign
-        sub.size += len(foreign)
+        sub.keys[bucket] = occupants
+        sub.values[bucket] = occupants
+        sub.size += len(occupants)
     with pytest.raises(AssertionError, match="two-layer invariant"):
         table.insert([key], [1])
