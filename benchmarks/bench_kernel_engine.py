@@ -12,7 +12,11 @@ lane-faithful kernels under both execution engines (see
   hazard rate is reported alongside speedup;
 * ``faulty`` — the mixed batch under a chaos fault plan, exercising
   the SoA fault windows (historically this leg delegated to the warp
-  interpreter, i.e. 1x by construction).
+  interpreter, i.e. 1x by construction);
+* ``narrow`` — insert launches of about 10 warps into a table held at
+  75 % fill, the shape of the e2e ``cohort_mixed`` workload, where the
+  number of numpy calls per round, not their width, sets the cohort
+  engine's time; it records each engine's ``seconds_per_round``.
 
 Expected shapes: the engines return identical results and identical
 aggregate cost counters on every leg (the bit-for-bit conformance
@@ -33,6 +37,7 @@ from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
 from repro.core.table import DyCuckooTable
 from repro.faults import NO_FAULTS, default_chaos_plan
+from repro.kernels import run_voter_insert_kernel
 from repro.oracle import mixed_batch, twin_divergence
 from repro.telemetry import Profiler
 
@@ -67,6 +72,13 @@ MIXED_FLOOR = 12.0
 DUP_FLOOR = 8.0
 FAULT_FLOOR = 8.0
 
+#: Narrow leg: fresh-key insert launches of ``NARROW_INSERTS`` ops
+#: (10 warps) into the default table preloaded to ``NARROW_FILL``; a
+#: host delete of as many live keys after each launch holds the fill.
+NARROW_BATCHES = 40
+NARROW_INSERTS = 300
+NARROW_FILL = 0.75
+
 ENGINES = ("warp", "cohort")
 
 COUNTER_FIELDS = ("rounds", "memory_transactions", "lock_acquisitions",
@@ -87,6 +99,67 @@ def _dup_workload(rng: np.random.Generator):
     keys = rng.integers(1, keyspace + 1, DUP_OPS).astype(np.uint64)
     values = rng.integers(1, 1 << 40, DUP_OPS).astype(np.uint64)
     return ops, keys, values
+
+
+def _narrow_workload(rng: np.random.Generator):
+    """``(preload, batches)``: the preloaded ``(keys, values)`` and per
+    batch ``(insert_keys, insert_values, delete_keys)``."""
+    slots = NUM_TABLES * BUCKETS * BUCKET_CAPACITY
+    pool = rng.permutation(np.unique(
+        rng.integers(1, 1 << 62, 2 * slots, dtype=np.int64)).astype(np.uint64))
+    n_live = int(slots * NARROW_FILL)
+    live, fresh = pool[:n_live], pool[n_live:]
+    preload = (live, rng.integers(1, 1 << 40, n_live).astype(np.uint64))
+    batches = []
+    for _ in range(NARROW_BATCHES):
+        inserts, fresh = fresh[:NARROW_INSERTS], fresh[NARROW_INSERTS:]
+        gone = rng.choice(len(live), NARROW_INSERTS, replace=False)
+        deletes = live[gone]
+        live = np.concatenate([np.delete(live, gone), inserts])
+        fresh = np.concatenate([fresh, deletes])
+        batches.append((inserts, rng.integers(1, 1 << 40, NARROW_INSERTS)
+                        .astype(np.uint64), deletes))
+    return preload, batches
+
+
+def _run_narrow(preload, batches) -> dict:
+    """Drive the narrow leg's insert launches through both engines.
+
+    Only the insert launches are timed; the host deletes between them
+    are not.  Asserts conformance of storage and counters.
+    """
+    outcomes = {}
+    for engine in ENGINES:
+        table = _fresh_table()
+        table.insert(*preload)
+        seconds = 0.0
+        counters = dict.fromkeys(COUNTER_FIELDS, 0)
+        for keys, values, deletes in batches:
+            start = time.perf_counter()
+            result = run_voter_insert_kernel(table, keys, values,
+                                             engine=engine)
+            seconds += time.perf_counter() - start
+            for f in COUNTER_FIELDS:
+                counters[f] += getattr(result, f)
+            table.delete(deletes)
+        outcomes[engine] = (table, seconds, counters)
+    problems = twin_divergence(outcomes["warp"][0], None,
+                               outcomes["cohort"][0], None)
+    assert not problems, problems
+    assert outcomes["warp"][2] == outcomes["cohort"][2]
+
+    slots = NUM_TABLES * BUCKETS * BUCKET_CAPACITY
+    leg = {"ops": NARROW_BATCHES * NARROW_INSERTS,
+           "launches": NARROW_BATCHES,
+           "warps_per_launch": -(-NARROW_INSERTS // 32),
+           "fill": len(preload[0]) / slots, "conformant": True}
+    for engine in ENGINES:
+        _table, seconds, counters = outcomes[engine]
+        leg[engine] = {"seconds": seconds,
+                       "seconds_per_round": seconds / counters["rounds"],
+                       "ops_per_sec": leg["ops"] / seconds, **counters}
+    leg["speedup"] = leg["warp"]["seconds"] / leg["cohort"]["seconds"]
+    return leg
 
 
 def _fresh_table(buckets=BUCKETS, capacity=BUCKET_CAPACITY) -> DyCuckooTable:
@@ -157,6 +230,7 @@ def _run_all() -> dict:
                    capacity=DUP_CAPACITY)
     faulty = _run_leg(*_workload(np.random.default_rng(2080)),
                       fault_seed=7)
+    narrow = _run_narrow(*_narrow_workload(np.random.default_rng(3080)))
     # Top-level keys keep the historic layout for the perf gate; the
     # new legs nest under their own names.
     results = {"ops": mixed["ops"], "runs": mixed["runs"],
@@ -165,7 +239,7 @@ def _run_all() -> dict:
                "hazard_rounds": mixed["hazard_rounds"],
                "hazard_lanes": mixed["hazard_lanes"],
                "hazard_lane_rate": mixed["hazard_lane_rate"],
-               "dup_heavy": dup, "faulty": faulty}
+               "dup_heavy": dup, "faulty": faulty, "narrow": narrow}
     return results
 
 
@@ -175,6 +249,7 @@ def test_kernel_engine(benchmark):
 
     legs = {"mixed": results, "dup_heavy": results["dup_heavy"],
             "faulty": results["faulty"]}
+    narrow = results["narrow"]
     print()
     print(format_table(
         ["leg", "engine", "seconds", "ops/sec", "rounds", "transactions",
@@ -187,6 +262,15 @@ def test_kernel_engine(benchmark):
         title=f"Kernel engines: mixed {results['ops']:,} ops, "
               f"dup-heavy {results['dup_heavy']['ops']:,} ops, "
               f"faulty {results['faulty']['ops']:,} ops"))
+    print()
+    print(format_table(
+        ["engine", "seconds", "rounds", "us/round", "evictions"],
+        [[engine, narrow[engine]["seconds"], narrow[engine]["rounds"],
+          narrow[engine]["seconds_per_round"] * 1e6,
+          narrow[engine]["evictions"]] for engine in ENGINES],
+        title=f"Narrow leg: {narrow['launches']} insert launches of "
+              f"{narrow['warps_per_launch']} warps at "
+              f"{narrow['fill']:.0%} fill"))
 
     identical_counters = all(
         legs[leg][eng][f] == legs[leg]["cohort"][f]
@@ -214,6 +298,9 @@ def test_kernel_engine(benchmark):
          legs["faulty"]["faults_injected"] > 0),
         ("the mixed batch exercises evictions (insert pressure is real)",
          results["warp"]["evictions"] > 0),
+        ("narrow: identical storage and counters, evictions fire "
+         f"({narrow['cohort']['evictions']})",
+         narrow["conformant"] and narrow["cohort"]["evictions"] > 0),
     ]
     print()
     for label, ok in checks:

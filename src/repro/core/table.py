@@ -468,13 +468,14 @@ class DyCuckooTable:
         """:meth:`delete` body over an encoded batch."""
         n = len(batch)
         self.stats.deletes += n
-        removed = np.zeros(n, dtype=bool)
         if n == 0:
-            return removed
+            return np.zeros(0, dtype=bool)
         # Duplicate keys in one delete batch: only the first occurrence
-        # can observe (and clear) the entry.
-        unique_idx = first_occurrence_mask(batch.codes).nonzero()[0]
-        unique = batch[unique_idx]
+        # can observe (and clear) the entry.  Without duplicates the
+        # batch is probed as is, not through a view of its hashes.
+        keep = first_occurrence_mask(batch.codes)
+        unique_idx = None if keep.all() else keep.nonzero()[0]
+        unique = batch if unique_idx is None else batch[unique_idx]
         codes = unique.codes
 
         def clear(t: int, buckets: np.ndarray, slots: np.ndarray,
@@ -484,7 +485,10 @@ class DyCuckooTable:
 
         removed_unique, _ = yield from self._probe(
             unique, clear, lambda pending: self.stash.erase(codes[pending]))
-        removed[unique_idx] = removed_unique
+        removed = removed_unique
+        if unique_idx is not None:
+            removed = np.zeros(n, dtype=bool)
+            removed[unique_idx] = removed_unique
         self.stats.delete_hits += int(np.count_nonzero(removed_unique))
         if self.config.auto_resize:
             self._resizer.enforce_bounds()

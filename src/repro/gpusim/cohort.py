@@ -10,32 +10,38 @@ with a handful of vectorized mask operations:
 
 * lane ballots are ``uint32`` masks in a ``(W,)`` array instead of
   per-warp bool vectors;
-* leader election (including the voter scheme's rotating start lane) is
-  a start-lane mask plus a count-trailing-zeros over all warps at once;
+* leader election (including the voter scheme's rotating start lane,
+  kept as a mask of the lanes it scans first) is a masked ballot plus
+  a count-trailing-zeros over all warps at once;
 * per-round lock arbitration replaces the per-resource
   :class:`~repro.gpusim.kernel.LockArbiter` loop: when no lock id
   repeats among the round's candidates and holders and no injected
   stall camps on a bucket, every candidate wins at once (the common
   case); otherwise sorted-group winner selection over
   ``(lock_id, round_position)`` pairs decides;
-* every lane carries its key's raw hashes under its target and
-  alternate subtables, so a round resolves buckets with one masked
-  gather (the launch's
-  :meth:`~repro.core.table.DyCuckooTable.bucket_resolver`); an evicting
-  round hashes its victims once more, in one
-  :class:`~repro.core.hashing.HashStack` call that evaluates each
-  victim under exactly its new target and the subtable it left;
-* phase two classifies every locked warp in one pass: the first true
-  column of ``[own == key | alt == key | own == EMPTY | True]`` is the
-  outcome (upsert, alternate hit, place, evict) and the slot, and a
-  hazard-free round lands all its value writes as one scatter;
+* every lane carries its address: the arena rows and lock ids of its
+  key's buckets in its target and alternate subtables, resolved for the
+  whole launch with one call of its
+  :meth:`~repro.core.table.DyCuckooTable.bucket_resolver` (a launch
+  never resizes), so phase one reads a leader's lock id with one gather
+  and phase two both its rows with one.  An evicting round hashes its
+  victims under their new targets in one
+  :class:`~repro.core.hashing.HashStack` call and readdresses only
+  their lanes: the bucket a victim leaves is its new alternate;
+* phase two classifies every locked warp in one pass: ``np.equal``
+  writes ``own|alt == key`` and ``own == EMPTY`` into a preallocated
+  predicate buffer whose last row is all true, and one ``argmax`` per
+  warp finds the first true entry, whose row is the outcome (upsert,
+  alternate hit, place, evict) and offset the slot; a hazard-free
+  round lands all its value writes as one scatter;
 * bucket inspection and writes address every subtable through one flat
   arena (:meth:`~repro.core.table.DyCuckooTable.flat_storage`): bucket
   ``b`` of subtable ``t`` is arena row ``row_offset[t] + b``, so each
   is one gather or scatter per round.  Lock ids, sanitizer addresses
   and profiler keys stay ``(t << 40) | b``;
-* placements are counted per subtable and added to ``Subtable.size``
-  once, when the launch ends (also when it raises).
+* placements are counted per subtable once, when the launch ends (also
+  when it raises), from the lanes that completed, and added to
+  ``Subtable.size``.
 
 Conformance contract
 --------------------
@@ -46,12 +52,13 @@ counters (rounds, memory transactions, lock acquisitions/conflicts,
 evictions, votes).  Three mechanisms make that exact rather than
 approximate:
 
-1. **Identical scheduling randomness.**  The round loop consumes
-   ``np.random.default_rng(0).permutation(W)`` exactly like
-   :class:`RoundScheduler`, and every order-sensitive decision (lock
-   arbitration, victim-counter consumption) is ranked by each warp's
-   position in that permutation — the order the reference engine would
-   have stepped them in.
+1. **Identical scheduling randomness.**  Both engines take every
+   round's scheduler permutation from
+   :func:`~repro.gpusim.kernel.round_orders` over
+   ``np.random.default_rng(0)``, and every order-sensitive decision
+   (lock arbitration, victim-counter consumption) is ranked by each
+   warp's position in that permutation — the order the reference
+   engine steps them in.
 
 2. **Hazard-exact phase two.**  Within one round, a locked warp only
    ever writes *keys* into its own locked bucket, so every other
@@ -93,6 +100,7 @@ import numpy as np
 
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
+from repro.gpusim.kernel import round_orders
 from repro.sanitizer import NULL_SANITIZER
 from repro.telemetry.profiler import NULL_PROFILER
 
@@ -109,10 +117,25 @@ _U32_MASK = np.uint64(0xFFFFFFFF)
 _ONE = np.uint64(1)
 #: Per lane ``l``: the ballot mask with bit ``l`` cleared.
 _LANE_CLEAR = ~(_ONE << np.arange(32, dtype=np.uint64))
+#: Per lane ``l``: the ballot mask of the lanes after ``l`` (none after
+#: lane 31, where the voter's scan wraps to a full ballot anyway).
+_LANES_AFTER = _U32_MASK & ~((_ONE << np.arange(1, 33, dtype=np.uint64))
+                             - _ONE)
+#: Bit positions of a warp's lanes, for expanding ballots per lane.
+_LANE_BITS = np.arange(32, dtype=np.uint64)
 _BUCKET_MASK = (1 << 40) - 1
+_NO_WARPS = np.zeros(0, dtype=np.int64)
+_NOTHING_HELD = (_NO_WARPS,) * 4
 
 #: Phase-two outcomes, in predicate-block order (see :func:`_phase_two`).
 _UPSERT, _ALT_HIT, _PLACE, _EVICT = range(4)
+
+
+def _repeats(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether some value occurs twice among ``a`` and ``b``."""
+    ids = np.concatenate((a, b))
+    ids.sort()
+    return bool(np.count_nonzero(ids[1:] == ids[:-1]))
 
 
 def _ctz(masks: np.ndarray) -> np.ndarray:
@@ -179,15 +202,16 @@ def cohort_delete(table, batch):
     from repro.kernels.insert import KernelRunResult
 
     n = len(batch)
-    removed = np.zeros(n, dtype=bool)
     result = KernelRunResult()
     if n == 0:
-        return removed, result
+        return np.zeros(0, dtype=bool), result
 
     # Distinct keys never interact (clearing one key's slot cannot make
     # another key appear or vanish), so only first occurrences can hit.
-    unique_idx = np.flatnonzero(first_occurrence_mask(batch.codes))
-    unique = batch[unique_idx]
+    # Without duplicates the batch is probed as is.
+    keep = first_occurrence_mask(batch.codes)
+    unique_idx = None if keep.all() else keep.nonzero()[0]
+    unique = batch if unique_idx is None else batch[unique_idx]
     san = table.sanitizer
 
     def clear(t: int, buckets: np.ndarray, slots: np.ndarray,
@@ -203,7 +227,10 @@ def cohort_delete(table, batch):
                                   site=_SITE_DELETE)
 
     removed_unique, missed = unique.probe(clear)
-    removed[unique_idx] = removed_unique
+    removed = removed_unique
+    if unique_idx is not None:
+        removed = np.zeros(n, dtype=bool)
+        removed[unique_idx] = removed_unique
     hit_first = len(unique) - missed
 
     n_removed = int(removed.sum())
@@ -241,45 +268,76 @@ class _CohortState:
         self.bucket_of = table.bucket_resolver()
         self.hashes = table.hash_stack
         self.voter = voter
-        n = len(batch)
+        n = self.num_ops = len(batch)
         width = WARP_WIDTH
         self.num_warps = (n + width - 1) // width
         W = self.num_warps
-        #: Per lane: its key, value and target, the other subtable of its
-        #: key's pair, and the key's 31-bit raw hashes under its target
-        #: and that alternate.  The rounds read these; only an evicted
-        #: victim is hashed again.
-        alts = batch.first + batch.second - targets
-        pad = W * width - n
-        (self.keys, self.values, self.targets, self.alts, self.raw,
-         self.alt_raw) = (
-             np.concatenate([x, np.zeros(pad, x.dtype)])
-             for x in (batch.codes, values, targets, alts,
-                       batch.raw_under(targets), batch.raw_under(alts)))
+        lanes = W * width
+        #: Per lane: its key and value.
+        self.keys = np.zeros(lanes, dtype=np.uint64)
+        self.values = np.zeros(lanes, dtype=np.uint64)
+        self.keys[:n] = batch.codes
+        self.values[:n] = values
+        #: Per lane, row 0 for its target subtable and row 1 for the
+        #: other subtable of its key's pair: the arena row of the key's
+        #: bucket there and that bucket's lock id ``(t << 40) | b``.
+        #: Resolved here for the whole launch with one resolver call; a
+        #: round readdresses only the lanes an eviction handed a victim.
+        self.rows = np.zeros((2, lanes), dtype=np.int64)
+        self.locks = np.zeros((2, lanes), dtype=np.int64)
+        #: Row 0 of :attr:`locks`: each lane's target-bucket lock.
+        self.lock = self.locks[0]
+        tables = np.stack((targets, batch.first + batch.second - targets))
+        pairs = batch.candidate_raw
+        buckets = self.bucket_of(
+            tables.ravel(),
+            np.where(targets == batch.first, pairs, pairs[::-1]).ravel()
+        ).reshape(tables.shape)
+        self.rows[:, :n] = self.arena.row_offset[tables] + buckets
+        self.locks[:, :n] = (tables << 40) | buckets
         #: Lane ballots: bit ``l`` set while lane ``l`` still has work.
         self.active = np.zeros(W, dtype=np.uint64)
         full, rem = divmod(n, width)
         self.active[:full] = _U32_MASK
         if rem:
             self.active[full] = (_ONE << np.uint64(rem)) - _ONE
-        #: Voter scheme: lane the next election starts scanning from.
-        self.next_start = np.zeros(W, dtype=np.uint64)
+        #: Voter scheme: the lanes the next election scans first (the
+        #: start lane and those after it), as a ballot mask.
+        self.start = np.full(W, _U32_MASK, dtype=np.uint64)
         #: Consecutive lock-failure rounds (stall detector).
         self.stalled = np.zeros(W, dtype=np.int64)
-        #: Program counter, effectively: a locked warp is in phase two
-        #: on its leader's flat lane, holding one arena row's lock.
-        self.locked = np.zeros(W, dtype=bool)
-        self.lk_lane = np.zeros(W, dtype=np.int64)
-        self.lk_row = np.zeros(W, dtype=np.int64)
-        self.lk_lockid = np.zeros(W, dtype=np.int64)
-        #: Entries placed per subtable; added to ``Subtable.size`` once,
-        #: when the launch ends (normally or not).
-        self.placed = np.zeros(table.num_tables, dtype=np.int64)
-        #: Phase two's "no slot matched" predicate column.
-        self.evict_col = np.ones((W, 1), dtype=bool)
+        #: Program counter, effectively: the warps holding a lock, in
+        #: ascending order, with their leaders' flat lanes, the lock ids
+        #: they hold (their lanes' target buckets) and their leaders'
+        #: lanes within the warp.  Phase one sets them, and the next
+        #: round's phase two completes and releases.
+        self.held = _NOTHING_HELD
+        self.num_tables = table.num_tables
+        #: Per lane: its op completed by an upsert or an alternate hit,
+        #: so its completion placed no entry (see :meth:`placements`).
+        self.unplaced = np.zeros(lanes, dtype=bool)
+        #: Phase two's predicates per locked warp: ``own == key``,
+        #: ``alt == key``, ``own == EMPTY`` and an all-true "evict" row,
+        #: so the first true entry is the outcome and the slot.
+        self.cap = np.int64(self.arena.keys.shape[1])
+        self.pred = np.ones((W, 4, self.cap), dtype=bool)
         #: Per-lane eviction-chain depth; allocated only when a profiler
         #: is attached (see :func:`cohort_insert`), ``None`` otherwise.
         self.depth: np.ndarray | None = None
+
+    def placements(self) -> list[int]:
+        """Entries placed so far, per subtable.
+
+        A lane places at most once: its op completes by a placement
+        unless :attr:`unplaced` says otherwise, and a completed lane
+        keeps the target it completed on, so counting once per launch
+        equals counting per round.
+        """
+        n = self.num_ops
+        done = (self.active[:, None] >> _LANE_BITS) & _ONE == 0
+        placed = done.ravel()[:n] & ~self.unplaced[:n]
+        return np.bincount(self.lock[:n][placed] >> 40,
+                           minlength=self.num_tables).tolist()
 
 
 def cohort_insert(table, batch, values: np.ndarray,
@@ -306,8 +364,7 @@ def cohort_insert(table, batch, values: np.ndarray,
     result = KernelRunResult()
     state = _CohortState(table, batch, np.asarray(values, dtype=np.uint64),
                          np.asarray(targets, dtype=np.int64), voter)
-    rng = np.random.default_rng(0)
-    W = state.num_warps
+    orders = round_orders(np.random.default_rng(0), state.num_warps)
     rounds = 0
     san = table.sanitizer
     prof = table.profiler
@@ -316,20 +373,14 @@ def cohort_insert(table, batch, values: np.ndarray,
     #: the cohort-local mirror of ``LockArbiter._stalled``.
     stalled_locks: dict[int, int] = {}
     if prof.enabled:
-        state.depth = np.zeros(W * WARP_WIDTH, dtype=np.int64)
-    # Round-invariant scratch, hoisted out of the loop: the permutation
-    # -> position scatter buffer and its identity source.
-    pos = np.empty(W, dtype=np.int64)
-    base = np.arange(W, dtype=np.int64)
-    no_warps = base[:0]
+        state.depth = np.zeros(len(state.keys), dtype=np.int64)
     # Occupancy tracked as plain ints so the per-round profiler sample
-    # costs no array reductions: live lanes fall as ops complete, a
-    # warp leaves residency when its ballot empties, and the locked
+    # costs little: live lanes fall as ops complete, and the locked
     # count entering a round is exactly last round's winner count
-    # (every held lock is released in its phase two).  A resident warp
-    # either holds a lock or is a phase-one candidate.
+    # (every held lock is released in its phase two).  A warp is
+    # resident while its ballot is nonempty: a lock holder's leader lane
+    # is still live.
     live_lanes = len(batch)
-    resident = W
     locked_count = 0
     hazard_rounds = 0
     hazard_lanes = 0
@@ -346,41 +397,35 @@ def cohort_insert(table, batch, values: np.ndarray,
                 # Same round-boundary snapshot the reference engine's
                 # before_round hook takes: a warp is resident while it
                 # holds a lock or has live lanes.
-                round_samples.append((resident, live_lanes, locked_count,
+                round_samples.append((int(np.count_nonzero(state.active)),
+                                      live_lanes, locked_count,
                                       result.evictions,
                                       result.completed_ops))
-            perm = rng.permutation(W)
-            pos[perm] = base
-            ph2 = ph1 = no_warps
+            _order, pos = next(orders)
+            # Lock holders at round start complete and release at their
+            # permutation position, which phase-one arbitration needs;
+            # phase one takes the other warps with live lanes.
+            ph2, h_lane, h_lock, h_leader = state.held
+            holder_pos = pos[ph2]
+            candidates = state.active != 0
+            candidates[ph2] = False
+            ph1 = candidates.nonzero()[0]
             if locked_count:
-                ph2 = state.locked.nonzero()[0]
-                if resident > locked_count:
-                    ph1 = (~state.locked & (state.active != 0)).nonzero()[0]
-            else:
-                ph1 = (state.active != 0).nonzero()[0]
-            # Lock holders at round start: they complete and release at
-            # their permutation position, which phase-one arbitration
-            # needs.
-            holder_ids = holder_pos = no_warps
-            if len(ph1) and len(ph2):
-                holder_ids = state.lk_lockid[ph2]
-                holder_pos = pos[ph2]
-            if len(ph2):
-                hazard, n_done, n_dead = _phase_two(
-                    table, state, result, ph2, pos, san, prof)
+                hazard, n_done = _phase_two(
+                    table, state, result, ph2, h_lane, h_lock, h_leader,
+                    pos, san, prof)
+                state.held = _NOTHING_HELD
                 live_lanes -= n_done
-                resident -= n_dead
                 if hazard:
                     hazard_rounds += 1
-                    hazard_lanes += len(ph2)
+                    hazard_lanes += locked_count
                     if prof.enabled:
-                        prof.note_hazard(len(ph2))
+                        prof.note_hazard(locked_count)
             locked_count = 0
             if len(ph1):
                 locked_count = _phase_one(
-                    table, state, result, ph1, pos, holder_ids,
-                    holder_pos, max_rounds_per_op, san, prof, fp,
-                    stalled_locks)
+                    table, state, result, ph1, pos, h_lock, holder_pos,
+                    max_rounds_per_op, san, prof, fp, stalled_locks)
             if fp is not None and stalled_locks:
                 # Mirror of LockArbiter.tick(): injected holder stalls
                 # age at the end of every device round.
@@ -403,16 +448,16 @@ def cohort_insert(table, batch, values: np.ndarray,
         # non-convergence abort fires with warps mid-critical-section.
         # Their bucket locks must be cleared on the way out (the warp
         # engine does the same via _InsertWarp.unwind_locks).
-        for w in state.locked.nonzero()[0]:
-            if san.enabled:
-                san.on_unwind_release(int(w), int(state.lk_lockid[w]),
-                                      site=_SITE_UNWIND)
-        state.locked[:] = False
+        held_warps, _lanes, held_locks, _leaders = state.held
+        if san.enabled:
+            for w, lid in zip(held_warps.tolist(), held_locks.tolist()):
+                san.on_unwind_release(w, lid, site=_SITE_UNWIND)
+        state.held = _NOTHING_HELD
         raise
     finally:
         # Every placement so far is in storage, raised or not; the warp
         # engine counts each one as it lands.
-        for st, n in zip(table.subtables, state.placed.tolist()):
+        for st, n in zip(table.subtables, state.placements()):
             st.size += n
         if prof.enabled and round_samples:
             prof.record_rounds_many(round_samples)
@@ -447,14 +492,12 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
     if state.voter:
         # The first active lane at-or-after the start lane, else the
         # first active lane (the scan wraps around the warp).
-        at_or_after = m & (_U32_MASK << state.next_start[ph1])
+        at_or_after = m & state.start[ph1]
         leader = _ctz(np.where(at_or_after != 0, at_or_after, m))
     else:
         leader = _ctz(m)
     lane = ph1 * WARP_WIDTH + leader
-    target = state.targets[lane]
-    bucket = state.bucket_of(target, state.raw[lane])
-    lock_id = (target << 40) | bucket
+    lock_id = state.lock[lane]
     my_pos = pos[ph1]
 
     # Arbitration: within this round, a request succeeds iff its lock is
@@ -464,11 +507,8 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
     # scheduler steps warps in permutation order.  When no lock id
     # repeats among the candidates and the holders, and no injected
     # stall camps on a bucket, every candidate wins.
-    ids = np.concatenate([lock_id, holder_ids]) if len(holder_ids) \
-        else lock_id.copy()
-    ids.sort()
     win = None
-    if stalled_locks or np.count_nonzero(ids[1:] == ids[:-1]):
+    if stalled_locks or _repeats(lock_id, holder_ids):
         win, blocker_row = _arbitrate(lock_id, my_pos, holder_ids,
                                       holder_pos, stalled_locks)
         n_win = int(np.count_nonzero(win))
@@ -500,8 +540,8 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
     if win is not None:
         lose = ~win
         l_idx, l_leader, l_lock = ph1[lose], leader[lose], lock_id[lose]
-        ph1, lane, target, bucket, lock_id = (
-            ph1[win], lane[win], target[win], bucket[win], lock_id[win])
+        ph1, lane, lock_id, leader = (ph1[win], lane[win], lock_id[win],
+                                      leader[win])
     if prof.enabled:
         # Same grant/conflict attribution the LockArbiter hook makes on
         # the reference path: winners acquired their leader's bucket
@@ -510,10 +550,7 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
         if win is not None:
             prof.lock_conflicts_many(l_lock)
 
-    state.locked[ph1] = True
-    state.lk_lane[ph1] = lane
-    state.lk_row[ph1] = state.arena.row_offset[target] + bucket
-    state.lk_lockid[ph1] = lock_id
+    state.held = (ph1, lane, lock_id, leader)
     state.stalled[ph1] = 0
     if san.enabled:
         for i, w in enumerate(ph1):
@@ -523,7 +560,7 @@ def _phase_one(table, state: _CohortState, result, ph1: np.ndarray,
 
     if win is not None and len(l_idx):
         if state.voter:
-            state.next_start[l_idx] = (l_leader + 1) % WARP_WIDTH
+            state.start[l_idx] = _LANES_AFTER[l_leader]
         state.stalled[l_idx] += 1
         if np.count_nonzero(state.stalled[l_idx] > max_stall):
             raise CapacityError(
@@ -619,36 +656,42 @@ def _phase_one_fault_walk(fp, stalled_locks: dict, lock_id: np.ndarray,
 
 
 def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
+               lane: np.ndarray, lock: np.ndarray, leader: np.ndarray,
                pos: np.ndarray, san=NULL_SANITIZER,
-               prof=NULL_PROFILER) -> tuple[bool, int, int]:
+               prof=NULL_PROFILER) -> tuple[bool, int]:
     """Complete every held lock: upsert, place, or evict, then release.
 
     Classifies all locked warps from a start-of-round snapshot in one
-    pass: the first true column of ``[own == key | alt == key |
-    own == EMPTY | True]`` gives the outcome (its block: upsert,
-    alternate hit, place, evict) and the slot (its offset).  When a
-    key-coincidence hazard makes the order of operations observable,
-    :func:`_replay_in_order` steps the warps in permutation order
-    instead.  Returns ``(hazard, n_done, n_dead)``: whether the round
-    was hazardous, how many lanes completed, and how many warps
-    finished their last lane.
+    pass: one gather reads each warp's own and alternate bucket, and
+    the first true entry of its ``[own == key | alt == key |
+    own == EMPTY | True]`` predicate rows (:attr:`_CohortState.pred`)
+    gives the outcome (its row: upsert, alternate hit, place, evict)
+    and the slot (its offset).  When a key-coincidence hazard makes the
+    order of operations observable, :func:`_replay_in_order` steps the
+    warps in permutation order instead.  ``ph2``, ``lane``, ``lock``
+    and ``leader`` are the held locks (:attr:`_CohortState.held`).  Returns
+    ``(hazard, n_done)``: whether the round was hazardous and how many
+    lanes completed.
     """
     arena = state.arena
-    cap = arena.keys.shape[1]
-    lane = state.lk_lane[ph2]
-    row = state.lk_row[ph2]
+    cap = state.cap
+    mcount = len(ph2)
+    rows = state.rows.take(lane, axis=1)
+    row = rows[0]
+    # Alternate-bucket lock ids for the access log, read before an
+    # eviction below readdresses its lane.
+    alt_lock = state.locks[1][lane] if san.enabled else None
     key = state.keys[lane]
     val = state.values[lane]
-    alt_t = state.alts[lane]
-    alt_b = state.bucket_of(alt_t, state.alt_raw[lane])
-    alt_row = arena.row_offset[alt_t] + alt_b
-    mcount = len(ph2)
 
-    own = arena.keys[row]
-    kcol = key[:, None]
-    kind, slot = np.divmod(np.concatenate(
-        (own == kcol, arena.keys[alt_row] == kcol, own == EMPTY,
-         state.evict_col[:mcount]), axis=1).argmax(axis=1), cap)
+    # Own buckets then alternates, one gather: (2, mcount, cap).
+    block = arena.keys.take(rows, axis=0)
+    own = block[0]
+    pred = state.pred[:mcount]
+    np.equal(block.transpose(1, 0, 2), key[:, None, None],
+             out=pred[:, :2])
+    np.logical_not(own, out=pred[:, 2])  # own == EMPTY
+    kind, slot = np.divmod(pred.reshape(mcount, -1).argmax(axis=1), cap)
     n_up, n_ahit, n_place, n_evict = np.bincount(
         kind, minlength=_EVICT + 1).tolist()
     if n_evict:
@@ -657,7 +700,7 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
         vict_rank[pos[ph2[evict]].argsort(kind="stable")] = np.arange(
             n_evict)
         vslot = (table._victim_counter + vict_rank
-                 + (state.lk_lockid[ph2[evict]] & _BUCKET_MASK)) % cap
+                 + (lock[evict] & _BUCKET_MASK)) % cap
         victim_key = own[evict, vslot]
 
     # Hazard: a key carried twice, by two locked warps or by one warp
@@ -665,23 +708,18 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     # earlier one wrote this round: a second copy of its key, or its
     # alternate-bucket hit evicted (a victim stored in the evicting
     # bucket is in its carrier's alternate bucket).
-    hazard = False
-    if mcount > 1:
-        carried = np.concatenate((key, victim_key)) if n_evict \
-            else key.copy()
-        carried.sort()
-        hazard = bool(np.count_nonzero(carried[1:] == carried[:-1]))
+    hazard = mcount > 1 and _repeats(key, victim_key if n_evict
+                                     else _NO_WARPS)
 
     if hazard:
         # The replay steps the warps on a copy of the round's buckets
         # (own rows first, then alternates), which lands in one scatter.
-        rows, local = np.unique(np.concatenate((row, alt_row)),
-                                return_inverse=True)
-        keys, values = arena.keys[rows], arena.values[rows]
+        touched, local = np.unique(rows.ravel(), return_inverse=True)
+        keys, values = arena.keys[touched], arena.values[touched]
         kind, evict, victim_key, victim_val = _replay_in_order(
-            table, state, ph2, pos, keys, values, local, key, val)
-        arena.keys[rows] = keys
-        arena.values[rows] = values
+            table, state, ph2, pos, keys, values, local, key, val, lock)
+        arena.keys[touched] = keys
+        arena.values[touched] = values
         n_up, n_ahit, n_place, n_evict = np.bincount(
             kind, minlength=_EVICT + 1).tolist()
     else:
@@ -693,11 +731,10 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
             victim_val = arena.values[row[evict], vslot]
             slot[evict] = vslot
         to_alt = kind == _ALT_HIT if n_ahit else None
-        wrow = row if to_alt is None else np.where(to_alt, alt_row, row)
+        wrow = row if to_alt is None else np.where(to_alt, rows[1], row)
         arena.values[wrow, slot] = val
         kw = slice(None) if to_alt is None else (~to_alt).nonzero()[0]
         arena.keys[row[kw], slot[kw]] = key[kw]
-    place = (kind == _PLACE).nonzero()[0] if n_place else None
     done = (kind != _EVICT).nonzero()[0] if n_evict else None
 
     # Upserts pay one write; every miss pays the alternate read, then
@@ -705,49 +742,46 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     result.memory_transactions += n_up + 2 * (mcount - n_up)
     result.completed_ops += n_up + n_ahit + n_place
     result.evictions += n_evict
-    if n_place:
-        state.placed += np.bincount(state.targets[lane[place]],
-                                    minlength=len(state.placed))
+    if n_up or n_ahit:
+        state.unplaced[lane[kind < _PLACE]] = True
+    d_warp, d_leader = (ph2, leader) if done is None else (ph2[done],
+                                                           leader[done])
+    n_done = len(d_warp)
+    if n_done:
+        state.active[d_warp] &= _LANE_CLEAR[d_leader]
+        if state.voter:
+            state.start[d_warp] = _LANES_AFTER[d_leader]
+        if state.depth is not None:
+            prof.observe_chains(state.depth[
+                lane if done is None else lane[done]])
     if n_evict:
         table._victim_counter += n_evict
         # The evicted pair continues on the leader's lane, retargeted
-        # at the victim's alternate subtable; the lane stays active, and
-        # the subtable it was evicted from becomes its alternate.  One
-        # hash call evaluates each victim under exactly those two.
-        e_lane = lane[evict]
-        left = state.targets[e_lane]
-        new_tgt = table.pair_hash.alternate_table(victim_key, left)
+        # at the victim's alternate subtable; the lane stays active.
+        # The bucket the victim leaves is its bucket in the subtable it
+        # leaves, now its alternate; one hash call places it in its new
+        # target.
+        e_lane, e_lock = lane[evict], lock[evict]
+        new_t = table.pair_hash.alternate_table(victim_key, e_lock >> 40)
+        bucket = state.bucket_of(new_t, state.hashes.raw(
+            victim_key, new_t).view(np.int64))
         state.keys[e_lane] = victim_key
         state.values[e_lane] = victim_val
-        state.targets[e_lane] = new_tgt
-        state.alts[e_lane] = left
-        state.raw[e_lane], state.alt_raw[e_lane] = state.hashes.raw(
-            victim_key, np.array([new_tgt, left]))
+        state.rows[1][e_lane] = row[evict]
+        state.locks[1][e_lane] = e_lock
+        state.rows[0][e_lane] = arena.row_offset[new_t] + bucket
+        state.lock[e_lane] = (new_t << 40) | bucket
         if state.depth is not None:
             # The victims continue on their lanes one eviction deeper.
             state.depth[e_lane] += 1
 
-    d_warp, d_lane = (ph2, lane) if done is None else (ph2[done],
-                                                       lane[done])
-    n_done = len(d_warp)
-    n_dead = 0
-    if n_done:
-        d_bit = d_lane & (WARP_WIDTH - 1)
-        state.active[d_warp] &= _LANE_CLEAR[d_bit]
-        n_dead = int(np.count_nonzero(state.active[d_warp] == 0))
-        if state.voter:
-            state.next_start[d_warp] = (d_bit + 1) % WARP_WIDTH
-        if state.depth is not None:
-            prof.observe_chains(state.depth[d_lane])
     if san.enabled:
         # Mirror the warp engine's per-warp access log for this round:
         # upsert/place/evict are bucket writes under the warp's own
         # lock; an alternate-bucket probe is a sanctioned lock-free
         # read, and an alternate hit is a single-word value update.
-        lids = state.lk_lockid[ph2].tolist()
-        a_locks = ((alt_t << 40) | alt_b).tolist()
-        for w, lid, k, a_lock in zip(ph2.tolist(), lids, kind.tolist(),
-                                     a_locks):
+        for w, lid, a_lock, k in zip(ph2.tolist(), lock.tolist(),
+                                     alt_lock.tolist(), kind.tolist()):
             if k == _UPSERT:
                 san.record_access(w, "write", "bucket", lid,
                                   site=_SITE_PH2)
@@ -761,20 +795,21 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
                     san.record_access(w, "write", "bucket", lid,
                                       site=_SITE_PH2)
             san.on_lock_release(w, lid, site=_SITE_PH2)
-    state.locked[ph2] = False
-    return hazard, n_done, n_dead
+    return hazard, n_done
 
 
 def _replay_in_order(table, state: _CohortState, ph2: np.ndarray,
                      pos: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                     local: np.ndarray, key: np.ndarray, val: np.ndarray):
+                     local: np.ndarray, key: np.ndarray, val: np.ndarray,
+                     lock: np.ndarray):
     """Complete a hazardous round's locked warps one at a time.
 
     ``keys``/``values`` hold the round's buckets; ``local[i]`` is the
     row of ``ph2[i]``'s own bucket and ``local[len(ph2) + i]`` that of
-    its alternate.  Steps the warps in permutation order, as the
-    reference scheduler does: each takes the first true test of
-    ``[own == key | alt == key | own == EMPTY | evict]`` — the order of
+    its alternate, and ``lock[i]`` its own bucket's lock id.  Steps the
+    warps in permutation order, as the reference scheduler does: each
+    takes the first true test of ``[own == key | alt == key |
+    own == EMPTY | evict]`` — the order of
     :meth:`repro.kernels.insert._InsertWarp._complete_locked` — and
     writes into ``keys``/``values`` before the next warp looks.
     Returns ``(kind, evict, victim_key, victim_val)`` over the rows of
@@ -783,7 +818,8 @@ def _replay_in_order(table, state: _CohortState, ph2: np.ndarray,
     m = len(ph2)
     cap = keys.shape[1]
     own_row, alt_row = local[:m].tolist(), local[m:].tolist()
-    bkt = (state.lk_lockid[ph2] & _BUCKET_MASK).tolist()
+    bkt = (lock & _BUCKET_MASK).tolist()
+    pred = state.pred[0]
     kind = np.empty(m, dtype=np.int64)
     vkey = np.zeros(m, dtype=np.uint64)
     vval = np.zeros(m, dtype=np.uint64)
@@ -791,9 +827,10 @@ def _replay_in_order(table, state: _CohortState, ph2: np.ndarray,
     for i in pos[ph2].argsort().tolist():
         r, a, k, v = own_row[i], alt_row[i], key[i], val[i]
         own = keys[r]
-        outcome, slot = divmod(int(np.concatenate(
-            (own == k, keys[a] == k, own == EMPTY,
-             state.evict_col[0])).argmax()), cap)
+        np.equal(own, k, out=pred[0])
+        np.equal(keys[a], k, out=pred[1])
+        np.equal(own, EMPTY, out=pred[2])
+        outcome, slot = divmod(int(pred.argmax()), cap)
         kind[i] = outcome
         if outcome == _ALT_HIT:
             values[a, slot] = v

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import InvalidConfigError
 from repro.faults import NO_FAULTS
@@ -110,6 +112,40 @@ def estimate_lock_conflicts(num_ops: int, num_buckets: int,
     return int(round(collisions))
 
 
+#: Rounds of scheduler orders drawn per block (see :func:`round_orders`).
+ORDER_BLOCK_ROUNDS = 64
+#: Cap on one block's permutation entries, so a wide launch draws fewer
+#: rounds per block and its scratch stays small.
+ORDER_BLOCK_ENTRIES = 1 << 16
+
+
+def order_block_rounds(num_warps: int) -> int:
+    """Rounds per block of :func:`round_orders` for ``num_warps`` warps."""
+    return max(1, min(ORDER_BLOCK_ROUNDS,
+                      ORDER_BLOCK_ENTRIES // max(1, num_warps)))
+
+
+def round_orders(rng: np.random.Generator,
+                 num_warps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(order, position)`` of every device round of one launch.
+
+    ``order`` is the round's scheduler permutation of the warps, equal
+    to the next ``rng.permutation(num_warps)`` draw, and ``position``
+    its inverse (``position[order[i]] == i``).  Rows are drawn a block
+    of :func:`order_block_rounds` rounds at a time: ``rng.permuted``
+    shuffles each row of the block with the same Fisher-Yates draws
+    ``permutation`` makes, in row order, and one ``argsort`` inverts
+    them.  Both insert engines schedule through this helper, so they
+    share one random stream by construction.  The generator never ends;
+    a launch stops taking rounds when its warps finish.
+    """
+    tile = np.tile(np.arange(num_warps, dtype=np.int64),
+                   (order_block_rounds(num_warps), 1))
+    while True:
+        orders = rng.permuted(tile, axis=1)
+        yield from zip(orders, orders.argsort(axis=1))
+
+
 class RoundScheduler:
     """Steps a set of warp programs in device rounds.
 
@@ -126,7 +162,8 @@ class RoundScheduler:
         self.rounds_executed = 0
         self.sanitizer = (sanitizer if sanitizer is not None
                           else NULL_SANITIZER)
-        self._rng = __import__("numpy").random.default_rng(seed)
+        self._orders = round_orders(np.random.default_rng(seed),
+                                    len(self.warps))
 
     def run(self, before_round: Callable[[int], None] | None = None,
             after_round: Callable[[int], None] | None = None) -> int:
@@ -146,7 +183,7 @@ class RoundScheduler:
                 self.sanitizer.begin_round(round_index)
             if before_round is not None:
                 before_round(round_index)
-            order = self._rng.permutation(len(self.warps))
+            order, _position = next(self._orders)
             for idx in order:
                 warp = self.warps[idx]
                 if not warp.finished():

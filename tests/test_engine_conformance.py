@@ -180,6 +180,150 @@ class TestKernelEntryPoints:
         assert tw.sanitizer.stats == tc.sanitizer.stats
 
 
+class _AccessLog(Sanitizer):
+    """A sanitizer that also keeps every storage access and lock event
+    as ``(round, warp, event, address)``, so two engines' streams can be
+    compared round by round."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.round = -1
+        self.events: list[tuple] = []
+
+    def begin_round(self, index: int) -> None:
+        super().begin_round(index)
+        self.round = index
+
+    def record_access(self, warp: int, kind: str, space: str,
+                      address: int, site: str = "") -> None:
+        self.events.append((self.round, warp, f"{kind}:{space}", address))
+        super().record_access(warp, kind, space, address, site=site)
+
+    def on_lock_acquire(self, warp: int, resource: int,
+                        site: str = "") -> None:
+        self.events.append((self.round, warp, "acquire", resource))
+        super().on_lock_acquire(warp, resource, site=site)
+
+    def on_lock_release(self, warp: int, resource: int,
+                        site: str = "") -> None:
+        self.events.append((self.round, warp, "release", resource))
+        super().on_lock_release(warp, resource, site=site)
+
+
+class TestAcrossOrderBlocks:
+    """Warp ≡ cohort on a launch that spans several blocks of round
+    orders (:func:`repro.gpusim.kernel.round_orders`).
+
+    245 keys aimed at their pairs' first subtables fill 96 % of a
+    256-slot table, so the launch's 8 warps run long eviction chains and
+    lock conflicts for more than two blocks of rounds, while a scripted
+    plan fires lock faults.  Storage, outputs, counters, fault
+    decisions, the profiler and the sanitizer's round-by-round access
+    and lock streams must all agree: a lane left at its old bucket after
+    an eviction, an alternate-bucket address read after the lane is
+    retargeted, or one engine reading its order and the other its
+    positions from the wrong round each break one of them.
+    """
+
+    @pytest.mark.parametrize("voter", [True, False])
+    def test_long_launch_identical(self, voter):
+        from repro.faults import FaultPlan
+        from repro.gpusim.kernel import order_block_rounds
+        from repro.telemetry import Profiler
+
+        script = {"seed": 1, "fired": [["lock.acquire", 5, 1],
+                                       ["lock.stall", 40, 3],
+                                       ["lock.acquire", 150, 1]]}
+        tw, tc = twin_tables(buckets=8, capacity=8)
+        plans = [FaultPlan.from_script(script) for _ in range(2)]
+        batch = EncodedBatch(tc, unique_keys(245, seed=90))
+        values = batch.codes * np.uint64(3)
+        results = []
+        for table, engine, plan in ((tw, "warp", plans[0]),
+                                    (tc, "cohort", plans[1])):
+            add_instruments(table, sanitizer=_AccessLog(),
+                            profiler=Profiler())
+            results.append(launch_insert(table, engine, batch, values,
+                                         batch.first, voter, faults=plan))
+        rw, rc = results
+        assert dataclasses.asdict(rw) == dataclasses.asdict(rc)
+        assert_tables_identical(tw, tc)
+        assert rw.rounds > 2 * order_block_rounds(len(batch) // 32 + 1)
+        assert rw.evictions > 0 and rw.lock_conflicts > 0
+        assert plans[0].fired and plans[0].fired == plans[1].fired
+        assert plans[0].invocations() == plans[1].invocations()
+        assert tw.sanitizer.stats == tc.sanitizer.stats
+        assert sorted(tw.sanitizer.events) == sorted(tc.sanitizer.events)
+        assert tw.profiler.snapshot() == tc.profiler.snapshot()
+
+
+class TestDeleteDedupe:
+    """Repeated keys in a delete batch: the first occurrence removes the
+    entry and the later ones miss, with the same probe accounting as a
+    batch of the distinct keys alone.  A batch without repeats is probed
+    as is, one with repeats through a view of its first occurrences."""
+
+    @staticmethod
+    def _batch():
+        keys = unique_keys(300, seed=83)
+        missing = unique_keys(12, seed=84, low=1 << 50)
+        batch = np.concatenate([keys[:40], missing, keys[20:60], keys[:10],
+                                missing[:4], keys[100:130]])
+        return keys, batch
+
+    @staticmethod
+    def _first_hits(batch, live):
+        seen: set[int] = set()
+        hits = []
+        for k in batch.tolist():
+            hits.append(k in live and k not in seen)
+            seen.add(k)
+        return np.array(hits)
+
+    def test_host_path(self):
+        keys, batch = self._batch()
+        config = DyCuckooConfig(initial_buckets=64, auto_resize=False,
+                                seed=3)
+        repeated, distinct = DyCuckooTable(config), DyCuckooTable(config)
+        for table in (repeated, distinct):
+            table.insert(keys, keys)
+        before = dataclasses.asdict(repeated.stats)
+        removed = repeated.delete(batch)
+        assert removed.tolist() == self._first_hits(
+            batch, set(keys.tolist())).tolist()
+        _, first = np.unique(batch, return_index=True)
+        distinct.delete(batch[np.sort(first)])
+        after = dataclasses.asdict(repeated.stats)
+        reference = dataclasses.asdict(distinct.stats)
+        for field in ("bucket_reads", "bucket_writes", "delete_hits"):
+            assert after[field] - before[field] \
+                == reference[field] - before[field], field
+        assert after["deletes"] - before["deletes"] == len(batch)
+        assert twin_divergence(repeated, None, distinct, None) == []
+
+    @pytest.mark.parametrize("repeats", [True, False])
+    def test_kernel_engines(self, repeats):
+        keys, batch = self._batch()
+        _, first = np.unique(batch, return_index=True)
+        distinct = batch[np.sort(first)]
+        if not repeats:
+            batch = distinct
+        tw, tc = twin_tables()
+        run_twins(run_voter_insert_kernel, tw, tc, keys, keys)
+        _, reference = run_delete_kernel(tw.copy(), distinct)
+        removed, result = run_twins(run_delete_kernel, tw, tc, batch)
+        expected = self._first_hits(batch, set(keys.tolist()))
+        assert removed.tolist() == expected.tolist()
+        # Every op reads its first bucket, each one that misses there
+        # (every later repeat among them) the second, and each removal
+        # writes once: the distinct keys' first-bucket hits set the
+        # count.
+        n, u, hits = len(batch), len(distinct), int(expected.sum())
+        hit_first = 2 * u + hits - reference.memory_transactions
+        assert result.memory_transactions == 2 * n - hit_first + hits
+        assert result.completed_ops == hits
+
+
 class TestHazardResolution:
     """Key-coincidence (hazard) rounds of cohort phase 2.
 

@@ -9,6 +9,8 @@ from repro.gpusim import (GTX_1080, CostModel, DeviceSpec,
                           WarpContext, atomic_batch_seconds,
                           atomic_throughput_mops,
                           coalesced_io_throughput_mops, mops)
+from repro.gpusim.kernel import (ORDER_BLOCK_ENTRIES, ORDER_BLOCK_ROUNDS,
+                                 order_block_rounds, round_orders)
 
 
 class TestDeviceSpec:
@@ -109,6 +111,50 @@ class TestScheduler:
         scheduler.run(before_round=lambda i: events.append(("b", i)),
                       after_round=lambda i: events.append(("a", i)))
         assert events == [("b", 0), ("a", 0), ("b", 1), ("a", 1)]
+
+
+class TestRoundOrders:
+    """Scheduler orders drawn a block of rounds at a time."""
+
+    @pytest.mark.parametrize("num_warps", [1, 2, 3, 10, 33, 1250])
+    def test_blocks_equal_successive_permutations(self, num_warps):
+        blocks = 3
+        rounds = blocks * order_block_rounds(num_warps) + 1
+        orders = round_orders(np.random.default_rng(11), num_warps)
+        reference = np.random.default_rng(11)
+        for _ in range(rounds):
+            order, position = next(orders)
+            expected = reference.permutation(num_warps)
+            np.testing.assert_array_equal(order, expected)
+            np.testing.assert_array_equal(position[expected],
+                                          np.arange(num_warps))
+
+    def test_block_size_is_capped_for_wide_launches(self):
+        assert order_block_rounds(10) == ORDER_BLOCK_ROUNDS
+        assert order_block_rounds(1250) * 1250 <= ORDER_BLOCK_ENTRIES
+        assert order_block_rounds(10 ** 7) == 1
+
+    @pytest.mark.parametrize("engine", ["warp", "cohort"])
+    def test_both_insert_engines_schedule_through_it(self, engine,
+                                                     monkeypatch):
+        from repro.core.config import DyCuckooConfig
+        from repro.core.table import DyCuckooTable
+        from repro.gpusim import cohort, kernel
+        from repro.kernels import run_voter_insert_kernel
+
+        calls = []
+
+        def spy(rng, num_warps):
+            calls.append(num_warps)
+            return round_orders(rng, num_warps)
+
+        monkeypatch.setattr(kernel, "round_orders", spy)
+        monkeypatch.setattr(cohort, "round_orders", spy)
+        table = DyCuckooTable(DyCuckooConfig(initial_buckets=64,
+                                             auto_resize=False))
+        keys = np.arange(1, 101, dtype=np.uint64)
+        run_voter_insert_kernel(table, keys, keys, engine=engine)
+        assert calls == [4]
 
 
 class TestLockArbiter:
