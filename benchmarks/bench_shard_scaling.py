@@ -25,6 +25,18 @@ keys are named ``*_seconds`` / ``*speedup*``, so the strict perf gate
 skips them: the win depends on host core count, which is 1 on some CI
 shapes.
 
+A serial ``waves`` leg runs a stream shaped like the end-to-end
+``shard_churn`` workload (4 shards, a 20,000-key preload, 400-op
+batches of 160 inserts, 160 finds and 80 deletes in runs of 40-160)
+twice: through the sharded front-end, whose waves serve every shard's
+eviction round with one stacked placement pass, and shard by shard,
+each shard running its own subsequence alone.  Both must leave the
+same results, storage and per-shard ``TableStats`` after every batch.
+It records the placement passes, the parts they served, the insert
+rounds and each shard's final ``TableStats`` as counter leaves, and
+the median seconds per batch of each side (skipped by the strict
+gate; the leg sets no wall-clock floor).
+
 With ``REPRO_BENCH_JSON`` set, results are also dumped as
 ``BENCH_shard.json`` for regression tracking.
 """
@@ -36,6 +48,8 @@ import numpy as np
 
 from repro.bench import format_table, shape_check
 from repro.bench.artifacts import maybe_dump
+from repro.core import batch_ops
+from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT
 from repro.core.config import DyCuckooConfig
 from repro.oracle import DictModel, mixed_batch, twin_divergence
 from repro.shard import ShardedDyCuckoo, simulate_shard_speedup
@@ -189,11 +203,122 @@ def _run_executor_leg() -> dict:
     }
 
 
+#: Waves leg geometry, shaped like the e2e ``shard_churn`` workload.
+WAVE_SHARDS = 4
+WAVE_POOL = 30_000
+WAVE_PRELOAD = 20_000
+WAVE_BATCHES = 50
+#: Insert, find and delete ops per batch.
+WAVE_QUOTAS = (160, 160, 80)
+#: Shortest and longest homogeneous run.
+WAVE_RUN = (40, 160)
+
+
+def _wave_ops(rng: np.random.Generator) -> np.ndarray:
+    """One batch's op codes: the quotas cut into runs, shuffled."""
+    runs = []
+    for kind, quota in zip((OP_INSERT, OP_FIND, OP_DELETE), WAVE_QUOTAS):
+        while quota > 0:
+            length = min(quota, int(rng.integers(WAVE_RUN[0],
+                                                 WAVE_RUN[1] + 1)))
+            runs.append(np.full(length, kind, dtype=np.int64))
+            quota -= length
+    return np.concatenate([runs[i] for i in rng.permutation(len(runs))])
+
+
+def _per_shard_mixed(table: ShardedDyCuckoo, ops, keys, values):
+    """``execute_mixed`` shard by shard: the front-end's scatter, then
+    each shard's own mixed executor on its subsequence."""
+    from repro.core.batch_ops import MixedBatchResult, execute_mixed
+
+    n = len(keys)
+    out = [np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=bool),
+           np.zeros(n, dtype=bool)]
+    order, batches = table._scatter(keys)
+    runs = start = 0
+    for shard, batch in zip(table.shards, batches):
+        if batch is None:
+            continue
+        at = order[start:start + len(batch)]
+        start += len(batch)
+        result = execute_mixed(shard, ops[at], batch, values[at])
+        out[0][at], out[1][at], out[2][at] = (result.values, result.found,
+                                              result.removed)
+        runs += result.runs
+    return MixedBatchResult(*out, runs)
+
+
+def _run_waves_leg() -> dict:
+    """A ``shard_churn``-shaped stream in waves and shard by shard.
+
+    Placement passes are counted at ``batch_ops.place_parts``, the pass
+    the waves serve each round with; run shard by shard, every round
+    is a lone one-part pass instead.  The two sides alternate which
+    runs first, batch by batch.
+    """
+    rng = np.random.default_rng(35)
+    pool = rng.choice(np.arange(1, WAVE_POOL * 20, dtype=np.uint64),
+                      size=WAVE_POOL, replace=False)
+    preload = pool[rng.permutation(WAVE_POOL)[:WAVE_PRELOAD]]
+    stream = []
+    for _ in range(WAVE_BATCHES):
+        ops = _wave_ops(rng)
+        keys = pool[rng.integers(0, WAVE_POOL, len(ops))]
+        stream.append((ops, keys, rng.integers(1, 1 << 40, len(ops),
+                                               dtype=np.uint64)))
+    waves, alone = (ShardedDyCuckoo(num_shards=WAVE_SHARDS)
+                    for _ in range(2))
+    for table in (waves, alone):
+        table.insert(preload, preload)
+    before = [stats.snapshot() for stats in waves.shard_stats()]
+    parts: list[int] = []
+    plain = batch_ops.place_parts
+
+    def counted(requests):
+        parts.append(len(requests))
+        return plain(requests)
+
+    problems: list[str] = []
+    wave_s, alone_s = [], []
+    for index, batch in enumerate(stream):
+        for side in ((0, 1) if index % 2 else (1, 0)):
+            start = time.perf_counter()
+            if side:
+                batch_ops.place_parts = counted
+                try:
+                    got = waves.execute_mixed(*batch)
+                finally:
+                    batch_ops.place_parts = plain
+                wave_s.append(time.perf_counter() - start)
+            else:
+                want = _per_shard_mixed(alone, *batch)
+                alone_s.append(time.perf_counter() - start)
+        problems += twin_divergence(waves, got, alone, want)
+        if ([stats.snapshot() for stats in waves.shard_stats()]
+                != [stats.snapshot() for stats in alone.shard_stats()]):
+            problems.append(f"batch {index}: shard stats diverged")
+    deltas = [stats.delta(snap)
+              for stats, snap in zip(waves.shard_stats(), before)]
+    return {
+        "num_shards": WAVE_SHARDS,
+        "batches": WAVE_BATCHES,
+        "ops": WAVE_BATCHES * sum(WAVE_QUOTAS),
+        "identical": not problems,
+        "placement_passes": len(parts),
+        "placement_parts": sum(parts),
+        "insert_rounds": sum(delta["eviction_rounds"] for delta in deltas),
+        "shard_stats": [stats.snapshot() for stats in waves.shard_stats()],
+        "wave_seconds_per_batch": float(np.median(wave_s)),
+        "per_shard_seconds_per_batch": float(np.median(alone_s)),
+    }
+
+
 def _run_all() -> dict:
     keys, values = _workload(np.random.default_rng(1080))
     results = {num_shards: _run_one(num_shards, keys, values)
                for num_shards in SHARD_COUNTS}
     results["executor"] = _run_executor_leg()
+    results["waves"] = _run_waves_leg()
     return results
 
 
@@ -206,7 +331,7 @@ def test_shard_scaling(benchmark):
         ["S", "serial Mops", "parallel Mops", "speedup", "lock fraction"],
         [[s, r["serial_mops"], r["parallel_mops"], r["speedup"],
           r["resize_lock_fraction"]]
-         for s, r in results.items() if s != "executor"],
+         for s, r in results.items() if s in SHARD_COUNTS],
         title="Shard scaling: serial device vs one SM group per shard"))
 
     executor = results["executor"]
@@ -219,8 +344,25 @@ def test_shard_scaling(benchmark):
           f"min {executor['min_wall_speedup']:.2f}x); "
           f"pool start {executor['pool_start_seconds']:.3f}s")
 
+    waves = results["waves"]
+    print(f"\nwaves ({waves['num_shards']} shards, {waves['batches']} "
+          f"batches of {waves['ops'] // waves['batches']} ops): "
+          f"{waves['insert_rounds']} insert rounds in "
+          f"{waves['placement_passes']} placement passes "
+          f"({waves['placement_parts']} parts); median batch "
+          f"{waves['wave_seconds_per_batch'] * 1e3:.2f} ms in waves, "
+          f"{waves['per_shard_seconds_per_batch'] * 1e3:.2f} ms shard "
+          f"by shard")
+
     speedups = {s: results[s]["speedup"] for s in SHARD_COUNTS}
     checks = [
+        ("waves are bit-identical to shard-by-shard execution",
+         waves["identical"]),
+        ("every insert round is served by a stacked placement pass",
+         waves["placement_parts"] == waves["insert_rounds"]),
+        (f"stacking serves several shards a pass "
+         f"({waves['placement_passes']} < {waves['insert_rounds']})",
+         waves["placement_passes"] < waves["insert_rounds"]),
         ("process-pool executor is bit-identical to serial",
          executor["identical"]),
         (f"warm process pool pays on {os.cpu_count()} CPUs "

@@ -22,9 +22,10 @@ public ``find``/``insert``/``delete`` methods and the kernel drivers
 take the same path: each builds one batch and probes through
 :func:`probe_parts`, which probes the batches of several tables (the
 shards of a sharded batch) in one pass; :meth:`EncodedBatch.probe` is
-its one-part form.  ``engine="warp" | "cohort"`` routes the
-runs through the lane-faithful kernels instead of the vectorized host
-path (see :mod:`repro.kernels.engine`).
+its one-part form.  An insert's eviction rounds claim their slots
+through :func:`place_parts` the same way.  ``engine="warp" | "cohort"``
+routes the runs through the lane-faithful kernels instead of the
+vectorized host path (see :mod:`repro.kernels.engine`).
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from collections.abc import Callable, Generator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.core.subtable import match_slots
+from repro.core.grouping import rank_within_group
+from repro.core.subtable import EMPTY, claim_slots, match_slots
 from repro.errors import InvalidConfigError, InvalidKeyError
 
 #: Human-readable names for op codes (trace event labelling).
@@ -57,6 +59,9 @@ _VALID_OPS = (OP_INSERT, OP_FIND, OP_DELETE)
 #: sets the process's peak RSS.
 PROBE_CHUNK = 4096
 
+#: Low 40 bits of a ``(t << 40) | bucket`` group id: the bucket.
+_BUCKET_MASK = (1 << 40) - 1
+
 #: ``touch(t, buckets, slots, sel)``: serves the probe hits in subtable
 #: ``t`` (see :func:`probe_parts`).
 Touch = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -64,9 +69,31 @@ Touch = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 #: A probe request: a batch and the touch that serves its hits.
 ProbeRequest = tuple["EncodedBatch", Touch]
 
-#: An op body (see :func:`run_bodies`): yields probe requests, receives
-#: each one's ``(hit, retried)`` and returns the op's result.
-OpBody = Generator[ProbeRequest, tuple[np.ndarray, int], Any]
+
+class PlaceRequest(NamedTuple):
+    """One eviction round's keys of one table (see :func:`place_parts`).
+
+    ``targets`` is ascending (the round groups its keys by subtable) and
+    ``buckets`` resolves each key in its target; ``excluded`` and
+    ``retry_hist`` are the round's, as the table books its placements
+    with them (see ``DyCuckooTable._settle_round``).
+    """
+
+    table: Any
+    codes: np.ndarray
+    values: np.ndarray
+    targets: np.ndarray
+    buckets: np.ndarray
+    excluded: int | None
+    retry_hist: Any
+
+
+#: A placement reply: ``(placed, leaders, n_placed)``.
+PlaceReply = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: An op body (see :func:`run_bodies`): yields probe and placement
+#: requests, receives each one's reply and returns the op's result.
+OpBody = Generator["ProbeRequest | PlaceRequest", Any, Any]
 
 
 class EncodedBatch:
@@ -241,16 +268,14 @@ def probe_parts(parts: Sequence[ProbeRequest]
     the second bucket only on a miss would read it for.
     """
     results: list = [None] * len(parts)
-    # One block holds one row width, so each bucket capacity probes on
-    # its own.
-    groups: dict[int, list[int]] = {}
+    asking = []
     for i, (batch, _touch) in enumerate(parts):
         if len(batch):
-            groups.setdefault(batch.table.config.bucket_capacity,
-                              []).append(i)
+            asking.append(i)
         else:
             results[i] = (np.zeros(0, dtype=bool), 0)
-    for members in groups.values():
+    for members in _capacity_groups(
+            [(i, parts[i][0].table) for i in asking]):
         if len(members) == 1:
             (i,) = members
             results[i] = _probe_one(*parts[i])
@@ -259,6 +284,16 @@ def probe_parts(parts: Sequence[ProbeRequest]
                              _probe_group([parts[i] for i in members])):
             results[i] = result
     return results
+
+
+def _capacity_groups(members) -> list[list[int]]:
+    """The indices of ``(index, table)`` pairs grouped by the tables'
+    bucket capacity: one block holds one row width, so each capacity is
+    served on its own."""
+    groups: dict[int, list[int]] = {}
+    for i, table in members:
+        groups.setdefault(table.config.bucket_capacity, []).append(i)
+    return list(groups.values())
 
 
 def _probe_one(batch: EncodedBatch, touch: Touch) -> tuple[np.ndarray, int]:
@@ -375,41 +410,175 @@ def _match(subtables, targets: np.ndarray, buckets: np.ndarray,
             at.searchsorted(cuts).tolist())
 
 
+def place_parts(parts: Sequence[PlaceRequest]) -> list[PlaceReply]:
+    """One eviction round's placement pass over several tables' keys.
+
+    ``parts`` holds the :class:`PlaceRequest` of one round of distinct
+    tables.  Parts whose tables share a bucket capacity place together:
+    part ``p``'s subtable ``t`` is global subtable ``table_base[p] + t``,
+    so the stacked keys stay sorted by global subtable.  One
+    :func:`~repro.core.grouping.rank_within_group` call ranks the keys
+    aiming at each bucket (the warp-vote order), one gather per global
+    subtable reads every claimed bucket into one block, and one
+    :func:`~repro.core.subtable.claim_slots` call gives the ``k``-th
+    claimant of a bucket its ``k``-th free slot.  A bucket's first
+    claimant that finds it full is its eviction leader.  Each table
+    then writes its own slots, books its lock conflicts and migrates
+    on access, subtable by subtable in index order
+    (``DyCuckooTable._settle_round``); the block read up front stays
+    valid, as a table moves entries only within its own subtables.
+
+    Returns, per part, ``(placed, leaders, n_placed)``: the keys written
+    to a free slot, the eviction leaders (a migrated bucket's leader is
+    not one) and the table's per-subtable placement counts.
+    """
+    results: list = [None] * len(parts)
+    for members in _capacity_groups(enumerate(req.table for req in parts)):
+        if len(members) == 1:
+            (i,) = members
+            results[i] = _place_one(parts[i])
+            continue
+        for i, result in zip(members,
+                             _place_group([parts[i] for i in members])):
+            results[i] = result
+    return results
+
+
+def _place_one(request: PlaceRequest) -> PlaceReply:
+    """:func:`place_parts` of one part: its subtables are the global ids
+    and its keys need no renumbering."""
+    table = request.table
+    capacity = table.config.bucket_capacity
+    placed, slots, leaders = _claim(table.subtables, request.targets,
+                                    request.buckets, capacity)
+    items, cuts = _placed_items(placed, request.targets, table.num_tables)
+    table._settle_round(request, leaders,
+                        request.buckets[items] * capacity + slots,
+                        request.codes[items], request.values[items],
+                        cuts.tolist())
+    return placed, leaders, np.diff(cuts[1])
+
+
+def _place_group(parts: list[PlaceRequest]) -> list[PlaceReply]:
+    """:func:`place_parts` of several parts of one bucket capacity."""
+    tables = [req.table for req in parts]
+    capacity = tables[0].config.bucket_capacity
+    table_base = list(accumulate((table.num_tables for table in tables),
+                                 initial=0))
+    targets = np.concatenate([req.targets + base
+                              for req, base in zip(parts, table_base)])
+    buckets = np.concatenate([req.buckets for req in parts])
+    placed, slots, leaders = _claim(
+        [st for table in tables for st in table.subtables], targets,
+        buckets, capacity)
+    items, cuts = _placed_items(placed, targets, table_base[-1])
+    # Every placed key's flat slot, code and value, in key order.
+    flat = buckets[items] * capacity + slots
+    codes = np.concatenate([req.codes for req in parts])[items]
+    values = np.concatenate([req.values for req in parts])[items]
+    n_placed = np.diff(cuts[1])
+    key_cuts, item_cuts = cuts.tolist()
+    results = []
+    for req, t0, t1 in zip(parts, table_base, table_base[1:]):
+        # The part's keys and placements, with its cuts renumbered
+        # from 0.
+        lo, hi = key_cuts[t0], key_cuts[t1]
+        a, b = item_cuts[t0], item_cuts[t1]
+        part_leaders = leaders[lo:hi]
+        req.table._settle_round(
+            req, part_leaders, flat[a:b], codes[a:b], values[a:b],
+            [[cut - lo for cut in key_cuts[t0:t1 + 1]],
+             [cut - a for cut in item_cuts[t0:t1 + 1]]])
+        results.append((placed[lo:hi], part_leaders, n_placed[t0:t1]))
+    return results
+
+
+def _placed_items(placed: np.ndarray, targets: np.ndarray,
+                  width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The placed keys (ascending) and the ``int[2, width + 1]`` cuts at
+    each subtable: of the keys (row 0) and of the placed keys (row 1)."""
+    items = placed.nonzero()[0]
+    cuts = np.empty((2, width + 1), dtype=np.intp)
+    cuts[0] = targets.searchsorted(np.arange(width + 1))
+    cuts[1] = items.searchsorted(cuts[0])
+    return items, cuts
+
+
+def _claim(subtables, targets: np.ndarray, buckets: np.ndarray,
+           capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The claim step of a placement pass over keys sorted by subtable
+    (see :func:`place_parts`): key ``i`` claims a slot of bucket
+    ``buckets[i]`` of ``subtables[targets[i]]``.
+
+    Returns ``(placed, slots, leaders)``: the keys that found a free
+    slot, those keys' slots in key order, and the first claimants of
+    full buckets.
+    """
+    ranks, groups, inverse = rank_within_group((targets << 40) | buckets)
+    group_cuts = groups.searchsorted(
+        np.arange(len(subtables) + 1, dtype=np.int64) << 40).tolist()
+    group_buckets = groups & _BUCKET_MASK
+    # Every claimed bucket of every subtable, read once into one block.
+    block = np.empty((len(groups), capacity), dtype=np.uint64)
+    for st, lo, hi in zip(subtables, group_cuts, group_cuts[1:]):
+        if lo < hi:
+            st.keys.take(group_buckets[lo:hi], axis=0, out=block[lo:hi],
+                         mode="clip")
+    # Only the free mask is read: dropping the block before the flat
+    # scan lists the free slots keeps a bulk load's peak RSS down.
+    free = block == EMPTY
+    del block
+    placed, slots = claim_slots(free, ranks, inverse)
+    # A bucket's first claimant fails to place only if it is full.
+    return placed, slots, (ranks == 0) & ~placed
+
+
 def run_body(body: OpBody):
-    """Run one op body alone, serving its probe requests with
-    :meth:`EncodedBatch.probe`; returns its result."""
+    """Run one op body alone, serving each probe request with
+    :meth:`EncodedBatch.probe` and each placement request with the
+    one-part form of :func:`place_parts`; returns its result."""
     try:
-        batch, touch = next(body)
+        request = next(body)
         while True:
-            batch, touch = body.send(batch.probe(touch))
+            if isinstance(request, PlaceRequest):
+                request = body.send(_place_one(request))
+            else:
+                batch, touch = request
+                request = body.send(batch.probe(touch))
     except StopIteration as stop:
         return stop.value
 
 
 def run_bodies(bodies: Sequence[OpBody]) -> list:
-    """Run op bodies on distinct tables, sharing each round's probe.
+    """Run op bodies on distinct tables, sharing each round's passes.
 
     An op body is a generator: it yields a probe request
-    ``(batch, touch)``, is sent the request's ``(hit, retried)`` and
+    ``(batch, touch)`` or a :class:`PlaceRequest`, is sent the reply and
     returns the op's result.  Each round advances every unfinished body,
-    in list order, to its next request, and serves all of the round's
-    requests with one :func:`probe_parts` call.  A body that needs no
-    probe (an insert into an empty table) finishes in its first round
-    without a request.  A body that raises stops there, but the others
-    still run to their end before the first exception is re-raised, so
-    every table either completes its op or is one that raised.  Returns
-    the bodies' results in list order; one body alone gives what
-    :func:`run_body` gives.
+    in list order, to its next request, then serves all of the round's
+    probe requests with one :func:`probe_parts` call and all of its
+    placement requests with one :func:`place_parts` call.  The tables
+    are distinct, so neither pass sees the other's writes.  An insert
+    body asks for one placement per eviction round, so the shards of a
+    wave run their rounds in lockstep, and a shard whose keys settle
+    early drops out.  A body that needs no probe (an insert into an
+    empty table) places from its first round.  A body that raises stops
+    there, but the others still run to their end before the first
+    exception is re-raised, so every table either completes its op or
+    is one that raised.  Returns the bodies' results in list order; one
+    body alone gives what :func:`run_body` gives.
     """
     results: list = [None] * len(bodies)
     replies: list = [None] * len(bodies)
     error: Exception | None = None
     live = list(range(len(bodies)))
     while live:
-        parts, asking = [], []
+        probes: list[tuple[int, ProbeRequest]] = []
+        places: list[tuple[int, PlaceRequest]] = []
+        asking = []
         for i in live:
             try:
-                parts.append(bodies[i].send(replies[i]))
+                request = bodies[i].send(replies[i])
             except StopIteration as stop:
                 results[i] = stop.value
             except Exception as exc:
@@ -417,8 +586,17 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
                     error = exc
             else:
                 asking.append(i)
-        if parts:
-            for i, reply in zip(asking, probe_parts(parts)):
+                if isinstance(request, PlaceRequest):
+                    places.append((i, request))
+                else:
+                    probes.append((i, request))
+        if probes:
+            for (i, _probe), reply in zip(
+                    probes, probe_parts([probe for _i, probe in probes])):
+                replies[i] = reply
+        if places:
+            for (i, _place), reply in zip(
+                    places, place_parts([place for _i, place in places])):
                 replies[i] = reply
         live = asking
     if error is not None:

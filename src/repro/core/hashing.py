@@ -41,7 +41,10 @@ HASH_CHUNK = 16384
 
 
 #: Raw-hash placeholder for a key not yet hashed under its target
-#: subtable; no 31-bit hash equals it (see ``DyCuckooTable._insert_pending``).
+#: subtable; no 31-bit hash equals it.  An eviction round's victims
+#: enter the next round with it, and each round of the insert body
+#: (``DyCuckooTable._insert_pending``) hashes its unhashed keys in one
+#: call before it asks for its placement pass.
 UNHASHED = np.uint32(0xFFFFFFFF)
 
 
@@ -216,6 +219,18 @@ class HashStack:
         """Hash ``codes`` under the members ``which`` (broadcast together)."""
         return _hash_codes(codes, self.premix, self.a, self.b, which)
 
+    def raw_all(self, codes: np.ndarray) -> np.ndarray:
+        """``uint64[n, members]``: every code hashed under every member,
+        element ``[i, m]`` equal to ``raw(codes[i], m)``; one pass per
+        :data:`HASH_CHUNK` hashes."""
+        members = len(self.a)
+        out = np.empty((len(codes), members), dtype=np.uint64)
+        step = max(1, HASH_CHUNK // members)
+        for lo in range(0, len(codes), step):
+            _hash_pass(codes[lo:lo + step, None], self.premix, self.a,
+                       self.b, None, out=out[lo:lo + step])
+        return out
+
 
 class PairHash:
     """First-layer hash: key -> one of the ``C(d, 2)`` subtable pairs.
@@ -255,9 +270,13 @@ class PairHash:
         return self.raw_mod(codes).astype(np.int64)
 
     def raw_mod(self, codes: np.ndarray) -> np.ndarray:
+        return self.partition_of_raw(self.hash.raw(codes))
+
+    def partition_of_raw(self, raw: np.ndarray) -> np.ndarray:
+        """Partition indices from raw values of :attr:`hash` (a stacked
+        pass may compute them with other functions' hashes)."""
         # The raw hash is 31-bit, so the remainder can run in uint32.
-        return (self.hash.raw(codes).astype(np.uint32)
-                % np.uint32(self.num_pairs))
+        return raw.astype(np.uint32) % np.uint32(self.num_pairs)
 
     def tables_for(self, codes: np.ndarray) -> np.ndarray:
         """``int64[2, n]``: each code's two candidate subtables, ``first``

@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.batch_ops import run_body
 from repro.core.grouping import rank_within_group
 from repro.core.hashing import UniversalHash, unhashed
 from repro.core.subtable import EMPTY, claim_slots
@@ -552,8 +553,9 @@ class ResizeController:
                 return
         current = np.full(len(codes), target, dtype=np.int64)
         alternates = table.pair_hash.alternate_table(codes, current)
-        table._insert_pending(codes, values, alternates,
-                              unhashed(len(codes)), excluded=target)
+        run_body(table._insert_pending(codes, values, alternates,
+                                       unhashed(len(codes)),
+                                       excluded=target))
 
     # ------------------------------------------------------------------
     # Targets and manual resizes

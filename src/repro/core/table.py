@@ -30,18 +30,17 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.core import distribution
-from repro.core.batch_ops import (EncodedBatch, OpBody, Touch, as_batch,
-                                  run_body)
+from repro.core.batch_ops import (EncodedBatch, OpBody, PlaceRequest, Touch,
+                                  as_batch, run_body)
 from repro.core.config import DyCuckooConfig
-from repro.core.grouping import (first_occurrence_mask, last_occurrence_mask,
-                                 rank_within_group)
+from repro.core.grouping import first_occurrence_mask, last_occurrence_mask
 from repro.core.hashing import (UNHASHED, HashStack, PairHash,
                                 UniversalHash, make_table_hashes, unhashed)
 from repro.core.instruments import Instruments
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
-from repro.core.subtable import EMPTY, FlatStorage, Subtable, claim_slots
+from repro.core.subtable import FlatStorage, Subtable
 from repro.errors import (CapacityError, InvalidKeyError, ResizeError,
                           StashOverflowError)
 from repro.gpusim.kernel import estimate_lock_conflicts
@@ -50,9 +49,6 @@ from repro.telemetry.recorder import NULL_RECORDER
 #: Bucket upper bounds for the cuckoo-chain-depth histogram (evictions a
 #: key's placement chain went through before settling).
 CHAIN_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-#: Low 40 bits of a ``(t << 40) | bucket`` lock id: the bucket.
-_BUCKET_MASK = (1 << 40) - 1
 
 #: Largest user key; ``2**64 - 1`` is unrepresentable because the
 #: internal code space reserves 0 for empty slots.
@@ -354,9 +350,12 @@ class DyCuckooTable:
     # The op bodies below are generators (see
     # :func:`~repro.core.batch_ops.run_bodies`): each prepares its batch,
     # yields one probe request through :meth:`_probe` (an insert into an
-    # empty table yields none) and then finishes.  A single-table call
-    # runs one body alone; the sharded front-end runs one body per shard
-    # and serves their requests with one multi-table probe.
+    # empty table yields none) and then finishes; an insert's finish
+    # yields one placement request per eviction round through
+    # :meth:`_insert_pending`.  A single-table call runs one body alone;
+    # the sharded front-end runs one body per shard and serves their
+    # requests with one multi-table probe and one multi-table placement
+    # pass per round.
 
     def _find_body(self, batch: EncodedBatch) -> OpBody:
         """:meth:`find` body over an encoded batch."""
@@ -445,8 +444,8 @@ class DyCuckooTable:
             # batch cache the update probe already filled.
             codes, raw = pending.codes, pending.raw_under(targets)
             del pending  # its pair copies would raise a bulk load's peak RSS
-            self._insert_pending(codes, values[fresh], targets, raw,
-                                 excluded=None)
+            yield from self._insert_pending(codes, values[fresh], targets,
+                                            raw, excluded=None)
         if self.config.auto_resize:
             self._resizer.enforce_bounds()
             self._drain_migration()
@@ -686,8 +685,8 @@ class DyCuckooTable:
 
     def _insert_pending(self, codes: np.ndarray, values: np.ndarray,
                         targets: np.ndarray, raw: np.ndarray,
-                        excluded: int | None) -> None:
-        """Round-synchronous cuckoo insertion of fresh keys.
+                        excluded: int | None) -> OpBody:
+        """Round-synchronous cuckoo insertion of fresh keys: a body step.
 
         ``targets[i]`` is the subtable each key currently attempts and
         ``raw[i]`` its raw hash under that subtable's function, or
@@ -701,11 +700,20 @@ class DyCuckooTable:
         unwinds table state.
 
         Each round is one vectorized step over every pending key, as a
-        device round is (Section V): one sort groups the keys by
-        target, one call hashes the unhashed ones, one ranking orders
-        each bucket's claimants and one pass picks every victim.  Only
-        the storage touches (:meth:`_place_round`'s slot writes, the
-        victim gather, the swaps) run per subtable.  The outcome is the
+        device round is (Section V).  The table first does its own part:
+        the fault check, the beta upsize, one sort grouping the keys by
+        target, one call hashing the unhashed ones and one bucket
+        resolution.  It then yields one
+        :class:`~repro.core.batch_ops.PlaceRequest` and is sent back
+        ``(placed, leaders, n_placed)`` from
+        :func:`~repro.core.batch_ops.place_parts`, which ranks each
+        bucket's claimants, claims the free slots and has the table
+        write them (:meth:`_settle_round`).  A lone call (the public
+        insert, :meth:`_drain_stash`, a resize spill) runs this body
+        through :func:`~repro.core.batch_ops.run_body`; the sharded
+        waves serve every shard's round with one stacked pass.  Victim
+        choice, the swaps, the next round's order, the stall upsize and
+        stash parking stay with the table.  The outcome is the
         sequential one of visiting subtables ``0..d-1`` in turn, which
         the next round's order keeps: each subtable's victims, then its
         retries.
@@ -804,8 +812,8 @@ class DyCuckooTable:
                 # Attribute the per-bucket lock grants to the contention
                 # heatmap (bucket < 2^40, so + == |).
                 prof.lock_grants_many(buckets + (targets << 40))
-            placed, leaders, n_placed = self._place_round(
-                codes, values, targets, buckets, excluded,
+            placed, leaders, n_placed = yield PlaceRequest(
+                self, codes, values, targets, buckets, excluded,
                 retry_hist if traced else None)
 
             lead = leaders.nonzero()[0]
@@ -960,8 +968,9 @@ class DyCuckooTable:
             targets = self._router.choose(codes, first, second,
                                           self.subtable_sizes(),
                                           self.subtable_loads())
-            self._insert_pending(codes, values, targets,
-                                 unhashed(len(codes)), excluded=None)
+            run_body(self._insert_pending(codes, values, targets,
+                                          unhashed(len(codes)),
+                                          excluded=None))
         except CapacityError:
             # Hard failure mid-drain (e.g. max_total_slots): no key may
             # be lost, so restore the pre-drain state (the snapshot
@@ -994,54 +1003,25 @@ class DyCuckooTable:
                 len(self.stash))
         return drained
 
-    def _place_round(self, codes: np.ndarray, values: np.ndarray,
-                     targets: np.ndarray, buckets: np.ndarray,
-                     excluded: int | None, retry_hist
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Claim slots for one round's keys, sorted by target.
+    def _settle_round(self, request: PlaceRequest, leaders: np.ndarray,
+                      flat: np.ndarray, codes: np.ndarray,
+                      values: np.ndarray, cuts: list[list[int]]) -> None:
+        """Book one round's claims (see
+        :func:`~repro.core.batch_ops.place_parts`).
 
-        Keys aiming at one bucket are ranked (the warp-vote order) and
-        the k-th claims the k-th free slot: every claimed bucket of
-        every subtable is read once into one block, and
-        :func:`~repro.core.subtable.claim_slots` finds all the slots in
-        one flat scan of its free mask.  The slot writes and the bucket
-        locks run per subtable.  Subtables place in index order, and a
-        full bucket in an upsizing subtable is migrated on access right
-        after its own subtable places, so the migration sees exactly
-        the placements of subtables ``0..t`` (it moves entries within
-        ``t`` only, so the block read up front stays valid).
-        ``retry_hist`` is the traced lock-retry histogram, or ``None``
-        untraced.
-
-        Returns ``(placed, leaders, n_placed)``: the keys written to a
-        free slot; the keys that found their bucket full and rank first
-        for it (the eviction candidates; a migrated bucket's leader is
-        not one); and per-subtable placement counts.
+        Subtable ``t``'s keys are ``cuts[0][t]:cuts[0][t + 1]`` of the
+        request, and its placed keys ``cuts[1][t]:cuts[1][t + 1]`` of
+        ``flat``/``codes``/``values``: each placed key's flat slot index
+        in its subtable (``bucket * capacity + slot``), code and value.
+        Subtables settle in index order: each books its bucket locks and
+        writes its slots, and a full bucket in an upsizing subtable is
+        migrated on access right after its own subtable places, so the
+        migration sees exactly the placements of subtables ``0..t`` and
+        its bucket's leader (cleared in ``leaders``) retries.
         """
-        d = self.num_tables
-        bounds = targets.searchsorted(np.arange(d + 1)).tolist()
-        ranks, groups, inverse = rank_within_group((targets << 40) | buckets)
-        group_cuts = groups.searchsorted(
-            np.arange(d + 1, dtype=np.int64) << 40).tolist()
-        group_buckets = groups & _BUCKET_MASK
-        # Every claimed bucket of every subtable, read once into one block.
-        block = np.empty((len(groups), self.config.bucket_capacity),
-                         dtype=np.uint64)
-        for t, st in enumerate(self.subtables):
-            lo, hi = group_cuts[t], group_cuts[t + 1]
-            if lo < hi:
-                st.keys.take(group_buckets[lo:hi], axis=0, out=block[lo:hi],
-                             mode="clip")
-        # Only the free mask is read: dropping the block before the flat
-        # scan lists the free slots keeps a bulk load's peak RSS down.
-        free = block == EMPTY
-        del block
-        placed, slots = claim_slots(free, ranks, inverse)
-        # A bucket's first claimant fails to place only if it is full.
-        leaders = (ranks == 0) & ~placed
-        items = placed.nonzero()[0]
-        item_cuts = items.searchsorted(bounds).tolist()
-        n_placed = np.array(item_cuts[1:]) - item_cuts[:-1]
+        bounds, item_cuts = cuts
+        retry_hist = request.retry_hist
+        stats = self.stats
         tel = self.telemetry
         for t, st in enumerate(self.subtables):
             lo, hi = bounds[t], bounds[t + 1]
@@ -1050,7 +1030,7 @@ class DyCuckooTable:
             # One bucket-lock CAS per operation; collisions estimated
             # from device occupancy (only resident warps contend).
             conflicts = estimate_lock_conflicts(hi - lo, st.n_buckets)
-            self.stats.lock_conflicts += conflicts
+            stats.lock_conflicts += conflicts
             if retry_hist is not None:
                 tel.metrics.counter("lock.acquisitions").inc(hi - lo)
                 tel.metrics.counter("lock.conflicts").inc(conflicts)
@@ -1059,26 +1039,24 @@ class DyCuckooTable:
                                    requests=hi - lo, conflicts=conflicts)
             a, b = item_cuts[t], item_cuts[t + 1]
             if a < b:
-                it = items[a:b]
-                item_buckets = buckets[it]
-                st.keys[item_buckets, slots[a:b]] = codes[it]
-                st.values[item_buckets, slots[a:b]] = values[it]
+                st.keys.put(flat[a:b], codes[a:b])
+                st.values.put(flat[a:b], values[a:b])
                 st.size += b - a
             mig = st.migration
-            if excluded is None and mig is not None and mig.kind == "upsize":
+            if (request.excluded is None and mig is not None
+                    and mig.kind == "upsize"):
                 ev = lo + leaders[lo:hi].nonzero()[0]
                 # Migrate-on-access: a full bucket in an upsizing
                 # subtable gets split to its post-resize view instead
                 # of evicting — the blocked keys retry next round
                 # against the (half-empty) migrated pair.
-                ev_pairs = buckets[ev] & np.int64(mig.num_pairs - 1)
+                ev_pairs = request.buckets[ev] & np.int64(mig.num_pairs - 1)
                 unmig = ~mig.migrated[ev_pairs]
                 if unmig.any():
                     self._resizer.migrate_on_access(
                         t, np.unique(ev_pairs[unmig]))
                     leaders[ev[unmig]] = False
-        self.stats.bucket_writes += len(items)
-        return placed, leaders, n_placed
+        stats.bucket_writes += item_cuts[-1]
 
     def _choose_victims(self, targets: np.ndarray, buckets: np.ndarray,
                         n_placed: np.ndarray, excluded: int | None

@@ -25,8 +25,9 @@ with a handful of vectorized mask operations:
   :meth:`~repro.core.table.DyCuckooTable.bucket_resolver` (a launch
   never resizes), so phase one reads a leader's lock id with one gather
   and phase two both its rows with one.  An evicting round hashes its
-  victims under their new targets in one
-  :class:`~repro.core.hashing.HashStack` call and readdresses only
+  victims under the pair hash and every subtable's hash in one
+  :class:`~repro.core.hashing.HashStack` call, which gives both each
+  victim's new target and its raw hash there, and readdresses only
   their lanes: the bucket a victim leaves is its new alternate;
 * phase two classifies every locked warp in one pass: ``np.equal``
   writes ``own|alt == key`` and ``own == EMPTY`` into a preallocated
@@ -98,6 +99,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.hashing import HashStack
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
 from repro.gpusim.kernel import round_orders
@@ -261,12 +263,14 @@ class _CohortState:
 
     def __init__(self, table, batch, values: np.ndarray,
                  targets: np.ndarray, voter: bool) -> None:
-        #: The launch's storage arena, bucket resolver and stacked
-        #: second-layer hashes; a launch never resizes, so all three
-        #: hold for every round.
+        #: The launch's storage arena and bucket resolver; a launch
+        #: never resizes, so both hold for every round.
         self.arena = table.flat_storage()
         self.bucket_of = table.bucket_resolver()
-        self.hashes = table.hash_stack
+        #: Subtable ``t``'s hash as member ``t`` and the pair hash as
+        #: member ``d``: a victim's readdress hashes it under all
+        #: ``d + 1`` in one pass (see :func:`_phase_two`).
+        self.hashes = HashStack([*table.table_hashes, table.pair_hash.hash])
         self.voter = voter
         n = self.num_ops = len(batch)
         width = WARP_WIDTH
@@ -759,12 +763,17 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
         # The evicted pair continues on the leader's lane, retargeted
         # at the victim's alternate subtable; the lane stays active.
         # The bucket the victim leaves is its bucket in the subtable it
-        # leaves, now its alternate; one hash call places it in its new
-        # target.
+        # leaves, now its alternate.  One hash pass under every member
+        # gives the victim's pair (last column) and so its new target,
+        # and its raw hash there.
         e_lane, e_lock = lane[evict], lock[evict]
-        new_t = table.pair_hash.alternate_table(victim_key, e_lock >> 40)
-        bucket = state.bucket_of(new_t, state.hashes.raw(
-            victim_key, new_t).view(np.int64))
+        d = table.num_tables
+        raw = state.hashes.raw_all(victim_key)
+        pair_hash = table.pair_hash
+        new_t = pair_hash.alternates_of(e_lock >> 40,
+                                        pair_hash.partition_of_raw(raw[:, d]))
+        bucket = state.bucket_of(
+            new_t, raw[np.arange(len(new_t)), new_t].view(np.int64))
         state.keys[e_lane] = victim_key
         state.values[e_lane] = victim_val
         state.rows[1][e_lane] = row[evict]

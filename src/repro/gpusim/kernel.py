@@ -102,6 +102,9 @@ def estimate_lock_conflicts(num_ops: int, num_buckets: int,
     if num_ops <= 1 or num_buckets <= 0:
         return 0
     if resident_warps is None:
+        if num_ops * REFERENCE_CONCURRENCY < 1.5:
+            # The wave rounds to one warp: no two operations contend.
+            return 0
         resident_warps = min(
             _resident_warps(device),
             max(1, round(num_ops * REFERENCE_CONCURRENCY)))

@@ -38,7 +38,9 @@ Semantics are exactly those of a single table:
   operations on the same key share a shard).  Uninstrumented host
   batches run in *waves*: wave ``k`` starts the ``k``-th run of every
   shard, one :func:`~repro.core.batch_ops.probe_parts` call probes all
-  of them, and each run then finishes in shard-index order.  Every
+  of them, one :func:`~repro.core.batch_ops.place_parts` call per
+  eviction round claims the slots of every insert still placing, and
+  each run then finishes in shard-index order.  Every
   shard takes exactly the steps, in the same order, that
   :func:`repro.core.batch_ops.execute_mixed` on its subsequence takes,
   so outputs, storage and counters are those of running the shards one
@@ -482,9 +484,11 @@ class ShardedDyCuckoo(GpuHashTable):
         Each shard keeps its own runs (maximal same-kind runs of its
         subsequence).  Wave ``k`` holds the ``k``-th run of every shard
         that has one: the runs' op bodies start together, one
-        multi-table probe serves all of their requests, and then each
-        finishes in shard-index order.  A shard sees exactly the steps,
-        in the same order, that running its subsequence alone through
+        multi-table probe serves all of their probe requests, one
+        multi-table placement pass each eviction round of their
+        inserts, and then each finishes in shard-index order.  A shard
+        sees exactly the steps, in the same order, that running its
+        subsequence alone through
         :func:`~repro.core.batch_ops.execute_mixed` takes.  If a run
         raises, the other runs of its wave still finish and no later
         wave starts, so every other shard stops at a run boundary.

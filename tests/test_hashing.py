@@ -151,6 +151,10 @@ def test_hash_stack_matches_each_member():
                     dtype=np.uint64)
     assert np.array_equal(stack.raw(keys, which[0]), want[0])
     assert np.array_equal(stack.raw(keys, which), want)
+    every = stack.raw_all(keys)
+    assert every.shape == (len(keys), 4)
+    for t, member in enumerate(hashes):
+        assert np.array_equal(every[:, t], member.raw(keys))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20],
@@ -158,7 +162,8 @@ def test_hash_stack_matches_each_member():
 def test_chunked_hashing_matches_one_pass(monkeypatch, chunk):
     """Hashing in ``HASH_CHUNK``-code pieces gives every value, dtype and
     shape of one pass: one function, a stacked selector of one row or
-    of ``(3, n)``, and one member for every code."""
+    of ``(3, n)``, one member for every code, and every member for
+    every code."""
     from repro.core import hashing
 
     rng = np.random.default_rng(5)
@@ -167,7 +172,8 @@ def test_chunked_hashing_matches_one_pass(monkeypatch, chunk):
     keys = rng.integers(0, 1 << 63, 320, dtype=np.int64).astype(np.uint64)
     which = rng.integers(0, 5, (3, len(keys)))
     calls = [lambda: hashes[2].raw(keys), lambda: stack.raw(keys, which),
-             lambda: stack.raw(keys, which[1]), lambda: stack.raw(keys, 4)]
+             lambda: stack.raw(keys, which[1]), lambda: stack.raw(keys, 4),
+             lambda: stack.raw_all(keys)]
     want = [call() for call in calls]
     monkeypatch.setattr(hashing, "HASH_CHUNK", chunk)
     for call, expected in zip(calls, want):
@@ -176,6 +182,7 @@ def test_chunked_hashing_matches_one_pass(monkeypatch, chunk):
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
     assert np.array_equal(want[3], hashes[4].raw(keys))
+    assert np.array_equal(want[4][:, 4], want[3])
 
 
 #: Codes whose pre-mixed value is an edge of the reduction.

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import distribution
 from repro.core.config import DyCuckooConfig
 from repro.core.grouping import rank_within_group
-from repro.core.batch_ops import EncodedBatch
+from repro.core.batch_ops import EncodedBatch, run_body
 from repro.core.hashing import UNHASHED, UniversalHash, unhashed
 from repro.core.instruments import Instruments
 from repro.core.subtable import EMPTY
@@ -42,6 +42,8 @@ class ReferenceTable(DyCuckooTable):
                         targets: np.ndarray, raw: np.ndarray,
                         excluded: int | None) -> None:
         """The per-subtable round loop ``_insert_pending`` replaced."""
+        # A body step (a generator) that asks for no placement pass.
+        yield from ()
         codes = np.asarray(codes, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -387,16 +389,16 @@ def calls(monkeypatch):
             seen["no_victim"] += int(np.count_nonzero(~ok))
         return slots, ok, alternates
 
-    place = DyCuckooTable._place_round
+    settle = DyCuckooTable._settle_round
 
-    def place_round(self, *args):
+    def settle_round(self, *args):
         before = self.stats.migration_slices
-        out = place(self, *args)
+        out = settle(self, *args)
         seen["migrate_on_access"] += self.stats.migration_slices - before
         return out
 
     monkeypatch.setattr(DyCuckooTable, "_choose_victims", choose_victims)
-    monkeypatch.setattr(DyCuckooTable, "_place_round", place_round)
+    monkeypatch.setattr(DyCuckooTable, "_settle_round", settle_round)
     return seen
 
 
@@ -440,8 +442,9 @@ class TestScenarios:
         drive(pair, [("insert", 20)])
         codes = np.arange(1 << 40, (1 << 40) + 40, dtype=np.uint64)
         for table in pair:
-            table._insert_pending(codes, codes, np.zeros(40, np.int64),
-                                  unhashed(40), excluded=1)
+            run_body(table._insert_pending(codes, codes,
+                                           np.zeros(40, np.int64),
+                                           unhashed(40), excluded=1))
         assert len(new.stash) > 0 and calls["no_victim"] > 0
         assert_same(new, ref)
 

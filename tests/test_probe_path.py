@@ -101,14 +101,17 @@ def _count_second_layer_hashes(monkeypatch, table
                                ) -> list[tuple[str, int]]:
     """Record the codes each second-layer hash call evaluates.
 
-    Codes are counted through both entry points: one function at a time
-    (``UniversalHash.raw`` on a member of ``table.table_hashes``) and
-    each code under its own function (``HashStack.raw``).  Entries of
-    the returned list are ``("one", n)`` and ``("stack", n)``.
+    Codes are counted through every entry point: one function at a time
+    (``UniversalHash.raw`` on a member of ``table.table_hashes``), each
+    code under its own function (``HashStack.raw``) and each code under
+    every function of a stack (``HashStack.raw_all``, counted once per
+    code and function).  Entries of the returned list are
+    ``("one", n)``, ``("stack", n)`` and ``("all", n)``.
     """
     hashed = []
     plain_raw = UniversalHash.raw
     plain_stack_raw = HashStack.raw
+    plain_raw_all = HashStack.raw_all
 
     def counting_raw(self, codes):
         if any(self is h for h in table.table_hashes):
@@ -119,8 +122,13 @@ def _count_second_layer_hashes(monkeypatch, table
         hashed.append(("stack", np.broadcast(codes, which).size))
         return plain_stack_raw(self, codes, which)
 
+    def counting_raw_all(self, codes):
+        hashed.append(("all", len(codes) * len(self.a)))
+        return plain_raw_all(self, codes)
+
     monkeypatch.setattr(UniversalHash, "raw", counting_raw)
     monkeypatch.setattr(HashStack, "raw", counting_stack_raw)
+    monkeypatch.setattr(HashStack, "raw_all", counting_raw_all)
     return hashed
 
 
@@ -209,9 +217,10 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
 
     The launch's ``EncodedBatch`` already holds every key's raw hash
     under its two candidate subtables, so leaders and alternate probes
-    must read those; each victim is hashed once, under its new target
-    (the bucket it was evicted from is its alternate as is), in at most
-    one subtable-hash call per evicting round, and the kernel never
+    must read those; each victim is hashed once under the pair hash and
+    every subtable's hash, which gives its new target and its hash
+    there (the bucket it was evicted from is its alternate as is), in
+    at most one stacked call per evicting round, and the kernel never
     resolves a bucket through ``bucket_for``.
     """
     table = DyCuckooTable(DyCuckooConfig(initial_buckets=256,
@@ -244,7 +253,9 @@ def test_cohort_insert_hashes_only_its_victims(monkeypatch):
     assert result.evictions > 0
     assert result.completed_ops == len(batch)
     assert table.load_factor > 0.74
-    assert sum(n for _kind, n in hashed) == result.evictions
+    assert hashed and all(kind == "all" for kind, _n in hashed)
+    assert (sum(n for _kind, n in hashed)
+            == result.evictions * (table.num_tables + 1))
     assert len(hashed) <= evicting_rounds
     assert resolved == []
     values, found = table.find(keys)

@@ -6,6 +6,7 @@ test, as it does for ``tests/test_differential_fuzz.py``.
 
 import os
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.hashing import HashStack, UniversalHash
 from repro.core.instruments import Instruments
+from repro.core.resize import ResizeController
 from repro.core.table import DyCuckooTable, encode_keys
 from repro.errors import CapacityError, InvalidConfigError, InvalidKeyError
 from repro.gpusim.device import GTX_1080, partition_device
 from repro.kernels.find import run_find_kernel
 from repro.oracle import mixed_batch, twin_divergence
+from repro.shard import sharded as sharded_module
 from repro.shard import (ShardedDyCuckoo, simulate_shard_speedup,
                          speedup_for_table)
 from repro.telemetry import Telemetry
@@ -597,6 +600,71 @@ _batches = st.lists(
     min_size=1, max_size=6)
 
 
+#: Shard geometries whose insert rounds differ shard by shard, all of
+#: one bucket capacity, so every round is one stacked pass: eviction
+#: chains that stall into insert-failure upsizes (shard 0),
+#: migrate-on-access in an upsize epoch left open (shard 1, see
+#: :func:`_round_twin`), beta upsizes (shard 2), downsize spills of
+#: ``d = 2`` that stall into the stash (shard 3), and four roomy shards
+#: whose keys never evict.
+_ROUND_SHARDS = (
+    dict(num_tables=3, initial_buckets=8, beta=0.95, max_eviction_rounds=2),
+    dict(num_tables=4, initial_buckets=64, beta=0.95, migration_budget=1),
+    dict(num_tables=4, initial_buckets=8, beta=0.4),
+    dict(num_tables=2, initial_buckets=64, alpha=0.4, beta=0.95,
+         max_eviction_rounds=2, migration_budget=4),
+) + (dict(num_tables=4, initial_buckets=1024),) * 4
+
+
+def _round_twin():
+    """A sharded table of :data:`_ROUND_SHARDS`, preloaded, with shard
+    1 filled to about 82 % and then given an open upsize epoch.  Built
+    the same way twice, it gives two identical tables."""
+    table = ShardedDyCuckoo(num_shards=8, shard_configs=[
+        DyCuckooConfig(bucket_capacity=2, min_buckets=4, stash_capacity=4096,
+                       seed=70 + idx, **geometry)
+        for idx, geometry in enumerate(_ROUND_SHARDS)])
+    keys = np.arange(1, 4001, dtype=np.uint64)
+    ids = table.shard_ids(keys)
+    preload = np.concatenate([keys[ids == 1][:420], keys[ids != 1][:480]])
+    table.insert(preload, preload)
+    table.shards[1]._resizer.open_upsize_epoch()
+    return table
+
+
+def _epoch_state(table) -> list:
+    """Per shard: each subtable's geometry and open epoch, and the
+    stash-drain epoch."""
+    return [[(st.n_buckets, None if st.migration is None else (
+        st.migration.kind, st.migration.old_n, st.migration.new_n,
+        st.migration.pending, st.migration.migrated.tobytes()))
+        for st in shard.subtables] + [shard._drain_epoch]
+        for shard in table.shards]
+
+
+@pytest.fixture
+def round_features(monkeypatch):
+    """Counts of ``(feature, table id)``: insert-failure upsizes
+    (``stall``), upsizes under pressure (``pressure``, which a stall
+    upsize also makes), migrations on access and stash parking."""
+    seen = Counter()
+
+    def spy(owner, name, feature):
+        plain = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            seen[feature, id(getattr(self, "_table", self))] += 1
+            return plain(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(ResizeController, "upsize_for_insert_failure", "stall")
+    spy(ResizeController, "upsize_under_pressure", "pressure")
+    spy(ResizeController, "migrate_on_access", "access")
+    spy(DyCuckooTable, "_stash_pending", "stash")
+    return seen
+
+
 class TestWaves:
     """A sharded batch run in waves (the ``k``-th run of every shard
     probed together) equals running it shard by shard."""
@@ -756,3 +824,124 @@ class TestWaves:
                 assert np.array_equal(got, want)
         for shard in waves.shards[1:]:
             shard.validate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wave_rounds_equal_per_shard_execution(self, round_features,
+                                                   seed):
+        """Every shard's eviction rounds, served by one stacked
+        placement pass per round, leave what the shard's own rounds
+        leave: storage, stats, victim counter, stash and epochs, after
+        every batch.  Each insert feature fires in some shards but not
+        in all of them, and so do lock conflicts, which only the wide
+        rounds of the closing bulk load have."""
+        waves, reference = _round_twin(), _round_twin()
+        rng = np.random.default_rng(seed)
+
+        def shards_where(has):
+            return [idx for idx, shard in enumerate(waves.shards)
+                    if has(shard, id(shard))]
+
+        for step in range(7):
+            ops, keys, values = mixed_batch(rng, 600, run_length=(5, 80),
+                                            keyspace=4000)
+            call, args = "execute_mixed", (ops, keys, values)
+            if step == 3:
+                call, args = "insert", (keys, values)
+            elif step == 6:
+                features = [shards_where(lambda shard, t: round_features[
+                    feature, t]) for feature in ("stall", "access", "stash")]
+                features.append(shards_where(
+                    lambda shard, t: round_features["pressure", t]
+                    > round_features["stall", t]))
+                features.append(shards_where(
+                    lambda shard, t: shard.stats.evictions
+                    > shard.stats.eviction_rounds))
+                # A bulk load of 12,000 keys into shards 0 and 3 only.
+                keys = np.arange(10_000, 40_000, dtype=np.uint64)
+                ids = waves.shard_ids(keys)
+                keys = keys[(ids == 0) | (ids == 3)][:12_000]
+                call, args = "insert", (keys, keys)
+            got = getattr(waves, call)(*args)
+            want = _per_shard(reference, call, args)
+            assert twin_divergence(waves, got, reference, want) == []
+            assert ([shard.stats.snapshot() for shard in waves.shards]
+                    == [shard.stats.snapshot()
+                        for shard in reference.shards])
+            assert _epoch_state(waves) == _epoch_state(reference)
+        waves.validate()
+        features.append(shards_where(
+            lambda shard, t: shard.stats.lock_conflicts))
+        for shards in features:
+            assert 0 < len(shards) < len(waves.shards)
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
+    def test_wave_place_budget(self, monkeypatch, num_shards):
+        """A wave makes one placement pass per eviction round: as many
+        passes as its most-rounds shard makes, each serving every shard
+        still placing.  Rounds a body runs alone (a resize spill, a
+        stash drain) are the rest of the shards' ``eviction_rounds``.
+        A lone table and instrumented batches never make a stacked
+        pass."""
+        table = ShardedDyCuckoo(num_shards=num_shards, config=DyCuckooConfig(
+            initial_buckets=16, bucket_capacity=2, min_buckets=4,
+            max_eviction_rounds=3))
+        passes = []
+        # Rounds settled inside a stacked pass and alone, per table.
+        in_pass, alone = Counter(), Counter()
+        serving = []
+        plain_parts = batch_ops.place_parts
+        plain_settle = DyCuckooTable._settle_round
+
+        def place_parts(parts):
+            tables = [id(request.table) for request in parts]
+            assert len(set(tables)) == len(tables)
+            passes.append(tables)
+            serving.append(True)
+            try:
+                return plain_parts(parts)
+            finally:
+                serving.pop()
+
+        def settle_round(self, *args):
+            (in_pass if serving else alone)[id(self)] += 1
+            return plain_settle(self, *args)
+
+        monkeypatch.setattr(batch_ops, "place_parts", place_parts)
+        monkeypatch.setattr(DyCuckooTable, "_settle_round", settle_round)
+        waves = []
+        plain_bodies = batch_ops.run_bodies
+
+        def run_bodies(bodies):
+            first = len(passes)
+            result = plain_bodies(bodies)
+            waves.append(passes[first:])
+            return result
+
+        monkeypatch.setattr(sharded_module, "run_bodies", run_bodies)
+        rng = np.random.default_rng(65)
+        for step in range(6):
+            ops, keys, values = mixed_batch(rng, 300, run_length=(5, 40),
+                                            keyspace=900)
+            for record in (waves, passes, in_pass, alone):
+                record.clear()
+            rounds = [shard.stats.eviction_rounds for shard in table.shards]
+            table.execute_mixed(ops, keys, values)
+            assert sum(map(len, waves)) == len(passes)
+            for wave in waves:
+                per_table = Counter(t for tables in wave for t in tables)
+                assert len(wave) == max(per_table.values(), default=0)
+            served = Counter(t for tables in passes for t in tables)
+            assert in_pass == served
+            for shard, before in zip(table.shards, rounds):
+                assert (shard.stats.eviction_rounds - before
+                        == served[id(shard)] + alone[id(shard)])
+            if num_shards > 1 and step == 0:
+                assert max(map(len, passes)) > 1
+
+        lone = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
+                                            min_buckets=8))
+        table.attach(Instruments(telemetry=Telemetry()))
+        passes.clear()
+        lone.insert(unique_keys(500, seed=66), unique_keys(500, seed=66))
+        table.insert(unique_keys(500, seed=67), unique_keys(500, seed=67))
+        assert passes == [] and lone.stats.eviction_rounds > 0
