@@ -59,6 +59,13 @@ _VALID_OPS = (OP_INSERT, OP_FIND, OP_DELETE)
 #: sets the process's peak RSS.
 PROBE_CHUNK = 4096
 
+#: Most keys one round's stacked placement pass holds (see
+#: :func:`run_bodies`).  A request that would take the pass past it
+#: places at once, alone, so a bulk insert into several shards holds
+#: one shard's large round at a time, as a lone table does, rather
+#: than every shard's round and one block for all of them.
+PLACE_CHUNK = 4096
+
 #: Low 40 bits of a ``(t << 40) | bucket`` group id: the bucket.
 _BUCKET_MASK = (1 << 40) - 1
 
@@ -434,48 +441,29 @@ def place_parts(parts: Sequence[PlaceRequest]) -> list[PlaceReply]:
     """
     results: list = [None] * len(parts)
     for members in _capacity_groups(enumerate(req.table for req in parts)):
-        if len(members) == 1:
-            (i,) = members
-            results[i] = _place_one(parts[i])
-            continue
         for i, result in zip(members,
                              _place_group([parts[i] for i in members])):
             results[i] = result
     return results
 
 
-def _place_one(request: PlaceRequest) -> PlaceReply:
-    """:func:`place_parts` of one part: its subtables are the global ids
-    and its keys need no renumbering."""
-    table = request.table
-    capacity = table.config.bucket_capacity
-    placed, slots, leaders = _claim(table.subtables, request.targets,
-                                    request.buckets, capacity)
-    items, cuts = _placed_items(placed, request.targets, table.num_tables)
-    table._settle_round(request, leaders,
-                        request.buckets[items] * capacity + slots,
-                        request.codes[items], request.values[items],
-                        cuts.tolist())
-    return placed, leaders, np.diff(cuts[1])
-
-
 def _place_group(parts: list[PlaceRequest]) -> list[PlaceReply]:
-    """:func:`place_parts` of several parts of one bucket capacity."""
+    """:func:`place_parts` of one or more parts of one bucket capacity."""
     tables = [req.table for req in parts]
     capacity = tables[0].config.bucket_capacity
     table_base = list(accumulate((table.num_tables for table in tables),
                                  initial=0))
-    targets = np.concatenate([req.targets + base
-                              for req, base in zip(parts, table_base)])
-    buckets = np.concatenate([req.buckets for req in parts])
+    targets = _stacked([req.targets + base if base else req.targets
+                        for req, base in zip(parts, table_base)])
+    buckets = _stacked([req.buckets for req in parts])
     placed, slots, leaders = _claim(
         [st for table in tables for st in table.subtables], targets,
         buckets, capacity)
     items, cuts = _placed_items(placed, targets, table_base[-1])
     # Every placed key's flat slot, code and value, in key order.
     flat = buckets[items] * capacity + slots
-    codes = np.concatenate([req.codes for req in parts])[items]
-    values = np.concatenate([req.values for req in parts])[items]
+    codes = _stacked([req.codes for req in parts])[items]
+    values = _stacked([req.values for req in parts])[items]
     n_placed = np.diff(cuts[1])
     key_cuts, item_cuts = cuts.tolist()
     results = []
@@ -491,6 +479,11 @@ def _place_group(parts: list[PlaceRequest]) -> list[PlaceReply]:
              [cut - a for cut in item_cuts[t0:t1 + 1]]])
         results.append((placed[lo:hi], part_leaders, n_placed[t0:t1]))
     return results
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays`` end to end; a lone array as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _placed_items(placed: np.ndarray, targets: np.ndarray,
@@ -535,13 +528,13 @@ def _claim(subtables, targets: np.ndarray, buckets: np.ndarray,
 
 def run_body(body: OpBody):
     """Run one op body alone, serving each probe request with
-    :meth:`EncodedBatch.probe` and each placement request with the
-    one-part form of :func:`place_parts`; returns its result."""
+    :meth:`EncodedBatch.probe` and each placement request with a
+    one-part :func:`place_parts` pass; returns its result."""
     try:
         request = next(body)
         while True:
             if isinstance(request, PlaceRequest):
-                request = body.send(_place_one(request))
+                request = body.send(_place_group([request])[0])
             else:
                 batch, touch = request
                 request = body.send(batch.probe(touch))
@@ -561,11 +554,13 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
     are distinct, so neither pass sees the other's writes.  An insert
     body asks for one placement per eviction round, so the shards of a
     wave run their rounds in lockstep, and a shard whose keys settle
-    early drops out.  A body that needs no probe (an insert into an
-    empty table) places from its first round.  A body that raises stops
-    there, but the others still run to their end before the first
-    exception is re-raised, so every table either completes its op or
-    is one that raised.  Returns the bodies' results in list order; one
+    early drops out.  A placement that would take the round's pass past
+    :data:`PLACE_CHUNK` keys is served at once, alone, and its body
+    advances to its next request.  A body that needs no probe (an
+    insert into an empty table) places from its first round.  A body
+    that raises stops there, but the others still run to their end
+    before the first exception is re-raised, so every table either
+    completes its op or is one that raised.  Returns the bodies' results in list order; one
     body alone gives what :func:`run_body` gives.
     """
     results: list = [None] * len(bodies)
@@ -576,9 +571,13 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
         probes: list[tuple[int, ProbeRequest]] = []
         places: list[tuple[int, PlaceRequest]] = []
         asking = []
+        stacked = 0  # keys in the round's placement requests
         for i in live:
             try:
                 request = bodies[i].send(replies[i])
+                while (isinstance(request, PlaceRequest)
+                       and stacked + len(request.codes) > PLACE_CHUNK):
+                    request = bodies[i].send(_place_group([request])[0])
             except StopIteration as stop:
                 results[i] = stop.value
             except Exception as exc:
@@ -588,6 +587,7 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
                 asking.append(i)
                 if isinstance(request, PlaceRequest):
                     places.append((i, request))
+                    stacked += len(request.codes)
                 else:
                     probes.append((i, request))
         if probes:

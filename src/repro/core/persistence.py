@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import DyCuckooConfig
-from repro.core.hashing import HashStack, UniversalHash
+from repro.core.hashing import UniversalHash
 from repro.core.stats import TableStats
 from repro.core.table import DyCuckooTable
 from repro.errors import InvalidConfigError
@@ -99,7 +99,7 @@ def load_table(path) -> DyCuckooTable:
             st.size = int(archive[f"size_{idx}"][0])
             table.table_hashes[idx] = _hash_from_constants(
                 archive[f"hash_{idx}"])
-        table.hash_stack = HashStack(table.table_hashes)
+        table.restack_hashes()
         table.geometry_changed()
         # Stash entries appeared with the fault-injection layer; archives
         # written before it simply have an empty stash.

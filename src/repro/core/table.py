@@ -96,9 +96,7 @@ class DyCuckooTable:
         rng = np.random.default_rng(self.config.seed)
         self.pair_hash = PairHash(self.config.num_tables, rng)
         self.table_hashes = make_table_hashes(self.config.num_tables, rng)
-        #: :attr:`table_hashes` stacked for one-call hashing; whoever
-        #: replaces a hash function rebuilds it.
-        self.hash_stack = HashStack(self.table_hashes)
+        self.restack_hashes()
         self.subtables = [
             Subtable(self.config.initial_buckets, self.config.bucket_capacity)
             for _ in range(self.config.num_tables)
@@ -271,6 +269,15 @@ class DyCuckooTable:
         self._drain_epoch = -1
         self.geometry_changed()
 
+    def restack_hashes(self) -> None:
+        """Build :attr:`hash_stack`: :attr:`table_hashes` stacked for
+        one-call hashing, member ``t`` subtable ``t``'s function, then
+        the pair hash as member ``d`` (a cohort launch readdresses its
+        victims under all ``d + 1`` in one pass).  Whoever replaces a
+        hash function calls this."""
+        self.hash_stack = HashStack([*self.table_hashes,
+                                     self.pair_hash.hash])
+
     def copy(self) -> "DyCuckooTable":
         """Deep copy: same hash functions, independent storage."""
         import copy as _copy
@@ -278,7 +285,7 @@ class DyCuckooTable:
         clone = DyCuckooTable(self.config)
         clone.pair_hash = _copy.deepcopy(self.pair_hash)
         clone.table_hashes = _copy.deepcopy(self.table_hashes)
-        clone.hash_stack = HashStack(clone.table_hashes)
+        clone.restack_hashes()
         for src, dst in zip(self.subtables, clone.subtables):
             dst.n_buckets = src.n_buckets
             dst.keys = src.keys.copy()
@@ -442,10 +449,14 @@ class DyCuckooTable:
                                           draw=pending.draw)
             # Each fresh key starts with its target's hash, read from the
             # batch cache the update probe already filled.
-            codes, raw = pending.codes, pending.raw_under(targets)
-            del pending  # its pair copies would raise a bulk load's peak RSS
-            yield from self._insert_pending(codes, values[fresh], targets,
-                                            raw, excluded=None)
+            rounds = self._insert_pending(pending.codes, values[fresh],
+                                          targets, pending.raw_under(targets),
+                                          excluded=None)
+            # Only the rounds hold the fresh keys: pending's pair copies
+            # would raise a bulk load's peak RSS, and so would each
+            # shard's first-round arrays while a wave's shards place.
+            del pending, targets, fresh
+            yield from rounds
         if self.config.auto_resize:
             self._resizer.enforce_bounds()
             self._drain_migration()

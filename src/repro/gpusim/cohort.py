@@ -25,9 +25,9 @@ with a handful of vectorized mask operations:
   :meth:`~repro.core.table.DyCuckooTable.bucket_resolver` (a launch
   never resizes), so phase one reads a leader's lock id with one gather
   and phase two both its rows with one.  An evicting round hashes its
-  victims under the pair hash and every subtable's hash in one
-  :class:`~repro.core.hashing.HashStack` call, which gives both each
-  victim's new target and its raw hash there, and readdresses only
+  victims under the pair hash and every subtable's hash in one call of
+  the table's :class:`~repro.core.hashing.HashStack`, which gives both
+  each victim's new target and its raw hash there, and readdresses only
   their lanes: the bucket a victim leaves is its new alternate;
 * phase two classifies every locked warp in one pass: ``np.equal``
   writes ``own|alt == key`` and ``own == EMPTY`` into a preallocated
@@ -99,7 +99,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hashing import HashStack
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
 from repro.gpusim.kernel import round_orders
@@ -263,14 +262,13 @@ class _CohortState:
 
     def __init__(self, table, batch, values: np.ndarray,
                  targets: np.ndarray, voter: bool) -> None:
-        #: The launch's storage arena and bucket resolver; a launch
-        #: never resizes, so both hold for every round.
+        #: The launch's storage arena, bucket resolver and stacked
+        #: hashes (subtable ``t``'s as member ``t``, the pair hash's as
+        #: member ``d``); a launch never resizes, so all three hold for
+        #: every round.
         self.arena = table.flat_storage()
         self.bucket_of = table.bucket_resolver()
-        #: Subtable ``t``'s hash as member ``t`` and the pair hash as
-        #: member ``d``: a victim's readdress hashes it under all
-        #: ``d + 1`` in one pass (see :func:`_phase_two`).
-        self.hashes = HashStack([*table.table_hashes, table.pair_hash.hash])
+        self.hashes = table.hash_stack
         self.voter = voter
         n = self.num_ops = len(batch)
         width = WARP_WIDTH

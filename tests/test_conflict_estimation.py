@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import GTX_1080, V100
-from repro.gpusim.kernel import REFERENCE_CONCURRENCY, estimate_lock_conflicts
+from repro.gpusim.kernel import (REFERENCE_CONCURRENCY, Occupancy,
+                                 estimate_lock_conflicts)
 
 
 class TestEstimateLockConflicts:
@@ -49,6 +50,19 @@ class TestEstimateLockConflicts:
     def test_tiny_batches_round_to_no_contention(self):
         """Below ~1k ops the proportional wave is a single warp."""
         assert estimate_lock_conflicts(500, 1 << 10) == 0
+
+    @pytest.mark.parametrize("ops", [2, 800, 1171, 1172, 1173, 1200, 5000])
+    @pytest.mark.parametrize("buckets", [1, 64, 1 << 12])
+    def test_default_wave_equals_its_explicit_form(self, ops, buckets):
+        """The default wave is the batch-proportional one, capped by the
+        device; a wave that rounds to one warp is answered before the
+        formula runs, with the formula's own 0."""
+        wave = min(Occupancy(device=GTX_1080).resident_warps(),
+                   max(1, round(ops * REFERENCE_CONCURRENCY)))
+        explicit = estimate_lock_conflicts(ops, buckets, resident_warps=wave)
+        assert estimate_lock_conflicts(ops, buckets) == explicit
+        if ops < 1172:
+            assert explicit == 0
 
     @given(st.integers(min_value=2, max_value=10 ** 6),
            st.integers(min_value=1, max_value=10 ** 6))

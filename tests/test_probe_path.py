@@ -548,7 +548,7 @@ def test_loaded_and_copied_tables_hash_like_a_fresh_stack(tmp_path):
     the functions were replaced would hash differently."""
     table = DyCuckooTable(DyCuckooConfig(num_tables=4, seed=3))
     table.table_hashes = make_table_hashes(4, np.random.default_rng(99))
-    table.hash_stack = HashStack(table.table_hashes)
+    table.restack_hashes()
     keys = unique_keys(500, seed=4)
     table.insert(keys, keys)
     save_table(table, tmp_path / "t.npz")

@@ -826,14 +826,16 @@ class TestWaves:
             shard.validate()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_wave_rounds_equal_per_shard_execution(self, round_features,
-                                                   seed):
+    def test_wave_rounds_equal_per_shard_execution(self, monkeypatch,
+                                                   round_features, seed):
         """Every shard's eviction rounds, served by one stacked
         placement pass per round, leave what the shard's own rounds
         leave: storage, stats, victim counter, stash and epochs, after
         every batch.  Each insert feature fires in some shards but not
         in all of them, and so do lock conflicts, which only the wide
-        rounds of the closing bulk load have."""
+        rounds of the closing bulk load have; ``PLACE_CHUNK`` is raised
+        so that those rounds, too, are stacked passes."""
+        monkeypatch.setattr(batch_ops, "PLACE_CHUNK", 1 << 20)
         waves, reference = _round_twin(), _round_twin()
         rng = np.random.default_rng(seed)
 
@@ -945,3 +947,52 @@ class TestWaves:
         lone.insert(unique_keys(500, seed=66), unique_keys(500, seed=66))
         table.insert(unique_keys(500, seed=67), unique_keys(500, seed=67))
         assert passes == [] and lone.stats.eviction_rounds > 0
+
+    def test_large_rounds_place_alone(self, monkeypatch):
+        """A round's stacked placement pass holds at most ``PLACE_CHUNK``
+        keys: a request that would take it past that places at once,
+        alone, so a bulk load holds one shard's large round at a time.
+        The outcome still equals per-shard execution."""
+        chunk = 64
+        monkeypatch.setattr(batch_ops, "PLACE_CHUNK", chunk)
+        stacked, alone = [], []
+        serving = []
+        plain_parts = batch_ops.place_parts
+        plain_settle = DyCuckooTable._settle_round
+
+        def place_parts(parts):
+            stacked.append(sum(len(request.codes) for request in parts))
+            serving.append(True)
+            try:
+                return plain_parts(parts)
+            finally:
+                serving.pop()
+
+        def settle_round(self, request, *args):
+            if not serving:
+                alone.append(len(request.codes))
+            return plain_settle(self, request, *args)
+
+        monkeypatch.setattr(batch_ops, "place_parts", place_parts)
+        monkeypatch.setattr(DyCuckooTable, "_settle_round", settle_round)
+        waves, reference = _round_twin(), _round_twin()
+        rng = np.random.default_rng(68)
+        for step in range(4):
+            ops, keys, values = mixed_batch(rng, 600, run_length=(5, 80),
+                                            keyspace=4000)
+            call, args = "execute_mixed", (ops, keys, values)
+            if step == 3:
+                keys = np.arange(10_000, 13_000, dtype=np.uint64)
+                call, args = "insert", (keys, keys)
+            got = getattr(waves, call)(*args)
+            with monkeypatch.context() as plain:
+                plain.setattr(batch_ops, "place_parts", plain_parts)
+                plain.setattr(DyCuckooTable, "_settle_round", plain_settle)
+                want = _per_shard(reference, call, args)
+            assert twin_divergence(waves, got, reference, want) == []
+            assert ([shard.stats.snapshot() for shard in waves.shards]
+                    == [shard.stats.snapshot()
+                        for shard in reference.shards])
+            assert _epoch_state(waves) == _epoch_state(reference)
+        assert 0 < max(stacked) <= chunk
+        assert max(alone) > chunk
