@@ -2,10 +2,13 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
 
 class TestParser:
@@ -136,6 +139,20 @@ class TestJsonOutput:
         payload = self._run_json(capsys, ["shard", "--keys", "2000",
                                           "--parallel", "2", "--json"])
         assert payload["parallel"]["identical"] is True
+
+    def test_shard_sweep_reproduces_bench_baseline(self, capsys):
+        # ``bench_shard_scaling`` drives the same stream (seed 1080,
+        # 10,000 keys, batches of 1,000), so every leaf of each S entry
+        # in its committed baseline must come back exactly.
+        payload = self._run_json(capsys, [
+            "shard", "--sweep", "--seed", "1080", "--keys", "10000",
+            "--batch", "1000", "--json"])
+        baseline = json.loads((BASELINES / "BENCH_shard.json").read_text())
+        reports = {str(r["num_shards"]): r["report"]
+                   for r in payload["results"]}
+        assert set(reports) == {"1", "2", "4", "8"}
+        for shards, report in reports.items():
+            assert report == baseline[shards], f"S={shards}"
 
     def test_faults_smoke_json_survives_on_both_engines(self, capsys):
         reports = [self._run_json(capsys, ["faults", "--smoke", "--engine",
