@@ -20,7 +20,10 @@ lane-faithful kernels under both execution engines (see
 
 Expected shapes: the engines return identical results and identical
 aggregate cost counters on every leg (the bit-for-bit conformance
-contract), and the cohort engine clears the gated speedup floors.
+contract), and the cohort engine clears the gated speedup floors.  The
+``mixed``, ``dup_heavy`` and ``faulty`` legs run the engines through
+:func:`repro.bench.protocols.engine_pair`, the same protocol
+``repro kernel`` runs.
 
 With ``REPRO_BENCH_JSON`` set, results are also dumped as
 ``BENCH_kernel_engine.json`` for regression tracking.
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro.bench import format_table, shape_check
 from repro.bench.artifacts import maybe_dump
+from repro.bench.protocols import ENGINES, engine_pair
 from repro.core.batch_ops import OP_INSERT
 from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
@@ -78,8 +82,6 @@ FAULT_FLOOR = 8.0
 NARROW_BATCHES = 40
 NARROW_INSERTS = 300
 NARROW_FILL = 0.75
-
-ENGINES = ("warp", "cohort")
 
 COUNTER_FIELDS = ("rounds", "memory_transactions", "lock_acquisitions",
                   "lock_conflicts", "evictions", "completed_ops", "votes")
@@ -130,7 +132,7 @@ def _run_narrow(preload, batches) -> dict:
     """
     outcomes = {}
     for engine in ENGINES:
-        table = _fresh_table()
+        table = DyCuckooTable(_config())
         table.insert(*preload)
         seconds = 0.0
         counters = dict.fromkeys(COUNTER_FIELDS, 0)
@@ -162,42 +164,24 @@ def _run_narrow(preload, batches) -> dict:
     return leg
 
 
-def _fresh_table(buckets=BUCKETS, capacity=BUCKET_CAPACITY) -> DyCuckooTable:
-    return DyCuckooTable(DyCuckooConfig(
-        num_tables=NUM_TABLES, initial_buckets=buckets,
-        bucket_capacity=capacity, auto_resize=False, seed=1080))
+def _config(buckets=BUCKETS, capacity=BUCKET_CAPACITY) -> DyCuckooConfig:
+    return DyCuckooConfig(num_tables=NUM_TABLES, initial_buckets=buckets,
+                          bucket_capacity=capacity, auto_resize=False,
+                          seed=1080)
 
 
 def _run_leg(ops, keys, values, *, buckets=BUCKETS,
-             capacity=BUCKET_CAPACITY, fault_seed=None,
-             num_ops=None) -> dict:
+             capacity=BUCKET_CAPACITY, fault_seed=None) -> dict:
     """Drive one leg through both engines; assert conformance."""
-    num_ops = num_ops if num_ops is not None else len(ops)
-    outcomes = {}
-    plans = {}
-    for engine in ENGINES:
-        table = _fresh_table(buckets, capacity)
-        if fault_seed is not None:
-            plans[engine] = default_chaos_plan(seed=fault_seed)
-            table.attach(Instruments(faults=plans[engine]))
-        start = time.perf_counter()
-        result = table.execute_mixed(ops, keys, values, engine=engine)
-        elapsed = time.perf_counter() - start
-        outcomes[engine] = (table, result, elapsed)
-
-    # Conformance: identical outputs, storage, cost counters, and
-    # (when armed) fault decisions.
-    problems = twin_divergence(*outcomes["warp"][:2],
-                               *outcomes["cohort"][:2])
+    num_ops = len(ops)
+    config = _config(buckets, capacity)
+    runs, problems = engine_pair(ops, keys, values, config,
+                                 fault_seed=fault_seed)
     assert not problems, problems
-    if fault_seed is not None:
-        assert plans["warp"].fired == plans["cohort"].fired, \
-            "fault decisions diverged"
-        assert plans["warp"].invocations() == plans["cohort"].invocations()
 
     # Hazard telemetry: a separate profiled cohort pass (the profiler
     # adds per-round bookkeeping, so it stays out of the timed run).
-    prof_table = _fresh_table(buckets, capacity)
+    prof_table = DyCuckooTable(config)
     prof = Profiler()
     prof_table.attach(Instruments(
         profiler=prof,
@@ -205,19 +189,18 @@ def _run_leg(ops, keys, values, *, buckets=BUCKETS,
                 if fault_seed is not None else NO_FAULTS)))
     prof_table.execute_mixed(ops, keys, values, engine="cohort")
 
-    leg = {"ops": num_ops, "runs": outcomes["warp"][1].runs,
+    leg = {"ops": num_ops, "runs": runs["warp"].result.runs,
            "conformant": True,
            "hazard_rounds": prof.hazard_rounds,
            "hazard_lanes": prof.hazard_lanes,
            "hazard_lane_rate": prof.hazard_lanes / num_ops}
     if fault_seed is not None:
-        leg["faults_injected"] = len(plans["cohort"].fired)
-    for engine in ENGINES:
-        _table, result, elapsed = outcomes[engine]
+        leg["faults_injected"] = len(runs["cohort"].table.faults.fired)
+    for engine, run in runs.items():
         leg[engine] = {
-            "seconds": elapsed,
-            "ops_per_sec": num_ops / elapsed,
-            **{f: getattr(result.kernel, f) for f in COUNTER_FIELDS},
+            "seconds": run.seconds,
+            "ops_per_sec": num_ops / run.seconds,
+            **{f: getattr(run.result.kernel, f) for f in COUNTER_FIELDS},
         }
     leg["speedup"] = leg["warp"]["seconds"] / leg["cohort"]["seconds"]
     return leg

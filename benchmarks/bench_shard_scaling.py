@@ -2,9 +2,12 @@
 
 Runs the same mixed workload (insert, find, delete) through
 :class:`~repro.shard.ShardedDyCuckoo` at S in {1, 2, 4, 8} and prices
-each run two ways with :func:`~repro.shard.simulate_shard_speedup`:
+each run two ways with :func:`~repro.shard.speedup_for_table`:
 serially on the whole simulated GTX 1080, and in parallel with one SM
-group per shard (the front-end's execution model).
+group per shard (the front-end's execution model).  The S sweep and
+the ``executor`` leg call the protocols in :mod:`repro.bench.protocols`
+(``shard_session`` and ``executor_check``), the same ones
+``repro shard`` runs.
 
 Expected shapes: S=1 is exactly the serial schedule (speedup 1.0);
 larger S parallelizes round-synchronization, compute, and lock
@@ -48,11 +51,13 @@ import numpy as np
 
 from repro.bench import format_table, shape_check
 from repro.bench.artifacts import maybe_dump
+from repro.bench.protocols import (executor_check, shard_session,
+                                   shard_stream)
 from repro.core import batch_ops
 from repro.core.batch_ops import OP_DELETE, OP_FIND, OP_INSERT
 from repro.core.config import DyCuckooConfig
-from repro.oracle import DictModel, mixed_batch, twin_divergence
-from repro.shard import ShardedDyCuckoo, simulate_shard_speedup
+from repro.oracle import mixed_batch, twin_divergence
+from repro.shard import ShardedDyCuckoo
 
 from benchmarks.common import BATCH_SIZE, once
 
@@ -72,52 +77,13 @@ def _shard_config() -> DyCuckooConfig:
                           initial_buckets=8, min_buckets=8)
 
 
-def _workload(rng: np.random.Generator):
-    """One deterministic mixed stream shared by every shard count."""
-    keys = rng.choice(np.arange(1, NUM_KEYS * 20, dtype=np.uint64),
-                      size=NUM_KEYS, replace=False)
-    values = rng.integers(1, 1 << 40, size=NUM_KEYS, dtype=np.uint64)
-    return keys, values
-
-
-def _drive(table, model: DictModel, keys: np.ndarray,
-           values: np.ndarray) -> int:
-    """Insert everything, find everything, delete half; return op count.
-
-    Every lane is checked against ``model``.
-    """
-    problems = []
-    for start in range(0, len(keys), BATCH_SIZE):
-        segment = slice(start, start + BATCH_SIZE)
-        problems += model.apply(table, "insert", keys[segment],
-                                values[segment])
-    problems += model.apply(table, "find", keys)
-    problems += model.apply(table, "delete", keys[: len(keys) // 2])
-    assert not problems, problems[:3]
-    return len(keys) * 2 + len(keys) // 2
-
-
 def _run_one(num_shards: int, keys: np.ndarray, values: np.ndarray) -> dict:
-    table = ShardedDyCuckoo(num_shards=num_shards, config=_shard_config())
-    before = [stats.snapshot() for stats in table.shard_stats()]
-    model = DictModel()
-    total_ops = _drive(table, model, keys, values)
-    table.validate()
-
-    # Every op routes by key, so per-shard op counts follow the routing
-    # of the driven key stream (inserts + finds + deletes).
-    op_keys = np.concatenate([keys, keys, keys[: len(keys) // 2]])
-    shard_ops = np.bincount(table.shard_ids(op_keys),
-                            minlength=num_shards).tolist()
-    deltas = [stats.delta(snap)
-              for stats, snap in zip(table.shard_stats(), before)]
-    report = simulate_shard_speedup(deltas, shard_ops,
-                                    num_tables=NUM_TABLES)
-    assert report.num_ops == total_ops
-    # Checked after the deltas so the check's own FIND is not priced.
-    assert model.divergence(table) == [], (
-        f"S={num_shards} diverged from the dict model")
-    return report.to_dict()
+    session = shard_session(num_shards, keys, values, batch=BATCH_SIZE,
+                            config=_shard_config())
+    assert not session.problems, (
+        f"S={num_shards} diverged from the dict model", session.problems[:3])
+    assert session.report.num_ops == len(keys) * 2 + len(keys) // 2
+    return session.report.to_dict()
 
 
 #: Executor leg geometry: low fill keeps the cohort kernels fast, so
@@ -137,26 +103,9 @@ EXEC_BATCHES = 12
 EXEC_MIN_SPEEDUP = 1.2
 
 
-def _timed(table: ShardedDyCuckoo, batch):
-    start = time.perf_counter()
-    result = table.execute_mixed(*batch, engine="cohort")
-    return result, time.perf_counter() - start
-
-
 def _run_executor_leg() -> dict:
-    """Serial vs warm process-pool execute_mixed, batch by batch.
-
-    The first ``EXEC_WARMUP`` batches are untimed.  Serial runs them
-    first; the pool then runs them back to back, so every host CPU is
-    busy before timing starts (on a 2-vCPU VM the second CPU took about
-    a second of sustained two-process load to come up, and the first
-    timed batches read ~1.0x without this).  The first parallel call
-    starts the pool; its wall time is reported on its own as
-    ``pool_start_seconds``.  The timed batches then alternate which
-    path runs first, so host drift hits both alike.  Every batch's
-    result must match serial bit for bit, and so must the storage after
-    the warm-up and after every timed batch.
-    """
+    """Serial vs warm process-pool execute_mixed (see
+    :func:`~repro.bench.protocols.executor_check`)."""
     config = DyCuckooConfig(num_tables=NUM_TABLES, bucket_capacity=32,
                             initial_buckets=32, min_buckets=8)
     rng = np.random.default_rng(77)
@@ -164,43 +113,9 @@ def _run_executor_leg() -> dict:
     batches = [mixed_batch(rng, EXEC_OPS, run_length=(2_000, 6_000),
                            keyspace=1_999, value_high=1 << 40)
                for _ in range(EXEC_WARMUP + EXEC_BATCHES)]
-    serial = ShardedDyCuckoo(num_shards=EXEC_SHARDS, config=config)
-    serial_s, parallel_s = [], []
-    with ShardedDyCuckoo(num_shards=EXEC_SHARDS, config=config,
-                         parallel_workers=EXEC_WORKERS) as parallel:
-        warm_serial = [_timed(serial, batch)[0]
-                       for batch in batches[:EXEC_WARMUP]]
-        warm_parallel = [_timed(parallel, batch)
-                         for batch in batches[:EXEC_WARMUP]]
-        pool_start_s = warm_parallel[0][1]
-        problems = [problem for rs, (rp, _tp)
-                    in zip(warm_serial, warm_parallel)
-                    for problem in twin_divergence(None, rs, None, rp)]
-        problems += twin_divergence(serial, None, parallel, None)
-        for index, batch in enumerate(batches[EXEC_WARMUP:]):
-            if index % 2:
-                rp, tp = _timed(parallel, batch)
-                rs, ts = _timed(serial, batch)
-            else:
-                rs, ts = _timed(serial, batch)
-                rp, tp = _timed(parallel, batch)
-            problems += twin_divergence(serial, rs, parallel, rp)
-            serial_s.append(ts)
-            parallel_s.append(tp)
-    ratios = [s / p for s, p in zip(serial_s, parallel_s)]
-    return {
-        "ops": EXEC_OPS,
-        "batches": EXEC_BATCHES,
-        "workers": EXEC_WORKERS,
-        "num_shards": EXEC_SHARDS,
-        "runs": rs.runs,
-        "identical": not problems,
-        "pool_start_seconds": pool_start_s,
-        "serial_seconds": float(np.median(serial_s)),
-        "parallel_seconds": float(np.median(parallel_s)),
-        "wall_speedup": float(np.median(ratios)),
-        "min_wall_speedup": min(ratios),
-    }
+    return executor_check(batches, num_shards=EXEC_SHARDS,
+                          workers=EXEC_WORKERS, config=config,
+                          warmup=EXEC_WARMUP)
 
 
 #: Waves leg geometry, shaped like the e2e ``shard_churn`` workload.
@@ -314,7 +229,8 @@ def _run_waves_leg() -> dict:
 
 
 def _run_all() -> dict:
-    keys, values = _workload(np.random.default_rng(1080))
+    # One deterministic stream shared by every shard count.
+    keys, values = shard_stream(np.random.default_rng(1080), NUM_KEYS)
     results = {num_shards: _run_one(num_shards, keys, values)
                for num_shards in SHARD_COUNTS}
     results["executor"] = _run_executor_leg()

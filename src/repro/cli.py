@@ -31,17 +31,21 @@ Commands
     the expected structure (CI's telemetry health check).
 
 ``shard``
-    Run a mixed workload through the sharded front-end
-    (:class:`repro.shard.ShardedDyCuckoo`), differentially check it
-    against a single table, and report per-shard balance plus the
-    simulated SM-group speedup.  ``--sweep`` scans S in {1, 2, 4, 8}.
+    Run an insert/find/delete stream through the sharded front-end
+    (:class:`repro.shard.ShardedDyCuckoo`), check every lane against a
+    dict model, and report per-shard balance plus the simulated SM-group
+    speedup.  ``--sweep`` scans S in {1, 2, 4, 8}; ``--parallel W``
+    also checks the process-pool executor against serial on warm
+    batches.  Both checks live in :mod:`repro.bench.protocols`.
 
 ``kernel``
     Run one mixed insert/find/delete batch through the lane-faithful
     kernels and report cost counters per execution engine.  With
     ``--engine both`` (the default) the per-warp reference and the
     vectorized cohort engine both run, their results, counters and
-    storage are cross-checked bit for bit, and the speedup is reported.
+    storage are cross-checked bit for bit
+    (:func:`repro.bench.protocols.engine_pair`), and the speedup is
+    reported.
 
 ``faults``
     Run a seeded chaos session: a mixed insert/find/delete workload with
@@ -80,6 +84,13 @@ import numpy as np
 def _emit_json(payload) -> None:
     """Print one machine-readable JSON document to stdout."""
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _print_problems(heading: str, problems: list[str]) -> None:
+    """List ``problems`` on stderr under ``heading``."""
+    print(f"{heading}:", file=sys.stderr)
+    for problem in problems:
+        print(f"  {problem}", file=sys.stderr)
 
 
 def _cmd_info(_args) -> int:
@@ -208,50 +219,14 @@ def _cmd_dynamic(args) -> int:
     return 0
 
 
-def _presized_config(n: int, seed: int):
-    """Geometry for one ``n``-op mixed kernel batch, kept below ~50% fill.
-
-    The kernels never resize; at most ``n / 2`` distinct keys of a
-    :func:`repro.oracle.mixed_batch` are ever live, so target ~n slots.
-    """
-    from repro import DyCuckooConfig
-
-    buckets = 8
-    while 4 * buckets * 16 < n:
-        buckets *= 2
-    return DyCuckooConfig(initial_buckets=buckets, bucket_capacity=16,
-                          auto_resize=False, seed=seed)
-
-
-def _profile_deep_pass(engine: str, seed: int, n: int) -> tuple[dict, dict]:
-    """One deep-profiler pass: a mixed kernel batch on a pre-sized table.
-
-    Returns ``(snapshot, hazards)`` — the snapshot feeds the
-    cross-engine conformance check, while the hazard counters (rounds
-    the cohort engine replayed in order because carried keys coincide,
-    and the lanes in them) are engine-side cost telemetry reported
-    separately.
-    """
-    from repro import DyCuckooTable, Instruments
-    from repro.oracle import mixed_batch
-    from repro.telemetry import Profiler
-
-    ops, keys, values = mixed_batch(np.random.default_rng(seed), n)
-    table = DyCuckooTable(_presized_config(n, seed))
-    profiler = Profiler()
-    table.attach(Instruments(profiler=profiler))
-    table.execute_mixed(ops, keys, values, engine=engine)
-    hazards = {"rounds": profiler.hazard_rounds,
-               "lanes": profiler.hazard_lanes}
-    return profiler.snapshot(), hazards
-
-
 def _cmd_profile(args) -> int:
     from repro import DyCuckooConfig, DyCuckooTable, Instruments
     from repro.baselines import DyCuckooAdapter
     from repro.bench import run_dynamic
+    from repro.bench.protocols import presized_config, run_engine
     from repro.faults import FaultPlan
     from repro.gpusim.metrics import CostModel
+    from repro.oracle import mixed_batch
     from repro.telemetry import (FlightRecorder, Profiler, format_summary,
                                  summarize_batches)
     from repro.telemetry.profiler import profile_operation
@@ -276,12 +251,21 @@ def _cmd_profile(args) -> int:
     # Phase 1 — deep pass through the lane-faithful kernel engines:
     # occupancy/divergence timelines, lock heatmap, probe and chain
     # histograms.  With both engines the snapshots are cross-checked.
+    # The hazard counters (rounds the cohort engine replayed in order
+    # because carried keys coincide, and the lanes in them) are
+    # engine-side cost telemetry, reported apart from the snapshots.
     engines = (["warp", "cohort"] if args.engine == "both"
                else [args.engine])
-    passes = {engine: _profile_deep_pass(engine, args.seed, deep_ops)
-              for engine in engines}
-    snapshots = {engine: snap for engine, (snap, _hz) in passes.items()}
-    hazard_counts = {engine: hz for engine, (_snap, hz) in passes.items()}
+    deep_batch = mixed_batch(np.random.default_rng(args.seed), deep_ops)
+    deep_config = presized_config(deep_ops, args.seed)
+    deep = {engine: Profiler() for engine in engines}
+    for engine, profiler in deep.items():
+        run_engine(engine, *deep_batch, deep_config,
+                   Instruments(profiler=profiler))
+    snapshots = {engine: p.snapshot() for engine, p in deep.items()}
+    hazard_counts = {engine: {"rounds": p.hazard_rounds,
+                              "lanes": p.hazard_lanes}
+                     for engine, p in deep.items()}
 
     # Phase 2 — dynamic pass with resizes: per-subtable fill timeline,
     # stash samples, and batch-latency percentiles on the simulated
@@ -381,8 +365,7 @@ def _cmd_profile(args) -> int:
         if not recorder_summary["trips"]:
             problems.append("seeded fault plan never tripped the recorder")
         if problems:
-            print("profile smoke check FAILED: " + "; ".join(problems),
-                  file=sys.stderr)
+            _print_problems("profile smoke check FAILED", problems)
             return 1
         if not args.json:
             print("profile smoke check ok")
@@ -469,205 +452,108 @@ def _cmd_trace(args) -> int:
         if summary["fill_samples"] != len(run.batches):
             problems.append("fill gauge samples != batches")
         if problems:
-            print("telemetry smoke check FAILED: " + "; ".join(problems),
-                  file=sys.stderr)
+            _print_problems("telemetry smoke check FAILED", problems)
             return 1
         print("telemetry smoke check ok")
     return 0
 
 
-def _run_sharded(num_shards: int, keys: np.ndarray, values: np.ndarray,
-                 batch: int, reference: dict) -> dict:
-    """Drive one shard count through the standard mixed protocol."""
+def _cmd_shard(args) -> int:
+    from repro.bench import format_table
+    from repro.bench.protocols import (executor_check, shard_session,
+                                       shard_stream)
     from repro.core.config import DyCuckooConfig
-    from repro.shard import ShardedDyCuckoo, speedup_for_table
+    from repro.oracle import mixed_batch
 
-    table = ShardedDyCuckoo(num_shards=num_shards,
-                            config=DyCuckooConfig(initial_buckets=8))
-    before = [stats.snapshot() for stats in table.shard_stats()]
-    for start in range(0, len(keys), batch):
-        segment = slice(start, start + batch)
-        table.insert(keys[segment], values[segment])
-    _found_values, found = table.find(keys)
-    removed = table.delete(keys[: len(keys) // 2])
-    table.validate()
-    diverged = table.to_dict() != reference
-
-    op_keys = np.concatenate([keys, keys, keys[: len(keys) // 2]])
-    shard_ops = np.bincount(table.shard_ids(op_keys),
-                            minlength=num_shards).tolist()
-    report = speedup_for_table(table, before, shard_ops)
-    return {
-        "num_shards": num_shards,
-        "find_hit_rate": float(found.mean()),
-        "delete_hit_rate": float(removed.mean()),
-        "shard_loads": table.shard_loads(),
-        "live_entries": len(table),
-        "diverged_from_reference": diverged,
-        "report": report.to_dict(),
-    }
-
-
-def _run_parallel_shard_check(args) -> dict:
-    """Differential leg for the process-pool executor.
-
-    Runs the same mixed workload through a serial and a
-    ``parallel_workers`` sharded front-end and checks that results and
-    final storage are bit-identical (the executor's determinism
-    contract), reporting wall-clock for both.
-    """
-    import time
-
-    from repro.core.config import DyCuckooConfig
-    from repro.oracle import mixed_batch, twin_divergence
-    from repro.shard import ShardedDyCuckoo
-
-    ops, keys, values = mixed_batch(np.random.default_rng(args.seed + 1),
-                                    max(args.keys, 4))
-    shards = max(args.shards, 2)
+    keys, values = shard_stream(np.random.default_rng(args.seed), args.keys)
     config = DyCuckooConfig(initial_buckets=8)
 
-    serial = ShardedDyCuckoo(num_shards=shards, config=config)
-    t0 = time.perf_counter()
-    rs = serial.execute_mixed(ops, keys, values, engine="cohort")
-    serial_s = time.perf_counter() - t0
+    results, problems = [], []
+    for num_shards in ((1, 2, 4, 8) if args.sweep else (args.shards,)):
+        session = shard_session(num_shards, keys, values,
+                                batch=args.batch, config=config)
+        problems += [f"S={num_shards}: {p}" for p in session.problems]
+        results.append({"num_shards": num_shards,
+                        "shard_loads": session.table.shard_loads(),
+                        "live_entries": len(session.table),
+                        "report": session.report.to_dict()})
+    payload = {"command": "shard", "keys": args.keys, "batch": args.batch,
+               "seed": args.seed, "results": results}
 
-    with ShardedDyCuckoo(num_shards=shards, config=config,
-                         parallel_workers=args.parallel) as parallel:
-        t0 = time.perf_counter()
-        rp = parallel.execute_mixed(ops, keys, values, engine="cohort")
-        parallel_s = time.perf_counter() - t0
-        identical = not twin_divergence(serial, rs, parallel, rp)
-    return {
-        "workers": args.parallel,
-        "num_shards": shards,
-        "ops": len(ops),
-        "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
-        "identical": identical,
-    }
-
-
-def _cmd_shard(args) -> int:
-    from repro import DyCuckooConfig, DyCuckooTable
-    from repro.bench import format_table
-
-    rng = np.random.default_rng(args.seed)
-    keys = rng.choice(np.arange(1, args.keys * 20, dtype=np.uint64),
-                      size=args.keys, replace=False)
-    values = rng.integers(1, 1 << 40, size=args.keys, dtype=np.uint64)
-
-    reference_table = DyCuckooTable(DyCuckooConfig(initial_buckets=8))
-    for start in range(0, len(keys), args.batch):
-        segment = slice(start, start + args.batch)
-        reference_table.insert(keys[segment], values[segment])
-    reference_table.find(keys)
-    reference_table.delete(keys[: len(keys) // 2])
-    reference = reference_table.to_dict()
-
-    shard_counts = (1, 2, 4, 8) if args.sweep else (args.shards,)
-    results = [_run_sharded(s, keys, values, args.batch, reference)
-               for s in shard_counts]
-    diverged = any(r["diverged_from_reference"] for r in results)
-    parallel_check = (_run_parallel_shard_check(args)
-                      if args.parallel >= 2 else None)
-    if parallel_check is not None and not parallel_check["identical"]:
-        diverged = True
+    if args.parallel >= 2:
+        # One untimed warm-up batch starts the pool; two timed follow.
+        rng = np.random.default_rng(args.seed + 1)
+        batches = [mixed_batch(rng, max(args.keys, 4)) for _ in range(3)]
+        payload["parallel"] = executor_check(
+            batches, num_shards=max(args.shards, 2), workers=args.parallel,
+            config=config, warmup=1)
+        problems += [f"parallel executor: {p}"
+                     for p in payload["parallel"]["problems"]]
+    payload["problems"] = problems
 
     if args.json:
-        payload = {
-            "command": "shard",
-            "keys": args.keys,
-            "batch": args.batch,
-            "seed": args.seed,
-            "results": results,
-        }
-        if parallel_check is not None:
-            payload["parallel"] = parallel_check
         _emit_json(payload)
-        return 1 if diverged else 0
-
-    print(format_table(
-        ["S", "serial Mops", "parallel Mops", "speedup", "lock fraction",
-         "shard loads"],
-        [[r["num_shards"], r["report"]["serial_mops"],
-          r["report"]["parallel_mops"], r["report"]["speedup"],
-          r["report"]["resize_lock_fraction"],
-          "/".join(str(n) for n in r["shard_loads"])]
-         for r in results],
-        title=f"sharded front-end: {args.keys:,} keys, "
-              f"batch {args.batch}"))
-    for r in results:
-        if r["diverged_from_reference"]:
-            print(f"S={r['num_shards']}: DIVERGED from the single-table "
-                  f"reference", file=sys.stderr)
-    if parallel_check is not None:
-        pc = parallel_check
-        verdict = "identical" if pc["identical"] else "DIVERGED"
-        print(f"parallel executor ({pc['workers']} workers, "
-              f"S={pc['num_shards']}): {verdict} to serial — "
-              f"serial {pc['serial_seconds']:.3f}s, "
-              f"parallel {pc['parallel_seconds']:.3f}s",
-              file=sys.stderr if not pc["identical"] else sys.stdout)
-    if not diverged:
-        print("differential check ok: every shard count matches the "
-              "single-table reference")
-    return 1 if diverged else 0
+    else:
+        print(format_table(
+            ["S", "serial Mops", "parallel Mops", "speedup",
+             "lock fraction", "shard loads"],
+            [[r["num_shards"], r["report"]["serial_mops"],
+              r["report"]["parallel_mops"], r["report"]["speedup"],
+              r["report"]["resize_lock_fraction"],
+              "/".join(str(n) for n in r["shard_loads"])]
+             for r in results],
+            title=f"sharded front-end: {args.keys:,} keys, "
+                  f"batch {args.batch}"))
+        pc = payload.get("parallel")
+        if pc is not None:
+            print(f"parallel executor ({pc['workers']} workers, "
+                  f"S={pc['num_shards']}, median of {pc['batches']} warm "
+                  f"batches): serial {pc['serial_seconds']:.3f}s, "
+                  f"parallel {pc['parallel_seconds']:.3f}s")
+        if not problems:
+            print("differential check ok: every lane and the final "
+                  "contents match the dict model")
+    if problems:
+        _print_problems("SHARD CHECK FAILED", problems)
+    return 1 if problems else 0
 
 
 def _cmd_kernel(args) -> int:
-    import time
-
-    from repro import DyCuckooTable
-    from repro.oracle import mixed_batch, twin_divergence
+    from repro.bench.protocols import engine_pair, presized_config, run_engine
+    from repro.oracle import mixed_batch
 
     n = args.ops
     ops, keys, values = mixed_batch(np.random.default_rng(args.seed), n)
-    config = _presized_config(n, args.seed)
+    config = presized_config(n, args.seed)
 
-    engines = ["warp", "cohort"] if args.engine == "both" else [args.engine]
-    outcomes = {}
-    for engine in engines:
-        table = DyCuckooTable(config)
-        start = time.perf_counter()
-        result = table.execute_mixed(ops, keys, values, engine=engine)
-        elapsed = time.perf_counter() - start
-        outcomes[engine] = (table, result, elapsed)
-
-    problems = (twin_divergence(*outcomes["warp"][:2],
-                                *outcomes["cohort"][:2])
-                if len(engines) == 2 else [])
-
-    report = {
-        "command": "kernel",
-        "ops": n,
-        "seed": args.seed,
-        "buckets": config.initial_buckets,
-        "bucket_capacity": config.bucket_capacity,
-        "engines": {},
-        "conformant": not problems,
-        "problems": problems,
-    }
-    for engine in engines:
-        _table, result, elapsed = outcomes[engine]
+    report = {"command": "kernel", "ops": n, "seed": args.seed,
+              "buckets": config.initial_buckets,
+              "bucket_capacity": config.bucket_capacity, "engines": {}}
+    if args.engine == "both":
+        runs, problems = engine_pair(ops, keys, values, config)
+        report["conformant"] = not problems
+        report["problems"] = problems
+        report["speedup"] = (runs["warp"].seconds
+                             / max(runs["cohort"].seconds, 1e-12))
+    else:
+        runs = {args.engine: run_engine(args.engine, ops, keys, values,
+                                        config)}
+        problems = []
+    for engine, run in runs.items():
         report["engines"][engine] = {
-            "seconds": elapsed,
-            "ops_per_sec": n / elapsed if elapsed else float("inf"),
-            "runs": result.runs,
-            **dataclasses.asdict(result.kernel),
+            "seconds": run.seconds,
+            "ops_per_sec": n / run.seconds if run.seconds else float("inf"),
+            "runs": run.result.runs,
+            **dataclasses.asdict(run.result.kernel),
         }
-    if len(engines) == 2:
-        report["speedup"] = (outcomes["warp"][2]
-                             / max(outcomes["cohort"][2], 1e-12))
 
     if args.json:
         _emit_json(report)
     else:
         print(f"mixed batch: {n:,} ops over "
-              f"{outcomes[engines[0]][1].runs} homogeneous runs "
+              f"{next(iter(runs.values())).result.runs} homogeneous runs "
               f"(seed {args.seed})")
-        for engine in engines:
-            stats = report["engines"][engine]
+        for engine, stats in report["engines"].items():
             print(f"  {engine:6s}: {stats['seconds']:.3f}s "
                   f"({stats['ops_per_sec']:,.0f} ops/s), "
                   f"{stats['rounds']} rounds, "
@@ -676,13 +562,11 @@ def _cmd_kernel(args) -> int:
                   f"{stats['lock_conflicts']} lock conflicts")
         if "speedup" in report:
             print(f"cohort speedup: {report['speedup']:.1f}x")
-        if problems:
-            print("CONFORMANCE FAILED:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-        elif len(engines) == 2:
+        if report.get("conformant"):
             print("conformance: results, storage, and cost counters "
                   "identical across engines")
+    if problems:
+        _print_problems("CONFORMANCE FAILED", problems)
     return 1 if problems else 0
 
 
@@ -804,9 +688,7 @@ def _cmd_faults(args) -> int:
         if args.save_script:
             print(f"wrote fault script to {args.save_script}")
         if problems:
-            print("SURVIVAL CHECK FAILED:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
+            _print_problems("SURVIVAL CHECK FAILED", problems)
         else:
             print("survival check ok: zero divergences, all invariants held")
     return 1 if problems else 0
@@ -909,9 +791,7 @@ def _cmd_sanitize(args) -> int:
             print(f"protocol contracts: {n_con} finding(s) in "
                   "kernel/engine/resize code")
         if problems:
-            print("SANITIZE FAILED:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
+            _print_problems("SANITIZE FAILED", problems)
         else:
             print("sanitize ok: zero violations, all selected seeded "
                   "fixtures detected, static passes clean")
@@ -998,9 +878,7 @@ def _cmd_scenarios(args) -> int:
               f"at scale {scale}"
               + (f"; scorecards in {out_dir}/" if out_dir else ""))
         if problems:
-            print("SCENARIOS FAILED:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
+            _print_problems("SCENARIOS FAILED", problems)
     return 1 if problems else 0
 
 

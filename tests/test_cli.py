@@ -4,9 +4,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.table import DyCuckooTable
+from repro.shard import ShardedDyCuckoo
 
 BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
@@ -135,6 +138,16 @@ class TestJsonOutput:
                                           "--json"])
         assert payload["conformant"] is True and payload["problems"] == []
 
+    @pytest.mark.parametrize("engine", ["warp", "cohort"])
+    def test_kernel_single_engine_claims_no_conformance(self, capsys,
+                                                        engine):
+        # One engine alone is cross-checked against nothing.
+        payload = self._run_json(capsys, ["kernel", "--ops", "2000",
+                                          "--engine", engine, "--json"])
+        assert set(payload["engines"]) == {engine}
+        for key in ("conformant", "problems", "speedup"):
+            assert key not in payload
+
     def test_shard_parallel_json_identical(self, capsys):
         payload = self._run_json(capsys, ["shard", "--keys", "2000",
                                           "--parallel", "2", "--json"])
@@ -160,6 +173,63 @@ class TestJsonOutput:
                    for engine in ("warp", "cohort")]
         assert reports[0]["survived"] is True
         assert reports[0] == reports[1]
+
+
+class TestFailureExits:
+    """Each check exits 1 and names the divergence it saw."""
+
+    def test_shard_lane_divergence(self, capsys, monkeypatch):
+        plain = ShardedDyCuckoo.find
+
+        def lossy_find(self, keys):
+            values, found = plain(self, keys)
+            found[:1] = False
+            return values, found
+
+        monkeypatch.setattr(ShardedDyCuckoo, "find", lossy_find)
+        assert main(["shard", "--keys", "2000", "--shards", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "SHARD CHECK FAILED" in err
+        assert re.search(r"S=2: FIND\(\d+\) returned miss, model has \d+",
+                         err)
+
+    def test_shard_parallel_divergence(self, capsys, monkeypatch):
+        plain = ShardedDyCuckoo.execute_mixed
+
+        def skewed(self, *args, **kwargs):
+            result = plain(self, *args, **kwargs)
+            if self.parallel_workers:
+                result.values[0] ^= np.uint64(1)
+            return result
+
+        monkeypatch.setattr(ShardedDyCuckoo, "execute_mixed", skewed)
+        assert main(["shard", "--keys", "2000", "--parallel", "2",
+                     "--json"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["parallel"]["identical"] is False
+        assert payload["problems"] == [
+            f"parallel executor: {problem}"
+            for problem in payload["parallel"]["problems"]]
+        assert ("parallel executor: warm-up batch 0: values diverged"
+                in captured.err)
+
+    def test_kernel_engine_divergence(self, capsys, monkeypatch):
+        plain = DyCuckooTable.execute_mixed
+
+        def skewed(self, *args, engine=None, **kwargs):
+            result = plain(self, *args, engine=engine, **kwargs)
+            if engine == "cohort":
+                result.values[0] ^= np.uint64(1)
+            return result
+
+        monkeypatch.setattr(DyCuckooTable, "execute_mixed", skewed)
+        assert main(["kernel", "--ops", "2000", "--json"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["conformant"] is False
+        assert payload["problems"] == ["values diverged"]
+        assert "CONFORMANCE FAILED" in captured.err
 
 
 class TestTraceCommand:
