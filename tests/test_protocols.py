@@ -27,14 +27,6 @@ class TestEnginePair:
         fired = runs["cohort"].table.faults.fired
         assert fired and runs["warp"].table.faults.fired == fired
 
-    def test_unarmed_pair_fires_nothing(self):
-        ops, keys, values = _batch()
-        runs, problems = engine_pair(ops, keys, values,
-                                     presized_config(len(ops), 3))
-        assert problems == []
-        assert not runs["warp"].table.faults.enabled
-        assert runs["cohort"].result.runs == runs["warp"].result.runs
-
     def test_flags_diverging_fault_decisions(self, monkeypatch):
         seeds = iter([7, 8])
         monkeypatch.setattr(protocols, "default_chaos_plan",
