@@ -15,7 +15,7 @@ for downsizing too.
 
 import numpy as np
 
-from repro.core.batch_ops import run_body
+from repro.core.batch_ops import run_bodies
 from repro.core.config import DyCuckooConfig
 from repro.core.hashing import unhashed
 from repro.core.table import DyCuckooTable
@@ -79,8 +79,9 @@ def _upsize_rehash():
         targets = table._router.choose(codes, first, second,
                                        table.subtable_sizes(),
                                        table.subtable_loads())
-        run_body(table._insert_pending(codes, values, targets,
-                                       unhashed(len(codes)), excluded=None))
+        run_bodies([table._insert_pending(codes, values, targets,
+                                          unhashed(len(codes)),
+                                          excluded=None)])
         return len(codes)
 
     seconds, moved = _measure(table, action)
@@ -116,8 +117,9 @@ def _downsize_rehash():
         targets = table._router.choose(codes, first, second,
                                        table.subtable_sizes(),
                                        table.subtable_loads())
-        run_body(table._insert_pending(codes, values, targets,
-                                       unhashed(len(codes)), excluded=None))
+        run_bodies([table._insert_pending(codes, values, targets,
+                                          unhashed(len(codes)),
+                                          excluded=None)])
         return len(codes)
 
     seconds, moved = _measure(table, action)

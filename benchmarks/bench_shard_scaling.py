@@ -49,7 +49,7 @@ import time
 
 import numpy as np
 
-from repro.bench import format_table, shape_check
+from repro.bench import format_table, shape_check, unit_fraction
 from repro.bench.artifacts import maybe_dump
 from repro.bench.protocols import (executor_check, shard_session,
                                    shard_stream)
@@ -246,7 +246,7 @@ def test_shard_scaling(benchmark):
     print(format_table(
         ["S", "serial Mops", "parallel Mops", "speedup", "lock fraction"],
         [[s, r["serial_mops"], r["parallel_mops"], r["speedup"],
-          r["resize_lock_fraction"]]
+          unit_fraction(r["resize_lock_fraction"])]
          for s, r in results.items() if s in SHARD_COUNTS],
         title="Shard scaling: serial device vs one SM group per shard"))
 

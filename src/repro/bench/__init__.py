@@ -9,7 +9,8 @@
 from repro.bench.artifacts import maybe_dump, maybe_dump_trace
 from repro.bench.regression import (RegressionReport, compare_dirs,
                                     format_report)
-from repro.bench.report import format_series, format_table, shape_check, sparkline
+from repro.bench.report import (format_series, format_table, shape_check,
+                                sparkline, unit_fraction)
 from repro.bench.runner import (BatchResult, DynamicRunResult,
                                 StaticRunResult, execute_operations,
                                 run_dynamic, run_static)
@@ -25,6 +26,7 @@ __all__ = [
     "format_series",
     "sparkline",
     "shape_check",
+    "unit_fraction",
     "maybe_dump",
     "maybe_dump_trace",
     "compare_dirs",

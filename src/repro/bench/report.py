@@ -43,6 +43,12 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(lines)
 
 
+def unit_fraction(value: float) -> str:
+    """A unit fraction ``1/n`` as its exact text, ``"1/n"`` (a
+    ``format_table`` float column would round ``1/32`` to ``0.0``)."""
+    return f"1/{round(1 / value)}"
+
+
 def sparkline(series: Sequence[float], lo: float | None = None,
               hi: float | None = None, width: int = 60) -> str:
     """Compress a series into a unicode sparkline of at most ``width``."""

@@ -459,7 +459,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_shard(args) -> int:
-    from repro.bench import format_table
+    from repro.bench import format_table, unit_fraction
     from repro.bench.protocols import (executor_check, shard_session,
                                        shard_stream)
     from repro.core.config import DyCuckooConfig
@@ -499,7 +499,7 @@ def _cmd_shard(args) -> int:
              "lock fraction", "shard loads"],
             [[r["num_shards"], r["report"]["serial_mops"],
               r["report"]["parallel_mops"], r["report"]["speedup"],
-              r["report"]["resize_lock_fraction"],
+              unit_fraction(r["report"]["resize_lock_fraction"]),
               "/".join(str(n) for n in r["shard_loads"])]
              for r in results],
             title=f"sharded front-end: {args.keys:,} keys, "

@@ -17,15 +17,18 @@ Key encoding and hashing are position-pure — they depend only on the
 key, never on table geometry — so :class:`EncodedBatch` computes them
 once for the whole mixed batch and every homogeneous run executes on a
 view of it.  A key is hashed under its two candidate subtables only,
-whatever ``d`` is: those hold the only buckets it ever reads.  The
-public ``find``/``insert``/``delete`` methods and the kernel drivers
-take the same path: each builds one batch and probes through
-:func:`probe_parts`, which probes the batches of several tables (the
-shards of a sharded batch) in one pass; :meth:`EncodedBatch.probe` is
-its one-part form.  An insert's eviction rounds claim their slots
-through :func:`place_parts` the same way.  ``engine="warp" | "cohort"``
-routes the runs through the lane-faithful kernels instead of the
-vectorized host path (see :mod:`repro.kernels.engine`).
+whatever ``d`` is: those hold the only buckets it ever reads.
+
+Every host op is an op body (:func:`host_body`) run by
+:func:`run_bodies`, whether one table runs it or every shard of a
+sharded batch does: a lone table is a wave of one part.  Each round,
+:func:`probe_parts` serves the bodies' probe requests in one pass and
+:func:`place_parts` their eviction rounds' placement requests in
+another.  :func:`run_waves` is the one host loop over a mixed batch's
+runs, for one table (:func:`execute_mixed`) and for every shard of a
+sharded batch alike.  ``engine="warp" | "cohort"`` routes the runs
+through the lane-faithful kernels instead of the vectorized host path
+(see :mod:`repro.kernels.engine`).
 """
 
 from __future__ import annotations
@@ -203,13 +206,6 @@ class EncodedBatch:
         return self.table.hash_stack.raw(self.codes,
                                          self._pairs()).astype(np.uint32)
 
-    def probe(self, touch: Touch) -> tuple[np.ndarray, int]:
-        """Two-bucket probe of this batch alone, the one-part form of
-        :func:`probe_parts`; returns its ``(hit, retried)``."""
-        if not len(self):
-            return np.zeros(0, dtype=bool), 0
-        return _probe_one(self, touch)
-
 
 class _BatchView(EncodedBatch):
     """The keys of ``parent`` at ``index``, hashed through its caches."""
@@ -268,90 +264,63 @@ def probe_parts(parts: Sequence[ProbeRequest]
 
     Each table resolves its own entries' buckets through its
     :meth:`~repro.core.table.DyCuckooTable.bucket_resolver`, so a table
-    in an open migration epoch keeps its dual view.
+    in an open migration epoch keeps its dual view.  A lone part's
+    arrays go to the match pass as they are: its subtables are the
+    global ids.
 
     Returns, per part, the hit mask over its batch and the number of
     its keys that missed their first bucket, the keys a walk that reads
     the second bucket only on a miss would read it for.
     """
     results: list = [None] * len(parts)
-    asking = []
+    groups: dict[int, list[int]] = {}
     for i, (batch, _touch) in enumerate(parts):
         if len(batch):
-            asking.append(i)
+            # One block holds one row width, so each capacity is served
+            # on its own.
+            groups.setdefault(batch.table.config.bucket_capacity,
+                              []).append(i)
         else:
             results[i] = (np.zeros(0, dtype=bool), 0)
-    for members in _capacity_groups(
-            [(i, parts[i][0].table) for i in asking]):
-        if len(members) == 1:
-            (i,) = members
-            results[i] = _probe_one(*parts[i])
-            continue
+    for members in groups.values():
         for i, result in zip(members,
                              _probe_group([parts[i] for i in members])):
             results[i] = result
     return results
 
 
-def _capacity_groups(members) -> list[list[int]]:
-    """The indices of ``(index, table)`` pairs grouped by the tables'
-    bucket capacity: one block holds one row width, so each capacity is
-    served on its own."""
-    groups: dict[int, list[int]] = {}
-    for i, table in members:
-        groups.setdefault(table.config.bucket_capacity, []).append(i)
-    return list(groups.values())
-
-
-def _probe_one(batch: EncodedBatch, touch: Touch) -> tuple[np.ndarray, int]:
-    """:func:`probe_parts` of one non-empty part: its subtables are the
-    global ids and its keys need no renumbering."""
-    table = batch.table
-    d = table.num_tables
-    targets = _pair_targets(batch, d)
-    buckets = table.bucket_resolver()(targets, batch.candidate_raw.T.ravel())
-    hit, entry, key, slot, at_cuts = _match(
-        table.subtables, targets, buckets, batch.codes,
-        table.config.bucket_capacity)
-    for t in range(d):
-        a, b = at_cuts[t], at_cuts[t + 1]
-        if a < b:
-            touch(t, buckets[entry[a:b]], slot[a:b], key[a:b])
-    return hit, len(batch) - len(entry) + int(np.count_nonzero(entry & 1))
-
-
 def _probe_group(parts: list[ProbeRequest]
                  ) -> list[tuple[np.ndarray, int]]:
-    """:func:`probe_parts` of several non-empty parts of one bucket
+    """:func:`probe_parts` of one or more non-empty parts of one bucket
     capacity."""
-    # Part p's keys are keys key_base[p]:key_base[p + 1] of the stack,
-    # its subtables global ids table_base[p]:table_base[p + 1].
-    tables = [batch.table for batch, _touch in parts]
-    key_base = list(accumulate((len(batch) for batch, _touch in parts),
-                               initial=0))
-    table_base = list(accumulate((table.num_tables for table in tables),
-                                 initial=0))
-    targets, buckets = [], []
-    for (batch, _touch), table, base in zip(parts, tables, table_base):
-        part_targets = _pair_targets(batch, table_base[-1])
+    width = sum(batch.table.num_tables for batch, _touch in parts)
+    # A part's subtable t is global subtable base + t, where base counts
+    # the subtables of the parts before it.
+    subtables, targets, buckets, codes = [], [], [], []
+    for batch, _touch in parts:
+        table = batch.table
+        part_targets = _pair_targets(batch, width)
         # Each table resolves its own entries, so a table in an open
         # migration epoch keeps its dual view.
         buckets.append(table.bucket_resolver()(
             part_targets, batch.candidate_raw.T.ravel()))
-        part_targets += base
+        if subtables:
+            part_targets += len(subtables)
         targets.append(part_targets)
-    buckets = np.concatenate(buckets)
+        codes.append(batch.codes)
+        subtables += table.subtables
+    buckets = _stacked(buckets)
     hit, entry, key, slot, at_cuts = _match(
-        [st for table in tables for st in table.subtables],
-        np.concatenate(targets), buckets,
-        np.concatenate([batch.codes for batch, _touch in parts]),
-        tables[0].config.bucket_capacity)
+        subtables, _stacked(targets), buckets, _stacked(codes),
+        parts[0][0].table.config.bucket_capacity)
     hit_buckets = buckets[entry]
     in_second = entry & 1
     results = []
-    for p, (_batch, touch) in enumerate(parts):
-        lo, hi = key_base[p], key_base[p + 1]
-        part_cuts = at_cuts[table_base[p]:table_base[p + 1] + 1]
+    lo = base = 0  # the part's first key and first global subtable
+    for batch, touch in parts:
+        hi = lo + len(batch)
+        d = batch.table.num_tables
+        part_cuts = at_cuts[base:base + d + 1]
         # The part's matches, with its keys renumbered from 0.
         first_hit, last_hit = part_cuts[0], part_cuts[-1]
         if lo:
@@ -362,6 +331,8 @@ def _probe_group(parts: list[ProbeRequest]
         second = int(np.count_nonzero(in_second[first_hit:last_hit]))
         results.append((hit[lo:hi],
                         hi - lo - (last_hit - first_hit) + second))
+        lo = hi
+        base += d
     return results
 
 
@@ -406,15 +377,14 @@ def _match(subtables, targets: np.ndarray, buckets: np.ndarray,
                              mode="clip")
         rows, slot = match_slots(block[:m], codes[entries >> 1],
                                  out=match[:m])
-        found.append(rows + lo)
+        found.append(rows + lo if lo else rows)
         slots.append(slot)
-    at = np.concatenate(found)
+    at = _stacked(found)
     entry = order[at]
     key = entry >> 1
     hit = np.zeros(n, dtype=bool)
     hit[key] = True
-    return (hit, entry, key, np.concatenate(slots),
-            at.searchsorted(cuts).tolist())
+    return hit, entry, key, _stacked(slots), at.searchsorted(cuts).tolist()
 
 
 def place_parts(parts: Sequence[PlaceRequest]) -> list[PlaceReply]:
@@ -440,7 +410,11 @@ def place_parts(parts: Sequence[PlaceRequest]) -> list[PlaceReply]:
     not one) and the table's per-subtable placement counts.
     """
     results: list = [None] * len(parts)
-    for members in _capacity_groups(enumerate(req.table for req in parts)):
+    groups: dict[int, list[int]] = {}
+    for i, request in enumerate(parts):
+        groups.setdefault(request.table.config.bucket_capacity,
+                          []).append(i)
+    for members in groups.values():
         for i, result in zip(members,
                              _place_group([parts[i] for i in members])):
             results[i] = result
@@ -526,22 +500,6 @@ def _claim(subtables, targets: np.ndarray, buckets: np.ndarray,
     return placed, slots, (ranks == 0) & ~placed
 
 
-def run_body(body: OpBody):
-    """Run one op body alone, serving each probe request with
-    :meth:`EncodedBatch.probe` and each placement request with a
-    one-part :func:`place_parts` pass; returns its result."""
-    try:
-        request = next(body)
-        while True:
-            if isinstance(request, PlaceRequest):
-                request = body.send(_place_group([request])[0])
-            else:
-                batch, touch = request
-                request = body.send(batch.probe(touch))
-    except StopIteration as stop:
-        return stop.value
-
-
 def run_bodies(bodies: Sequence[OpBody]) -> list:
     """Run op bodies on distinct tables, sharing each round's passes.
 
@@ -560,44 +518,46 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
     insert into an empty table) places from its first round.  A body
     that raises stops there, but the others still run to their end
     before the first exception is re-raised, so every table either
-    completes its op or is one that raised.  Returns the bodies' results in list order; one
-    body alone gives what :func:`run_body` gives.
+    completes its op or is one that raised.  Returns the bodies'
+    results in list order.
     """
     results: list = [None] * len(bodies)
-    replies: list = [None] * len(bodies)
+    # Each live body's request in a round, then the reply it is sent.
+    exchange: list = [None] * len(bodies)
     error: Exception | None = None
     live = list(range(len(bodies)))
     while live:
-        probes: list[tuple[int, ProbeRequest]] = []
-        places: list[tuple[int, PlaceRequest]] = []
-        asking = []
+        asking, probing, placing = [], [], []
         stacked = 0  # keys in the round's placement requests
         for i in live:
+            body = bodies[i]
             try:
-                request = bodies[i].send(replies[i])
+                request = body.send(exchange[i])
                 while (isinstance(request, PlaceRequest)
                        and stacked + len(request.codes) > PLACE_CHUNK):
-                    request = bodies[i].send(_place_group([request])[0])
+                    request = body.send(_place_group([request])[0])
             except StopIteration as stop:
                 results[i] = stop.value
+                continue
             except Exception as exc:
                 if error is None:
                     error = exc
+                continue
+            asking.append(i)
+            exchange[i] = request
+            if isinstance(request, PlaceRequest):
+                placing.append(i)
+                stacked += len(request.codes)
             else:
-                asking.append(i)
-                if isinstance(request, PlaceRequest):
-                    places.append((i, request))
-                    stacked += len(request.codes)
-                else:
-                    probes.append((i, request))
-        if probes:
-            for (i, _probe), reply in zip(
-                    probes, probe_parts([probe for _i, probe in probes])):
-                replies[i] = reply
-        if places:
-            for (i, _place), reply in zip(
-                    places, place_parts([place for _i, place in places])):
-                replies[i] = reply
+                probing.append(i)
+        if probing:
+            for i, reply in zip(probing,
+                                probe_parts([exchange[i] for i in probing])):
+                exchange[i] = reply
+        if placing:
+            for i, reply in zip(placing,
+                                place_parts([exchange[i] for i in placing])):
+                exchange[i] = reply
         live = asking
     if error is not None:
         raise error
@@ -607,30 +567,71 @@ def run_bodies(bodies: Sequence[OpBody]) -> list:
 def host_body(table, kind: int, run: EncodedBatch,
               values: np.ndarray | None = None) -> OpBody:
     """The op body of one homogeneous run on ``table``'s host path;
-    ``values`` are an insert run's values."""
+    ``values`` are an insert run's values.  With telemetry on, the body
+    runs inside its ``find``/``insert``/``delete`` span."""
     if kind == OP_INSERT:
-        return table._insert_body(run, values)
-    if kind == OP_FIND:
-        return table._find_body(run)
-    return table._delete_body(run)
+        body = table._insert_body(run, values)
+    elif kind == OP_FIND:
+        body = table._find_body(run)
+    else:
+        body = table._delete_body(run)
+    if table.telemetry.enabled:
+        return _spanned(table.telemetry.tracer, _KIND_NAMES[kind], len(run),
+                        body)
+    return body
 
 
-def run_host(table, kind: int, run: EncodedBatch,
-             values: np.ndarray | None = None):
-    """One homogeneous run alone through ``table``'s host path, under
-    the same span the public ``find``/``insert``/``delete`` methods
-    open; returns the run's result."""
-    return table._traced_op(_KIND_NAMES[kind],
-                            host_body(table, kind, run, values), len(run))
+def _spanned(tracer, name: str, n: int, body: OpBody) -> OpBody:
+    """``body`` inside an ``op`` span over its ``n`` keys."""
+    with tracer.span(name, "op", n=n):
+        return (yield from body)
 
 
-def store_result(kind: int, segment: slice, result, out_values: np.ndarray,
-                 out_found: np.ndarray, out_removed: np.ndarray) -> None:
-    """Write one run's :func:`host_body` result to the batch outputs."""
-    if kind == OP_FIND:
-        out_values[segment], out_found[segment] = result
-    elif kind == OP_DELETE:
-        out_removed[segment] = result
+def run_waves(plans, op_codes: np.ndarray, values: np.ndarray | None,
+              out_values: np.ndarray, out_found: np.ndarray,
+              out_removed: np.ndarray) -> int:
+    """Run a mixed batch's runs on the host path, table by table in
+    waves; returns the number of runs.
+
+    ``plans`` holds ``(table, batch, start)`` per table: the table's
+    operations sit at ``start:start + len(batch)`` of ``op_codes`` (and
+    of ``values``, an insert's, and of the outputs), and ``batch`` holds
+    their keys.  A lone table is a wave of one part; the sharded
+    front-end passes every shard with keys.  Each table keeps its own
+    runs, the maximal same-kind runs of its operations.  Wave ``k``
+    holds the ``k``-th run of every table that has one: the runs' op
+    bodies run together through :func:`run_bodies`.  A table sees
+    exactly the steps, in the same order, that running its operations
+    alone takes.  If a run raises, the other runs of its wave still
+    finish and no later wave starts, so every other table stops at a
+    run boundary.
+    """
+    runs = [list(op_runs(op_codes[start:start + len(batch)]))
+            for _table, batch, start in plans]
+    for k in range(max(map(len, runs))):
+        segments, bodies = [], []
+        for (table, batch, at), table_runs in zip(plans, runs):
+            if k < len(table_runs):
+                kind, start, stop = table_runs[k]
+                _note_run(table, kind, stop - start)
+                segment = slice(at + start, at + stop)
+                segments.append((kind, segment))
+                bodies.append(host_body(
+                    table, kind, batch[start:stop],
+                    values[segment] if kind == OP_INSERT else None))
+        for (kind, segment), result in zip(segments, run_bodies(bodies)):
+            if kind == OP_FIND:
+                out_values[segment], out_found[segment] = result
+            elif kind == OP_DELETE:
+                out_removed[segment] = result
+    return sum(map(len, runs))
+
+
+def _note_run(table, kind: int, ops: int) -> None:
+    """Record the start of one homogeneous run of a mixed batch."""
+    if table.telemetry.enabled:
+        table.telemetry.tracer.instant("mixed.run", "op",
+                                       kind=_KIND_NAMES[kind], ops=ops)
 
 
 @dataclass(frozen=True)
@@ -738,22 +739,17 @@ def execute_mixed(table, op_codes, keys, values=None,
     batch_ctx = (telemetry.tracer.span("mixed.batch", "op", ops=n)
                  if telemetry.enabled else nullcontext())
     with batch_ctx:
-        for kind, start, stop in op_runs(op_codes):
-            runs += 1
-            segment = slice(start, stop)
-            if telemetry.enabled:
-                telemetry.tracer.instant("mixed.run", "op",
-                                         kind=_KIND_NAMES[kind],
-                                         ops=stop - start)
-            if engine is None:
-                store_result(kind, segment, run_host(
-                    table, kind, batch[segment],
-                    values[segment] if kind == OP_INSERT else None),
-                    out_values, out_found, out_removed)
-            else:
-                result = _execute_run_kernel(table, batch[segment], kind,
-                                             segment, values, out_values,
-                                             out_found, out_removed, engine)
+        if engine is None:
+            runs = run_waves([(table, batch, 0)], op_codes, values,
+                             out_values, out_found, out_removed)
+        else:
+            for kind, start, stop in op_runs(op_codes):
+                runs += 1
+                _note_run(table, kind, stop - start)
+                segment = slice(start, stop)
+                result = _execute_run_kernel(
+                    table, batch[segment], kind, segment, values,
+                    out_values, out_found, out_removed, engine)
                 kernel_total = (result if kernel_total is None
                                 else kernel_total.merge(result))
     return MixedBatchResult(out_values, out_found, out_removed, runs,

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.batch_ops import run_body
+from repro.core import batch_ops
 from repro.core.grouping import rank_within_group
 from repro.core.hashing import UniversalHash, unhashed
 from repro.core.subtable import EMPTY, claim_slots
@@ -553,9 +553,9 @@ class ResizeController:
                 return
         current = np.full(len(codes), target, dtype=np.int64)
         alternates = table.pair_hash.alternate_table(codes, current)
-        run_body(table._insert_pending(codes, values, alternates,
-                                       unhashed(len(codes)),
-                                       excluded=target))
+        batch_ops.run_bodies([table._insert_pending(
+            codes, values, alternates, unhashed(len(codes)),
+            excluded=target)])
 
     # ------------------------------------------------------------------
     # Targets and manual resizes

@@ -29,9 +29,10 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core import distribution
-from repro.core.batch_ops import (EncodedBatch, OpBody, PlaceRequest, Touch,
-                                  as_batch, run_body)
+from repro.core import batch_ops, distribution
+from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT, EncodedBatch,
+                                  OpBody, PlaceRequest, Touch, as_batch,
+                                  host_body)
 from repro.core.config import DyCuckooConfig
 from repro.core.grouping import first_occurrence_mask, last_occurrence_mask
 from repro.core.hashing import (UNHASHED, HashStack, PairHash,
@@ -344,25 +345,23 @@ class DyCuckooTable:
         :class:`~repro.core.batch_ops.EncodedBatch` built for this table,
         as it may for :meth:`insert` and :meth:`delete`.
         """
-        batch = as_batch(self, keys)
-        return self._traced_op("find", self._find_body(batch), len(batch))
+        return self._run(OP_FIND, as_batch(self, keys))
 
-    def _traced_op(self, name: str, body: OpBody, n: int):
-        """Run one op body over ``n`` keys inside its span."""
-        if self.telemetry.enabled:
-            with self.telemetry.tracer.span(name, "op", n=n):
-                return run_body(body)
-        return run_body(body)
+    def _run(self, kind: int, batch: EncodedBatch, values=None):
+        """One op over ``batch``: a wave of one body (see
+        :func:`~repro.core.batch_ops.host_body`)."""
+        return batch_ops.run_bodies([host_body(self, kind, batch,
+                                               values)])[0]
 
     # The op bodies below are generators (see
     # :func:`~repro.core.batch_ops.run_bodies`): each prepares its batch,
     # yields one probe request through :meth:`_probe` (an insert into an
     # empty table yields none) and then finishes; an insert's finish
     # yields one placement request per eviction round through
-    # :meth:`_insert_pending`.  A single-table call runs one body alone;
-    # the sharded front-end runs one body per shard and serves their
-    # requests with one multi-table probe and one multi-table placement
-    # pass per round.
+    # :meth:`_insert_pending`.  A single-table call runs its body as a
+    # wave of one part; the sharded front-end runs one body per shard in
+    # one wave, whose rounds share one multi-table probe and one
+    # multi-table placement pass.
 
     def _find_body(self, batch: EncodedBatch) -> OpBody:
         """:meth:`find` body over an encoded batch."""
@@ -415,9 +414,7 @@ class DyCuckooTable:
         filled factor then exceeds ``beta`` (or an insert exhausts its
         eviction budget), the table upsizes per Section IV-B.
         """
-        batch = as_batch(self, keys)
-        self._traced_op("insert", self._insert_body(batch, values),
-                        len(batch))
+        self._run(OP_INSERT, as_batch(self, keys), values)
 
     def _insert_body(self, batch: EncodedBatch, values) -> OpBody:
         """:meth:`insert` body over an encoded, *un-deduplicated* batch."""
@@ -470,9 +467,7 @@ class DyCuckooTable:
         physically (no tombstones), so the filled factor drops and may
         trigger a downsize.
         """
-        batch = as_batch(self, keys)
-        return self._traced_op("delete", self._delete_body(batch),
-                               len(batch))
+        return self._run(OP_DELETE, as_batch(self, keys))
 
     def _delete_body(self, batch: EncodedBatch) -> OpBody:
         """:meth:`delete` body over an encoded batch."""
@@ -719,10 +714,10 @@ class DyCuckooTable:
         ``(placed, leaders, n_placed)`` from
         :func:`~repro.core.batch_ops.place_parts`, which ranks each
         bucket's claimants, claims the free slots and has the table
-        write them (:meth:`_settle_round`).  A lone call (the public
-        insert, :meth:`_drain_stash`, a resize spill) runs this body
-        through :func:`~repro.core.batch_ops.run_body`; the sharded
-        waves serve every shard's round with one stacked pass.  Victim
+        write them (:meth:`_settle_round`).  An insert body yields from
+        this one, so its rounds share its wave's stacked passes;
+        :meth:`_drain_stash` and a resize spill run it as a wave of its
+        own through :func:`~repro.core.batch_ops.run_bodies`.  Victim
         choice, the swaps, the next round's order, the stall upsize and
         stash parking stay with the table.  The outcome is the
         sequential one of visiting subtables ``0..d-1`` in turn, which
@@ -979,9 +974,9 @@ class DyCuckooTable:
             targets = self._router.choose(codes, first, second,
                                           self.subtable_sizes(),
                                           self.subtable_loads())
-            run_body(self._insert_pending(codes, values, targets,
-                                          unhashed(len(codes)),
-                                          excluded=None))
+            batch_ops.run_bodies([self._insert_pending(
+                codes, values, targets, unhashed(len(codes)),
+                excluded=None)])
         except CapacityError:
             # Hard failure mid-drain (e.g. max_total_slots): no key may
             # be lost, so restore the pre-drain state (the snapshot

@@ -89,8 +89,8 @@ approximate:
 
 FIND and DELETE have no scheduler and no locks in the reference engine
 (one warp processes ops sequentially), so their cohort forms run the
-host path's one-pass probe
-(:meth:`~repro.core.batch_ops.EncodedBatch.probe`), read or clear the
+host path's one-pass probe as a one-part
+:func:`~repro.core.batch_ops.probe_parts` call, read or clear the
 located slots, and reproduce the transaction accounting from the
 probe/hit structure.
 """
@@ -99,6 +99,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import batch_ops
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError
 from repro.gpusim.kernel import round_orders
@@ -170,7 +171,7 @@ def cohort_find(table, batch):
              sel: np.ndarray) -> None:
         values[sel] = table.subtables[t].values[buckets, slots]
 
-    found, missed = batch.probe(read)
+    (found, missed), = batch_ops.probe_parts([(batch, read)])
     result.memory_transactions = n + missed
     result.completed_ops = n
     result.rounds = n  # one warp processes queries sequentially
@@ -227,7 +228,7 @@ def cohort_delete(table, batch):
                                   (t << 40) | int(b),
                                   site=_SITE_DELETE)
 
-    removed_unique, missed = unique.probe(clear)
+    (removed_unique, missed), = batch_ops.probe_parts([(unique, clear)])
     removed = removed_unique
     if unique_idx is not None:
         removed = np.zeros(n, dtype=bool)

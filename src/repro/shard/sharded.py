@@ -36,16 +36,18 @@ Semantics are exactly those of a single table:
   subsequence as its own maximal same-kind runs, in program order, so
   per-key program order holds (operations on different keys commute,
   operations on the same key share a shard).  Uninstrumented host
-  batches run in *waves*: wave ``k`` starts the ``k``-th run of every
-  shard, one :func:`~repro.core.batch_ops.probe_parts` call probes all
-  of them, one :func:`~repro.core.batch_ops.place_parts` call per
-  eviction round claims the slots of every insert still placing, and
-  each run then finishes in shard-index order.  Every
-  shard takes exactly the steps, in the same order, that
-  :func:`repro.core.batch_ops.execute_mixed` on its subsequence takes,
-  so outputs, storage and counters are those of running the shards one
-  by one, which instrumented, kernel-engine and process-pool batches
-  still do.  A homogeneous ``insert``/``find``/``delete`` is one wave.
+  batches run in *waves* (:func:`~repro.core.batch_ops.run_waves`, the
+  loop a lone table's mixed batch runs as a wave of one part): wave
+  ``k`` starts the ``k``-th run of every shard, one
+  :func:`~repro.core.batch_ops.probe_parts` call probes all of them,
+  one :func:`~repro.core.batch_ops.place_parts` call per eviction round
+  claims the slots of every insert still placing, and each run then
+  finishes in shard-index order.  Every shard takes exactly the steps,
+  in the same order, that :func:`repro.core.batch_ops.execute_mixed` on
+  its subsequence takes, so outputs, storage and counters are those of
+  running the shards one by one, which instrumented, kernel-engine and
+  process-pool batches still do.  A homogeneous
+  ``insert``/``find``/``delete`` is one wave.
 
 Observability: each shard carries its own telemetry handle; the
 front-end rolls the per-shard registries into one labelled view (see
@@ -64,10 +66,10 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.baselines.base import GpuHashTable
+from repro.core import batch_ops
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                   EncodedBatch, MixedBatchResult,
-                                  check_mixed_batch, host_body, op_runs,
-                                  run_bodies, store_result)
+                                  check_mixed_batch, host_body, run_waves)
 from repro.core.batch_ops import execute_mixed as _execute_mixed
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.distribution import coin_draws
@@ -377,21 +379,15 @@ class ShardedDyCuckoo(GpuHashTable):
         the shards with keys, in shard order.
 
         Uninstrumented, the shards' op bodies run as one wave, so one
-        multi-table probe serves every shard.  Instrumented, each shard
-        runs the op through its own public method.
+        multi-table probe serves every shard.  Instrumented, the same
+        bodies run one at a time, each a wave of its own.
         """
-        work = [(self.shards[idx], batch,
-                 None if values is None else values[a:b])
-                for idx, batch, a, b in self._spans(batches)]
+        bodies = [host_body(self.shards[idx], kind, batch,
+                            None if values is None else values[a:b])
+                  for idx, batch, a, b in self._spans(batches)]
         if self._waves_eligible(None):
-            return run_bodies([host_body(shard, kind, batch, shard_values)
-                               for shard, batch, shard_values in work])
-        if kind == OP_INSERT:
-            return [shard.insert(batch, shard_values)
-                    for shard, batch, shard_values in work]
-        if kind == OP_FIND:
-            return [shard.find(batch) for shard, batch, _values in work]
-        return [shard.delete(batch) for shard, batch, _values in work]
+            return batch_ops.run_bodies(bodies)
+        return [batch_ops.run_bodies([body])[0] for body in bodies]
 
     def contains(self, keys) -> np.ndarray:
         """Membership test for a batch of keys."""
@@ -411,9 +407,9 @@ class ShardedDyCuckoo(GpuHashTable):
         executes its subsequence (in program order) through the standard
         mixed-batch machinery, run by run, and the per-position results
         are gathered back.  Uninstrumented host batches run the shards'
-        runs in waves (see :meth:`_execute_waves`).  Because every
-        operation on a given key maps to the same shard, per-key program
-        order — the semantics contract of
+        runs in waves (see :func:`~repro.core.batch_ops.run_waves`).
+        Because every operation on a given key maps to the same shard,
+        per-key program order — the semantics contract of
         :func:`repro.core.batch_ops.execute_mixed` — is preserved while
         shards proceed independently.  ``runs`` is the total number of
         homogeneous sub-batches summed over shards.
@@ -448,8 +444,10 @@ class ShardedDyCuckoo(GpuHashTable):
         if self._parallel_eligible(batches):
             results = self._execute_shards_parallel(work, engine)
         if results is None and self._waves_eligible(engine):
-            runs = self._execute_waves(spans, op_codes, values, out_values,
-                                       out_found, out_removed)
+            runs = run_waves([(self.shards[idx], batch, a)
+                              for idx, batch, a, _b in spans],
+                             op_codes, values, out_values, out_found,
+                             out_removed)
         else:
             if results is None:
                 results = [_execute_mixed(self.shards[idx], shard_ops,
@@ -468,48 +466,19 @@ class ShardedDyCuckoo(GpuHashTable):
                                 _unsort(order, out_removed), runs,
                                 kernel_total)
 
+    def _instrumented(self) -> bool:
+        """True when an instrument is attached to the front-end or to
+        any shard.  Instruments are shared handles whose event order is
+        defined shard by shard, and a shard's own handle must stay the
+        one attached to it, so such batches run serially, shard by
+        shard."""
+        return self.instruments.active or any(
+            shard.instruments.active for shard in self.shards)
+
     def _waves_eligible(self, engine: str | None) -> bool:
         """True when a batch may run in waves: it runs on the host path
-        and no instrument is attached to the front-end or to any shard.
-        Instruments are shared handles whose event order is defined
-        shard by shard, so instrumented batches keep that order."""
-        return (engine is None and not self.instruments.active
-                and not any(shard.instruments.active
-                            for shard in self.shards))
-
-    def _execute_waves(self, spans, op_codes, values, out_values, out_found,
-                       out_removed) -> int:
-        """Run every shard's runs in waves; returns the number of runs.
-
-        Each shard keeps its own runs (maximal same-kind runs of its
-        subsequence).  Wave ``k`` holds the ``k``-th run of every shard
-        that has one: the runs' op bodies start together, one
-        multi-table probe serves all of their probe requests, one
-        multi-table placement pass each eviction round of their
-        inserts, and then each finishes in shard-index order.  A shard
-        sees exactly the steps, in the same order, that running its
-        subsequence alone through
-        :func:`~repro.core.batch_ops.execute_mixed` takes.  If a run
-        raises, the other runs of its wave still finish and no later
-        wave starts, so every other shard stops at a run boundary.
-        """
-        plans = [(self.shards[idx], batch, a, list(op_runs(op_codes[a:b])))
-                 for idx, batch, a, b in spans]
-        for k in range(max(len(runs) for *_rest, runs in plans)):
-            segments, bodies = [], []
-            for shard, batch, a, runs in plans:
-                if k < len(runs):
-                    kind, start, stop = runs[k]
-                    segment = slice(a + start, a + stop)
-                    segments.append((kind, segment))
-                    bodies.append(host_body(
-                        shard, kind, batch[start:stop],
-                        values[segment] if kind == OP_INSERT else None))
-            for (kind, segment), result in zip(segments,
-                                               run_bodies(bodies)):
-                store_result(kind, segment, result, out_values, out_found,
-                             out_removed)
-        return sum(len(runs) for *_rest, runs in plans)
+        and nothing is :meth:`_instrumented`."""
+        return engine is None and not self._instrumented()
 
     # ------------------------------------------------------------------
     # Parallel shard execution
@@ -520,10 +489,10 @@ class ShardedDyCuckoo(GpuHashTable):
 
         Requires ``parallel_workers >= 2``, more than one shard with
         work (otherwise the pickling round-trip buys nothing), a
-        healthy pool, and no attached instruments
-        (``self.instruments.active``): they are shared mutable handles
-        whose event streams are defined by sequential shard order, so
-        instrumented batches always take the serial path.
+        healthy pool, and no instrument attached to the front-end or to
+        any shard (:meth:`_instrumented`): a worker returns a pickled
+        copy of its shard, which would carry a copy of the shard's
+        handles and detach the caller's.
         """
         if self._parallel_broken or self.num_shards < 2:
             return False
@@ -531,7 +500,7 @@ class ShardedDyCuckoo(GpuHashTable):
             return False
         if sum(1 for batch in batches if batch is not None) < 2:
             return False
-        return not self.instruments.active
+        return not self._instrumented()
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:

@@ -1,5 +1,10 @@
-"""Tests for mixed-operation batch execution."""
+"""Tests for mixed-operation batch execution.
 
+``REPRO_FUZZ_EXAMPLES`` sets the example budget of the dict-model
+property test (CI raises it).
+"""
+
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +20,8 @@ from repro.errors import InvalidConfigError
 from repro.oracle import DictModel
 
 _KINDS = {OP_INSERT: "insert", OP_FIND: "find", OP_DELETE: "delete"}
+
+MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "40"))
 
 
 def fresh_table():
@@ -80,7 +87,7 @@ class TestExecuteMixed:
                   st.integers(min_value=0, max_value=30),
                   st.integers(min_value=1, max_value=1000)),
         min_size=1, max_size=80))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_matches_sequential_dict_model(self, program):
         """Mixed execution must equal a per-op sequential dict replay.
 

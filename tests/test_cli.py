@@ -167,6 +167,14 @@ class TestJsonOutput:
         for shards, report in reports.items():
             assert report == baseline[shards], f"S={shards}"
 
+    def test_shard_sweep_text_renders_lock_fraction_exactly(self, capsys):
+        # 1/(S*d) with d = 4: a rounded float column would print 0.0.
+        assert main(["shard", "--sweep", "--keys", "2000"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line[:1].isdigit()]
+        assert [(row[0], row[4]) for row in rows] == [
+            ("1", "1/4"), ("2", "1/8"), ("4", "1/16"), ("8", "1/32")]
+
     def test_faults_smoke_json_survives_on_both_engines(self, capsys):
         reports = [self._run_json(capsys, ["faults", "--smoke", "--engine",
                                            engine, "--json"])

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import distribution
 from repro.core.config import DyCuckooConfig
 from repro.core.grouping import rank_within_group
-from repro.core.batch_ops import EncodedBatch, run_body
+from repro.core.batch_ops import EncodedBatch, run_bodies
 from repro.core.hashing import UNHASHED, UniversalHash, unhashed
 from repro.core.instruments import Instruments
 from repro.core.subtable import EMPTY
@@ -442,9 +442,9 @@ class TestScenarios:
         drive(pair, [("insert", 20)])
         codes = np.arange(1 << 40, (1 << 40) + 40, dtype=np.uint64)
         for table in pair:
-            run_body(table._insert_pending(codes, codes,
-                                           np.zeros(40, np.int64),
-                                           unhashed(40), excluded=1))
+            run_bodies([table._insert_pending(codes, codes,
+                                              np.zeros(40, np.int64),
+                                              unhashed(40), excluded=1)])
         assert len(new.stash) > 0 and calls["no_victim"] > 0
         assert_same(new, ref)
 

@@ -291,7 +291,7 @@ def _walk(table, batch) -> tuple[dict, int]:
 
 
 def _run_probe(batch) -> tuple[np.ndarray, int, dict, list[int]]:
-    """``batch.probe`` with a recording touch: the hit mask, the
+    """``batch`` probed alone with a recording touch: the hit mask, the
     second-bucket count, ``{position: (subtable, bucket, slot)}`` of
     the touched keys and the subtable of each touch call."""
     located, calls = {}, []
@@ -303,7 +303,7 @@ def _run_probe(batch) -> tuple[np.ndarray, int, dict, list[int]]:
             assert i not in located
             located[i] = (t, b, s)
 
-    hit, retried = batch.probe(touch)
+    (hit, retried), = probe_parts([(batch, touch)])
     return hit, retried, located, calls
 
 
@@ -498,31 +498,33 @@ def test_probe_parts_group_by_bucket_capacity(monkeypatch):
 
 def test_host_and_cohort_paths_touch_located_slots(monkeypatch):
     """FIND, update and DELETE, on the host path and on the cohort
-    engine, locate keys through ``EncodedBatch.probe`` alone: at most
-    one touch per subtable per block, and no ``Subtable`` probe."""
+    engine, locate keys through one-part ``probe_parts`` calls alone:
+    at most one touch per subtable per block, and no ``Subtable``
+    probe."""
     table = DyCuckooTable(DyCuckooConfig(num_tables=4, initial_buckets=512,
                                          bucket_capacity=8, seed=9))
     keys = unique_keys(2 * PROBE_CHUNK + 3, seed=21)
     table.insert(keys, keys)
     touches = []
-    plain_probe = EncodedBatch.probe
+    plain_parts = batch_ops.probe_parts
 
-    def counting_probe(self, touch):
+    def counting_probe(parts):
+        (batch, touch), = parts
         counts = {}
 
         def counted(t, buckets, slots, sel):
             counts[t] = counts.get(t, 0) + 1
             return touch(t, buckets, slots, sel)
 
-        out = plain_probe(self, counted)
-        blocks = -(-2 * len(self) // PROBE_CHUNK)
+        out = plain_parts([(batch, counted)])
+        blocks = -(-2 * len(batch) // PROBE_CHUNK)
         touches.append(max(counts.values(), default=0) <= blocks)
         return out
 
     def no_subtable_probe(*args):
         raise AssertionError("a table op probed through Subtable")
 
-    monkeypatch.setattr(EncodedBatch, "probe", counting_probe)
+    monkeypatch.setattr(batch_ops, "probe_parts", counting_probe)
     for name in ("lookup", "update_existing", "erase", "contains"):
         monkeypatch.setattr(Subtable, name, no_subtable_probe)
     values, found = table.find(keys)

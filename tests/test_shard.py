@@ -503,6 +503,30 @@ class TestSerialParallelAgree:
         assert serial.stats.upsizes > 0
         parallel.validate()
 
+    def test_shard_instrument_keeps_its_shard_serial(self):
+        """A telemetry handle attached to one shard only keeps the batch
+        off the process pool: the shard stays the caller's object, the
+        handle stays attached to it and records what a serial run
+        records."""
+        config = DyCuckooConfig(initial_buckets=8, min_buckets=8,
+                                bucket_capacity=8)
+        streams = []
+        for workers in (None, 2):
+            table = ShardedDyCuckoo(num_shards=4, config=config,
+                                    parallel_workers=workers)
+            shard, telemetry = table.shards[0], Telemetry()
+            shard.attach(Instruments(telemetry=telemetry))
+            ops, keys, values = mixed_batch(np.random.default_rng(59), 400,
+                                            run_length=(10, 80),
+                                            keyspace=2000)
+            with table:
+                table.execute_mixed(ops, keys, values)
+            assert table.shards[0] is shard
+            assert shard.telemetry is telemetry
+            streams.append([(e.name, e.depth, e.args)
+                            for e in telemetry.tracer.events])
+        assert streams[0] and streams[1] == streams[0]
+
 
 def test_batch_built_for_another_table_is_rejected():
     """A pre-hashed batch carries its table's hashes; any other table
@@ -703,13 +727,10 @@ class TestWaves:
         table = ShardedDyCuckoo(num_shards=num_shards, config=DyCuckooConfig(
             initial_buckets=64, bucket_capacity=8, min_buckets=8))
         calls = []
-        plain_parts, plain_probe = batch_ops.probe_parts, EncodedBatch.probe
+        plain_parts = batch_ops.probe_parts
         monkeypatch.setattr(batch_ops, "probe_parts",
                             lambda parts: calls.append(len(parts))
                             or plain_parts(parts))
-        monkeypatch.setattr(EncodedBatch, "probe",
-                            lambda batch, touch: calls.append(1)
-                            or plain_probe(batch, touch))
         rng = np.random.default_rng(62)
         live = [set() for _ in table.shards]
         for step in range(6):
@@ -880,24 +901,30 @@ class TestWaves:
     def test_wave_place_budget(self, monkeypatch, num_shards):
         """A wave makes one placement pass per eviction round: as many
         passes as its most-rounds shard makes, each serving every shard
-        still placing.  Rounds a body runs alone (a resize spill, a
-        stash drain) are the rest of the shards' ``eviction_rounds``.
-        A lone table and instrumented batches never make a stacked
-        pass."""
+        still placing.  A resize spill or a stash drain inside a body
+        runs as a nested wave of one part, whose passes serve that shard
+        alone; with the rounds placed outside any pass they are the rest
+        of the shards' ``eviction_rounds``.  A lone table and
+        instrumented batches run waves of one body, so every pass they
+        make has one part."""
         table = ShardedDyCuckoo(num_shards=num_shards, config=DyCuckooConfig(
             initial_buckets=16, bucket_capacity=2, min_buckets=4,
             max_eviction_rounds=3))
+        # Per placement pass: its tables and whether a nested wave made
+        # it.
         passes = []
-        # Rounds settled inside a stacked pass and alone, per table.
+        # Rounds settled inside a pass and outside any, per table.
         in_pass, alone = Counter(), Counter()
         serving = []
+        # Body count of each open run_bodies call, outermost first.
+        open_waves = []
         plain_parts = batch_ops.place_parts
         plain_settle = DyCuckooTable._settle_round
 
         def place_parts(parts):
             tables = [id(request.table) for request in parts]
             assert len(set(tables)) == len(tables)
-            passes.append(tables)
+            passes.append((tables, len(open_waves) > 1))
             serving.append(True)
             try:
                 return plain_parts(parts)
@@ -910,17 +937,25 @@ class TestWaves:
 
         monkeypatch.setattr(batch_ops, "place_parts", place_parts)
         monkeypatch.setattr(DyCuckooTable, "_settle_round", settle_round)
+        # Per top-level wave: its body count and its own passes.
         waves = []
         plain_bodies = batch_ops.run_bodies
 
         def run_bodies(bodies):
             first = len(passes)
-            result = plain_bodies(bodies)
-            waves.append(passes[first:])
-            return result
+            open_waves.append(len(bodies))
+            try:
+                return plain_bodies(bodies)
+            finally:
+                open_waves.pop()
+                if not open_waves:
+                    waves.append((len(bodies), [
+                        tables for tables, nested in passes[first:]
+                        if not nested]))
 
-        monkeypatch.setattr(sharded_module, "run_bodies", run_bodies)
+        monkeypatch.setattr(batch_ops, "run_bodies", run_bodies)
         rng = np.random.default_rng(65)
+        nested_passes = 0
         for step in range(6):
             ops, keys, values = mixed_batch(rng, 300, run_length=(5, 40),
                                             keyspace=900)
@@ -928,25 +963,35 @@ class TestWaves:
                 record.clear()
             rounds = [shard.stats.eviction_rounds for shard in table.shards]
             table.execute_mixed(ops, keys, values)
-            assert sum(map(len, waves)) == len(passes)
-            for wave in waves:
+            top = [tables for tables, nested in passes if not nested]
+            assert sum(len(wave) for _n, wave in waves) == len(top)
+            for _n, wave in waves:
                 per_table = Counter(t for tables in wave for t in tables)
                 assert len(wave) == max(per_table.values(), default=0)
-            served = Counter(t for tables in passes for t in tables)
+            nested = [tables for tables, nested in passes if nested]
+            assert all(len(tables) == 1 for tables in nested)
+            nested_passes += len(nested)
+            served = Counter(t for tables, _nested in passes for t in tables)
             assert in_pass == served
             for shard, before in zip(table.shards, rounds):
                 assert (shard.stats.eviction_rounds - before
                         == served[id(shard)] + alone[id(shard)])
             if num_shards > 1 and step == 0:
-                assert max(map(len, passes)) > 1
+                assert max(map(len, top)) > 1
+        if num_shards == 8:
+            # This session's resizes spill inside its waves.
+            assert nested_passes > 0
 
         lone = DyCuckooTable(DyCuckooConfig(initial_buckets=8,
                                             min_buckets=8))
         table.attach(Instruments(telemetry=Telemetry()))
-        passes.clear()
+        for record in (waves, passes):
+            record.clear()
         lone.insert(unique_keys(500, seed=66), unique_keys(500, seed=66))
         table.insert(unique_keys(500, seed=67), unique_keys(500, seed=67))
-        assert passes == [] and lone.stats.eviction_rounds > 0
+        assert lone.stats.eviction_rounds > 0
+        assert passes and all(len(tables) == 1 for tables, _n in passes)
+        assert [width for width, _wave in waves] == [1] * (1 + num_shards)
 
     def test_large_rounds_place_alone(self, monkeypatch):
         """A round's stacked placement pass holds at most ``PLACE_CHUNK``
