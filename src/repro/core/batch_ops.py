@@ -33,7 +33,7 @@ through the lane-faithful kernels instead of the vectorized host path
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Callable, Generator, Iterable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
@@ -273,20 +273,27 @@ def probe_parts(parts: Sequence[ProbeRequest]
     the second bucket only on a miss would read it for.
     """
     results: list = [None] * len(parts)
-    groups: dict[int, list[int]] = {}
+    asking = []
     for i, (batch, _touch) in enumerate(parts):
         if len(batch):
-            # One block holds one row width, so each capacity is served
-            # on its own.
-            groups.setdefault(batch.table.config.bucket_capacity,
-                              []).append(i)
+            asking.append((i, batch.table))
         else:
             results[i] = (np.zeros(0, dtype=bool), 0)
-    for members in groups.values():
+    for members in _capacity_groups(asking):
         for i, result in zip(members,
                              _probe_group([parts[i] for i in members])):
             results[i] = result
     return results
+
+
+def _capacity_groups(members) -> Iterable[list[int]]:
+    """The indices of ``(index, table)`` pairs grouped by the tables'
+    bucket capacity: one block holds one row width, so each capacity is
+    served on its own."""
+    groups: dict[int, list[int]] = {}
+    for i, table in members:
+        groups.setdefault(table.config.bucket_capacity, []).append(i)
+    return groups.values()
 
 
 def _probe_group(parts: list[ProbeRequest]
@@ -410,11 +417,8 @@ def place_parts(parts: Sequence[PlaceRequest]) -> list[PlaceReply]:
     not one) and the table's per-subtable placement counts.
     """
     results: list = [None] * len(parts)
-    groups: dict[int, list[int]] = {}
-    for i, request in enumerate(parts):
-        groups.setdefault(request.table.config.bucket_capacity,
-                          []).append(i)
-    for members in groups.values():
+    for members in _capacity_groups(
+            (i, request.table) for i, request in enumerate(parts)):
         for i, result in zip(members,
                              _place_group([parts[i] for i in members])):
             results[i] = result
