@@ -4,14 +4,23 @@ The paper assumes every batch contains one operation type and notes
 that a mixed batch's semantics are ambiguous under parallel execution.
 We resolve the ambiguity the way bulk-synchronous systems do: a mixed
 batch executes as a *deterministic sequence of homogeneous sub-batches*
-in arrival order — maximal runs of the same operation kind are grouped
-and executed one group at a time.  Within a run the usual batched
-semantics apply (last-writer-wins for duplicate inserts, first
-occurrence wins for duplicate deletes); *across* runs, order is
-program order, so ``insert k; delete k; find k`` misses.
+(runs), one run at a time.  The contract is program order *per key*:
+every FIND and DELETE answers as if the batch's operations ran one by
+one in arrival order, so ``insert k; delete k; find k`` misses.  Within
+a run the usual batched semantics apply (last-writer-wins for duplicate
+inserts, first occurrence wins for duplicate deletes), which for a
+key's consecutive same-kind operations is what running them in order
+gives.  Operations on different keys commute, so the host path plans
+its runs by key (:func:`plan_runs`): one run per kind wherever the
+keys allow, and never more runs than the maximal same-kind runs of the
+arrival order (:func:`op_runs`).  The kernel engines still run those
+arrival runs: they lose in-run last-writer-wins upserts at high fill,
+and a plan puts more of a key's upserts into one run.
 
 This gives mixed workloads a well-defined, testable meaning while
 preserving the batched execution model the cost accounting assumes.
+A batch that raises part-way leaves each table with a prefix of its
+plan applied (see :func:`run_waves`).
 
 Key encoding and hashing are position-pure — they depend only on the
 key, never on table geometry — so :class:`EncodedBatch` computes them
@@ -36,6 +45,7 @@ from __future__ import annotations
 from collections.abc import Callable, Generator, Iterable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import Any, NamedTuple
 
@@ -601,34 +611,43 @@ def run_waves(plans, op_codes: np.ndarray, values: np.ndarray | None,
     operations sit at ``start:start + len(batch)`` of ``op_codes`` (and
     of ``values``, an insert's, and of the outputs), and ``batch`` holds
     their keys.  A lone table is a wave of one part; the sharded
-    front-end passes every shard with keys.  Each table keeps its own
-    runs, the maximal same-kind runs of its operations.  Wave ``k``
-    holds the ``k``-th run of every table that has one: the runs' op
-    bodies run together through :func:`run_bodies`.  A table sees
-    exactly the steps, in the same order, that running its operations
-    alone takes.  If a run raises, the other runs of its wave still
-    finish and no later wave starts, so every other table stops at a
-    run boundary.
+    front-end passes every shard with keys.  Each table runs its own
+    plan (:func:`plan_runs`): homogeneous runs that keep each key's
+    program order.  Wave ``k`` holds the ``k``-th run of every table
+    that has one: the runs' op bodies run together through
+    :func:`run_bodies`.  A table sees exactly the steps, in the same
+    order, that running its operations alone takes.  If a run raises,
+    the other runs of its wave still finish and no later wave starts,
+    so every table has applied a prefix of its plan: every other table
+    stops at a run boundary, and the raising table inside its run.
     """
-    runs = [list(op_runs(op_codes[start:start + len(batch)]))
-            for _table, batch, start in plans]
-    for k in range(max(map(len, runs))):
+    queues = []
+    for table, batch, start in plans:
+        perm, runs = plan_runs(op_codes[start:start + len(batch)],
+                               batch.codes)
+        if perm is None:
+            queues.append([(kind, batch[a:b], slice(start + a, start + b))
+                           for kind, a, b in runs])
+        else:
+            batch, at = batch[perm], perm + start
+            queues.append([(kind, batch[a:b], at[a:b])
+                           for kind, a, b in runs])
+    for k in range(max(map(len, queues))):
         segments, bodies = [], []
-        for (table, batch, at), table_runs in zip(plans, runs):
-            if k < len(table_runs):
-                kind, start, stop = table_runs[k]
-                _note_run(table, kind, stop - start)
-                segment = slice(at + start, at + stop)
+        for (table, _batch, _start), runs in zip(plans, queues):
+            if k < len(runs):
+                kind, run, segment = runs[k]
+                _note_run(table, kind, len(run))
                 segments.append((kind, segment))
                 bodies.append(host_body(
-                    table, kind, batch[start:stop],
+                    table, kind, run,
                     values[segment] if kind == OP_INSERT else None))
         for (kind, segment), result in zip(segments, run_bodies(bodies)):
             if kind == OP_FIND:
                 out_values[segment], out_found[segment] = result
             elif kind == OP_DELETE:
                 out_removed[segment] = result
-    return sum(map(len, runs))
+    return sum(map(len, queues))
 
 
 def _note_run(table, kind: int, ops: int) -> None:
@@ -650,20 +669,93 @@ class MixedBatchResult:
     values: np.ndarray
     found: np.ndarray
     removed: np.ndarray
-    #: Number of homogeneous runs the batch was split into.
+    #: Number of homogeneous runs the batch executed as: the planned
+    #: runs on the host path (:func:`plan_runs`), the arrival runs on a
+    #: kernel engine (:func:`op_runs`); summed over a sharded batch's
+    #: shards.
     runs: int
     #: Aggregate kernel cost counters, populated only when the batch
     #: executed through a kernel engine (``engine="warp" | "cohort"``).
     kernel: "object | None" = None
 
 
-def op_runs(op_codes: np.ndarray):
-    """Yield ``(kind, start, stop)`` for maximal same-kind runs."""
-    boundaries = (op_codes[1:] != op_codes[:-1]).nonzero()[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(op_codes)]])
-    for start, stop in zip(starts, stops):
-        yield int(op_codes[start]), int(start), int(stop)
+def op_runs(op_codes: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(kind, start, stop)`` of the maximal same-kind runs of a
+    non-empty batch, in arrival order."""
+    change = op_codes[1:] != op_codes[:-1]
+    cuts = (change.nonzero()[0] + 1).tolist()
+    kinds = [int(op_codes[0]), *op_codes[1:][change].tolist()]
+    return list(zip(kinds, [0, *cuts], [*cuts, len(op_codes)]))
+
+
+def plan_runs(op_codes: np.ndarray, codes: np.ndarray
+              ) -> tuple[np.ndarray | None, list[tuple[int, int, int]]]:
+    """One table's mixed batch as homogeneous runs planned by key.
+
+    ``codes`` holds each op's key (equal codes are the same key).  Only
+    per-key program order is promised, so ops on different keys may
+    trade places.  The kinds present cycle in their order of first
+    appearance, and run ``r`` serves kind ``cycle[r % K]``.  An op whose
+    key has no earlier op in the batch goes to its kind's first run;
+    any other op goes to the earliest run of its kind at or after the
+    run ``p`` of its key's previous op, which is ``p`` itself only when
+    that op is of the same kind.  So a key's ops keep program order,
+    and two of them share a run only when they are consecutive and of
+    one kind, where the run's duplicate rules (last writer wins, first
+    delete wins) give what running them one by one gives.  Empty runs
+    are dropped; neighbours then still differ in kind, since a key's
+    next run is fewer than ``K`` runs on.  Each run lists its ops in
+    arrival order.
+
+    Returns ``(perm, runs)``: ``runs`` holds ``(kind, start, stop)``
+    over ``op_codes[perm]``.  When the plan has no fewer runs than the
+    maximal same-kind runs in arrival order (:func:`op_runs`), those
+    are returned instead, with ``perm`` ``None``: the batch then runs
+    exactly as it arrived.
+    """
+    arrival = op_runs(op_codes)
+    cycle = tuple(dict.fromkeys(kind for kind, _a, _b in arrival))
+    width = len(cycle)
+    if len(arrival) == width:
+        return None, arrival
+    run = _cycle_slots(cycle)[op_codes]
+    # Sorted, a key's ops sit together; the stable order keeps them in
+    # arrival order.  Most batches repeat no key, so the order is only
+    # taken when one does.
+    ranked = np.sort(codes)
+    repeat = ranked[1:] == ranked[:-1]
+    if np.count_nonzero(repeat):
+        # Run r is slot + K * wraps, and a key's wraps grow by one at
+        # each of its ops whose slot lies below its previous op's: a
+        # cumulative count of those descents, restarted at each key's
+        # first op.
+        order = codes.argsort(kind="stable")
+        ranked_slot = run[order]
+        descent = repeat & (ranked_slot[1:] < ranked_slot[:-1])
+        if np.count_nonzero(descent):
+            wraps = np.zeros(len(codes), dtype=np.intp)
+            wraps[1:] = descent
+            wraps = wraps.cumsum()
+            first = np.ones(len(codes), dtype=bool)
+            first[1:] = ~repeat
+            wraps -= np.maximum.accumulate(np.where(first, wraps, 0))
+            run[order] = ranked_slot + width * wraps
+    used = [(r, size) for r, size in enumerate(np.bincount(run).tolist())
+            if size]
+    if len(used) >= len(arrival):
+        return None, arrival
+    stops = list(accumulate(size for _r, size in used))
+    return run.argsort(kind="stable"), [
+        (cycle[r % width], stop - size, stop)
+        for (r, size), stop in zip(used, stops)]
+
+
+@cache
+def _cycle_slots(cycle: tuple[int, ...]) -> np.ndarray:
+    """Each op code's position in ``cycle`` (0 for codes not in it)."""
+    slots = np.zeros(len(_VALID_OPS), dtype=np.intp)
+    slots[list(cycle)] = range(len(cycle))
+    return slots
 
 
 def check_mixed_batch(op_codes, keys, values=None,
@@ -705,7 +797,16 @@ def check_mixed_batch(op_codes, keys, values=None,
 
 def execute_mixed(table, op_codes, keys, values=None,
                   engine: str | None = None) -> MixedBatchResult:
-    """Execute a mixed batch against ``table`` in program order.
+    """Execute a mixed batch against ``table`` in program order per key.
+
+    Every FIND and DELETE answers as if the operations ran one by one in
+    arrival order; operations on different keys may run in another
+    order.  The host path runs the table's planned runs
+    (:func:`plan_runs`, through :func:`run_waves`); if one raises, the
+    table has applied the runs before it and part of that run.  A
+    kernel engine runs the arrival runs (:func:`op_runs`) instead: the
+    kernels lose in-run last-writer-wins upserts at high fill, and the
+    kernel loop moves to the planner once they keep them.
 
     Parameters
     ----------

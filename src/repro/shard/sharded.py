@@ -33,10 +33,13 @@ Semantics are exactly those of a single table:
   input order, so the batched duplicate rules (insert last-wins, delete
   first-occurrence) carry over verbatim;
 * a mixed batch is scattered *whole*: each shard runs its key-disjoint
-  subsequence as its own maximal same-kind runs, in program order, so
-  per-key program order holds (operations on different keys commute,
-  operations on the same key share a shard).  Uninstrumented host
-  batches run in *waves* (:func:`~repro.core.batch_ops.run_waves`, the
+  subsequence as its own runs, so per-key program order holds
+  (operations on different keys commute, operations on the same key
+  share a shard).  On the host path a shard's runs are planned by key
+  (:func:`~repro.core.batch_ops.plan_runs`: one run per kind wherever
+  its keys allow, never more than its maximal same-kind runs in arrival
+  order); the kernel engines run those arrival runs.  Uninstrumented
+  host batches run in *waves* (:func:`~repro.core.batch_ops.run_waves`, the
   loop a lone table's mixed batch runs as a wave of one part): wave
   ``k`` starts the ``k``-th run of every shard, one
   :func:`~repro.core.batch_ops.probe_parts` call probes all of them,
@@ -404,15 +407,20 @@ class ShardedDyCuckoo(GpuHashTable):
         """Run a mixed insert/find/delete batch across the shards.
 
         The whole operation stream is scattered by key: each shard
-        executes its subsequence (in program order) through the standard
-        mixed-batch machinery, run by run, and the per-position results
-        are gathered back.  Uninstrumented host batches run the shards'
-        runs in waves (see :func:`~repro.core.batch_ops.run_waves`).
-        Because every operation on a given key maps to the same shard,
-        per-key program order — the semantics contract of
+        executes its subsequence through the standard mixed-batch
+        machinery, run by run, and the per-position results are
+        gathered back.  On the host path each shard runs its planned
+        runs (:func:`~repro.core.batch_ops.plan_runs`), on a kernel
+        engine its arrival runs.  Uninstrumented host batches run the
+        shards' runs in waves (see
+        :func:`~repro.core.batch_ops.run_waves`).  Because every
+        operation on a given key maps to the same shard, per-key program
+        order — the semantics contract of
         :func:`repro.core.batch_ops.execute_mixed` — is preserved while
         shards proceed independently.  ``runs`` is the total number of
-        homogeneous sub-batches summed over shards.
+        homogeneous sub-batches summed over shards.  If a run raises,
+        every shard has applied a prefix of its plan: the other runs of
+        the failing wave finish, and no later wave starts.
 
         ``engine`` is forwarded to every shard's mixed executor;
         ``"warp"`` / ``"cohort"`` run the lane-faithful kernels per

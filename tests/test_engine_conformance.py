@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
-                                  EncodedBatch, execute_mixed)
+                                  EncodedBatch, execute_mixed, op_runs,
+                                  plan_runs)
 from repro.core.config import DyCuckooConfig
 from repro.core.instruments import Instruments
 from repro.core.subtable import EMPTY
@@ -694,6 +695,9 @@ class TestMixedBatchDispatch:
         assert result.kernel is None
 
     def test_engines_match_each_other_and_host_path(self):
+        """Warp and cohort agree bit for bit, runs included; the host
+        path agrees with them on every result and on the contents.  It
+        runs its planned runs, the kernels the batch's arrival runs."""
         th, _ = twin_tables()
         tw, tc = twin_tables()
         ops, keys, values = self._workload()
@@ -702,8 +706,11 @@ class TestMixedBatchDispatch:
         rc = tc.execute_mixed(ops, keys, values, engine="cohort")
         assert rw.kernel is not None
         assert_tables_identical(tw, tc, rw, rc)
+        assert rw.runs == len(op_runs(ops))
+        assert rh.runs == len(plan_runs(ops, keys)[1]) < rw.runs
         assert twin_divergence(
-            None, rh, None, dataclasses.replace(rw, kernel=None)) == []
+            None, dataclasses.replace(rh, runs=rw.runs),
+            None, dataclasses.replace(rw, kernel=None)) == []
         assert th.to_dict() == tw.to_dict()
 
     def test_encoded_batch_caches_hashes(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import batch_ops
 from repro.core.batch_ops import (OP_DELETE, OP_FIND, OP_INSERT,
                                   EncodedBatch, MixedBatchResult,
-                                  execute_mixed, op_runs)
+                                  execute_mixed, plan_runs)
 from repro.core.config import DyCuckooConfig, replace_config
 from repro.core.hashing import HashStack, UniversalHash
 from repro.core.instruments import Instruments
@@ -629,15 +629,17 @@ _batches = st.lists(
 #: chains that stall into insert-failure upsizes (shard 0),
 #: migrate-on-access in an upsize epoch left open (shard 1, see
 #: :func:`_round_twin`), beta upsizes (shard 2), downsize spills of
-#: ``d = 2`` that stall into the stash (shard 3), and four roomy shards
-#: whose keys never evict.
+#: ``d = 2`` that stall into the stash (shard 3), three roomy shards,
+#: and one held so large by its ``min_buckets`` floor that its keys
+#: never evict.
 _ROUND_SHARDS = (
     dict(num_tables=3, initial_buckets=8, beta=0.95, max_eviction_rounds=2),
     dict(num_tables=4, initial_buckets=64, beta=0.95, migration_budget=1),
     dict(num_tables=4, initial_buckets=8, beta=0.4),
     dict(num_tables=2, initial_buckets=64, alpha=0.4, beta=0.95,
          max_eviction_rounds=2, migration_budget=4),
-) + (dict(num_tables=4, initial_buckets=1024),) * 4
+) + (dict(num_tables=4, initial_buckets=1024),) * 3 + (
+    dict(num_tables=4, initial_buckets=8192, min_buckets=8192),)
 
 
 def _round_twin():
@@ -645,8 +647,8 @@ def _round_twin():
     1 filled to about 82 % and then given an open upsize epoch.  Built
     the same way twice, it gives two identical tables."""
     table = ShardedDyCuckoo(num_shards=8, shard_configs=[
-        DyCuckooConfig(bucket_capacity=2, min_buckets=4, stash_capacity=4096,
-                       seed=70 + idx, **geometry)
+        DyCuckooConfig(**dict(bucket_capacity=2, min_buckets=4,
+                              stash_capacity=4096, seed=70 + idx) | geometry)
         for idx, geometry in enumerate(_ROUND_SHARDS)])
     keys = np.arange(1, 4001, dtype=np.uint64)
     ids = table.shard_ids(keys)
@@ -720,9 +722,9 @@ class TestWaves:
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
     def test_wave_probe_budget(self, monkeypatch, num_shards):
-        """A sharded batch makes one probe call per wave: the most runs
-        any shard has, less the waves whose runs are all inserts into
-        empty shards.  Instrumented and cohort-engine batches probe
+        """A sharded batch makes one probe call per wave: the most
+        planned runs any shard has, less the waves whose runs are all
+        inserts into empty shards.  Instrumented and cohort-engine batches probe
         each shard run alone."""
         table = ShardedDyCuckoo(num_shards=num_shards, config=DyCuckooConfig(
             initial_buckets=64, bucket_capacity=8, min_buckets=8))
@@ -743,7 +745,10 @@ class TestWaves:
             plans = []
             for idx in range(num_shards):
                 at = order[ids == idx]
-                plans.append((idx, at, list(op_runs(ops[at]))))
+                if len(at):
+                    perm, runs = plan_runs(ops[at], keys[at])
+                    plans.append((idx, at if perm is None else at[perm],
+                                  runs))
             expected = 0
             for k in range(max(len(runs) for _i, _a, runs in plans)):
                 wave = [(idx, at, runs[k]) for idx, at, runs in plans
@@ -793,8 +798,9 @@ class TestWaves:
     def test_failing_run_lets_its_wave_finish(self, call):
         """A run that raises inside a wave (shard 0's insert overflows
         with ``auto_resize=False``) still lets the wave's other runs
-        finish, so each other shard ends as if run alone, and no later
-        wave starts."""
+        finish, and no later wave starts: every shard has applied a
+        prefix of its plan, each other shard up to the end of the
+        failing wave, as if its runs ran alone."""
         def build():
             table = small_sharded(num_shards=4, bucket_capacity=8,
                                   auto_resize=False)
@@ -806,38 +812,55 @@ class TestWaves:
         preload = np.concatenate([keys[ids == idx][:60]
                                   for idx in range(4)])
         overflow = keys[ids == 0][60:460]
+        mine = keys[ids == 0][:20]
         others = keys[(ids != 0) & np.isin(keys, preload)]
+        early, late = others[::2], others[1::2]
         if call == "execute_mixed":
-            # One wave: shard 0 inserts, the others delete, and a second
-            # wave of finds never starts.
-            batch = np.concatenate([others, overflow, others])
-            ops = np.concatenate([np.full(len(others), OP_DELETE),
-                                  np.full(len(overflow), OP_INSERT),
-                                  np.full(len(others), OP_FIND)])
+            # Shard 0 finds, then inserts the overflow in its second
+            # run.  The others delete ``early``, find and re-insert it,
+            # and delete ``late`` last: the plan pulls that delete into
+            # their first run, so the failing wave (the second) finds
+            # ``early`` with ``late`` already gone, and the third wave,
+            # the re-inserts, never starts.
+            parts = [(OP_DELETE, early), (OP_FIND, mine),
+                     (OP_INSERT, overflow), (OP_FIND, early),
+                     (OP_INSERT, early), (OP_DELETE, late)]
+            ops = np.concatenate([np.full(len(part), kind)
+                                  for kind, part in parts])
+            batch = np.concatenate([part for _kind, part in parts])
             args = (ops, batch, batch)
-            first_wave = len(others) + len(overflow)
         else:
-            batch = np.concatenate([others[::2] + np.uint64(1 << 40),
-                                    overflow])
+            batch = np.concatenate([early + np.uint64(1 << 40), overflow])
             ops = np.full(len(batch), OP_INSERT)
             args = (batch, batch)
-            first_wave = len(batch)
         waves, reference = build(), build()
         with pytest.raises(CapacityError):
             getattr(waves, call)(*args)
-        # The reference runs shard 0's failing run alone, then the other
-        # shards' runs of the first wave, each alone.
-        ops, batch = ops[:first_wave], batch[:first_wave]
+        # The reference runs each shard's planned runs alone, up to
+        # shard 0's failing run and the others' runs of that wave.
         order, batches = reference._scatter(batch)
-        start = 0
-        for idx, (shard, part) in enumerate(zip(reference.shards, batches)):
+        start, plans = 0, []
+        for shard, part in zip(reference.shards, batches):
             at = order[start:start + len(part)]
             start += len(part)
-            if idx == 0:
-                with pytest.raises(CapacityError):
-                    execute_mixed(shard, ops[at], part, batch[at])
-            else:
-                execute_mixed(shard, ops[at], part, batch[at])
+            perm, runs = plan_runs(ops[at], part.codes)
+            plans.append((shard, at if perm is None else at[perm], runs))
+        failing = len(plans[0][2]) - 1
+        assert plans[0][2][failing][0] == OP_INSERT
+        assert all(len(runs) > failing + (call == "execute_mixed")
+                   for _shard, _at, runs in plans[1:])
+        for idx, (shard, at, runs) in enumerate(plans):
+            for k, (kind, a, b) in enumerate(runs[:failing + 1]):
+                run = at[a:b]
+                if idx == 0 and k == failing:
+                    with pytest.raises(CapacityError):
+                        execute_mixed(shard, ops[run], batch[run],
+                                      batch[run])
+                else:
+                    execute_mixed(shard, ops[run], batch[run], batch[run])
+        if call == "execute_mixed":
+            assert not np.isin(late, waves.items()[0]).any()
+            assert not np.isin(early, waves.items()[0]).any()
         assert waves.shards[0].stats.insert_failures > 0
         for shard, twin in zip(waves.shards, reference.shards):
             assert shard.stats.snapshot() == twin.stats.snapshot()
