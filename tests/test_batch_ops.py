@@ -135,19 +135,22 @@ def rule_runs(ops: np.ndarray, keys: np.ndarray) -> list[int]:
     return runs
 
 
-def assert_plan_keeps_key_order(ops, keys, perm, runs) -> None:
+def positions(ops, runs) -> list[tuple[int, list[int]]]:
+    """A plan's runs as ``(kind, op positions)``."""
+    return [(kind, np.arange(len(ops))[at].tolist()) for kind, at in runs]
+
+
+def assert_plan_keeps_key_order(ops, keys, runs) -> None:
     """The plan's runs are homogeneous, list their ops in arrival order,
-    and keep each key's program order: a key's ops share a run only
-    when consecutive and of the same kind."""
-    order = np.arange(len(ops)) if perm is None else perm
-    assert sorted(order.tolist()) == list(range(len(ops)))
-    run_of = np.empty(len(ops), dtype=np.int64)
-    for r, (kind, a, b) in enumerate(runs):
-        assert (ops[order[a:b]] == kind).all()
-        assert (np.diff(order[a:b]) > 0).all()
-        run_of[order[a:b]] = r
-    assert [(a, b) for _k, a, b in runs] == list(zip(
-        [0, *[b for _k, _a, b in runs[:-1]]], [b for _k, _a, b in runs]))
+    hold every op once, and keep each key's program order: a key's ops
+    share a run only when consecutive and of the same kind."""
+    run_of = np.full(len(ops), -1)
+    for r, (kind, mine) in enumerate(positions(ops, runs)):
+        assert (ops[mine] == kind).all()
+        assert (np.diff(mine) > 0).all()
+        assert (run_of[mine] == -1).all()
+        run_of[mine] = r
+    assert (run_of >= 0).all()
     assert all(x[0] != y[0] for x, y in zip(runs, runs[1:]))
     for key in np.unique(keys):
         mine = np.flatnonzero(keys == key)
@@ -175,31 +178,31 @@ def assert_program_order(ops, keys, values, result) -> DictModel:
 class TestPlanRuns:
     def test_commuting_runs_merge_per_kind(self):
         ops = np.array([OP_INSERT, OP_FIND, OP_INSERT, OP_FIND, OP_DELETE])
-        perm, runs = plan_runs(ops, np.array([1, 2, 3, 4, 5]))
-        assert perm.tolist() == [0, 2, 1, 3, 4]
-        assert runs == [(OP_INSERT, 0, 2), (OP_FIND, 2, 4),
-                        (OP_DELETE, 4, 5)]
+        runs = plan_runs(ops, np.array([1, 2, 3, 4, 5]))
+        assert positions(ops, runs) == [(OP_INSERT, [0, 2]),
+                                        (OP_FIND, [1, 3]),
+                                        (OP_DELETE, [4])]
 
     def test_cycle_follows_first_appearance(self):
         ops = np.array([OP_DELETE, OP_INSERT, OP_DELETE, OP_INSERT])
-        perm, runs = plan_runs(ops, np.array([1, 2, 3, 4]))
-        assert perm.tolist() == [0, 2, 1, 3]
-        assert runs == [(OP_DELETE, 0, 2), (OP_INSERT, 2, 4)]
+        runs = plan_runs(ops, np.array([1, 2, 3, 4]))
+        assert positions(ops, runs) == [(OP_DELETE, [0, 2]),
+                                        (OP_INSERT, [1, 3])]
 
     def test_repeated_key_moves_to_a_later_cycle(self):
         # Key 7 is inserted, found, then deleted and found again: its
         # second find needs a second find run, after the delete run.
         ops = np.array([OP_INSERT, OP_FIND, OP_DELETE, OP_FIND, OP_INSERT])
-        perm, runs = plan_runs(ops, np.array([7, 7, 7, 7, 8]))
-        assert perm.tolist() == [0, 4, 1, 2, 3]
-        assert runs == [(OP_INSERT, 0, 2), (OP_FIND, 2, 3),
-                        (OP_DELETE, 3, 4), (OP_FIND, 4, 5)]
+        runs = plan_runs(ops, np.array([7, 7, 7, 7, 8]))
+        assert positions(ops, runs) == [(OP_INSERT, [0, 4]),
+                                        (OP_FIND, [1]), (OP_DELETE, [2]),
+                                        (OP_FIND, [3])]
 
     def test_consecutive_same_kind_ops_of_a_key_share_a_run(self):
         ops = np.array([OP_INSERT, OP_FIND, OP_INSERT, OP_FIND])
-        perm, runs = plan_runs(ops, np.array([5, 6, 5, 9]))
-        assert perm.tolist() == [0, 2, 1, 3]
-        assert runs == [(OP_INSERT, 0, 2), (OP_FIND, 2, 4)]
+        runs = plan_runs(ops, np.array([5, 6, 5, 9]))
+        assert positions(ops, runs) == [(OP_INSERT, [0, 2]),
+                                        (OP_FIND, [1, 3])]
 
     @pytest.mark.parametrize("ops, keys", [
         # One run per kind already.
@@ -211,7 +214,8 @@ class TestPlanRuns:
     ])
     def test_arrival_runs_when_the_plan_is_not_shorter(self, ops, keys):
         ops = np.array(ops)
-        assert plan_runs(ops, np.array(keys)) == (None, op_runs(ops))
+        assert plan_runs(ops, np.array(keys)) == [
+            (kind, slice(a, b)) for kind, a, b in op_runs(ops)]
 
     def test_execute_mixed_reports_the_planned_runs(self):
         table = fresh_table()
@@ -240,15 +244,17 @@ class TestPlanRuns:
         keys = rng.integers(0, keyspace, len(ops)).astype(np.uint64)
         values = rng.integers(1, 1 << 40, len(ops)).astype(np.uint64)
 
-        perm, planned = plan_runs(ops, encode_keys(keys))
+        planned = plan_runs(ops, encode_keys(keys))
         arrival = op_runs(ops)
-        rule = rule_runs(ops, keys)
-        if len(set(rule)) < len(arrival):
-            assert perm.tolist() == np.argsort(rule, kind="stable").tolist()
-            assert len(planned) == len(set(rule))
+        rule = np.array(rule_runs(ops, keys))
+        if len(set(rule.tolist())) < len(arrival):
+            assert [mine for _kind, mine in positions(ops, planned)] == [
+                np.flatnonzero(rule == r).tolist()
+                for r in sorted(set(rule.tolist()))]
         else:
-            assert (perm, planned) == (None, arrival)
-        assert_plan_keeps_key_order(ops, keys, perm, planned)
+            assert planned == [(kind, slice(a, b))
+                               for kind, a, b in arrival]
+        assert_plan_keeps_key_order(ops, keys, planned)
 
         config = DyCuckooConfig(initial_buckets=8, min_buckets=8,
                                 bucket_capacity=4)
@@ -288,15 +294,14 @@ class TestMidBatchFailure:
         ops = np.concatenate([np.full(len(part), kind)
                               for kind, part in parts])
         batch = np.concatenate([part for _kind, part in parts])
-        perm, runs = plan_runs(ops, encode_keys(batch))
-        assert [kind for kind, _a, _b in runs] == [
+        runs = plan_runs(ops, encode_keys(batch))
+        assert [kind for kind, _run in runs] == [
             OP_FIND, OP_DELETE, OP_INSERT, OP_FIND]
 
         table, reference = build(), build()
         with pytest.raises(CapacityError):
             table.execute_mixed(ops, batch, batch)
-        for kind, a, b in runs[:3]:
-            run = perm[a:b]
+        for kind, run in runs[:3]:
             if kind == OP_INSERT:
                 with pytest.raises(CapacityError):
                     reference.insert(batch[run], batch[run])

@@ -707,7 +707,7 @@ class TestMixedBatchDispatch:
         assert rw.kernel is not None
         assert_tables_identical(tw, tc, rw, rc)
         assert rw.runs == len(op_runs(ops))
-        assert rh.runs == len(plan_runs(ops, keys)[1]) < rw.runs
+        assert rh.runs == len(plan_runs(ops, keys)) < rw.runs
         assert twin_divergence(
             None, dataclasses.replace(rh, runs=rw.runs),
             None, dataclasses.replace(rw, kernel=None)) == []

@@ -746,24 +746,23 @@ class TestWaves:
             for idx in range(num_shards):
                 at = order[ids == idx]
                 if len(at):
-                    perm, runs = plan_runs(ops[at], keys[at])
-                    plans.append((idx, at if perm is None else at[perm],
-                                  runs))
+                    plans.append((idx, [(kind, at[run]) for kind, run
+                                        in plan_runs(ops[at], keys[at])]))
             expected = 0
-            for k in range(max(len(runs) for _i, _a, runs in plans)):
-                wave = [(idx, at, runs[k]) for idx, at, runs in plans
+            for k in range(max(len(runs) for _i, runs in plans)):
+                wave = [(idx, runs[k]) for idx, runs in plans
                         if k < len(runs)]
                 expected += any(kind != OP_INSERT or live[idx]
-                                for idx, _at, (kind, _a, _b) in wave)
-                for idx, at, (kind, a, b) in wave:
+                                for idx, (kind, _run) in wave)
+                for idx, (kind, run) in wave:
                     if kind == OP_INSERT:
-                        live[idx].update(keys[at[a:b]].tolist())
+                        live[idx].update(keys[run].tolist())
                     elif kind == OP_DELETE:
-                        live[idx].difference_update(keys[at[a:b]].tolist())
+                        live[idx].difference_update(keys[run].tolist())
             calls.clear()
             table.execute_mixed(ops, keys, values)
             assert len(calls) == expected
-            assert sum(calls) <= sum(len(runs) for *_r, runs in plans)
+            assert sum(calls) <= sum(len(runs) for _i, runs in plans)
             assert [len(shard) for shard in table.shards] == [
                 len(keys) for keys in live]
 
@@ -843,15 +842,14 @@ class TestWaves:
         for shard, part in zip(reference.shards, batches):
             at = order[start:start + len(part)]
             start += len(part)
-            perm, runs = plan_runs(ops[at], part.codes)
-            plans.append((shard, at if perm is None else at[perm], runs))
-        failing = len(plans[0][2]) - 1
-        assert plans[0][2][failing][0] == OP_INSERT
+            plans.append((shard, [(kind, at[run]) for kind, run
+                                  in plan_runs(ops[at], part.codes)]))
+        failing = len(plans[0][1]) - 1
+        assert plans[0][1][failing][0] == OP_INSERT
         assert all(len(runs) > failing + (call == "execute_mixed")
-                   for _shard, _at, runs in plans[1:])
-        for idx, (shard, at, runs) in enumerate(plans):
-            for k, (kind, a, b) in enumerate(runs[:failing + 1]):
-                run = at[a:b]
+                   for _shard, runs in plans[1:])
+        for idx, (shard, runs) in enumerate(plans):
+            for k, (kind, run) in enumerate(runs[:failing + 1]):
                 if idx == 0 and k == failing:
                     with pytest.raises(CapacityError):
                         execute_mixed(shard, ops[run], batch[run],
